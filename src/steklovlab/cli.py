@@ -49,7 +49,6 @@ class RunConfig:
     output: str | None = None
     precision: int = 256
     workers: int = 1
-    seed: int = 0
     x_max: float | None = None
     tolerance: float = 1e-10
     B: float = 1.0
@@ -113,8 +112,7 @@ def _cmd_forward(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     form = _base_form(cfg.base)
     opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
-    x_max = cfg.x_max if cfg.x_max is not None else max(12.0, 23.0 / params.kappa[0])
-    pot = sample_potential(form, x_max=x_max, n=max(256, cfg.M))
+    pot = sample_potential(form, x_max=opts.x_max_for(params.kappa[0]), n=max(256, cfg.M))
     spectrum = steklov_spectrum(lambda k: wt_from_ode(pot, k, opts), params, cfg.K)
     lines = ["k,kappa,sigma"]
     for k in range(cfg.K + 1):
@@ -264,7 +262,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float)
     p.add_argument("--K", type=int)
     p.add_argument("--M", type=int)
-    p.add_argument("--seed", type=int)
     p.add_argument("--x-max", dest="x_max", type=float)
     p.add_argument("--tolerance", type=float)
     p.add_argument("--B", type=float)
@@ -296,7 +293,7 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
                 raise ValidationError(f"unknown config key {key!r}", _MOD)
             setattr(cfg, key, val)
     for name in ("command", "output", "workers", "precision", "d", "delta", "T",
-                 "K", "M", "seed", "x_max", "tolerance", "B", "n"):
+                 "K", "M", "x_max", "tolerance", "B", "n"):
         val = getattr(args, name)
         if val is not None:
             setattr(cfg, name, val)

@@ -18,6 +18,15 @@ p'(0) != 0, which silently degrades plain composite Simpson to second order;
 the row quadrature below therefore splits each collocation row at its kink
 and patches the pieces with 3/8 and one-interval cubic end rules, restoring
 clean fourth-order convergence (verified against the closed-form wells).
+
+On the uniform subgrid t_i = x + h i of one node, every kernel entry is p
+at a lattice point: p(t_i - t_j) = p(h (i - j)) (Toeplitz) and
+p(2T - t_i - t_j) = p(2T - 2x - h (i + j)) (Hankel). p and p' are therefore
+evaluated on these two 1-D lattices only (O(n) closed-form evaluations per
+node) and the n x n kernels are gathered from them by index. One function,
+_system, assembles the discrete equations for both the solver and the
+residual check. The kink-split weights scale with h and their row i does not
+depend on n, so one unit table per solve serves every subsystem.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.special import exprel
 
 from .errors import NumericalError, ValidationError
 from .perturbation import Amplitude
@@ -44,18 +54,14 @@ _MOD = "gelfand_levitan"
 def p_from_amplitude(A: Amplitude, t) -> np.ndarray:
     """p(t) = -(1/2) int_0^{t/2} A(alpha) d alpha, term by term in closed form.
 
-    Each series term c e^{-mu alpha} contributes -c (1 - e^{-mu t/2})/(2 mu),
-    with the limit -c t/4 at mu = 0. The formula is analytic in t, so slightly
-    negative arguments (needed by the end-rule stencils) are fine.
+    Each series term c e^{-mu alpha} contributes -(c t/4) exprel(-mu t/2),
+    which is -c (1 - e^{-mu t/2})/(2 mu) and tends to -c t/4 at mu = 0. The
+    formula is analytic in t, so slightly negative arguments (needed by the
+    end-rule stencils) are fine.
     """
     t = np.asarray(t, dtype=float)
-    out = np.asarray(A.base.p_accum(t), dtype=float).copy()
-    for ck, mk in zip(A.term_coeffs, A.term_mu):
-        if abs(mk) < 1e-12:
-            out += -0.25 * ck * t
-        else:
-            out += -ck * (-np.expm1(-mk * t / 2.0)) / (2.0 * mk)
-    return out
+    series = exprel(-0.5 * np.multiply.outer(t, A.term_mu)) @ A.term_coeffs
+    return A.base.p_accum(t) - 0.25 * t * series
 
 
 def p_prime_from_amplitude(A: Amplitude, t) -> np.ndarray:
@@ -64,32 +70,68 @@ def p_prime_from_amplitude(A: Amplitude, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kink-split row quadrature.
+# Kink-split row quadrature and lattice-sampled assembly.
 # ---------------------------------------------------------------------------
 
 
-def _piece_weights_left(n: int, h: float) -> np.ndarray:
-    """W[i, :] integrates a smooth integrand over [t_0, t_i] on nodes t_0..t_n.
+def _unit_piece_weights(n: int) -> np.ndarray:
+    """W[i, :] integrates a smooth integrand over [t_0, t_i] on unit-spaced
+    nodes t_0..t_n; scale by h for spacing h.
 
     Composite Simpson where the interval count allows it, a 3/8 patch for odd
-    counts, and for a single interval the cubic end rule (9, 19, -5, 1) h/24,
+    counts, and for a single interval the cubic end rule (9, 19, -5, 1)/24,
     whose stencil spills at most two nodes past the kink; callers evaluate the
-    kernel branch analytically there.
+    kernel branch analytically there. Row i never depends on n, so the
+    weights of any subsystem of size m <= n are W[:m+1, :m+1].
     """
     W = np.zeros((n + 1, n + 1))
     for i in range(1, n + 1):
         if i == 1:
-            W[1, :4] = np.array([9.0, 19.0, -5.0, 1.0]) * h / 24.0
+            W[1, :4] = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
         elif i == 2:
-            W[2, :3] = np.array([1.0, 4.0, 1.0]) * h / 3.0
+            W[2, :3] = np.array([1.0, 4.0, 1.0]) / 3.0
         elif i == 3:
-            W[3, :4] = np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * h / 8.0
+            W[3, :4] = np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
         elif i % 2 == 0:
-            W[i, : i + 1] = simpson_weights(i, h)
+            W[i, : i + 1] = simpson_weights(i, 1.0)
         else:
-            W[i, :4] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 * h / 8.0
-            W[i, 3 : i + 1] += simpson_weights(i - 3, h)
+            W[i, :4] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
+            W[i, 3 : i + 1] += simpson_weights(i - 3, 1.0)
     return W
+
+
+def _lattices(A: Amplitude, T: float, x: float, h: float, n: int):
+    """p and p' on the two argument lattices of the subgrid t_i = x + h i.
+
+    Returns (pt, ph, dpt, dph): pt[n + k] = p(h k) for k = -n..n (the
+    Toeplitz lattice, carrying p(t_i - t_j)), ph[k] = p(2T - 2x - h k) for
+    k = 0..2n (the Hankel lattice, carrying p(2T - t_i - t_j)), and p' at the
+    k = 0..n points of each lattice, the only ones the recovery reads.
+    """
+    k = np.arange(2 * n + 1)
+    args = np.concatenate([h * (k - n), 2.0 * T - 2.0 * x - h * k])
+    p, dp = p_from_amplitude(A, args), p_prime_from_amplitude(A, args[n: 3 * n + 2])
+    return p[: 2 * n + 1], p[2 * n + 1:], dp[: n + 1], dp[n + 1:]
+
+
+def _kernels(pt: np.ndarray, ph: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pS, pL) with pS[i, j] = p(2T - t_i - t_j) and pL[i, j] = p(t_i - t_j),
+    gathered from the lattices by index; p(t_j - t_i) is pL.T."""
+    i = np.arange(n + 1)
+    return ph[i[:, None] + i], pt[n + i[:, None] - i]
+
+
+def _system(A: Amplitude, T: float, x: float, h: float, n: int, W: np.ndarray):
+    """The discrete equations at one x node: (mat, d, g2) with mat V = d and
+    mat V_x = g2 - d V[0], where d = p(t - x) - p(2T - x - t) and
+    g2 = p'(2T - x - t) - p'(t - x) on the subgrid. W is a unit weight table
+    of size at least n + 1."""
+    pt, ph, dpt, dph = _lattices(A, T, x, h, n)
+    pS, pL = _kernels(pt, ph, n)
+    WL = h * W[: n + 1, : n + 1]
+    mat = (np.eye(n + 1) + pS * simpson_weights(n, h)[None, :]
+           - WL * pL - WL[::-1, ::-1] * pL.T)
+    return mat, pt[n:] - ph[: n + 1], dph - dpt
 
 
 @dataclass
@@ -97,17 +139,16 @@ class GLWorkspace:
     """Discretization state for one amplitude on [0, T].
 
     grid holds the x nodes; V[i]/Vx[i] are the solution and its x-derivative
-    on the i-th node's sub-grid (subgrids[i] = (x, h, n)). kernel stores the
-    symmetric kernel matrix of the full-range (x = 0) system; p_values samples
-    p on [0, 2T]. q_rec is filled by recover_potential.
+    on the i-th node's sub-grid (subgrids[i] = (x, h, n)). Kernels are not
+    stored: every consumer resamples p and p' on the node's two 1-D lattices
+    (_lattices), which costs O(n) evaluations. q_rec is filled by
+    recover_potential.
     """
 
     amplitude: Amplitude
     T: float
     M: int
     grid: np.ndarray
-    p_values: np.ndarray
-    kernel: np.ndarray
     subgrids: tuple
     V: tuple
     Vx: tuple
@@ -119,17 +160,8 @@ def _subgrid(T: float, M: int, x: float) -> tuple[float, int]:
     return (T - x) / n, n
 
 
-def _solve_at(A: Amplitude, T: float, x: float, h: float, n: int):
-    t = x + h * np.arange(n + 1)
-    S = simpson_weights(n, h)
-    TT, SS = np.meshgrid(t, t, indexing="ij")
-    pS = p_from_amplitude(A, 2.0 * T - TT - SS)
-    pL = p_from_amplitude(A, TT - SS)   # analytic continuation past the kink
-    pR = p_from_amplitude(A, SS - TT)
-    WL = _piece_weights_left(n, h)
-    WR = WL[::-1, ::-1]
-    mat = np.eye(n + 1) + pS * S[None, :] - WL * pL - WR * pR
-
+def _solve_at(A: Amplitude, T: float, x: float, h: float, n: int, W: np.ndarray):
+    mat, d, g2 = _system(A, T, x, h, n, W)
     anorm = np.linalg.norm(mat, 1)
     lu, piv = lu_factor(mat)
     gecon = get_lapack_funcs(("gecon",), (mat,))[0]
@@ -138,12 +170,8 @@ def _solve_at(A: Amplitude, T: float, x: float, h: float, n: int):
         raise NumericalError(
             f"Nystrom system nearly singular at x={x:.6g} "
             f"(inverse-norm proxy {rcond * anorm:.3e})", _MOD)
-
-    d = p_from_amplitude(A, t - x) - p_from_amplitude(A, 2.0 * T - x - t)
     V = lu_solve((lu, piv), d)
-    g2 = p_prime_from_amplitude(A, 2.0 * T - x - t) - p_prime_from_amplitude(A, t - x)
-    Kcol = pS[:, 0] - p_from_amplitude(A, np.abs(t - x))
-    Vx = lu_solve((lu, piv), g2 + Kcol * V[0])
+    Vx = lu_solve((lu, piv), g2 - d * V[0])
     return V, Vx
 
 
@@ -166,12 +194,13 @@ def solve_gl(A: Amplitude, T: float, M: int, workers: int = 1) -> GLWorkspace:
         else:
             h, n = _subgrid(T, M, float(x))
             subgrids.append((float(x), h, n))
+    W = _unit_piece_weights(max(n for _, _, n in subgrids))
 
     def work(i: int):
         x, h, n = subgrids[i]
         if n == 0:  # degenerate interval: the system is empty and V = 0
             return np.zeros(1), np.zeros(1)
-        return _solve_at(A, T, x, h, n)
+        return _solve_at(A, T, x, h, n, W)
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -179,14 +208,7 @@ def solve_gl(A: Amplitude, T: float, M: int, workers: int = 1) -> GLWorkspace:
     else:
         results = [work(i) for i in range(M + 1)]
 
-    h0, n0 = subgrids[0][1], subgrids[0][2]
-    t0 = h0 * np.arange(n0 + 1)
-    TT, SS = np.meshgrid(t0, t0, indexing="ij")
-    kernel = p_from_amplitude(A, 2.0 * T - TT - SS) - p_from_amplitude(A, np.abs(TT - SS))
-    p_values = p_from_amplitude(A, np.linspace(0.0, 2.0 * T, 2 * M + 1))
-
-    return GLWorkspace(amplitude=A, T=T, M=M, grid=xs, p_values=p_values,
-                       kernel=kernel, subgrids=tuple(subgrids),
+    return GLWorkspace(amplitude=A, T=T, M=M, grid=xs, subgrids=tuple(subgrids),
                        V=tuple(r[0] for r in results),
                        Vx=tuple(r[1] for r in results))
 
@@ -205,13 +227,11 @@ def recover_potential(ws: GLWorkspace) -> RadialPotential:
         if n == 0:
             dd = 2.0 * float(p_prime_from_amplitude(A, 0.0))
         else:
-            t = x + h * np.arange(n + 1)
+            pt, ph, dpt, dph = _lattices(A, T, x, h, n)
             S = simpson_weights(n, h)
-            g1 = p_from_amplitude(A, 2.0 * T - x - t) - p_from_amplitude(A, t - x)
-            g2 = p_prime_from_amplitude(A, 2.0 * T - x - t) - p_prime_from_amplitude(A, t - x)
-            dd = (float(p_from_amplitude(A, 2.0 * T - 2.0 * x)) * V[0]
-                  + 2.0 * float(p_prime_from_amplitude(A, 2.0 * T - 2.0 * x))
-                  - S @ (g1 * Vx) + S @ (g2 * V))
+            g1 = ph[: n + 1] - pt[n:]    # p(2T - x - t) - p(t - x)
+            g2 = dph - dpt               # p'(2T - x - t) - p'(t - x)
+            dd = ph[0] * V[0] + 2.0 * dph[0] - S @ (g1 * Vx) + S @ (g2 * V)
         qvals[ws.M - i] = -2.0 * dd  # value sits at T - x
     q = RadialPotential(grid=ws.grid.copy(), values=qvals, closed_form=None)
     ws.q_rec = q
@@ -221,26 +241,18 @@ def recover_potential(ws: GLWorkspace) -> RadialPotential:
 def gl_residual(ws: GLWorkspace) -> float:
     """Max over x nodes of the sup-norm residual of the discrete equations.
 
-    Reassembles each system and substitutes the stored solution; this
-    certifies the linear solves independently of reconstruction accuracy.
+    Reassembles each system through _system and substitutes the stored
+    solution; this certifies the linear solves independently of
+    reconstruction accuracy.
     """
     A, T = ws.amplitude, ws.T
+    W = _unit_piece_weights(max(n for _, _, n in ws.subgrids))
     worst = 0.0
     for i, (x, h, n) in enumerate(ws.subgrids):
         if n == 0:
             continue
-        t = x + h * np.arange(n + 1)
-        S = simpson_weights(n, h)
-        TT, SS = np.meshgrid(t, t, indexing="ij")
-        pS = p_from_amplitude(A, 2.0 * T - TT - SS)
-        WL = _piece_weights_left(n, h)
-        WR = WL[::-1, ::-1]
-        mat = (np.eye(n + 1) + pS * S[None, :]
-               - WL * p_from_amplitude(A, TT - SS)
-               - WR * p_from_amplitude(A, SS - TT))
-        d = p_from_amplitude(A, t - x) - p_from_amplitude(A, 2.0 * T - x - t)
-        worst = max(worst, float(np.max(np.abs(mat @ ws.V[i] - d))))
-        g2 = p_prime_from_amplitude(A, 2.0 * T - x - t) - p_prime_from_amplitude(A, t - x)
-        Kcol = pS[:, 0] - p_from_amplitude(A, np.abs(t - x))
-        worst = max(worst, float(np.max(np.abs(mat @ ws.Vx[i] - (g2 + Kcol * ws.V[i][0])))))
+        mat, d, g2 = _system(A, T, x, h, n, W)
+        V, Vx = ws.V[i], ws.Vx[i]
+        worst = max(worst, float(np.max(np.abs(mat @ V - d))),
+                    float(np.max(np.abs(mat @ Vx - (g2 - d * V[0])))))
     return worst

@@ -23,6 +23,7 @@ _MOD = "perturbation"
 
 _TRUNC_REL = 1e-18   # relative cutoff when materializing generator tails
 _MAX_TERMS = 5000
+_WINDOW_BLOCK = 128  # maximal-function windows per block of the (window, term) table
 
 
 @dataclass(frozen=True)
@@ -47,8 +48,9 @@ class Amplitude:
     """Base amplitude plus a validated exponential-series perturbation.
 
     term_coeffs/term_mu hold the materialized series: explicit coefficients
-    first, then generator terms down to a negligible size. All evaluation,
-    Laplace transforms and measure differences run over these finite arrays.
+    first, then generator terms down to a negligible size. The rates are
+    signed (mu_k < 0 marks a bound-state term), so every transform of
+    c e^{-mu alpha} is one broadcast expression over these finite arrays.
     """
 
     base: PotentialForm
@@ -72,17 +74,15 @@ class Amplitude:
         return int(np.count_nonzero(self.term_mu < 0))
 
     def series_diff(self, alpha) -> np.ndarray:
-        """The perturbation sum_k c_k e^{-mu_k alpha}, split into its bound-state
-        (sinh) part and its resonance (decaying-exponential) part."""
+        """The perturbation sum_k c_k e^{-mu_k alpha} with signed rates; the
+        terms with mu_k < 0 grow and carry the injected bound states."""
         alpha = np.asarray(alpha, dtype=float)
-        out = np.zeros_like(alpha)
-        c, mu = self.term_coeffs, self.term_mu
-        neg = mu < 0
-        for ck, mk in zip(c[neg], mu[neg]):
-            out += 2.0 * ck * np.sinh(abs(mk) * alpha)
-        for ck, mk in zip(c, mu):
-            out += ck * np.exp(-abs(mk) * alpha)
-        return out
+        return np.exp(-np.multiply.outer(alpha, self.term_mu)) @ self.term_coeffs
+
+    def laplace_terms(self, kappa: float) -> np.ndarray:
+        """Per-term transforms int_0^inf c_k e^{-mu_k alpha} e^{-2 kappa alpha}
+        d alpha = c_k / (2 kappa + mu_k), valid while 2 kappa + mu_k > 0."""
+        return self.term_coeffs / (2.0 * kappa + self.term_mu)
 
     def __call__(self, alpha) -> np.ndarray:
         return self.base.amplitude(alpha) + self.series_diff(alpha)
@@ -139,8 +139,8 @@ def build_perturbed_amplitude(base: PotentialForm, coeffs, params: SpectralParam
                               generator: GeometricTail | None = None) -> Amplitude:
     """Validate and assemble an admissible perturbed amplitude.
 
-    Rejects any positive coefficient, an estimated radius <= 1, and bound-state
-    terms whose sinh growth would make the Laplace transform singular on (or
+    Rejects any positive coefficient, an estimated radius <= 1, and growing
+    (mu_k < 0) terms that would make the Laplace transform singular on (or
     divergent over) the kappa evaluation grid.
     """
     c = np.atleast_1d(np.asarray(coeffs, dtype=float))
@@ -188,19 +188,22 @@ class SpectralMeasureDiff:
 
     def density_diff(self, E) -> np.ndarray:
         E = np.asarray(E, dtype=float)
-        out = np.zeros_like(E)
-        sqE = np.sqrt(E)
-        for ck, mk in zip(self.term_coeffs, self.term_mu):
-            out += -(2.0 / math.pi) * ck * sqE / (4.0 * E + mk**2)
-        return out
+        return np.sqrt(E) / math.pi * _series_ratio(self.term_coeffs, self.term_mu, E)
+
+
+def _series_ratio(c: np.ndarray, mu: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """The series' share sum_k -2 c_k / (4E + mu_k^2) of d rho~/d rho_0 - 1."""
+    den = np.add.outer(4.0 * E, mu**2)
+    np.divide(-2.0 * c, den, out=den)
+    return den.sum(axis=-1)
 
 
 def spectral_measure_diff(A: Amplitude) -> SpectralMeasureDiff:
     c, mu = A.term_coeffs, A.term_mu
-    masses = tuple(
-        (-(mk**2) / 4.0, -0.5 * ck * abs(mk)) for ck, mk in zip(c, mu) if mk < 0
-    )
-    resonances = tuple(-abs(mk) / 2.0 for mk in mu)
+    bound = mu < 0
+    masses = tuple(zip((-(mu[bound] ** 2) / 4.0).tolist(),
+                       (-0.5 * c[bound] * np.abs(mu[bound])).tolist()))
+    resonances = tuple((-np.abs(mu) / 2.0).tolist())
     return SpectralMeasureDiff(term_coeffs=c, term_mu=mu,
                                point_masses=masses, resonances=resonances)
 
@@ -232,8 +235,7 @@ def ks_check_positivity(A: Amplitude, E_grid: np.ndarray | None = None) -> Posit
     """Evaluate d rho~/dE on E > 0 and report its minimum (>= 0 when admissible)."""
     _require_known_base(A)
     E = default_E_grid() if E_grid is None else np.asarray(E_grid, dtype=float)
-    base_density = np.sqrt(E) / math.pi * (1.0 + A.base.density_ratio_minus_one(E))
-    dens = base_density + spectral_measure_diff(A).density_diff(E)
+    dens = np.sqrt(E) / math.pi * (1.0 + _ratio_minus_one(A, E))
     i = int(np.argmin(dens))
     return PositivityReport(min_density=float(dens[i]), argmin_E=float(E[i]),
                             passed=bool(dens[i] >= 0.0))
@@ -241,10 +243,7 @@ def ks_check_positivity(A: Amplitude, E_grid: np.ndarray | None = None) -> Posit
 
 def _ratio_minus_one(A: Amplitude, E: np.ndarray) -> np.ndarray:
     """d rho~/d rho_0 - 1, in a cancellation-free closed form."""
-    out = np.asarray(A.base.density_ratio_minus_one(E), dtype=float).copy()
-    for ck, mk in zip(A.term_coeffs, A.term_mu):
-        out += -2.0 * ck / (4.0 * E + mk**2)
-    return out
+    return A.base.density_ratio_minus_one(E) + _series_ratio(A.term_coeffs, A.term_mu, E)
 
 
 @dataclass(frozen=True)
@@ -288,20 +287,23 @@ class NormalizationReport:
 def _maximal_function(A: Amplitude, ks: np.ndarray,
                       L_grid: np.ndarray) -> np.ndarray:
     """Discretized Hardy-Littlewood maximal function of the perturbed measure
-    with density Im M(k^2+i0) - k, using closed-form interval masses."""
+    with density Im M(k^2+i0) - k, using closed-form interval masses.
+
+    Only windows [k-L, k+L] inside (0, inf) count. The (window, term) table of
+    series masses is built in blocks of _WINDOW_BLOCK windows, which bounds
+    its temporaries whatever the size of the series.
+    """
+    ki, li = np.nonzero(L_grid[None, :] < ks[:, None])
+    k, L = ks[ki], L_grid[li]
+    mass = A.base.nu_mass(k, L)
+    w, mu2 = -0.25 * A.term_coeffs, A.term_mu**2
+    for lo in range(0, k.size, _WINDOW_BLOCK):
+        kb, Lb = k[lo:lo + _WINDOW_BLOCK, None], L[lo:lo + _WINDOW_BLOCK, None]
+        ratio = 4.0 * (kb + Lb) ** 2 + mu2
+        ratio /= 4.0 * (kb - Lb) ** 2 + mu2
+        mass[lo:lo + _WINDOW_BLOCK] += np.log(ratio, out=ratio) @ w
     out = np.zeros_like(ks)
-    c, mu = A.term_coeffs, A.term_mu
-    for i, k in enumerate(ks):
-        best = 0.0
-        for L in L_grid:
-            if L >= k:  # windows must stay inside (0, inf)
-                continue
-            mass = A.base.nu_mass(k, L)
-            for ck, mk in zip(c, mu):
-                mass += -2.0 * ck / 8.0 * math.log(
-                    (4.0 * (k + L) ** 2 + mk**2) / (4.0 * (k - L) ** 2 + mk**2))
-            best = max(best, mass / (2.0 * L))
-        out[i] = best
+    np.maximum.at(out, ki, mass / (2.0 * L))
     return out
 
 

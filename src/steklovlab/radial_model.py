@@ -106,9 +106,9 @@ class ZeroForm:
         """1/|psi(0, sqrt(E))|^2 - 1 for E > 0."""
         return np.zeros_like(np.asarray(E, dtype=float))
 
-    def nu_mass(self, k: float, L: float) -> float:
+    def nu_mass(self, k, L):
         """Mass on [k-L, k+L] of the measure with density Im M(k^2+i0) - k."""
-        return 0.0
+        return np.zeros(np.broadcast(k, L).shape)
 
 
 @dataclass(frozen=True)
@@ -166,10 +166,11 @@ class Bargmann1:
         E = np.asarray(E, dtype=float)
         return (self.beta**2 - self.gamma**2) / (E + self.gamma**2)
 
-    def nu_mass(self, k: float, L: float) -> float:
+    def nu_mass(self, k, L):
+        k = np.asarray(k, dtype=float)
         a, b = k - L, k + L
         c = self.beta**2 - self.gamma**2
-        return 0.5 * c * math.log((b**2 + self.gamma**2) / (a**2 + self.gamma**2))
+        return 0.5 * c * np.log((b**2 + self.gamma**2) / (a**2 + self.gamma**2))
 
 
 @dataclass(frozen=True)
@@ -230,8 +231,8 @@ class Bargmann2:
         # |psi(0, k)|^2 = 1: reflectionless
         return np.zeros_like(np.asarray(E, dtype=float))
 
-    def nu_mass(self, k: float, L: float) -> float:
-        return 0.0
+    def nu_mass(self, k, L):
+        return np.zeros(np.broadcast(k, L).shape)
 
 
 PotentialForm = ZeroForm | Bargmann1 | Bargmann2

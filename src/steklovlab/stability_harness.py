@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import NumericalError, SteklovError, ValidationError
 from .gelfand_levitan import recover_potential, solve_gl
-from .muntz import still_bound
+from .muntz import MuntzSeries, still_bound
 from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
                            holder_exponent)
 from .quadrature import l2_norm
@@ -58,21 +57,13 @@ def scaled_coeff_family(coeffs: Sequence[float]) -> CoeffFamily:
 
 
 def _amplitude_gap_sq(A: Amplitude, params: SpectralParams) -> float:
-    """int_0^infty e^{(2 delta - 1) alpha} (A - A~)^2 d alpha by quadrature.
+    """int_0^infty e^{(2 delta - 1) alpha} (A - A~)^2 d alpha in closed form.
 
-    Under t = e^{-alpha} the integral becomes int_0^1 h(t)^2 dt with
-    h(t) = sum_k c_k t^{lam_k}, which is what is integrated here.
+    Under t = e^{-alpha} the integral becomes ||h||^2 on L^2(0,1) with
+    h(t) = sum_k c_k t^{lam_k}, lam_k = mu_k - delta, a Muntz series.
     """
-    c, mu = A.term_coeffs, A.term_mu
-    if c.size == 0:
-        return 0.0
-    lam = mu - params.delta
-
-    def h(t: float) -> float:
-        return float(np.sum(c * t**lam))
-
-    val, _ = quad(lambda t: h(t) ** 2, 0.0, 1.0, limit=200, epsabs=1e-16, epsrel=1e-12)
-    return float(val)
+    return MuntzSeries(coeffs=tuple(A.term_coeffs.tolist()),
+                       exponents=tuple((A.term_mu - params.delta).tolist())).norm_sq()
 
 
 def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],

@@ -6,7 +6,7 @@ with the decaying (Jost) seed and returns u'(0)/u(0); backward integration
 damps the growing mode, so the value is uniformly stable. Route two uses the
 representation M(-kappa^2) = -kappa - int_0^inf A(alpha) e^{-2 kappa alpha}
 d alpha for the amplitude A, with the perturbation series transformed in
-closed form.
+closed form: sum_k c_k / (2 kappa + mu_k) over the signed rates mu_k.
 """
 
 from __future__ import annotations
@@ -48,11 +48,13 @@ class OdeOptions:
     tolerance: float = 1e-10
     max_halvings: int = 14
 
+    def x_max_for(self, kappa: float) -> float:
+        """The truncation point at kappa before any clipping to a sampled domain."""
+        return float(self.x_max) if self.x_max is not None else max(12.0, 23.0 / kappa)
+
     def resolve_x_max(self, kappa: float, potential: RadialPotential) -> float:
-        if self.x_max is not None:
-            return float(self.x_max)
-        want = max(12.0, 23.0 / kappa)
-        if potential.closed_form is None:
+        want = self.x_max_for(kappa)
+        if self.x_max is None and potential.closed_form is None:
             return min(want, potential.x_max)
         return want
 
@@ -129,26 +131,6 @@ def wt_from_ode(Q: RadialPotential, kappa: float,
         _MOD)
 
 
-def _series_laplace(A: Amplitude, kappa: float) -> float:
-    """int_0^inf (A~ - A)(alpha) e^{-2 kappa alpha} d alpha in closed form.
-
-    Bound-state terms (mu_k < 0) contribute 2 c_k |mu_k| / (4 kappa^2 - mu_k^2),
-    every term contributes c_k / (2 kappa + |mu_k|); together this equals
-    sum_k c_k / (2 kappa + mu_k) with the signed rates.
-    """
-    total = 0.0
-    for ck, mk in zip(A.term_coeffs, A.term_mu):
-        if mk < 0:
-            gap = 2.0 * kappa - abs(mk)
-            if gap < 1e-8:
-                raise ValidationError(
-                    f"kappa={kappa} is at or within 1e-8 of the pole "
-                    f"2 kappa = |mu| = {abs(mk)}", _MOD)
-            total += 2.0 * ck * abs(mk) / (4.0 * kappa**2 - mk**2)
-        total += ck / (2.0 * kappa + abs(mk))
-    return total
-
-
 def wt_from_amplitude(A: Amplitude, kappa: float) -> WTEvaluation:
     """M(-kappa^2) from the amplitude representation.
 
@@ -165,7 +147,13 @@ def wt_from_amplitude(A: Amplitude, kappa: float) -> WTEvaluation:
         raise ValidationError(
             f"representation for this base needs kappa > {base.kappa_min}, "
             f"got {kappa}", _MOD)
-    series = _series_laplace(A, kappa)
+    # bound-state terms put a pole at 2 kappa = |mu_k|; the other terms decay
+    pole = (A.term_mu < 0) & (2.0 * kappa + A.term_mu < 1e-8)
+    if pole.any():
+        raise ValidationError(
+            f"kappa={kappa} is at or within 1e-8 of the pole "
+            f"2 kappa = |mu| = {abs(A.term_mu[pole][0])}", _MOD)
+    series = float(np.sum(A.laplace_terms(kappa)))
 
     base_int, base_err = 0.0, 0.0
     if not isinstance(base, ZeroForm):
@@ -204,14 +192,10 @@ def steklov_spectrum(evaluator, params: SpectralParams,
 def perturbation_tail_bound(A: Amplitude, params: SpectralParams, K: int) -> float:
     """Analytic bound on sup_{k > K} |sigma_k - sigma~_k| for the perturbation
     carried by A: the term-wise majorant is decreasing in kappa, so its value
-    at kappa_{K+1} dominates the whole tail."""
+    at kappa_{K+1} dominates the whole tail. It is the series' Laplace sum
+    with |c_k| in place of c_k."""
     kap = float(params.kappa[0]) + (K + 1)  # kappa_{K+1}, unit spacing
-    total = 0.0
-    for ck, mk in zip(A.term_coeffs, A.term_mu):
-        if mk < 0:
-            total += 2.0 * abs(ck) * abs(mk) / (4.0 * kap**2 - mk**2)
-        total += abs(ck) / (2.0 * kap + abs(mk))
-    return total
+    return float(np.sum(np.abs(A.laplace_terms(kap))))
 
 
 @dataclass(frozen=True)

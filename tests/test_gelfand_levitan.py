@@ -8,6 +8,7 @@ from steklovlab import (Bargmann1, Bargmann2, ValidationError, ZeroForm,
                         build_perturbed_amplitude, gl_residual, GeometricTail,
                         make_spectral_params, p_from_amplitude,
                         p_prime_from_amplitude, recover_potential, solve_gl)
+from steklovlab.gelfand_levitan import _kernels, _lattices
 from steklovlab.quadrature import l2_norm
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
@@ -77,8 +78,13 @@ def test_zero_amplitude_fixed_point():
 
 
 def test_kernel_symmetry_exact():
-    ws = solve_gl(amp_of(B1), 2.0, 64)
-    assert np.array_equal(ws.kernel, ws.kernel.T)
+    # the x = 0 kernel p(2T-t-s) - p(|t-s|) as the assembler gathers it
+    T, n = 2.0, 64
+    pt, ph, _, _ = _lattices(amp_of(B1), T, 0.0, T / n, n)
+    pS, pL = _kernels(pt, ph, n)
+    kernel = pS - np.where(np.tri(n + 1, dtype=bool), pL, pL.T)
+    assert np.array_equal(kernel, kernel.T)
+    assert np.array_equal(pL[1:, 1:], pL[:-1, :-1])  # p(t_i - t_j) is exactly Toeplitz
 
 
 def test_residual_small_bargmann():

@@ -10,7 +10,7 @@ from steklovlab import (Amplitude, Bargmann1, GeometricTail, ValidationError,
                         holder_exponent, ks_check_normalization,
                         ks_check_positivity, ks_check_quasi_szego,
                         make_spectral_params, spectral_measure_diff)
-from steklovlab.perturbation import default_E_grid
+from steklovlab.perturbation import _maximal_function, _ratio_minus_one, default_E_grid
 
 
 def params(d=3, delta=1.0, K=8):
@@ -121,6 +121,32 @@ def test_split_form_equals_signed_sum(alpha, mags):
     amp = build_perturbed_amplitude(ZeroForm(), cs, p)
     direct = sum(c * math.exp(-m * alpha) for c, m in zip(amp.term_coeffs, amp.term_mu))
     assert amp.series_diff(alpha) == pytest.approx(direct, rel=1e-12, abs=1e-13)
+
+
+@pytest.mark.parametrize("base, coeffs, d, delta, gen", [
+    (Bargmann1(beta=1.0, gamma=0.5), [], 3, 0.5, GeometricTail(a=1.0, rho=0.8)),
+    (ZeroForm(), [-1.0, -0.3], 5, -2.0, None),  # mu_0 = -2: a bound-state term
+])
+def test_measure_transforms_match_term_loops(base, coeffs, d, delta, gen):
+    amp = build_perturbed_amplitude(base, coeffs, params(d=d, delta=delta), gen)
+    E = default_E_grid(n=97)
+    ratio = base.density_ratio_minus_one(E)
+    for c, m in zip(amp.term_coeffs, amp.term_mu):
+        ratio = ratio - 2.0 * c / (4.0 * E + m**2)
+    assert np.allclose(_ratio_minus_one(amp, E), ratio, rtol=1e-13, atol=0.0)
+    assert np.allclose(spectral_measure_diff(amp).density_diff(E),
+                       np.sqrt(E) / math.pi * (ratio - base.density_ratio_minus_one(E)),
+                       rtol=1e-13, atol=0.0)
+
+    ks, Ls = np.array([0.9, 1.0, 3.0, 40.0]), 2.0 ** np.arange(-6, 1)
+    loop = np.zeros_like(ks)
+    for i, k in enumerate(ks):
+        for L in Ls[Ls < k]:
+            mass = float(base.nu_mass(k, L))
+            for c, m in zip(amp.term_coeffs, amp.term_mu):
+                mass -= 0.25 * c * math.log((4 * (k + L) ** 2 + m**2) / (4 * (k - L) ** 2 + m**2))
+            loop[i] = max(loop[i], mass / (2.0 * L))
+    assert np.allclose(_maximal_function(amp, ks, Ls), loop, rtol=1e-13, atol=0.0)
 
 
 # --- diagnostics -------------------------------------------------------------

@@ -41,9 +41,14 @@ def test_single_term_q_gap_linear_in_scale(single_term_records):
     assert ratios[-1] == pytest.approx(ratios[-2], rel=5e-3)  # linear limit
 
 
-def test_amplitude_gap_matches_closed_form(single_term_records):
+def test_amplitude_gap_matches_closed_form(single_term_records, geometric_records):
     for rec in single_term_records:
         expected = series_gap_sq_closed_form([-rec.s], [0.5])  # lam_0 = 1/2
+        assert rec.a_gap == pytest.approx(expected, rel=1e-9)
+    # geometric tail c_k = -s rho^{lam_k}, lam_k = 2k + 1/2, far past the cutoff
+    lams = [2.0 * k + 0.5 for k in range(40)]
+    for rec in geometric_records:
+        expected = series_gap_sq_closed_form([-rec.s * 9.0**-lam for lam in lams], lams)
         assert rec.a_gap == pytest.approx(expected, rel=1e-9)
 
 

@@ -9,7 +9,7 @@ from steklovlab import (Bargmann1, Bargmann2, NumericalError, OdeOptions,
                         perturbation_tail_bound, sample_potential,
                         steklov_spectrum, wt_from_amplitude, wt_from_ode)
 from steklovlab.radial_model import SteklovSpectrum
-from steklovlab.weyl_titchmarsh import _m_fixed_step, _series_laplace
+from steklovlab.weyl_titchmarsh import _m_fixed_step
 
 from oracles import laplace_of_series
 
@@ -117,7 +117,7 @@ def test_amplitude_route_pole_and_threshold_rejections():
 def test_series_laplace_matches_quadrature(mags, kappa):
     cs = [-m * 100.0**-k for k, m in enumerate(mags)]  # decaying: R safely > 1
     amp = _amp(ZeroForm(), cs, d=5, delta=-2.0, K=8)
-    closed = _series_laplace(amp, kappa)
+    closed = float(np.sum(amp.laplace_terms(kappa)))
     numeric = laplace_of_series(amp.term_coeffs, amp.term_mu, kappa)
     assert closed == pytest.approx(numeric, rel=1e-7, abs=1e-10)
 
@@ -165,6 +165,17 @@ def test_dn_gap_identical_and_shifted():
     assert gap.certified  # tail below the gap itself: the max cannot migrate
     assert tail == pytest.approx(1e-3 / (2 * 65.5 + 2.0), rel=1e-12)
     assert not gap.strict_small_tail  # 1% margin is not met at K=64 for 1/k decay
+
+    # a bound-state term (mu_0 = -2) against the split majorant: sinh part
+    # 2|c||mu|/(4 kappa^2 - mu^2) plus the decaying part |c|/(2 kappa + |mu|)
+    bs_params = make_spectral_params(5, -2.0, 8)
+    bs = _amp(ZeroForm(), [-1.0, -0.01], d=5, delta=-2.0, K=8)
+    kap = bs_params.kappa[0] + 9
+    split = sum((2 * abs(c) * abs(m) / (4 * kap**2 - m**2) if m < 0 else 0.0)
+                + abs(c) / (2 * kap + abs(m))
+                for c, m in zip(bs.term_coeffs, bs.term_mu))
+    assert bs.term_mu[0] == -2.0
+    assert perturbation_tail_bound(bs, bs_params, 8) == pytest.approx(split, rel=1e-14)
 
 
 def test_dn_gap_mismatch_rejections():
