@@ -3,10 +3,18 @@ spectra, and certified sup-norm gaps between spectra.
 
 Route one integrates -u'' + Q u = -kappa^2 u backward from a truncation point
 with the decaying (Jost) seed and returns u'(0)/u(0); backward integration
-damps the growing mode, so the value is uniformly stable. Route two uses the
-representation M(-kappa^2) = -kappa - int_0^inf A(alpha) e^{-2 kappa alpha}
-d alpha for the amplitude A, with the perturbation series transformed in
-closed form: sum_k c_k / (2 kappa + mu_k) over the signed rates mu_k.
+damps the growing mode, so the value is uniformly stable. The classical RK4
+step is linear in (u, u'), so each step is a 2x2 propagator matrix; a pass
+builds them as arrays a chunk at a time, multiplies each chunk's propagators
+pairwise in a log-depth tree with power-of-two renormalization, and applies
+the chunk products to (u, u') in turn. Step halving refines the pass until successive
+values agree, and gives up as soon as the differences stop contracting, which
+is what happens near an eigenvalue.
+
+Route two uses the representation
+M(-kappa^2) = -kappa - int_0^inf A(alpha) e^{-2 kappa alpha} d alpha for the
+amplitude A, with the perturbation series transformed in closed form:
+sum_k c_k / (2 kappa + mu_k) over the signed rates mu_k.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from .radial_model import (Bargmann1, Bargmann2, PotentialForm, RadialPotential,
                            SpectralParams, SteklovSpectrum, ZeroForm)
 
 _MOD = "weyl_titchmarsh"
+_CHUNK = 8192         # RK4 steps per propagator product
+_MIN_CONTRACTION = 2  # step halving must shrink the difference at least this much
 
 
 @dataclass(frozen=True)
@@ -59,33 +69,61 @@ class OdeOptions:
         return want
 
 
-def _rk4_backward(g_half: np.ndarray, h: float, kappa: float) -> tuple[float, float]:
+def _step_propagators(g0: np.ndarray, gm: np.ndarray, g1: np.ndarray,
+                      s: float) -> np.ndarray:
+    """The classical RK4 steps of size s for u'' = g u as 2x2 matrices acting
+    on (u, u'), shape (2, 2, m): the scheme is linear, and the entries are its
+    stages expanded in closed form. g0, gm, g1 hold g at each step's start,
+    midpoint and end."""
+    s2 = s * s
+    return np.array([
+        [1.0 + s2 / 6.0 * (g0 + 2.0 * gm) + s2 * s2 / 24.0 * gm * g0,
+         s + s2 * s / 6.0 * gm],
+        [s / 6.0 * (g0 + 4.0 * gm + g1) + s2 * s / 12.0 * gm * (g0 + g1),
+         1.0 + s2 / 6.0 * (2.0 * gm + g1) + s2 * s2 / 24.0 * g1 * gm]])
+
+
+def _pow2_normalize(a: np.ndarray, axis=None) -> np.ndarray:
+    """a divided by a power of two that brings its largest |entry| into
+    [1/2, 1); exact, so only the (irrelevant) overall scale changes."""
+    return np.ldexp(a, -np.frexp(np.abs(a).max(axis=axis))[1])
+
+
+def _mul2(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """L @ R for 2x2 matrices L and 2xk matrices R, stacked along any trailing
+    axes, written elementwise (no BLAS call per 2x2 product)."""
+    return L[:, :1] * R[0] + L[:, 1:] * R[1]
+
+
+def _chain_product(P: np.ndarray) -> np.ndarray:
+    """P[..., m-1] @ ... @ P[..., 0] up to a positive factor, multiplied
+    pairwise in a log-depth tree; every partial product is renormalized by a
+    power of two, so growth like e^{kappa x_max} cannot overflow."""
+    while P.shape[-1] > 1:
+        m = P.shape[-1]
+        prod = _mul2(P[..., 1::2], P[..., :m - 1:2])
+        if m % 2:
+            prod[..., -1:] = _mul2(P[..., -1:], prod[..., -1:])
+        P = _pow2_normalize(prod, axis=(0, 1))
+    return P[..., 0]
+
+
+def _shoot_backward(g_half: np.ndarray, h: float, kappa: float) -> tuple[float, float]:
     """Integrate u'' = g(x) u from x_max down to 0 with the scaled Jost seed.
 
     g_half holds g = Q + kappa^2 on the half-step grid (2n+1 values, ascending).
-    Returns (u(0), u'(0)) up to an irrelevant common rescaling.
+    The n RK4 steps are applied as products of their propagators, _CHUNK steps
+    at a time, so the temporaries stay O(_CHUNK). Returns (u(0), u'(0)) up to
+    an irrelevant common positive factor.
     """
-    n = (g_half.size - 1) // 2
-    u, v = 1.0, -kappa
-    hs = -h
-    top = 2 * n
-    for j in range(n):
-        g0 = g_half[top - 2 * j]
-        gm = g_half[top - 2 * j - 1]
-        g1 = g_half[top - 2 * j - 2]
-        k1u, k1v = v, g0 * u
-        k2u = v + 0.5 * hs * k1v
-        k2v = gm * (u + 0.5 * hs * k1u)
-        k3u = v + 0.5 * hs * k2v
-        k3v = gm * (u + 0.5 * hs * k2u)
-        k4u = v + hs * k3v
-        k4v = g1 * (u + hs * k3u)
-        u = u + hs / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        v = v + hs / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        if abs(u) > 1e150:  # linear problem: rescale to dodge overflow
-            v /= abs(u)
-            u = math.copysign(1.0, u)
-    return u, v
+    g = g_half[::-1]
+    g0, gm, g1 = g[:-1:2], g[1::2], g[2::2]  # start, midpoint, end of each step
+    y = np.array([[1.0], [-kappa]])
+    for lo in range(0, gm.size, _CHUNK):
+        chunk = slice(lo, lo + _CHUNK)
+        P = _step_propagators(g0[chunk], gm[chunk], g1[chunk], -h)
+        y = _pow2_normalize(_mul2(_chain_product(P), y))
+    return float(y[0, 0]), float(y[1, 0])
 
 
 def _m_fixed_step(Q: RadialPotential, kappa: float, x_max: float, n: int) -> float:
@@ -94,12 +132,12 @@ def _m_fixed_step(Q: RadialPotential, kappa: float, x_max: float, n: int) -> flo
     g = Q(xs) + kappa**2
     if not np.all(np.isfinite(g)):
         raise NumericalError("potential evaluation produced non-finite values", _MOD)
-    u0, v0 = _rk4_backward(g, x_max / n, kappa)
+    u0, v0 = _shoot_backward(g, x_max / n, kappa)
     if not (math.isfinite(u0) and math.isfinite(v0)):
         raise NumericalError(
             f"backward integration overflowed at kappa={kappa} "
             "(spectral parameter too close to an eigenvalue)", _MOD)
-    if abs(u0) < 1e-12 * max(1.0, abs(v0)):
+    if abs(u0) <= 1e-12 * abs(v0):  # scale-free; <= also catches u0 = v0 = 0
         raise NumericalError(
             f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a Dirichlet "
             "point of the truncated problem", _MOD)
@@ -108,7 +146,11 @@ def _m_fixed_step(Q: RadialPotential, kappa: float, x_max: float, n: int) -> flo
 
 def wt_from_ode(Q: RadialPotential, kappa: float,
                 opts: OdeOptions | None = None) -> WTEvaluation:
-    """M(-kappa^2) = u'(0)/u(0) by backward integration; error from step halving."""
+    """M(-kappa^2) = u'(0)/u(0) by backward integration; error from step halving.
+
+    Raises NumericalError when a halving shrinks the difference between
+    successive values by less than _MIN_CONTRACTION, or after max_halvings.
+    """
     if kappa <= 0:
         raise ValidationError(f"kappa must be positive, got {kappa}", _MOD)
     opts = opts or OdeOptions()
@@ -118,12 +160,22 @@ def wt_from_ode(Q: RadialPotential, kappa: float,
             f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
 
     n = max(32, int(math.ceil(x_max / opts.step)))
-    prev = None
+    prev = prev_diff = None
     for _ in range(opts.max_halvings + 1):
         m = _m_fixed_step(Q, kappa, x_max, n)
-        if prev is not None and abs(m - prev) <= opts.tolerance:
-            return WTEvaluation(kappa=kappa, value=m, route="ode",
-                                est_error=abs(m - prev))
+        if prev is not None:
+            diff = abs(m - prev)
+            if diff <= opts.tolerance:
+                return WTEvaluation(kappa=kappa, value=m, route="ode", est_error=diff)
+            # RK4 contracts the difference about 16x per halving; near an
+            # eigenvalue it grows instead, and no tolerance will be met
+            if prev_diff is not None and diff * _MIN_CONTRACTION > prev_diff:
+                raise NumericalError(
+                    f"step halving stopped converging at kappa={kappa}: the "
+                    f"difference went from {prev_diff:.3g} to {diff:.3g} "
+                    "(spectral parameter too close to an eigenvalue, or the "
+                    "tolerance below the rounding floor)", _MOD)
+            prev_diff = diff
         prev = m
         n *= 2
     raise NumericalError(

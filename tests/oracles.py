@@ -2,11 +2,13 @@
 
 These deliberately avoid the package's own code paths: the rational
 Gram-Schmidt works directly on the monomial Gram matrix in exact Fraction
-arithmetic, and the Laplace/series helpers integrate definitions numerically.
+arithmetic, the Laplace/series helpers integrate definitions numerically, and
+the shooting reference steps RK4 one scalar step at a time.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -59,3 +61,40 @@ def series_gap_sq_closed_form(coeffs, lams) -> float:
         for cj, lj in zip(coeffs, lams):
             total += ci * cj / (li + lj + 1.0)
     return float(total)
+
+
+def rk4_backward_loop(g_half, h: float, kappa: float) -> tuple[float, float]:
+    """Integrate u'' = g(x) u from x_max down to 0 with the scaled Jost seed,
+    one classical RK4 step at a time.
+
+    g_half holds g = Q + kappa^2 on the half-step grid (2n+1 values, ascending).
+    Returns (u(0), u'(0)) up to an irrelevant common rescaling.
+    """
+    n = (len(g_half) - 1) // 2
+    u, v = 1.0, -kappa
+    hs = -h
+    top = 2 * n
+    for j in range(n):
+        g0 = g_half[top - 2 * j]
+        gm = g_half[top - 2 * j - 1]
+        g1 = g_half[top - 2 * j - 2]
+        k1u, k1v = v, g0 * u
+        k2u = v + 0.5 * hs * k1v
+        k2v = gm * (u + 0.5 * hs * k1u)
+        k3u = v + 0.5 * hs * k2v
+        k3v = gm * (u + 0.5 * hs * k2u)
+        k4u = v + hs * k3v
+        k4v = g1 * (u + hs * k3u)
+        u = u + hs / 6.0 * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        v = v + hs / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        if abs(u) > 1e150:  # linear problem: rescale to dodge overflow
+            v /= abs(u)
+            u = math.copysign(1.0, u)
+    return u, v
+
+
+def m_fixed_step_loop(Q, kappa: float, x_max: float, n: int) -> float:
+    """u'(0)/u(0) from one backward pass of exactly n scalar RK4 steps."""
+    xs = np.linspace(0.0, x_max, 2 * n + 1)
+    u0, v0 = rk4_backward_loop((Q(xs) + kappa**2).tolist(), x_max / n, kappa)
+    return v0 / u0

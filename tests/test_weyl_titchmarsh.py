@@ -1,3 +1,6 @@
+import math
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,9 @@ from steklovlab import (Bargmann1, Bargmann2, NumericalError, OdeOptions,
                         perturbation_tail_bound, sample_potential,
                         steklov_spectrum, wt_from_amplitude, wt_from_ode)
 from steklovlab.radial_model import SteklovSpectrum
-from steklovlab.weyl_titchmarsh import _m_fixed_step
+from steklovlab.weyl_titchmarsh import _CHUNK, _m_fixed_step
 
-from oracles import laplace_of_series
+from oracles import laplace_of_series, m_fixed_step_loop
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
 B2 = Bargmann2(c1=1.0, kappa1=0.5)
@@ -58,8 +61,53 @@ def test_ode_fixed_step_fourth_order():
 def test_ode_failure_at_eigenvalue():
     # -kappa1^2 is the bound state of this well: u(0) collapses
     pot = sample_potential(B2, x_max=14.0, n=128)
+    start = time.perf_counter()
     with pytest.raises(NumericalError):
         wt_from_ode(pot, 0.5, OdeOptions(x_max=14.0))
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("x_max", [12.0, 46.0])
+@pytest.mark.parametrize("kappa", [0.5, 1.5, 20.5, 64.5])
+def test_m_fixed_step_matches_scalar_loop(kappa, x_max):
+    # within one chunk, exactly one, one step into the next, several with a tail
+    pot = sample_potential(B1, x_max=46.0, n=256)
+    for n in (3000, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5):
+        assert _m_fixed_step(pot, kappa, x_max, n) == pytest.approx(
+            m_fixed_step_loop(pot, kappa, x_max, n), rel=1e-13)
+
+
+def _halving_differences(m_of_n, n: int, tolerance: float, max_halvings: int) -> list:
+    """|m(2n) - m(n)|, ... along the halving sequence, up to the first one
+    within tolerance."""
+    prev, diffs = m_of_n(n), []
+    for _ in range(max_halvings):
+        n *= 2
+        m = m_of_n(n)
+        diffs.append(abs(m - prev))
+        if diffs[-1] <= tolerance:
+            break
+        prev = m
+    return diffs
+
+
+def test_forward_shoot_halvings_match_scalar_loop():
+    # the forward-shoot configuration: every kappa converges after the same
+    # number of halvings as the scalar loop, contracting >= 10x per halving,
+    # far from the fail-fast threshold of 2x
+    params = make_spectral_params(3, 0.5, 64)
+    opts = OdeOptions()
+    pot = sample_potential(B1, x_max=opts.x_max_for(params.kappa[0]), n=256)
+    for kappa in map(float, params.kappa):
+        x_max = opts.resolve_x_max(kappa, pot)
+        n0 = max(32, math.ceil(x_max / opts.step))
+        diffs = _halving_differences(lambda n: _m_fixed_step(pot, kappa, x_max, n),
+                                     n0, opts.tolerance, opts.max_halvings)
+        ref = _halving_differences(lambda n: m_fixed_step_loop(pot, kappa, x_max, n),
+                                   n0, opts.tolerance, opts.max_halvings)
+        assert len(diffs) == len(ref) and ref[-1] <= opts.tolerance
+        assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:]))
+        assert wt_from_ode(pot, kappa, opts).est_error == diffs[-1]
 
 
 def test_ode_rejects_bad_kappa_and_domain():
