@@ -15,6 +15,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass, field
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -64,33 +65,35 @@ class RunConfig:
         return lines
 
 
+_WELLS = {"bargmann1": (Bargmann1, ("beta", "gamma")),
+          "bargmann2": (Bargmann2, ("c1", "kappa1"))}
+
+
 def _base_form(spec: dict) -> PotentialForm:
     kind = spec.get("kind", "zero")
     if kind == "zero":
         return ZeroForm()
-    if kind == "bargmann1":
-        try:
-            return Bargmann1(beta=float(spec["beta"]), gamma=float(spec["gamma"]))
-        except KeyError as exc:
-            raise ValidationError(f"bargmann1 base needs parameter {exc}", _MOD)
-    if kind == "bargmann2":
-        try:
-            return Bargmann2(c1=float(spec["c1"]), kappa1=float(spec["kappa1"]))
-        except KeyError as exc:
-            raise ValidationError(f"bargmann2 base needs parameter {exc}", _MOD)
-    raise ValidationError(
-        f"unknown base kind {kind!r}; expected zero | bargmann1 | bargmann2", _MOD)
+    if not isinstance(kind, str) or kind not in _WELLS:
+        raise ValidationError(
+            f"unknown base kind {kind!r}; expected zero | bargmann1 | bargmann2", _MOD)
+    well, keys = _WELLS[kind]
+    try:
+        return well(**{key: float(spec[key]) for key in keys})
+    except KeyError as exc:
+        raise ValidationError(f"{kind} base needs parameter {exc}", _MOD)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{kind} base parameters must be numbers: {exc}", _MOD)
 
 
 def _coeff_spec(spec: dict) -> tuple[np.ndarray, GeometricTail | None]:
-    values = np.asarray(spec.get("values", []), dtype=float)
     gen = spec.get("generator")
-    tail = None
-    if gen is not None:
-        try:
-            tail = GeometricTail(a=float(gen["a"]), rho=float(gen["rho"]))
-        except KeyError as exc:
-            raise ValidationError(f"coefficient generator needs key {exc}", _MOD)
+    try:
+        values = np.asarray(spec.get("values", []), dtype=float)
+        tail = None if gen is None else GeometricTail(a=float(gen["a"]), rho=float(gen["rho"]))
+    except KeyError as exc:
+        raise ValidationError(f"coefficient generator needs key {exc}", _MOD)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"coefficients must be numbers: {exc}", _MOD)
     return values, tail
 
 
@@ -278,6 +281,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _json_type_ok(val, hint) -> bool:
+    """Does a JSON config value fit its RunConfig field type? An int field
+    takes an integer (not a bool), a float field any number, the list of
+    scales only numbers."""
+    kinds = get_args(hint) or (hint,)
+    if val is None or isinstance(val, bool):
+        return val is None and type(None) in kinds
+    if float in kinds:
+        return isinstance(val, (int, float))
+    if list in kinds:
+        return isinstance(val, list) and all(_json_type_ok(v, float) for v in val)
+    return isinstance(val, kinds)
+
+
+def _float_list(text: str, flag: str) -> list[float]:
+    try:
+        return [float(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise ValidationError(f"{flag} takes comma-separated numbers: {exc}", _MOD)
+
+
 def build_config(argv: list[str] | None = None) -> RunConfig:
     args = _build_parser().parse_args(argv)
     cfg = RunConfig()
@@ -287,10 +311,14 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config: {exc}", _MOD)
-        known = {f.name for f in dataclasses.fields(RunConfig)}
+        if not isinstance(data, dict):
+            raise ValidationError("config must be a JSON object", _MOD)
+        hints = get_type_hints(RunConfig)
         for key, val in data.items():
-            if key not in known:
+            if key not in hints:
                 raise ValidationError(f"unknown config key {key!r}", _MOD)
+            if not _json_type_ok(val, hints[key]):
+                raise ValidationError(f"config key {key!r} has the wrong type: {val!r}", _MOD)
             setattr(cfg, key, val)
     for name in ("command", "output", "workers", "precision", "d", "delta", "T",
                  "K", "M", "x_max", "tolerance", "B", "n"):
@@ -298,15 +326,14 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
         if val is not None:
             setattr(cfg, name, val)
     if args.base is not None:
-        base = {"kind": args.base}
-        cfg.base = base
+        cfg.base = {"kind": args.base}
     for key, val in (("beta", args.beta), ("gamma", args.gamma),
                      ("c1", args.c1), ("kappa1", args.kappa1)):
         if val is not None:
             cfg.base[key] = val
     if args.coeffs is not None:
         cfg.coeffs = dict(cfg.coeffs)
-        cfg.coeffs["values"] = [float(v) for v in args.coeffs.split(",") if v]
+        cfg.coeffs["values"] = _float_list(args.coeffs, "--coeffs")
     if args.tail_a is not None or args.tail_rho is not None:
         gen = dict(cfg.coeffs.get("generator") or {})
         if args.tail_a is not None:
@@ -316,7 +343,7 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
         cfg.coeffs = dict(cfg.coeffs)
         cfg.coeffs["generator"] = gen
     if args.scales is not None:
-        cfg.scales = [float(v) for v in args.scales.split(",") if v]
+        cfg.scales = _float_list(args.scales, "--scales")
     return cfg
 
 

@@ -23,8 +23,8 @@ On the uniform subgrid t_i = x + h i of one node, every kernel entry is p
 at a lattice point: p(t_i - t_j) = p(h (i - j)) (Toeplitz) and
 p(2T - t_i - t_j) = p(2T - 2x - h (i + j)) (Hankel). p and p' are therefore
 evaluated on these two 1-D lattices only (O(n) closed-form evaluations per
-node) and the n x n kernels are gathered from them by index. One function,
-_system, assembles the discrete equations for both the solver and the
+node) and the n x n kernels are strided views of them, with no copy. One
+function, _system, assembles the discrete equations for both the solver and the
 residual check. The kink-split weights scale with h and their row i does not
 depend on n, so one unit table per solve serves every subsystem.
 """
@@ -35,6 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
 from scipy.special import exprel
 
@@ -116,9 +117,8 @@ def _lattices(A: Amplitude, T: float, x: float, h: float, n: int):
 
 def _kernels(pt: np.ndarray, ph: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(pS, pL) with pS[i, j] = p(2T - t_i - t_j) and pL[i, j] = p(t_i - t_j),
-    gathered from the lattices by index; p(t_j - t_i) is pL.T."""
-    i = np.arange(n + 1)
-    return ph[i[:, None] + i], pt[n + i[:, None] - i]
+    as read-only strided views of the lattices; p(t_j - t_i) is pL.T."""
+    return sliding_window_view(ph, n + 1), sliding_window_view(pt[::-1], n + 1)[::-1]
 
 
 def _system(A: Amplitude, T: float, x: float, h: float, n: int, W: np.ndarray):

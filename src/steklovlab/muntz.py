@@ -1,16 +1,17 @@
 """Orthonormal Muntz systems on [0,1], moment projections, and the two-term
 moment stability bound.
 
-The monomials t^{lam_0}, ..., t^{lam_n} are orthonormalized by the explicit
-coefficient formula
+Everything is a bilinear form in the Gram matrix of monomials on L^2(0,1),
+H(a, b)_ij = 1/(a_i + b_j + 1) (_cauchy). The table
 
     C_mj = sqrt(2 lam_m + 1) * prod_{r<m}(lam_j + lam_r + 1)
-                             / prod_{r != j}(lam_j - lam_r),
+                             / prod_{r != j}(lam_j - lam_r)
 
-whose alternating products are astronomically ill-conditioned in 64-bit
-arithmetic beyond n ~ 8; everything here therefore runs in configurable
-extended precision (mpmath, default 256 bits) with products accumulated as
-(sign, log magnitude) pairs.
+orthonormalizes t^{lam_0}, ..., t^{lam_n}: C H C^T = I. Its alternating
+products are astronomically ill-conditioned in 64-bit arithmetic beyond
+n ~ 8, so the table, its Gram residual and the projections run in extended
+precision (mpmath, default 256 bits); series values, norms and moments are
+float broadcasts.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ from .radial_model import SpectralParams
 _MOD = "muntz"
 
 
+def _cauchy(a, b):
+    """Monomial Gram matrix 1/(a_i + b_j + 1); float or mpf (object) arrays."""
+    return 1 / (np.add.outer(a, b) + 1)
+
+
+def _mpf_array(xs) -> np.ndarray:
+    return np.array([mpf(x) for x in xs], dtype=object)
+
+
 @dataclass(frozen=True)
 class MuntzSeries:
     """A finite combination sum_j c_j t^{e_j} with real exponents e_j >= 0."""
@@ -43,20 +53,17 @@ class MuntzSeries:
         if any(e < 0 for e in self.exponents):
             raise ValidationError("series exponents must be >= 0", _MOD)
 
+    def _terms(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.asarray(self.coeffs, dtype=float), np.asarray(self.exponents, dtype=float)
+
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for c, e in zip(self.coeffs, self.exponents):
-            out += c * t**e
-        return out
+        c, e = self._terms()
+        return np.asarray(t, dtype=float)[..., None] ** e @ c
 
     def norm_sq(self) -> float:
-        """||h||^2 on L^2(0,1) from the closed-form monomial inner products."""
-        total = 0.0
-        for ci, ei in zip(self.coeffs, self.exponents):
-            for cj, ej in zip(self.coeffs, self.exponents):
-                total += ci * cj / (ei + ej + 1.0)
-        return total
+        """||h||^2 on L^2(0,1) = c^T H(e, e) c."""
+        c, e = self._terms()
+        return float(c @ _cauchy(e, e) @ c)
 
 
 def _check_exponents(exponents: Sequence[float]):
@@ -71,28 +78,21 @@ def _check_exponents(exponents: Sequence[float]):
 
 
 def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
-    """Coefficient rows C_m = (C_m0..C_mm) as mpmath floats.
-
-    Products are accumulated in (sign, log) form; the numerator factors are
-    all positive, so the sign is (-1)^{m-j} from the denominator alone.
-    """
+    """Coefficient rows C_m = (C_m0..C_mm) as mpmath floats, in O(n^2) mp
+    operations: below the diagonal, row m is row m-1 times the ratio
+    sqrt((2 lam_m + 1)/(2 lam_{m-1} + 1)) (lam_j + lam_{m-1} + 1)/(lam_j - lam_m);
+    the diagonal C_mm is its product formula."""
     _check_exponents(exponents)
     with mp.workprec(precision):
-        lam = [mpf(e) for e in exponents]
-        rows = []
-        for m in range(len(lam)):
-            row = []
-            for j in range(m + 1):
-                loga = mp.log(2 * lam[m] + 1) / 2
-                for r in range(m):
-                    loga += mp.log(lam[j] + lam[r] + 1)
-                for r in range(m + 1):
-                    if r != j:
-                        loga -= mp.log(abs(lam[j] - lam[r]))
-                sign = -1 if (m - j) % 2 else 1
-                row.append(sign * mp.e**loga)
-            rows.append(tuple(row))
-        return tuple(rows)
+        lam = _mpf_array(exponents)
+        root = [mp.sqrt(2 * x + 1) for x in lam]
+        rows = [np.array([root[0]], dtype=object)]
+        for m in range(1, len(lam)):
+            below = lam[:m]
+            ratio = root[m] / root[m - 1] * (below + lam[m - 1] + 1) / (below - lam[m])
+            diag = root[m] * np.prod((lam[m] + below + 1) / (lam[m] - below))
+            rows.append(np.append(rows[-1] * ratio, diag))
+        return tuple(tuple(row) for row in rows)
 
 
 def muntz_coeff_squares(exponents: Sequence[Fraction]) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -147,28 +147,16 @@ class MuntzSystem:
                 f"{self.precision}-bit precision (condition proxy "
                 f"{self.condition_proxy(n):.3e})", _MOD)
 
-    def evaluate_basis(self, m: int, t):
-        t = np.asarray(t, dtype=float)
-        out = np.zeros_like(t)
-        for j, c in enumerate(self.C[m]):
-            out += float(c) * t ** self.exponents[j]
-        return out
-
     def gram_residual(self, n: int | None = None) -> float:
-        """max |<L_m, L_q> - delta_mq| over m, q <= n, in working precision."""
+        """max |C H C^T - I| over levels m, q <= n, in working precision. mp.fdot
+        zips its arguments, so row C_m meets only the first m + 1 entries."""
         n = self.n if n is None else n
         with mp.workprec(self.precision):
-            lam = [mpf(e) for e in self.exponents]
-            worst = mpf(0)
-            for m in range(n + 1):
-                for q in range(m + 1):
-                    acc = mpf(0)
-                    for j, cj in enumerate(self.C[m][: m + 1]):
-                        for i, ci in enumerate(self.C[q][: q + 1]):
-                            acc += cj * ci / (lam[j] + lam[i] + 1)
-                    target = 1 if m == q else 0
-                    worst = max(worst, abs(acc - target))
-            return float(worst)
+            lam = _mpf_array(self.exponents[: n + 1])
+            H = _cauchy(lam, lam).tolist()
+            CH = [[mp.fdot(row, col) for col in H] for row in self.C[: n + 1]]
+            return float(max(abs(mp.fdot(CH[m], self.C[q]) - (m == q))
+                             for m in range(n + 1) for q in range(m + 1)))
 
 
 def muntz_system(exponents: Sequence[float], precision: int = 256) -> MuntzSystem:
@@ -184,7 +172,8 @@ def system_for_params(params: SpectralParams, n: int, precision: int = 256) -> M
 
 def moment(h: MuntzSeries, lam: float) -> float:
     """int_0^1 h(t) t^lam dt = sum_j c_j / (e_j + lam + 1)."""
-    return float(sum(c / (e + lam + 1.0) for c, e in zip(h.coeffs, h.exponents)))
+    c, e = h._terms()
+    return float(c @ _cauchy(e, lam))
 
 
 @dataclass(frozen=True)
@@ -197,25 +186,20 @@ class Projection:
 def project(h: MuntzSeries, system: MuntzSystem, n: int) -> Projection:
     """Orthogonal projection of h onto the span of L_0..L_n.
 
-    Coefficients are <h, L_m> = sum_j C_mj * moment(h, lam_j); the norm comes
-    from Parseval over the computed coefficients. Refuses to proceed when the
+    The moments <h, t^{lam_j}> are H(lam, e_h) c_h, the coefficients <h, L_m>
+    are C times them, and the norm is Parseval's. Refuses to proceed when the
     condition proxy exhausts the certified precision.
     """
     if n > system.n:
         raise ValidationError(f"n={n} exceeds the system size {system.n}", _MOD)
     system._guard(n)
     with mp.workprec(system.precision):
-        lam = [mpf(e) for e in system.exponents]
-        hc = [mpf(c) for c in h.coeffs]
-        he = [mpf(e) for e in h.exponents]
-        moms = [sum(c / (e + lj + 1) for c, e in zip(hc, he)) for lj in lam]
-        coefs = []
-        for m in range(n + 1):
-            coefs.append(sum(cj * moms[j] for j, cj in enumerate(system.C[m])))
-        norm = mp.sqrt(sum(c * c for c in coefs))
+        lam = _mpf_array(system.exponents[: n + 1])
+        moms = _cauchy(lam, _mpf_array(h.exponents)) @ _mpf_array(h.coeffs)
+        coefs = [mp.fdot(row, moms) for row in system.C[: n + 1]]
         return Projection(
             coefficients=np.array([float(c) for c in coefs]),
-            norm=float(norm),
+            norm=float(mp.sqrt(mp.fdot(coefs, coefs))),
             condition_proxy=system.condition_proxy(n))
 
 

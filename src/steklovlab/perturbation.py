@@ -69,10 +69,6 @@ class Amplitude:
             object.__setattr__(self, "term_coeffs", tc)
             object.__setattr__(self, "term_mu", tm)
 
-    @property
-    def n_neg_terms(self) -> int:
-        return int(np.count_nonzero(self.term_mu < 0))
-
     def series_diff(self, alpha) -> np.ndarray:
         """The perturbation sum_k c_k e^{-mu_k alpha} with signed rates; the
         terms with mu_k < 0 grow and carry the injected bound states."""

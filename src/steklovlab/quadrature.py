@@ -59,12 +59,3 @@ def cubic_interp(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
         out += ys[j0 + m] * lm
     return out
 
-
-def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
-    """Least-squares slope of log|y| against log x (positive data only)."""
-    x = np.asarray(x, dtype=float)
-    y = np.abs(np.asarray(y, dtype=float))
-    mask = (x > 0) & (y > 0)
-    if mask.sum() < 2:
-        raise ValueError("need at least two positive samples for a log-log fit")
-    return float(np.polyfit(np.log(x[mask]), np.log(y[mask]), 1)[0])

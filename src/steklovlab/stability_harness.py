@@ -76,7 +76,7 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
         raise ValidationError("scales must be positive", _MOD)
     if any(b >= a for a, b in zip(scales, scales[1:])):
         raise ValidationError("scales must be strictly decreasing", _MOD)
-    if max(scales) / min(scales) < 1e3:
+    if not scales or max(scales) / min(scales) < 1e3:
         raise ValidationError("scales must span at least 3 decades", _MOD)
     if K > params.K:
         raise ValidationError(f"K={K} exceeds the parameter table", _MOD)

@@ -2,8 +2,9 @@
 
 These deliberately avoid the package's own code paths: the rational
 Gram-Schmidt works directly on the monomial Gram matrix in exact Fraction
-arithmetic, the Laplace/series helpers integrate definitions numerically, and
-the shooting reference steps RK4 one scalar step at a time.
+arithmetic, the Laplace/series helpers integrate definitions numerically, the
+shooting reference steps RK4 one scalar step at a time, and the Gram residual
+reference sums every coefficient pair one term at a time.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from mpmath import mp, mpf
 from scipy.integrate import quad
 
 
@@ -98,3 +100,21 @@ def m_fixed_step_loop(Q, kappa: float, x_max: float, n: int) -> float:
     xs = np.linspace(0.0, x_max, 2 * n + 1)
     u0, v0 = rk4_backward_loop((Q(xs) + kappa**2).tolist(), x_max / n, kappa)
     return v0 / u0
+
+
+def gram_residual_loop(system, n: int | None = None) -> float:
+    """max |<L_m, L_q> - delta_mq| over m, q <= n with <L_m, L_q> summed term
+    by term over the coefficient pairs, in the system's working precision."""
+    n = system.n if n is None else n
+    with mp.workprec(system.precision):
+        lam = [mpf(e) for e in system.exponents]
+        worst = mpf(0)
+        for m in range(n + 1):
+            for q in range(m + 1):
+                acc = mpf(0)
+                for j, cj in enumerate(system.C[m][: m + 1]):
+                    for i, ci in enumerate(system.C[q][: q + 1]):
+                        acc += cj * ci / (lam[j] + lam[i] + 1)
+                target = 1 if m == q else 0
+                worst = max(worst, abs(acc - target))
+        return float(worst)

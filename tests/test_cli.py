@@ -127,6 +127,20 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"command": "muntz", "frobnicate": 1}))
     assert run_cli(["--config", str(cfg)]) == 2
     assert run_cli(["perturb", "--base", "zero", "--coeffs", "0.5"]) == 2
+    capsys.readouterr()
+    # malformed values: each is a validation failure, never a traceback
+    for data in ({"command": "muntz", "n": "3"}, {"command": "muntz", "n": 3.5},
+                 {"command": "reconstruct", "T": "2"}, {"command": "forward", "base": "zero"},
+                 {"command": "ks-check", "coeffs": {"values": ["a"]}}, [1, 2]):
+        cfg.write_text(json.dumps(data))
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("[cli] ")
+    for args in (["sweep", "--coeffs", "a"], ["sweep", "--scales", "1,b"]):
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("[cli] ")
+    cfg.write_text(json.dumps({"command": "sweep", "coeffs": {"values": [-0.1]}, "scales": []}))
+    assert run_cli(["--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("[stability_harness] ")
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

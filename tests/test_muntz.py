@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp, mpf
 
 from steklovlab import (MuntzSeries, NumericalError, ValidationError, g_function,
                         make_spectral_params, moment, muntz_coeff_squares,
                         muntz_coeffs, muntz_system, n_of_eps, project,
                         still_bound, system_for_params)
 
-from oracles import rational_gram_schmidt
+from oracles import gram_residual_loop, rational_gram_schmidt
 
 SQ5 = math.sqrt(5.0)
 
@@ -27,6 +29,15 @@ def test_two_exponent_orthonormality():
     # int_0^1 L_1^2 = C10^2 + 2 C10 C11 / 3 + C11^2 / 5 = 1
     h = MuntzSeries(coeffs=(-SQ5 / 2.0, 3.0 * SQ5 / 2.0), exponents=(0.0, 2.0))
     assert h.norm_sq() == pytest.approx(1.0, rel=1e-13)
+
+
+def test_series_values_closed_form():
+    h = MuntzSeries((2.0, -1.0, 0.5), (0.0, 1.5, 4.0))
+    ts = [0.0, 0.3, 1.0]
+    want = [2.0 - t**1.5 + 0.5 * t**4 for t in ts]  # e = 0 gives 1 at t = 0
+    assert h(np.array(ts)) == pytest.approx(want, rel=1e-15, abs=0)
+    assert h(0.0) == 2.0
+    assert h(0.3) == pytest.approx(want[1], rel=1e-15, abs=0)
 
 
 def test_rejects_repeated_or_decreasing_exponents():
@@ -54,6 +65,16 @@ def test_mpf_table_matches_exact_squares():
             sign, c2 = exact[m][j]
             want = sign * math.sqrt(float(c2))
             assert abs(float(rows[m][j]) - want) <= 1e-12 * max(1.0, abs(want))
+    # the benchmark's ladders at n = 30, in working precision: the ratio
+    # recurrence must keep at least 60 of the 77 working digits
+    for d, delta in ((3, Fraction(0)), (3, Fraction(1, 2)), (3, Fraction(1)), (5, Fraction(-2))):
+        lam = [2 * k + d - 3 + delta for k in range(31)]
+        rows = muntz_coeffs([float(e) for e in lam], precision=256)
+        with mp.workprec(256):
+            for row, exact_row in zip(rows, muntz_coeff_squares(lam)):
+                for c, (sign, c2) in zip(row, exact_row):
+                    want = sign * mp.sqrt(mpf(c2.numerator) / c2.denominator)
+                    assert abs(c - want) <= 1e-60 * abs(want)
 
 
 @pytest.mark.parametrize("d,delta", [(3, 0.0), (3, 0.5), (5, -2.0)])
@@ -63,11 +84,28 @@ def test_gram_identity_within_1e8(d, delta):
     assert system.gram_residual() <= 1e-8
 
 
+@pytest.mark.parametrize("m,j", [(10, 0), (6, 3), (0, 0), (10, 10)])
+def test_gram_residual_sees_every_pair(m, j):
+    # one table entry off by 1e-25 relative: the residual must find it
+    # wherever it sits, and agree with the term-by-term sum
+    system = system_for_params(make_spectral_params(3, 0.0, 10), 10, precision=256)
+    C = [list(row) for row in system.C]
+    with mp.workprec(256):
+        C[m][j] *= 1 + mpf(10) ** -25
+    bad = dataclasses.replace(system, C=tuple(tuple(row) for row in C))
+    want = gram_residual_loop(bad)
+    assert want >= 1e-26
+    assert bad.gram_residual() == pytest.approx(want, rel=1e-20, abs=0)
+
+
 def test_moment_examples():
     assert moment(MuntzSeries((1.0,), (2.0,)), 0.0) == pytest.approx(1.0 / 3.0)
     h = MuntzSeries((-1.0, -1.0), (0.0, 2.0))
     assert moment(h, 2.0) == pytest.approx(-8.0 / 15.0)
-    assert moment(MuntzSeries((), ()), 5.0) == 0.0
+    empty = MuntzSeries((), ())
+    assert moment(empty, 5.0) == 0.0
+    assert empty.norm_sq() == 0.0
+    assert np.array_equal(empty(np.array([0.0, 0.5, 1.0])), np.zeros(3))
 
 
 def test_project_basis_vector():
