@@ -158,6 +158,7 @@ def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
 def _cmd_muntz(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, max(cfg.K, cfg.n))
     system = system_for_params(params, cfg.n, cfg.precision)
+    system._guard(cfg.n)  # a level past the certified range is noise, not a table
     lines = ["m,j,C_mj"]
     table = system.float_table()
     for m in range(cfg.n + 1):

@@ -24,9 +24,11 @@ at a lattice point: p(t_i - t_j) = p(h (i - j)) (Toeplitz) and
 p(2T - t_i - t_j) = p(2T - 2x - h (i + j)) (Hankel). p and p' are therefore
 evaluated on these two 1-D lattices only (O(n) closed-form evaluations per
 node) and the n x n kernels are strided views of them, with no copy. One
-function, _system, assembles the discrete equations for both the solver and the
-residual check. The kink-split weights scale with h and their row i does not
-depend on n, so one unit table per solve serves every subsystem.
+function, _system, assembles each node's Nystrom matrix once, into buffers
+that a chunk of nodes reuses; the same matrix serves the LU solve and the
+residual check, which is taken before the matrix is dropped. The kink-split
+weights scale with h and their row i does not depend on n, so one unit table
+per solve serves every subsystem.
 """
 
 from __future__ import annotations
@@ -121,16 +123,30 @@ def _kernels(pt: np.ndarray, ph: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return sliding_window_view(ph, n + 1), sliding_window_view(pt[::-1], n + 1)[::-1]
 
 
-def _system(A: Amplitude, T: float, x: float, h: float, n: int, W: np.ndarray):
+def _system(A: Amplitude, T: float, x: float, h: float, n: int, W: np.ndarray,
+            buf: np.ndarray, scratch: np.ndarray):
     """The discrete equations at one x node: (mat, d, g2) with mat V = d and
     mat V_x = g2 - d V[0], where d = p(t - x) - p(2T - x - t) and
     g2 = p'(2T - x - t) - p'(t - x) on the subgrid. W is a unit weight table
-    of size at least n + 1."""
+    of size at least n + 1.
+
+    mat = I + pS S - (h W) pL - (h W)[::-1, ::-1] pL^T is written, in that
+    order of operations, into the first (n + 1)^2 entries of the flat buffer
+    buf; the product (h W) pL goes to scratch, of the same size. pL is
+    Toeplitz, so pL^T = pL[::-1, ::-1] and the last term is that product
+    reversed: no n x n array is allocated.
+    """
     pt, ph, dpt, dph = _lattices(A, T, x, h, n)
     pS, pL = _kernels(pt, ph, n)
-    WL = h * W[: n + 1, : n + 1]
-    mat = (np.eye(n + 1) + pS * simpson_weights(n, h)[None, :]
-           - WL * pL - WL[::-1, ::-1] * pL.T)
+    size = (n + 1) ** 2
+    mat = buf[:size].reshape(n + 1, n + 1)
+    np.multiply(pS, simpson_weights(n, h), out=mat)
+    buf[: size : n + 2] += 1.0
+    wl = scratch[:size].reshape(n + 1, n + 1)
+    np.multiply(W[: n + 1, : n + 1], h, out=wl)
+    wl *= pL
+    mat -= wl
+    mat -= wl[::-1, ::-1]
     return mat, pt[n:] - ph[: n + 1], dph - dpt
 
 
@@ -139,9 +155,11 @@ class GLWorkspace:
     """Discretization state for one amplitude on [0, T].
 
     grid holds the x nodes; V[i]/Vx[i] are the solution and its x-derivative
-    on the i-th node's sub-grid (subgrids[i] = (x, h, n)). Kernels are not
-    stored: every consumer resamples p and p' on the node's two 1-D lattices
-    (_lattices), which costs O(n) evaluations. q_rec is filled by
+    on the i-th node's sub-grid (subgrids[i] = (x, h, n)). residual is the
+    max over nodes of the sup-norm residual of the discrete equations, taken
+    at solve time against each node's matrix (NaN if any node's is). Kernels
+    are not stored: every consumer resamples p and p' on the node's two 1-D
+    lattices (_lattices), which costs O(n) evaluations. q_rec is filled by
     recover_potential.
     """
 
@@ -152,6 +170,7 @@ class GLWorkspace:
     subgrids: tuple
     V: tuple
     Vx: tuple
+    residual: float
     q_rec: RadialPotential | None = field(default=None)
 
 
@@ -160,27 +179,43 @@ def _subgrid(T: float, M: int, x: float) -> tuple[float, int]:
     return (T - x) / n, n
 
 
-def _solve_at(A: Amplitude, T: float, x: float, h: float, n: int, W: np.ndarray):
-    mat, d, g2 = _system(A, T, x, h, n, W)
-    anorm = np.linalg.norm(mat, 1)
-    lu, piv = lu_factor(mat)
-    gecon = get_lapack_funcs(("gecon",), (mat,))[0]
+def _solve_at(A: Amplitude, T: float, x: float, h: float, n: int, W: np.ndarray,
+              buf: np.ndarray, scratch: np.ndarray):
+    """(V, Vx, residual) at one x node. mat is assembled once into buf and
+    stays intact for the residual; scratch holds |mat|, then its LU factors."""
+    mat, d, g2 = _system(A, T, x, h, n, W, buf, scratch)
+    size = (n + 1) ** 2
+    absmat = np.abs(mat, out=scratch[:size].reshape(n + 1, n + 1))
+    anorm = absmat.sum(axis=0).max()  # the 1-norm, as np.linalg.norm(mat, 1) takes it
+    if not np.isfinite(anorm):
+        raise NumericalError(f"non-finite Nystrom matrix at x={x:.6g}", _MOD)
+    # getrf factors a Fortran-ordered array in place; a C-ordered one it copies
+    lu = scratch[:size].reshape((n + 1, n + 1), order="F")
+    lu[...] = mat
+    lu, piv = lu_factor(lu, overwrite_a=True, check_finite=False)
+    gecon = get_lapack_funcs(("gecon",), (lu,))[0]
     rcond = gecon(lu, anorm)[0]
     if rcond * anorm < 1e-8:  # proxy for the smallest singular value
         raise NumericalError(
             f"Nystrom system nearly singular at x={x:.6g} "
             f"(inverse-norm proxy {rcond * anorm:.3e})", _MOD)
-    V = lu_solve((lu, piv), d)
-    Vx = lu_solve((lu, piv), g2 - d * V[0])
-    return V, Vx
+    # a non-finite right-hand side is not refused: it shows as a NaN residual
+    V = lu_solve((lu, piv), d, check_finite=False)
+    rhs = g2 - d * V[0]
+    Vx = lu_solve((lu, piv), rhs, check_finite=False)
+    residual = np.maximum(np.max(np.abs(mat @ V - d)), np.max(np.abs(mat @ Vx - rhs)))
+    return V, Vx, float(residual)
 
 
 def solve_gl(A: Amplitude, T: float, M: int, workers: int = 1) -> GLWorkspace:
     """Assemble and solve the discrete systems at every x node.
 
-    The per-x solves are independent; workers > 1 runs them in a thread pool
-    (the dense solves release the GIL). Results are ordered by node index, so
-    the output is identical for any worker count.
+    The per-x solves are independent. The nodes are dealt into min(workers,
+    M + 1) strided chunks (the subgrids shrink with x, so the chunks carry
+    equal work); each chunk owns the two buffers its systems are assembled
+    and factored in, and workers > 1 runs the chunks in a thread pool (the
+    dense solves release the GIL). Results are put back in node order, so the
+    output is identical for any worker count.
     """
     if T <= 0:
         raise ValidationError(f"horizon T must be positive, got {T}", _MOD)
@@ -194,23 +229,31 @@ def solve_gl(A: Amplitude, T: float, M: int, workers: int = 1) -> GLWorkspace:
         else:
             h, n = _subgrid(T, M, float(x))
             subgrids.append((float(x), h, n))
-    W = _unit_piece_weights(max(n for _, _, n in subgrids))
+    n_max = max(n for _, _, n in subgrids)
+    W = _unit_piece_weights(n_max)
+    chunks = min(workers, M + 1)
 
-    def work(i: int):
-        x, h, n = subgrids[i]
-        if n == 0:  # degenerate interval: the system is empty and V = 0
-            return np.zeros(1), np.zeros(1)
-        return _solve_at(A, T, x, h, n, W)
+    def work(start: int) -> list:
+        buf, scratch = np.empty((n_max + 1) ** 2), np.empty((n_max + 1) ** 2)
+        out = []
+        for x, h, n in subgrids[start::chunks]:
+            if n == 0:  # degenerate interval: the system is empty and V = 0
+                out.append((np.zeros(1), np.zeros(1), 0.0))
+            else:
+                out.append(_solve_at(A, T, x, h, n, W, buf, scratch))
+        return out
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(M + 1)))
+    if chunks > 1:
+        with ThreadPoolExecutor(max_workers=chunks) as pool:
+            done = list(pool.map(work, range(chunks)))
     else:
-        results = [work(i) for i in range(M + 1)]
+        done = [work(0)]
+    results = [done[i % chunks][i // chunks] for i in range(M + 1)]
 
     return GLWorkspace(amplitude=A, T=T, M=M, grid=xs, subgrids=tuple(subgrids),
                        V=tuple(r[0] for r in results),
-                       Vx=tuple(r[1] for r in results))
+                       Vx=tuple(r[1] for r in results),
+                       residual=float(np.max([r[2] for r in results])))
 
 
 def recover_potential(ws: GLWorkspace) -> RadialPotential:
@@ -241,18 +284,9 @@ def recover_potential(ws: GLWorkspace) -> RadialPotential:
 def gl_residual(ws: GLWorkspace) -> float:
     """Max over x nodes of the sup-norm residual of the discrete equations.
 
-    Reassembles each system through _system and substitutes the stored
-    solution; this certifies the linear solves independently of
-    reconstruction accuracy.
+    solve_gl substitutes each node's solution into the very matrix it was
+    factored from, before that matrix is dropped; this certifies the linear
+    solves independently of reconstruction accuracy. A NaN at any node
+    propagates.
     """
-    A, T = ws.amplitude, ws.T
-    W = _unit_piece_weights(max(n for _, _, n in ws.subgrids))
-    worst = 0.0
-    for i, (x, h, n) in enumerate(ws.subgrids):
-        if n == 0:
-            continue
-        mat, d, g2 = _system(A, T, x, h, n, W)
-        V, Vx = ws.V[i], ws.Vx[i]
-        worst = max(worst, float(np.max(np.abs(mat @ V - d))),
-                    float(np.max(np.abs(mat @ Vx - (g2 - d * V[0])))))
-    return worst
+    return ws.residual

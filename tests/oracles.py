@@ -3,8 +3,9 @@
 These deliberately avoid the package's own code paths: the rational
 Gram-Schmidt works directly on the monomial Gram matrix in exact Fraction
 arithmetic, the Laplace/series helpers integrate definitions numerically, the
-shooting reference steps RK4 one scalar step at a time, and the Gram residual
-reference sums every coefficient pair one term at a time.
+shooting reference steps RK4 one scalar step at a time, the Gram residual
+reference sums every coefficient pair one term at a time, and the GL residual
+reference assembles every Nystrom matrix afresh in one allocating expression.
 """
 
 from __future__ import annotations
@@ -118,3 +119,29 @@ def gram_residual_loop(system, n: int | None = None) -> float:
                 target = 1 if m == q else 0
                 worst = max(worst, abs(acc - target))
         return float(worst)
+
+
+def nystrom_matrix(pS, pL, S, WL) -> np.ndarray:
+    """I + pS S - WL pL - WL[::-1, ::-1] pL^T, allocating every temporary;
+    S holds the row quadrature weights and WL the scaled kink-split table."""
+    return np.eye(len(S)) + pS * S[None, :] - WL * pL - WL[::-1, ::-1] * pL.T
+
+
+def gl_residual_loop(ws) -> float:
+    """Max over x nodes of the residuals of mat V = d and
+    mat Vx = g2 - d V[0], with each node's system assembled again."""
+    from steklovlab.gelfand_levitan import _kernels, _lattices, _unit_piece_weights
+    from steklovlab.quadrature import simpson_weights
+    W = _unit_piece_weights(max(n for _, _, n in ws.subgrids))
+    worst = 0.0
+    for i, (x, h, n) in enumerate(ws.subgrids):
+        if n == 0:
+            continue
+        pt, ph, dpt, dph = _lattices(ws.amplitude, ws.T, x, h, n)
+        pS, pL = _kernels(pt, ph, n)
+        mat = nystrom_matrix(pS, pL, simpson_weights(n, h), h * W[: n + 1, : n + 1])
+        d, g2 = pt[n:] - ph[: n + 1], dph - dpt
+        V, Vx = ws.V[i], ws.Vx[i]
+        worst = max(worst, float(np.max(np.abs(mat @ V - d))),
+                    float(np.max(np.abs(mat @ Vx - (g2 - d * V[0])))))
+    return worst

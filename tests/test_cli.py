@@ -68,6 +68,18 @@ def test_muntz_table_and_residual(tmp_path):
     assert float(resid[0].split("=")[1]) <= 1e-8
 
 
+def test_muntz_refuses_uncertified_levels(tmp_path, capsys):
+    out = tmp_path / "muntz.csv"
+    # 16 bits: the table is noise (Gram residual 2.4e38); 53 bits: n = 10 has
+    # a Gram residual of 1.7e-3
+    for args in (["--precision", "16", "--n", "30"], ["--precision", "53", "--n", "10"]):
+        assert run_cli(["muntz", *args, "--output", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("[muntz] ")
+        assert not out.exists()
+    assert run_cli(["muntz", "--d", "3", "--delta", "0", "--n", "10",
+                    "--output", str(out)]) == 0
+
+
 def test_sweep_verdict(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(["sweep", "--d", "3", "--delta", "0.5", "--T", "2",

@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from steklovlab import (Bargmann1, Bargmann2, ValidationError, ZeroForm,
-                        build_perturbed_amplitude, gl_residual, GeometricTail,
+from steklovlab import (Bargmann1, Bargmann2, NumericalError, ValidationError,
+                        ZeroForm, build_perturbed_amplitude, gl_residual, GeometricTail,
                         make_spectral_params, p_from_amplitude,
                         p_prime_from_amplitude, recover_potential, solve_gl)
-from steklovlab.gelfand_levitan import _kernels, _lattices
+from steklovlab import gelfand_levitan as gl
+from steklovlab.cli import main
+from steklovlab.gelfand_levitan import _kernels, _lattices, _system, _unit_piece_weights
 from steklovlab.quadrature import l2_norm
+
+from oracles import gl_residual_loop, nystrom_matrix
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
 B2 = Bargmann2(c1=1.0, kappa1=0.5)
@@ -130,9 +134,78 @@ def test_series_and_base_routes_reconstruct_identically():
 
 
 def test_workers_do_not_change_output():
-    q1 = recover_potential(solve_gl(amp_of(B1), 2.0, 64, workers=1))
-    q4 = recover_potential(solve_gl(amp_of(B1), 2.0, 64, workers=4))
-    assert np.array_equal(q1.values, q4.values)
+    ws1 = solve_gl(amp_of(B1), 2.0, 64, workers=1)
+    q1 = recover_potential(ws1)
+    for workers in (2, 3, 4):
+        ws = solve_gl(amp_of(B1), 2.0, 64, workers=workers)
+        assert all(np.array_equal(a, b) for a, b in zip(ws.V, ws1.V))
+        assert all(np.array_equal(a, b) for a, b in zip(ws.Vx, ws1.Vx))
+        assert gl_residual(ws) == gl_residual(ws1)
+        assert np.array_equal(recover_potential(ws).values, q1.values)
+
+
+@pytest.mark.parametrize("amp,M,workers", [
+    (amp_of(B1), 128, 1),
+    (amp_of(B2), 64, 1),
+    (amp_of(ZeroForm(), gen=GeometricTail(a=0.1, rho=1.0 / 9.0)), 64, 1),
+    (amp_of(B1), 64, 2),
+])
+def test_residual_equals_reassembly_oracle(amp, M, workers):
+    # the solve-time residual is the one a fresh assembly of every system gives
+    ws = solve_gl(amp, 2.0, M, workers=workers)
+    assert gl_residual(ws) == gl_residual_loop(ws)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 64, 511])
+def test_buffer_assembly_matches_allocating_expression(n, monkeypatch):
+    if n % 2:
+        # _subgrid never gives odd n (Simpson needs an even count), but odd n
+        # exercises the odd diagonal stride and the reversal of the buffer
+        # layout; row weights defined for any n stand in for Simpson there
+        monkeypatch.setattr(gl, "simpson_weights",
+                            lambda m, h: h * np.linspace(0.5, 1.5, m + 1))
+    amp, T, x = amp_of(B2, [-0.2]), 2.0, 0.25
+    h = (T - x) / n
+    W = _unit_piece_weights(n + 3)
+    buf, scratch = np.full((n + 3) ** 2, np.nan), np.full((n + 3) ** 2, np.nan)
+    mat, _, _ = _system(amp, T, x, h, n, W, buf, scratch)
+    pt, ph, _, _ = _lattices(amp, T, x, h, n)
+    pS, pL = _kernels(pt, ph, n)
+    ref = nystrom_matrix(pS, pL, gl.simpson_weights(n, h), h * W[: n + 1, : n + 1])
+    assert np.array_equal(mat, ref)
+    assert np.shares_memory(mat, buf[: (n + 1) ** 2])
+    assert np.all(np.isnan(buf[(n + 1) ** 2:]))  # nothing past the prefix is written
+
+
+def test_nonfinite_lattice_fails_tagged(monkeypatch, capsys, tmp_path):
+    p = gl.p_from_amplitude
+
+    def poisoned(A, t):
+        out = np.array(p(A, t), dtype=float)
+        out.flat[out.size // 2] = np.nan
+        return out
+
+    monkeypatch.setattr(gl, "p_from_amplitude", poisoned)
+    with pytest.raises(NumericalError, match="non-finite Nystrom matrix"):
+        solve_gl(amp_of(B1), 2.0, 32)
+    code = main(["reconstruct", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5",
+                 "--M", "32", "--output", str(tmp_path / "q.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("[gelfand_levitan] ")
+
+
+def test_residual_propagates_nan(monkeypatch):
+    # a NaN right-hand side leaves the matrix finite, so the solve goes through
+    # and only the residual can report it
+    dp = gl.p_prime_from_amplitude
+
+    def poisoned(A, t):
+        out = np.array(dp(A, t), dtype=float)
+        out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(gl, "p_prime_from_amplitude", poisoned)
+    assert math.isnan(gl_residual(solve_gl(amp_of(B1), 2.0, 32)))
 
 
 def test_p_gap_bounded_by_amplitude_gap():
