@@ -5,8 +5,8 @@ For each grid point x the second-kind integral equation
     V(x,t) + int_x^T K(t,s) V(x,s) ds = -K(x,t),
     K(t,s) = p(2T-t-s) - p(|t-s|),       p(t) = -(1/2) int_0^{t/2} A,
 
-is discretized by a Nystrom scheme and dense-solved; the recovered potential
-is Q(T-x) = -2 d/dx V(x,x), evaluated through the explicit identity
+is discretized by a Nystrom scheme and solved; the recovered potential is
+Q(T-x) = -2 d/dx V(x,x), evaluated through the explicit identity
 
     d/dx V(x,x) = p(2T-2x) V(x,x) + 2 p'(2T-2x)
                   - int_x^T [p(2T-x-s) - p(s-x)]  dV/dx(x,s) ds
@@ -19,16 +19,29 @@ the row quadrature below therefore splits each collocation row at its kink
 and patches the pieces with 3/8 and one-interval cubic end rules, restoring
 clean fourth-order convergence (verified against the closed-form wells).
 
-On the uniform subgrid t_i = x + h i of one node, every kernel entry is p
-at a lattice point: p(t_i - t_j) = p(h (i - j)) (Toeplitz) and
-p(2T - t_i - t_j) = p(2T - 2x - h (i + j)) (Hankel). p and p' are therefore
-evaluated on these two 1-D lattices only (O(n) closed-form evaluations per
-node) and the n x n kernels are strided views of them, with no copy. One
-function, _system, assembles each node's Nystrom matrix once, into buffers
-that a chunk of nodes reuses; the same matrix serves the LU solve and the
-residual check, which is taken before the matrix is dropped. The kink-split
-weights scale with h and their row i does not depend on n, so one unit table
-per solve serves every subsystem.
+Common grid. Node x_i = i h (h = T/M) with n = M - i >= 4 intervals uses the
+points t_j = j h, j = i..M, of the x = 0 node. Its integration weights are
+S = h W[n], row n of the kink-split table: composite Simpson for even n and
+the 3/8-patched rule for odd n. Every kernel entry is then p on one of two
+lattices, p(h k) (Toeplitz, p(t_j - t_k)) and p(2T - h k) (Hankel,
+p(2T - t_j - t_k)), so p and p' are sampled on them once per solve and every
+node's kernels, right-hand sides and recovery read slices. The last three
+nodes (n < 4) keep a floor of four intervals of their own width and a dense
+pivoted solve.
+
+Nested solve. On the common grid node i's matrix equals the trailing block
+A0[i:, i:] of the x = 0 matrix except in its first four columns, which carry
+the node's left-end quadrature corrections. Reversing the indices turns every
+trailing block into a leading block of B = A0[::-1, ::-1], so one LU
+factorization of B without pivoting serves all nodes: a node adds only its
+four columns, a triangular solve for them (its U12) and a 4 x 4 Schur
+complement factored by lu_factor. Pivoting would break the nesting, and it is
+not needed: the symmetric part of A0 is positive definite, the discrete form
+of the Gel'fand-Levitan solvability condition I + F > 0. The gecon gate on
+every node's packed factors checks this. Nodes go in groups: a group's
+forward and back substitutions are one zero-padded triangular solve each,
+and its residuals, A0[i:, i:] V plus the four correction columns, are one
+matrix product.
 """
 
 from __future__ import annotations
@@ -38,7 +51,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, solve_triangular
 from scipy.special import exprel
 
 from .errors import NumericalError, ValidationError
@@ -47,6 +60,8 @@ from .radial_model import RadialPotential
 from .quadrature import simpson_weights
 
 _MOD = "gelfand_levitan"
+_LEAF = 16    # panel width below which the unpivoted LU goes column by column
+_BATCH = 4    # a node group holds at most _BATCH (M + 1) rows over all its nodes
 
 
 # ---------------------------------------------------------------------------
@@ -73,48 +88,80 @@ def p_prime_from_amplitude(A: Amplitude, t) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Kink-split row quadrature and lattice-sampled assembly.
+# Kink-split row quadrature and lattice sampling.
 # ---------------------------------------------------------------------------
+
+
+def _unit_row(i: int) -> np.ndarray:
+    """W[i, :i+1] for i >= 2: composite Simpson for even i, a 3/8 patch on
+    the first three intervals plus Simpson for odd i."""
+    if i % 2 == 0:
+        return simpson_weights(i, 1.0)
+    row = np.zeros(i + 1)
+    row[:4] = np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
+    if i > 3:
+        row[3:] += simpson_weights(i - 3, 1.0)
+    return row
 
 
 def _unit_piece_weights(n: int) -> np.ndarray:
     """W[i, :] integrates a smooth integrand over [t_0, t_i] on unit-spaced
-    nodes t_0..t_n; scale by h for spacing h.
+    nodes t_0..t_n (n >= 3); scale by h for spacing h.
 
-    Composite Simpson where the interval count allows it, a 3/8 patch for odd
-    counts, and for a single interval the cubic end rule (9, 19, -5, 1)/24,
-    whose stencil spills at most two nodes past the kink; callers evaluate the
-    kernel branch analytically there. Row i never depends on n, so the
-    weights of any subsystem of size m <= n are W[:m+1, :m+1].
+    Rows i >= 2 are _unit_row(i); for a single interval the cubic end rule
+    (9, 19, -5, 1)/24, whose stencil spills at most two nodes past the kink;
+    callers evaluate the kernel branch analytically there. Row i never
+    depends on n, so the weights of any subsystem of size m <= n are
+    W[:m+1, :m+1].
     """
     W = np.zeros((n + 1, n + 1))
-    for i in range(1, n + 1):
-        if i == 1:
-            W[1, :4] = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
-        elif i == 2:
-            W[2, :3] = np.array([1.0, 4.0, 1.0]) / 3.0
-        elif i == 3:
-            W[3, :4] = np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
-        elif i % 2 == 0:
-            W[i, : i + 1] = simpson_weights(i, 1.0)
-        else:
-            W[i, :4] += np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
-            W[i, 3 : i + 1] += simpson_weights(i - 3, 1.0)
+    W[1, :4] = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
+    for i in range(2, n + 1):
+        W[i, : i + 1] = _unit_row(i)
     return W
 
 
-def _lattices(A: Amplitude, T: float, x: float, h: float, n: int):
-    """p and p' on the two argument lattices of the subgrid t_i = x + h i.
+def _sample(A: Amplitude, T: float, M: int, xs: np.ndarray):
+    """p and p' on every lattice a solve reads, in one evaluation of each.
 
-    Returns (pt, ph, dpt, dph): pt[n + k] = p(h k) for k = -n..n (the
-    Toeplitz lattice, carrying p(t_i - t_j)), ph[k] = p(2T - 2x - h k) for
-    k = 0..2n (the Hankel lattice, carrying p(2T - t_i - t_j)), and p' at the
-    k = 0..n points of each lattice, the only ones the recovery reads.
+    Returns (main, floor). main = (pt, ph, dpt, dph) on the common grid,
+    h = T/M: pt[M + k] = p(h k) for k = -M..M, ph[k] = p(2T - h k) for
+    k = 0..2M, dpt[k] = p'(h k) for k = 0..M and dph[k] = p'(2T - h k) for
+    k = 0..2M. floor holds, for the nodes i = M-3..M-1, the tuple
+    (h_i, 4, pt, ph, dpt, dph) of their own four-interval subgrid,
+    h_i = (T - x_i)/4, in the layout _node returns.
     """
-    k = np.arange(2 * n + 1)
-    args = np.concatenate([h * (k - n), 2.0 * T - 2.0 * x - h * k])
-    p, dp = p_from_amplitude(A, args), p_prime_from_amplitude(A, args[n: 3 * n + 2])
-    return p[: 2 * n + 1], p[2 * n + 1:], dp[: n + 1], dp[n + 1:]
+    h = T / M
+    k = np.arange(2 * M + 1)
+    kf = np.arange(9)
+    p_args = [h * (k - M), 2.0 * T - h * k]
+    dp_args = [h * k[: M + 1], 2.0 * T - h * k]
+    widths = [(T - x) / 4.0 for x in xs[M - 3: M]]
+    for x, hf in zip(xs[M - 3: M], widths):
+        p_args += [hf * (kf - 4), 2.0 * T - 2.0 * x - hf * kf]
+        dp_args += [hf * kf[:5], 2.0 * T - 2.0 * x - hf * kf[:5]]
+    p = np.split(p_from_amplitude(A, np.concatenate(p_args)),
+                 np.cumsum([a.size for a in p_args[:-1]]))
+    dp = np.split(p_prime_from_amplitude(A, np.concatenate(dp_args)),
+                  np.cumsum([a.size for a in dp_args[:-1]]))
+    main = (p[0], p[1], dp[0], dp[1])
+    floor = tuple((hf, 4, p[2 + 2 * f], p[3 + 2 * f], dp[2 + 2 * f], dp[3 + 2 * f])
+                  for f, hf in enumerate(widths))
+    return main, floor
+
+
+def _node(lattices, T: float, M: int, i: int):
+    """(h, n, pt, ph, dpt, dph) of node i < M: its spacing, its interval count
+    and its lattices, pt[n + k] = p(h k) for k = -n..n, ph[k] = p(2T - 2x - h k)
+    for k = 0..2n, and p' at the k = 0..n points of each (views into the
+    common lattices, except on the floor nodes)."""
+    main, floor = lattices
+    n = M - i
+    if n < 4:
+        return floor[i - (M - 3)]
+    pt, ph, dpt, dph = main
+    return (T / M, n, pt[M - n: M + n + 1], ph[2 * i: 2 * i + 2 * n + 1],
+            dpt[: n + 1], dph[2 * i: 2 * i + n + 1])
 
 
 def _kernels(pt: np.ndarray, ph: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -123,31 +170,222 @@ def _kernels(pt: np.ndarray, ph: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return sliding_window_view(ph, n + 1), sliding_window_view(pt[::-1], n + 1)[::-1]
 
 
-def _system(A: Amplitude, T: float, x: float, h: float, n: int, W: np.ndarray,
-            buf: np.ndarray, scratch: np.ndarray):
-    """The discrete equations at one x node: (mat, d, g2) with mat V = d and
-    mat V_x = g2 - d V[0], where d = p(t - x) - p(2T - x - t) and
-    g2 = p'(2T - x - t) - p'(t - x) on the subgrid. W is a unit weight table
-    of size at least n + 1.
+def _assemble(main, h: float, W: np.ndarray):
+    """(B, P, hw4) for the x = 0 node of the common grid, n = M intervals.
 
-    mat = I + pS S - (h W) pL - (h W)[::-1, ::-1] pL^T is written, in that
-    order of operations, into the first (n + 1)^2 entries of the flat buffer
-    buf; the product (h W) pL goes to scratch, of the same size. pL is
-    Toeplitz, so pL^T = pL[::-1, ::-1] and the last term is that product
-    reversed: no n x n array is allocated.
+    The x = 0 matrix is A0 = I + pS S0 - P - P[::-1, ::-1] with S0 = h W[M]
+    and P = (h W) pL, the kink-split term; pL is Toeplitz, so the transposed
+    term (h W)[::-1, ::-1] pL^T is P reversed. B = A0[::-1, ::-1] is written
+    in Fortran order, in that order of operations. W (the unit table) is
+    scaled and multiplied in place and becomes P; hw4 = (h W)[:, :4] keeps
+    the weights the node corrections read.
     """
-    pt, ph, dpt, dph = _lattices(A, T, x, h, n)
+    pt, ph = main[0], main[1]
+    M = W.shape[0] - 1
+    W *= h
+    hw4 = W[:, :4].copy()
+    pS, pL = _kernels(pt, ph, M)
+    B = np.empty((M + 1, M + 1), order="F")
+    np.multiply(pS[::-1, ::-1], W[M, ::-1], out=B)
+    B[np.arange(M + 1), np.arange(M + 1)] += 1.0
+    P = np.multiply(W, pL, out=W)
+    B -= P[::-1, ::-1]
+    B -= P
+    return B, P, hw4
+
+
+def _windows(a: np.ndarray, starts, length: int) -> np.ndarray:
+    """a[s : s + length] for every s in starts, stacked along a new last axis."""
+    return sliding_window_view(a, length)[starts]
+
+
+def _lu_nopivot(a: np.ndarray) -> None:
+    """Factor the tall panel a = L U in place without pivoting: L unit lower
+    trapezoidal below the diagonal, U upper triangular on and above it.
+    Recursion on column halves keeps the work in matrix products."""
+    k = a.shape[1]
+    if k <= _LEAF:
+        for j in range(k):
+            a[j + 1:, j] /= a[j, j]
+            a[j + 1:, j + 1:] -= np.multiply.outer(a[j + 1:, j], a[j, j + 1:])
+        return
+    h = k // 2
+    _lu_nopivot(a[:, :h])
+    a[:h, h:] = solve_triangular(a[:h, :h], a[:h, h:], lower=True, unit_diagonal=True,
+                                 check_finite=False)
+    a[h:, h:] -= a[h:, :h] @ a[:h, h:]
+    _lu_nopivot(a[h:, h:])
+
+
+# ---------------------------------------------------------------------------
+# Gates shared by the nested and the dense node solves.
+# ---------------------------------------------------------------------------
+
+
+def _check_finite(value: float, what: str, x: float) -> None:
+    if not np.isfinite(value):
+        raise NumericalError(f"non-finite {what} at x={x:.6g}", _MOD)
+
+
+def _check_conditioning(rcond: float, anorm: float, x: float) -> None:
+    if not rcond * anorm >= 1e-8:  # proxy for the smallest singular value; NaN fails
+        raise NumericalError(
+            f"Nystrom system nearly singular at x={x:.6g} "
+            f"(inverse-norm proxy {rcond * anorm:.3e})", _MOD)
+
+
+def _dense_node(h, n, pt, ph, dpt, dph, W: np.ndarray, x: float, gecon):
+    """(V, Vx, residual) of a floor node by a dense pivoted solve."""
     pS, pL = _kernels(pt, ph, n)
-    size = (n + 1) ** 2
-    mat = buf[:size].reshape(n + 1, n + 1)
-    np.multiply(pS, simpson_weights(n, h), out=mat)
-    buf[: size : n + 2] += 1.0
-    wl = scratch[:size].reshape(n + 1, n + 1)
-    np.multiply(W[: n + 1, : n + 1], h, out=wl)
-    wl *= pL
-    mat -= wl
-    mat -= wl[::-1, ::-1]
-    return mat, pt[n:] - ph[: n + 1], dph - dpt
+    WL = h * W[: n + 1, : n + 1]
+    mat = np.eye(n + 1) + pS * (h * W[n, : n + 1]) - WL * pL - WL[::-1, ::-1] * pL.T
+    d, g2 = pt[n:] - ph[: n + 1], dph - dpt
+    anorm = np.abs(mat).sum(axis=0).max()
+    _check_finite(anorm, "Nystrom matrix", x)
+    lu, piv = lu_factor(mat, check_finite=False)
+    _check_conditioning(gecon(lu, anorm)[0], anorm, x)
+    V = lu_solve((lu, piv), d, check_finite=False)
+    rhs = g2 - d * V[0]
+    Vx = lu_solve((lu, piv), rhs, check_finite=False)
+    residual = float(max(np.max(np.abs(mat @ V - d)), np.max(np.abs(mat @ Vx - rhs))))
+    _check_finite(residual, "residual", x)
+    return V, Vx, residual
+
+
+# ---------------------------------------------------------------------------
+# The nested solve.
+# ---------------------------------------------------------------------------
+
+
+class _Nested:
+    """The reversed x = 0 system of one solve, factored once without pivoting,
+    and the node updates on it. Node i is addressed by its reversed size
+    m = M + 1 - i; its matrix C agrees with B[:m, :m] in the columns before
+    m' = m - 4 and carries its own corner columns N in the last four. Arrays
+    over a group of nodes are node-major: [node, column, reversed row]."""
+
+    def __init__(self, main, h: float, W: np.ndarray, xs: np.ndarray):
+        pt, ph, dpt, dph = main
+        M = W.shape[0] - 1
+        self.M, self.xs = M, xs
+        self.B, P, self.hw4 = _assemble(main, h, W)
+        # reversed lattices: node rows q = 0, 1, ... are windows into these
+        self.ptr, self.phr, self.dphr = pt[::-1], ph[::-1], dph[::-1]
+        self.dptr = np.concatenate([dpt[::-1], np.zeros(M)])
+        # of P the corner columns read the first four columns, as
+        # lead[j, M - n + q] = P[n - q, 3 - j], and the band
+        # band[q + 1, e] = P[q, q + 2 - e]; P's memory then packs factors
+        self.lead = np.zeros((4, 2 * M + 2))
+        self.lead[:, : M + 1] = P[::-1, 3::-1].T
+        q = np.arange(M + 1)[:, None]
+        cols = q + 2 - np.arange(6)
+        self.band = np.zeros((M + 2, 6))
+        self.band[1:] = np.where((cols >= 0) & (cols <= M), P[q, np.clip(cols, 0, M)], 0.0)
+        self.buf = P.reshape(-1)
+        # running column sums of |B|: head[m] is the 1-norm of B[:m, :m - 4]
+        self.head = np.zeros(M + 2)
+        sums = np.zeros(M - 3)
+        for m in range(1, M + 2):
+            sums += np.abs(self.B[m - 1, : M - 3])
+            if m >= 5:
+                self.head[m] = sums[: m - 4].max()
+        self.LU = np.array(self.B[:, : M - 3], order="F")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            _lu_nopivot(self.LU)
+        self.trtrs, self.getrs, self.gecon = get_lapack_funcs(("trtrs", "getrs", "gecon"),
+                                                              (self.LU,))
+
+    def _corners(self, ms: np.ndarray, mh: int) -> np.ndarray:
+        """N[g, j, q] = entry (q, m_g - 4 + j) of node g's reversed matrix for
+        q < mh, in the order of operations of _assemble: ((I + Hankel term)
+        - left-end kink term) - reversed kink term, which lives on rows
+        m_g - 6 .. m_g - 1 only."""
+        rows, j = np.arange(ms.size)[:, None], np.arange(4)
+        c = ms[:, None] - 4 + j
+        N = _windows(self.phr, c, mh) * self.hw4[ms - 1][:, ::-1, None]
+        N[rows, j, c] += 1.0
+        N -= sliding_window_view(self.lead, mh, axis=1)[j, (self.M + 1 - ms)[:, None]]
+        r = np.arange(6)
+        near = ms[:, None, None] - 6 + r
+        N[rows[:, :, None], j[:, None], near] -= np.where(
+            r >= j[:, None], self.band[near + 1, np.maximum(r - j[:, None], 0)], 0.0)
+        return N
+
+    def _forward(self, cols: np.ndarray, K: int) -> np.ndarray:
+        """L[:K, :K]^{-1} applied to the node-major columns cols (G, k, >= K)
+        in one triangular solve; column c of node g lands in column k g + c."""
+        G, k = cols.shape[:2]
+        F = np.empty((K, k * G), order="F")
+        F.reshape((K, k, G), order="F")[...] = cols[:, :, :K].transpose(2, 1, 0)
+        return self.trtrs(self.LU[:, :K], F, lower=1, unitdiag=1, overwrite_b=1)[0]
+
+    def group(self, ms: np.ndarray, buf: np.ndarray, V: tuple, Vx: tuple) -> list:
+        """Solve the nodes of reversed sizes ms (ascending) into V[i], Vx[i];
+        returns [(i, residual)].
+
+        Forward substitution takes every node's corner columns and right-hand
+        side at once, zero-padded to the largest node; the rows a node does
+        not own are never read. The back substitution sees zeros below each
+        node's m' rows, so those rows hold the node's own solution. V[0] is
+        the last reversed entry, known after the Schur step, so the V_x
+        right-hand side g2 - d V[0] is formed and forward-substituted then.
+        """
+        M, B, LU, xs = self.M, self.B, self.LU, self.xs
+        G, mh = ms.size, int(ms[-1])
+        K = mh - 4
+        below = np.arange(mh) >= ms[:, None]          # rows a node does not own
+        N = self._corners(ms, mh)
+        rhs = np.empty((G, 2, mh))                    # d, then g2 - d V[0]
+        rhs[:, 0] = _windows(self.ptr, M + 1 - ms, mh) - _windows(self.phr, ms - 1, mh)
+        g2 = _windows(self.dphr, ms - 1, mh) - _windows(self.dptr, M + 1 - ms, mh)
+        np.copyto(N, 0.0, where=below[:, None, :])
+        np.copyto(rhs[:, 0], 0.0, where=below)
+        anorm = np.maximum(self.head[ms], np.abs(N).sum(axis=2).max(axis=1))
+        for g in range(G):
+            _check_finite(anorm[g], "Nystrom matrix", xs[M + 1 - ms[g]])
+
+        Z = self._forward(np.concatenate([N, rhs[:, :1]], axis=1), K)
+        Y2 = np.empty((G, 2, 4))                      # the last four reversed rows
+        nodes = []
+        for g, m in enumerate(ms.tolist()):
+            mp = m - 4
+            L21, U12 = LU[mp:m, :mp], Z[:mp, 5 * g: 5 * g + 4]
+            T4 = L21 @ Z[:mp, 5 * g: 5 * g + 5]
+            lu4, piv4 = lu_factor(N[g, :, mp:m].T - T4[:, :4], check_finite=False)
+            perm = list(range(4))
+            for k, p in enumerate(piv4):
+                perm[k], perm[p] = perm[p], perm[k]
+            packed = buf[: m * m].reshape((m, m), order="F")
+            packed[:mp, :mp] = LU[:mp, :mp]
+            packed[:mp, mp:] = U12
+            packed[mp:, :mp] = L21[perm]
+            packed[mp:, mp:] = lu4
+            _check_conditioning(self.gecon(packed, anorm[g])[0], anorm[g], xs[M + 1 - m])
+            Y2[g, 0] = self.getrs(lu4, piv4, rhs[g, 0, mp:m] - T4[:, 4])[0]
+            nodes.append((mp, L21, U12, lu4, piv4))
+        rhs[:, 1] = np.where(below, 0.0, g2 - rhs[:, 0] * Y2[:, 0, 3:])
+        Zx = self._forward(rhs[:, 1:], K)
+        Xb = np.zeros((K, 2 * G), order="F")
+        for g, (mp, L21, U12, lu4, piv4) in enumerate(nodes):
+            Y2[g, 1] = self.getrs(lu4, piv4, rhs[g, 1, mp: mp + 4] - L21 @ Zx[:mp, g])[0]
+            Xb[:mp, 2 * g] = Z[:mp, 5 * g + 4] - U12 @ Y2[g, 0]
+            Xb[:mp, 2 * g + 1] = Zx[:mp, g] - U12 @ Y2[g, 1]
+        X = self.trtrs(LU[:, :K], Xb, lower=0, overwrite_b=1)[0]
+
+        res = (X.T @ B[:mh, :K].T).reshape(G, 2, mh)
+        res += Y2 @ N
+        res -= rhs
+        np.abs(res, out=res)
+        np.copyto(res, 0.0, where=below[:, None, :])
+        residual = res.max(axis=(1, 2))
+        out = []
+        for g, m in enumerate(ms.tolist()):
+            _check_finite(residual[g], "residual", xs[M + 1 - m])
+            for k, v in enumerate((V[M + 1 - m], Vx[M + 1 - m])):
+                v[:4] = Y2[g, k, ::-1]
+                v[4:] = X[m - 5:: -1, 2 * g + k]
+            out.append((M + 1 - m, float(residual[g])))
+        return out
 
 
 @dataclass
@@ -155,105 +393,76 @@ class GLWorkspace:
     """Discretization state for one amplitude on [0, T].
 
     grid holds the x nodes; V[i]/Vx[i] are the solution and its x-derivative
-    on the i-th node's sub-grid (subgrids[i] = (x, h, n)). residual is the
-    max over nodes of the sup-norm residual of the discrete equations, taken
-    at solve time against each node's matrix (NaN if any node's is). Kernels
-    are not stored: every consumer resamples p and p' on the node's two 1-D
-    lattices (_lattices), which costs O(n) evaluations. q_rec is filled by
-    recover_potential.
+    on the i-th node's subgrid, which _node(lattices, T, M, i) describes
+    together with p and p' there. lattices holds p and p' on every lattice
+    the solve sampled (_sample), so recovery evaluates nothing again.
+    residual is the max over nodes of the sup-norm residual of the discrete
+    equations, taken at solve time. q_rec is filled by recover_potential.
     """
 
     amplitude: Amplitude
     T: float
     M: int
     grid: np.ndarray
-    subgrids: tuple
+    lattices: tuple
     V: tuple
     Vx: tuple
     residual: float
     q_rec: RadialPotential | None = field(default=None)
 
 
-def _subgrid(T: float, M: int, x: float) -> tuple[float, int]:
-    n = max(4, 2 * int(round(M * (T - x) / (2.0 * T))))
-    return (T - x) / n, n
-
-
-def _solve_at(A: Amplitude, T: float, x: float, h: float, n: int, W: np.ndarray,
-              buf: np.ndarray, scratch: np.ndarray):
-    """(V, Vx, residual) at one x node. mat is assembled once into buf and
-    stays intact for the residual; scratch holds |mat|, then its LU factors."""
-    mat, d, g2 = _system(A, T, x, h, n, W, buf, scratch)
-    size = (n + 1) ** 2
-    absmat = np.abs(mat, out=scratch[:size].reshape(n + 1, n + 1))
-    anorm = absmat.sum(axis=0).max()  # the 1-norm, as np.linalg.norm(mat, 1) takes it
-    if not np.isfinite(anorm):
-        raise NumericalError(f"non-finite Nystrom matrix at x={x:.6g}", _MOD)
-    # getrf factors a Fortran-ordered array in place; a C-ordered one it copies
-    lu = scratch[:size].reshape((n + 1, n + 1), order="F")
-    lu[...] = mat
-    lu, piv = lu_factor(lu, overwrite_a=True, check_finite=False)
-    gecon = get_lapack_funcs(("gecon",), (lu,))[0]
-    rcond = gecon(lu, anorm)[0]
-    if rcond * anorm < 1e-8:  # proxy for the smallest singular value
-        raise NumericalError(
-            f"Nystrom system nearly singular at x={x:.6g} "
-            f"(inverse-norm proxy {rcond * anorm:.3e})", _MOD)
-    # a non-finite right-hand side is not refused: it shows as a NaN residual
-    V = lu_solve((lu, piv), d, check_finite=False)
-    rhs = g2 - d * V[0]
-    Vx = lu_solve((lu, piv), rhs, check_finite=False)
-    residual = np.maximum(np.max(np.abs(mat @ V - d)), np.max(np.abs(mat @ Vx - rhs)))
-    return V, Vx, float(residual)
-
-
 def solve_gl(A: Amplitude, T: float, M: int, workers: int = 1) -> GLWorkspace:
     """Assemble and solve the discrete systems at every x node.
 
-    The per-x solves are independent. The nodes are dealt into min(workers,
-    M + 1) strided chunks (the subgrids shrink with x, so the chunks carry
-    equal work); each chunk owns the two buffers its systems are assembled
-    and factored in, and workers > 1 runs the chunks in a thread pool (the
-    dense solves release the GIL). Results are put back in node order, so the
-    output is identical for any worker count.
+    The nested nodes go in groups of consecutive sizes with at most
+    _BATCH (M + 1) reversed rows over a group's nodes, which bounds its
+    batched arrays; once the x = 0 system is factored the groups are
+    independent. They run from x = 0 outward, dealt into min(workers, groups)
+    strided chunks, each with its own packing buffer, and workers > 1 runs
+    the chunks in a thread pool. Every node's V and Vx are written in place,
+    so the output is identical for any worker count. Every node passes the
+    finite-matrix, conditioning and finite-residual gates, or the solve
+    raises the tagged NumericalError.
     """
     if T <= 0:
         raise ValidationError(f"horizon T must be positive, got {T}", _MOD)
     if M < 32 or M % 2 != 0:
         raise ValidationError(f"M must be even and >= 32, got {M}", _MOD)
     xs = np.linspace(0.0, T, M + 1)
-    subgrids = []
-    for x in xs:
-        if x == T:
-            subgrids.append((float(x), 0.0, 0))
-        else:
-            h, n = _subgrid(T, M, float(x))
-            subgrids.append((float(x), h, n))
-    n_max = max(n for _, _, n in subgrids)
-    W = _unit_piece_weights(n_max)
-    chunks = min(workers, M + 1)
+    lattices = _sample(A, T, M, xs)
+    W = _unit_piece_weights(M)
+    floor_weights = W[:5, :5].copy()
+    nested = _Nested(lattices[0], T / M, W, xs)
+    # V[i] and Vx[i] are views into two flat arrays, allocated after the
+    # factorization so that they do not add to its memory peak
+    sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
+    edges = np.r_[0, np.cumsum(sizes)]
+    store = np.zeros((2, edges[-1]))
+    V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
+    residual = [0.0] * (M + 1)
+    for i in range(M - 3, M):
+        V[i][:], Vx[i][:], residual[i] = _dense_node(*_node(lattices, T, M, i), floor_weights,
+                                                     xs[i], nested.gecon)
+    groups, hi = [], M + 1
+    while hi >= 5:
+        lo = max(5, hi - max(1, _BATCH * (M + 1) // hi) + 1)
+        groups.append(np.arange(lo, hi + 1))
+        hi = lo - 1
+    chunks = min(workers, len(groups))
+    bufs = [nested.buf] + [np.empty_like(nested.buf) for _ in range(chunks - 1)]
 
-    def work(start: int) -> list:
-        buf, scratch = np.empty((n_max + 1) ** 2), np.empty((n_max + 1) ** 2)
-        out = []
-        for x, h, n in subgrids[start::chunks]:
-            if n == 0:  # degenerate interval: the system is empty and V = 0
-                out.append((np.zeros(1), np.zeros(1), 0.0))
-            else:
-                out.append(_solve_at(A, T, x, h, n, W, buf, scratch))
-        return out
+    def work(w: int) -> list:
+        return [r for ms in groups[w::chunks] for r in nested.group(ms, bufs[w], V, Vx)]
 
     if chunks > 1:
         with ThreadPoolExecutor(max_workers=chunks) as pool:
             done = list(pool.map(work, range(chunks)))
     else:
         done = [work(0)]
-    results = [done[i % chunks][i // chunks] for i in range(M + 1)]
-
-    return GLWorkspace(amplitude=A, T=T, M=M, grid=xs, subgrids=tuple(subgrids),
-                       V=tuple(r[0] for r in results),
-                       Vx=tuple(r[1] for r in results),
-                       residual=float(np.max([r[2] for r in results])))
+    for i, res in (r for part in done for r in part):
+        residual[i] = res
+    return GLWorkspace(amplitude=A, T=T, M=M, grid=xs, lattices=lattices, V=V, Vx=Vx,
+                       residual=max(residual))
 
 
 def recover_potential(ws: GLWorkspace) -> RadialPotential:
@@ -263,18 +472,15 @@ def recover_potential(ws: GLWorkspace) -> RadialPotential:
     to d/dx V(x,x) = 2 p'(0) there; the recovered value Q(0) = A(0) is the
     exact limit, no extrapolation involved.
     """
-    A, T = ws.amplitude, ws.T
     qvals = np.empty(ws.M + 1)
-    for i, (x, h, n) in enumerate(ws.subgrids):
+    qvals[0] = -4.0 * ws.lattices[0][2][0]  # x = T: dpt[0] = p'(0)
+    for i in range(ws.M):
+        h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
         V, Vx = ws.V[i], ws.Vx[i]
-        if n == 0:
-            dd = 2.0 * float(p_prime_from_amplitude(A, 0.0))
-        else:
-            pt, ph, dpt, dph = _lattices(A, T, x, h, n)
-            S = simpson_weights(n, h)
-            g1 = ph[: n + 1] - pt[n:]    # p(2T - x - t) - p(t - x)
-            g2 = dph - dpt               # p'(2T - x - t) - p'(t - x)
-            dd = ph[0] * V[0] + 2.0 * dph[0] - S @ (g1 * Vx) + S @ (g2 * V)
+        S = h * _unit_row(n)
+        g1 = ph[: n + 1] - pt[n:]    # p(2T - x - t) - p(t - x)
+        g2 = dph - dpt               # p'(2T - x - t) - p'(t - x)
+        dd = ph[0] * V[0] + 2.0 * dph[0] - S @ (g1 * Vx) + S @ (g2 * V)
         qvals[ws.M - i] = -2.0 * dd  # value sits at T - x
     q = RadialPotential(grid=ws.grid.copy(), values=qvals, closed_form=None)
     ws.q_rec = q
@@ -284,9 +490,10 @@ def recover_potential(ws: GLWorkspace) -> RadialPotential:
 def gl_residual(ws: GLWorkspace) -> float:
     """Max over x nodes of the sup-norm residual of the discrete equations.
 
-    solve_gl substitutes each node's solution into the very matrix it was
-    factored from, before that matrix is dropped; this certifies the linear
-    solves independently of reconstruction accuracy. A NaN at any node
-    propagates.
+    solve_gl substitutes each node's solution into that node's equations, for
+    the nested nodes as A0[i:, i:] V plus the four corner columns, before the
+    factors are dropped; this certifies the linear solves independently of
+    reconstruction accuracy. A non-finite residual at any node has already
+    raised the tagged NumericalError.
     """
     return ws.residual

@@ -4,8 +4,10 @@ These deliberately avoid the package's own code paths: the rational
 Gram-Schmidt works directly on the monomial Gram matrix in exact Fraction
 arithmetic, the Laplace/series helpers integrate definitions numerically, the
 shooting reference steps RK4 one scalar step at a time, the Gram residual
-reference sums every coefficient pair one term at a time, and the GL residual
-reference assembles every Nystrom matrix afresh in one allocating expression.
+reference sums every coefficient pair one term at a time, and the GL
+references assemble every node's Nystrom matrix afresh in one allocating
+expression and solve it by a dense pivoted LU, never through the nested
+factorization.
 """
 
 from __future__ import annotations
@@ -127,21 +129,47 @@ def nystrom_matrix(pS, pL, S, WL) -> np.ndarray:
     return np.eye(len(S)) + pS * S[None, :] - WL * pL - WL[::-1, ::-1] * pL.T
 
 
-def gl_residual_loop(ws) -> float:
-    """Max over x nodes of the residuals of mat V = d and
-    mat Vx = g2 - d V[0], with each node's system assembled again."""
-    from steklovlab.gelfand_levitan import _kernels, _lattices, _unit_piece_weights
-    from steklovlab.quadrature import simpson_weights
-    W = _unit_piece_weights(max(n for _, _, n in ws.subgrids))
-    worst = 0.0
-    for i, (x, h, n) in enumerate(ws.subgrids):
-        if n == 0:
-            continue
-        pt, ph, dpt, dph = _lattices(ws.amplitude, ws.T, x, h, n)
-        pS, pL = _kernels(pt, ph, n)
-        mat = nystrom_matrix(pS, pL, simpson_weights(n, h), h * W[: n + 1, : n + 1])
-        d, g2 = pt[n:] - ph[: n + 1], dph - dpt
+def gl_node_system(ws, i: int, W=None):
+    """(mat, d, g2) of node i < M, assembled alone in one allocating
+    expression from the lattices the solve stored, with the kernels gathered
+    by index: mat V = d and mat V_x = g2 - d V[0]. W is the unit kink-split
+    table of size at least n + 1 (built when not given)."""
+    from steklovlab.gelfand_levitan import _node, _unit_piece_weights
+    h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
+    W = _unit_piece_weights(max(n, 4)) if W is None else W
+    a = np.arange(n + 1)
+    pS, pL = ph[a[:, None] + a[None, :]], pt[n + a[:, None] - a[None, :]]
+    mat = nystrom_matrix(pS, pL, h * W[n, : n + 1], h * W[: n + 1, : n + 1])
+    return mat, pt[n:] - ph[: n + 1], dph - dpt
+
+
+def gl_dense_solution(ws, i: int, W=None):
+    """(V, Vx) of node i by a dense pivoted LU of its allocating system. Vx
+    solves mat Vx = g2 - d V[0] with V[0] taken from ws, so that both sides
+    solve one system: where Vx nearly cancels, one ulp of V[0] moves Vx by
+    V times that ulp, far more than its own relative rounding."""
+    from scipy.linalg import lu_factor, lu_solve
+    mat, d, g2 = gl_node_system(ws, i, W)
+    factors = lu_factor(mat)
+    return lu_solve(factors, d), lu_solve(factors, g2 - d * ws.V[i][0])
+
+
+def gl_residual_loop(ws) -> tuple[float, float]:
+    """(residual, bound): the max over x nodes of the residuals of mat V = d
+    and mat Vx = g2 - d V[0], with each node's system assembled again, and the
+    max over nodes and rows of 2 gamma_{n+3} (|mat| |v| + |rhs|), which bounds
+    how far two evaluation orders of one residual entry can differ
+    (gamma_k = k u / (1 - k u), u the unit roundoff)."""
+    from steklovlab.gelfand_levitan import _unit_piece_weights
+    W = _unit_piece_weights(ws.M)
+    u = np.finfo(float).eps / 2
+    worst = bound = 0.0
+    for i in range(ws.M):
+        mat, d, g2 = gl_node_system(ws, i, W)
         V, Vx = ws.V[i], ws.Vx[i]
-        worst = max(worst, float(np.max(np.abs(mat @ V - d))),
-                    float(np.max(np.abs(mat @ Vx - (g2 - d * V[0])))))
-    return worst
+        k = len(d) + 2
+        gamma = k * u / (1 - k * u)
+        for v, rhs in ((V, d), (Vx, g2 - d * V[0])):
+            worst = max(worst, float(np.max(np.abs(mat @ v - rhs))))
+            bound = max(bound, 2 * gamma * float(np.max(np.abs(mat) @ np.abs(v) + np.abs(rhs))))
+    return worst, bound

@@ -10,13 +10,14 @@ from steklovlab import (Bargmann1, Bargmann2, NumericalError, ValidationError,
                         p_prime_from_amplitude, recover_potential, solve_gl)
 from steklovlab import gelfand_levitan as gl
 from steklovlab.cli import main
-from steklovlab.gelfand_levitan import _kernels, _lattices, _system, _unit_piece_weights
+from steklovlab.gelfand_levitan import _assemble, _kernels, _sample, _unit_piece_weights
 from steklovlab.quadrature import l2_norm
 
-from oracles import gl_residual_loop, nystrom_matrix
+from oracles import gl_dense_solution, gl_node_system, gl_residual_loop, nystrom_matrix
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
 B2 = Bargmann2(c1=1.0, kappa1=0.5)
+TAIL = GeometricTail(a=0.1, rho=1.0 / 9.0)
 
 
 def amp_of(base, coeffs=(), d=3, delta=0.5, gen=None):
@@ -84,7 +85,7 @@ def test_zero_amplitude_fixed_point():
 def test_kernel_symmetry_exact():
     # the x = 0 kernel p(2T-t-s) - p(|t-s|) as the assembler gathers it
     T, n = 2.0, 64
-    pt, ph, _, _ = _lattices(amp_of(B1), T, 0.0, T / n, n)
+    (pt, ph, _, _), _ = _sample(amp_of(B1), T, n, np.linspace(0.0, T, n + 1))
     pS, pL = _kernels(pt, ph, n)
     kernel = pS - np.where(np.tri(n + 1, dtype=bool), pL, pL.T)
     assert np.array_equal(kernel, kernel.T)
@@ -106,12 +107,24 @@ def test_residual_scale_independent():
 
 
 def test_fourth_order_refinement():
-    errs = []
-    for M in (32, 64, 128):
-        q = recover_potential(solve_gl(amp_of(B1), 2.0, M))
-        errs.append(rel_l2_err(q, B1.potential))
-    orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
-    assert all(o >= 3.5 for o in orders)
+    # on the common grid, against the closed forms of both wells
+    for form in (B1, B2):
+        errs = []
+        for M in (32, 64, 128):
+            q = recover_potential(solve_gl(amp_of(form), 2.0, M))
+            errs.append(rel_l2_err(q, form.potential))
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert all(o >= 3.5 for o in orders), (form, orders)
+
+
+def test_fourth_order_self_convergence_geometric_tail():
+    # no closed form: successive differences over M = 32, 64, 128 on the
+    # coarser grid of each pair must shrink like h^4
+    amp = amp_of(ZeroForm(), gen=TAIL)
+    qs = [recover_potential(solve_gl(amp, 2.0, M)) for M in (32, 64, 128)]
+    gaps = [l2_norm(fine.values[::2] - coarse.values, coarse.grid[1])
+            for coarse, fine in zip(qs, qs[1:])]
+    assert math.log2(gaps[0] / gaps[1]) >= 3.5
 
 
 @pytest.mark.parametrize("form", [Bargmann1(beta=1.0, gamma=0.5),
@@ -147,34 +160,107 @@ def test_workers_do_not_change_output():
 @pytest.mark.parametrize("amp,M,workers", [
     (amp_of(B1), 128, 1),
     (amp_of(B2), 64, 1),
-    (amp_of(ZeroForm(), gen=GeometricTail(a=0.1, rho=1.0 / 9.0)), 64, 1),
+    (amp_of(ZeroForm(), gen=TAIL), 64, 1),
     (amp_of(B1), 64, 2),
 ])
 def test_residual_equals_reassembly_oracle(amp, M, workers):
-    # the solve-time residual is the one a fresh assembly of every system gives
+    # the solve-time residual, A0[i:, i:] V plus the corner columns, is the one
+    # a fresh assembly of every node's system gives, up to the rounding by
+    # which two evaluation orders of one residual entry can differ
     ws = solve_gl(amp, 2.0, M, workers=workers)
-    assert gl_residual(ws) == gl_residual_loop(ws)
+    residual, bound = gl_residual_loop(ws)
+    assert abs(gl_residual(ws) - residual) <= bound
+    assert gl_residual(ws) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 64, 511])
-def test_buffer_assembly_matches_allocating_expression(n, monkeypatch):
-    if n % 2:
-        # _subgrid never gives odd n (Simpson needs an even count), but odd n
-        # exercises the odd diagonal stride and the reversal of the buffer
-        # layout; row weights defined for any n stand in for Simpson there
-        monkeypatch.setattr(gl, "simpson_weights",
-                            lambda m, h: h * np.linspace(0.5, 1.5, m + 1))
-    amp, T, x = amp_of(B2, [-0.2]), 2.0, 0.25
-    h = (T - x) / n
-    W = _unit_piece_weights(n + 3)
-    buf, scratch = np.full((n + 3) ** 2, np.nan), np.full((n + 3) ** 2, np.nan)
-    mat, _, _ = _system(amp, T, x, h, n, W, buf, scratch)
-    pt, ph, _, _ = _lattices(amp, T, x, h, n)
+def test_buffer_assembly_matches_allocating_expression(n):
+    # the x = 0 matrix, assembled reversed and in place in the weight table,
+    # is the allocating expression bitwise; odd n use the 3/8-patched row
+    amp, T = amp_of(B2, [-0.2]), 2.0
+    h = T / n
+    (pt, ph, _, _), _ = _sample(amp, T, n, np.linspace(0.0, T, n + 1))
+    W = _unit_piece_weights(n)
+    ref_W = W.copy()
+    B, P, hw4 = _assemble((pt, ph), h, W)
     pS, pL = _kernels(pt, ph, n)
-    ref = nystrom_matrix(pS, pL, gl.simpson_weights(n, h), h * W[: n + 1, : n + 1])
-    assert np.array_equal(mat, ref)
-    assert np.shares_memory(mat, buf[: (n + 1) ** 2])
-    assert np.all(np.isnan(buf[(n + 1) ** 2:]))  # nothing past the prefix is written
+    ref = nystrom_matrix(pS, pL, h * ref_W[n], h * ref_W)
+    assert np.array_equal(B[::-1, ::-1], ref)
+    assert np.shares_memory(P, W)
+    assert np.array_equal(P, (h * ref_W) * pL)
+    assert np.array_equal(hw4, h * ref_W[:, :4])
+
+
+@pytest.mark.parametrize("amp", [amp_of(B1), amp_of(B2), amp_of(ZeroForm(), gen=TAIL)],
+                         ids=["bargmann1", "bargmann2", "tail"])
+@pytest.mark.parametrize("M", [64, 128])
+def test_node_matrices_nest_in_x0_block(amp, M):
+    # every nested node's matrix is the trailing block of the x = 0 matrix
+    # outside its first four columns, bitwise
+    ws = solve_gl(amp, 2.0, M)
+    W = _unit_piece_weights(M)
+    B, _, _ = _assemble(ws.lattices[0], 2.0 / M, W.copy())
+    A0 = B[::-1, ::-1]
+    assert np.array_equal(gl_node_system(ws, 0, W)[0], A0)
+    for i in range(1, M - 3):
+        mat = gl_node_system(ws, i, W)[0]
+        assert np.array_equal(mat[:, 4:], A0[i:, i + 4:]), i
+        assert not np.array_equal(mat[:, :4], A0[i:, i: i + 4]), i
+
+
+@pytest.mark.parametrize("amp", [amp_of(B1), amp_of(B2), amp_of(ZeroForm(), gen=TAIL)],
+                         ids=["bargmann1", "bargmann2", "tail"])
+@pytest.mark.parametrize("M", [64, 128])
+def test_nested_solution_matches_dense_lu(amp, M):
+    ws = solve_gl(amp, 2.0, M)
+    W = _unit_piece_weights(M)
+    for i in range(M):
+        V, Vx = gl_dense_solution(ws, i, W)
+        assert np.max(np.abs(ws.V[i] - V)) <= 1e-13 * np.max(np.abs(V)), i
+        assert np.max(np.abs(ws.Vx[i] - Vx)) <= 1e-13 * np.max(np.abs(Vx)), i
+    assert np.all(ws.V[M] == 0.0) and np.all(ws.Vx[M] == 0.0)
+
+
+def test_conditioning_gate_sees_every_node_factored(monkeypatch):
+    # gecon runs once per node, on an LU factorization of that node's own
+    # matrix (rows of the last four, the Schur block, may be permuted; on
+    # the floor nodes any rows) and with that matrix's 1-norm. With p negated,
+    # Bargmann2 makes some Schur blocks pivot.
+    p, get = gl.p_from_amplitude, gl.get_lapack_funcs
+    monkeypatch.setattr(gl, "p_from_amplitude", lambda A, t: -p(A, t))
+    calls = []
+
+    def recording(names, arrays):
+        funcs = list(get(names, arrays))
+        if "gecon" in names:
+            gecon = funcs[names.index("gecon")]
+            funcs[names.index("gecon")] = lambda a, anorm: (
+                calls.append((np.array(a), anorm)) or gecon(a, anorm))
+        return funcs
+
+    monkeypatch.setattr(gl, "get_lapack_funcs", recording)
+    M = 64
+    ws = solve_gl(amp_of(B2), 2.0, M)
+    assert len(calls) == M
+    floor, nested = calls[:3], calls[3:]
+    assert sorted(M + 1 - len(a) for a, _ in nested) == list(range(M - 3))
+    nodes = [(M - 3 + k, a, anorm) for k, (a, anorm) in enumerate(floor)]
+    nodes += [(M + 1 - len(a), a, anorm) for a, anorm in nested]
+    permuted = 0
+    for i, a, anorm in nodes:
+        mat = gl_node_system(ws, i)[0]
+        fixed = 0 if i >= M - 3 else len(a) - 4
+        if i < M - 3:
+            mat = mat[::-1, ::-1]  # the nested path factors the reversed matrix
+        assert anorm == pytest.approx(np.abs(mat).sum(axis=0).max(), rel=1e-13, abs=0)
+        LU = (np.tril(a, -1) + np.eye(len(a))) @ np.triu(a)
+        tol = 1e-13 * np.abs(mat).max()
+        assert np.max(np.abs(LU[:fixed] - mat[:fixed]), initial=0.0) <= tol, i
+        gaps = np.abs(LU[fixed:, None, :] - mat[None, fixed:, :]).max(axis=2)
+        rows = gaps.argmin(axis=1)
+        assert sorted(rows) == list(range(len(rows))) and gaps.min(axis=1).max() <= tol, i
+        permuted += i < M - 3 and list(rows) != list(range(4))
+    assert permuted > 0
 
 
 def test_nonfinite_lattice_fails_tagged(monkeypatch, capsys, tmp_path):
@@ -194,9 +280,9 @@ def test_nonfinite_lattice_fails_tagged(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err.startswith("[gelfand_levitan] ")
 
 
-def test_residual_propagates_nan(monkeypatch):
-    # a NaN right-hand side leaves the matrix finite, so the solve goes through
-    # and only the residual can report it
+def test_residual_propagates_nan(monkeypatch, capsys, tmp_path):
+    # a NaN right-hand side leaves the matrix finite, so only the residual
+    # sees it: the solve raises there, and reconstruct exits 3
     dp = gl.p_prime_from_amplitude
 
     def poisoned(A, t):
@@ -205,7 +291,31 @@ def test_residual_propagates_nan(monkeypatch):
         return out
 
     monkeypatch.setattr(gl, "p_prime_from_amplitude", poisoned)
-    assert math.isnan(gl_residual(solve_gl(amp_of(B1), 2.0, 32)))
+    with pytest.raises(NumericalError, match="non-finite residual at x="):
+        solve_gl(amp_of(B1), 2.0, 32)
+    code = main(["reconstruct", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5",
+                 "--M", "32", "--output", str(tmp_path / "q.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("[gelfand_levitan] non-finite residual")
+
+
+def test_near_singular_node_fails_tagged(monkeypatch, capsys, tmp_path):
+    # scale p so that the x = 0 matrix I + s K0 is singular: K0 is linear in
+    # p, so s = -1/lambda for a real eigenvalue lambda of K0. The gecon gate
+    # of the nested path must refuse that node.
+    amp, M = amp_of(B1), 32
+    K0 = gl_node_system(solve_gl(amp, 2.0, M), 0)[0] - np.eye(M + 1)
+    lam = np.linalg.eigvals(K0)
+    lam = lam[np.abs(lam.imag) < 1e-12].real
+    s = -1.0 / lam[np.argmax(np.abs(lam))]
+    p = gl.p_from_amplitude
+    monkeypatch.setattr(gl, "p_from_amplitude", lambda A, t: s * p(A, t))
+    with pytest.raises(NumericalError, match="nearly singular at x=0 "):
+        solve_gl(amp, 2.0, M)
+    code = main(["reconstruct", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5",
+                 "--M", "32", "--output", str(tmp_path / "q.csv")])
+    assert code == 3
+    assert capsys.readouterr().err.startswith("[gelfand_levitan] Nystrom system nearly singular")
 
 
 def test_p_gap_bounded_by_amplitude_gap():
