@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import get_args, get_type_hints
@@ -49,7 +50,6 @@ class RunConfig:
     scales: list = field(default_factory=lambda: [1e-1, 1e-2, 1e-3, 1e-4])
     output: str | None = None
     precision: int = 256
-    workers: int = 1
     x_max: float | None = None
     tolerance: float = 1e-10
     B: float = 1.0
@@ -147,7 +147,7 @@ def _cmd_perturb(cfg: RunConfig) -> list[str]:
 def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
-    ws = solve_gl(amp, cfg.T, cfg.M, workers=cfg.workers)
+    ws = solve_gl(amp, cfg.T, cfg.M)
     q = recover_potential(ws)
     lines = [f"# gl_residual = {_fmt(gl_residual(ws))}", "x,Q"]
     for x, v in zip(q.grid, q.values):
@@ -182,7 +182,7 @@ def _cmd_sweep(cfg: RunConfig) -> list[str]:
     else:
         raise ValidationError("sweep needs coefficient values or a generator", _MOD)
     records = run_sweep(_base_form(cfg.base), family, cfg.scales, cfg.T, params,
-                        cfg.K, cfg.M, B=cfg.B, workers=cfg.workers)
+                        cfg.K, cfg.M, B=cfg.B)
     fit = fit_holder(records)
     buf = io.StringIO()
     emit_records(records, buf, fit=fit)
@@ -226,10 +226,17 @@ def run(cfg: RunConfig) -> int:
                 f"command must be one of {', '.join(COMMANDS)}; got {cfg.command!r}",
                 _MOD)
         for name, val, lo in (("K", cfg.K, 1), ("M", cfg.M, 32),
-                              ("precision", cfg.precision, 16),
-                              ("workers", cfg.workers, 1), ("n", cfg.n, 0)):
+                              ("precision", cfg.precision, 16), ("n", cfg.n, 0)):
             if val < lo:
                 raise ValidationError(f"{name} must be >= {lo}, got {val}", _MOD)
+        # json.load takes NaN and Infinity, argparse's float takes nan and inf
+        numbers = [(name, getattr(cfg, name)) for name, hint in get_type_hints(RunConfig).items()
+                   if float in (get_args(hint) or (hint,))]
+        for name, val in numbers + [("scales", s) for s in cfg.scales]:
+            if val is not None and not math.isfinite(val):
+                raise ValidationError(f"{name} must be finite, got {val}", _MOD)
+        if not cfg.tolerance > 0:
+            raise ValidationError(f"tolerance must be positive, got {cfg.tolerance}", _MOD)
         lines = _DISPATCH[cfg.command](cfg)
     except ValidationError as exc:
         print(exc.tagged(), file=sys.stderr)
@@ -259,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="pipeline stage (may also come from the config file)")
     p.add_argument("--config", help="JSON configuration file")
     p.add_argument("--output", help="output CSV path ('-' for stdout)")
-    p.add_argument("--workers", type=int)
     p.add_argument("--precision", type=int, help="working precision in bits")
     p.add_argument("--d", type=int)
     p.add_argument("--delta", type=float)
@@ -316,13 +322,18 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
             raise ValidationError("config must be a JSON object", _MOD)
         hints = get_type_hints(RunConfig)
         for key, val in data.items():
+            if key == "workers":  # retired; saved configs still carry its one value
+                if type(val) is not int or val != 1:
+                    raise ValidationError(f"config key 'workers' is retired; only 1 is "
+                                          f"accepted, got {val!r}", _MOD)
+                continue
             if key not in hints:
                 raise ValidationError(f"unknown config key {key!r}", _MOD)
             if not _json_type_ok(val, hints[key]):
                 raise ValidationError(f"config key {key!r} has the wrong type: {val!r}", _MOD)
             setattr(cfg, key, val)
-    for name in ("command", "output", "workers", "precision", "d", "delta", "T",
-                 "K", "M", "x_max", "tolerance", "B", "n"):
+    for name in ("command", "output", "precision", "d", "delta", "T", "K", "M",
+                 "x_max", "tolerance", "B", "n"):
         val = getattr(args, name)
         if val is not None:
             setattr(cfg, name, val)

@@ -46,7 +46,6 @@ matrix product.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -319,7 +318,7 @@ class _Nested:
         F.reshape((K, k, G), order="F")[...] = cols[:, :, :K].transpose(2, 1, 0)
         return self.trtrs(self.LU[:, :K], F, lower=1, unitdiag=1, overwrite_b=1)[0]
 
-    def group(self, ms: np.ndarray, buf: np.ndarray, V: tuple, Vx: tuple) -> list:
+    def group(self, ms: np.ndarray, V: tuple, Vx: tuple) -> list:
         """Solve the nodes of reversed sizes ms (ascending) into V[i], Vx[i];
         returns [(i, residual)].
 
@@ -355,7 +354,7 @@ class _Nested:
             perm = list(range(4))
             for k, p in enumerate(piv4):
                 perm[k], perm[p] = perm[p], perm[k]
-            packed = buf[: m * m].reshape((m, m), order="F")
+            packed = self.buf[: m * m].reshape((m, m), order="F")
             packed[:mp, :mp] = LU[:mp, :mp]
             packed[:mp, mp:] = U12
             packed[mp:, :mp] = L21[perm]
@@ -411,18 +410,14 @@ class GLWorkspace:
     q_rec: RadialPotential | None = field(default=None)
 
 
-def solve_gl(A: Amplitude, T: float, M: int, workers: int = 1) -> GLWorkspace:
+def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     """Assemble and solve the discrete systems at every x node.
 
     The nested nodes go in groups of consecutive sizes with at most
     _BATCH (M + 1) reversed rows over a group's nodes, which bounds its
-    batched arrays; once the x = 0 system is factored the groups are
-    independent. They run from x = 0 outward, dealt into min(workers, groups)
-    strided chunks, each with its own packing buffer, and workers > 1 runs
-    the chunks in a thread pool. Every node's V and Vx are written in place,
-    so the output is identical for any worker count. Every node passes the
-    finite-matrix, conditioning and finite-residual gates, or the solve
-    raises the tagged NumericalError.
+    batched arrays; they run from x = 0 outward on the factored x = 0 system.
+    Every node passes the finite-matrix, conditioning and finite-residual
+    gates, or the solve raises the tagged NumericalError.
     """
     if T <= 0:
         raise ValidationError(f"horizon T must be positive, got {T}", _MOD)
@@ -443,24 +438,12 @@ def solve_gl(A: Amplitude, T: float, M: int, workers: int = 1) -> GLWorkspace:
     for i in range(M - 3, M):
         V[i][:], Vx[i][:], residual[i] = _dense_node(*_node(lattices, T, M, i), floor_weights,
                                                      xs[i], nested.gecon)
-    groups, hi = [], M + 1
+    hi = M + 1
     while hi >= 5:
         lo = max(5, hi - max(1, _BATCH * (M + 1) // hi) + 1)
-        groups.append(np.arange(lo, hi + 1))
+        for i, res in nested.group(np.arange(lo, hi + 1), V, Vx):
+            residual[i] = res
         hi = lo - 1
-    chunks = min(workers, len(groups))
-    bufs = [nested.buf] + [np.empty_like(nested.buf) for _ in range(chunks - 1)]
-
-    def work(w: int) -> list:
-        return [r for ms in groups[w::chunks] for r in nested.group(ms, bufs[w], V, Vx)]
-
-    if chunks > 1:
-        with ThreadPoolExecutor(max_workers=chunks) as pool:
-            done = list(pool.map(work, range(chunks)))
-    else:
-        done = [work(0)]
-    for i, res in (r for part in done for r in part):
-        residual[i] = res
     return GLWorkspace(amplitude=A, T=T, M=M, grid=xs, lattices=lattices, V=V, Vx=Vx,
                        residual=max(residual))
 

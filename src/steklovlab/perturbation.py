@@ -24,6 +24,12 @@ _MOD = "perturbation"
 _TRUNC_REL = 1e-18   # relative cutoff when materializing generator tails
 _MAX_TERMS = 5000
 _WINDOW_BLOCK = 128  # maximal-function windows per block of the (window, term) table
+# grids of the measure diagnostics: energies on E > 0, the energy window of the
+# quasi-Szego fit, and the centres and half-widths of the maximal-function windows
+_E_GRID = np.logspace(-3.0, 6.0, 1000)
+_FIT_RANGE = (1e2, 1e6)
+_K_GRID = np.logspace(0.5, 3.0, 48)
+_L_GRID = 2.0 ** np.arange(-6, 1)
 
 
 @dataclass(frozen=True)
@@ -216,10 +222,6 @@ def _require_known_base(A: Amplitude):
             "diagnostics need a base with a closed-form spectral density", _MOD)
 
 
-def default_E_grid(lo: float = 1e-3, hi: float = 1e6, n: int = 1000) -> np.ndarray:
-    return np.logspace(math.log10(lo), math.log10(hi), n)
-
-
 @dataclass(frozen=True)
 class PositivityReport:
     min_density: float
@@ -227,10 +229,10 @@ class PositivityReport:
     passed: bool
 
 
-def ks_check_positivity(A: Amplitude, E_grid: np.ndarray | None = None) -> PositivityReport:
+def ks_check_positivity(A: Amplitude) -> PositivityReport:
     """Evaluate d rho~/dE on E > 0 and report its minimum (>= 0 when admissible)."""
     _require_known_base(A)
-    E = default_E_grid() if E_grid is None else np.asarray(E_grid, dtype=float)
+    E = _E_GRID
     dens = np.sqrt(E) / math.pi * (1.0 + _ratio_minus_one(A, E))
     i = int(np.argmin(dens))
     return PositivityReport(min_density=float(dens[i]), argmin_E=float(E[i]),
@@ -249,8 +251,7 @@ class QuasiSzegoReport:
     max_integrand: float
 
 
-def ks_check_quasi_szego(A: Amplitude, E_grid: np.ndarray | None = None,
-                         fit_range: tuple[float, float] = (1e2, 1e6)) -> QuasiSzegoReport:
+def ks_check_quasi_szego(A: Amplitude) -> QuasiSzegoReport:
     """Fit the large-E decay of log[(1/4) u + 1/2 + (1/4)/u], u = d rho~/d rho_0.
 
     The bracket equals 1 + (u-1)^2/(4u), so the log term is computed as
@@ -258,10 +259,10 @@ def ks_check_quasi_szego(A: Amplitude, E_grid: np.ndarray | None = None,
     approach -2.
     """
     _require_known_base(A)
-    E = default_E_grid() if E_grid is None else np.asarray(E_grid, dtype=float)
+    E = _E_GRID
     um1 = _ratio_minus_one(A, E)
     logterm = np.log1p(um1**2 / (4.0 * (1.0 + um1)))
-    sel = (E >= fit_range[0]) & (E <= fit_range[1]) & (logterm > 0)
+    sel = (E >= _FIT_RANGE[0]) & (E <= _FIT_RANGE[1]) & (logterm > 0)
     if sel.sum() < 2:
         return QuasiSzegoReport(exponent=0.0, residual=0.0,
                                 max_integrand=float(np.max(logterm * np.sqrt(E), initial=0.0)))
@@ -303,13 +304,11 @@ def _maximal_function(A: Amplitude, ks: np.ndarray,
     return out
 
 
-def ks_check_normalization(A: Amplitude, k_grid: np.ndarray | None = None,
-                           L_grid: np.ndarray | None = None) -> NormalizationReport:
+def ks_check_normalization(A: Amplitude) -> NormalizationReport:
     """Probe the normalization condition: the maximal function should drift like
     O(1/k) and log[1 + (M nu~ / k)^2] k^2 should have convergent partial integrals."""
     _require_known_base(A)
-    ks = np.logspace(0.5, 3.0, 48) if k_grid is None else np.asarray(k_grid, dtype=float)
-    Ls = 2.0 ** np.arange(-6, 1) if L_grid is None else np.asarray(L_grid, dtype=float)
+    ks, Ls = _K_GRID, _L_GRID
     ms = _maximal_function(A, ks, Ls)
     if np.max(ms) == 0.0:
         return NormalizationReport(exponent=0.0, partial_integrals=(0.0,),

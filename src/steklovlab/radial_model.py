@@ -55,7 +55,7 @@ class SpectralParams:
 def make_spectral_params(d: int, delta: float, K: int) -> SpectralParams:
     if d < 3:
         raise ValidationError(f"dimension must satisfy d >= 3, got d={d}", _MOD)
-    if delta < 3 - d:
+    if not delta >= 3 - d:  # NaN fails
         raise ValidationError(
             f"delta must satisfy delta >= 3 - d = {3 - d}, got delta={delta}", _MOD
         )

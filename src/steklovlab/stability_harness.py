@@ -25,7 +25,7 @@ from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
 from .quadrature import l2_norm
 from .radial_model import PotentialForm, SpectralParams, SteklovSpectrum
 from .weyl_titchmarsh import (dn_gap, perturbation_tail_bound, steklov_spectrum,
-                              wt_from_amplitude)
+                              sup_gap, wt_from_amplitude)
 
 _MOD = "stability_harness"
 
@@ -68,7 +68,7 @@ def _amplitude_gap_sq(A: Amplitude, params: SpectralParams) -> float:
 
 def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
               T: float, params: SpectralParams, K: int, M: int = 256,
-              B: float = 1.0, workers: int = 1) -> list[SweepRecord]:
+              B: float = 1.0) -> list[SweepRecord]:
     """One record per scale; a scale whose pipeline fails is dropped with a
     warning, and fewer than 3 surviving records fails the sweep."""
     scales = [float(s) for s in scales]
@@ -82,7 +82,7 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
         raise ValidationError(f"K={K} exceeds the parameter table", _MOD)
 
     base_amp = build_perturbed_amplitude(base, np.zeros(0), params)
-    q_base = recover_potential(solve_gl(base_amp, T, M, workers=workers))
+    q_base = recover_potential(solve_gl(base_amp, T, M))
     sigma_base = steklov_spectrum(lambda k: wt_from_amplitude(base_amp, k), params, K)
 
     records: list[SweepRecord] = []
@@ -91,7 +91,7 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
         try:
             coeffs, gen = family(s)
             amp = build_perturbed_amplitude(base, np.asarray(coeffs, float), params, gen)
-            q_pert = recover_potential(solve_gl(amp, T, M, workers=workers))
+            q_pert = recover_potential(solve_gl(amp, T, M))
             sigma_pert = steklov_spectrum(lambda k: wt_from_amplitude(amp, k), params, K)
             gap = dn_gap(sigma_base, sigma_pert,
                          perturbation_tail_bound(amp, params, K))
@@ -154,11 +154,7 @@ def fit_holder(records: Sequence[SweepRecord], theta: float | None = None) -> Ho
 def corollary_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum) -> float:
     """Operator-norm gap of the boundary maps, which equals the sup-norm gap of
     the spectra (the maps act diagonally on the spherical-harmonic spaces)."""
-    if sigma.d != sigma_tilde.d:
-        raise ValidationError("dimension mismatch", _MOD)
-    if sigma.K != sigma_tilde.K:
-        raise ValidationError("spectra on mismatched index ranges", _MOD)
-    return float(np.max(np.abs(sigma.sigma - sigma_tilde.sigma)))
+    return sup_gap(sigma, sigma_tilde)
 
 
 def emit_records(records: Sequence[SweepRecord], destination,

@@ -33,6 +33,8 @@ from .radial_model import (Bargmann1, Bargmann2, PotentialForm, RadialPotential,
 _MOD = "weyl_titchmarsh"
 _CHUNK = 8192         # RK4 steps per propagator product
 _MIN_CONTRACTION = 2  # step halving must shrink the difference at least this much
+_STEP = 1.0 / 32.0    # largest step of the first shooting pass
+_MAX_HALVINGS = 14
 
 
 @dataclass(frozen=True)
@@ -54,9 +56,7 @@ class OdeOptions:
     """
 
     x_max: float | None = None
-    step: float = 1.0 / 32.0
     tolerance: float = 1e-10
-    max_halvings: int = 14
 
     def x_max_for(self, kappa: float) -> float:
         """The truncation point at kappa before any clipping to a sampled domain."""
@@ -149,7 +149,7 @@ def wt_from_ode(Q: RadialPotential, kappa: float,
     """M(-kappa^2) = u'(0)/u(0) by backward integration; error from step halving.
 
     Raises NumericalError when a halving shrinks the difference between
-    successive values by less than _MIN_CONTRACTION, or after max_halvings.
+    successive values by less than _MIN_CONTRACTION, or after _MAX_HALVINGS.
     """
     if kappa <= 0:
         raise ValidationError(f"kappa must be positive, got {kappa}", _MOD)
@@ -159,9 +159,9 @@ def wt_from_ode(Q: RadialPotential, kappa: float,
         raise ValidationError(
             f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
 
-    n = max(32, int(math.ceil(x_max / opts.step)))
+    n = max(32, int(math.ceil(x_max / _STEP)))
     prev = prev_diff = None
-    for _ in range(opts.max_halvings + 1):
+    for _ in range(_MAX_HALVINGS + 1):
         m = _m_fixed_step(Q, kappa, x_max, n)
         if prev is not None:
             diff = abs(m - prev)
@@ -265,15 +265,20 @@ class DnGap:
     strict_small_tail: bool
 
 
-def dn_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum,
-           tail_bound: float) -> DnGap:
+def sup_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum) -> float:
+    """max_k |sigma_k - sigma~_k| over two spectra of one dimension and one K."""
     if sigma.d != sigma_tilde.d:
         raise ValidationError(
             f"dimension mismatch: {sigma.d} vs {sigma_tilde.d}", _MOD)
     if sigma.K != sigma_tilde.K:
         raise ValidationError(
             f"truncation mismatch: K={sigma.K} vs K={sigma_tilde.K}", _MOD)
-    eps = float(np.max(np.abs(sigma.sigma - sigma_tilde.sigma)))
+    return float(np.max(np.abs(sigma.sigma - sigma_tilde.sigma)))
+
+
+def dn_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum,
+           tail_bound: float) -> DnGap:
+    eps = sup_gap(sigma, sigma_tilde)
     certified = tail_bound <= eps or (eps == 0.0 and tail_bound == 0.0)
     return DnGap(eps=eps, tail_bound=float(tail_bound), certified=certified,
                  strict_small_tail=bool(tail_bound < 0.01 * eps))

@@ -1,10 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass line with the
 measured figure of merit (run with -s to see them on success)."""
 
+import math
 import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from steklovlab import (Bargmann1, Bargmann2, GeometricTail, OdeOptions,
                         ZeroForm, build_perturbed_amplitude, corollary_gap,
@@ -157,7 +159,7 @@ def test_criterion_8_killip_simon_diagnostics():
     amp = build_perturbed_amplitude(ZeroForm(), [-1.0], params)
     pos = ks_check_positivity(amp)  # 10^3-point log grid by default
     assert pos.passed and pos.min_density >= 0.0
-    qs = ks_check_quasi_szego(amp, fit_range=(1e2, 1e6))
+    qs = ks_check_quasi_szego(amp)  # decay fitted on 1e2 <= E <= 1e6
     assert abs(qs.exponent - (-2.0)) <= 0.1
     norm = ks_check_normalization(amp)
     assert abs(norm.exponent - (-1.0)) <= 0.15
@@ -184,6 +186,12 @@ def test_criterion_9_ball_halfline_identity():
     sig0 = steklov_spectrum(lambda k: wt_from_amplitude(base, k), params, 64)
     sig1 = steklov_spectrum(lambda k: wt_from_amplitude(pert, k), params, 64)
     gap = dn_gap(sig0, sig1, perturbation_tail_bound(pert, params, 64))
-    assert corollary_gap(sig0, sig1) == gap.eps  # the same number, exactly
+    # zero base: sigma~_k - sigma_k = sum_j c_j / (2 kappa_k + mu_j) with
+    # c_j = -a rho^(2j + 1/2), mu_j = 2j + 1 and 2 kappa_k = 2k + 1, largest at
+    # k = 0, where the series sums to a sqrt(rho) (-log(1 - rho^2)) / (2 rho^2)
+    a, rho = 0.1, 1.0 / 9.0
+    exact = a * math.sqrt(rho) * -math.log1p(-rho**2) / (2.0 * rho**2)
+    assert corollary_gap(sig0, sig1) == pytest.approx(exact, rel=1e-12, abs=0)
+    assert gap.eps == pytest.approx(exact, rel=1e-12, abs=0)
     _report(9, "ball/half-line identity",
             f"|half - ball|/half = {rel:.2e}, DN gap = {gap.eps:.6e}")

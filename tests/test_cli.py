@@ -1,13 +1,33 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from steklovlab.cli import main
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
 
 def run_cli(args):
     return main(args)
+
+
+def readme_commands() -> list[list[str]]:
+    """The argument lists of the steklovlab commands in README's "Command
+    line" block, backslash continuations joined."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("steklovlab ")]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_commands_run(argv, tmp_path):
+    argv = list(argv)
+    i = argv.index("--output")
+    argv[i + 1] = str(tmp_path / argv[i + 1])
+    assert run_cli(argv) == 0
 
 
 def read_rows(path, n_cols):
@@ -153,6 +173,35 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"command": "sweep", "coeffs": {"values": [-0.1]}, "scales": []}))
     assert run_cli(["--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("[stability_harness] ")
+    # non-finite numbers (argparse's float takes nan and inf) and a tolerance <= 0
+    for args in (["perturb", "--d", "3", "--delta", "nan", "--K", "8", "--base", "zero",
+                  "--coeffs=-1.5"], ["reconstruct", "--T", "nan"],
+                 ["forward", "--tolerance", "-1"], ["forward", "--tolerance", "nan"],
+                 ["sweep", "--tail-a", "1", "--tail-rho", "0.1", "--scales", "1e-1,inf"]):
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("[cli] ")
+    for text in ('{"command": "forward", "x_max": Infinity}',  # json.load takes these
+                 '{"command": "sweep", "scales": [0.1, NaN]}'):
+        cfg.write_text(text)
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("[cli] ")
+    # the retired workers key: saved configs carry "workers": 1, and only that passes
+    plain = {"command": "perturb", "d": 3, "delta": 1, "K": 4, "base": {"kind": "zero"},
+             "coeffs": {"values": [-0.5]}}
+    texts = []
+    for extra in ({}, {"workers": 1}):
+        cfg.write_text(json.dumps({**plain, **extra}))
+        out = tmp_path / "w.csv"
+        assert run_cli(["--config", str(cfg), "--output", str(out)]) == 0
+        texts.append(out.read_text())
+    assert texts[0] == texts[1]
+    for val in (2, True):
+        cfg.write_text(json.dumps({**plain, "workers": val}))
+        assert run_cli(["--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("[cli] ")
+    with pytest.raises(SystemExit) as exc:  # the flag is gone
+        run_cli(["perturb", "--workers", "1"])
+    assert exc.value.code == 2
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

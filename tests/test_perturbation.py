@@ -10,7 +10,7 @@ from steklovlab import (Amplitude, Bargmann1, GeometricTail, ValidationError,
                         holder_exponent, ks_check_normalization,
                         ks_check_positivity, ks_check_quasi_szego,
                         make_spectral_params, spectral_measure_diff)
-from steklovlab.perturbation import _maximal_function, _ratio_minus_one, default_E_grid
+from steklovlab.perturbation import _E_GRID, _maximal_function, _ratio_minus_one
 
 
 def params(d=3, delta=1.0, K=8):
@@ -92,7 +92,7 @@ def test_measure_diff_empty():
     amp = build_perturbed_amplitude(ZeroForm(), [], params())
     diff = spectral_measure_diff(amp)
     assert diff.resonances == () and diff.point_masses == ()
-    assert np.all(diff.density_diff(default_E_grid()) == 0.0)
+    assert np.all(diff.density_diff(_E_GRID) == 0.0)
 
 
 @settings(max_examples=25)
@@ -104,7 +104,7 @@ def test_sign_structure_invariant(d, delta_off, mags):
     cs = [-m * 50.0**-k for k, m in enumerate(mags)]
     amp = build_perturbed_amplitude(ZeroForm(), cs, p)
     diff = spectral_measure_diff(amp)
-    assert np.all(diff.density_diff(default_E_grid()) >= 0.0)
+    assert np.all(diff.density_diff(_E_GRID) >= 0.0)
     assert all(w >= 0 for _, w in diff.point_masses)
     assert len(diff.point_masses) == np.count_nonzero(amp.term_mu < 0)
     if delta >= (3 - d) / 2:
@@ -129,7 +129,7 @@ def test_split_form_equals_signed_sum(alpha, mags):
 ])
 def test_measure_transforms_match_term_loops(base, coeffs, d, delta, gen):
     amp = build_perturbed_amplitude(base, coeffs, params(d=d, delta=delta), gen)
-    E = default_E_grid(n=97)
+    E = np.logspace(-3.0, 6.0, 97)
     ratio = base.density_ratio_minus_one(E)
     for c, m in zip(amp.term_coeffs, amp.term_mu):
         ratio = ratio - 2.0 * c / (4.0 * E + m**2)

@@ -34,6 +34,8 @@ def test_spectral_params_rejections():
     with pytest.raises(ValidationError):
         make_spectral_params(3, -0.5, 1)  # delta below 3 - d
     with pytest.raises(ValidationError):
+        make_spectral_params(3, float("nan"), 1)
+    with pytest.raises(ValidationError):
         make_spectral_params(2, 0.0, 1)
     with pytest.raises(ValidationError):
         make_spectral_params(3, 0.0, 0)

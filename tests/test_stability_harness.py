@@ -168,7 +168,9 @@ def test_corollary_gap_equals_dn_eps():
     s0 = steklov_spectrum(lambda k: wt_from_amplitude(base, k), params, 16)
     s1 = steklov_spectrum(lambda k: wt_from_amplitude(pert, k), params, 16)
     gap = dn_gap(s0, s1, 0.0)
-    assert corollary_gap(s0, s1) == gap.eps  # identical number, not just close
+    # one term c = -0.2 at mu_0 = 2: the gap is largest at k = 0, 2 kappa_0 = 1
+    assert corollary_gap(s0, s1) == pytest.approx(0.2 / 3.0, rel=1e-12, abs=0)
+    assert gap.eps == pytest.approx(0.2 / 3.0, rel=1e-12, abs=0)
 
 
 # --- emission ----------------------------------------------------------------

@@ -12,7 +12,7 @@ from steklovlab import (Bargmann1, Bargmann2, NumericalError, OdeOptions,
                         perturbation_tail_bound, sample_potential,
                         steklov_spectrum, wt_from_amplitude, wt_from_ode)
 from steklovlab.radial_model import SteklovSpectrum
-from steklovlab.weyl_titchmarsh import _CHUNK, _m_fixed_step
+from steklovlab.weyl_titchmarsh import _CHUNK, _MAX_HALVINGS, _STEP, _m_fixed_step
 
 from oracles import laplace_of_series, m_fixed_step_loop
 
@@ -100,11 +100,11 @@ def test_forward_shoot_halvings_match_scalar_loop():
     pot = sample_potential(B1, x_max=opts.x_max_for(params.kappa[0]), n=256)
     for kappa in map(float, params.kappa):
         x_max = opts.resolve_x_max(kappa, pot)
-        n0 = max(32, math.ceil(x_max / opts.step))
+        n0 = max(32, math.ceil(x_max / _STEP))
         diffs = _halving_differences(lambda n: _m_fixed_step(pot, kappa, x_max, n),
-                                     n0, opts.tolerance, opts.max_halvings)
+                                     n0, opts.tolerance, _MAX_HALVINGS)
         ref = _halving_differences(lambda n: m_fixed_step_loop(pot, kappa, x_max, n),
-                                   n0, opts.tolerance, opts.max_halvings)
+                                   n0, opts.tolerance, _MAX_HALVINGS)
         assert len(diffs) == len(ref) and ref[-1] <= opts.tolerance
         assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:]))
         assert wt_from_ode(pot, kappa, opts).est_error == diffs[-1]
