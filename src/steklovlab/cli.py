@@ -78,23 +78,34 @@ def _base_form(spec: dict) -> PotentialForm:
             f"unknown base kind {kind!r}; expected zero | bargmann1 | bargmann2", _MOD)
     well, keys = _WELLS[kind]
     try:
-        return well(**{key: float(spec[key]) for key in keys})
+        params = {key: float(spec[key]) for key in keys}
     except KeyError as exc:
         raise ValidationError(f"{kind} base needs parameter {exc}", _MOD)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{kind} base parameters must be numbers: {exc}", _MOD)
+    _require_finite(params, f"{kind} base parameter")
+    return well(**params)
+
+
+def _require_finite(named: dict, what: str) -> None:
+    """Reject nan and inf, which json.load and argparse's float both take."""
+    for name, val in named.items():
+        if not np.all(np.isfinite(val)):
+            raise ValidationError(f"{what} {name} must be finite, got {val}", _MOD)
 
 
 def _coeff_spec(spec: dict) -> tuple[np.ndarray, GeometricTail | None]:
     gen = spec.get("generator")
     try:
         values = np.asarray(spec.get("values", []), dtype=float)
-        tail = None if gen is None else GeometricTail(a=float(gen["a"]), rho=float(gen["rho"]))
+        ar = None if gen is None else {"a": float(gen["a"]), "rho": float(gen["rho"])}
     except KeyError as exc:
         raise ValidationError(f"coefficient generator needs key {exc}", _MOD)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"coefficients must be numbers: {exc}", _MOD)
-    return values, tail
+    _require_finite({"values": values}, "coefficient")
+    _require_finite(ar or {}, "coefficient generator")
+    return values, None if ar is None else GeometricTail(**ar)
 
 
 def _amplitude(cfg: RunConfig, params) -> Amplitude:
@@ -116,7 +127,8 @@ def _cmd_forward(cfg: RunConfig) -> list[str]:
     form = _base_form(cfg.base)
     opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
     pot = sample_potential(form, x_max=opts.x_max_for(params.kappa[0]), n=max(256, cfg.M))
-    spectrum = steklov_spectrum(lambda k: wt_from_ode(pot, k, opts), params, cfg.K)
+    spectrum = steklov_spectrum(wt_from_ode(pot, params.kappa[:cfg.K + 1], opts),
+                                params, cfg.K)
     lines = ["k,kappa,sigma"]
     for k in range(cfg.K + 1):
         lines.append(f"{k},{_fmt(params.kappa[k])},{_fmt(spectrum.sigma[k])}")

@@ -7,9 +7,13 @@ damps the growing mode, so the value is uniformly stable. The classical RK4
 step is linear in (u, u'), so each step is a 2x2 propagator matrix; a pass
 builds them as arrays a chunk at a time, multiplies each chunk's propagators
 pairwise in a log-depth tree with power-of-two renormalization, and applies
-the chunk products to (u, u') in turn. Step halving refines the pass until successive
-values agree, and gives up as soon as the differences stop contracting, which
-is what happens near an eigenvalue.
+the chunk products to (u, u') in turn. Step halving refines the pass until
+successive values agree, and gives up as soon as the differences stop
+contracting, which is what happens near an eigenvalue. The kappas of one call
+are grouped by truncation point: a group samples Q once per halving level, on
+the new (odd) points only, and pushes its unconverged kappas through one
+batched (2, 2, kappas, steps) propagator product per level, in batches of
+_CHUNK steps' worth of elements.
 
 Route two uses the representation
 M(-kappa^2) = -kappa - int_0^inf A(alpha) e^{-2 kappa alpha} d alpha for the
@@ -108,79 +112,164 @@ def _chain_product(P: np.ndarray) -> np.ndarray:
     return P[..., 0]
 
 
-def _shoot_backward(g_half: np.ndarray, h: float, kappa: float) -> tuple[float, float]:
-    """Integrate u'' = g(x) u from x_max down to 0 with the scaled Jost seed.
+def _shoot_backward(q_half: np.ndarray, kappas: np.ndarray, h: float) -> np.ndarray:
+    """Integrate u'' = (Q + kappa^2) u from x_max down to 0 with the scaled
+    Jost seed, for every kappa of an array at once.
 
-    g_half holds g = Q + kappa^2 on the half-step grid (2n+1 values, ascending).
-    The n RK4 steps are applied as products of their propagators, _CHUNK steps
-    at a time, so the temporaries stay O(_CHUNK). Returns (u(0), u'(0)) up to
-    an irrelevant common positive factor.
+    q_half holds Q on the half-step grid (2n+1 values, ascending). The n RK4
+    steps of a kappa are applied as products of their propagators, _CHUNK
+    steps at a time, and a batch holds as many kappas as fill _CHUNK steps, so
+    the temporaries stay O(_CHUNK). Returns (u(0), u'(0)) per kappa, shape
+    (2, kappas), each pair up to an irrelevant positive factor.
     """
-    g = g_half[::-1]
-    g0, gm, g1 = g[:-1:2], g[1::2], g[2::2]  # start, midpoint, end of each step
-    y = np.array([[1.0], [-kappa]])
-    for lo in range(0, gm.size, _CHUNK):
-        chunk = slice(lo, lo + _CHUNK)
-        P = _step_propagators(g0[chunk], gm[chunk], g1[chunk], -h)
-        y = _pow2_normalize(_mul2(_chain_product(P), y))
-    return float(y[0, 0]), float(y[1, 0])
+    n = (q_half.size - 1) // 2
+    width = max(1, _CHUNK // min(n, _CHUNK))
+    out = np.empty((2, kappas.size))
+    for lo in range(0, kappas.size, width):
+        kap = kappas[lo:lo + width]
+        g = q_half[::-1] + kap[:, None] ** 2
+        g0, gm, g1 = g[:, :-1:2], g[:, 1::2], g[:, 2::2]  # start, midpoint, end of each step
+        y = np.stack([np.ones_like(kap), -kap])[:, None]
+        for first in range(0, n, _CHUNK):
+            steps = slice(first, first + _CHUNK)
+            P = _step_propagators(g0[:, steps], gm[:, steps], g1[:, steps], -h)
+            y = _pow2_normalize(_mul2(_chain_product(P), y), axis=(0, 1))
+        out[:, lo:lo + width] = y[:, 0]
+    return out
+
+
+def _sample(Q: RadialPotential, x_max: float, n: int,
+            coarse: np.ndarray | None = None) -> np.ndarray:
+    """Q on the half-step grid of n steps, linspace(0, x_max, 2n+1). Given the
+    samples for n/2 steps, only the new (odd) points are evaluated: the even
+    points are the coarse grid, bitwise."""
+    xs = np.linspace(0.0, x_max, 2 * n + 1)
+    if coarse is None:
+        q = Q(xs)
+    else:
+        xs = xs[1::2].copy()  # the new points; the full grid is freed
+        q = np.empty(2 * n + 1)
+        q[::2] = coarse
+        q[1::2] = Q(xs)
+    if not np.all(np.isfinite(q)):
+        raise NumericalError("potential evaluation produced non-finite values", _MOD)
+    return q
+
+
+def _m_values(q_half: np.ndarray, kappas: np.ndarray,
+              h: float) -> list[float | NumericalError]:
+    """M per kappa from one backward pass over the samples q_half, or the
+    NumericalError that stops that kappa."""
+    out = []
+    for kappa, u0, v0 in zip(kappas.tolist(), *_shoot_backward(q_half, kappas, h).tolist()):
+        if not (math.isfinite(u0) and math.isfinite(v0)):
+            out.append(NumericalError(
+                f"backward integration overflowed at kappa={kappa} "
+                "(spectral parameter too close to an eigenvalue)", _MOD))
+        elif abs(u0) <= 1e-12 * abs(v0):  # scale-free; <= also catches u0 = v0 = 0
+            out.append(NumericalError(
+                f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a Dirichlet "
+                "point of the truncated problem", _MOD))
+        else:
+            out.append(v0 / u0)
+    return out
 
 
 def _m_fixed_step(Q: RadialPotential, kappa: float, x_max: float, n: int) -> float:
     """M value from one backward pass with exactly n steps (no adaptivity)."""
-    xs = np.linspace(0.0, x_max, 2 * n + 1)
-    g = Q(xs) + kappa**2
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("potential evaluation produced non-finite values", _MOD)
-    u0, v0 = _shoot_backward(g, x_max / n, kappa)
-    if not (math.isfinite(u0) and math.isfinite(v0)):
-        raise NumericalError(
-            f"backward integration overflowed at kappa={kappa} "
-            "(spectral parameter too close to an eigenvalue)", _MOD)
-    if abs(u0) <= 1e-12 * abs(v0):  # scale-free; <= also catches u0 = v0 = 0
-        raise NumericalError(
-            f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a Dirichlet "
-            "point of the truncated problem", _MOD)
-    return v0 / u0
+    m, = _m_values(_sample(Q, x_max, n), np.array([kappa], dtype=float), x_max / n)
+    if isinstance(m, NumericalError):
+        raise m
+    return m
 
 
-def wt_from_ode(Q: RadialPotential, kappa: float,
-                opts: OdeOptions | None = None) -> WTEvaluation:
+def _failed_at(k: int, exc: ValidationError | NumericalError):
+    return type(exc)(f"evaluator failed at k={k}: {exc}", _MOD)
+
+
+def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
     """M(-kappa^2) = u'(0)/u(0) by backward integration; error from step halving.
+
+    kappa is one value (returns a WTEvaluation) or a 1-d array (returns a list
+    of them). The kappas are grouped by truncation point. A group samples Q
+    once per halving level, on that level's new points only, and shoots all of
+    its unconverged kappas in one batched pass; converged kappas drop out.
 
     Raises NumericalError when a halving shrinks the difference between
     successive values by less than _MIN_CONTRACTION, or after _MAX_HALVINGS.
+    For an array, the error is that of the lowest failing index k, raised as
+    "evaluator failed at k=..."; the kappas above k stop as soon as k fails.
     """
-    if kappa <= 0:
-        raise ValidationError(f"kappa must be positive, got {kappa}", _MOD)
     opts = opts or OdeOptions()
-    x_max = opts.resolve_x_max(kappa, Q)
-    if Q.closed_form is None and x_max > Q.x_max + 1e-12:
-        raise ValidationError(
-            f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
+    kappas = np.atleast_1d(np.asarray(kappa, dtype=float))
+    evals: list[WTEvaluation | None] = [None] * kappas.size
+    stop, error = kappas.size, None  # the lowest failing index and its error
+    groups: dict[float, list[int]] = {}  # by x_max, in order of the lowest index
+    for i, kap in enumerate(kappas.tolist()):
+        if not (kap > 0 and math.isfinite(kap * kap)):
+            stop, error = i, ValidationError(
+                f"kappa must be positive with a finite square, got {kap}", _MOD)
+            break
+        x_max = opts.resolve_x_max(kap, Q)
+        if Q.closed_form is None and x_max > Q.x_max + 1e-12:
+            stop, error = i, ValidationError(
+                f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
+            break
+        groups.setdefault(x_max, []).append(i)
 
-    n = max(32, int(math.ceil(x_max / _STEP)))
-    prev = prev_diff = None
-    for _ in range(_MAX_HALVINGS + 1):
-        m = _m_fixed_step(Q, kappa, x_max, n)
-        if prev is not None:
-            diff = abs(m - prev)
-            if diff <= opts.tolerance:
-                return WTEvaluation(kappa=kappa, value=m, route="ode", est_error=diff)
-            # RK4 contracts the difference about 16x per halving; near an
-            # eigenvalue it grows instead, and no tolerance will be met
-            if prev_diff is not None and diff * _MIN_CONTRACTION > prev_diff:
-                raise NumericalError(
-                    f"step halving stopped converging at kappa={kappa}: the "
-                    f"difference went from {prev_diff:.3g} to {diff:.3g} "
-                    "(spectral parameter too close to an eigenvalue, or the "
-                    "tolerance below the rounding floor)", _MOD)
-            prev_diff = diff
-        prev = m
-        n *= 2
-    raise NumericalError(
-        f"step halving did not reach tolerance {opts.tolerance} at kappa={kappa}",
-        _MOD)
+    for x_max, active in groups.items():
+        n = max(32, int(math.ceil(x_max / _STEP)))
+        q = None
+        prev: dict[int, float] = {}
+        prev_diff: dict[int, float] = {}
+        for _ in range(_MAX_HALVINGS + 1):
+            active = [i for i in active if i < stop]
+            if not active:
+                break
+            try:
+                q = _sample(Q, x_max, n, q)
+            except NumericalError as exc:
+                stop, error = active[0], exc
+                break
+            unconverged = []
+            for i, m in zip(active, _m_values(q, kappas[active], x_max / n)):
+                kap = float(kappas[i])
+                if isinstance(m, NumericalError):
+                    stop, error = i, m
+                    break
+                if i in prev:
+                    diff = abs(m - prev[i])
+                    if diff <= opts.tolerance:
+                        evals[i] = WTEvaluation(kappa=kap, value=m, route="ode",
+                                                est_error=diff)
+                        continue
+                    # RK4 contracts the difference about 16x per halving; near
+                    # an eigenvalue it grows instead, and no tolerance will be met
+                    if i in prev_diff and diff * _MIN_CONTRACTION > prev_diff[i]:
+                        stop, error = i, NumericalError(
+                            f"step halving stopped converging at kappa={kap}: the "
+                            f"difference went from {prev_diff[i]:.3g} to {diff:.3g} "
+                            "(spectral parameter too close to an eigenvalue, or the "
+                            "tolerance below the rounding floor)", _MOD)
+                        break
+                    prev_diff[i] = diff
+                prev[i] = m
+                unconverged.append(i)
+            active = unconverged
+            n *= 2
+        active = [i for i in active if i < stop]
+        if active:
+            stop, error = active[0], NumericalError(
+                f"step halving did not reach tolerance {opts.tolerance} at "
+                f"kappa={float(kappas[active[0]])}", _MOD)
+
+    if np.ndim(kappa) == 0:
+        if error is not None:
+            raise error
+        return evals[0]
+    if error is not None:
+        raise _failed_at(stop, error) from error
+    return evals
 
 
 def wt_from_amplitude(A: Amplitude, kappa: float) -> WTEvaluation:
@@ -224,21 +313,26 @@ def steklov_spectrum(evaluator, params: SpectralParams,
                      K: int | None = None) -> SteklovSpectrum:
     """sigma_k = -(d-2)/2 - M(-kappa_k^2) for k = 0..K.
 
-    evaluator maps kappa to a WTEvaluation (or a bare float). The additive
-    constant -(d-2)/2 is the one that makes sigma_k = k exact for Q = 0.
+    evaluator maps kappa to a WTEvaluation (or a bare float), or is the list
+    of the K+1 evaluations, as wt_from_ode returns them for an array of
+    kappas. The additive constant -(d-2)/2 is the one that makes sigma_k = k
+    exact for Q = 0.
     """
     K = params.K if K is None else K
     if K > params.K:
         raise ValidationError(f"K={K} exceeds the parameter table (K={params.K})", _MOD)
-    shift = -(params.d - 2) / 2.0
-    sig = np.empty(K + 1)
-    for k in range(K + 1):
-        try:
-            ev = evaluator(float(params.kappa[k]))
-        except (ValidationError, NumericalError) as exc:
-            raise type(exc)(f"evaluator failed at k={k}: {exc}", _MOD) from exc
-        sig[k] = shift - (ev.value if isinstance(ev, WTEvaluation) else float(ev))
-    return SteklovSpectrum(d=params.d, sigma=sig)
+    evals = evaluator
+    if callable(evaluator):
+        evals = []
+        for k in range(K + 1):
+            try:
+                evals.append(evaluator(float(params.kappa[k])))
+            except (ValidationError, NumericalError) as exc:
+                raise _failed_at(k, exc) from exc
+    if len(evals) != K + 1:
+        raise ValidationError(f"{len(evals)} evaluations for K={K}", _MOD)
+    values = [ev.value if isinstance(ev, WTEvaluation) else float(ev) for ev in evals]
+    return SteklovSpectrum(d=params.d, sigma=-(params.d - 2) / 2.0 - np.array(values))
 
 
 def perturbation_tail_bound(A: Amplitude, params: SpectralParams, K: int) -> float:

@@ -1,5 +1,6 @@
 import json
 import shlex
+import time
 from pathlib import Path
 
 import numpy as np
@@ -180,8 +181,23 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ["sweep", "--tail-a", "1", "--tail-rho", "0.1", "--scales", "1e-1,inf"]):
         assert run_cli(args) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
+    # ... also inside the base well and the coefficients, before any numerical work
+    for args in (["reconstruct", "--base", "bargmann2", "--c1", "inf", "--kappa1", "0.5",
+                  "--M", "32"], ["forward", "--base", "bargmann1", "--beta", "inf",
+                                 "--gamma", "0.5"],
+                 ["forward", "--base", "bargmann1", "--beta", "1", "--gamma", "nan"],
+                 ["perturb", "--base", "bargmann2", "--c1", "1", "--kappa1=-inf"],
+                 ["sweep", "--base", "zero", "--tail-a", "inf", "--tail-rho", "0.1"],
+                 ["ks-check", "--base", "zero", "--tail-a", "1", "--tail-rho", "nan"],
+                 ["perturb", "--base", "zero", "--coeffs=-0.5,inf"]):
+        assert run_cli(args) == 2
+        assert capsys.readouterr().err.startswith("[cli] ")
     for text in ('{"command": "forward", "x_max": Infinity}',  # json.load takes these
-                 '{"command": "sweep", "scales": [0.1, NaN]}'):
+                 '{"command": "sweep", "scales": [0.1, NaN]}',
+                 '{"command": "reconstruct", "base": {"kind": "bargmann1", "beta": 1, '
+                 '"gamma": NaN}}',
+                 '{"command": "perturb", "coeffs": {"values": [-0.5, -Infinity]}}',
+                 '{"command": "sweep", "coeffs": {"generator": {"a": NaN, "rho": 0.1}}}'):
         cfg.write_text(text)
         assert run_cli(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
@@ -213,6 +229,16 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
                         "--output", str(tmp_path / "x.csv")])
     assert code == 3
     assert "stability_harness" in capsys.readouterr().err
+
+
+def test_forward_fails_fast_at_bound_state(capsys):
+    # kappa_0 = 0.5 is the bound state of this well; the other 64 kappas stop
+    start = time.perf_counter()
+    code = run_cli(["forward", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.5",
+                    "--d", "3", "--delta", "0", "--K", "64"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert "evaluator failed at k=0:" in capsys.readouterr().err
 
 
 def test_unwritable_output_exits_2(tmp_path):

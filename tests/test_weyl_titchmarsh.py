@@ -51,11 +51,16 @@ def test_ode_vs_amplitude_bargmann2():
 
 
 def test_ode_fixed_step_fourth_order():
+    # exact M(-kappa^2) = -kappa - laplace(kappa); each pair of grids sits where
+    # the error (1e-6 to 1e-7) is far above rounding, past the pre-asymptotic
+    # range that widens with kappa
     pot = sample_potential(B1, x_max=12.0, n=256)
-    exact = -1.0 - (0.25 - 1.0) / 1.5
-    e1 = abs(_m_fixed_step(pot, 1.0, 12.0, 96) - exact)
-    e2 = abs(_m_fixed_step(pot, 1.0, 12.0, 192) - exact)
-    assert 10.0 < e1 / e2 < 24.0  # nominal order 4
+    for kappa, n in ((1.0, 96), (2.5, 192), (20.5, 768), (64.5, 1536)):
+        exact = -kappa - B1.laplace(kappa)
+        e1 = abs(_m_fixed_step(pot, kappa, 12.0, n) - exact)
+        e2 = abs(_m_fixed_step(pot, kappa, 12.0, 2 * n) - exact)
+        assert e2 > 1e-8
+        assert 10.0 < e1 / e2 < 24.0  # nominal order 4
 
 
 def test_ode_failure_at_eigenvalue():
@@ -110,10 +115,62 @@ def test_forward_shoot_halvings_match_scalar_loop():
         assert wt_from_ode(pot, kappa, opts).est_error == diffs[-1]
 
 
+class _CountingPotential:
+    """A closed-form potential that records how many points each evaluation takes."""
+
+    def __init__(self, pot):
+        self.pot, self.closed_form, self.x_max, self.sizes = pot, pot.closed_form, pot.x_max, []
+
+    def __call__(self, x):
+        self.sizes.append(x.size)
+        return self.pot(x)
+
+
+def test_batched_kappas_match_one_kappa_calls():
+    # the forward-shoot configuration spans three truncation points
+    params = make_spectral_params(3, 0.5, 64)
+    opts = OdeOptions()
+    pot = sample_potential(B1, x_max=opts.x_max_for(params.kappa[0]), n=256)
+    x_maxes = [opts.resolve_x_max(float(k), pot) for k in params.kappa]
+    assert sorted(set(x_maxes)) == [12.0, 23.0 / 1.5, 46.0]
+
+    levels = {}  # x_max -> halving levels of its slowest kappa
+    singles = []
+    for kappa, x_max in zip(map(float, params.kappa), x_maxes):
+        counting = _CountingPotential(pot)
+        singles.append(wt_from_ode(counting, kappa, opts))
+        levels[x_max] = max(levels.get(x_max, 0), len(counting.sizes))
+    counting = _CountingPotential(pot)
+    batched = wt_from_ode(counting, params.kappa, opts)
+    assert [(e.kappa, e.value, e.est_error) for e in batched] == \
+        [(e.kappa, e.value, e.est_error) for e in singles]
+    # Q is sampled once per truncation point and level, on the new points only
+    assert len(counting.sizes) == sum(levels.values())
+    n0 = {x: max(32, math.ceil(x / _STEP)) for x in levels}
+    assert sum(counting.sizes) == sum(2 * n0[x] * 2 ** (L - 1) + 1 for x, L in levels.items())
+
+
+def test_batched_kappas_raise_for_lowest_failing_index():
+    # bound state at kappa = 0.5; kappas in their own truncation groups (default
+    # x_max), in one group (x_max = 14), and two failing kappas in two groups
+    pot = sample_potential(B2, x_max=14.0, n=128)
+    for kappas, x_max, error, k in (([1.5, 0.5, 2.5], None, NumericalError, 1),
+                                    ([1.5, 0.5, 2.5], 14.0, NumericalError, 1),
+                                    ([0.5, 0.5 + 1e-9], None, NumericalError, 0),
+                                    ([1.5, -1.0, 0.5], None, ValidationError, 1),
+                                    ([0.5, -1.0], None, NumericalError, 0)):
+        start = time.perf_counter()
+        with pytest.raises(error, match=rf"^evaluator failed at k={k}: .*{kappas[k]}"):
+            wt_from_ode(pot, np.array(kappas), OdeOptions(x_max=x_max))
+        assert time.perf_counter() - start < 1.0
+    assert [e.kappa for e in wt_from_ode(pot, np.array([2.5, 1.5]))] == [2.5, 1.5]
+
+
 def test_ode_rejects_bad_kappa_and_domain():
     pot = sample_potential(ZeroForm(), x_max=12.0, n=64)
-    with pytest.raises(ValidationError):
-        wt_from_ode(pot, -1.0)
+    for kappa in (-1.0, 0.0, math.nan, math.inf, 1e200):  # 1e200**2 overflows
+        with pytest.raises(ValidationError):
+            wt_from_ode(pot, kappa)
     sampled_only = type(pot)(grid=pot.grid, values=pot.values, closed_form=None)
     with pytest.raises(ValidationError):
         wt_from_ode(sampled_only, 1.0, OdeOptions(x_max=40.0))
