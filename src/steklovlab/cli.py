@@ -139,8 +139,9 @@ def _cmd_perturb(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
     base_amp = build_perturbed_amplitude(amp.base, np.zeros(0), params)
-    sig = steklov_spectrum(lambda k: wt_from_amplitude(base_amp, k), params, cfg.K)
-    sig_t = steklov_spectrum(lambda k: wt_from_amplitude(amp, k), params, cfg.K)
+    kappas = params.kappa[:cfg.K + 1]
+    sig = steklov_spectrum(wt_from_amplitude(base_amp, kappas), params, cfg.K)
+    sig_t = steklov_spectrum(wt_from_amplitude(amp, kappas), params, cfg.K)
     diff = spectral_measure_diff(amp)
     lines = ["k,sigma,sigma_tilde,diff"]
     for k in range(cfg.K + 1):

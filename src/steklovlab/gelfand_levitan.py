@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, solve_triangular
-from scipy.special import exprel
 
 from .errors import NumericalError, ValidationError
 from .perturbation import Amplitude
@@ -68,16 +67,23 @@ _BATCH = 4    # a node group holds at most _BATCH (M + 1) rows over all its node
 # ---------------------------------------------------------------------------
 
 
+def _exprel(z: np.ndarray) -> np.ndarray:
+    """(e^z - 1)/z, and 1 where |z| is below machine epsilon: the definition
+    scipy.special.exprel uses, with expm1 keeping the digits near z = 0."""
+    return np.divide(np.expm1(z), z, out=np.ones_like(z),
+                     where=~(np.abs(z) < np.finfo(float).eps))  # NaN stays NaN
+
+
 def p_from_amplitude(A: Amplitude, t) -> np.ndarray:
     """p(t) = -(1/2) int_0^{t/2} A(alpha) d alpha, term by term in closed form.
 
     Each series term c e^{-mu alpha} contributes -(c t/4) exprel(-mu t/2),
-    which is -c (1 - e^{-mu t/2})/(2 mu) and tends to -c t/4 at mu = 0. The
-    formula is analytic in t, so slightly negative arguments (needed by the
-    end-rule stencils) are fine.
+    with exprel(z) = (e^z - 1)/z: that is -c (1 - e^{-mu t/2})/(2 mu), and it
+    tends to -c t/4 at mu = 0. The formula is analytic in t, so slightly
+    negative arguments (needed by the end-rule stencils) are fine.
     """
     t = np.asarray(t, dtype=float)
-    series = exprel(-0.5 * np.multiply.outer(t, A.term_mu)) @ A.term_coeffs
+    series = _exprel(-0.5 * np.multiply.outer(t, A.term_mu)) @ A.term_coeffs
     return A.base.p_accum(t) - 0.25 * t * series
 
 

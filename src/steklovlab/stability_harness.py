@@ -83,7 +83,8 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
 
     base_amp = build_perturbed_amplitude(base, np.zeros(0), params)
     q_base = recover_potential(solve_gl(base_amp, T, M))
-    sigma_base = steklov_spectrum(lambda k: wt_from_amplitude(base_amp, k), params, K)
+    kappas = params.kappa[:K + 1]
+    sigma_base = steklov_spectrum(wt_from_amplitude(base_amp, kappas), params, K)
 
     records: list[SweepRecord] = []
     reasons: list[str] = []
@@ -92,7 +93,7 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
             coeffs, gen = family(s)
             amp = build_perturbed_amplitude(base, np.asarray(coeffs, float), params, gen)
             q_pert = recover_potential(solve_gl(amp, T, M))
-            sigma_pert = steklov_spectrum(lambda k: wt_from_amplitude(amp, k), params, K)
+            sigma_pert = steklov_spectrum(wt_from_amplitude(amp, kappas), params, K)
             gap = dn_gap(sigma_base, sigma_pert,
                          perturbation_tail_bound(amp, params, K))
             if not gap.certified:

@@ -40,7 +40,7 @@ def test_criterion_1_flat_ball_spectrum():
     worst = 0.0
     for d in (3, 4, 5):
         params = make_spectral_params(d, 0.0, 16)
-        spec = steklov_spectrum(lambda k: wt_from_ode(pot, k, opts), params, 16)
+        spec = steklov_spectrum(wt_from_ode(pot, params.kappa, opts), params, 16)
         worst = max(worst, float(np.max(np.abs(spec.sigma - np.arange(17)))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
@@ -183,8 +183,8 @@ def test_criterion_9_ball_halfline_identity():
     rel = abs(half_norm - ball_norm) / half_norm
     assert rel <= 1e-6
 
-    sig0 = steklov_spectrum(lambda k: wt_from_amplitude(base, k), params, 64)
-    sig1 = steklov_spectrum(lambda k: wt_from_amplitude(pert, k), params, 64)
+    sig0 = steklov_spectrum(wt_from_amplitude(base, params.kappa), params, 64)
+    sig1 = steklov_spectrum(wt_from_amplitude(pert, params.kappa), params, 64)
     gap = dn_gap(sig0, sig1, perturbation_tail_bound(pert, params, 64))
     # zero base: sigma~_k - sigma_k = sum_j c_j / (2 kappa_k + mu_j) with
     # c_j = -a rho^(2j + 1/2), mu_j = 2j + 1 and 2 kappa_k = 2k + 1, largest at

@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -8,7 +11,8 @@ import pytest
 
 from steklovlab.cli import main
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def run_cli(args):
@@ -66,6 +70,42 @@ def test_perturb_reports_resonance(tmp_path):
     lines = out.read_text().splitlines()
     i = lines.index("# resonances: index,location")
     assert lines[i + 1] == "0,-0.5"
+
+
+def test_laplace_route_near_bargmann2_threshold(tmp_path, capsys):
+    # d = 3: kappa_0 = 0.5 sits 0.01 above kappa1, where the amplitude
+    # sinh(2 kappa1 alpha) overflows long before e^{-2 kappa alpha} decays
+    out = tmp_path / "perturb.csv"
+    assert run_cli(["perturb", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.49",
+                    "--K", "4", "--output", str(out)]) == 0
+    rows = [r for r in read_rows(out, 4) if r[0] != "k"]
+    kappa = np.arange(5) + 0.5
+    exact = -0.5 + kappa - 1.0 / ((kappa - 0.49) * (kappa + 0.49))
+    sigma = np.array([[float(c) for c in r[1:3]] for r in rows])
+    assert np.all(np.abs(sigma - exact[:, None]) <= 1e-13 * np.abs(exact[:, None]))
+    assert "# eps = 0" in out.read_text().splitlines()
+    # the sweep on the same base keeps every scale
+    assert run_cli(["sweep", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.49",
+                    "--K", "16", "--M", "32", "--tail-a", "1", "--tail-rho", "0.111111",
+                    "--output", str(out)]) == 0
+    assert len([ln for ln in out.read_text().splitlines() if ln.endswith(",PASS")]) == 4
+    # c1/kappa1 overflows: a non-finite Laplace value fails tagged, never as NaN
+    assert run_cli(["perturb", "--base", "bargmann2", "--c1", "1e300", "--kappa1", "1e-10",
+                    "--K", "4", "--output", str(out)]) == 3
+    assert capsys.readouterr().err.startswith(
+        "[weyl_titchmarsh] evaluator failed at k=0: the Laplace route is not finite")
+
+
+def test_import_leaves_out_unused_scipy():
+    # scipy.integrate alone pulls in scipy.optimize, scipy.special and
+    # scipy.sparse.linalg: several hundred modules every CLI run would import
+    code = ("import sys, steklovlab, steklovlab.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') "
+            "if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_reconstruct_single_resonance_well(tmp_path):

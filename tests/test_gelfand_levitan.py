@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import exprel
 
 from steklovlab import (Bargmann1, Bargmann2, NumericalError, ValidationError,
                         ZeroForm, build_perturbed_amplitude, gl_residual, GeometricTail,
@@ -10,7 +11,8 @@ from steklovlab import (Bargmann1, Bargmann2, NumericalError, ValidationError,
                         p_prime_from_amplitude, recover_potential, solve_gl)
 from steklovlab import gelfand_levitan as gl
 from steklovlab.cli import main
-from steklovlab.gelfand_levitan import _assemble, _kernels, _sample, _unit_piece_weights
+from steklovlab.gelfand_levitan import (_assemble, _exprel, _kernels, _sample,
+                                        _unit_piece_weights)
 from steklovlab.quadrature import l2_norm
 
 from oracles import gl_dense_solution, gl_node_system, gl_residual_loop, nystrom_matrix
@@ -56,6 +58,19 @@ def test_p_zero_rate_term_is_linear():
     amp = amp_of(ZeroForm(), [-1.0], delta=0.0)  # mu0 = 0
     t = np.linspace(0.0, 4.0, 17)
     assert np.allclose(p_from_amplitude(amp, t), t / 4.0, rtol=1e-14)
+
+
+def test_exprel_matches_scipy():
+    # expm1(z)/z against scipy's exprel: a few ulps from the two expm1s and the
+    # division; exactly 1 where |z| < eps, as in scipy's definition
+    rng = np.random.default_rng(7)
+    z = np.concatenate([rng.uniform(-60.0, 60.0, 20000), rng.normal(0.0, 1e-6, 5000),
+                        rng.normal(0.0, 1e-15, 5000), [0.0, -0.0, 2.3e-16, 1e-300]])
+    ref = exprel(z)
+    assert np.all(np.abs(_exprel(z) - ref) <= 4.0 * np.finfo(float).eps * ref)
+    tiny = np.abs(z) < np.finfo(float).eps
+    assert np.all(_exprel(z)[tiny] == 1.0) and tiny.sum() > 500
+    assert np.isnan(_exprel(np.array([np.nan]))).all()
 
 
 def test_p_prime_is_quarter_amplitude():

@@ -165,8 +165,8 @@ def test_corollary_gap_equals_dn_eps():
     params = make_spectral_params(3, 1.0, 16)
     base = build_perturbed_amplitude(ZeroForm(), [], params)
     pert = build_perturbed_amplitude(ZeroForm(), [-0.2], params)
-    s0 = steklov_spectrum(lambda k: wt_from_amplitude(base, k), params, 16)
-    s1 = steklov_spectrum(lambda k: wt_from_amplitude(pert, k), params, 16)
+    s0 = steklov_spectrum(wt_from_amplitude(base, params.kappa), params, 16)
+    s1 = steklov_spectrum(wt_from_amplitude(pert, params.kappa), params, 16)
     gap = dn_gap(s0, s1, 0.0)
     # one term c = -0.2 at mu_0 = 2: the gap is largest at k = 0, 2 kappa_0 = 1
     assert corollary_gap(s0, s1) == pytest.approx(0.2 / 3.0, rel=1e-12, abs=0)

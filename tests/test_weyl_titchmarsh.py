@@ -212,8 +212,67 @@ def test_amplitude_route_pole_and_threshold_rejections():
         wt_from_amplitude(amp, 1.0)  # 2 kappa = |mu0| exactly
     with pytest.raises(ValidationError):
         wt_from_amplitude(_amp(B2, []), 0.4)  # below the base threshold kappa1
-    with pytest.raises(ValidationError):
-        wt_from_amplitude(_amp(ZeroForm(), []), 0.0)
+    for kappa in (-1.0, 0.0, math.nan, math.inf, 1e200):  # 1e200**2 overflows
+        with pytest.raises(ValidationError, match="positive with a finite square"):
+            wt_from_amplitude(_amp(ZeroForm(), []), kappa)
+        with pytest.raises(ValidationError, match="positive with a finite square"):
+            wt_from_amplitude(_amp(B1, []), kappa)
+    # arrays raise for the lowest failing index, validation or numerical
+    huge = _amp(Bargmann2(c1=1e300, kappa1=1e-10), [])  # c1/kappa1 overflows
+    for a, kappas, error, k in ((_amp(B1, []), [1.5, math.nan, 0.0], ValidationError, 1),
+                                (_amp(B2, []), [1.5, 2.5, 0.4], ValidationError, 2),
+                                (amp, [1.5, 1.0, 2.5], ValidationError, 1),
+                                (huge, [1.5, 2.5], NumericalError, 0),
+                                (huge, [1.5, -1.0], NumericalError, 0),
+                                (huge, [-1.0, 1.5], ValidationError, 0)):
+        with pytest.raises(error, match=rf"^evaluator failed at k={k}: .*{kappas[k]}"):
+            wt_from_amplitude(a, np.array(kappas))
+    with pytest.raises(NumericalError, match="not finite"):
+        wt_from_amplitude(huge, 1.5)
+
+
+# the Bargmann wells of the Laplace-rule tests, with the kappas k + 1/2 of
+# K = 64 and, for Bargmann2, kappa1 + 1e-3 and kappa1 + 1e-2 by the threshold
+_LAPLACE_WELLS = [Bargmann1(beta=1.0, gamma=0.5), Bargmann1(beta=1.25, gamma=0.3),
+                  Bargmann1(beta=0.8, gamma=0.0), Bargmann2(c1=1.0, kappa1=0.49),
+                  Bargmann2(c1=1.0, kappa1=0.5), Bargmann2(c1=1.5, kappa1=0.4)]
+
+
+@pytest.mark.parametrize("form", _LAPLACE_WELLS,
+                         ids=lambda f: "-".join([f.kind, *map(str, vars(f).values())]))
+def test_laplace_rule_matches_closed_forms(form):
+    near = [form.kappa_min + 1e-3, form.kappa_min + 1e-2] if form.kappa_min else []
+    kappas = np.array(near + [k + 0.5 for k in range(65) if k + 0.5 > form.kappa_min])
+    amp = _amp(form, [], delta=0.5, K=64)
+    batched = wt_from_amplitude(amp, kappas)
+    singles = [wt_from_amplitude(amp, float(k)) for k in kappas]
+    assert [(e.kappa, e.value, e.est_error) for e in batched] == \
+        [(e.kappa, e.value, e.est_error) for e in singles]
+    worst = 0.0
+    for ev in batched:
+        exact = -ev.kappa - form.laplace(ev.kappa)
+        assert abs(ev.value - exact) <= ev.est_error
+        # the estimate is at rounding level, except by the threshold, where the
+        # half rule resolves the knee of expm1(-4 kappa1 alpha) less well
+        assert ev.est_error <= (1e-9 if ev.kappa in near else 1e-14) * abs(exact)
+        worst = max(worst, abs(ev.value - exact) / abs(exact))
+    assert worst <= 1e-13
+
+
+def test_ode_laplace_agreement_improves_with_refinement():
+    # the ODE error shrinks with the tolerance; the Laplace value sits at rounding
+    for form in (B1, B2):
+        amp = _amp(form, [], delta=0.5)
+        for kappa in (1.5, 5.0):
+            lap = wt_from_amplitude(amp, kappa)
+            pot = sample_potential(form, x_max=OdeOptions().x_max_for(kappa), n=256)
+            odes = [wt_from_ode(pot, kappa, OdeOptions(tolerance=tol))
+                    for tol in (1e-6, 1e-8, 1e-10)]
+            gaps = [abs(ode.value - lap.value) for ode in odes]
+            assert all(g <= ode.est_error + lap.est_error for g, ode in zip(gaps, odes))
+            for (a, b), (ode_a, ode_b) in zip(zip(gaps, gaps[1:]), zip(odes, odes[1:])):
+                assert b < a or ode_b.value == ode_a.value  # equal when no halving was added
+            assert gaps[-1] < 1e-2 * gaps[0]
 
 
 @settings(max_examples=20, deadline=None)
@@ -240,15 +299,15 @@ def test_flat_spectrum_is_the_index_sequence():
     pot = sample_potential(ZeroForm(), x_max=12.0, n=64)
     for d, K in ((3, 3), (5, 2)):
         params = make_spectral_params(d, 0.0, K)
-        spec = steklov_spectrum(
-            lambda k: wt_from_ode(pot, k, OdeOptions(x_max=12.0)), params, K)
+        spec = steklov_spectrum(wt_from_ode(pot, params.kappa, OdeOptions(x_max=12.0)),
+                                params, K)
         assert np.allclose(spec.sigma, np.arange(K + 1), atol=1e-8)
 
 
 def test_bargmann1_first_eigenvalue():
     params = make_spectral_params(3, 0.5, 2)
     amp = _amp(B1, [], delta=0.5, K=2)
-    spec = steklov_spectrum(lambda k: wt_from_amplitude(amp, k), params, 2)
+    spec = steklov_spectrum(wt_from_amplitude(amp, params.kappa), params, 2)
     # kappa_1 = 1.5: sigma_1 = -1/2 + 3/2 - 0.75/2 = 0.625
     assert spec.sigma[1] == pytest.approx(0.625, rel=1e-10)
 
@@ -256,9 +315,9 @@ def test_bargmann1_first_eigenvalue():
 def test_dn_gap_identical_and_shifted():
     params = make_spectral_params(3, 1.0, 64)
     amp = _amp(ZeroForm(), [-1e-3], K=64)
-    base = steklov_spectrum(lambda k: wt_from_amplitude(_amp(ZeroForm(), [], K=64), k),
+    base = steklov_spectrum(wt_from_amplitude(_amp(ZeroForm(), [], K=64), params.kappa),
                             params, 64)
-    pert = steklov_spectrum(lambda k: wt_from_amplitude(amp, k), params, 64)
+    pert = steklov_spectrum(wt_from_amplitude(amp, params.kappa), params, 64)
 
     same = dn_gap(base, base, 0.0)
     assert same.eps == 0.0 and same.certified
@@ -283,6 +342,17 @@ def test_dn_gap_identical_and_shifted():
     assert perturbation_tail_bound(bs, bs_params, 8) == pytest.approx(split, rel=1e-14)
 
 
+def test_spectrum_needs_evaluations_at_the_table_kappas():
+    params = make_spectral_params(3, 1.0, 4)
+    amp = _amp(ZeroForm(), [-1.0], K=4)
+    assert steklov_spectrum(wt_from_amplitude(amp, params.kappa[:3]), params, 2).K == 2
+    for kappas, K in ((params.kappa[:3], 3), (params.kappa[:3], None),  # too few
+                      (params.kappa[1:4], 2), (params.kappa + 1.0, 4),    # other kappas
+                      (params.kappa, 5)):                                 # K past the table
+        with pytest.raises(ValidationError):
+            steklov_spectrum(wt_from_amplitude(amp, kappas), params, K)
+
+
 def test_dn_gap_mismatch_rejections():
     s3 = SteklovSpectrum(d=3, sigma=np.zeros(4))
     with pytest.raises(ValidationError):
@@ -294,9 +364,9 @@ def test_dn_gap_mismatch_rejections():
 def test_monotone_gap_decay_in_k():
     params = make_spectral_params(3, 1.0, 32)
     amp = _amp(ZeroForm(), [-1.0], K=32)
-    base = steklov_spectrum(lambda k: wt_from_amplitude(_amp(ZeroForm(), [], K=32), k),
+    base = steklov_spectrum(wt_from_amplitude(_amp(ZeroForm(), [], K=32), params.kappa),
                             params, 32)
-    pert = steklov_spectrum(lambda k: wt_from_amplitude(amp, k), params, 32)
+    pert = steklov_spectrum(wt_from_amplitude(amp, params.kappa), params, 32)
     diffs = np.abs(base.sigma - pert.sigma)
     assert np.all(np.diff(diffs) < 0)
 
