@@ -35,13 +35,17 @@ the node's left-end quadrature corrections. Reversing the indices turns every
 trailing block into a leading block of B = A0[::-1, ::-1], so one LU
 factorization of B without pivoting serves all nodes: a node adds only its
 four columns, a triangular solve for them (its U12) and a 4 x 4 Schur
-complement factored by lu_factor. Pivoting would break the nesting, and it is
-not needed: the symmetric part of A0 is positive definite, the discrete form
-of the Gel'fand-Levitan solvability condition I + F > 0. The gecon gate on
-every node's packed factors checks this. Nodes go in groups: a group's
-forward and back substitutions are one zero-padded triangular solve each,
-and its residuals, A0[i:, i:] V plus the four correction columns, are one
-matrix product.
+complement factored by lu_factor. Pivoting would break the nesting. Nothing
+proves the unpivoted factors stable: the symmetric part of A0 need not be
+positive definite (its smallest eigenvalue is about -1.1e3 for Bargmann2 with
+c1 = 1.5, kappa1 = 1 at T = 6, M = 128, and -53 with kappa1 = 0.4 at T = 8,
+M = 256, though both solves are accurate). The nesting is trusted because
+every node passes the conditioning gate and the residual check. The gate
+reads an upper bound on ||C^{-1}||_1 off the factors, O(m) per node, and runs
+gecon on a node's packed factors only where that bound cannot pass it. Nodes
+go in groups: a group's forward and back substitutions are one zero-padded
+triangular solve each, and its residuals, A0[i:, i:] V plus the four
+correction columns, are one matrix product.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ from .quadrature import simpson_weights
 _MOD = "gelfand_levitan"
 _LEAF = 16    # panel width below which the unpivoted LU goes column by column
 _BATCH = 4    # a node group holds at most _BATCH (M + 1) rows over all its nodes
+_GATE = 1e-8  # least 1/||C^{-1}||_1 (or gecon's rcond * anorm) a node may have
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +238,7 @@ def _check_finite(value: float, what: str, x: float) -> None:
 
 
 def _check_conditioning(rcond: float, anorm: float, x: float) -> None:
-    if not rcond * anorm >= 1e-8:  # proxy for the smallest singular value; NaN fails
+    if not rcond * anorm >= _GATE:  # proxy for the smallest singular value; NaN fails
         raise NumericalError(
             f"Nystrom system nearly singular at x={x:.6g} "
             f"(inverse-norm proxy {rcond * anorm:.3e})", _MOD)
@@ -279,7 +284,8 @@ class _Nested:
         self.dptr = np.concatenate([dpt[::-1], np.zeros(M)])
         # of P the corner columns read the first four columns, as
         # lead[j, M - n + q] = P[n - q, 3 - j], and the band
-        # band[q + 1, e] = P[q, q + 2 - e]; P's memory then packs factors
+        # band[q + 1, e] = P[q, q + 2 - e]; P's memory then holds the
+        # triangular inverses below and packs the factors gecon reads
         self.lead = np.zeros((4, 2 * M + 2))
         self.lead[:, : M + 1] = P[::-1, 3::-1].T
         q = np.arange(M + 1)[:, None]
@@ -297,8 +303,24 @@ class _Nested:
         self.LU = np.array(self.B[:, : M - 3], order="F")
         with np.errstate(divide="ignore", invalid="ignore"):
             _lu_nopivot(self.LU)
-        self.trtrs, self.getrs, self.gecon = get_lapack_funcs(("trtrs", "getrs", "gecon"),
-                                                              (self.LU,))
+        self.trtrs, trtri, self.getrs, self.gecon = get_lapack_funcs(
+            ("trtrs", "trtri", "getrs", "gecon"), (self.LU,))
+        # a[m' - 1] = ||L[:m', :m']^{-1}||_1 and u[m' - 1] = ||U[:m', :m']^{-1}||_1
+        # for every m': a leading block of a triangular inverse is the inverse of
+        # the leading block. L^{-1} (strictly lower) and U^{-1} (upper) go in
+        # place into P's memory. Down each column of |.| summed cumulatively,
+        # the diagonal holds U^{-1}'s column sum, and less that sum, the rows
+        # below hold L^{-1}'s partial column sums, the rows above values <= 0.
+        k = M - 3
+        inv = self.buf[: k * k].reshape((k, k), order="F")
+        inv[...] = self.LU[:k]
+        trtri(inv, lower=1, unitdiag=1, overwrite_c=1)
+        singular = trtri(inv, overwrite_c=1)[1] > 0   # then inv still holds U
+        np.cumsum(np.abs(inv, out=inv), axis=0, out=inv)
+        col = inv.diagonal().copy()
+        inv -= col
+        self.a = 1.0 + inv.max(axis=1)
+        self.u = np.full(k, np.inf) if singular else np.maximum.accumulate(col)
 
     def _corners(self, ms: np.ndarray, mh: int) -> np.ndarray:
         """N[g, j, q] = entry (q, m_g - 4 + j) of node g's reversed matrix for
@@ -323,6 +345,43 @@ class _Nested:
         F = np.empty((K, k * G), order="F")
         F.reshape((K, k, G), order="F")[...] = cols[:, :, :K].transpose(2, 1, 0)
         return self.trtrs(self.LU[:, :K], F, lower=1, unitdiag=1, overwrite_b=1)[0]
+
+    def _certificates(self, ms: np.ndarray, lu4s: np.ndarray, Z: np.ndarray) -> np.ndarray:
+        """1/bound per node, with bound >= ||C^{-1}||_1, so at most the
+        rcond * anorm that gecon would estimate. Node m is factored as
+        C = diag(I, P4) [L11 0; P4^T L21 L4] [U11 U12; 0 U4], which gives
+
+            ||C^{-1}||_1 <= max(a (1 + l4 lam21), l4) max(u, v4 (1 + u ||U12||_1))
+
+        with a, u the inverse norms of L11, U11 (from __init__), l4, v4 those
+        of the Schur factors L4, U4 (lu4s), and lam21 = ||L21||_1. U12 is Z's
+        first four columns of each node, on its m' rows. A NaN or infinite
+        bound gives a certificate that does not pass.
+        """
+        G, K = ms.size, Z.shape[0]
+        mp = ms - 4
+        u12 = np.abs(Z.reshape((K, G, 5))[:, :, :4])
+        u12 = np.cumsum(u12, axis=0, out=u12)[mp - 1, np.arange(G)].max(axis=1)
+        rows = np.abs(self.LU[ms[0] - 4: ms[-1], :K])    # row g + t is row m' + t of node g
+        lam21 = rows[:G] + rows[1: G + 1]
+        lam21 += rows[2: G + 2]
+        lam21 += rows[3:]
+        np.copyto(lam21, 0.0, where=np.arange(K) >= mp[:, None])
+        lam21 = lam21.max(axis=1)
+        # the 4 x 4 triangular inverses by substitution, row by row
+        Li, Ui = np.zeros((2, G, 4, 4))
+        with np.errstate(all="ignore"):
+            for r in range(4):
+                Li[:, r, r] = 1.0
+                Li[:, r] -= (lu4s[:, r, None, :r] @ Li[:, :r])[:, 0]
+            for r in range(3, -1, -1):
+                Ui[:, r, r] = 1.0
+                Ui[:, r] -= (lu4s[:, r, None, r + 1:] @ Ui[:, r + 1:])[:, 0]
+                Ui[:, r] /= lu4s[:, r, r, None]
+            l4, v4 = (np.abs(X).sum(axis=1).max(axis=1) for X in (Li, Ui))
+            a, u = self.a[mp - 1], self.u[mp - 1]
+            return 1.0 / (np.maximum(a * (1.0 + l4 * lam21), l4)
+                          * np.maximum(u, v4 * (1.0 + u * u12)))
 
     def group(self, ms: np.ndarray, V: tuple, Vx: tuple) -> list:
         """Solve the nodes of reversed sizes ms (ascending) into V[i], Vx[i];
@@ -351,12 +410,20 @@ class _Nested:
 
         Z = self._forward(np.concatenate([N, rhs[:, :1]], axis=1), K)
         Y2 = np.empty((G, 2, 4))                      # the last four reversed rows
+        lu4s = np.empty((G, 4, 4))
         nodes = []
         for g, m in enumerate(ms.tolist()):
             mp = m - 4
             L21, U12 = LU[mp:m, :mp], Z[:mp, 5 * g: 5 * g + 4]
             T4 = L21 @ Z[:mp, 5 * g: 5 * g + 5]
             lu4, piv4 = lu_factor(N[g, :, mp:m].T - T4[:, :4], check_finite=False)
+            lu4s[g] = lu4
+            Y2[g, 0] = self.getrs(lu4, piv4, rhs[g, 0, mp:m] - T4[:, 4])[0]
+            nodes.append((mp, L21, U12, lu4, piv4))
+        for g in np.flatnonzero(~(self._certificates(ms, lu4s, Z) >= _GATE)):
+            # the bound cannot pass this node: estimate on its packed factors
+            mp, L21, U12, lu4, piv4 = nodes[g]
+            m = mp + 4
             perm = list(range(4))
             for k, p in enumerate(piv4):
                 perm[k], perm[p] = perm[p], perm[k]
@@ -366,8 +433,6 @@ class _Nested:
             packed[mp:, :mp] = L21[perm]
             packed[mp:, mp:] = lu4
             _check_conditioning(self.gecon(packed, anorm[g])[0], anorm[g], xs[M + 1 - m])
-            Y2[g, 0] = self.getrs(lu4, piv4, rhs[g, 0, mp:m] - T4[:, 4])[0]
-            nodes.append((mp, L21, U12, lu4, piv4))
         rhs[:, 1] = np.where(below, 0.0, g2 - rhs[:, 0] * Y2[:, 0, 3:])
         Zx = self._forward(rhs[:, 1:], K)
         Xb = np.zeros((K, 2 * G), order="F")

@@ -128,9 +128,12 @@ class Bargmann1:
     kind = "bargmann1"
 
     def __post_init__(self):
-        if not (self.beta > 0 and 0 <= self.gamma < self.beta):
+        # the closed forms square beta: a square past the float range raised
+        # OverflowError from deep inside the routes
+        if not (self.beta > 0 and 0 <= self.gamma < self.beta
+                and self.beta * self.beta < math.inf):
             raise ValidationError(
-                f"bargmann1 needs beta > 0 and 0 <= gamma < beta, "
+                f"bargmann1 needs beta > 0 and 0 <= gamma < beta with beta**2 finite, "
                 f"got beta={self.beta}, gamma={self.gamma}", _MOD)
 
     @property
@@ -192,10 +195,13 @@ class Bargmann2:
     kind = "bargmann2"
 
     def __post_init__(self):
-        if not (self.c1 > 0 and self.kappa1 > 0):
+        # the closed forms divide by kappa1**2: a square that underflows to 0
+        # gave 0/0, one past the float range raised OverflowError
+        if not (self.c1 > 0 and self.kappa1 > 0
+                and 0 < self.kappa1 * self.kappa1 < math.inf):
             raise ValidationError(
-                f"bargmann2 needs c1 > 0 and kappa1 > 0, got c1={self.c1}, "
-                f"kappa1={self.kappa1}", _MOD)
+                f"bargmann2 needs c1 > 0 and kappa1 > 0 with kappa1**2 positive and "
+                f"finite, got c1={self.c1}, kappa1={self.kappa1}", _MOD)
 
     @property
     def kappa_min(self) -> float:

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shlex
@@ -8,8 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from steklovlab import Bargmann2
 from steklovlab.cli import main
+from steklovlab.quadrature import l2_norm
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -117,6 +122,38 @@ def test_reconstruct_single_resonance_well(tmp_path):
     rows = [r for r in read_rows(out, 2) if r[0] != "x"]
     q0 = float(rows[0][1])
     assert q0 == pytest.approx(-1.5, abs=1e-4)
+
+
+def test_reconstruct_long_horizon_passes_gecon_fallback(tmp_path):
+    # at T = 6 the unpivoted factors grow and the certified inverse-norm bound
+    # cannot pass 26 of these 64 nodes, though the solve is sound: gecon
+    # decides them, and a gate on the bound alone would exit 3 here
+    out = tmp_path / "rec.csv"
+    code = run_cli(["reconstruct", "--base", "bargmann2", "--c1", "1.5", "--kappa1", "1",
+                    "--T", "6", "--M", "64", "--output", str(out)])
+    assert code == 0
+    text = out.read_text()
+    assert float(text.split("# gl_residual = ", 1)[1].split("\n", 1)[0]) <= 1e-10
+    x, q = np.array([[float(c) for c in r] for r in read_rows(out, 2)]).T
+    exact = Bargmann2(c1=1.5, kappa1=1.0).potential(x)
+    assert l2_norm(q - exact, x[1]) <= 1e-3 * l2_norm(exact, x[1])
+
+
+@settings(derandomize=True, max_examples=100, deadline=2000, database=None)
+@given(base=st.sampled_from(["zero", "bargmann1", "bargmann2"]),
+       T=st.floats(0.5, 8.0), M=st.sampled_from([32, 64]),
+       a=st.floats(-0.5, 3.0), b=st.floats(-0.5, 3.0))
+def test_reconstruct_fuzz_exits_cleanly(base, T, M, a, b):
+    # wells inside and outside their parameter ranges, horizons where the
+    # conditioning bound passes every node and where gecon decides some
+    names = {"bargmann1": ("--beta", "--gamma"), "bargmann2": ("--c1", "--kappa1")}
+    argv = ["reconstruct", "--base", base, f"--T={T!r}", f"--M={M}", "--output", os.devnull]
+    argv += [f"{flag}={val!r}" for flag, val in zip(names.get(base, ()), (a, b))]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
 
 
 def test_muntz_table_and_residual(tmp_path):

@@ -225,14 +225,11 @@ def test_nested_solution_matches_dense_lu(amp, M):
     assert np.all(ws.V[M] == 0.0) and np.all(ws.Vx[M] == 0.0)
 
 
-def test_conditioning_gate_sees_every_node_factored(monkeypatch):
-    # gecon runs once per node, on an LU factorization of that node's own
-    # matrix (rows of the last four, the Schur block, may be permuted; on
-    # the floor nodes any rows) and with that matrix's 1-norm. With p negated,
-    # Bargmann2 makes some Schur blocks pivot.
-    p, get = gl.p_from_amplitude, gl.get_lapack_funcs
-    monkeypatch.setattr(gl, "p_from_amplitude", lambda A, t: -p(A, t))
-    calls = []
+def _record_gates(monkeypatch):
+    """Spy on both conditioning gates: ([(M, ms, certificates)] per nested
+    node group, [(factors, anorm)] per gecon call)."""
+    certs, calls = [], []
+    get, certify = gl.get_lapack_funcs, gl._Nested._certificates
 
     def recording(names, arrays):
         funcs = list(get(names, arrays))
@@ -242,14 +239,71 @@ def test_conditioning_gate_sees_every_node_factored(monkeypatch):
                 calls.append((np.array(a), anorm)) or gecon(a, anorm))
         return funcs
 
+    def certificates(self, ms, lu4s, Z):
+        cert = certify(self, ms, lu4s, Z)
+        certs.append((self.M, ms.copy(), cert.copy()))
+        return cert
+
     monkeypatch.setattr(gl, "get_lapack_funcs", recording)
-    M = 64
-    ws = solve_gl(amp_of(B2), 2.0, M)
-    assert len(calls) == M
+    monkeypatch.setattr(gl._Nested, "_certificates", certificates)
+    return certs, calls
+
+
+def _gated_once(ws, certs, calls):
+    """Every node passed exactly one gate decision: the three floor nodes by
+    gecon, each nested node by its certificate, and by gecon exactly where its
+    certificate could not pass. Returns {node: certificate} and the nested
+    gecon calls as (node, factors, anorm)."""
+    M = ws.M
+    cert = {M + 1 - int(m): float(c) for _, ms, cs in certs for m, c in zip(ms, cs)}
+    assert sum(len(ms) for _, ms, _ in certs) == M - 3 and sorted(cert) == list(range(M - 3))
+    assert all(size == M for size, _, _ in certs)
     floor, nested = calls[:3], calls[3:]
-    assert sorted(M + 1 - len(a) for a, _ in nested) == list(range(M - 3))
-    nodes = [(M - 3 + k, a, anorm) for k, (a, anorm) in enumerate(floor)]
-    nodes += [(M + 1 - len(a), a, anorm) for a, anorm in nested]
+    assert [len(a) for a, _ in floor] == [5, 5, 5]
+    nested = [(M + 1 - len(a), a, anorm) for a, anorm in nested]
+    assert sorted(i for i, _, _ in nested) == sorted(i for i, c in cert.items()
+                                                     if not c >= gl._GATE)
+    return cert, nested
+
+
+@pytest.mark.parametrize("negate", [False, True], ids=["p", "minus_p"])
+@pytest.mark.parametrize("form,T", [(B1, 2.0), (B2, 2.0), (None, 2.0),
+                                    (Bargmann2(c1=1.5, kappa1=1.0), 6.0)],
+                         ids=["bargmann1", "bargmann2", "tail", "bargmann2_T6"])
+@pytest.mark.parametrize("M", [32, 64])
+def test_certificate_bounds_exact_inverse_norm(monkeypatch, form, T, negate, M):
+    # 1/bound <= 1/||C^{-1}||_1 at every nested node, with the inverse norm of
+    # the node's own matrix taken exactly; on the admissible wells at T = 2
+    # the bound is at most 16 times the exact norm
+    p = gl.p_from_amplitude
+    if negate:
+        monkeypatch.setattr(gl, "p_from_amplitude", lambda A, t: -p(A, t))
+    certs, calls = _record_gates(monkeypatch)
+    amp = amp_of(ZeroForm(), gen=TAIL) if form is None else amp_of(form)
+    ws = solve_gl(amp, T, M)
+    cert, _ = _gated_once(ws, certs, calls)
+    W = _unit_piece_weights(M)
+    for i, c in cert.items():
+        exact = 1.0 / np.abs(np.linalg.inv(gl_node_system(ws, i, W)[0])).sum(axis=0).max()
+        assert c <= exact, i
+        if T == 2.0 and not negate:
+            assert exact <= 16.0 * c, i
+
+
+def test_conditioning_gate_sees_every_node_factored(monkeypatch):
+    # at a long horizon the unpivoted factors grow and the bound cannot pass
+    # some nodes; gecon runs on those, on an LU factorization of that node's
+    # own matrix (rows of the last four, the Schur block, may be permuted; on
+    # the floor nodes any rows) and with that matrix's 1-norm. With p negated,
+    # some of their Schur blocks pivot.
+    p = gl.p_from_amplitude
+    monkeypatch.setattr(gl, "p_from_amplitude", lambda A, t: -p(A, t))
+    certs, calls = _record_gates(monkeypatch)
+    M = 64
+    ws = solve_gl(amp_of(Bargmann2(c1=1.5, kappa1=1.0)), 6.0, M)
+    _, nested = _gated_once(ws, certs, calls)
+    assert len(nested) > 0
+    nodes = [(M - 3 + k, a, anorm) for k, (a, anorm) in enumerate(calls[:3])] + nested
     permuted = 0
     for i, a, anorm in nodes:
         mat = gl_node_system(ws, i)[0]
@@ -257,8 +311,11 @@ def test_conditioning_gate_sees_every_node_factored(monkeypatch):
         if i < M - 3:
             mat = mat[::-1, ::-1]  # the nested path factors the reversed matrix
         assert anorm == pytest.approx(np.abs(mat).sum(axis=0).max(), rel=1e-13, abs=0)
-        LU = (np.tril(a, -1) + np.eye(len(a))) @ np.triu(a)
-        tol = 1e-13 * np.abs(mat).max()
+        L, U = np.tril(a, -1) + np.eye(len(a)), np.triu(a)
+        LU = L @ U
+        # LU's backward error is of order eps |L| |U|, which exceeds eps |mat|
+        # where the unpivoted factors grow
+        tol = 1e-13 * (np.abs(L) @ np.abs(U)).max()
         assert np.max(np.abs(LU[:fixed] - mat[:fixed]), initial=0.0) <= tol, i
         gaps = np.abs(LU[fixed:, None, :] - mat[None, fixed:, :]).max(axis=2)
         rows = gaps.argmin(axis=1)

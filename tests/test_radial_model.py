@@ -155,3 +155,31 @@ def test_zero_form_and_grid_validation():
         BallPotential(grid=np.array([0.5, 0.4, 1.0]), values=np.zeros(3))
     with pytest.raises(ValidationError):
         BallPotential(grid=np.array([0.5, 0.7]), values=np.array([1.0, np.nan]))
+
+
+def test_bargmann_wells_refuse_unrepresentable_squares(capsys):
+    # a Bargmann2 kappa1**2 that underflows to 0 made p_accum 0/0, and the
+    # solve then failed as a non-finite GL matrix; a beta**2 or kappa1**2 past
+    # the float range raised OverflowError out of reconstruct, forward and
+    # perturb (exit 1 with a traceback). Both are inputs the closed forms
+    # cannot take.
+    from steklovlab import Bargmann2
+    from steklovlab.cli import main
+    for kappa1 in (1.7e-288, 5e-324, 1.4e154, 1e300, float("inf"), 0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError, match="bargmann2 needs"):
+            Bargmann2(c1=1.0, kappa1=kappa1)
+    for beta in (1.4e154, 1e300, float("inf")):
+        with pytest.raises(ValidationError, match="bargmann1 needs"):
+            Bargmann1(beta=beta, gamma=0.5)
+    Bargmann2(c1=1.0, kappa1=1e-150), Bargmann2(c1=1.0, kappa1=1e150)
+    Bargmann1(beta=1e150, gamma=0.0)
+    for argv in (["reconstruct", "--base", "bargmann2", "--c1", "1", "--kappa1=1.7e-288",
+                  "--M", "32"],
+                 ["reconstruct", "--base", "bargmann2", "--c1", "1", "--kappa1=1e200",
+                  "--M", "32"],
+                 ["forward", "--base", "bargmann1", "--beta=1e200", "--gamma", "0.5",
+                  "--K", "2"],
+                 ["perturb", "--base", "bargmann1", "--beta=1e200", "--gamma", "0.5",
+                  "--K", "2"]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"[radial_model] {argv[2]} needs")
