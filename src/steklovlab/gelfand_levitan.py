@@ -46,25 +46,49 @@ gecon on a node's packed factors only where that bound cannot pass it. Nodes
 go in groups: a group's forward and back substitutions are one zero-padded
 triangular solve each, and its residuals, A0[i:, i:] V plus the four
 correction columns, are one matrix product.
+
+Only this module needs LAPACK, and only inside solve_gl: scipy.linalg loads on
+the first solve, not on import, so a command that solves no GL system never
+loads it. Its four routines are module attributes all the same (a module
+__getattr__ resolves them before the first solve), and a name bound before
+that, such as a tracer's wrapper of lu_factor, keeps its binding.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.linalg import get_lapack_funcs, lu_factor, lu_solve, solve_triangular
 
 from .errors import NumericalError, ValidationError
 from .perturbation import Amplitude
-from .radial_model import RadialPotential
+from .radial_model import RadialPotential, _exprel
 from .quadrature import simpson_weights
 
 _MOD = "gelfand_levitan"
 _LEAF = 16    # panel width below which the unpivoted LU goes column by column
 _BATCH = 4    # a node group holds at most _BATCH (M + 1) rows over all its nodes
 _GATE = 1e-8  # least 1/||C^{-1}||_1 (or gecon's rcond * anorm) a node may have
+_LAPACK = ("get_lapack_funcs", "lu_factor", "lu_solve", "solve_triangular")
+
+
+def _load_lapack() -> None:
+    """Bind scipy.linalg's routines as module globals. scipy loads on the first
+    solve, not on import; a name already bound (a tracer's or a test's patch)
+    keeps its binding, so the solve calls the patch."""
+    import scipy.linalg
+    for name in _LAPACK:
+        globals().setdefault(name, getattr(scipy.linalg, name))
+
+
+def __getattr__(name: str):
+    """The scipy routines are module attributes before the first solve too."""
+    if name in _LAPACK:
+        _load_lapack()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -72,11 +96,13 @@ _GATE = 1e-8  # least 1/||C^{-1}||_1 (or gecon's rcond * anorm) a node may have
 # ---------------------------------------------------------------------------
 
 
-def _exprel(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z, and 1 where |z| is below machine epsilon: the definition
-    scipy.special.exprel uses, with expm1 keeping the digits near z = 0."""
-    return np.divide(np.expm1(z), z, out=np.ones_like(z),
-                     where=~(np.abs(z) < np.finfo(float).eps))  # NaN stays NaN
+def _finite(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
+    """values, or the tagged error at the first t where they are not finite:
+    a well whose p or p' overflows on the lattice has no GL solve in floats."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise NumericalError(f"{what} is not finite at t={t[bad][0]:.6g}", _MOD)
+    return values
 
 
 def p_from_amplitude(A: Amplitude, t) -> np.ndarray:
@@ -88,13 +114,16 @@ def p_from_amplitude(A: Amplitude, t) -> np.ndarray:
     negative arguments (needed by the end-rule stencils) are fine.
     """
     t = np.asarray(t, dtype=float)
-    series = _exprel(-0.5 * np.multiply.outer(t, A.term_mu)) @ A.term_coeffs
-    return A.base.p_accum(t) - 0.25 * t * series
+    with np.errstate(over="ignore", invalid="ignore"):
+        series = _exprel(-0.5 * np.multiply.outer(t, A.term_mu)) @ A.term_coeffs
+        return _finite(A.base.p_accum(t) - 0.25 * t * series, t, "p")
 
 
 def p_prime_from_amplitude(A: Amplitude, t) -> np.ndarray:
     """p'(t) = -A(t/2)/4, the companion evaluation used by the recovery formula."""
-    return -0.25 * A(np.asarray(t, dtype=float) / 2.0)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(-0.25 * A(t / 2.0), t, "p'")
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +330,7 @@ class _Nested:
             if m >= 5:
                 self.head[m] = sums[: m - 4].max()
         self.LU = np.array(self.B[:, : M - 3], order="F")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            _lu_nopivot(self.LU)
+        _lu_nopivot(self.LU)
         self.trtrs, trtri, self.getrs, self.gecon = get_lapack_funcs(
             ("trtrs", "trtri", "getrs", "gecon"), (self.LU,))
         # a[m' - 1] = ||L[:m', :m']^{-1}||_1 and u[m' - 1] = ||U[:m', :m']^{-1}||_1
@@ -370,18 +398,17 @@ class _Nested:
         lam21 = lam21.max(axis=1)
         # the 4 x 4 triangular inverses by substitution, row by row
         Li, Ui = np.zeros((2, G, 4, 4))
-        with np.errstate(all="ignore"):
-            for r in range(4):
-                Li[:, r, r] = 1.0
-                Li[:, r] -= (lu4s[:, r, None, :r] @ Li[:, :r])[:, 0]
-            for r in range(3, -1, -1):
-                Ui[:, r, r] = 1.0
-                Ui[:, r] -= (lu4s[:, r, None, r + 1:] @ Ui[:, r + 1:])[:, 0]
-                Ui[:, r] /= lu4s[:, r, r, None]
-            l4, v4 = (np.abs(X).sum(axis=1).max(axis=1) for X in (Li, Ui))
-            a, u = self.a[mp - 1], self.u[mp - 1]
-            return 1.0 / (np.maximum(a * (1.0 + l4 * lam21), l4)
-                          * np.maximum(u, v4 * (1.0 + u * u12)))
+        for r in range(4):
+            Li[:, r, r] = 1.0
+            Li[:, r] -= (lu4s[:, r, None, :r] @ Li[:, :r])[:, 0]
+        for r in range(3, -1, -1):
+            Ui[:, r, r] = 1.0
+            Ui[:, r] -= (lu4s[:, r, None, r + 1:] @ Ui[:, r + 1:])[:, 0]
+            Ui[:, r] /= lu4s[:, r, r, None]
+        l4, v4 = (np.abs(X).sum(axis=1).max(axis=1) for X in (Li, Ui))
+        a, u = self.a[mp - 1], self.u[mp - 1]
+        return 1.0 / (np.maximum(a * (1.0 + l4 * lam21), l4)
+                      * np.maximum(u, v4 * (1.0 + u * u12)))
 
     def group(self, ms: np.ndarray, V: tuple, Vx: tuple) -> list:
         """Solve the nodes of reversed sizes ms (ascending) into V[i], Vx[i];
@@ -494,27 +521,34 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         raise ValidationError(f"horizon T must be positive, got {T}", _MOD)
     if M < 32 or M % 2 != 0:
         raise ValidationError(f"M must be even and >= 32, got {M}", _MOD)
+    _load_lapack()
+    from scipy.linalg import LinAlgWarning
     xs = np.linspace(0.0, T, M + 1)
     lattices = _sample(A, T, M, xs)
     W = _unit_piece_weights(M)
     floor_weights = W[:5, :5].copy()
-    nested = _Nested(lattices[0], T / M, W, xs)
-    # V[i] and Vx[i] are views into two flat arrays, allocated after the
-    # factorization so that they do not add to its memory peak
     sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
     edges = np.r_[0, np.cumsum(sizes)]
-    store = np.zeros((2, edges[-1]))
-    V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
     residual = [0.0] * (M + 1)
-    for i in range(M - 3, M):
-        V[i][:], Vx[i][:], residual[i] = _dense_node(*_node(lattices, T, M, i), floor_weights,
-                                                     xs[i], nested.gecon)
-    hi = M + 1
-    while hi >= 5:
-        lo = max(5, hi - max(1, _BATCH * (M + 1) // hi) + 1)
-        for i, res in nested.group(np.arange(lo, hi + 1), V, Vx):
-            residual[i] = res
-        hi = lo - 1
+    # a well too large for floats overflows inside the factors or meets an
+    # exact zero pivot; the gates report that as the tagged error, so numpy's
+    # and lu_factor's warnings say nothing more
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", LinAlgWarning)
+        nested = _Nested(lattices[0], T / M, W, xs)
+        # V[i] and Vx[i] are views into two flat arrays, allocated after the
+        # factorization so that they do not add to its memory peak
+        store = np.zeros((2, edges[-1]))
+        V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
+        for i in range(M - 3, M):
+            V[i][:], Vx[i][:], residual[i] = _dense_node(
+                *_node(lattices, T, M, i), floor_weights, xs[i], nested.gecon)
+        hi = M + 1
+        while hi >= 5:
+            lo = max(5, hi - max(1, _BATCH * (M + 1) // hi) + 1)
+            for i, res in nested.group(np.arange(lo, hi + 1), V, Vx):
+                residual[i] = res
+            hi = lo - 1
     return GLWorkspace(amplitude=A, T=T, M=M, grid=xs, lattices=lattices, V=V, Vx=Vx,
                        residual=max(residual))
 

@@ -11,7 +11,9 @@ orthonormalizes t^{lam_0}, ..., t^{lam_n}: C H C^T = I. Its alternating
 products are astronomically ill-conditioned in 64-bit arithmetic beyond
 n ~ 8, so the table, its Gram residual and the projections run in extended
 precision (mpmath, default 256 bits); series values, norms and moments are
-float broadcasts.
+float broadcasts. mpmath is imported by the functions that build a table, its
+Gram residual or a projection, so importing this module, the series and the
+bounds leaves it unloaded.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from mpmath import mp, mpf
 
 from .errors import NumericalError, ValidationError
 from .radial_model import SpectralParams
@@ -37,6 +38,7 @@ def _cauchy(a, b):
 
 
 def _mpf_array(xs) -> np.ndarray:
+    from mpmath import mpf
     return np.array([mpf(x) for x in xs], dtype=object)
 
 
@@ -82,6 +84,7 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
     operations: below the diagonal, row m is row m-1 times the ratio
     sqrt((2 lam_m + 1)/(2 lam_{m-1} + 1)) (lam_j + lam_{m-1} + 1)/(lam_j - lam_m);
     the diagonal C_mm is its product formula."""
+    from mpmath import mp
     _check_exponents(exponents)
     with mp.workprec(precision):
         lam = _mpf_array(exponents)
@@ -150,6 +153,7 @@ class MuntzSystem:
     def gram_residual(self, n: int | None = None) -> float:
         """max |C H C^T - I| over levels m, q <= n, in working precision. mp.fdot
         zips its arguments, so row C_m meets only the first m + 1 entries."""
+        from mpmath import mp
         n = self.n if n is None else n
         with mp.workprec(self.precision):
             lam = _mpf_array(self.exponents[: n + 1])
@@ -192,6 +196,7 @@ def project(h: MuntzSeries, system: MuntzSystem, n: int) -> Projection:
     """
     if n > system.n:
         raise ValidationError(f"n={n} exceeds the system size {system.n}", _MOD)
+    from mpmath import mp
     system._guard(n)
     with mp.workprec(system.precision):
         lam = _mpf_array(system.exponents[: n + 1])

@@ -21,6 +21,13 @@ from .quadrature import cubic_interp, l2_norm, simpson_weights
 _MOD = "radial_model"
 
 
+def _exprel(z: np.ndarray) -> np.ndarray:
+    """(e^z - 1)/z, and 1 where |z| is below machine epsilon: the definition
+    scipy.special.exprel uses, with expm1 keeping the digits near z = 0."""
+    return np.divide(np.expm1(z), z, out=np.ones_like(z),
+                     where=~(np.abs(z) < np.finfo(float).eps))  # NaN stays NaN
+
+
 @dataclass(frozen=True)
 class SpectralParams:
     """Index sequences attached to a dimension d and shift parameter delta.
@@ -207,16 +214,31 @@ class Bargmann2:
     def kappa_min(self) -> float:
         return self.kappa1  # amplitude grows like e^{2 kappa1 alpha}
 
-    def _F(self, x):
-        k1 = self.kappa1
-        return 1.0 + (self.c1 / k1**2) * (np.sinh(2.0 * k1 * x) / (4.0 * k1) - x / 2.0)
-
     def potential(self, x):
+        """-2 (F'' F - F'^2)/F^2, with F, F' and F'' written in y = 2 kappa1 x
+        and scaled by e^{-y}. That keeps them finite where e^{y} overflows and
+        free of cancellation as kappa1 -> 0, where F -> 1 + c1 x^3/3:
+
+            F e^{-y}   = e^{-y} + 2 c1 x^3 e^{-y} (sinh y - y)/y^3
+            F' e^{-y}  = c1 x^2 exprel(-y)^2
+            F'' e^{-y} = 2 c1 x exprel(-2y)
+        """
         x = np.asarray(x, dtype=float)
-        k1 = self.kappa1
-        F = self._F(x)
-        Fp = (self.c1 / k1**2) * np.sinh(k1 * x) ** 2
-        Fpp = (self.c1 / k1) * np.sinh(2.0 * k1 * x)
+        y = 2.0 * self.kappa1 * x
+        damp = np.exp(-y)
+        # (sinh y - y)/y^3 = sum_k y^{2k}/(2k + 3)!, to 1e-18 relative in nine
+        # terms for |y| < 1; beyond, e^{-y} (sinh y - y) = -expm1(-2y)/2 - y e^{-y}
+        small = np.abs(y) < 1.0
+        ys = np.where(small, y, 0.0)
+        yl = np.where(small, 1.0, y)
+        series = np.zeros_like(ys)
+        for k in range(8, -1, -1):
+            series = series * ys**2 + 1.0 / math.factorial(2 * k + 3)
+        excess = np.where(small, damp * series,
+                          (-0.5 * np.expm1(-2.0 * yl) - yl * damp) / yl**3)
+        F = damp + 2.0 * self.c1 * x**3 * excess
+        Fp = self.c1 * x**2 * _exprel(-y) ** 2
+        Fpp = 2.0 * self.c1 * x * _exprel(-2.0 * y)
         return -2.0 * (Fpp * F - Fp**2) / F**2
 
     def amplitude(self, alpha):
@@ -238,8 +260,9 @@ class Bargmann2:
         return -self.c1 / ((kappa - self.kappa1) * (kappa + self.kappa1))
 
     def p_accum(self, t):
+        # c1 (cosh(kappa1 t) - 1)/(2 kappa1^2) without its cancellation
         t = np.asarray(t, dtype=float)
-        return self.c1 * (np.cosh(self.kappa1 * t) - 1.0) / (2.0 * self.kappa1**2)
+        return self.c1 * (np.sinh(0.5 * self.kappa1 * t) / self.kappa1) ** 2
 
     def jost0(self, kappa: float) -> float:
         if abs(kappa + self.kappa1) < 1e-300:

@@ -173,3 +173,15 @@ def gl_residual_loop(ws) -> tuple[float, float]:
             worst = max(worst, float(np.max(np.abs(mat @ v - rhs))))
             bound = max(bound, 2 * gamma * float(np.max(np.abs(mat) @ np.abs(v) + np.abs(rhs))))
     return worst, bound
+
+
+def bargmann2_mp(c1: float, kappa1: float, x: float, t: float, dps: int = 60):
+    """(Q(x), p(t)) of the Bargmann2 well from its defining formulas,
+    F = 1 + (c1/kappa1^2) int_0^x sinh^2(kappa1 y) dy, Q = -2 (log F)'' and
+    p = c1 (cosh(kappa1 t) - 1)/(2 kappa1^2), unscaled, at dps digits."""
+    with mp.workdps(dps):
+        c1, k, x, t = mpf(c1), mpf(kappa1), mpf(x), mpf(t)
+        F = 1 + c1 / k**2 * (mp.sinh(2 * k * x) / (4 * k) - x / 2)
+        Fp = c1 / k**2 * mp.sinh(k * x) ** 2
+        Fpp = c1 / k * mp.sinh(2 * k * x)
+        return float(-2 * (Fpp * F - Fp**2) / F**2), float(c1 * (mp.cosh(k * t) - 1) / (2 * k**2))

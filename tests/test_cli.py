@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,16 +102,72 @@ def test_laplace_route_near_bargmann2_threshold(tmp_path, capsys):
         "[weyl_titchmarsh] evaluator failed at k=0: the Laplace route is not finite")
 
 
-def test_import_leaves_out_unused_scipy():
-    # scipy.integrate alone pulls in scipy.optimize, scipy.special and
-    # scipy.sparse.linalg: several hundred modules every CLI run would import
-    code = ("import sys, steklovlab, steklovlab.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.special', 'scipy.optimize') "
-            "if m in sys.modules))")
+def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run python -c code in a new interpreter on this checkout's sources."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
+
+
+_LOADED = ("sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'})")
+
+
+def test_import_leaves_out_unused_scipy():
+    # scipy.linalg loads about 300 modules, most of them numpy.f2py,
+    # numpy.testing and numpy.ma through scipy's array-API layer: only a GL
+    # solve needs it, and only a Muntz table needs mpmath
+    proc = _fresh(f"import sys, steklovlab, steklovlab.cli; print({_LOADED})")
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv,loaded", [
+    (["forward", "--K", "2", "--base", "zero", "--x-max", "8"], []),
+    (["perturb", "--K", "4", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5"], []),
+    (["ks-check", "--delta", "1", "--coeffs=-1.0"], []),
+    (["muntz", "--n", "6"], ["mpmath"]),
+    (["reconstruct", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5", "--M", "32"],
+     ["scipy"]),
+], ids=["forward", "perturb", "ks-check", "muntz", "reconstruct"])
+def test_fresh_command_loads_only_what_it_uses(argv, loaded):
+    proc = _fresh("import sys; from steklovlab.cli import main; "
+                  f"code = main(sys.argv[1:]); print(code, {_LOADED})",
+                  *argv, "--output", os.devnull)
+    assert proc.stdout.strip() == f"0 {loaded}"
+
+
+def test_lapack_names_patched_before_the_first_solve_are_called():
+    # a tracer wraps gelfand_levitan.lu_factor and lu_solve before any solve
+    # has run: lu_factor here by plain assignment, lu_solve by reading the
+    # attribute first; the solve must call both wrappers
+    code = """if True:
+        import json, sys
+        import steklovlab.gelfand_levitan as gl
+        from steklovlab import Bargmann1, build_perturbed_amplitude, make_spectral_params
+        calls = {"lu_factor": 0, "lu_solve": 0}
+
+        def lu_factor(*args, **kwargs):
+            from scipy.linalg import lu_factor as real
+            calls["lu_factor"] += 1
+            return real(*args, **kwargs)
+
+        gl.lu_factor = lu_factor
+        before = "scipy" in sys.modules
+        real_solve = gl.lu_solve
+
+        def lu_solve(*args, **kwargs):
+            calls["lu_solve"] += 1
+            return real_solve(*args, **kwargs)
+
+        gl.lu_solve = lu_solve
+        amp = build_perturbed_amplitude(Bargmann1(beta=1.0, gamma=0.5), [],
+                                        make_spectral_params(3, 0.5, 4))
+        gl.solve_gl(amp, 2.0, 32)
+        print(json.dumps([before, calls]))
+    """
+    before, calls = json.loads(_fresh(code).stdout)
+    assert not before
+    # three floor nodes and 29 nested 4 x 4 Schur blocks; two solves per floor node
+    assert calls == {"lu_factor": 32, "lu_solve": 6}
 
 
 def test_reconstruct_single_resonance_well(tmp_path):
@@ -139,13 +196,57 @@ def test_reconstruct_long_horizon_passes_gecon_fallback(tmp_path):
     assert l2_norm(q - exact, x[1]) <= 1e-3 * l2_norm(exact, x[1])
 
 
+def test_reconstruct_small_bargmann2_well_matches_its_limit(tmp_path):
+    # at kappa1 = 1e-9 the old p = c1 (cosh(kappa1 t) - 1)/(2 kappa1^2) was 0
+    # for every t and Q came out at relL2 3.0 with exit 0; the well tends to
+    # F = 1 + c1 x^3/3, Q = -2 (log F)''
+    out = tmp_path / "rec.csv"
+    assert run_cli(["reconstruct", "--base", "bargmann2", "--c1", "1", "--kappa1=1e-9",
+                    "--T", "2", "--M", "64", "--output", str(out)]) == 0
+    x, q = np.array([[float(c) for c in r] for r in read_rows(out, 2)]).T
+    F = 1.0 + x**3 / 3.0
+    exact = -2.0 * (2.0 * x * F - x**4) / F**2
+    assert l2_norm(q - exact, x[1]) <= 1e-10 * l2_norm(exact, x[1])
+
+
+def test_forward_bargmann2_far_horizon_stays_finite(tmp_path):
+    # F, F' and F'' grow like e^{2 kappa1 x}: unscaled they overflowed near
+    # x = 724 and the potential failed its finiteness check (exit 2)
+    out = tmp_path / "fwd.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["forward", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.49",
+                        "--K", "2", "--x-max", "800", "--output", str(out)]) == 0
+    kappa, sigma = np.array([[float(c) for c in r[1:]] for r in read_rows(out, 3)
+                             if r[0] != "k"]).T
+    form = Bargmann2(c1=1.0, kappa1=0.49)
+    exact = kappa - 0.5 + np.array([form.laplace(k) for k in kappa])
+    assert np.all(np.abs(sigma - exact) <= 1e-8 * np.abs(exact))
+
+
+@pytest.mark.parametrize("well", [["bargmann2", "--c1", "1", "--kappa1=1e5", "--T", "8"],
+                                  ["bargmann1", "--beta=1e20", "--gamma=1e5", "--T", "0.5"]],
+                         ids=["bargmann2", "bargmann1"])
+def test_reconstruct_overflowing_p_fails_tagged(well, capsys):
+    # p overflows on the lattice: the tagged error names p, and numpy warns
+    # of nothing on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(["reconstruct", "--base", *well, "--M", "32",
+                        "--output", os.devnull]) == 3
+    assert capsys.readouterr().err.startswith("[gelfand_levitan] p is not finite at t=")
+
+
+_WELL = st.floats(-0.5, 3.0) | st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+
+
 @settings(derandomize=True, max_examples=100, deadline=2000, database=None)
 @given(base=st.sampled_from(["zero", "bargmann1", "bargmann2"]),
-       T=st.floats(0.5, 8.0), M=st.sampled_from([32, 64]),
-       a=st.floats(-0.5, 3.0), b=st.floats(-0.5, 3.0))
+       T=st.floats(0.5, 8.0), M=st.sampled_from([32, 64]), a=_WELL, b=_WELL)
 def test_reconstruct_fuzz_exits_cleanly(base, T, M, a, b):
-    # wells inside and outside their parameter ranges, horizons where the
-    # conditioning bound passes every node and where gecon decides some
+    # wells inside and outside their parameter ranges, up to where p or the
+    # factors overflow, and horizons where the conditioning bound passes
+    # every node and where gecon decides some
     names = {"bargmann1": ("--beta", "--gamma"), "bargmann2": ("--c1", "--kappa1")}
     argv = ["reconstruct", "--base", base, f"--T={T!r}", f"--M={M}", "--output", os.devnull]
     argv += [f"{flag}={val!r}" for flag, val in zip(names.get(base, ()), (a, b))]

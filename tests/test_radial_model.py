@@ -11,6 +11,8 @@ from steklovlab import (BallPotential, Bargmann1, ValidationError, ZeroForm,
                         weighted_norm_equivalence)
 from steklovlab.quadrature import simpson
 
+from oracles import bargmann2_mp
+
 
 def test_spectral_params_d3_delta0():
     p = make_spectral_params(3, 0.0, 2)
@@ -183,3 +185,27 @@ def test_bargmann_wells_refuse_unrepresentable_squares(capsys):
                   "--K", "2"]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"[radial_model] {argv[2]} needs")
+
+
+@pytest.mark.parametrize("kappa1", [1e-9, 1e-5, 1e-3, 0.49, 1.0])
+def test_bargmann2_closed_forms_match_mpmath(kappa1):
+    # the old p = c1 (cosh(kappa1 t) - 1)/(2 kappa1^2) had an absolute error
+    # near eps c1/kappa1^2 (all of p at kappa1 = 1e-9), and the old F the same
+    # cancellation in sinh(2 kappa1 x)/(4 kappa1) - x/2
+    from steklovlab import Bargmann2
+    form = Bargmann2(c1=1.5, kappa1=kappa1)
+    x = np.linspace(0.0, 16.0, 161)
+    t = np.linspace(-0.25, 16.0, 66)
+    ref = np.array([bargmann2_mp(1.5, kappa1, xi, ti) for xi, ti in zip(x, np.resize(t, x.size))])
+    q_ref, p_ref = ref[:, 0], ref[: t.size, 1]
+    assert np.all(np.abs(form.potential(x) - q_ref) <= 1e-14 * np.abs(q_ref).max())
+    assert np.all(np.abs(form.p_accum(t) - p_ref) <= 4 * np.finfo(float).eps * np.abs(p_ref))
+
+
+def test_bargmann2_potential_finite_where_its_growth_overflows():
+    # F ~ e^{2 kappa1 x} overflows past x ~ 724 at kappa1 = 0.49, while Q
+    # decays like x e^{-2 kappa1 x}
+    from steklovlab import Bargmann2
+    x = np.array([0.0, 100.0, 724.0, 800.0, 1e4])
+    q = Bargmann2(c1=1.0, kappa1=0.49).potential(x)
+    assert q[0] == 0.0 and np.all(np.abs(q[1:]) <= 1e-14)
