@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import io
 import json
 import math
 import sys
@@ -28,8 +27,8 @@ from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
                            ks_check_quasi_szego, spectral_measure_diff)
 from .radial_model import (Bargmann1, Bargmann2, PotentialForm, ZeroForm,
                            make_spectral_params, sample_potential)
-from .stability_harness import (emit_records, fit_holder, run_sweep,
-                                scaled_coeff_family)
+from .stability_harness import (_fmt, emit_records, fit_holder, geometric_family,
+                                run_sweep, scaled_coeff_family)
 from .weyl_titchmarsh import OdeOptions, steklov_spectrum, wt_from_amplitude, wt_from_ode
 
 _MOD = "cli"
@@ -113,10 +112,6 @@ def _amplitude(cfg: RunConfig, params) -> Amplitude:
     return build_perturbed_amplitude(_base_form(cfg.base), values, params, tail)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 # ---------------------------------------------------------------------------
 # Command implementations: each returns the list of output lines (no header).
 # ---------------------------------------------------------------------------
@@ -189,17 +184,14 @@ def _cmd_sweep(cfg: RunConfig) -> list[str]:
             raise ValidationError(
                 "sweep family must be either a coefficient list or a generator, "
                 "not both", _MOD)
-        family = lambda s: ((), GeometricTail(a=tail.a * s, rho=tail.rho))
+        family = geometric_family(tail.rho, tail.a)
     elif values.size:
         family = scaled_coeff_family(values)
     else:
         raise ValidationError("sweep needs coefficient values or a generator", _MOD)
     records = run_sweep(_base_form(cfg.base), family, cfg.scales, cfg.T, params,
                         cfg.K, cfg.M, B=cfg.B)
-    fit = fit_holder(records)
-    buf = io.StringIO()
-    emit_records(records, buf, fit=fit)
-    return buf.getvalue().rstrip("\n").split("\n")
+    return emit_records(records, fit_holder(records))
 
 
 def _cmd_ks_check(cfg: RunConfig) -> list[str]:

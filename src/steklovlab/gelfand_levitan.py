@@ -57,7 +57,7 @@ that, such as a tracer's wrapper of lu_factor, keeps its binding.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -210,7 +210,8 @@ def _kernels(pt: np.ndarray, ph: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
 
 
 def _assemble(main, h: float, W: np.ndarray):
-    """(B, P, hw4) for the x = 0 node of the common grid, n = M intervals.
+    """(B, P, hw4) for the x = 0 node of the common grid, n = M intervals,
+    or for a floor node on its own lattices (main's pt and ph) and W of size 5.
 
     The x = 0 matrix is A0 = I + pS S0 - P - P[::-1, ::-1] with S0 = h W[M]
     and P = (h W) pL, the kink-split term; pL is Toeplitz, so the transposed
@@ -273,11 +274,11 @@ def _check_conditioning(rcond: float, anorm: float, x: float) -> None:
             f"(inverse-norm proxy {rcond * anorm:.3e})", _MOD)
 
 
-def _dense_node(h, n, pt, ph, dpt, dph, W: np.ndarray, x: float, gecon):
-    """(V, Vx, residual) of a floor node by a dense pivoted solve."""
-    pS, pL = _kernels(pt, ph, n)
-    WL = h * W[: n + 1, : n + 1]
-    mat = np.eye(n + 1) + pS * (h * W[n, : n + 1]) - WL * pL - WL[::-1, ::-1] * pL.T
+def _dense_node(h, n, pt, ph, dpt, dph, x: float, gecon):
+    """(V, Vx, residual) of a floor node by a dense pivoted solve of its own
+    matrix, assembled as the x = 0 matrix is, on the node's lattices."""
+    B = _assemble((pt, ph), h, _unit_piece_weights(n))[0]
+    mat = np.ascontiguousarray(B[::-1, ::-1])
     d, g2 = pt[n:] - ph[: n + 1], dph - dpt
     anorm = np.abs(mat).sum(axis=0).max()
     _check_finite(anorm, "Nystrom matrix", x)
@@ -323,12 +324,10 @@ class _Nested:
         self.band[1:] = np.where((cols >= 0) & (cols <= M), P[q, np.clip(cols, 0, M)], 0.0)
         self.buf = P.reshape(-1)
         # running column sums of |B|: head[m] is the 1-norm of B[:m, :m - 4]
-        self.head = np.zeros(M + 2)
-        sums = np.zeros(M - 3)
-        for m in range(1, M + 2):
-            sums += np.abs(self.B[m - 1, : M - 3])
-            if m >= 5:
-                self.head[m] = sums[: m - 4].max()
+        sums = np.abs(self.B[:, : M - 3])
+        np.cumsum(sums, axis=0, out=sums)
+        self.head = np.r_[0.0, np.tril(sums, -4).max(axis=1)]
+        del sums
         self.LU = np.array(self.B[:, : M - 3], order="F")
         _lu_nopivot(self.LU)
         self.trtrs, trtri, self.getrs, self.gecon = get_lapack_funcs(
@@ -494,10 +493,9 @@ class GLWorkspace:
     together with p and p' there. lattices holds p and p' on every lattice
     the solve sampled (_sample), so recovery evaluates nothing again.
     residual is the max over nodes of the sup-norm residual of the discrete
-    equations, taken at solve time. q_rec is filled by recover_potential.
+    equations, taken at solve time.
     """
 
-    amplitude: Amplitude
     T: float
     M: int
     grid: np.ndarray
@@ -505,7 +503,6 @@ class GLWorkspace:
     V: tuple
     Vx: tuple
     residual: float
-    q_rec: RadialPotential | None = field(default=None)
 
 
 def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
@@ -526,7 +523,6 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     xs = np.linspace(0.0, T, M + 1)
     lattices = _sample(A, T, M, xs)
     W = _unit_piece_weights(M)
-    floor_weights = W[:5, :5].copy()
     sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
     edges = np.r_[0, np.cumsum(sizes)]
     residual = [0.0] * (M + 1)
@@ -542,14 +538,14 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
         for i in range(M - 3, M):
             V[i][:], Vx[i][:], residual[i] = _dense_node(
-                *_node(lattices, T, M, i), floor_weights, xs[i], nested.gecon)
+                *_node(lattices, T, M, i), xs[i], nested.gecon)
         hi = M + 1
         while hi >= 5:
             lo = max(5, hi - max(1, _BATCH * (M + 1) // hi) + 1)
             for i, res in nested.group(np.arange(lo, hi + 1), V, Vx):
                 residual[i] = res
             hi = lo - 1
-    return GLWorkspace(amplitude=A, T=T, M=M, grid=xs, lattices=lattices, V=V, Vx=Vx,
+    return GLWorkspace(T=T, M=M, grid=xs, lattices=lattices, V=V, Vx=Vx,
                        residual=max(residual))
 
 
@@ -570,9 +566,7 @@ def recover_potential(ws: GLWorkspace) -> RadialPotential:
         g2 = dph - dpt               # p'(2T - x - t) - p'(t - x)
         dd = ph[0] * V[0] + 2.0 * dph[0] - S @ (g1 * Vx) + S @ (g2 * V)
         qvals[ws.M - i] = -2.0 * dd  # value sits at T - x
-    q = RadialPotential(grid=ws.grid.copy(), values=qvals, closed_form=None)
-    ws.q_rec = q
-    return q
+    return RadialPotential(grid=ws.grid.copy(), values=qvals, closed_form=None)
 
 
 def gl_residual(ws: GLWorkspace) -> float:

@@ -12,7 +12,7 @@ to a square-integrable potential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,20 +60,9 @@ class Amplitude:
     """
 
     base: PotentialForm
-    coeffs: np.ndarray
-    params: SpectralParams
-    generator: GeometricTail | None = None
+    term_coeffs: np.ndarray
+    term_mu: np.ndarray
     r_est: float = math.inf
-    term_coeffs: np.ndarray = field(default=None, repr=False)
-    term_mu: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        object.__setattr__(self, "coeffs", c)
-        if self.term_coeffs is None:
-            tc, tm = _materialize_terms(c, self.generator, self.params)
-            object.__setattr__(self, "term_coeffs", tc)
-            object.__setattr__(self, "term_mu", tm)
 
     def series_diff(self, alpha) -> np.ndarray:
         """The perturbation sum_k c_k e^{-mu_k alpha} with signed rates; the
@@ -154,7 +143,7 @@ def build_perturbed_amplitude(base: PotentialForm, coeffs, params: SpectralParam
     if not r_est > 1.0:
         raise ValidationError(
             f"series radius of convergence must exceed 1, estimated R = {r_est}", _MOD)
-    amp = Amplitude(base=base, coeffs=c, params=params, generator=generator, r_est=r_est)
+    amp = Amplitude(base, *_materialize_terms(c, generator, params), r_est)
     # pole guard: bound-state terms need 2 kappa > |mu_k| strictly on the grid
     mu_neg = amp.term_mu[amp.term_mu < 0]
     if mu_neg.size:

@@ -11,7 +11,7 @@ kappa_k = k + (d-2)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,10 +42,16 @@ class SpectralParams:
     d: int
     delta: float
     kappa: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-    n_neg: int
     m0: float
+    lam: np.ndarray = field(init=False)
+    mu: np.ndarray = field(init=False)
+    n_neg: int = field(init=False)
+
+    def __post_init__(self):
+        k = np.arange(self.kappa.size)
+        object.__setattr__(self, "lam", self.lam_at(k))
+        object.__setattr__(self, "mu", self.mu_at(k))
+        object.__setattr__(self, "n_neg", int(np.count_nonzero(self.mu < 0)))
 
     @property
     def K(self) -> int:
@@ -68,14 +74,9 @@ def make_spectral_params(d: int, delta: float, K: int) -> SpectralParams:
         )
     if K < 1:
         raise ValidationError(f"truncation index must satisfy K >= 1, got K={K}", _MOD)
-    k = np.arange(K + 1, dtype=float)
-    kappa = k + (d - 2) / 2.0
-    lam = 2.0 * k + d - 3 + delta
-    mu = lam + delta
-    n_neg = int(np.count_nonzero(mu < 0))
-    m0 = max(2.0, 4.0 * (d - 3 + delta) + 1.0)
-    return SpectralParams(d=d, delta=float(delta), kappa=kappa, lam=lam, mu=mu,
-                          n_neg=n_neg, m0=m0)
+    return SpectralParams(d=d, delta=float(delta),
+                          kappa=np.arange(K + 1, dtype=float) + (d - 2) / 2.0,
+                          m0=max(2.0, 4.0 * (d - 3 + delta) + 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,11 @@ _MOD = "stability_harness"
 BOUND_SLACK = 1.0 + 1e-6  # multiplicative tolerance for inequality checks
 
 
+def _fmt(v: float) -> str:
+    """A CSV number: 17 significant digits, enough to round-trip any double."""
+    return format(float(v), ".17g")
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     s: float       # perturbation scale
@@ -45,9 +50,9 @@ class SweepRecord:
 CoeffFamily = Callable[[float], tuple[Sequence[float], GeometricTail | None]]
 
 
-def geometric_family(rho: float) -> CoeffFamily:
-    """Family s -> generator c_k = -s rho^{lam_k}; radius exactly 1/rho."""
-    return lambda s: ((), GeometricTail(a=s, rho=rho))
+def geometric_family(rho: float, a: float = 1.0) -> CoeffFamily:
+    """Family s -> generator c_k = -a s rho^{lam_k}; radius exactly 1/rho."""
+    return lambda s: ((), GeometricTail(a=a * s, rho=rho))
 
 
 def scaled_coeff_family(coeffs: Sequence[float]) -> CoeffFamily:
@@ -158,21 +163,10 @@ def corollary_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum) -> float
     return sup_gap(sigma, sigma_tilde)
 
 
-def emit_records(records: Sequence[SweepRecord], destination,
-                 fit: HolderFit | None = None,
-                 header_lines: Sequence[str] = ()) -> None:
-    """Write sweep records as CSV: 17-significant-digit decimals, LF endings.
-
-    Commented header lines (configuration echo) go first, then the column
-    header, the data rows, and a commented summary block when a fit is given.
-    """
-    cols = ["s", "eps", "q_gap", "a_gap", "bound", "theta", "C_T_running", "verdict"]
-
-    def fmt(v: float) -> str:
-        return format(float(v), ".17g")
-
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(",".join(cols))
+def emit_records(records: Sequence[SweepRecord], fit: HolderFit | None = None) -> list[str]:
+    """The sweep's CSV lines: the column header, one row per record, and a
+    commented summary block when a fit is given."""
+    lines = ["s,eps,q_gap,a_gap,bound,theta,C_T_running,verdict"]
     running = 0.0
     for r in records:
         ratio = r.q_gap / r.eps**r.theta if r.eps > 0 else 0.0
@@ -182,16 +176,11 @@ def emit_records(records: Sequence[SweepRecord], destination,
         else:
             verdict = "PASS" if r.q_gap <= fit.C_anchor * r.eps**fit.theta * BOUND_SLACK else "FAIL"
         lines.append(",".join(
-            [fmt(r.s), fmt(r.eps), fmt(r.q_gap), fmt(r.a_gap), fmt(r.bound),
-             fmt(r.theta), fmt(running), verdict]))
+            [_fmt(r.s), _fmt(r.eps), _fmt(r.q_gap), _fmt(r.a_gap), _fmt(r.bound),
+             _fmt(r.theta), _fmt(running), verdict]))
     if fit is not None:
-        lines += [f"# theta = {fmt(fit.theta)}",
-                  f"# C_T = {fmt(fit.C_T)}",
-                  f"# slope = {fmt(fit.slope)}",
+        lines += [f"# theta = {_fmt(fit.theta)}",
+                  f"# C_T = {_fmt(fit.C_T)}",
+                  f"# slope = {_fmt(fit.slope)}",
                   f"# verdict = {fit.verdict}"]
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
+    return lines

@@ -58,7 +58,6 @@ _DE_W = _DE_H * _DE_S * (1.0 + np.exp(-_DE_T)) * np.exp(-_DE_S)
 class WTEvaluation:
     kappa: float
     value: float
-    route: str  # "ode" | "laplace" | "closed_form"
     est_error: float
 
 
@@ -271,8 +270,7 @@ def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
                 if i in prev:
                     diff = abs(m - prev[i])
                     if diff <= opts.tolerance:
-                        evals[i] = WTEvaluation(kappa=kap, value=m, route="ode",
-                                                est_error=diff)
+                        evals[i] = WTEvaluation(kappa=kap, value=m, est_error=diff)
                         continue
                     # RK4 contracts the difference about 16x per halving; near
                     # an eigenvalue it grows instead, and no tolerance will be met
@@ -341,7 +339,7 @@ def wt_from_amplitude(A: Amplitude, kappa):
             stop, error = len(evals), NumericalError(
                 f"the Laplace route is not finite at kappa={kap}", _MOD)
             break
-        evals.append(WTEvaluation(kappa=kap, value=value, route="laplace",
+        evals.append(WTEvaluation(kappa=kap, value=value,
                                   est_error=err + 1e-15 * abs(value)))
     return _evaluations(kappa, evals, stop, error)
 

@@ -168,7 +168,8 @@ def test_positivity_bargmann_base():
 def test_positivity_detects_injected_violation():
     # bypass the admissibility validation: c0 = +1 at mu0 = 1 flips the density
     # negative for E below (2 c0 - mu0^2)/4
-    amp = Amplitude(base=ZeroForm(), coeffs=np.array([1.0]), params=params(delta=0.5))
+    amp = Amplitude(base=ZeroForm(), term_coeffs=np.array([1.0]),
+                    term_mu=params(delta=0.5).mu_at([0]))
     rep = ks_check_positivity(amp)
     assert not rep.passed
     assert rep.min_density < 0.0

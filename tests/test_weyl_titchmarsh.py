@@ -32,7 +32,6 @@ def test_ode_free_potential_exact():
     ev = wt_from_ode(pot, 1.5, OdeOptions(x_max=12.0))
     assert ev.value == pytest.approx(-1.5, abs=1e-12)
     assert ev.est_error <= 1e-12
-    assert ev.route == "ode"
 
 
 def test_ode_bargmann1_closed_value():
@@ -182,7 +181,6 @@ def test_ode_rejects_bad_kappa_and_domain():
 def test_amplitude_route_trivial():
     ev = wt_from_amplitude(_amp(ZeroForm(), []), 2.0)
     assert ev.value == pytest.approx(-2.0, abs=1e-14)
-    assert ev.route == "laplace"
 
 
 def test_amplitude_route_single_term():
