@@ -327,7 +327,7 @@ class _Nested:
         sums = np.abs(self.B[:, : M - 3])
         np.cumsum(sums, axis=0, out=sums)
         self.head = np.r_[0.0, np.tril(sums, -4).max(axis=1)]
-        del sums
+        del sums  # before the factors are allocated, which set the memory peak
         self.LU = np.array(self.B[:, : M - 3], order="F")
         _lu_nopivot(self.LU)
         self.trtrs, trtri, self.getrs, self.gecon = get_lapack_funcs(

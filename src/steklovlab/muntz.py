@@ -88,6 +88,8 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
     _check_exponents(exponents)
     with mp.workprec(precision):
         lam = _mpf_array(exponents)
+        if any(b <= a for a, b in zip(lam, lam[1:])):
+            raise NumericalError(f"exponents coincide at {precision}-bit precision", _MOD)
         root = [mp.sqrt(2 * x + 1) for x in lam]
         rows = [np.array([root[0]], dtype=object)]
         for m in range(1, len(lam)):
@@ -244,14 +246,18 @@ def n_of_eps(eps: float, M0: float) -> int:
 
 
 def still_bound(eps: float, R: float, params: SpectralParams, B: float = 1.0) -> float:
-    """Two-term stability bound B^2 eps + R^{1-d-delta} eps^{log R / log(9 M0/2)}."""
+    """Two-term stability bound B^2 eps + R^{1-d-delta} eps^{log R / log(9 M0/2)};
+    inf where a term leaves the float range."""
     if eps < 0:
         raise ValidationError(f"eps must be >= 0, got {eps}", _MOD)
     if not R > 1.0:
         raise ValidationError(f"bound requires R > 1, got R={R}", _MOD)
     if eps == 0.0:
         return 0.0
-    if math.isinf(R):
-        return B**2 * eps
-    power = math.log(R) / math.log(4.5 * params.m0)
-    return B**2 * eps + R ** (1.0 - params.d - params.delta) * eps**power
+    try:
+        if math.isinf(R):
+            return B**2 * eps
+        power = math.log(R) / math.log(4.5 * params.m0)
+        return B**2 * eps + R ** (1.0 - params.d - params.delta) * eps**power
+    except OverflowError:  # float ** raises where * gives inf
+        return math.inf

@@ -11,12 +11,13 @@ to a square-integrable potential.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .radial_model import Bargmann1, Bargmann2, PotentialForm, SpectralParams, ZeroForm
 
 _MOD = "perturbation"
@@ -97,6 +98,7 @@ def _materialize_terms(coeffs: np.ndarray, generator: GeometricTail | None,
     return c[keep], mu[keep]
 
 
+@np.errstate(all="ignore")
 def estimate_radius(coeffs, params: SpectralParams,
                     generator: GeometricTail | None = None) -> float:
     """Radius of convergence of sum_k c_k t^{lam_k}.
@@ -105,7 +107,8 @@ def estimate_radius(coeffs, params: SpectralParams,
     |c_k|^{1/lam_k} is estimated from successive-ratio samples over the
     nonzero tail; a clearly decaying ratio trend is reported as an infinite
     radius, matching e.g. factorially small coefficients. An all-zero list
-    (or a single term) is a polynomial: radius infinity.
+    (or a single term) is a polynomial: radius infinity. A ratio past the
+    float range gives 0 or infinity, or NaN, which no caller accepts as R > 1.
     """
     if generator is not None:
         return 1.0 / generator.rho
@@ -205,10 +208,22 @@ def spectral_measure_diff(A: Amplitude) -> SpectralMeasureDiff:
 # ---------------------------------------------------------------------------
 
 
-def _require_known_base(A: Amplitude):
-    if not isinstance(A.base, (ZeroForm, Bargmann1, Bargmann2)):
-        raise ValidationError(
-            "diagnostics need a base with a closed-form spectral density", _MOD)
+def _diagnostic(check):
+    """check(A) for a base with a closed-form spectral density, without numpy's
+    float warnings: a measure past the float range raises the tagged error."""
+    @functools.wraps(check)
+    def run(A: Amplitude):
+        if not isinstance(A.base, (ZeroForm, Bargmann1, Bargmann2)):
+            raise ValidationError(
+                "diagnostics need a base with a closed-form spectral density", _MOD)
+        with np.errstate(all="ignore"):
+            report = check(A)
+        bad = [f.name for f in fields(report)
+               if not np.all(np.isfinite(getattr(report, f.name)))]
+        if bad:
+            raise NumericalError(f"{check.__name__}: {', '.join(bad)} not finite", _MOD)
+        return report
+    return run
 
 
 @dataclass(frozen=True)
@@ -218,9 +233,9 @@ class PositivityReport:
     passed: bool
 
 
+@_diagnostic
 def ks_check_positivity(A: Amplitude) -> PositivityReport:
     """Evaluate d rho~/dE on E > 0 and report its minimum (>= 0 when admissible)."""
-    _require_known_base(A)
     E = _E_GRID
     dens = np.sqrt(E) / math.pi * (1.0 + _ratio_minus_one(A, E))
     i = int(np.argmin(dens))
@@ -240,6 +255,7 @@ class QuasiSzegoReport:
     max_integrand: float
 
 
+@_diagnostic
 def ks_check_quasi_szego(A: Amplitude) -> QuasiSzegoReport:
     """Fit the large-E decay of log[(1/4) u + 1/2 + (1/4)/u], u = d rho~/d rho_0.
 
@@ -247,7 +263,6 @@ def ks_check_quasi_szego(A: Amplitude) -> QuasiSzegoReport:
     log1p((u-1)^2/(4u)) with u-1 in closed form; its decay exponent should
     approach -2.
     """
-    _require_known_base(A)
     E = _E_GRID
     um1 = _ratio_minus_one(A, E)
     logterm = np.log1p(um1**2 / (4.0 * (1.0 + um1)))
@@ -293,10 +308,10 @@ def _maximal_function(A: Amplitude, ks: np.ndarray,
     return out
 
 
+@_diagnostic
 def ks_check_normalization(A: Amplitude) -> NormalizationReport:
     """Probe the normalization condition: the maximal function should drift like
     O(1/k) and log[1 + (M nu~ / k)^2] k^2 should have convergent partial integrals."""
-    _require_known_base(A)
     ks, Ls = _K_GRID, _L_GRID
     ms = _maximal_function(A, ks, Ls)
     if np.max(ms) == 0.0:

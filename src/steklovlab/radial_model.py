@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .quadrature import cubic_interp, l2_norm, simpson_weights
 
 _MOD = "radial_model"
@@ -224,6 +224,9 @@ class Bargmann2:
             F' e^{-y}  = c1 x^2 exprel(-y)^2
             F'' e^{-y} = 2 c1 x exprel(-2y)
         """
+        if not self.c1 * self.c1 < math.inf:  # F'' F and F'^2 carry c1^2
+            raise ValidationError(
+                f"the bargmann2 potential needs c1**2 finite, got c1={self.c1}", _MOD)
         x = np.asarray(x, dtype=float)
         y = 2.0 * self.kappa1 * x
         damp = np.exp(-y)
@@ -270,12 +273,9 @@ class Bargmann2:
             raise ValidationError(f"Jost value has a pole at kappa = {-self.kappa1}", _MOD)
         return (kappa - self.kappa1) / (kappa + self.kappa1)
 
-    def density_ratio_minus_one(self, E):
-        # |psi(0, k)|^2 = 1: reflectionless
-        return np.zeros_like(np.asarray(E, dtype=float))
-
-    def nu_mass(self, k, L):
-        return np.zeros(np.broadcast(k, L).shape)
+    # reflectionless, |psi(0, k)|^2 = 1: the spectral density of Q = 0
+    density_ratio_minus_one = ZeroForm.density_ratio_minus_one
+    nu_mass = ZeroForm.nu_mass
 
 
 PotentialForm = ZeroForm | Bargmann1 | Bargmann2
@@ -363,10 +363,15 @@ class SteklovSpectrum:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(all="ignore")
 def sample_potential(form: PotentialForm, x_max: float = 12.0, n: int = 512) -> RadialPotential:
-    """Uniformly sample a closed-form potential on [0, x_max]."""
+    """Uniformly sample a closed-form potential on [0, x_max]; a well whose
+    closed form leaves the float range there raises the tagged NumericalError."""
     xs = np.linspace(0.0, x_max, n + 1)
-    return RadialPotential(grid=xs, values=form.potential(xs), closed_form=form)
+    values = form.potential(xs)
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(f"{form.kind} potential is not finite on [0, {x_max:.6g}]", _MOD)
+    return RadialPotential(grid=xs, values=values, closed_form=form)
 
 
 def extend_potential(q: RadialPotential, form: PotentialForm, x_max: float) -> RadialPotential:

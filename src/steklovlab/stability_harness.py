@@ -71,11 +71,13 @@ def _amplitude_gap_sq(A: Amplitude, params: SpectralParams) -> float:
                        exponents=tuple((A.term_mu - params.delta).tolist())).norm_sq()
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every figure is checked finite
 def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
               T: float, params: SpectralParams, K: int, M: int = 256,
               B: float = 1.0) -> list[SweepRecord]:
-    """One record per scale; a scale whose pipeline fails is dropped with a
-    warning, and fewer than 3 surviving records fails the sweep."""
+    """One record per scale; a scale whose pipeline fails, or whose figures
+    are not finite, is dropped with a warning that gives the reason, and
+    fewer than 3 surviving records fails the sweep."""
     scales = [float(s) for s in scales]
     if any(s <= 0 for s in scales):
         raise ValidationError("scales must be positive", _MOD)
@@ -106,15 +108,17 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
                     f"gap truncation not certified at K={K}: tail bound "
                     f"{gap.tail_bound:.3e} exceeds the computed gap {gap.eps:.3e}",
                     _MOD)
-            theta = holder_exponent(amp.r_est, params)
-            records.append(SweepRecord(
+            rec = SweepRecord(
                 s=s,
                 eps=gap.eps,
                 q_gap=l2_norm(q_pert.values - q_base.values, T / M),
                 a_gap=_amplitude_gap_sq(amp, params),
                 bound=still_bound(gap.eps, amp.r_est, params, B),
-                theta=theta,
-            ))
+                theta=holder_exponent(amp.r_est, params),
+            )
+            if bad := [k for k, v in vars(rec).items() if not np.isfinite(v)]:
+                raise NumericalError(f"{', '.join(bad)} not finite", _MOD)
+            records.append(rec)
         except SteklovError as exc:
             reasons.append(f"s={s}: {exc.tagged()}")
             warnings.warn(f"sweep scale dropped: {reasons[-1]}", stacklevel=2)

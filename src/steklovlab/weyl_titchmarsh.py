@@ -124,6 +124,7 @@ def _chain_product(P: np.ndarray) -> np.ndarray:
     return P[..., 0]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _m_values fails a non-finite end
 def _shoot_backward(q_half: np.ndarray, kappas: np.ndarray, h: float) -> np.ndarray:
     """Integrate u'' = (Q + kappa^2) u from x_max down to 0 with the scaled
     Jost seed, for every kappa of an array at once.
@@ -150,6 +151,7 @@ def _shoot_backward(q_half: np.ndarray, kappas: np.ndarray, h: float) -> np.ndar
     return out
 
 
+@np.errstate(all="ignore")  # a value out of the float range fails the check
 def _sample(Q: RadialPotential, x_max: float, n: int,
             coarse: np.ndarray | None = None) -> np.ndarray:
     """Q on the half-step grid of n steps, linspace(0, x_max, 2n+1). Given the

@@ -195,6 +195,22 @@ def test_buffer_assembly_matches_allocating_expression(n):
     assert np.array_equal(hw4, h * ref_W[:, :4])
 
 
+@pytest.mark.parametrize("M", [32, 64])
+def test_head_norms_match_running_loop(M):
+    # head[m], the 1-norm of B[:m, :m - 4] that gates the nested nodes, is
+    # bitwise the running column sums of |B| taken row by row
+    amp, T = amp_of(B2, [-0.2]), 2.0
+    xs = np.linspace(0.0, T, M + 1)
+    gl._load_lapack()
+    nested = gl._Nested(_sample(amp, T, M, xs)[0], T / M, _unit_piece_weights(M), xs)
+    ref, sums = np.zeros(M + 2), np.zeros(M - 3)
+    for m in range(1, M + 2):
+        sums += np.abs(nested.B[m - 1, : M - 3])
+        if m >= 5:
+            ref[m] = sums[: m - 4].max()
+    assert np.array_equal(nested.head, ref)
+
+
 @pytest.mark.parametrize("amp", [amp_of(B1), amp_of(B2), amp_of(ZeroForm(), gen=TAIL)],
                          ids=["bargmann1", "bargmann2", "tail"])
 @pytest.mark.parametrize("M", [64, 128])
