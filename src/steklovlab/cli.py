@@ -51,7 +51,6 @@ class RunConfig:
     precision: int = 256
     x_max: float | None = None
     tolerance: float = 1e-10
-    B: float = 1.0
     n: int = 10
 
     def header_lines(self) -> list[str]:
@@ -121,7 +120,7 @@ def _cmd_forward(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     form = _base_form(cfg.base)
     opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
-    pot = sample_potential(form, x_max=opts.x_max_for(params.kappa[0]), n=max(256, cfg.M))
+    pot = sample_potential(form, x_max=opts.x_max_for(params.kappa[0]), n=256)
     spectrum = steklov_spectrum(wt_from_ode(pot, params.kappa[:cfg.K + 1], opts),
                                 params, cfg.K)
     lines = ["k,kappa,sigma"]
@@ -189,9 +188,9 @@ def _cmd_sweep(cfg: RunConfig) -> list[str]:
         family = scaled_coeff_family(values)
     else:
         raise ValidationError("sweep needs coefficient values or a generator", _MOD)
-    records = run_sweep(_base_form(cfg.base), family, cfg.scales, cfg.T, params,
-                        cfg.K, cfg.M, B=cfg.B)
-    return emit_records(records, fit_holder(records))
+    records, dropped = run_sweep(_base_form(cfg.base), family, cfg.scales, cfg.T,
+                                 params, cfg.K, cfg.M)
+    return emit_records(records, fit_holder(records), dropped)
 
 
 def _cmd_ks_check(cfg: RunConfig) -> list[str]:
@@ -279,7 +278,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int)
     p.add_argument("--x-max", dest="x_max", type=float)
     p.add_argument("--tolerance", type=float)
-    p.add_argument("--B", type=float)
     p.add_argument("--n", type=int, help="orthonormalization table size")
     p.add_argument("--base", help="zero | bargmann1 | bargmann2")
     p.add_argument("--beta", type=float)
@@ -338,7 +336,7 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
                 raise ValidationError(f"config key {key!r} has the wrong type: {val!r}", _MOD)
             setattr(cfg, key, val)
     for name in ("command", "output", "precision", "d", "delta", "T", "K", "M",
-                 "x_max", "tolerance", "B", "n"):
+                 "x_max", "tolerance", "n"):
         val = getattr(args, name)
         if val is not None:
             setattr(cfg, name, val)

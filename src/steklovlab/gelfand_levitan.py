@@ -323,11 +323,8 @@ class _Nested:
         self.band = np.zeros((M + 2, 6))
         self.band[1:] = np.where((cols >= 0) & (cols <= M), P[q, np.clip(cols, 0, M)], 0.0)
         self.buf = P.reshape(-1)
-        # running column sums of |B|: head[m] is the 1-norm of B[:m, :m - 4]
-        sums = np.abs(self.B[:, : M - 3])
-        np.cumsum(sums, axis=0, out=sums)
-        self.head = np.r_[0.0, np.tril(sums, -4).max(axis=1)]
-        del sums  # before the factors are allocated, which set the memory peak
+        # every node's columns before its corner are a block of B
+        _check_finite(np.abs(self.B).sum(axis=0).max(), "Nystrom matrix", xs[0])
         self.LU = np.array(self.B[:, : M - 3], order="F")
         _lu_nopivot(self.LU)
         self.trtrs, trtri, self.getrs, self.gecon = get_lapack_funcs(
@@ -430,9 +427,9 @@ class _Nested:
         g2 = _windows(self.dphr, ms - 1, mh) - _windows(self.dptr, M + 1 - ms, mh)
         np.copyto(N, 0.0, where=below[:, None, :])
         np.copyto(rhs[:, 0], 0.0, where=below)
-        anorm = np.maximum(self.head[ms], np.abs(N).sum(axis=2).max(axis=1))
+        corner = np.abs(N).sum(axis=2).max(axis=1)    # 1-norm of the corner columns
         for g in range(G):
-            _check_finite(anorm[g], "Nystrom matrix", xs[M + 1 - ms[g]])
+            _check_finite(corner[g], "Nystrom matrix", xs[M + 1 - ms[g]])
 
         Z = self._forward(np.concatenate([N, rhs[:, :1]], axis=1), K)
         Y2 = np.empty((G, 2, 4))                      # the last four reversed rows
@@ -458,7 +455,8 @@ class _Nested:
             packed[:mp, mp:] = U12
             packed[mp:, :mp] = L21[perm]
             packed[mp:, mp:] = lu4
-            _check_conditioning(self.gecon(packed, anorm[g])[0], anorm[g], xs[M + 1 - m])
+            anorm = max(np.abs(B[:m, :mp]).sum(axis=0).max(), corner[g])
+            _check_conditioning(self.gecon(packed, anorm)[0], anorm, xs[M + 1 - m])
         rhs[:, 1] = np.where(below, 0.0, g2 - rhs[:, 0] * Y2[:, 0, 3:])
         Zx = self._forward(rhs[:, 1:], K)
         Xb = np.zeros((K, 2 * G), order="F")

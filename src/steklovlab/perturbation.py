@@ -252,7 +252,6 @@ def _ratio_minus_one(A: Amplitude, E: np.ndarray) -> np.ndarray:
 class QuasiSzegoReport:
     exponent: float
     residual: float
-    max_integrand: float
 
 
 @_diagnostic
@@ -268,13 +267,11 @@ def ks_check_quasi_szego(A: Amplitude) -> QuasiSzegoReport:
     logterm = np.log1p(um1**2 / (4.0 * (1.0 + um1)))
     sel = (E >= _FIT_RANGE[0]) & (E <= _FIT_RANGE[1]) & (logterm > 0)
     if sel.sum() < 2:
-        return QuasiSzegoReport(exponent=0.0, residual=0.0,
-                                max_integrand=float(np.max(logterm * np.sqrt(E), initial=0.0)))
+        return QuasiSzegoReport(exponent=0.0, residual=0.0)
     coef = np.polyfit(np.log(E[sel]), np.log(logterm[sel]), 1)
     resid = float(np.sqrt(np.mean(
         (np.log(logterm[sel]) - np.polyval(coef, np.log(E[sel]))) ** 2)))
-    return QuasiSzegoReport(exponent=float(coef[0]), residual=resid,
-                            max_integrand=float(np.max(logterm * np.sqrt(E))))
+    return QuasiSzegoReport(exponent=float(coef[0]), residual=resid)
 
 
 @dataclass(frozen=True)
@@ -282,7 +279,6 @@ class NormalizationReport:
     exponent: float
     partial_integrals: tuple[float, ...]
     increments_decreasing: bool
-    max_maximal: float
 
 
 def _maximal_function(A: Amplitude, ks: np.ndarray,
@@ -316,7 +312,7 @@ def ks_check_normalization(A: Amplitude) -> NormalizationReport:
     ms = _maximal_function(A, ks, Ls)
     if np.max(ms) == 0.0:
         return NormalizationReport(exponent=0.0, partial_integrals=(0.0,),
-                                   increments_decreasing=True, max_maximal=0.0)
+                                   increments_decreasing=True)
     tail = ks >= np.median(ks)
     exponent = float(np.polyfit(np.log(ks[tail]), np.log(ms[tail]), 1)[0])
 
@@ -331,5 +327,4 @@ def ks_check_normalization(A: Amplitude) -> NormalizationReport:
     inc = np.diff(partials)
     return NormalizationReport(exponent=exponent,
                                partial_integrals=tuple(partials),
-                               increments_decreasing=bool(np.all(np.diff(inc) < 0)),
-                               max_maximal=float(np.max(ms)))
+                               increments_decreasing=bool(np.all(np.diff(inc) < 0)))

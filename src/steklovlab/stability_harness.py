@@ -11,7 +11,6 @@ largest scale.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,11 +72,12 @@ def _amplitude_gap_sq(A: Amplitude, params: SpectralParams) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # every figure is checked finite
 def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
-              T: float, params: SpectralParams, K: int, M: int = 256,
-              B: float = 1.0) -> list[SweepRecord]:
-    """One record per scale; a scale whose pipeline fails, or whose figures
-    are not finite, is dropped with a warning that gives the reason, and
-    fewer than 3 surviving records fails the sweep."""
+              T: float, params: SpectralParams, K: int,
+              M: int = 256) -> tuple[list[SweepRecord], list[str]]:
+    """(records, dropped): one record per scale, except that a scale whose
+    pipeline fails, or whose figures are not finite, is dropped and its
+    reason, "s=...: [module] message", goes into dropped. Fewer than 3
+    surviving records fails the sweep with every reason."""
     scales = [float(s) for s in scales]
     if any(s <= 0 for s in scales):
         raise ValidationError("scales must be positive", _MOD)
@@ -113,7 +113,7 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
                 eps=gap.eps,
                 q_gap=l2_norm(q_pert.values - q_base.values, T / M),
                 a_gap=_amplitude_gap_sq(amp, params),
-                bound=still_bound(gap.eps, amp.r_est, params, B),
+                bound=still_bound(gap.eps, amp.r_est, params),
                 theta=holder_exponent(amp.r_est, params),
             )
             if bad := [k for k, v in vars(rec).items() if not np.isfinite(v)]:
@@ -121,12 +121,11 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
             records.append(rec)
         except SteklovError as exc:
             reasons.append(f"s={s}: {exc.tagged()}")
-            warnings.warn(f"sweep scale dropped: {reasons[-1]}", stacklevel=2)
     if len(records) < 3:
         raise NumericalError(
             "sweep produced fewer than 3 valid records; failures: "
             + ("; ".join(reasons) if reasons else "none recorded"), _MOD)
-    return records
+    return records, reasons
 
 
 @dataclass(frozen=True)
@@ -167,9 +166,11 @@ def corollary_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum) -> float
     return sup_gap(sigma, sigma_tilde)
 
 
-def emit_records(records: Sequence[SweepRecord], fit: HolderFit | None = None) -> list[str]:
+def emit_records(records: Sequence[SweepRecord], fit: HolderFit | None = None,
+                 dropped: Sequence[str] = ()) -> list[str]:
     """The sweep's CSV lines: the column header, one row per record, and a
-    commented summary block when a fit is given."""
+    commented summary block: the fit when one is given, then one
+    "# dropped = reason" line per dropped scale."""
     lines = ["s,eps,q_gap,a_gap,bound,theta,C_T_running,verdict"]
     running = 0.0
     for r in records:
@@ -187,4 +188,4 @@ def emit_records(records: Sequence[SweepRecord], fit: HolderFit | None = None) -
                   f"# C_T = {_fmt(fit.C_T)}",
                   f"# slope = {_fmt(fit.slope)}",
                   f"# verdict = {fit.verdict}"]
-    return lines
+    return lines + [f"# dropped = {reason}" for reason in dropped]

@@ -11,7 +11,7 @@ the chunk products to (u, u') in turn. Step halving refines the pass until
 successive values agree, and gives up as soon as the differences stop
 contracting, which is what happens near an eigenvalue. The kappas of one call
 are grouped by truncation point: a group samples Q once per halving level, on
-the new (odd) points only, and pushes its unconverged kappas through one
+that level's whole grid, and pushes its unconverged kappas through one
 batched (2, 2, kappas, steps) propagator product per level, in batches of
 _CHUNK steps' worth of elements.
 
@@ -65,24 +65,20 @@ class WTEvaluation:
 class OdeOptions:
     """Controls for the backward shooting route.
 
-    x_max = None picks max(12, 23/kappa), clipped to the potential's sampled
-    domain; 23/kappa keeps the growing-mode contamination e^{-2 kappa x_max}
-    near 1e-20 for potentials with slow decay (for rapidly decaying closed
-    forms, x_max = 12 already suffices at any kappa of interest).
+    x_max = None picks max(12, 23/kappa); 23/kappa keeps the growing-mode
+    contamination e^{-2 kappa x_max} near 1e-20 for potentials with slow decay
+    (for rapidly decaying closed forms, x_max = 12 already suffices at any
+    kappa of interest). A sampled table without a closed form must reach the
+    truncation point, whether picked or given, or the route raises
+    ValidationError.
     """
 
     x_max: float | None = None
     tolerance: float = 1e-10
 
     def x_max_for(self, kappa: float) -> float:
-        """The truncation point at kappa before any clipping to a sampled domain."""
+        """The truncation point at kappa."""
         return float(self.x_max) if self.x_max is not None else max(12.0, 23.0 / kappa)
-
-    def resolve_x_max(self, kappa: float, potential: RadialPotential) -> float:
-        want = self.x_max_for(kappa)
-        if self.x_max is None and potential.closed_form is None:
-            return min(want, potential.x_max)
-        return want
 
 
 def _step_propagators(g0: np.ndarray, gm: np.ndarray, g1: np.ndarray,
@@ -152,19 +148,9 @@ def _shoot_backward(q_half: np.ndarray, kappas: np.ndarray, h: float) -> np.ndar
 
 
 @np.errstate(all="ignore")  # a value out of the float range fails the check
-def _sample(Q: RadialPotential, x_max: float, n: int,
-            coarse: np.ndarray | None = None) -> np.ndarray:
-    """Q on the half-step grid of n steps, linspace(0, x_max, 2n+1). Given the
-    samples for n/2 steps, only the new (odd) points are evaluated: the even
-    points are the coarse grid, bitwise."""
-    xs = np.linspace(0.0, x_max, 2 * n + 1)
-    if coarse is None:
-        q = Q(xs)
-    else:
-        xs = xs[1::2].copy()  # the new points; the full grid is freed
-        q = np.empty(2 * n + 1)
-        q[::2] = coarse
-        q[1::2] = Q(xs)
+def _sample(Q: RadialPotential, x_max: float, n: int) -> np.ndarray:
+    """Q on the half-step grid of n steps, linspace(0, x_max, 2n+1)."""
+    q = Q(np.linspace(0.0, x_max, 2 * n + 1))
     if not np.all(np.isfinite(q)):
         raise NumericalError("potential evaluation produced non-finite values", _MOD)
     return q
@@ -225,8 +211,9 @@ def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
 
     kappa is one value (returns a WTEvaluation) or a 1-d array (returns a list
     of them). The kappas are grouped by truncation point. A group samples Q
-    once per halving level, on that level's new points only, and shoots all of
-    its unconverged kappas in one batched pass; converged kappas drop out.
+    once per halving level, on that level's whole half-step grid, and shoots
+    all of its unconverged kappas in one batched pass; converged kappas drop
+    out.
 
     Raises NumericalError when a halving shrinks the difference between
     successive values by less than _MIN_CONTRACTION, or after _MAX_HALVINGS.
@@ -242,7 +229,7 @@ def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
         if (error := _bad_kappa(kap)) is not None:
             stop = i
             break
-        x_max = opts.resolve_x_max(kap, Q)
+        x_max = opts.x_max_for(kap)
         if Q.closed_form is None and x_max > Q.x_max + 1e-12:
             stop, error = i, ValidationError(
                 f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
@@ -251,7 +238,6 @@ def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
 
     for x_max, active in groups.items():
         n = max(32, int(math.ceil(x_max / _STEP)))
-        q = None
         prev: dict[int, float] = {}
         prev_diff: dict[int, float] = {}
         for _ in range(_MAX_HALVINGS + 1):
@@ -259,7 +245,7 @@ def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
             if not active:
                 break
             try:
-                q = _sample(Q, x_max, n, q)
+                q = _sample(Q, x_max, n)
             except NumericalError as exc:
                 stop, error = active[0], exc
                 break
@@ -379,14 +365,12 @@ class DnGap:
     """Sup-norm gap between two Steklov spectra with a truncation certificate.
 
     eps is exact (not just a lower bound) whenever tail_bound <= eps, since the
-    gap is a maximum: indices beyond K cannot then raise it. strict_small_tail
-    additionally records the 1%-of-eps margin.
+    gap is a maximum: indices beyond K cannot then raise it.
     """
 
     eps: float
     tail_bound: float
     certified: bool
-    strict_small_tail: bool
 
 
 def sup_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum) -> float:
@@ -404,8 +388,7 @@ def dn_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum,
            tail_bound: float) -> DnGap:
     eps = sup_gap(sigma, sigma_tilde)
     certified = tail_bound <= eps or (eps == 0.0 and tail_bound == 0.0)
-    return DnGap(eps=eps, tail_bound=float(tail_bound), certified=certified,
-                 strict_small_tail=bool(tail_bound < 0.01 * eps))
+    return DnGap(eps=eps, tail_bound=float(tail_bound), certified=certified)
 
 
 def jost_closed_form(form: PotentialForm, kappa: float) -> float:

@@ -119,8 +119,9 @@ def test_criterion_5_muntz_exactness():
 def test_criterion_6_holder_stability():
     t0 = time.perf_counter()
     params = make_spectral_params(3, 0.5, 64)
-    records = run_sweep(ZeroForm(), geometric_family(1.0 / 9.0),
-                        [1e-1, 1e-2, 1e-3, 1e-4], 2.0, params, K=64, M=256)
+    records, dropped = run_sweep(ZeroForm(), geometric_family(1.0 / 9.0),
+                                 [1e-1, 1e-2, 1e-3, 1e-4], 2.0, params, K=64, M=256)
+    assert dropped == []
     fit = fit_holder(records, theta=0.5)
     elapsed = time.perf_counter() - t0
     assert fit.verdict == "PASS"

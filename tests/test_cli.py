@@ -269,8 +269,7 @@ def _series(coeffs, tail) -> list[str]:
 
 def _exits_cleanly(argv: list[str]) -> tuple[int, str]:
     """(exit status, stderr) of one command, which exits 0, 2 or 3 without a
-    traceback, warns only of the sweep's dropped scales, and prints no nan or
-    inf when it exits 0."""
+    traceback or a warning, and prints no nan or inf when it exits 0."""
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(record=True) as caught, \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -278,8 +277,7 @@ def _exits_cleanly(argv: list[str]) -> tuple[int, str]:
         code = run_cli([*argv, "--output", "-"])
     assert code in (0, 2, 3)
     assert "Traceback" not in err.getvalue()
-    assert [str(w.message) for w in caught if not (
-        w.category is UserWarning and str(w.message).startswith("sweep scale dropped: "))] == []
+    assert [str(w.message) for w in caught] == []
     if code == 0:
         cells = {c for ln in out.getvalue().splitlines()
                  for c in ln.replace(" = ", ",").split(",")}
@@ -308,6 +306,31 @@ def test_runs_past_the_float_range_fail_tagged(argv, code, message):
     got, err = _exits_cleanly(argv)
     assert got == code
     assert err.splitlines()[-1].startswith(message)
+
+
+def test_ks_check_gates_only_the_figures_it_prints():
+    # at c = -1e152 the squared density ratio overflows at E = 1e-3, below the
+    # quasi-Szego fit range; every printed figure is finite, so the run passes
+    code, err = _exits_cleanly(["ks-check", "--d", "3", "--delta", "0", "--base", "zero",
+                                "--coeffs=-1e152"])
+    assert (code, err) == (0, "")
+
+
+def test_sweep_reports_dropped_scale_in_csv(tmp_path):
+    # at s = 0.1 three figures overflow; the other scales make a sweep, and
+    # its CSV, not a warning, says which scale went and why
+    out = tmp_path / "sweep.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli(["sweep", "--d", "4", "--delta=-1.0", "--base", "bargmann1",
+                        "--beta=10.0", "--gamma=1e-09", "--tail-a=1e+300", "--tail-rho=0.1",
+                        "--K", "4", "--M", "32", "--T", "1",
+                        "--scales", "1e-1,1e-150,1e-200,1e-290", "--output", str(out)])
+    assert code == 0 and caught == []
+    lines = out.read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("# dropped")] == [
+        "# dropped = s=0.1: [stability_harness] q_gap, a_gap, bound not finite"]
+    assert lines[-1].startswith("# dropped") and lines[-2] == "# verdict = PASS"
 
 
 @settings(derandomize=True, max_examples=100, deadline=2000, database=None)
@@ -504,11 +527,10 @@ def test_validation_failures_exit_2(tmp_path, capsys):
 
 def test_numerical_failure_exits_3(tmp_path, capsys):
     # every scale of a positive-coefficient family is rejected: < 3 records
-    with pytest.warns(UserWarning):
-        code = run_cli(["sweep", "--d", "3", "--delta", "0.5", "--K", "16",
-                        "--M", "32", "--base", "zero", "--coeffs", "1.0",
-                        "--scales", "1e-1,1e-2,1e-3,1e-4",
-                        "--output", str(tmp_path / "x.csv")])
+    code = run_cli(["sweep", "--d", "3", "--delta", "0.5", "--K", "16",
+                    "--M", "32", "--base", "zero", "--coeffs", "1.0",
+                    "--scales", "1e-1,1e-2,1e-3,1e-4",
+                    "--output", str(tmp_path / "x.csv")])
     assert code == 3
     assert "stability_harness" in capsys.readouterr().err
 

@@ -179,7 +179,7 @@ def test_positivity_detects_injected_violation():
 def test_quasi_szego_zero_case():
     amp = build_perturbed_amplitude(ZeroForm(), [], params())
     rep = ks_check_quasi_szego(amp)
-    assert rep.max_integrand == 0.0
+    assert (rep.exponent, rep.residual) == (0.0, 0.0)
 
 
 def test_quasi_szego_decay_exponents():
@@ -195,7 +195,7 @@ def test_quasi_szego_decay_exponents():
 def test_normalization_zero_case():
     amp = build_perturbed_amplitude(ZeroForm(), [], params())
     rep = ks_check_normalization(amp)
-    assert rep.max_maximal == 0.0
+    assert (rep.exponent, rep.partial_integrals) == (0.0, (0.0,))
 
 
 def test_normalization_drift_and_convergence():

@@ -18,8 +18,10 @@ SCALES = [1e-1, 1e-2, 1e-3, 1e-4]
 @pytest.fixture(scope="module")
 def single_term_records():
     # one coefficient c0 = -s at mu0 = 1; a cheap, fully predictable sweep
-    return run_sweep(ZeroForm(), scaled_coeff_family([-1.0]), SCALES, 2.0,
-                     PARAMS, K=64, M=64)
+    records, dropped = run_sweep(ZeroForm(), scaled_coeff_family([-1.0]), SCALES, 2.0,
+                                 PARAMS, K=64, M=64)
+    assert dropped == []
+    return records
 
 
 def test_single_term_eps_is_half_scale(single_term_records):
@@ -62,8 +64,10 @@ def test_amplitude_side_bound_with_fitted_B(single_term_records):
 
 @pytest.fixture(scope="module")
 def geometric_records():
-    return run_sweep(ZeroForm(), geometric_family(1.0 / 9.0), SCALES, 2.0,
-                     PARAMS, K=64, M=64)
+    records, dropped = run_sweep(ZeroForm(), geometric_family(1.0 / 9.0), SCALES, 2.0,
+                                 PARAMS, K=64, M=64)
+    assert dropped == []
+    return records
 
 
 def test_geometric_amplitude_bound_with_fitted_B(geometric_records):
@@ -99,8 +103,9 @@ def test_geometric_p_gap_chain(geometric_records):
 
 
 def test_zero_family_records_are_zero():
-    recs = run_sweep(ZeroForm(), scaled_coeff_family([0.0]), SCALES, 2.0,
-                     PARAMS, K=16, M=32)
+    recs, dropped = run_sweep(ZeroForm(), scaled_coeff_family([0.0]), SCALES, 2.0,
+                              PARAMS, K=16, M=32)
+    assert dropped == []
     for rec in recs:
         assert (rec.eps, rec.q_gap, rec.a_gap, rec.bound) == (0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ValidationError):
@@ -119,7 +124,7 @@ def test_sweep_validations():
 
 def test_sweep_fails_when_family_inadmissible():
     bad = scaled_coeff_family([1.0])  # positive coefficients at every scale
-    with pytest.raises(NumericalError), pytest.warns(UserWarning):
+    with pytest.raises(NumericalError, match="fewer than 3 valid records; failures: s=0.1: "):
         run_sweep(ZeroForm(), bad, SCALES, 2.0, PARAMS, 16, 32)
 
 

@@ -103,7 +103,7 @@ def test_forward_shoot_halvings_match_scalar_loop():
     opts = OdeOptions()
     pot = sample_potential(B1, x_max=opts.x_max_for(params.kappa[0]), n=256)
     for kappa in map(float, params.kappa):
-        x_max = opts.resolve_x_max(kappa, pot)
+        x_max = opts.x_max_for(kappa)
         n0 = max(32, math.ceil(x_max / _STEP))
         diffs = _halving_differences(lambda n: _m_fixed_step(pot, kappa, x_max, n),
                                      n0, opts.tolerance, _MAX_HALVINGS)
@@ -130,7 +130,7 @@ def test_batched_kappas_match_one_kappa_calls():
     params = make_spectral_params(3, 0.5, 64)
     opts = OdeOptions()
     pot = sample_potential(B1, x_max=opts.x_max_for(params.kappa[0]), n=256)
-    x_maxes = [opts.resolve_x_max(float(k), pot) for k in params.kappa]
+    x_maxes = [opts.x_max_for(float(k)) for k in params.kappa]
     assert sorted(set(x_maxes)) == [12.0, 23.0 / 1.5, 46.0]
 
     levels = {}  # x_max -> halving levels of its slowest kappa
@@ -143,10 +143,10 @@ def test_batched_kappas_match_one_kappa_calls():
     batched = wt_from_ode(counting, params.kappa, opts)
     assert [(e.kappa, e.value, e.est_error) for e in batched] == \
         [(e.kappa, e.value, e.est_error) for e in singles]
-    # Q is sampled once per truncation point and level, on the new points only
+    # Q is sampled once per truncation point and level, on the level's whole grid
     assert len(counting.sizes) == sum(levels.values())
     n0 = {x: max(32, math.ceil(x / _STEP)) for x in levels}
-    assert sum(counting.sizes) == sum(2 * n0[x] * 2 ** (L - 1) + 1 for x, L in levels.items())
+    assert sum(counting.sizes) == sum(2 * n0[x] * (2 ** L - 1) + L for x, L in levels.items())
 
 
 def test_batched_kappas_raise_for_lowest_failing_index():
@@ -173,6 +173,19 @@ def test_ode_rejects_bad_kappa_and_domain():
     sampled_only = type(pot)(grid=pot.grid, values=pot.values, closed_form=None)
     with pytest.raises(ValidationError):
         wt_from_ode(sampled_only, 1.0, OdeOptions(x_max=40.0))
+
+
+def test_sampled_table_must_reach_the_picked_truncation_point():
+    # x_max = None picks max(12, 23/kappa); a table without a closed form that
+    # ends before that point is refused, not clipped to its last node
+    pot = sample_potential(ZeroForm(), x_max=12.0, n=64)
+    sampled_only = type(pot)(grid=pot.grid, values=pot.values, closed_form=None)
+    with pytest.raises(ValidationError, match=r"sampled only up to 12\.0, need x_max=23\.0$"):
+        wt_from_ode(sampled_only, 1.0)
+    with pytest.raises(ValidationError, match=r"^evaluator failed at k=0: .*need x_max=23\.0$"):
+        wt_from_ode(sampled_only, np.array([1.0, 2.0]))
+    # at kappa = 2 the picked point is 12, which the table reaches; M = -kappa for Q = 0
+    assert wt_from_ode(sampled_only, 2.0).value == pytest.approx(-2.0, abs=1e-9)
 
 
 # --- amplitude route ---------------------------------------------------------
@@ -326,7 +339,6 @@ def test_dn_gap_identical_and_shifted():
     assert gap.eps == pytest.approx(1e-3 / 3.0, rel=1e-12)
     assert gap.certified  # tail below the gap itself: the max cannot migrate
     assert tail == pytest.approx(1e-3 / (2 * 65.5 + 2.0), rel=1e-12)
-    assert not gap.strict_small_tail  # 1% margin is not met at K=64 for 1/k decay
 
     # a bound-state term (mu_0 = -2) against the split majorant: sinh part
     # 2|c||mu|/(4 kappa^2 - mu^2) plus the decaying part |c|/(2 kappa + |mu|)
