@@ -26,7 +26,7 @@ from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
                            ks_check_normalization, ks_check_positivity,
                            ks_check_quasi_szego, spectral_measure_diff)
 from .radial_model import (Bargmann1, Bargmann2, PotentialForm, ZeroForm,
-                           make_spectral_params, sample_potential)
+                           make_spectral_params)
 from .stability_harness import (_fmt, emit_records, fit_holder, geometric_family,
                                 run_sweep, scaled_coeff_family)
 from .weyl_titchmarsh import OdeOptions, steklov_spectrum, wt_from_amplitude, wt_from_ode
@@ -118,11 +118,9 @@ def _amplitude(cfg: RunConfig, params) -> Amplitude:
 
 def _cmd_forward(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
-    form = _base_form(cfg.base)
     opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
-    pot = sample_potential(form, x_max=opts.x_max_for(params.kappa[0]), n=256)
-    spectrum = steklov_spectrum(wt_from_ode(pot, params.kappa[:cfg.K + 1], opts),
-                                params, cfg.K)
+    spectrum = steklov_spectrum(
+        wt_from_ode(_base_form(cfg.base), params.kappa[:cfg.K + 1], opts), params, cfg.K)
     lines = ["k,kappa,sigma"]
     for k in range(cfg.K + 1):
         lines.append(f"{k},{_fmt(params.kappa[k])},{_fmt(spectrum.sigma[k])}")

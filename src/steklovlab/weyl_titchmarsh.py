@@ -7,9 +7,14 @@ damps the growing mode, so the value is uniformly stable. The classical RK4
 step is linear in (u, u'), so each step is a 2x2 propagator matrix; a pass
 builds them as arrays a chunk at a time, multiplies each chunk's propagators
 pairwise in a log-depth tree with power-of-two renormalization, and applies
-the chunk products to (u, u') in turn. Step halving refines the pass until
-successive values agree, and gives up as soon as the differences stop
-contracting, which is what happens near an eigenvalue. The kappas of one call
+the chunk products to (u, u') in turn. Step halving refines the pass, and
+each level's value m_j gives the Richardson extrapolate
+r_j = m_j + (m_j - m_{j-1})/15, which cancels RK4's h^4 error term and
+converges at sixth order (Hairer, Norsett & Wanner, Solving ODEs I, II.9). A
+kappa is accepted once successive extrapolates agree. Halving gives up as soon
+as the raw differences m_j - m_{j-1} stop contracting: they grow near an
+eigenvalue, and shrink too slowly while the step does not resolve the
+potential or the tolerance is below the rounding floor. The kappas of one call
 are grouped by truncation point: a group samples Q once per halving level, on
 that level's whole grid, and pushes its unconverged kappas through one
 batched (2, 2, kappas, steps) propagator product per level, in batches of
@@ -31,6 +36,7 @@ evaluations. All kappas of a call form one (kappas, nodes) evaluation of g.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +76,9 @@ class OdeOptions:
     (for rapidly decaying closed forms, x_max = 12 already suffices at any
     kappa of interest). A sampled table without a closed form must reach the
     truncation point, whether picked or given, or the route raises
-    ValidationError.
+    ValidationError. A kappa is accepted when two successive Richardson
+    extrapolates differ by at most tolerance, and that difference is its
+    est_error.
     """
 
     x_max: float | None = None
@@ -148,7 +156,7 @@ def _shoot_backward(q_half: np.ndarray, kappas: np.ndarray, h: float) -> np.ndar
 
 
 @np.errstate(all="ignore")  # a value out of the float range fails the check
-def _sample(Q: RadialPotential, x_max: float, n: int) -> np.ndarray:
+def _sample(Q: Callable[[np.ndarray], np.ndarray], x_max: float, n: int) -> np.ndarray:
     """Q on the half-step grid of n steps, linspace(0, x_max, 2n+1)."""
     q = Q(np.linspace(0.0, x_max, 2 * n + 1))
     if not np.all(np.isfinite(q)):
@@ -206,21 +214,28 @@ def _evaluations(kappa, evals: list[WTEvaluation], stop: int,
     return evals
 
 
-def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
-    """M(-kappa^2) = u'(0)/u(0) by backward integration; error from step halving.
+def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, opts: OdeOptions | None = None):
+    """M(-kappa^2) = u'(0)/u(0) by backward integration and step halving.
 
+    Q is a RadialPotential or a closed form, which is evaluated directly.
     kappa is one value (returns a WTEvaluation) or a 1-d array (returns a list
     of them). The kappas are grouped by truncation point. A group samples Q
     once per halving level, on that level's whole half-step grid, and shoots
     all of its unconverged kappas in one batched pass; converged kappas drop
-    out.
+    out. A kappa converges when the Richardson extrapolates
+    r_j = m_j + (m_j - m_{j-1})/15 of two successive levels differ by at most
+    opts.tolerance; value is r_j and est_error is |r_j - r_{j-1}|.
 
-    Raises NumericalError when a halving shrinks the difference between
-    successive values by less than _MIN_CONTRACTION, or after _MAX_HALVINGS.
+    Raises NumericalError when a halving shrinks the raw difference
+    |m_j - m_{j-1}| by less than _MIN_CONTRACTION (worded as an eigenvalue if
+    it grew, as an unresolved step or a tolerance below the rounding floor if
+    not), or after _MAX_HALVINGS.
     For an array, the error is that of the lowest failing index k, raised as
     "evaluator failed at k=..."; the kappas above k stop as soon as k fails.
     """
     opts = opts or OdeOptions()
+    closed = isinstance(Q, PotentialForm)  # a closed form is evaluated directly
+    potential = Q.potential if closed else Q
     kappas = np.atleast_1d(np.asarray(kappa, dtype=float))
     evals: list[WTEvaluation | None] = [None] * kappas.size
     stop, error = kappas.size, None  # the lowest failing index and its error
@@ -230,7 +245,7 @@ def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
             stop = i
             break
         x_max = opts.x_max_for(kap)
-        if Q.closed_form is None and x_max > Q.x_max + 1e-12:
+        if not closed and Q.closed_form is None and x_max > Q.x_max + 1e-12:
             stop, error = i, ValidationError(
                 f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
             break
@@ -240,12 +255,13 @@ def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
         n = max(32, int(math.ceil(x_max / _STEP)))
         prev: dict[int, float] = {}
         prev_diff: dict[int, float] = {}
+        prev_r: dict[int, float] = {}
         for _ in range(_MAX_HALVINGS + 1):
             active = [i for i in active if i < stop]
             if not active:
                 break
             try:
-                q = _sample(Q, x_max, n)
+                q = _sample(potential, x_max, n)
             except NumericalError as exc:
                 stop, error = active[0], exc
                 break
@@ -257,19 +273,23 @@ def wt_from_ode(Q: RadialPotential, kappa, opts: OdeOptions | None = None):
                     break
                 if i in prev:
                     diff = abs(m - prev[i])
-                    if diff <= opts.tolerance:
-                        evals[i] = WTEvaluation(kappa=kap, value=m, est_error=diff)
+                    r = m + (m - prev[i]) / 15.0  # RK4's h^4 error term cancelled
+                    if i in prev_r and (est := abs(r - prev_r[i])) <= opts.tolerance:
+                        evals[i] = WTEvaluation(kappa=kap, value=r, est_error=est)
                         continue
                     # RK4 contracts the difference about 16x per halving; near
-                    # an eigenvalue it grows instead, and no tolerance will be met
+                    # an eigenvalue it grows instead, and while the step does
+                    # not resolve Q it shrinks slowly: no tolerance will be met
                     if i in prev_diff and diff * _MIN_CONTRACTION > prev_diff[i]:
                         stop, error = i, NumericalError(
                             f"step halving stopped converging at kappa={kap}: the "
                             f"difference went from {prev_diff[i]:.3g} to {diff:.3g} "
-                            "(spectral parameter too close to an eigenvalue, or the "
-                            "tolerance below the rounding floor)", _MOD)
+                            + ("(spectral parameter too close to an eigenvalue)"
+                               if diff > prev_diff[i] else
+                               "(the step does not resolve the potential, or the "
+                               "tolerance is below the rounding floor)"), _MOD)
                         break
-                    prev_diff[i] = diff
+                    prev_diff[i], prev_r[i] = diff, r
                 prev[i] = m
                 unconverged.append(i)
             active = unconverged

@@ -297,7 +297,8 @@ def _exits_cleanly(argv: list[str]) -> tuple[int, str]:
     (["forward", "--base", "bargmann2", "--c1=1e+300", "--kappa1=1.0", "--K", "1"], 2,
      "[radial_model] the bargmann2 potential needs c1**2 finite, got c1=1e+300"),
     (["forward", "--d", "5", "--delta=1.0", "--base", "bargmann2", "--c1=1e-300",
-      "--kappa1=100000.0", "--K", "2"], 3, "[radial_model] bargmann2 potential is not finite"),
+      "--kappa1=100000.0", "--K", "2"], 3,
+     "[weyl_titchmarsh] evaluator failed at k=0: potential evaluation produced non-finite values"),
 ], ids=["sweep-bound-overflow", "sweep-gaps-overflow", "ks-check", "bargmann2-c1-squared",
         "bargmann2-underflow"])
 def test_runs_past_the_float_range_fail_tagged(argv, code, message):

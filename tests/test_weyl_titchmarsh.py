@@ -62,6 +62,26 @@ def test_ode_fixed_step_fourth_order():
         assert 10.0 < e1 / e2 < 24.0  # nominal order 4
 
 
+def test_ode_extrapolate_sixth_order_and_covered():
+    # r_j = m_j + (m_j - m_{j-1})/15 cancels RK4's h^4 term; the next term is
+    # h^6, so each halving shrinks the error of r_j about 64x until rounding
+    for form in (B1, B2):
+        for kappa in (5.5, 20.5):
+            x_max = OdeOptions().x_max_for(kappa)
+            exact = -kappa - form.laplace(kappa)
+            pot = sample_potential(form, x_max=x_max, n=256)
+            ms = [_m_fixed_step(pot, kappa, x_max, 200 * 2**j) for j in range(7)]
+            errs = [abs(b + (b - a) / 15.0 - exact) for a, b in zip(ms, ms[1:])]
+            assert errs[0] > 1e-9
+            for e1, e2 in zip(errs, errs[1:]):
+                if e1 > 1e-12:
+                    assert 40.0 <= e1 / e2 <= 90.0
+    # est_error covers the true error at every kappa of the forward-shoot configuration
+    kappas = make_spectral_params(3, 0.5, 64).kappa
+    for ev in wt_from_ode(B1, kappas):
+        assert ev.est_error >= abs(ev.value - (-ev.kappa - B1.laplace(ev.kappa)))
+
+
 def test_ode_failure_at_eigenvalue():
     # -kappa1^2 is the bound state of this well: u(0) collapses
     pot = sample_potential(B2, x_max=14.0, n=128)
@@ -69,6 +89,17 @@ def test_ode_failure_at_eigenvalue():
     with pytest.raises(NumericalError):
         wt_from_ode(pot, 0.5, OdeOptions(x_max=14.0))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("form,cause", [
+    (B2, "(spectral parameter too close to an eigenvalue)"),  # grows 16x per halving
+    (Bargmann1(beta=1000.0, gamma=1.0),  # no bound state; shrinks 1.94x
+     "(the step does not resolve the potential, or the tolerance is below the rounding floor)"),
+])
+def test_ode_failure_worded_by_direction(form, cause):
+    with pytest.raises(NumericalError, match="stopped converging at kappa=0.5") as exc:
+        wt_from_ode(form, 0.5)
+    assert str(exc.value).endswith(cause)
 
 
 @pytest.mark.parametrize("x_max", [12.0, 46.0])
@@ -81,37 +112,45 @@ def test_m_fixed_step_matches_scalar_loop(kappa, x_max):
             m_fixed_step_loop(pot, kappa, x_max, n), rel=1e-13)
 
 
-def _halving_differences(m_of_n, n: int, tolerance: float, max_halvings: int) -> list:
-    """|m(2n) - m(n)|, ... along the halving sequence, up to the first one
-    within tolerance."""
-    prev, diffs = m_of_n(n), []
+def _richardson_halvings(m_of_n, n: int, tolerance: float, max_halvings: int):
+    """(ms, rs): the values m(n), m(2n), ... along the halving sequence and
+    their Richardson extrapolates r_j = m_j + (m_j - m_{j-1})/15, up to the
+    first pair of successive extrapolates within tolerance."""
+    ms, rs = [m_of_n(n)], []
     for _ in range(max_halvings):
         n *= 2
-        m = m_of_n(n)
-        diffs.append(abs(m - prev))
-        if diffs[-1] <= tolerance:
+        ms.append(m_of_n(n))
+        rs.append(ms[-1] + (ms[-1] - ms[-2]) / 15.0)
+        if len(rs) > 1 and abs(rs[-1] - rs[-2]) <= tolerance:
             break
-        prev = m
-    return diffs
+    return ms, rs
 
 
 def test_forward_shoot_halvings_match_scalar_loop():
-    # the forward-shoot configuration: every kappa converges after the same
-    # number of halvings as the scalar loop, contracting >= 10x per halving,
-    # far from the fail-fast threshold of 2x
+    # the forward-shoot configuration: every kappa is accepted at the same
+    # level as the Richardson rule applied to the scalar loop, its raw
+    # differences contract >= 10x per halving, far from the fail-fast
+    # threshold of 2x, and est_error is the difference of the last two
+    # extrapolates
     params = make_spectral_params(3, 0.5, 64)
     opts = OdeOptions()
     pot = sample_potential(B1, x_max=opts.x_max_for(params.kappa[0]), n=256)
     for kappa in map(float, params.kappa):
         x_max = opts.x_max_for(kappa)
         n0 = max(32, math.ceil(x_max / _STEP))
-        diffs = _halving_differences(lambda n: _m_fixed_step(pot, kappa, x_max, n),
-                                     n0, opts.tolerance, _MAX_HALVINGS)
-        ref = _halving_differences(lambda n: m_fixed_step_loop(pot, kappa, x_max, n),
-                                   n0, opts.tolerance, _MAX_HALVINGS)
-        assert len(diffs) == len(ref) and ref[-1] <= opts.tolerance
+        ms, rs = _richardson_halvings(lambda n: _m_fixed_step(pot, kappa, x_max, n),
+                                      n0, opts.tolerance, _MAX_HALVINGS)
+        ref_ms, ref_rs = _richardson_halvings(
+            lambda n: m_fixed_step_loop(pot, kappa, x_max, n), n0, opts.tolerance,
+            _MAX_HALVINGS)
+        assert len(ms) == len(ref_ms) and abs(ref_rs[-1] - ref_rs[-2]) <= opts.tolerance
+        diffs = np.abs(np.diff(ms))
         assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:]))
-        assert wt_from_ode(pot, kappa, opts).est_error == diffs[-1]
+        ev = wt_from_ode(pot, kappa, opts)
+        assert (ev.value, ev.est_error) == (rs[-1], abs(rs[-1] - rs[-2]))
+        # each value agrees with the loop's to 1e-13 relative, and the
+        # difference of extrapolates weighs three values by 34/15 in all
+        assert abs(ev.est_error - abs(ref_rs[-1] - ref_rs[-2])) <= 3e-13 * abs(ev.value)
 
 
 class _CountingPotential:
@@ -271,7 +310,9 @@ def test_laplace_rule_matches_closed_forms(form):
 
 
 def test_ode_laplace_agreement_improves_with_refinement():
-    # the ODE error shrinks with the tolerance; the Laplace value sits at rounding
+    # the ODE error never grows as the tolerance shrinks, and each estimate
+    # covers the gap; the Laplace value sits at rounding. The rule needs three
+    # levels at least, so the extrapolate is close already at tolerance 1e-6
     for form in (B1, B2):
         amp = _amp(form, [], delta=0.5)
         for kappa in (1.5, 5.0):
@@ -283,7 +324,7 @@ def test_ode_laplace_agreement_improves_with_refinement():
             assert all(g <= ode.est_error + lap.est_error for g, ode in zip(gaps, odes))
             for (a, b), (ode_a, ode_b) in zip(zip(gaps, gaps[1:]), zip(odes, odes[1:])):
                 assert b < a or ode_b.value == ode_a.value  # equal when no halving was added
-            assert gaps[-1] < 1e-2 * gaps[0]
+            assert gaps[-1] <= 1e-11
 
 
 @settings(max_examples=20, deadline=None)
