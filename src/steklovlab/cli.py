@@ -29,7 +29,8 @@ from .radial_model import (Bargmann1, Bargmann2, PotentialForm, ZeroForm,
                            make_spectral_params)
 from .stability_harness import (_fmt, emit_records, fit_holder, geometric_family,
                                 run_sweep, scaled_coeff_family)
-from .weyl_titchmarsh import OdeOptions, steklov_spectrum, wt_from_amplitude, wt_from_ode
+from .weyl_titchmarsh import (OdeOptions, steklov_spectrum, sup_gap, wt_from_amplitude,
+                              wt_from_ode)
 
 _MOD = "cli"
 
@@ -139,7 +140,7 @@ def _cmd_perturb(cfg: RunConfig) -> list[str]:
     for k in range(cfg.K + 1):
         lines.append(f"{k},{_fmt(sig.sigma[k])},{_fmt(sig_t.sigma[k])},"
                      f"{_fmt(sig_t.sigma[k] - sig.sigma[k])}")
-    lines.append(f"# eps = {_fmt(float(np.max(np.abs(sig.sigma - sig_t.sigma))))}")
+    lines.append(f"# eps = {_fmt(sup_gap(sig, sig_t))}")
     lines.append("# resonances: index,location")
     for i, r in enumerate(diff.resonances):
         lines.append(f"{i},{_fmt(r)}")

@@ -564,7 +564,7 @@ def recover_potential(ws: GLWorkspace) -> RadialPotential:
         g2 = dph - dpt               # p'(2T - x - t) - p'(t - x)
         dd = ph[0] * V[0] + 2.0 * dph[0] - S @ (g1 * Vx) + S @ (g2 * V)
         qvals[ws.M - i] = -2.0 * dd  # value sits at T - x
-    return RadialPotential(grid=ws.grid.copy(), values=qvals, closed_form=None)
+    return RadialPotential(grid=ws.grid.copy(), values=qvals)
 
 
 def gl_residual(ws: GLWorkspace) -> float:

@@ -165,15 +165,13 @@ class MuntzSystem:
                              for m in range(n + 1) for q in range(m + 1)))
 
 
-def muntz_system(exponents: Sequence[float], precision: int = 256) -> MuntzSystem:
-    return MuntzSystem(exponents=tuple(float(e) for e in exponents),
-                       C=muntz_coeffs(exponents, precision), precision=precision)
-
-
 def system_for_params(params: SpectralParams, n: int, precision: int = 256) -> MuntzSystem:
+    """The system on the exponent ladder lam_0..lam_n of params."""
     if n > params.K:
         raise ValidationError(f"n={n} exceeds the parameter table (K={params.K})", _MOD)
-    return muntz_system(params.lam[: n + 1], precision)
+    lam = params.lam_at(np.arange(n + 1)).tolist()
+    return MuntzSystem(exponents=tuple(lam), C=muntz_coeffs(lam, precision),
+                       precision=precision)
 
 
 def moment(h: MuntzSeries, lam: float) -> float:
@@ -245,8 +243,8 @@ def n_of_eps(eps: float, M0: float) -> int:
     return int(math.floor(lo))
 
 
-def still_bound(eps: float, R: float, params: SpectralParams, B: float = 1.0) -> float:
-    """Two-term stability bound B^2 eps + R^{1-d-delta} eps^{log R / log(9 M0/2)};
+def still_bound(eps: float, R: float, params: SpectralParams) -> float:
+    """Two-term stability bound eps + R^{1-d-delta} eps^{log R / log(9 M0/2)};
     inf where a term leaves the float range."""
     if eps < 0:
         raise ValidationError(f"eps must be >= 0, got {eps}", _MOD)
@@ -256,8 +254,8 @@ def still_bound(eps: float, R: float, params: SpectralParams, B: float = 1.0) ->
         return 0.0
     try:
         if math.isinf(R):
-            return B**2 * eps
+            return eps
         power = math.log(R) / math.log(4.5 * params.m0)
-        return B**2 * eps + R ** (1.0 - params.d - params.delta) * eps**power
+        return eps + R ** (1.0 - params.d - params.delta) * eps**power
     except OverflowError:  # float ** raises where * gives inf
         return math.inf

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .radial_model import Bargmann1, Bargmann2, PotentialForm, SpectralParams, ZeroForm
+from .radial_model import PotentialForm, SpectralParams
 
 _MOD = "perturbation"
 
@@ -203,19 +203,16 @@ def spectral_measure_diff(A: Amplitude) -> SpectralMeasureDiff:
 
 
 # ---------------------------------------------------------------------------
-# Killip-Simon style diagnostics. Only bases with a known spectral density are
-# supported: the trivial base and the two closed-form wells.
+# Killip-Simon style diagnostics. Every base is a closed form (PotentialForm),
+# whose spectral density is known.
 # ---------------------------------------------------------------------------
 
 
 def _diagnostic(check):
-    """check(A) for a base with a closed-form spectral density, without numpy's
-    float warnings: a measure past the float range raises the tagged error."""
+    """check(A) without numpy's float warnings: a measure past the float range
+    raises the tagged error."""
     @functools.wraps(check)
     def run(A: Amplitude):
-        if not isinstance(A.base, (ZeroForm, Bargmann1, Bargmann2)):
-            raise ValidationError(
-                "diagnostics need a base with a closed-form spectral density", _MOD)
         with np.errstate(all="ignore"):
             report = check(A)
         bad = [f.name for f in fields(report)

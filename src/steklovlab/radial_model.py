@@ -2,6 +2,9 @@
 and the half-line, the change of variables between them, and the explicitly
 solvable (Bargmann) closed forms used as oracles by every other module.
 
+A closed form (PotentialForm) is its own object, evaluated exactly by every
+route; RadialPotential and BallPotential are only sampled tables.
+
 Conventions. The unit ball with a radial potential q(r) maps to the half-line
 via x = -log r, Q(x) = e^{-2x} q(e^{-x}); spherical harmonics of degree k see
 the radial operator -d^2/dx^2 + Q at spectral parameter -kappa_k^2 with
@@ -11,11 +14,11 @@ kappa_k = k + (d-2)/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 from .quadrature import cubic_interp, l2_norm, simpson_weights
 
 _MOD = "radial_model"
@@ -32,33 +35,23 @@ def _exprel(z: np.ndarray) -> np.ndarray:
 class SpectralParams:
     """Index sequences attached to a dimension d and shift parameter delta.
 
-    kappa[k] = k + (d-2)/2        spectral evaluation points
-    lam[k]   = 2k + d - 3 + delta exponent lattice (spacing 2)
-    mu[k]    = lam[k] + delta     decay rates of the perturbation series
-    n_neg    = #{k : mu[k] < 0}   number of injected bound states
-    m0       = max(2, 4(d-3+delta)+1)
+    kappa[k]  = k + (d-2)/2        spectral evaluation points, k = 0..K
+    lam_at(k) = 2k + d - 3 + delta exponent lattice (spacing 2)
+    mu_at(k)  = lam_at(k) + delta  decay rates of the perturbation series
+    m0        = max(2, 4(d-3+delta)+1)
     """
 
     d: int
     delta: float
     kappa: np.ndarray
     m0: float
-    lam: np.ndarray = field(init=False)
-    mu: np.ndarray = field(init=False)
-    n_neg: int = field(init=False)
-
-    def __post_init__(self):
-        k = np.arange(self.kappa.size)
-        object.__setattr__(self, "lam", self.lam_at(k))
-        object.__setattr__(self, "mu", self.mu_at(k))
-        object.__setattr__(self, "n_neg", int(np.count_nonzero(self.mu < 0)))
 
     @property
     def K(self) -> int:
         return self.kappa.size - 1
 
     def mu_at(self, k) -> np.ndarray:
-        """mu_k from the defining formula, valid beyond the stored range."""
+        """mu_k from the defining formula, for any k."""
         return 2.0 * np.asarray(k, dtype=float) + self.d - 3 + 2.0 * self.delta
 
     def lam_at(self, k) -> np.ndarray:
@@ -287,16 +280,12 @@ PotentialForm = ZeroForm | Bargmann1 | Bargmann2
 
 
 @dataclass(frozen=True)
-class RadialPotential:
-    """Half-line potential Q on a sorted grid covering [0, X_max].
-
-    When a closed form is attached, pointwise evaluation uses it exactly;
-    otherwise values between nodes come from local cubic interpolation.
-    """
+class _SampledTable:
+    """Finite values on a strictly increasing grid; values between nodes come
+    from local cubic interpolation."""
 
     grid: np.ndarray
     values: np.ndarray
-    closed_form: PotentialForm | None = None
 
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
@@ -310,37 +299,27 @@ class RadialPotential:
         object.__setattr__(self, "grid", g)
         object.__setattr__(self, "values", v)
 
-    @property
-    def x_max(self) -> float:
-        return float(self.grid[-1])
-
     def __call__(self, x):
-        if self.closed_form is not None:
-            return self.closed_form.potential(x)
         return cubic_interp(self.grid, self.values, np.asarray(x, dtype=float))
 
 
 @dataclass(frozen=True)
-class BallPotential:
+class RadialPotential(_SampledTable):
+    """Half-line potential Q sampled on a sorted grid covering [0, X_max]."""
+
+    @property
+    def x_max(self) -> float:
+        return float(self.grid[-1])
+
+
+@dataclass(frozen=True)
+class BallPotential(_SampledTable):
     """Radial potential q on a grid of radii inside (0, 1]; norms against r^3 dr."""
 
-    grid: np.ndarray
-    values: np.ndarray
-
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size != v.size or g.size < 2:
-            raise ValidationError("grid and values must be 1-d arrays of equal size >= 2", _MOD)
-        if np.any(np.diff(g) <= 0) or g[0] <= 0 or g[-1] > 1 + 1e-12:
-            raise ValidationError("ball grid must be strictly increasing inside (0, 1]", _MOD)
-        if not np.all(np.isfinite(v)):
-            raise ValidationError("potential values must be finite", _MOD)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "values", v)
-
-    def __call__(self, r):
-        return cubic_interp(self.grid, self.values, np.asarray(r, dtype=float))
+        super().__post_init__()
+        if self.grid[0] <= 0 or self.grid[-1] > 1 + 1e-12:
+            raise ValidationError("ball grid must lie inside (0, 1]", _MOD)
 
 
 @dataclass(frozen=True)
@@ -363,23 +342,12 @@ class SteklovSpectrum:
 # ---------------------------------------------------------------------------
 
 
-@np.errstate(all="ignore")
-def sample_potential(form: PotentialForm, x_max: float = 12.0, n: int = 512) -> RadialPotential:
-    """Uniformly sample a closed-form potential on [0, x_max]; a well whose
-    closed form leaves the float range there raises the tagged NumericalError."""
-    xs = np.linspace(0.0, x_max, n + 1)
-    values = form.potential(xs)
-    if not np.all(np.isfinite(values)):
-        raise NumericalError(f"{form.kind} potential is not finite on [0, {x_max:.6g}]", _MOD)
-    return RadialPotential(grid=xs, values=values, closed_form=form)
-
-
 def extend_potential(q: RadialPotential, form: PotentialForm, x_max: float) -> RadialPotential:
     """Extend grid samples beyond their domain with a closed form.
 
     The result keeps the original samples on their grid (same spacing) and
-    appends closed-form values up to x_max; it carries no closed form itself,
-    so evaluation interpolates the stitched table.
+    appends closed-form values up to x_max; evaluation interpolates the
+    stitched table.
     """
     if x_max <= q.x_max:
         raise ValidationError("extension endpoint must exceed the sampled domain", _MOD)
@@ -387,7 +355,7 @@ def extend_potential(q: RadialPotential, form: PotentialForm, x_max: float) -> R
     extra = np.arange(q.x_max + h, x_max + h / 2, h)
     grid = np.concatenate([q.grid, extra])
     values = np.concatenate([q.values, form.potential(extra)])
-    return RadialPotential(grid=grid, values=values, closed_form=None)
+    return RadialPotential(grid=grid, values=values)
 
 
 def ball_to_halfline(q: BallPotential) -> RadialPotential:
@@ -399,7 +367,7 @@ def ball_to_halfline(q: BallPotential) -> RadialPotential:
     x = -np.log(q.grid[::-1])
     x[x == 0.0] = 0.0  # normalize -0.0 from r = 1
     vals = np.exp(-2.0 * x) * q.values[::-1]
-    return RadialPotential(grid=x, values=vals, closed_form=None)
+    return RadialPotential(grid=x, values=vals)
 
 
 def halfline_to_ball(Q: RadialPotential) -> BallPotential:

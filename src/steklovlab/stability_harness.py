@@ -22,9 +22,9 @@ from .muntz import MuntzSeries, still_bound
 from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
                            holder_exponent)
 from .quadrature import l2_norm
-from .radial_model import PotentialForm, SpectralParams, SteklovSpectrum
-from .weyl_titchmarsh import (dn_gap, perturbation_tail_bound, steklov_spectrum,
-                              sup_gap, wt_from_amplitude)
+from .radial_model import PotentialForm, SpectralParams
+from .weyl_titchmarsh import (perturbation_tail_bound, steklov_spectrum, sup_gap,
+                              wt_from_amplitude)
 
 _MOD = "stability_harness"
 
@@ -101,19 +101,20 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
             amp = build_perturbed_amplitude(base, np.asarray(coeffs, float), params, gen)
             q_pert = recover_potential(solve_gl(amp, T, M))
             sigma_pert = steklov_spectrum(wt_from_amplitude(amp, kappas), params, K)
-            gap = dn_gap(sigma_base, sigma_pert,
-                         perturbation_tail_bound(amp, params, K))
-            if not gap.certified:
+            eps = sup_gap(sigma_base, sigma_pert)
+            # the gap is a maximum: indices beyond K cannot raise it once the
+            # tail bound is at most eps, so eps is then exact, not a lower bound
+            tail = perturbation_tail_bound(amp, params, K)
+            if not tail <= eps:
                 raise NumericalError(
                     f"gap truncation not certified at K={K}: tail bound "
-                    f"{gap.tail_bound:.3e} exceeds the computed gap {gap.eps:.3e}",
-                    _MOD)
+                    f"{tail:.3e} exceeds the computed gap {eps:.3e}", _MOD)
             rec = SweepRecord(
                 s=s,
-                eps=gap.eps,
+                eps=eps,
                 q_gap=l2_norm(q_pert.values - q_base.values, T / M),
                 a_gap=_amplitude_gap_sq(amp, params),
-                bound=still_bound(gap.eps, amp.r_est, params),
+                bound=still_bound(eps, amp.r_est, params),
                 theta=holder_exponent(amp.r_est, params),
             )
             if bad := [k for k, v in vars(rec).items() if not np.isfinite(v)]:
@@ -160,32 +161,22 @@ def fit_holder(records: Sequence[SweepRecord], theta: float | None = None) -> Ho
                      C_anchor=c_anchor, verdict=verdict)
 
 
-def corollary_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum) -> float:
-    """Operator-norm gap of the boundary maps, which equals the sup-norm gap of
-    the spectra (the maps act diagonally on the spherical-harmonic spaces)."""
-    return sup_gap(sigma, sigma_tilde)
-
-
-def emit_records(records: Sequence[SweepRecord], fit: HolderFit | None = None,
+def emit_records(records: Sequence[SweepRecord], fit: HolderFit,
                  dropped: Sequence[str] = ()) -> list[str]:
     """The sweep's CSV lines: the column header, one row per record, and a
-    commented summary block: the fit when one is given, then one
-    "# dropped = reason" line per dropped scale."""
+    commented summary block: the fit, then one "# dropped = reason" line per
+    dropped scale."""
     lines = ["s,eps,q_gap,a_gap,bound,theta,C_T_running,verdict"]
     running = 0.0
     for r in records:
         ratio = r.q_gap / r.eps**r.theta if r.eps > 0 else 0.0
         running = max(running, ratio)
-        if fit is None:
-            verdict = "NA"
-        else:
-            verdict = "PASS" if r.q_gap <= fit.C_anchor * r.eps**fit.theta * BOUND_SLACK else "FAIL"
+        verdict = "PASS" if r.q_gap <= fit.C_anchor * r.eps**fit.theta * BOUND_SLACK else "FAIL"
         lines.append(",".join(
             [_fmt(r.s), _fmt(r.eps), _fmt(r.q_gap), _fmt(r.a_gap), _fmt(r.bound),
              _fmt(r.theta), _fmt(running), verdict]))
-    if fit is not None:
-        lines += [f"# theta = {_fmt(fit.theta)}",
-                  f"# C_T = {_fmt(fit.C_T)}",
-                  f"# slope = {_fmt(fit.slope)}",
-                  f"# verdict = {fit.verdict}"]
+    lines += [f"# theta = {_fmt(fit.theta)}",
+              f"# C_T = {_fmt(fit.C_T)}",
+              f"# slope = {_fmt(fit.slope)}",
+              f"# verdict = {fit.verdict}"]
     return lines + [f"# dropped = {reason}" for reason in dropped]

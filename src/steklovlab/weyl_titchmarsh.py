@@ -1,7 +1,9 @@
 """Weyl-Titchmarsh values M(-kappa^2) by two independent routes, Steklov
-spectra, and certified sup-norm gaps between spectra.
+spectra, and the sup-norm gap between spectra with its analytic tail bound.
 
-Route one integrates -u'' + Q u = -kappa^2 u backward from a truncation point
+Route one takes Q as a closed form (PotentialForm), evaluated exactly, or as a
+sampled RadialPotential, interpolated between its nodes. It integrates
+-u'' + Q u = -kappa^2 u backward from a truncation point
 with the decaying (Jost) seed and returns u'(0)/u(0); backward integration
 damps the growing mode, so the value is uniformly stable. The classical RK4
 step is linear in (u, u'), so each step is a 2x2 propagator matrix; a pass
@@ -43,8 +45,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .perturbation import Amplitude
-from .radial_model import (Bargmann1, Bargmann2, PotentialForm, RadialPotential,
-                           SpectralParams, SteklovSpectrum, ZeroForm)
+from .radial_model import PotentialForm, RadialPotential, SpectralParams, SteklovSpectrum
 
 _MOD = "weyl_titchmarsh"
 _CHUNK = 8192         # RK4 steps per propagator product
@@ -74,15 +75,20 @@ class OdeOptions:
     x_max = None picks max(12, 23/kappa); 23/kappa keeps the growing-mode
     contamination e^{-2 kappa x_max} near 1e-20 for potentials with slow decay
     (for rapidly decaying closed forms, x_max = 12 already suffices at any
-    kappa of interest). A sampled table without a closed form must reach the
-    truncation point, whether picked or given, or the route raises
-    ValidationError. A kappa is accepted when two successive Richardson
-    extrapolates differ by at most tolerance, and that difference is its
-    est_error.
+    kappa of interest). A given x_max must be positive and finite. A sampled
+    table must reach the truncation point, whether picked or given, or the
+    route raises ValidationError. A kappa is accepted when two successive
+    Richardson extrapolates differ by at most tolerance, and that difference
+    is its est_error.
     """
 
     x_max: float | None = None
     tolerance: float = 1e-10
+
+    def __post_init__(self):
+        if self.x_max is not None and not 0 < self.x_max < math.inf:  # NaN fails
+            raise ValidationError(
+                f"x_max must be positive and finite, got {self.x_max}", _MOD)
 
     def x_max_for(self, kappa: float) -> float:
         """The truncation point at kappa."""
@@ -183,7 +189,8 @@ def _m_values(q_half: np.ndarray, kappas: np.ndarray,
     return out
 
 
-def _m_fixed_step(Q: RadialPotential, kappa: float, x_max: float, n: int) -> float:
+def _m_fixed_step(Q: Callable[[np.ndarray], np.ndarray], kappa: float, x_max: float,
+                  n: int) -> float:
     """M value from one backward pass with exactly n steps (no adaptivity)."""
     m, = _m_values(_sample(Q, x_max, n), np.array([kappa], dtype=float), x_max / n)
     if isinstance(m, NumericalError):
@@ -217,7 +224,8 @@ def _evaluations(kappa, evals: list[WTEvaluation], stop: int,
 def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, opts: OdeOptions | None = None):
     """M(-kappa^2) = u'(0)/u(0) by backward integration and step halving.
 
-    Q is a RadialPotential or a closed form, which is evaluated directly.
+    Q is a sampled RadialPotential or a closed form, which is evaluated
+    directly.
     kappa is one value (returns a WTEvaluation) or a 1-d array (returns a list
     of them). The kappas are grouped by truncation point. A group samples Q
     once per halving level, on that level's whole half-step grid, and shoots
@@ -245,7 +253,7 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, opts: OdeOptions | No
             stop = i
             break
         x_max = opts.x_max_for(kap)
-        if not closed and Q.closed_form is None and x_max > Q.x_max + 1e-12:
+        if not closed and x_max > Q.x_max + 1e-12:
             stop, error = i, ValidationError(
                 f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
             break
@@ -380,21 +388,11 @@ def perturbation_tail_bound(A: Amplitude, params: SpectralParams, K: int) -> flo
     return float(np.sum(np.abs(A.laplace_terms(kap))))
 
 
-@dataclass(frozen=True)
-class DnGap:
-    """Sup-norm gap between two Steklov spectra with a truncation certificate.
-
-    eps is exact (not just a lower bound) whenever tail_bound <= eps, since the
-    gap is a maximum: indices beyond K cannot then raise it.
-    """
-
-    eps: float
-    tail_bound: float
-    certified: bool
-
-
 def sup_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum) -> float:
-    """max_k |sigma_k - sigma~_k| over two spectra of one dimension and one K."""
+    """max_k |sigma_k - sigma~_k| over two spectra of one dimension and one K.
+
+    It is also the operator-norm gap of the two boundary maps, which act
+    diagonally on the spherical-harmonic spaces."""
     if sigma.d != sigma_tilde.d:
         raise ValidationError(
             f"dimension mismatch: {sigma.d} vs {sigma_tilde.d}", _MOD)
@@ -402,22 +400,3 @@ def sup_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum) -> float:
         raise ValidationError(
             f"truncation mismatch: K={sigma.K} vs K={sigma_tilde.K}", _MOD)
     return float(np.max(np.abs(sigma.sigma - sigma_tilde.sigma)))
-
-
-def dn_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum,
-           tail_bound: float) -> DnGap:
-    eps = sup_gap(sigma, sigma_tilde)
-    certified = tail_bound <= eps or (eps == 0.0 and tail_bound == 0.0)
-    return DnGap(eps=eps, tail_bound=float(tail_bound), certified=certified)
-
-
-def jost_closed_form(form: PotentialForm, kappa: float) -> float:
-    """Boundary value of the Jost solution for the closed-form families.
-
-    Roots on kappa > 0 are bound states, roots on kappa < 0 are real
-    resonances; the induced spectral density on E > 0 is
-    sqrt(E) / (pi |psi(0, sqrt(E))|^2).
-    """
-    if not isinstance(form, (ZeroForm, Bargmann1, Bargmann2)):
-        raise ValidationError("no closed-form Jost value for this potential", _MOD)
-    return float(form.jost0(kappa))

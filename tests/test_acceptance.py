@@ -9,19 +9,16 @@ import numpy as np
 import pytest
 
 from steklovlab import (Bargmann1, Bargmann2, GeometricTail, OdeOptions,
-                        ZeroForm, build_perturbed_amplitude, corollary_gap,
-                        dn_gap, extend_potential, fit_holder, geometric_family,
-                        halfline_to_ball, jost_closed_form,
+                        ZeroForm, build_perturbed_amplitude, extend_potential,
+                        fit_holder, geometric_family, halfline_to_ball,
                         ks_check_normalization, ks_check_positivity,
                         ks_check_quasi_szego, make_spectral_params,
                         perturbation_tail_bound, recover_potential, run_sweep,
-                        sample_potential, solve_gl, spectral_measure_diff,
-                        steklov_spectrum, system_for_params,
-                        weighted_norm_equivalence, wt_from_amplitude,
-                        wt_from_ode)
+                        solve_gl, spectral_measure_diff, steklov_spectrum,
+                        sup_gap, system_for_params, weighted_norm_equivalence,
+                        wt_from_amplitude, wt_from_ode)
 from steklovlab.muntz import muntz_coeff_squares
 from steklovlab.quadrature import l2_norm
-from steklovlab.radial_model import RadialPotential
 
 from oracles import rational_gram_schmidt
 
@@ -35,12 +32,11 @@ def _report(n, name, detail):
 
 def test_criterion_1_flat_ball_spectrum():
     t0 = time.perf_counter()
-    pot = sample_potential(ZeroForm(), x_max=12.0, n=256)
     opts = OdeOptions(x_max=12.0, tolerance=1e-10)
     worst = 0.0
     for d in (3, 4, 5):
         params = make_spectral_params(d, 0.0, 16)
-        spec = steklov_spectrum(wt_from_ode(pot, params.kappa, opts), params, 16)
+        spec = steklov_spectrum(wt_from_ode(ZeroForm(), params.kappa, opts), params, 16)
         worst = max(worst, float(np.max(np.abs(spec.sigma - np.arange(17)))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
@@ -91,8 +87,7 @@ def test_criterion_4_route_agreement():
         params = make_spectral_params(3, 0.5, 8)
         amp = build_perturbed_amplitude(form, [], params)
         q = recover_potential(solve_gl(amp, 2.0, 256))
-        sampled = RadialPotential(grid=q.grid, values=q.values, closed_form=None)
-        ext = extend_potential(sampled, form, 14.0)
+        ext = extend_potential(q, form, 14.0)
         for kappa in (1.0, 1.5, 2.5, 5.0):
             ode = wt_from_ode(ext, kappa, OdeOptions(x_max=14.0)).value
             lap = wt_from_amplitude(amp, kappa).value
@@ -143,7 +138,7 @@ def test_criterion_7_resonance_quantification():
     amp = build_perturbed_amplitude(ZeroForm(), [2 * (0.5**2 - 1.0**2)], params)
     res = spectral_measure_diff(amp).resonances[0]
     assert abs(res - (-0.5)) <= 1e-12
-    assert jost_closed_form(B1, res) == 0.0
+    assert B1.jost0(res) == 0.0
 
     params5 = make_spectral_params(5, -2.0, 8)
     amp5 = build_perturbed_amplitude(ZeroForm(), [-1.0], params5)
@@ -186,13 +181,13 @@ def test_criterion_9_ball_halfline_identity():
 
     sig0 = steklov_spectrum(wt_from_amplitude(base, params.kappa), params, 64)
     sig1 = steklov_spectrum(wt_from_amplitude(pert, params.kappa), params, 64)
-    gap = dn_gap(sig0, sig1, perturbation_tail_bound(pert, params, 64))
+    eps = sup_gap(sig0, sig1)
     # zero base: sigma~_k - sigma_k = sum_j c_j / (2 kappa_k + mu_j) with
     # c_j = -a rho^(2j + 1/2), mu_j = 2j + 1 and 2 kappa_k = 2k + 1, largest at
     # k = 0, where the series sums to a sqrt(rho) (-log(1 - rho^2)) / (2 rho^2)
     a, rho = 0.1, 1.0 / 9.0
     exact = a * math.sqrt(rho) * -math.log1p(-rho**2) / (2.0 * rho**2)
-    assert corollary_gap(sig0, sig1) == pytest.approx(exact, rel=1e-12, abs=0)
-    assert gap.eps == pytest.approx(exact, rel=1e-12, abs=0)
+    assert eps == pytest.approx(exact, rel=1e-12, abs=0)
+    assert perturbation_tail_bound(pert, params, 64) <= eps  # the truncated gap is exact
     _report(9, "ball/half-line identity",
-            f"|half - ball|/half = {rel:.2e}, DN gap = {gap.eps:.6e}")
+            f"|half - ball|/half = {rel:.2e}, DN gap = {eps:.6e}")

@@ -334,6 +334,18 @@ def test_sweep_reports_dropped_scale_in_csv(tmp_path):
     assert lines[-1].startswith("# dropped") and lines[-2] == "# verdict = PASS"
 
 
+def test_sweep_drops_uncertified_gap(tmp_path):
+    # at s = 1e-30 the gap rounds to 0 while the tail bound stays positive:
+    # the truncated gap is not certified, so that scale goes
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--d", "3", "--delta", "0.5", "--T", "2", "--K", "8",
+                    "--M", "64", "--base", "zero", "--coeffs=-1",
+                    "--scales", "1e-1,1e-2,1e-3,1e-30", "--output", str(out)]) == 0
+    assert out.read_text().splitlines()[-1] == (
+        "# dropped = s=1e-30: [stability_harness] gap truncation not certified at K=8: "
+        "tail bound 5.000e-32 exceeds the computed gap 0.000e+00")
+
+
 @settings(derandomize=True, max_examples=100, deadline=2000, database=None)
 @given(base=_BASE, T=st.floats(0.5, 8.0), M=st.sampled_from([32, 64]), a=_WELL, b=_WELL)
 def test_reconstruct_fuzz_exits_cleanly(base, T, M, a, b):
@@ -507,6 +519,12 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         cfg.write_text(text)
         assert run_cli(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
+    # a truncation point at or below 0 is refused before any shooting
+    for x_max in ("--x-max=0", "--x-max=-5"):
+        assert run_cli(["forward", "--d", "3", "--delta", "0.5", "--base", "bargmann1",
+                        "--beta", "1", "--gamma", "0.5", "--K", "2", x_max]) == 2
+        assert capsys.readouterr().err.startswith(
+            "[weyl_titchmarsh] x_max must be positive and finite")
     # the retired workers key: saved configs carry "workers": 1, and only that passes
     plain = {"command": "perturb", "d": 3, "delta": 1, "K": 4, "base": {"kind": "zero"},
              "coeffs": {"values": [-0.5]}}

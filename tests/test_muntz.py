@@ -10,12 +10,17 @@ from mpmath import mp, mpf
 
 from steklovlab import (MuntzSeries, NumericalError, ValidationError, g_function,
                         make_spectral_params, moment, muntz_coeff_squares,
-                        muntz_coeffs, muntz_system, n_of_eps, project,
-                        still_bound, system_for_params)
+                        muntz_coeffs, n_of_eps, project, still_bound,
+                        system_for_params)
 
 from oracles import gram_residual_loop, rational_gram_schmidt
 
 SQ5 = math.sqrt(5.0)
+
+
+def _ladder(n: int):
+    """The system on t^0, t^2, ..., t^{2n}: the ladder of d = 3, delta = 0."""
+    return system_for_params(make_spectral_params(3, 0.0, n), n)
 
 
 def test_two_exponent_coefficients():
@@ -109,7 +114,7 @@ def test_moment_examples():
 
 
 def test_project_basis_vector():
-    system = muntz_system([0.0, 2.0])
+    system = _ladder(1)
     c10, c11 = (float(c) for c in system.C[1])
     h = MuntzSeries((c10, c11), (0.0, 2.0))
     res = project(h, system, 1)
@@ -119,14 +124,14 @@ def test_project_basis_vector():
 
 def test_project_monomial_against_rational_oracle():
     # ||pi_1 t^4||^2 over span(t^0, t^2): rational value 129/1225
-    system = muntz_system([0.0, 2.0])
+    system = _ladder(1)
     res = project(MuntzSeries((1.0,), (4.0,)), system, 1)
     assert res.norm**2 == pytest.approx(129.0 / 1225.0, rel=1e-12)
     assert res.norm**2 == pytest.approx(float(Fraction(1, 25) + Fraction(80, 1225)))
 
 
 def test_project_zero():
-    system = muntz_system([0.0, 2.0, 4.0])
+    system = _ladder(2)
     res = project(MuntzSeries((), ()), system, 2)
     assert np.all(res.coefficients == 0.0) and res.norm == 0.0
 
@@ -157,7 +162,7 @@ def test_projection_bound_chain(cs):
 
 
 def test_projection_inside_span_is_identity():
-    system = muntz_system([0.0, 2.0, 4.0])
+    system = _ladder(2)
     h = MuntzSeries((0.3, -0.7, 0.2), (0.0, 2.0, 4.0))
     res = project(h, system, 2)
     assert res.norm**2 == pytest.approx(h.norm_sq(), rel=1e-12)
@@ -192,9 +197,9 @@ def test_still_bound_values():
     params = make_spectral_params(3, 0.0, 4)
     assert still_bound(0.0, 9.0, params) == 0.0
     # d=3, delta=0, R=9: exponent log 9/log 9 = 1, prefactor 9^{-2}
-    assert still_bound(1e-4, 9.0, params, B=1.0) == pytest.approx(
+    assert still_bound(1e-4, 9.0, params) == pytest.approx(
         1.0123456790123457e-4, rel=1e-14)
-    assert still_bound(1e-4, math.inf, params, B=2.0) == pytest.approx(4e-4)
+    assert still_bound(1e-4, math.inf, params) == pytest.approx(1e-4)  # R^{-2} eps^inf = 0
     with pytest.raises(ValidationError):
         still_bound(1e-4, 0.9, params)
 

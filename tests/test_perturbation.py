@@ -49,7 +49,7 @@ def test_build_rejects_radius_at_most_one():
 
 def test_estimate_radius_cases():
     p = params(delta=0.0, K=12)
-    geometric = [-(1.0 / 3.0) ** lam for lam in p.lam[:8]]
+    geometric = [-(1.0 / 3.0) ** lam for lam in p.lam_at(np.arange(8))]
     assert estimate_radius(geometric, p) == pytest.approx(3.0, rel=1e-12)
     assert math.isinf(estimate_radius([-1.0], p))
     assert math.isinf(estimate_radius(np.zeros(5), p))

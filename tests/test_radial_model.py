@@ -5,30 +5,38 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovlab import (BallPotential, Bargmann1, ValidationError, ZeroForm,
-                        ball_to_halfline, extend_potential, halfline_to_ball,
-                        make_spectral_params, sample_potential,
-                        weighted_norm_equivalence)
+from steklovlab import (BallPotential, Bargmann1, RadialPotential, ValidationError,
+                        ZeroForm, ball_to_halfline, extend_potential, halfline_to_ball,
+                        make_spectral_params, weighted_norm_equivalence)
 from steklovlab.quadrature import simpson
 
 from oracles import bargmann2_mp
 
 
+def _sequences(p):
+    """(lam, mu, number of negative mu) over k = 0..K."""
+    k = np.arange(p.K + 1)
+    mu = p.mu_at(k)
+    return p.lam_at(k), mu, int(np.count_nonzero(mu < 0))
+
+
 def test_spectral_params_d3_delta0():
     p = make_spectral_params(3, 0.0, 2)
+    lam, mu, n_neg = _sequences(p)
     assert np.allclose(p.kappa, [0.5, 1.5, 2.5])
-    assert np.allclose(p.lam, [0.0, 2.0, 4.0])
-    assert np.allclose(p.mu, [0.0, 2.0, 4.0])
-    assert p.n_neg == 0
+    assert np.allclose(lam, [0.0, 2.0, 4.0])
+    assert np.allclose(mu, [0.0, 2.0, 4.0])
+    assert n_neg == 0
     assert p.m0 == 2.0
 
 
 def test_spectral_params_d5_negative_delta():
     # hand evaluation: lam_k = 2k + 5 - 3 - 2 = 2k, mu_k = 2k - 2
     p = make_spectral_params(5, -2.0, 2)
-    assert np.allclose(p.lam, [0.0, 2.0, 4.0])
-    assert np.allclose(p.mu, [-2.0, 0.0, 2.0])
-    assert p.n_neg == 1
+    lam, mu, n_neg = _sequences(p)
+    assert np.allclose(lam, [0.0, 2.0, 4.0])
+    assert np.allclose(mu, [-2.0, 0.0, 2.0])
+    assert n_neg == 1
     assert p.m0 == 2.0
 
 
@@ -47,13 +55,14 @@ def test_spectral_params_rejections():
 def test_spectral_params_invariants(d, delta_off, K):
     delta = (3 - d) + delta_off
     p = make_spectral_params(d, delta, K)
-    assert np.allclose(np.diff(p.lam), 2.0)
+    lam, mu, n_neg = _sequences(p)
+    assert np.allclose(np.diff(lam), 2.0)
     assert np.allclose(np.diff(p.kappa), 1.0)
     assert p.kappa[0] >= 0.5
-    assert np.all(p.lam >= -1e-12)
-    assert np.all(np.diff(p.mu) > 0)
-    assert np.all(p.mu[p.n_neg:] >= 0)
-    assert np.all(p.mu[: p.n_neg] < 0)
+    assert np.all(lam >= -1e-12)
+    assert np.all(np.diff(mu) > 0)
+    assert np.all(mu[n_neg:] >= 0)
+    assert np.all(mu[:n_neg] < 0)
     assert p.m0 >= 2.0
 
 
@@ -130,18 +139,10 @@ def test_isometry_under_refinement():
     assert gaps[1] < gaps[0] / 3.5  # at least second-order shrinkage
 
 
-def test_closed_form_sampling_matches_formula():
-    form = Bargmann1(beta=1.0, gamma=0.5)
-    pot = sample_potential(form, x_max=6.0, n=128)
-    assert np.array_equal(pot.values, form.potential(pot.grid))
-    # off-node evaluation uses the closed form, not interpolation
-    assert pot(np.array([0.01234])) == pytest.approx(form.potential(0.01234), rel=1e-15)
-
-
 def test_extend_potential_stitches_closed_form():
     form = Bargmann1(beta=1.0, gamma=0.5)
-    pot = sample_potential(form, x_max=2.0, n=64)
-    inner = type(pot)(grid=pot.grid, values=pot.values, closed_form=None)
+    grid = np.linspace(0.0, 2.0, 65)
+    inner = RadialPotential(grid=grid, values=form.potential(grid))
     ext = extend_potential(inner, form, 6.0)
     assert ext.x_max >= 6.0 - 1e-9
     xs = np.linspace(2.5, 5.5, 7)
@@ -157,6 +158,17 @@ def test_zero_form_and_grid_validation():
         BallPotential(grid=np.array([0.5, 0.4, 1.0]), values=np.zeros(3))
     with pytest.raises(ValidationError):
         BallPotential(grid=np.array([0.5, 0.7]), values=np.array([1.0, np.nan]))
+    # the half-line table shares the checks, without the ball's range (0, 1]
+    for cls, grid, rule in ((BallPotential, [0.0, 0.5], r"inside \(0, 1\]$"),
+                            (BallPotential, [0.5, 1.5], r"inside \(0, 1\]$"),
+                            (RadialPotential, [1.0, 0.5], "grid must be strictly increasing$")):
+        with pytest.raises(ValidationError, match=rule):
+            cls(grid=np.array(grid), values=np.zeros(2))
+    with pytest.raises(ValidationError, match="equal size"):
+        RadialPotential(grid=np.zeros(3), values=np.zeros(2))
+    with pytest.raises(ValidationError, match="finite"):
+        RadialPotential(grid=np.array([0.0, 1.0]), values=np.array([0.0, np.inf]))
+    assert RadialPotential(grid=np.array([0.0, 1.5]), values=np.zeros(2)).x_max == 1.5
 
 
 def test_bargmann_wells_refuse_unrepresentable_squares(capsys):

@@ -2,12 +2,9 @@
 import numpy as np
 import pytest
 
-from steklovlab import (NumericalError, SteklovSpectrum, SweepRecord,
-                        ValidationError, ZeroForm, build_perturbed_amplitude,
-                        corollary_gap, dn_gap, emit_records, fit_holder,
-                        geometric_family, make_spectral_params, run_sweep,
-                        scaled_coeff_family, steklov_spectrum,
-                        wt_from_amplitude)
+from steklovlab import (NumericalError, SweepRecord, ValidationError, ZeroForm,
+                        emit_records, fit_holder, geometric_family,
+                        make_spectral_params, run_sweep, scaled_coeff_family)
 
 from oracles import series_gap_sq_closed_form
 
@@ -155,33 +152,14 @@ def test_fit_holder_requires_spread_and_count():
         fit_holder(_synthetic([1e-2, 1e-2, 1e-2], lambda e: e))
 
 
-def test_corollary_gap_values():
-    sig = SteklovSpectrum(d=3, sigma=np.arange(8.0))
-    assert corollary_gap(sig, sig) == 0.0
-    shifted = np.arange(8.0)
-    shifted[3] += 1e-2
-    assert corollary_gap(sig, SteklovSpectrum(d=3, sigma=shifted)) == pytest.approx(1e-2)
-    with pytest.raises(ValidationError):
-        corollary_gap(sig, SteklovSpectrum(d=4, sigma=shifted))
-
-
-def test_corollary_gap_equals_dn_eps():
-    params = make_spectral_params(3, 1.0, 16)
-    base = build_perturbed_amplitude(ZeroForm(), [], params)
-    pert = build_perturbed_amplitude(ZeroForm(), [-0.2], params)
-    s0 = steklov_spectrum(wt_from_amplitude(base, params.kappa), params, 16)
-    s1 = steklov_spectrum(wt_from_amplitude(pert, params.kappa), params, 16)
-    gap = dn_gap(s0, s1, 0.0)
-    # one term c = -0.2 at mu_0 = 2: the gap is largest at k = 0, 2 kappa_0 = 1
-    assert corollary_gap(s0, s1) == pytest.approx(0.2 / 3.0, rel=1e-12, abs=0)
-    assert gap.eps == pytest.approx(0.2 / 3.0, rel=1e-12, abs=0)
-
-
 # --- emission ----------------------------------------------------------------
 
 
 def test_emit_empty_is_header_only():
-    assert emit_records([]) == ["s,eps,q_gap,a_gap,bound,theta,C_T_running,verdict"]
+    fit = fit_holder(_synthetic([1e-1, 1e-2, 1e-3], lambda e: e))
+    lines = emit_records([], fit)
+    assert lines[0] == "s,eps,q_gap,a_gap,bound,theta,C_T_running,verdict"
+    assert all(ln.startswith("# ") for ln in lines[1:])  # the fit's summary, no rows
 
 
 def test_emit_rows_and_round_trip():
@@ -198,9 +176,3 @@ def test_emit_rows_and_round_trip():
         assert float(cells[2]) == rec.q_gap
         assert cells[7] == "PASS"
     assert any(ln.startswith("# verdict = PASS") for ln in lines)
-
-
-def test_emit_without_fit_marks_na():
-    recs = _synthetic([1e-1, 1e-2, 1e-3], lambda e: e)
-    body = emit_records(recs)
-    assert all(ln.split(",")[-1] == "NA" for ln in body[1:])

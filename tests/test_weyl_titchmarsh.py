@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklovlab import (Bargmann1, Bargmann2, NumericalError, OdeOptions,
-                        ValidationError, ZeroForm, build_perturbed_amplitude,
-                        dn_gap, jost_closed_form, make_spectral_params,
-                        perturbation_tail_bound, sample_potential,
-                        steklov_spectrum, wt_from_amplitude, wt_from_ode)
+                        RadialPotential, ValidationError, ZeroForm,
+                        build_perturbed_amplitude, make_spectral_params,
+                        perturbation_tail_bound, steklov_spectrum, sup_gap,
+                        wt_from_amplitude, wt_from_ode)
 from steklovlab.radial_model import SteklovSpectrum
 from steklovlab.weyl_titchmarsh import _CHUNK, _MAX_HALVINGS, _STEP, _m_fixed_step
 
@@ -28,22 +28,19 @@ def _amp(base, coeffs, d=3, delta=1.0, K=8, gen=None):
 
 
 def test_ode_free_potential_exact():
-    pot = sample_potential(ZeroForm(), x_max=12.0, n=128)
-    ev = wt_from_ode(pot, 1.5, OdeOptions(x_max=12.0))
+    ev = wt_from_ode(ZeroForm(), 1.5, OdeOptions(x_max=12.0))
     assert ev.value == pytest.approx(-1.5, abs=1e-12)
     assert ev.est_error <= 1e-12
 
 
 def test_ode_bargmann1_closed_value():
     # Laplace algebra gives M(-1) = -1 - (gamma^2 - beta^2)/(1 + gamma) = -1/2
-    pot = sample_potential(B1, x_max=14.0, n=128)
-    ev = wt_from_ode(pot, 1.0, OdeOptions(x_max=14.0))
+    ev = wt_from_ode(B1, 1.0, OdeOptions(x_max=14.0))
     assert ev.value == pytest.approx(-0.5, abs=1e-8)
 
 
 def test_ode_vs_amplitude_bargmann2():
-    pot = sample_potential(B2, x_max=14.0, n=128)
-    ode = wt_from_ode(pot, 2.0, OdeOptions(x_max=14.0)).value
+    ode = wt_from_ode(B2, 2.0, OdeOptions(x_max=14.0)).value
     lap = wt_from_amplitude(_amp(B2, []), 2.0).value
     assert abs(ode - lap) <= 1e-6
     assert lap == pytest.approx(-2.0 + 1.0 / 3.75, rel=1e-10)
@@ -53,11 +50,10 @@ def test_ode_fixed_step_fourth_order():
     # exact M(-kappa^2) = -kappa - laplace(kappa); each pair of grids sits where
     # the error (1e-6 to 1e-7) is far above rounding, past the pre-asymptotic
     # range that widens with kappa
-    pot = sample_potential(B1, x_max=12.0, n=256)
     for kappa, n in ((1.0, 96), (2.5, 192), (20.5, 768), (64.5, 1536)):
         exact = -kappa - B1.laplace(kappa)
-        e1 = abs(_m_fixed_step(pot, kappa, 12.0, n) - exact)
-        e2 = abs(_m_fixed_step(pot, kappa, 12.0, 2 * n) - exact)
+        e1 = abs(_m_fixed_step(B1.potential, kappa, 12.0, n) - exact)
+        e2 = abs(_m_fixed_step(B1.potential, kappa, 12.0, 2 * n) - exact)
         assert e2 > 1e-8
         assert 10.0 < e1 / e2 < 24.0  # nominal order 4
 
@@ -69,8 +65,8 @@ def test_ode_extrapolate_sixth_order_and_covered():
         for kappa in (5.5, 20.5):
             x_max = OdeOptions().x_max_for(kappa)
             exact = -kappa - form.laplace(kappa)
-            pot = sample_potential(form, x_max=x_max, n=256)
-            ms = [_m_fixed_step(pot, kappa, x_max, 200 * 2**j) for j in range(7)]
+            ms = [_m_fixed_step(form.potential, kappa, x_max, 200 * 2**j)
+                  for j in range(7)]
             errs = [abs(b + (b - a) / 15.0 - exact) for a, b in zip(ms, ms[1:])]
             assert errs[0] > 1e-9
             for e1, e2 in zip(errs, errs[1:]):
@@ -84,10 +80,9 @@ def test_ode_extrapolate_sixth_order_and_covered():
 
 def test_ode_failure_at_eigenvalue():
     # -kappa1^2 is the bound state of this well: u(0) collapses
-    pot = sample_potential(B2, x_max=14.0, n=128)
     start = time.perf_counter()
     with pytest.raises(NumericalError):
-        wt_from_ode(pot, 0.5, OdeOptions(x_max=14.0))
+        wt_from_ode(B2, 0.5, OdeOptions(x_max=14.0))
     assert time.perf_counter() - start < 1.0
 
 
@@ -106,10 +101,9 @@ def test_ode_failure_worded_by_direction(form, cause):
 @pytest.mark.parametrize("kappa", [0.5, 1.5, 20.5, 64.5])
 def test_m_fixed_step_matches_scalar_loop(kappa, x_max):
     # within one chunk, exactly one, one step into the next, several with a tail
-    pot = sample_potential(B1, x_max=46.0, n=256)
     for n in (3000, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5):
-        assert _m_fixed_step(pot, kappa, x_max, n) == pytest.approx(
-            m_fixed_step_loop(pot, kappa, x_max, n), rel=1e-13)
+        assert _m_fixed_step(B1.potential, kappa, x_max, n) == pytest.approx(
+            m_fixed_step_loop(B1.potential, kappa, x_max, n), rel=1e-13)
 
 
 def _richardson_halvings(m_of_n, n: int, tolerance: float, max_halvings: int):
@@ -134,19 +128,19 @@ def test_forward_shoot_halvings_match_scalar_loop():
     # extrapolates
     params = make_spectral_params(3, 0.5, 64)
     opts = OdeOptions()
-    pot = sample_potential(B1, x_max=opts.x_max_for(params.kappa[0]), n=256)
     for kappa in map(float, params.kappa):
         x_max = opts.x_max_for(kappa)
         n0 = max(32, math.ceil(x_max / _STEP))
-        ms, rs = _richardson_halvings(lambda n: _m_fixed_step(pot, kappa, x_max, n),
-                                      n0, opts.tolerance, _MAX_HALVINGS)
+        ms, rs = _richardson_halvings(
+            lambda n: _m_fixed_step(B1.potential, kappa, x_max, n), n0, opts.tolerance,
+            _MAX_HALVINGS)
         ref_ms, ref_rs = _richardson_halvings(
-            lambda n: m_fixed_step_loop(pot, kappa, x_max, n), n0, opts.tolerance,
+            lambda n: m_fixed_step_loop(B1.potential, kappa, x_max, n), n0, opts.tolerance,
             _MAX_HALVINGS)
         assert len(ms) == len(ref_ms) and abs(ref_rs[-1] - ref_rs[-2]) <= opts.tolerance
         diffs = np.abs(np.diff(ms))
         assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:]))
-        ev = wt_from_ode(pot, kappa, opts)
+        ev = wt_from_ode(B1, kappa, opts)
         assert (ev.value, ev.est_error) == (rs[-1], abs(rs[-1] - rs[-2]))
         # each value agrees with the loop's to 1e-13 relative, and the
         # difference of extrapolates weighs three values by 34/15 in all
@@ -154,31 +148,31 @@ def test_forward_shoot_halvings_match_scalar_loop():
 
 
 class _CountingPotential:
-    """A closed-form potential that records how many points each evaluation takes."""
+    """A table reaching x_max that evaluates a closed form exactly and records
+    how many points each evaluation takes."""
 
-    def __init__(self, pot):
-        self.pot, self.closed_form, self.x_max, self.sizes = pot, pot.closed_form, pot.x_max, []
+    def __init__(self, form, x_max):
+        self.form, self.x_max, self.sizes = form, x_max, []
 
     def __call__(self, x):
         self.sizes.append(x.size)
-        return self.pot(x)
+        return self.form.potential(x)
 
 
 def test_batched_kappas_match_one_kappa_calls():
     # the forward-shoot configuration spans three truncation points
     params = make_spectral_params(3, 0.5, 64)
     opts = OdeOptions()
-    pot = sample_potential(B1, x_max=opts.x_max_for(params.kappa[0]), n=256)
     x_maxes = [opts.x_max_for(float(k)) for k in params.kappa]
     assert sorted(set(x_maxes)) == [12.0, 23.0 / 1.5, 46.0]
 
     levels = {}  # x_max -> halving levels of its slowest kappa
     singles = []
     for kappa, x_max in zip(map(float, params.kappa), x_maxes):
-        counting = _CountingPotential(pot)
+        counting = _CountingPotential(B1, max(x_maxes))
         singles.append(wt_from_ode(counting, kappa, opts))
         levels[x_max] = max(levels.get(x_max, 0), len(counting.sizes))
-    counting = _CountingPotential(pot)
+    counting = _CountingPotential(B1, max(x_maxes))
     batched = wt_from_ode(counting, params.kappa, opts)
     assert [(e.kappa, e.value, e.est_error) for e in batched] == \
         [(e.kappa, e.value, e.est_error) for e in singles]
@@ -191,7 +185,6 @@ def test_batched_kappas_match_one_kappa_calls():
 def test_batched_kappas_raise_for_lowest_failing_index():
     # bound state at kappa = 0.5; kappas in their own truncation groups (default
     # x_max), in one group (x_max = 14), and two failing kappas in two groups
-    pot = sample_potential(B2, x_max=14.0, n=128)
     for kappas, x_max, error, k in (([1.5, 0.5, 2.5], None, NumericalError, 1),
                                     ([1.5, 0.5, 2.5], 14.0, NumericalError, 1),
                                     ([0.5, 0.5 + 1e-9], None, NumericalError, 0),
@@ -199,26 +192,32 @@ def test_batched_kappas_raise_for_lowest_failing_index():
                                     ([0.5, -1.0], None, NumericalError, 0)):
         start = time.perf_counter()
         with pytest.raises(error, match=rf"^evaluator failed at k={k}: .*{kappas[k]}"):
-            wt_from_ode(pot, np.array(kappas), OdeOptions(x_max=x_max))
+            wt_from_ode(B2, np.array(kappas), OdeOptions(x_max=x_max))
         assert time.perf_counter() - start < 1.0
-    assert [e.kappa for e in wt_from_ode(pot, np.array([2.5, 1.5]))] == [2.5, 1.5]
+    assert [e.kappa for e in wt_from_ode(B2, np.array([2.5, 1.5]))] == [2.5, 1.5]
+
+
+def _zero_table(x_max: float, n: int) -> RadialPotential:
+    """Q = 0 sampled on n + 1 uniform nodes of [0, x_max]."""
+    return RadialPotential(grid=np.linspace(0.0, x_max, n + 1), values=np.zeros(n + 1))
 
 
 def test_ode_rejects_bad_kappa_and_domain():
-    pot = sample_potential(ZeroForm(), x_max=12.0, n=64)
     for kappa in (-1.0, 0.0, math.nan, math.inf, 1e200):  # 1e200**2 overflows
         with pytest.raises(ValidationError):
-            wt_from_ode(pot, kappa)
-    sampled_only = type(pot)(grid=pot.grid, values=pot.values, closed_form=None)
+            wt_from_ode(ZeroForm(), kappa)
     with pytest.raises(ValidationError):
-        wt_from_ode(sampled_only, 1.0, OdeOptions(x_max=40.0))
+        wt_from_ode(_zero_table(12.0, 64), 1.0, OdeOptions(x_max=40.0))
+    # shooting needs a truncation point inside (0, inf)
+    for x_max in (0.0, -3.0, math.inf, math.nan):
+        with pytest.raises(ValidationError, match="x_max must be positive and finite"):
+            OdeOptions(x_max=x_max)
 
 
 def test_sampled_table_must_reach_the_picked_truncation_point():
-    # x_max = None picks max(12, 23/kappa); a table without a closed form that
-    # ends before that point is refused, not clipped to its last node
-    pot = sample_potential(ZeroForm(), x_max=12.0, n=64)
-    sampled_only = type(pot)(grid=pot.grid, values=pot.values, closed_form=None)
+    # x_max = None picks max(12, 23/kappa); a sampled table that ends before
+    # that point is refused, not clipped to its last node
+    sampled_only = _zero_table(12.0, 64)
     with pytest.raises(ValidationError, match=r"sampled only up to 12\.0, need x_max=23\.0$"):
         wt_from_ode(sampled_only, 1.0)
     with pytest.raises(ValidationError, match=r"^evaluator failed at k=0: .*need x_max=23\.0$"):
@@ -317,8 +316,7 @@ def test_ode_laplace_agreement_improves_with_refinement():
         amp = _amp(form, [], delta=0.5)
         for kappa in (1.5, 5.0):
             lap = wt_from_amplitude(amp, kappa)
-            pot = sample_potential(form, x_max=OdeOptions().x_max_for(kappa), n=256)
-            odes = [wt_from_ode(pot, kappa, OdeOptions(tolerance=tol))
+            odes = [wt_from_ode(form, kappa, OdeOptions(tolerance=tol))
                     for tol in (1e-6, 1e-8, 1e-10)]
             gaps = [abs(ode.value - lap.value) for ode in odes]
             assert all(g <= ode.est_error + lap.est_error for g, ode in zip(gaps, odes))
@@ -348,11 +346,10 @@ def test_asymptotic_drift_vanishes():
 
 
 def test_flat_spectrum_is_the_index_sequence():
-    pot = sample_potential(ZeroForm(), x_max=12.0, n=64)
     for d, K in ((3, 3), (5, 2)):
         params = make_spectral_params(d, 0.0, K)
-        spec = steklov_spectrum(wt_from_ode(pot, params.kappa, OdeOptions(x_max=12.0)),
-                                params, K)
+        evals = wt_from_ode(ZeroForm(), params.kappa, OdeOptions(x_max=12.0))
+        spec = steklov_spectrum(evals, params, K)
         assert np.allclose(spec.sigma, np.arange(K + 1), atol=1e-8)
 
 
@@ -371,14 +368,14 @@ def test_dn_gap_identical_and_shifted():
                             params, 64)
     pert = steklov_spectrum(wt_from_amplitude(amp, params.kappa), params, 64)
 
-    same = dn_gap(base, base, 0.0)
-    assert same.eps == 0.0 and same.certified
+    same = sup_gap(base, base)
+    assert same == 0.0  # so a zero tail bound certifies it: 0 <= 0
 
     tail = perturbation_tail_bound(amp, params, 64)
-    gap = dn_gap(base, pert, tail)
+    eps = sup_gap(base, pert)
     # max at k = 0: |c| / (2 kappa_0 + mu_0) = 1e-3 / 3
-    assert gap.eps == pytest.approx(1e-3 / 3.0, rel=1e-12)
-    assert gap.certified  # tail below the gap itself: the max cannot migrate
+    assert eps == pytest.approx(1e-3 / 3.0, rel=1e-12)
+    assert tail <= eps  # tail below the gap itself: the max cannot migrate
     assert tail == pytest.approx(1e-3 / (2 * 65.5 + 2.0), rel=1e-12)
 
     # a bound-state term (mu_0 = -2) against the split majorant: sinh part
@@ -407,9 +404,9 @@ def test_spectrum_needs_evaluations_at_the_table_kappas():
 def test_dn_gap_mismatch_rejections():
     s3 = SteklovSpectrum(d=3, sigma=np.zeros(4))
     with pytest.raises(ValidationError):
-        dn_gap(s3, SteklovSpectrum(d=4, sigma=np.zeros(4)), 0.0)
+        sup_gap(s3, SteklovSpectrum(d=4, sigma=np.zeros(4)))
     with pytest.raises(ValidationError):
-        dn_gap(s3, SteklovSpectrum(d=3, sigma=np.zeros(5)), 0.0)
+        sup_gap(s3, SteklovSpectrum(d=3, sigma=np.zeros(5)))
 
 
 def test_monotone_gap_decay_in_k():
@@ -426,8 +423,8 @@ def test_monotone_gap_decay_in_k():
 
 
 def test_jost_values_and_roots():
-    assert jost_closed_form(B1, 0.5) == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert jost_closed_form(B1, -0.5) == 0.0  # the real resonance at -gamma
-    assert jost_closed_form(B2, 0.5) == 0.0   # the bound state at kappa1
+    assert B1.jost0(0.5) == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert B1.jost0(-0.5) == 0.0  # the real resonance at -gamma
+    assert B2.jost0(0.5) == 0.0   # the bound state at kappa1
     with pytest.raises(ValidationError):
-        jost_closed_form(B1, -1.0)  # pole at -beta
+        B1.jost0(-1.0)  # pole at -beta
