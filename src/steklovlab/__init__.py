@@ -12,10 +12,10 @@ from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
                            estimate_radius, holder_exponent,
                            ks_check_normalization, ks_check_positivity,
                            ks_check_quasi_szego, spectral_measure_diff)
-from .weyl_titchmarsh import (OdeOptions, WTEvaluation, perturbation_tail_bound,
-                              steklov_spectrum, sup_gap, wt_from_amplitude, wt_from_ode)
-from .muntz import (MuntzSeries, MuntzSystem, g_function, moment, muntz_coeff_squares,
-                    muntz_coeffs, n_of_eps, project, still_bound, system_for_params)
+from .weyl_titchmarsh import (OdeOptions, WTEvaluation, steklov_spectrum,
+                              wt_from_amplitude, wt_from_ode)
+from .muntz import (MuntzSeries, MuntzSystem, muntz_coeff_squares, muntz_coeffs,
+                    still_bound, system_for_params)
 from .gelfand_levitan import (GLWorkspace, gl_residual, p_from_amplitude,
                               p_prime_from_amplitude, recover_potential, solve_gl)
 from .stability_harness import (HolderFit, SweepRecord, emit_records, fit_holder,

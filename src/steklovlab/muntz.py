@@ -1,5 +1,4 @@
-"""Orthonormal Muntz systems on [0,1], moment projections, and the two-term
-moment stability bound.
+"""Orthonormal Muntz systems on [0,1] and the two-term moment stability bound.
 
 Everything is a bilinear form in the Gram matrix of monomials on L^2(0,1),
 H(a, b)_ij = 1/(a_i + b_j + 1) (_cauchy). The table
@@ -9,17 +8,15 @@ H(a, b)_ij = 1/(a_i + b_j + 1) (_cauchy). The table
 
 orthonormalizes t^{lam_0}, ..., t^{lam_n}: C H C^T = I. Its alternating
 products are astronomically ill-conditioned in 64-bit arithmetic beyond
-n ~ 8, so the table, its Gram residual and the projections run in extended
-precision (mpmath, default 256 bits); series values, norms and moments are
-float broadcasts. mpmath is imported by the functions that build a table, its
-Gram residual or a projection, so importing this module, the series and the
-bounds leaves it unloaded.
+n ~ 8, so the table and its Gram residual run in extended precision
+(mpmath, default 256 bits); series values and norms are float broadcasts.
+mpmath is imported by the functions that build a table or its Gram residual,
+so importing this module, the series and the bound leaves it unloaded.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -172,75 +169,6 @@ def system_for_params(params: SpectralParams, n: int, precision: int = 256) -> M
     lam = params.lam_at(np.arange(n + 1)).tolist()
     return MuntzSystem(exponents=tuple(lam), C=muntz_coeffs(lam, precision),
                        precision=precision)
-
-
-def moment(h: MuntzSeries, lam: float) -> float:
-    """int_0^1 h(t) t^lam dt = sum_j c_j / (e_j + lam + 1)."""
-    c, e = h._terms()
-    return float(c @ _cauchy(e, lam))
-
-
-@dataclass(frozen=True)
-class Projection:
-    coefficients: np.ndarray  # <h, L_m> for m = 0..n
-    norm: float               # ||pi_n h||_2
-    condition_proxy: float
-
-
-def project(h: MuntzSeries, system: MuntzSystem, n: int) -> Projection:
-    """Orthogonal projection of h onto the span of L_0..L_n.
-
-    The moments <h, t^{lam_j}> are H(lam, e_h) c_h, the coefficients <h, L_m>
-    are C times them, and the norm is Parseval's. Refuses to proceed when the
-    condition proxy exhausts the certified precision.
-    """
-    if n > system.n:
-        raise ValidationError(f"n={n} exceeds the system size {system.n}", _MOD)
-    from mpmath import mp
-    system._guard(n)
-    with mp.workprec(system.precision):
-        lam = _mpf_array(system.exponents[: n + 1])
-        moms = _cauchy(lam, _mpf_array(h.exponents)) @ _mpf_array(h.coeffs)
-        coefs = [mp.fdot(row, moms) for row in system.C[: n + 1]]
-        return Projection(
-            coefficients=np.array([float(c) for c in coefs]),
-            norm=float(mp.sqrt(mp.fdot(coefs, coefs))),
-            condition_proxy=system.condition_proxy(n))
-
-
-def g_function(t: float, M0: float) -> float:
-    """Monotone growth envelope for projection norms on the exponent ladder."""
-    if t < 0:
-        raise ValidationError(f"g is defined for t >= 0, got {t}", _MOD)
-    base = 4.5 * M0
-    return 1.5 / math.sqrt(base**2 - 1.0) * math.sqrt(2.0 * t + 1.0) * base ** (t + 1.0)
-
-
-def n_of_eps(eps: float, M0: float) -> int:
-    """Largest n with g(n) <= 1/sqrt(eps), by bisection on the monotone g.
-
-    Too-large eps (no nonnegative solution) clamps to 0 with a warning.
-    """
-    if eps <= 0:
-        raise ValidationError(f"eps must be positive, got {eps}", _MOD)
-    target = 1.0 / math.sqrt(eps)
-    if g_function(0.0, M0) > target:
-        warnings.warn("eps too large for the envelope: clamping n(eps) to 0",
-                      stacklevel=2)
-        return 0
-    hi = 1.0
-    while g_function(hi, M0) <= target:
-        hi *= 2.0
-        if hi > 1e6:
-            raise NumericalError("n(eps) bracket exploded", _MOD)
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if g_function(mid, M0) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return int(math.floor(lo))
 
 
 def still_bound(eps: float, R: float, params: SpectralParams) -> float:

@@ -84,11 +84,11 @@ def _materialize_terms(coeffs: np.ndarray, generator: GeometricTail | None,
                        params: SpectralParams) -> tuple[np.ndarray, np.ndarray]:
     cs = list(coeffs)
     if generator is not None:
-        scale = max(1.0, float(np.max(np.abs(coeffs))) if coeffs.size else 1.0, generator.a)
+        scale = max(float(np.max(np.abs(coeffs))) if coeffs.size else 0.0, generator.a)
         k = len(cs)
         while k < _MAX_TERMS:
             ck = generator.coeff(float(params.lam_at(k)))
-            if abs(ck) < _TRUNC_REL * scale:
+            if abs(ck) <= _TRUNC_REL * scale:  # <=: a zero tail stops at once
                 break
             cs.append(ck)
             k += 1

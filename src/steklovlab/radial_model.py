@@ -281,8 +281,8 @@ PotentialForm = ZeroForm | Bargmann1 | Bargmann2
 
 @dataclass(frozen=True)
 class _SampledTable:
-    """Finite values on a strictly increasing grid; values between nodes come
-    from local cubic interpolation."""
+    """Finite values on a finite, strictly increasing grid of at least 4 nodes;
+    values between nodes come from local cubic interpolation, which needs 4."""
 
     grid: np.ndarray
     values: np.ndarray
@@ -290,9 +290,11 @@ class _SampledTable:
     def __post_init__(self):
         g = np.asarray(self.grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
-        if g.ndim != 1 or g.size != v.size or g.size < 2:
-            raise ValidationError("grid and values must be 1-d arrays of equal size >= 2", _MOD)
-        if np.any(np.diff(g) <= 0):
+        if g.ndim != 1 or g.size != v.size or g.size < 4:
+            raise ValidationError("grid and values must be 1-d arrays of equal size >= 4", _MOD)
+        if not np.all(np.isfinite(g)):
+            raise ValidationError("grid must be finite", _MOD)
+        if not np.all(np.diff(g) > 0):
             raise ValidationError("grid must be strictly increasing", _MOD)
         if not np.all(np.isfinite(v)):
             raise ValidationError("potential values must be finite", _MOD)

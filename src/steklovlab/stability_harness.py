@@ -2,11 +2,20 @@
 
 A sweep scales an admissible coefficient family down over several decades,
 reconstructs the base and perturbed potentials through the same
-discretization (so discretization bias cancels in their difference), computes
-the certified sup-norm Steklov gap eps, and records the potential-side and
-amplitude-side gaps together with the two-term bound. fit_holder then checks
-the Holder inequality q_gap <= C_T eps^theta with the constant fitted at the
-largest scale.
+discretization (so discretization bias cancels in their difference), reads
+the sup-norm Steklov gap eps in closed form, and records the potential-side
+and amplitude-side gaps together with the two-term bound. The gap is the
+Laplace transform of the amplitude difference, sigma~_k - sigma_k =
+sum_j c_j / (2 kappa_k + mu_j); every c_j <= 0 and every 2 kappa_k + mu_j > 0,
+so its sup over all k is the k = 0 term, exactly, with no truncation in k.
+The bound column carries the a priori constant of the two-term bound as 1;
+it is not an inequality on a_gap, which is quadratic in the coefficients.
+
+fit_holder then checks the Holder inequality q_gap <= C_T eps^theta with the
+constant fitted at the largest scale. Along a family scaled in one direction
+q_gap and eps are both linear in s to first order, so its PASS verdict checks
+Lipschitz behaviour along that family (measured slopes near 1, against
+theta <= 1/2), not the theorem's worst case.
 """
 
 from __future__ import annotations
@@ -23,8 +32,7 @@ from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
                            holder_exponent)
 from .quadrature import l2_norm
 from .radial_model import PotentialForm, SpectralParams
-from .weyl_titchmarsh import (perturbation_tail_bound, steklov_spectrum, sup_gap,
-                              wt_from_amplitude)
+from .weyl_titchmarsh import wt_from_amplitude
 
 _MOD = "stability_harness"
 
@@ -39,7 +47,7 @@ def _fmt(v: float) -> str:
 @dataclass(frozen=True)
 class SweepRecord:
     s: float       # perturbation scale
-    eps: float     # certified sup-norm Steklov gap
+    eps: float     # sup-norm Steklov gap, in closed form
     q_gap: float   # ||Q - Q~||_{L2(0,T)}
     a_gap: float   # weighted L2 amplitude gap (squared norm)
     bound: float   # two-term bound at this eps
@@ -72,7 +80,7 @@ def _amplitude_gap_sq(A: Amplitude, params: SpectralParams) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")  # every figure is checked finite
 def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
-              T: float, params: SpectralParams, K: int,
+              T: float, params: SpectralParams,
               M: int = 256) -> tuple[list[SweepRecord], list[str]]:
     """(records, dropped): one record per scale, except that a scale whose
     pipeline fails, or whose figures are not finite, is dropped and its
@@ -85,13 +93,10 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
         raise ValidationError("scales must be strictly decreasing", _MOD)
     if not scales or max(scales) / min(scales) < 1e3:
         raise ValidationError("scales must span at least 3 decades", _MOD)
-    if K > params.K:
-        raise ValidationError(f"K={K} exceeds the parameter table", _MOD)
 
     base_amp = build_perturbed_amplitude(base, np.zeros(0), params)
+    wt_from_amplitude(base_amp, params.kappa[0])  # sigma_0 of the base must exist
     q_base = recover_potential(solve_gl(base_amp, T, M))
-    kappas = params.kappa[:K + 1]
-    sigma_base = steklov_spectrum(wt_from_amplitude(base_amp, kappas), params, K)
 
     records: list[SweepRecord] = []
     reasons: list[str] = []
@@ -100,15 +105,9 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
             coeffs, gen = family(s)
             amp = build_perturbed_amplitude(base, np.asarray(coeffs, float), params, gen)
             q_pert = recover_potential(solve_gl(amp, T, M))
-            sigma_pert = steklov_spectrum(wt_from_amplitude(amp, kappas), params, K)
-            eps = sup_gap(sigma_base, sigma_pert)
-            # the gap is a maximum: indices beyond K cannot raise it once the
-            # tail bound is at most eps, so eps is then exact, not a lower bound
-            tail = perturbation_tail_bound(amp, params, K)
-            if not tail <= eps:
-                raise NumericalError(
-                    f"gap truncation not certified at K={K}: tail bound "
-                    f"{tail:.3e} exceeds the computed gap {eps:.3e}", _MOD)
+            # every term c_j / (2 kappa_k + mu_j) is <= 0 and shrinks in
+            # magnitude as kappa_k grows, so the sup over k sits at k = 0
+            eps = float(np.abs(amp.laplace_terms(params.kappa[0])).sum())
             rec = SweepRecord(
                 s=s,
                 eps=eps,

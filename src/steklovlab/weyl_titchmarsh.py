@@ -1,5 +1,5 @@
-"""Weyl-Titchmarsh values M(-kappa^2) by two independent routes, Steklov
-spectra, and the sup-norm gap between spectra with its analytic tail bound.
+"""Weyl-Titchmarsh values M(-kappa^2) by two independent routes, and Steklov
+spectra.
 
 Route one takes Q as a closed form (PotentialForm), evaluated exactly, or as a
 sampled RadialPotential, interpolated between its nodes. It integrates
@@ -377,26 +377,3 @@ def steklov_spectrum(evals: list[WTEvaluation], params: SpectralParams,
             f"the {len(evals)} evaluations are not at kappa_0..kappa_K, K={K}", _MOD)
     values = [ev.value for ev in evals]
     return SteklovSpectrum(d=params.d, sigma=-(params.d - 2) / 2.0 - np.array(values))
-
-
-def perturbation_tail_bound(A: Amplitude, params: SpectralParams, K: int) -> float:
-    """Analytic bound on sup_{k > K} |sigma_k - sigma~_k| for the perturbation
-    carried by A: the term-wise majorant is decreasing in kappa, so its value
-    at kappa_{K+1} dominates the whole tail. It is the series' Laplace sum
-    with |c_k| in place of c_k."""
-    kap = float(params.kappa[0]) + (K + 1)  # kappa_{K+1}, unit spacing
-    return float(np.sum(np.abs(A.laplace_terms(kap))))
-
-
-def sup_gap(sigma: SteklovSpectrum, sigma_tilde: SteklovSpectrum) -> float:
-    """max_k |sigma_k - sigma~_k| over two spectra of one dimension and one K.
-
-    It is also the operator-norm gap of the two boundary maps, which act
-    diagonally on the spherical-harmonic spaces."""
-    if sigma.d != sigma_tilde.d:
-        raise ValidationError(
-            f"dimension mismatch: {sigma.d} vs {sigma_tilde.d}", _MOD)
-    if sigma.K != sigma_tilde.K:
-        raise ValidationError(
-            f"truncation mismatch: K={sigma.K} vs K={sigma_tilde.K}", _MOD)
-    return float(np.max(np.abs(sigma.sigma - sigma_tilde.sigma)))

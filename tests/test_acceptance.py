@@ -13,9 +13,9 @@ from steklovlab import (Bargmann1, Bargmann2, GeometricTail, OdeOptions,
                         fit_holder, geometric_family, halfline_to_ball,
                         ks_check_normalization, ks_check_positivity,
                         ks_check_quasi_szego, make_spectral_params,
-                        perturbation_tail_bound, recover_potential, run_sweep,
-                        solve_gl, spectral_measure_diff, steklov_spectrum,
-                        sup_gap, system_for_params, weighted_norm_equivalence,
+                        recover_potential, run_sweep, solve_gl,
+                        spectral_measure_diff, steklov_spectrum,
+                        system_for_params, weighted_norm_equivalence,
                         wt_from_amplitude, wt_from_ode)
 from steklovlab.muntz import muntz_coeff_squares
 from steklovlab.quadrature import l2_norm
@@ -115,7 +115,7 @@ def test_criterion_6_holder_stability():
     t0 = time.perf_counter()
     params = make_spectral_params(3, 0.5, 64)
     records, dropped = run_sweep(ZeroForm(), geometric_family(1.0 / 9.0),
-                                 [1e-1, 1e-2, 1e-3, 1e-4], 2.0, params, K=64, M=256)
+                                 [1e-1, 1e-2, 1e-3, 1e-4], 2.0, params, M=256)
     assert dropped == []
     fit = fit_holder(records, theta=0.5)
     elapsed = time.perf_counter() - t0
@@ -181,13 +181,12 @@ def test_criterion_9_ball_halfline_identity():
 
     sig0 = steklov_spectrum(wt_from_amplitude(base, params.kappa), params, 64)
     sig1 = steklov_spectrum(wt_from_amplitude(pert, params.kappa), params, 64)
-    eps = sup_gap(sig0, sig1)
+    eps = float(np.max(np.abs(sig1.sigma - sig0.sigma)))
     # zero base: sigma~_k - sigma_k = sum_j c_j / (2 kappa_k + mu_j) with
     # c_j = -a rho^(2j + 1/2), mu_j = 2j + 1 and 2 kappa_k = 2k + 1, largest at
     # k = 0, where the series sums to a sqrt(rho) (-log(1 - rho^2)) / (2 rho^2)
     a, rho = 0.1, 1.0 / 9.0
     exact = a * math.sqrt(rho) * -math.log1p(-rho**2) / (2.0 * rho**2)
     assert eps == pytest.approx(exact, rel=1e-12, abs=0)
-    assert perturbation_tail_bound(pert, params, 64) <= eps  # the truncated gap is exact
     _report(9, "ball/half-line identity",
             f"|half - ball|/half = {rel:.2e}, DN gap = {eps:.6e}")

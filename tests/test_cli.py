@@ -334,16 +334,29 @@ def test_sweep_reports_dropped_scale_in_csv(tmp_path):
     assert lines[-1].startswith("# dropped") and lines[-2] == "# verdict = PASS"
 
 
-def test_sweep_drops_uncertified_gap(tmp_path):
-    # at s = 1e-30 the gap rounds to 0 while the tail bound stays positive:
-    # the truncated gap is not certified, so that scale goes
+def test_sweep_keeps_tiny_scale_gap(tmp_path):
+    # the gap is read in closed form, so at s = 1e-30 it is 5e-31, not the
+    # difference of two O(1) spectra that rounds to 0; the scale stays
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--d", "3", "--delta", "0.5", "--T", "2", "--K", "8",
                     "--M", "64", "--base", "zero", "--coeffs=-1",
                     "--scales", "1e-1,1e-2,1e-3,1e-30", "--output", str(out)]) == 0
-    assert out.read_text().splitlines()[-1] == (
-        "# dropped = s=1e-30: [stability_harness] gap truncation not certified at K=8: "
-        "tail bound 5.000e-32 exceeds the computed gap 0.000e+00")
+    lines = out.read_text().splitlines()
+    row = next(ln for ln in lines if ln.startswith("1.0000000000000001e-30,"))
+    assert float(row.split(",")[1]) == pytest.approx(5e-31, rel=1e-15, abs=0)
+    assert "# verdict = PASS" in lines
+    assert not [ln for ln in lines if ln.startswith("# dropped")]
+
+
+def test_sweep_refuses_base_without_laplace_representation(tmp_path, capsys):
+    # Bargmann2's amplitude grows like e^{2 kappa1 alpha}: sigma_0 at
+    # kappa_0 = 0.5 has no Laplace representation when kappa1 = 1
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--d", "3", "--delta", "0.5", "--base", "bargmann2",
+                    "--c1", "1", "--kappa1", "1", "--coeffs=-1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "[weyl_titchmarsh] representation for this base needs kappa > 1.0, got 0.5\n")
+    assert not out.exists()
 
 
 @settings(derandomize=True, max_examples=100, deadline=2000, database=None)

@@ -41,6 +41,25 @@ def test_build_geometric_tail():
     assert amp.term_coeffs[1] == pytest.approx(-0.01 * 0.25)   # lam_1 = 2
 
 
+def test_generator_cutoff_is_relative():
+    # the tail is cut relative to its own size, so a scaled tail keeps every term
+    p = params(delta=0.5)
+    sizes = [build_perturbed_amplitude(ZeroForm(), [], p, GeometricTail(a=a, rho=1.0 / 9.0))
+             .term_coeffs.size for a in (1.0, 1e-8, 1e-16)]
+    assert sizes == [10, 10, 10]
+
+    calls = []
+
+    class Counted(GeometricTail):
+        def coeff(self, lam_k):
+            calls.append(lam_k)
+            return super().coeff(lam_k)
+
+    # a zero tail is at the cutoff from its first term on: one look, no terms
+    zero = build_perturbed_amplitude(ZeroForm(), [], p, Counted(a=0.0, rho=0.5))
+    assert zero.term_coeffs.size == 0 and len(calls) == 1
+
+
 def test_build_rejects_radius_at_most_one():
     c = [-(1.0) for _ in range(6)]  # flat list: estimated R = 1
     with pytest.raises(ValidationError):

@@ -155,20 +155,34 @@ def test_zero_form_and_grid_validation():
     z = ZeroForm()
     assert np.all(z.potential(np.linspace(0, 5, 11)) == 0.0)
     with pytest.raises(ValidationError):
-        BallPotential(grid=np.array([0.5, 0.4, 1.0]), values=np.zeros(3))
+        BallPotential(grid=np.array([0.5, 0.4, 0.8, 1.0]), values=np.zeros(4))
     with pytest.raises(ValidationError):
-        BallPotential(grid=np.array([0.5, 0.7]), values=np.array([1.0, np.nan]))
+        BallPotential(grid=np.array([0.4, 0.5, 0.6, 0.7]), values=np.array([1.0, 1.0, 1.0, np.nan]))
     # the half-line table shares the checks, without the ball's range (0, 1]
-    for cls, grid, rule in ((BallPotential, [0.0, 0.5], r"inside \(0, 1\]$"),
-                            (BallPotential, [0.5, 1.5], r"inside \(0, 1\]$"),
-                            (RadialPotential, [1.0, 0.5], "grid must be strictly increasing$")):
+    for cls, grid, rule in ((BallPotential, [0.0, 0.5, 0.6, 0.7], r"inside \(0, 1\]$"),
+                            (BallPotential, [0.5, 0.7, 1.0, 1.5], r"inside \(0, 1\]$"),
+                            (RadialPotential, [1.0, 0.5, 2.0, 3.0], "grid must be strictly increasing$")):
         with pytest.raises(ValidationError, match=rule):
-            cls(grid=np.array(grid), values=np.zeros(2))
+            cls(grid=np.array(grid), values=np.zeros(4))
     with pytest.raises(ValidationError, match="equal size"):
-        RadialPotential(grid=np.zeros(3), values=np.zeros(2))
+        RadialPotential(grid=np.zeros(5), values=np.zeros(4))
     with pytest.raises(ValidationError, match="finite"):
-        RadialPotential(grid=np.array([0.0, 1.0]), values=np.array([0.0, np.inf]))
-    assert RadialPotential(grid=np.array([0.0, 1.5]), values=np.zeros(2)).x_max == 1.5
+        RadialPotential(grid=np.array([0.0, 0.5, 1.0, 1.5]), values=np.array([0.0, 0.0, 0.0, np.inf]))
+    assert RadialPotential(grid=np.array([0.0, 0.5, 1.0, 1.5]), values=np.zeros(4)).x_max == 1.5
+
+
+def test_sampled_table_needs_four_finite_increasing_nodes():
+    # cubic interpolation needs 4 nodes: a 3-node table used to pass here and
+    # then fail in shooting with an untagged ValueError
+    with pytest.raises(ValidationError, match="equal size >= 4"):
+        RadialPotential(grid=np.array([0.0, 10.0, 20.0]), values=np.zeros(3))
+    # np.diff(g) <= 0 is False for NaN, so a NaN node passed the old check
+    for grid, rule in (([0.0, np.nan, 20.0, 30.0], "grid must be finite$"),
+                       ([0.0, 10.0, 20.0, np.inf], "grid must be finite$")):
+        with pytest.raises(ValidationError, match=rule):
+            RadialPotential(grid=np.array(grid), values=np.zeros(4))
+    with pytest.raises(ValidationError, match="grid must be finite$"):
+        BallPotential(grid=np.array([np.nan, 0.5, 0.7, 1.0]), values=np.zeros(4))
 
 
 def test_bargmann_wells_refuse_unrepresentable_squares(capsys):

@@ -1,10 +1,13 @@
+import math
 
 import numpy as np
 import pytest
 
-from steklovlab import (NumericalError, SweepRecord, ValidationError, ZeroForm,
+from steklovlab import (Bargmann1, Bargmann2, NumericalError, SweepRecord,
+                        ValidationError, ZeroForm, build_perturbed_amplitude,
                         emit_records, fit_holder, geometric_family,
-                        make_spectral_params, run_sweep, scaled_coeff_family)
+                        make_spectral_params, run_sweep, scaled_coeff_family,
+                        steklov_spectrum, wt_from_amplitude)
 
 from oracles import series_gap_sq_closed_form
 
@@ -16,7 +19,7 @@ SCALES = [1e-1, 1e-2, 1e-3, 1e-4]
 def single_term_records():
     # one coefficient c0 = -s at mu0 = 1; a cheap, fully predictable sweep
     records, dropped = run_sweep(ZeroForm(), scaled_coeff_family([-1.0]), SCALES, 2.0,
-                                 PARAMS, K=64, M=64)
+                                 PARAMS, M=64)
     assert dropped == []
     return records
 
@@ -25,6 +28,43 @@ def test_single_term_eps_is_half_scale(single_term_records):
     # the gap maximizes at k = 0: eps = s / (2 kappa_0 + mu_0) = s / 2
     for rec, s in zip(single_term_records, SCALES):
         assert rec.eps == pytest.approx(s / 2.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("base,d,delta", [
+    (ZeroForm(), 3, 0.5),
+    (Bargmann1(beta=1.0, gamma=0.5), 3, 0.5),
+    (Bargmann2(c1=1.0, kappa1=0.5), 5, 0.0),      # kappa_0 = 1.5 > kappa1
+    (Bargmann1(beta=1.0, gamma=0.5), 4, -1.0),    # mu_0 = -1: a bound-state term
+], ids=["zero", "bargmann1", "bargmann2", "bound-state"])
+def test_sweep_eps_is_the_laplace_routes_sup_gap(base, d, delta):
+    # the closed form against max_k |sigma~_k - sigma_k| of two Laplace-route
+    # spectra, at scales where the subtraction still keeps its digits
+    params = make_spectral_params(d, delta, 16)
+    coeffs = np.array([-1.0, -0.5, -0.25])
+    records, dropped = run_sweep(base, scaled_coeff_family(coeffs), [1.0, 1e-1, 1e-2, 1e-3],
+                                 2.0, params, M=32)
+    assert dropped == []
+    sigma = steklov_spectrum(
+        wt_from_amplitude(build_perturbed_amplitude(base, [], params), params.kappa), params)
+    for rec in records:
+        amp = build_perturbed_amplitude(base, rec.s * coeffs, params)
+        assert (amp.term_mu[0] < 0) == (delta == -1.0)
+        sigma_t = steklov_spectrum(wt_from_amplitude(amp, params.kappa), params)
+        gap = float(np.max(np.abs(sigma_t.sigma - sigma.sigma)))
+        assert rec.eps == pytest.approx(gap, rel=1e-12, abs=0)
+
+
+def test_sweep_eps_keeps_the_whole_generator_tail():
+    # the generator's cutoff is relative to its own size, so at s = 1e-12 the
+    # family is still the s = 1 family scaled, not cut after 3 terms
+    rho = 1.0 / 9.0
+    records, dropped = run_sweep(ZeroForm(), geometric_family(rho),
+                                 [1e-9, 1e-10, 1e-11, 1e-12], 2.0, PARAMS, M=32)
+    assert dropped == []
+    j = np.arange(400)
+    c = -1e-12 * rho ** PARAMS.lam_at(j)
+    series = math.fsum(np.abs(c / (2.0 * PARAMS.kappa[0] + PARAMS.mu_at(j))))
+    assert records[-1].eps == pytest.approx(series, rel=1e-14, abs=0)
 
 
 def test_single_term_monotone_vanishing(single_term_records):
@@ -62,7 +102,7 @@ def test_amplitude_side_bound_with_fitted_B(single_term_records):
 @pytest.fixture(scope="module")
 def geometric_records():
     records, dropped = run_sweep(ZeroForm(), geometric_family(1.0 / 9.0), SCALES, 2.0,
-                                 PARAMS, K=64, M=64)
+                                 PARAMS, M=64)
     assert dropped == []
     return records
 
@@ -101,7 +141,7 @@ def test_geometric_p_gap_chain(geometric_records):
 
 def test_zero_family_records_are_zero():
     recs, dropped = run_sweep(ZeroForm(), scaled_coeff_family([0.0]), SCALES, 2.0,
-                              PARAMS, K=16, M=32)
+                              PARAMS, M=32)
     assert dropped == []
     for rec in recs:
         assert (rec.eps, rec.q_gap, rec.a_gap, rec.bound) == (0.0, 0.0, 0.0, 0.0)
@@ -112,17 +152,17 @@ def test_zero_family_records_are_zero():
 def test_sweep_validations():
     fam = scaled_coeff_family([-1.0])
     with pytest.raises(ValidationError):
-        run_sweep(ZeroForm(), fam, [1e-1, 1e-2], 2.0, PARAMS, 16, 32)  # < 3 decades
+        run_sweep(ZeroForm(), fam, [1e-1, 1e-2], 2.0, PARAMS, 32)  # < 3 decades
     with pytest.raises(ValidationError):
-        run_sweep(ZeroForm(), fam, [1e-4, 1e-1, 1e-2, 1e-3], 2.0, PARAMS, 16, 32)
+        run_sweep(ZeroForm(), fam, [1e-4, 1e-1, 1e-2, 1e-3], 2.0, PARAMS, 32)
     with pytest.raises(ValidationError):
-        run_sweep(ZeroForm(), fam, [-1e-1, 1e-2, 1e-3, 1e-4], 2.0, PARAMS, 16, 32)
+        run_sweep(ZeroForm(), fam, [-1e-1, 1e-2, 1e-3, 1e-4], 2.0, PARAMS, 32)
 
 
 def test_sweep_fails_when_family_inadmissible():
     bad = scaled_coeff_family([1.0])  # positive coefficients at every scale
     with pytest.raises(NumericalError, match="fewer than 3 valid records; failures: s=0.1: "):
-        run_sweep(ZeroForm(), bad, SCALES, 2.0, PARAMS, 16, 32)
+        run_sweep(ZeroForm(), bad, SCALES, 2.0, PARAMS, 32)
 
 
 def _synthetic(eps_list, q_fn, theta=0.5):
