@@ -20,7 +20,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gelfand_levitan import gl_residual, recover_potential, solve_gl
+from .gelfand_levitan import recover_potential, solve_gl
 from .muntz import system_for_params
 from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
                            ks_check_normalization, ks_check_positivity,
@@ -63,18 +63,28 @@ class RunConfig:
         return lines
 
 
-_WELLS = {"bargmann1": (Bargmann1, ("beta", "gamma")),
+_FORMS = {"zero": (ZeroForm, ()),
+          "bargmann1": (Bargmann1, ("beta", "gamma")),
           "bargmann2": (Bargmann2, ("c1", "kappa1"))}
+
+
+def _known_keys(spec, keys: tuple[str, ...], what: str) -> None:
+    """Reject a spec that is not an object, or has a key outside keys: a
+    misspelled key would otherwise be ignored without a word."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{what} must be an object, got {spec!r}", _MOD)
+    if unknown := sorted(set(spec) - set(keys)):
+        raise ValidationError(f"unknown {what} key {', '.join(map(repr, unknown))}; "
+                              f"expected {' | '.join(keys)}", _MOD)
 
 
 def _base_form(spec: dict) -> PotentialForm:
     kind = spec.get("kind", "zero")
-    if kind == "zero":
-        return ZeroForm()
-    if not isinstance(kind, str) or kind not in _WELLS:
+    if not isinstance(kind, str) or kind not in _FORMS:
         raise ValidationError(
             f"unknown base kind {kind!r}; expected zero | bargmann1 | bargmann2", _MOD)
-    well, keys = _WELLS[kind]
+    form, keys = _FORMS[kind]
+    _known_keys(spec, ("kind", *keys), f"{kind} base")
     try:
         params = {key: float(spec[key]) for key in keys}
     except KeyError as exc:
@@ -82,7 +92,7 @@ def _base_form(spec: dict) -> PotentialForm:
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{kind} base parameters must be numbers: {exc}", _MOD)
     _require_finite(params, f"{kind} base parameter")
-    return well(**params)
+    return form(**params)
 
 
 def _require_finite(named: dict, what: str) -> None:
@@ -93,7 +103,10 @@ def _require_finite(named: dict, what: str) -> None:
 
 
 def _coeff_spec(spec: dict) -> tuple[np.ndarray, GeometricTail | None]:
+    _known_keys(spec, ("values", "generator"), "coeffs")
     gen = spec.get("generator")
+    if gen is not None:
+        _known_keys(gen, ("a", "rho"), "coefficient generator")
     try:
         values = np.asarray(spec.get("values", []), dtype=float)
         ar = None if gen is None else {"a": float(gen["a"]), "rho": float(gen["rho"])}
@@ -119,11 +132,10 @@ def _amplitude(cfg: RunConfig, params) -> Amplitude:
 def _cmd_forward(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
-    spectrum = steklov_spectrum(
-        wt_from_ode(_base_form(cfg.base), params.kappa[:cfg.K + 1], opts), params, cfg.K)
+    m, _ = wt_from_ode(_base_form(cfg.base), params.kappa, opts)
     lines = ["k,kappa,sigma"]
-    for k in range(cfg.K + 1):
-        lines.append(f"{k},{_fmt(params.kappa[k])},{_fmt(spectrum.sigma[k])}")
+    for k, (kappa, sigma) in enumerate(zip(params.kappa, steklov_spectrum(params, m))):
+        lines.append(f"{k},{_fmt(kappa)},{_fmt(sigma)}")
     return lines
 
 
@@ -131,14 +143,13 @@ def _cmd_perturb(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
     base_amp = build_perturbed_amplitude(amp.base, np.zeros(0), params)
-    kappas = params.kappa[:cfg.K + 1]
-    sig = steklov_spectrum(wt_from_amplitude(base_amp, kappas), params, cfg.K)
-    sig_t = steklov_spectrum(wt_from_amplitude(amp, kappas), params, cfg.K)
+    sig = steklov_spectrum(params, wt_from_amplitude(base_amp, params.kappa)[0])
+    sig_t = steklov_spectrum(params, wt_from_amplitude(amp, params.kappa)[0])
     diff = spectral_measure_diff(amp)
-    gap = sig_t.sigma - sig.sigma
+    gap = sig_t - sig
     lines = ["k,sigma,sigma_tilde,diff"]
-    for k in range(cfg.K + 1):
-        lines.append(f"{k},{_fmt(sig.sigma[k])},{_fmt(sig_t.sigma[k])},{_fmt(gap[k])}")
+    for k, row in enumerate(zip(sig, sig_t, gap)):
+        lines.append(",".join([str(k), *map(_fmt, row)]))
     lines.append(f"# eps = {_fmt(np.max(np.abs(gap)))}")
     lines.append("# resonances: index,location")
     for i, r in enumerate(diff.resonances):
@@ -154,7 +165,7 @@ def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
     amp = _amplitude(cfg, params)
     ws = solve_gl(amp, cfg.T, cfg.M)
     q = recover_potential(ws)
-    lines = [f"# gl_residual = {_fmt(gl_residual(ws))}", "x,Q"]
+    lines = [f"# gl_residual = {_fmt(ws.residual)}", "x,Q"]
     for x, v in zip(q.grid, q.values):
         lines.append(f"{_fmt(x)},{_fmt(v)}")
     return lines
@@ -163,7 +174,6 @@ def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
 def _cmd_muntz(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, max(cfg.K, cfg.n))
     system = system_for_params(params, cfg.n, cfg.precision)
-    system._guard(cfg.n)  # a level past the certified range is noise, not a table
     lines = ["m,j,C_mj"]
     table = system.float_table()
     for m in range(cfg.n + 1):

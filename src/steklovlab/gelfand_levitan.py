@@ -491,7 +491,9 @@ class GLWorkspace:
     together with p and p' there. lattices holds p and p' on every lattice
     the solve sampled (_sample), so recovery evaluates nothing again.
     residual is the max over nodes of the sup-norm residual of the discrete
-    equations, taken at solve time.
+    equations, taken at solve time (for the nested nodes as A0[i:, i:] V plus
+    the four corner columns); it certifies the linear solves, not the
+    reconstruction's accuracy.
     """
 
     T: float
@@ -565,15 +567,3 @@ def recover_potential(ws: GLWorkspace) -> RadialPotential:
         dd = ph[0] * V[0] + 2.0 * dph[0] - S @ (g1 * Vx) + S @ (g2 * V)
         qvals[ws.M - i] = -2.0 * dd  # value sits at T - x
     return RadialPotential(grid=ws.grid.copy(), values=qvals)
-
-
-def gl_residual(ws: GLWorkspace) -> float:
-    """Max over x nodes of the sup-norm residual of the discrete equations.
-
-    solve_gl substitutes each node's solution into that node's equations, for
-    the nested nodes as A0[i:, i:] V plus the four corner columns, before the
-    factors are dropped; this certifies the linear solves independently of
-    reconstruction accuracy. A non-finite residual at any node has already
-    raised the tagged NumericalError.
-    """
-    return ws.residual

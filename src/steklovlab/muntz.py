@@ -80,20 +80,31 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
     """Coefficient rows C_m = (C_m0..C_mm) as mpmath floats, in O(n^2) mp
     operations: below the diagonal, row m is row m-1 times the ratio
     sqrt((2 lam_m + 1)/(2 lam_{m-1} + 1)) (lam_j + lam_{m-1} + 1)/(lam_j - lam_m);
-    the diagonal C_mm is its product formula."""
+    the diagonal C_mm is its product formula.
+
+    Each row is checked as it is built: the first level m whose condition
+    proxy sum_p |C_mp|, the growth factor that eats working digits, exceeds
+    10^(digits - 8) raises NumericalError, because the rows from there on are
+    noise, not a table."""
     from mpmath import mp
     _check_exponents(exponents)
+    limit = 10.0 ** (int(precision * math.log10(2.0)) - 8)
     with mp.workprec(precision):
         lam = _mpf_array(exponents)
         if any(b <= a for a, b in zip(lam, lam[1:])):
             raise NumericalError(f"exponents coincide at {precision}-bit precision", _MOD)
         root = [mp.sqrt(2 * x + 1) for x in lam]
         rows = [np.array([root[0]], dtype=object)]
-        for m in range(1, len(lam)):
-            below = lam[:m]
-            ratio = root[m] / root[m - 1] * (below + lam[m - 1] + 1) / (below - lam[m])
-            diag = root[m] * np.prod((lam[m] + below + 1) / (lam[m] - below))
-            rows.append(np.append(rows[-1] * ratio, diag))
+        for m in range(len(lam)):
+            if m:
+                below = lam[:m]
+                ratio = root[m] / root[m - 1] * (below + lam[m - 1] + 1) / (below - lam[m])
+                diag = root[m] * np.prod((lam[m] + below + 1) / (lam[m] - below))
+                rows.append(np.append(rows[-1] * ratio, diag))
+            if (proxy := float(mp.fsum(rows[m], absolute=True))) > limit:
+                raise NumericalError(
+                    f"orthonormalization level n={m} exceeds the certified range at "
+                    f"{precision}-bit precision (condition proxy {proxy:.3e})", _MOD)
         return tuple(tuple(row) for row in rows)
 
 
@@ -136,18 +147,6 @@ class MuntzSystem:
         for m, row in enumerate(self.C):
             out[m, : m + 1] = [float(c) for c in row]
         return out
-
-    def condition_proxy(self, n: int) -> float:
-        """sum_p |C_np|, the growth factor that eats working digits at level n."""
-        return float(sum(abs(c) for c in self.C[n]))
-
-    def _guard(self, n: int):
-        digits = int(self.precision * math.log10(2.0))
-        if self.condition_proxy(n) > 10.0 ** (digits - 8):
-            raise NumericalError(
-                f"orthonormalization level n={n} exceeds the certified range at "
-                f"{self.precision}-bit precision (condition proxy "
-                f"{self.condition_proxy(n):.3e})", _MOD)
 
     def gram_residual(self, n: int | None = None) -> float:
         """max |C H C^T - I| over levels m, q <= n, in working precision. mp.fdot

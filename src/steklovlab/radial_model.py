@@ -324,21 +324,6 @@ class BallPotential(_SampledTable):
             raise ValidationError("ball grid must lie inside (0, 1]", _MOD)
 
 
-@dataclass(frozen=True)
-class SteklovSpectrum:
-    """Leading Steklov eigenvalues sigma_0..sigma_K for a fixed dimension."""
-
-    d: int
-    sigma: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "sigma", np.asarray(self.sigma, dtype=float))
-
-    @property
-    def K(self) -> int:
-        return self.sigma.size - 1
-
-
 # ---------------------------------------------------------------------------
 # Potential constructors and the ball <-> half-line change of variables.
 # ---------------------------------------------------------------------------

@@ -1,6 +1,11 @@
 """Weyl-Titchmarsh values M(-kappa^2) by two independent routes, and Steklov
 spectra.
 
+Both routes take a 1-d array of kappas, a scalar counting as one entry, and
+return two float arrays of that length: M and its est_error. A failure is
+raised for the lowest failing index k as "evaluator failed at k=...: <cause>".
+steklov_spectrum turns M at the ladder kappa_k into the Steklov eigenvalues.
+
 Route one takes Q as a closed form (PotentialForm), evaluated exactly, or as a
 sampled RadialPotential, interpolated between its nodes. It integrates
 -u'' + Q u = -kappa^2 u backward from a truncation point
@@ -45,7 +50,7 @@ import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .perturbation import Amplitude
-from .radial_model import PotentialForm, RadialPotential, SpectralParams, SteklovSpectrum
+from .radial_model import PotentialForm, RadialPotential, SpectralParams
 
 _MOD = "weyl_titchmarsh"
 _CHUNK = 8192         # RK4 steps per propagator product
@@ -59,13 +64,6 @@ _DE_H = 1.0 / 16.0
 _DE_T = np.arange(-64, 59) * _DE_H
 _DE_S = np.exp(_DE_T - np.exp(-_DE_T))
 _DE_W = _DE_H * _DE_S * (1.0 + np.exp(-_DE_T)) * np.exp(-_DE_S)
-
-
-@dataclass(frozen=True)
-class WTEvaluation:
-    kappa: float
-    value: float
-    est_error: float
 
 
 @dataclass(frozen=True)
@@ -198,54 +196,47 @@ def _m_fixed_step(Q: Callable[[np.ndarray], np.ndarray], kappa: float, x_max: fl
     return m
 
 
-def _failed_at(k: int, exc: ValidationError | NumericalError):
-    return type(exc)(f"evaluator failed at k={k}: {exc}", _MOD)
-
-
 def _bad_kappa(kappa: float) -> ValidationError | None:
     if kappa > 0 and math.isfinite(kappa * kappa):
         return None
     return ValidationError(f"kappa must be positive with a finite square, got {kappa}", _MOD)
 
 
-def _evaluations(kappa, evals: list[WTEvaluation], stop: int,
-                 error: ValidationError | NumericalError | None):
-    """The result of a route called with kappa: one WTEvaluation for a scalar,
-    the list for an array; error is that of the lowest failing index stop."""
-    if np.ndim(kappa) == 0:
-        if error is not None:
-            raise error
-        return evals[0]
+def _result(values: np.ndarray, est_errors: np.ndarray, stop: int,
+            error: ValidationError | NumericalError | None):
+    """A route's (values, est_errors), or the error of its lowest failing
+    index stop, raised as "evaluator failed at k=stop: ..."."""
     if error is not None:
-        raise _failed_at(stop, error) from error
-    return evals
+        raise type(error)(f"evaluator failed at k={stop}: {error}", _MOD) from error
+    return values, est_errors
 
 
-def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, opts: OdeOptions | None = None):
-    """M(-kappa^2) = u'(0)/u(0) by backward integration and step halving.
+def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
+                opts: OdeOptions | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(value, est_error): M(-kappa^2) = u'(0)/u(0) by backward integration
+    and step halving, and its error estimate, one entry per kappa.
 
     Q is a sampled RadialPotential or a closed form, which is evaluated
-    directly.
-    kappa is one value (returns a WTEvaluation) or a 1-d array (returns a list
-    of them). The kappas are grouped by truncation point. A group samples Q
-    once per halving level, on that level's whole half-step grid, and shoots
-    all of its unconverged kappas in one batched pass; converged kappas drop
-    out. A kappa converges when the Richardson extrapolates
+    directly. kappa is a 1-d array; a scalar counts as one entry. The kappas
+    are grouped by truncation point. A group samples Q once per halving
+    level, on that level's whole half-step grid, and shoots all of its
+    unconverged kappas in one batched pass; converged kappas drop out. A
+    kappa converges when the Richardson extrapolates
     r_j = m_j + (m_j - m_{j-1})/15 of two successive levels differ by at most
     opts.tolerance; value is r_j and est_error is |r_j - r_{j-1}|.
 
     Raises NumericalError when a halving shrinks the raw difference
     |m_j - m_{j-1}| by less than _MIN_CONTRACTION (worded as an eigenvalue if
     it grew, as an unresolved step or a tolerance below the rounding floor if
-    not), or after _MAX_HALVINGS.
-    For an array, the error is that of the lowest failing index k, raised as
-    "evaluator failed at k=..."; the kappas above k stop as soon as k fails.
+    not), or after _MAX_HALVINGS. The error is that of the lowest failing
+    index k, raised as "evaluator failed at k=..."; the kappas above k stop as
+    soon as k fails.
     """
     opts = opts or OdeOptions()
     closed = isinstance(Q, PotentialForm)  # a closed form is evaluated directly
     potential = Q.potential if closed else Q
     kappas = np.atleast_1d(np.asarray(kappa, dtype=float))
-    evals: list[WTEvaluation | None] = [None] * kappas.size
+    values, est_errors = np.empty(kappas.size), np.empty(kappas.size)
     stop, error = kappas.size, None  # the lowest failing index and its error
     groups: dict[float, list[int]] = {}  # by x_max, in order of the lowest index
     for i, kap in enumerate(kappas.tolist()):
@@ -275,7 +266,6 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, opts: OdeOptions | No
                 break
             unconverged = []
             for i, m in zip(active, _m_values(q, kappas[active], x_max / n)):
-                kap = float(kappas[i])
                 if isinstance(m, NumericalError):
                     stop, error = i, m
                     break
@@ -283,14 +273,14 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, opts: OdeOptions | No
                     diff = abs(m - prev[i])
                     r = m + (m - prev[i]) / 15.0  # RK4's h^4 error term cancelled
                     if i in prev_r and (est := abs(r - prev_r[i])) <= opts.tolerance:
-                        evals[i] = WTEvaluation(kappa=kap, value=r, est_error=est)
+                        values[i], est_errors[i] = r, est
                         continue
                     # RK4 contracts the difference about 16x per halving; near
                     # an eigenvalue it grows instead, and while the step does
                     # not resolve Q it shrinks slowly: no tolerance will be met
                     if i in prev_diff and diff * _MIN_CONTRACTION > prev_diff[i]:
                         stop, error = i, NumericalError(
-                            f"step halving stopped converging at kappa={kap}: the "
+                            f"step halving stopped converging at kappa={kappas[i]}: the "
                             f"difference went from {prev_diff[i]:.3g} to {diff:.3g} "
                             + ("(spectral parameter too close to an eigenvalue)"
                                if diff > prev_diff[i] else
@@ -307,19 +297,20 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, opts: OdeOptions | No
             stop, error = active[0], NumericalError(
                 f"step halving did not reach tolerance {opts.tolerance} at "
                 f"kappa={float(kappas[active[0]])}", _MOD)
-    return _evaluations(kappa, evals, stop, error)
+    return _result(values, est_errors, stop, error)
 
 
-def wt_from_amplitude(A: Amplitude, kappa):
-    """M(-kappa^2) from the amplitude representation, base part by the exp-sinh
-    rule; est_error is its difference from the half rule plus 1e-15 |value|.
+def wt_from_amplitude(A: Amplitude, kappa) -> tuple[np.ndarray, np.ndarray]:
+    """(value, est_error): M(-kappa^2) from the amplitude representation, one
+    entry per kappa, base part by the exp-sinh rule; est_error is its
+    difference from the half rule plus 1e-15 |value|.
 
-    kappa is one value (returns a WTEvaluation) or a 1-d array (returns a list
-    of them). Raises ValidationError for a kappa that is not positive with a
-    finite square, at or below kappa_min, or within 1e-8 of a bound-state
-    pole, and for non-summable coefficients; NumericalError for a non-finite
-    value. For an array, the error is that of the lowest failing index k,
-    raised as "evaluator failed at k=...".
+    kappa is a 1-d array; a scalar counts as one entry. Raises
+    ValidationError for a kappa that is not positive with a finite square, at
+    or below kappa_min, or within 1e-8 of a bound-state pole, and for
+    non-summable coefficients; NumericalError for a non-finite value. The
+    error is that of the lowest failing index k, raised as "evaluator failed
+    at k=...".
     """
     kappas = np.atleast_1d(np.asarray(kappa, dtype=float))
     base = A.base
@@ -349,31 +340,17 @@ def wt_from_amplitude(A: Amplitude, kappa):
         base_int = f.sum(axis=1) / decay
         base_err = np.abs(base_int - (2.0 * f[:, ::2]).sum(axis=1) / decay)
         values = -ks - base_int - A.laplace_terms(ks[:, None]).sum(axis=1)
-    evals = []
-    for kap, value, err in zip(ks.tolist(), values.tolist(), base_err.tolist()):
-        if not (math.isfinite(value) and math.isfinite(err)):
-            stop, error = len(evals), NumericalError(
-                f"the Laplace route is not finite at kappa={kap}", _MOD)
-            break
-        evals.append(WTEvaluation(kappa=kap, value=value,
-                                  est_error=err + 1e-15 * abs(value)))
-    return _evaluations(kappa, evals, stop, error)
+        finite = np.isfinite(values) & np.isfinite(base_err)
+        est_errors = base_err + 1e-15 * np.abs(values)
+    if not finite.all():
+        stop = int(np.argmin(finite))
+        error = NumericalError(
+            f"the Laplace route is not finite at kappa={float(ks[stop])}", _MOD)
+    return _result(values, est_errors, stop, error)
 
 
-def steklov_spectrum(evals: list[WTEvaluation], params: SpectralParams,
-                     K: int | None = None) -> SteklovSpectrum:
-    """sigma_k = -(d-2)/2 - M(-kappa_k^2) for k = 0..K.
-
-    evals holds the K+1 evaluations at params.kappa[:K + 1] (checked), as
-    wt_from_ode and wt_from_amplitude return them for that array. The
-    additive constant -(d-2)/2 is the one that makes sigma_k = k exact for
-    Q = 0.
-    """
-    K = params.K if K is None else K
-    if K > params.K:
-        raise ValidationError(f"K={K} exceeds the parameter table (K={params.K})", _MOD)
-    if [ev.kappa for ev in evals] != params.kappa[:K + 1].tolist():
-        raise ValidationError(
-            f"the {len(evals)} evaluations are not at kappa_0..kappa_K, K={K}", _MOD)
-    values = [ev.value for ev in evals]
-    return SteklovSpectrum(d=params.d, sigma=-(params.d - 2) / 2.0 - np.array(values))
+def steklov_spectrum(params: SpectralParams, m) -> np.ndarray:
+    """sigma_k = -(d-2)/2 - M(-kappa_k^2), from the values m of M that a route
+    returns at the kappa_k of params. The additive constant -(d-2)/2 is the
+    one that makes sigma_k = k exact for Q = 0."""
+    return -(params.d - 2) / 2.0 - np.asarray(m, dtype=float)

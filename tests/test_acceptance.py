@@ -36,8 +36,9 @@ def test_criterion_1_flat_ball_spectrum():
     worst = 0.0
     for d in (3, 4, 5):
         params = make_spectral_params(d, 0.0, 16)
-        spec = steklov_spectrum(wt_from_ode(ZeroForm(), params.kappa, opts), params, 16)
-        worst = max(worst, float(np.max(np.abs(spec.sigma - np.arange(17)))))
+        values, _ = wt_from_ode(ZeroForm(), params.kappa, opts)
+        worst = max(worst, float(np.max(np.abs(steklov_spectrum(params, values)
+                                                - np.arange(17)))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
     assert elapsed < 1.0
@@ -89,8 +90,8 @@ def test_criterion_4_route_agreement():
         q = recover_potential(solve_gl(amp, 2.0, 256))
         ext = extend_potential(q, form, 14.0)
         for kappa in (1.0, 1.5, 2.5, 5.0):
-            ode = wt_from_ode(ext, kappa, OdeOptions(x_max=14.0)).value
-            lap = wt_from_amplitude(amp, kappa).value
+            (ode,), _ = wt_from_ode(ext, kappa, OdeOptions(x_max=14.0))
+            (lap,), _ = wt_from_amplitude(amp, kappa)
             worst = max(worst, abs(ode - lap))
     assert worst <= 1e-6
     _report(4, "route agreement", f"max |ODE - Laplace| = {worst:.2e}")
@@ -179,9 +180,9 @@ def test_criterion_9_ball_halfline_identity():
     rel = abs(half_norm - ball_norm) / half_norm
     assert rel <= 1e-6
 
-    sig0 = steklov_spectrum(wt_from_amplitude(base, params.kappa), params, 64)
-    sig1 = steklov_spectrum(wt_from_amplitude(pert, params.kappa), params, 64)
-    eps = float(np.max(np.abs(sig1.sigma - sig0.sigma)))
+    sig0 = steklov_spectrum(params, wt_from_amplitude(base, params.kappa)[0])
+    sig1 = steklov_spectrum(params, wt_from_amplitude(pert, params.kappa)[0])
+    eps = float(np.max(np.abs(sig1 - sig0)))
     # zero base: sigma~_k - sigma_k = sum_j c_j / (2 kappa_k + mu_j) with
     # c_j = -a rho^(2j + 1/2), mu_j = 2j + 1 and 2 kappa_k = 2k + 1, largest at
     # k = 0, where the series sums to a sqrt(rho) (-log(1 - rho^2)) / (2 rho^2)

@@ -355,7 +355,8 @@ def test_sweep_refuses_base_without_laplace_representation(tmp_path, capsys):
     assert run_cli(["sweep", "--d", "3", "--delta", "0.5", "--base", "bargmann2",
                     "--c1", "1", "--kappa1", "1", "--coeffs=-1", "--output", str(out)]) == 2
     assert capsys.readouterr().err == (
-        "[weyl_titchmarsh] representation for this base needs kappa > 1.0, got 0.5\n")
+        "[weyl_titchmarsh] evaluator failed at k=0: representation for this base needs "
+        "kappa > 1.0, got 0.5\n")
     assert not out.exists()
 
 
@@ -428,6 +429,15 @@ def test_muntz_refuses_uncertified_levels(tmp_path, capsys):
         assert run_cli(["muntz", *args, "--output", str(out)]) == 3
         assert capsys.readouterr().err.startswith("[muntz] ")
         assert not out.exists()
+    # the table is refused at the first uncertified level, m = 91 of 2000 at
+    # 256 bits, before the rest of its O(n^2) entries are built
+    start = time.perf_counter()
+    assert run_cli(["muntz", "--d", "3", "--delta", "0.5", "--n", "2000",
+                    "--output", str(out)]) == 3
+    assert time.perf_counter() - start < 2.0
+    assert capsys.readouterr().err.startswith(
+        "[muntz] orthonormalization level n=91 exceeds the certified range at 256-bit")
+    assert not out.exists()
     assert run_cli(["muntz", "--d", "3", "--delta", "0", "--n", "10",
                     "--output", str(out)]) == 0
 
@@ -495,11 +505,21 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     # malformed values: each is a validation failure, never a traceback
     for data in ({"command": "muntz", "n": "3"}, {"command": "muntz", "n": 3.5},
                  {"command": "reconstruct", "T": "2"}, {"command": "forward", "base": "zero"},
-                 {"command": "ks-check", "coeffs": {"values": ["a"]}}, [1, 2]):
+                 {"command": "ks-check", "coeffs": {"values": ["a"]}}, [1, 2],
+                 # a misspelled key inside base, coeffs or the generator
+                 {"command": "reconstruct", "coeffs": {"valuez": [-1.0]}},
+                 {"command": "forward", "base": {"kind": "bargmann1", "beta": 1.0,
+                                                 "gamma": 0.5, "gama": 0.1}},
+                 {"command": "sweep", "coeffs": {"generator": {"a": 1.0, "rho": 0.1,
+                                                               "roh": 0.2}}},
+                 {"command": "ks-check", "coeffs": {"generator": [1.0, 0.1]}}):
         cfg.write_text(json.dumps(data))
         assert run_cli(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
-    for args in (["sweep", "--coeffs", "a"], ["sweep", "--scales", "1,b"]):
+    for args in (["sweep", "--coeffs", "a"], ["sweep", "--scales", "1,b"],
+                 ["forward", "--base", "zero", "--beta", "7"],  # a zero base has no beta
+                 ["perturb", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.5",
+                  "--gamma", "0.5"]):
         assert run_cli(args) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
     cfg.write_text(json.dumps({"command": "sweep", "coeffs": {"values": [-0.1]}, "scales": []}))

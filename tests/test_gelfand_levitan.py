@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import exprel
 
 from steklovlab import (Bargmann1, Bargmann2, NumericalError, ValidationError,
-                        ZeroForm, build_perturbed_amplitude, gl_residual, GeometricTail,
+                        ZeroForm, build_perturbed_amplitude, GeometricTail,
                         make_spectral_params, p_from_amplitude,
                         p_prime_from_amplitude, recover_potential, solve_gl)
 from steklovlab import gelfand_levitan as gl
@@ -94,7 +94,7 @@ def test_zero_amplitude_fixed_point():
     assert all(np.all(v == 0.0) for v in ws.V)
     q = recover_potential(ws)
     assert np.all(q.values == 0.0)
-    assert gl_residual(ws) == 0.0
+    assert ws.residual == 0.0
 
 
 def test_kernel_symmetry_exact():
@@ -109,7 +109,7 @@ def test_kernel_symmetry_exact():
 
 def test_residual_small_bargmann():
     ws = solve_gl(amp_of(B1), 2.0, 128)
-    assert gl_residual(ws) <= 1e-10
+    assert ws.residual <= 1e-10
 
 
 def test_residual_scale_independent():
@@ -117,7 +117,7 @@ def test_residual_scale_independent():
     res = []
     for s in (1e-1, 1e-3):
         ws = solve_gl(amp_of(ZeroForm(), gen=GeometricTail(a=s, rho=1.0 / 9.0)), 2.0, 64)
-        res.append(gl_residual(ws))
+        res.append(ws.residual)
     assert all(r <= 1e-12 for r in res)
 
 
@@ -173,8 +173,8 @@ def test_residual_equals_reassembly_oracle(amp, M):
     # which two evaluation orders of one residual entry can differ
     ws = solve_gl(amp, 2.0, M)
     residual, bound = gl_residual_loop(ws)
-    assert abs(gl_residual(ws) - residual) <= bound
-    assert gl_residual(ws) <= 1e-12
+    assert abs(ws.residual - residual) <= bound
+    assert ws.residual <= 1e-12
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 64, 511])

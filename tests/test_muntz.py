@@ -110,8 +110,9 @@ def test_still_bound_values():
 
 
 def test_certified_range_refusal_at_low_precision():
+    # 64 bits carry 19 digits: the condition proxy sum_p |C_mp| first passes
+    # 10^{19-8} at level 15, and the table is refused there, as it is built
     params = make_spectral_params(3, 0.0, 16)
-    system = system_for_params(params, 16, precision=64)
-    with pytest.raises(NumericalError):
-        system._guard(15)  # condition proxy ~ 2e11 > 10^{19-8}
-    system._guard(10)  # still certified at n = 10
+    with pytest.raises(NumericalError, match=r"level n=15 exceeds the certified range"):
+        system_for_params(params, 16, precision=64)
+    assert system_for_params(params, 10, precision=64).n == 10  # still certified

@@ -45,12 +45,12 @@ def test_sweep_eps_is_the_laplace_routes_sup_gap(base, d, delta):
                                  2.0, params, M=32)
     assert dropped == []
     sigma = steklov_spectrum(
-        wt_from_amplitude(build_perturbed_amplitude(base, [], params), params.kappa), params)
+        params, wt_from_amplitude(build_perturbed_amplitude(base, [], params), params.kappa)[0])
     for rec in records:
         amp = build_perturbed_amplitude(base, rec.s * coeffs, params)
         assert (amp.term_mu[0] < 0) == (delta == -1.0)
-        sigma_t = steklov_spectrum(wt_from_amplitude(amp, params.kappa), params)
-        gap = float(np.max(np.abs(sigma_t.sigma - sigma.sigma)))
+        sigma_t = steklov_spectrum(params, wt_from_amplitude(amp, params.kappa)[0])
+        gap = float(np.max(np.abs(sigma_t - sigma)))
         assert rec.eps == pytest.approx(gap, rel=1e-12, abs=0)
 
 

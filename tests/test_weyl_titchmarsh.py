@@ -22,24 +22,29 @@ def _amp(base, coeffs, d=3, delta=1.0, K=8, gen=None):
     return build_perturbed_amplitude(base, coeffs, make_spectral_params(d, delta, K), gen)
 
 
+def _sigma(amp, params):
+    """The Laplace route's spectrum at the kappas of params."""
+    return steklov_spectrum(params, wt_from_amplitude(amp, params.kappa)[0])
+
+
 # --- ODE route ---------------------------------------------------------------
 
 
 def test_ode_free_potential_exact():
-    ev = wt_from_ode(ZeroForm(), 1.5, OdeOptions(x_max=12.0))
-    assert ev.value == pytest.approx(-1.5, abs=1e-12)
-    assert ev.est_error <= 1e-12
+    (value,), (est,) = wt_from_ode(ZeroForm(), 1.5, OdeOptions(x_max=12.0))
+    assert value == pytest.approx(-1.5, abs=1e-12)
+    assert est <= 1e-12
 
 
 def test_ode_bargmann1_closed_value():
     # Laplace algebra gives M(-1) = -1 - (gamma^2 - beta^2)/(1 + gamma) = -1/2
-    ev = wt_from_ode(B1, 1.0, OdeOptions(x_max=14.0))
-    assert ev.value == pytest.approx(-0.5, abs=1e-8)
+    (value,), _ = wt_from_ode(B1, 1.0, OdeOptions(x_max=14.0))
+    assert value == pytest.approx(-0.5, abs=1e-8)
 
 
 def test_ode_vs_amplitude_bargmann2():
-    ode = wt_from_ode(B2, 2.0, OdeOptions(x_max=14.0)).value
-    lap = wt_from_amplitude(_amp(B2, []), 2.0).value
+    (ode,), _ = wt_from_ode(B2, 2.0, OdeOptions(x_max=14.0))
+    (lap,), _ = wt_from_amplitude(_amp(B2, []), 2.0)
     assert abs(ode - lap) <= 1e-6
     assert lap == pytest.approx(-2.0 + 1.0 / 3.75, rel=1e-10)
 
@@ -72,8 +77,8 @@ def test_ode_extrapolate_sixth_order_and_covered():
                     assert 40.0 <= e1 / e2 <= 90.0
     # est_error covers the true error at every kappa of the forward-shoot configuration
     kappas = make_spectral_params(3, 0.5, 64).kappa
-    for ev in wt_from_ode(B1, kappas):
-        assert ev.est_error >= abs(ev.value - (-ev.kappa - B1.laplace(ev.kappa)))
+    values, est = wt_from_ode(B1, kappas)
+    assert np.all(est >= np.abs(values - (-kappas - B1.laplace(kappas))))
 
 
 def test_ode_failure_at_eigenvalue():
@@ -138,11 +143,11 @@ def test_forward_shoot_halvings_match_scalar_loop():
         assert len(ms) == len(ref_ms) and abs(ref_rs[-1] - ref_rs[-2]) <= opts.tolerance
         diffs = np.abs(np.diff(ms))
         assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:]))
-        ev = wt_from_ode(B1, kappa, opts)
-        assert (ev.value, ev.est_error) == (rs[-1], abs(rs[-1] - rs[-2]))
+        (value,), (est,) = wt_from_ode(B1, kappa, opts)
+        assert (value, est) == (rs[-1], abs(rs[-1] - rs[-2]))
         # each value agrees with the loop's to 1e-13 relative, and the
         # difference of extrapolates weighs three values by 34/15 in all
-        assert abs(ev.est_error - abs(ref_rs[-1] - ref_rs[-2])) <= 3e-13 * abs(ev.value)
+        assert abs(est - abs(ref_rs[-1] - ref_rs[-2])) <= 3e-13 * abs(value)
 
 
 class _CountingPotential:
@@ -172,8 +177,7 @@ def test_batched_kappas_match_one_kappa_calls():
         levels[x_max] = max(levels.get(x_max, 0), len(counting.sizes))
     counting = _CountingPotential(B1, max(x_maxes))
     batched = wt_from_ode(counting, params.kappa, opts)
-    assert [(e.kappa, e.value, e.est_error) for e in batched] == \
-        [(e.kappa, e.value, e.est_error) for e in singles]
+    assert np.array_equal(batched, np.concatenate(singles, axis=1))  # bitwise
     # Q is sampled once per truncation point and level, on the level's whole grid
     assert len(counting.sizes) == sum(levels.values())
     n0 = {x: max(32, math.ceil(x / _STEP)) for x in levels}
@@ -192,7 +196,24 @@ def test_batched_kappas_raise_for_lowest_failing_index():
         with pytest.raises(error, match=rf"^evaluator failed at k={k}: .*{kappas[k]}"):
             wt_from_ode(B2, np.array(kappas), OdeOptions(x_max=x_max))
         assert time.perf_counter() - start < 1.0
-    assert [e.kappa for e in wt_from_ode(B2, np.array([2.5, 1.5]))] == [2.5, 1.5]
+    values, _ = wt_from_ode(B2, np.array([2.5, 1.5]))  # in the order given
+    assert values.tolist() == [wt_from_ode(B2, k)[0][0] for k in (2.5, 1.5)]
+
+
+@pytest.mark.parametrize("route,arg", [(wt_from_ode, B1),
+                                       (wt_from_amplitude, _amp(B1, [], delta=0.5))],
+                         ids=["ode", "amplitude"])
+def test_routes_return_value_and_error_arrays(route, arg):
+    # a scalar kappa counts as one entry: either route returns two float
+    # arrays with one entry per kappa, and names the failing index either way
+    for kappa, size in ((1.5, 1), (np.array([1.5, 2.5, 3.5]), 3)):
+        out = route(arg, kappa)
+        assert isinstance(out, tuple) and len(out) == 2
+        assert all(a.dtype == np.float64 and a.shape == (size,) for a in out)
+    for kappa in (-1.0, np.array([-1.0])):
+        with pytest.raises(ValidationError,
+                           match=r"^evaluator failed at k=0: kappa must be positive"):
+            route(arg, kappa)
 
 
 def _zero_table(x_max: float, n: int) -> RadialPotential:
@@ -216,41 +237,42 @@ def test_sampled_table_must_reach_the_picked_truncation_point():
     # x_max = None picks max(12, 23/kappa); a sampled table that ends before
     # that point is refused, not clipped to its last node
     sampled_only = _zero_table(12.0, 64)
-    with pytest.raises(ValidationError, match=r"sampled only up to 12\.0, need x_max=23\.0$"):
-        wt_from_ode(sampled_only, 1.0)
-    with pytest.raises(ValidationError, match=r"^evaluator failed at k=0: .*need x_max=23\.0$"):
-        wt_from_ode(sampled_only, np.array([1.0, 2.0]))
+    for kappa in (1.0, np.array([1.0, 2.0])):
+        with pytest.raises(ValidationError, match=r"^evaluator failed at k=0: potential "
+                           r"sampled only up to 12\.0, need x_max=23\.0$"):
+            wt_from_ode(sampled_only, kappa)
     # at kappa = 2 the picked point is 12, which the table reaches; M = -kappa for Q = 0
-    assert wt_from_ode(sampled_only, 2.0).value == pytest.approx(-2.0, abs=1e-9)
+    (value,), _ = wt_from_ode(sampled_only, 2.0)
+    assert value == pytest.approx(-2.0, abs=1e-9)
 
 
 # --- amplitude route ---------------------------------------------------------
 
 
 def test_amplitude_route_trivial():
-    ev = wt_from_amplitude(_amp(ZeroForm(), []), 2.0)
-    assert ev.value == pytest.approx(-2.0, abs=1e-14)
+    (value,), _ = wt_from_amplitude(_amp(ZeroForm(), []), 2.0)
+    assert value == pytest.approx(-2.0, abs=1e-14)
 
 
 def test_amplitude_route_single_term():
     # c0 = -1 at mu0 = 2 (d=3, delta=1): M = -1 - (-1)/(2 + 2) = -3/4
-    ev = wt_from_amplitude(_amp(ZeroForm(), [-1.0]), 1.0)
-    assert ev.value == pytest.approx(-0.75, rel=1e-14)
+    (value,), _ = wt_from_amplitude(_amp(ZeroForm(), [-1.0]), 1.0)
+    assert value == pytest.approx(-0.75, rel=1e-14)
 
 
 def test_amplitude_route_matches_bargmann1_series_form():
     # zero base plus c0 = 2(gamma^2 - beta^2) at mu0 = 2 gamma reproduces the well
     amp = _amp(ZeroForm(), [-1.5], delta=0.5)
-    assert wt_from_amplitude(amp, 1.0).value == pytest.approx(-0.5, rel=1e-13)
+    assert wt_from_amplitude(amp, 1.0)[0] == pytest.approx([-0.5], rel=1e-13)
     base = _amp(B1, [], delta=0.5)
-    assert wt_from_amplitude(base, 1.0).value == pytest.approx(-0.5, rel=1e-10)
+    assert wt_from_amplitude(base, 1.0)[0] == pytest.approx([-0.5], rel=1e-10)
 
 
 def test_amplitude_route_bound_state_term():
     # d=5, delta=-2: mu0 = -2; at kappa=1.5 the split form sums to +1
     amp = _amp(ZeroForm(), [-1.0], d=5, delta=-2.0)
-    ev = wt_from_amplitude(amp, 1.5)
-    assert ev.value == pytest.approx(-0.5, rel=1e-13)
+    (value,), _ = wt_from_amplitude(amp, 1.5)
+    assert value == pytest.approx(-0.5, rel=1e-13)
 
 
 def test_amplitude_route_pole_and_threshold_rejections():
@@ -274,7 +296,8 @@ def test_amplitude_route_pole_and_threshold_rejections():
                                 (huge, [-1.0, 1.5], ValidationError, 0)):
         with pytest.raises(error, match=rf"^evaluator failed at k={k}: .*{kappas[k]}"):
             wt_from_amplitude(a, np.array(kappas))
-    with pytest.raises(NumericalError, match="not finite"):
+    with pytest.raises(NumericalError,
+                       match=r"^evaluator failed at k=0: the Laplace route is not finite"):
         wt_from_amplitude(huge, 1.5)
 
 
@@ -291,18 +314,17 @@ def test_laplace_rule_matches_closed_forms(form):
     near = [form.kappa_min + 1e-3, form.kappa_min + 1e-2] if form.kappa_min else []
     kappas = np.array(near + [k + 0.5 for k in range(65) if k + 0.5 > form.kappa_min])
     amp = _amp(form, [], delta=0.5, K=64)
-    batched = wt_from_amplitude(amp, kappas)
+    values, est = wt_from_amplitude(amp, kappas)
     singles = [wt_from_amplitude(amp, float(k)) for k in kappas]
-    assert [(e.kappa, e.value, e.est_error) for e in batched] == \
-        [(e.kappa, e.value, e.est_error) for e in singles]
+    assert np.array_equal((values, est), np.concatenate(singles, axis=1))  # bitwise
     worst = 0.0
-    for ev in batched:
-        exact = -ev.kappa - form.laplace(ev.kappa)
-        assert abs(ev.value - exact) <= ev.est_error
+    for kappa, value, err in zip(kappas.tolist(), values.tolist(), est.tolist()):
+        exact = -kappa - form.laplace(kappa)
+        assert abs(value - exact) <= err
         # the estimate is at rounding level, except by the threshold, where the
         # half rule resolves the knee of expm1(-4 kappa1 alpha) less well
-        assert ev.est_error <= (1e-9 if ev.kappa in near else 1e-14) * abs(exact)
-        worst = max(worst, abs(ev.value - exact) / abs(exact))
+        assert err <= (1e-9 if kappa in near else 1e-14) * abs(exact)
+        worst = max(worst, abs(value - exact) / abs(exact))
     assert worst <= 1e-13
 
 
@@ -313,13 +335,13 @@ def test_ode_laplace_agreement_improves_with_refinement():
     for form in (B1, B2):
         amp = _amp(form, [], delta=0.5)
         for kappa in (1.5, 5.0):
-            lap = wt_from_amplitude(amp, kappa)
-            odes = [wt_from_ode(form, kappa, OdeOptions(tolerance=tol))
+            (lap,), (lap_err,) = wt_from_amplitude(amp, kappa)
+            odes = [[r[0] for r in wt_from_ode(form, kappa, OdeOptions(tolerance=tol))]
                     for tol in (1e-6, 1e-8, 1e-10)]
-            gaps = [abs(ode.value - lap.value) for ode in odes]
-            assert all(g <= ode.est_error + lap.est_error for g, ode in zip(gaps, odes))
-            for (a, b), (ode_a, ode_b) in zip(zip(gaps, gaps[1:]), zip(odes, odes[1:])):
-                assert b < a or ode_b.value == ode_a.value  # equal when no halving was added
+            gaps = [abs(ode - lap) for ode, _ in odes]
+            assert all(g <= err + lap_err for g, (_, err) in zip(gaps, odes))
+            for (a, b), ((ode_a, _), (ode_b, _)) in zip(zip(gaps, gaps[1:]), zip(odes, odes[1:])):
+                assert b < a or ode_b == ode_a  # equal when no halving was added
             assert gaps[-1] <= 1e-11
 
 
@@ -336,7 +358,7 @@ def test_series_laplace_matches_quadrature(mags, kappa):
 
 def test_asymptotic_drift_vanishes():
     amp = _amp(B1, [], delta=0.5)
-    drifts = [abs(wt_from_amplitude(amp, k).value + k) for k in (4.0, 8.0, 16.0, 32.0)]
+    drifts = [abs(wt_from_amplitude(amp, k)[0][0] + k) for k in (4.0, 8.0, 16.0, 32.0)]
     assert all(b < a for a, b in zip(drifts, drifts[1:]))
 
 
@@ -346,51 +368,33 @@ def test_asymptotic_drift_vanishes():
 def test_flat_spectrum_is_the_index_sequence():
     for d, K in ((3, 3), (5, 2)):
         params = make_spectral_params(d, 0.0, K)
-        evals = wt_from_ode(ZeroForm(), params.kappa, OdeOptions(x_max=12.0))
-        spec = steklov_spectrum(evals, params, K)
-        assert np.allclose(spec.sigma, np.arange(K + 1), atol=1e-8)
+        values, _ = wt_from_ode(ZeroForm(), params.kappa, OdeOptions(x_max=12.0))
+        assert np.allclose(steklov_spectrum(params, values), np.arange(K + 1), atol=1e-8)
 
 
 def test_bargmann1_first_eigenvalue():
     params = make_spectral_params(3, 0.5, 2)
     amp = _amp(B1, [], delta=0.5, K=2)
-    spec = steklov_spectrum(wt_from_amplitude(amp, params.kappa), params, 2)
     # kappa_1 = 1.5: sigma_1 = -1/2 + 3/2 - 0.75/2 = 0.625
-    assert spec.sigma[1] == pytest.approx(0.625, rel=1e-10)
+    assert _sigma(amp, params)[1] == pytest.approx(0.625, rel=1e-10)
 
 
 def test_dn_gap_identical_and_shifted():
     params = make_spectral_params(3, 1.0, 64)
     amp = _amp(ZeroForm(), [-1e-3], K=64)
-    base = steklov_spectrum(wt_from_amplitude(_amp(ZeroForm(), [], K=64), params.kappa),
-                            params, 64)
-    pert = steklov_spectrum(wt_from_amplitude(amp, params.kappa), params, 64)
+    base = _sigma(_amp(ZeroForm(), [], K=64), params)
+    pert = _sigma(amp, params)
 
-    again = steklov_spectrum(wt_from_amplitude(_amp(ZeroForm(), [], K=64), params.kappa),
-                             params, 64)
-    assert np.max(np.abs(again.sigma - base.sigma)) == 0.0  # the same amplitude: no gap
+    again = _sigma(_amp(ZeroForm(), [], K=64), params)
+    assert np.max(np.abs(again - base)) == 0.0  # the same amplitude: no gap
     # max at k = 0: |c| / (2 kappa_0 + mu_0) = 1e-3 / 3
-    assert np.max(np.abs(pert.sigma - base.sigma)) == pytest.approx(1e-3 / 3.0, rel=1e-12)
-
-
-def test_spectrum_needs_evaluations_at_the_table_kappas():
-    params = make_spectral_params(3, 1.0, 4)
-    amp = _amp(ZeroForm(), [-1.0], K=4)
-    assert steklov_spectrum(wt_from_amplitude(amp, params.kappa[:3]), params, 2).K == 2
-    for kappas, K in ((params.kappa[:3], 3), (params.kappa[:3], None),  # too few
-                      (params.kappa[1:4], 2), (params.kappa + 1.0, 4),    # other kappas
-                      (params.kappa, 5)):                                 # K past the table
-        with pytest.raises(ValidationError):
-            steklov_spectrum(wt_from_amplitude(amp, kappas), params, K)
+    assert np.max(np.abs(pert - base)) == pytest.approx(1e-3 / 3.0, rel=1e-12)
 
 
 def test_monotone_gap_decay_in_k():
     params = make_spectral_params(3, 1.0, 32)
     amp = _amp(ZeroForm(), [-1.0], K=32)
-    base = steklov_spectrum(wt_from_amplitude(_amp(ZeroForm(), [], K=32), params.kappa),
-                            params, 32)
-    pert = steklov_spectrum(wt_from_amplitude(amp, params.kappa), params, 32)
-    diffs = np.abs(base.sigma - pert.sigma)
+    diffs = np.abs(_sigma(_amp(ZeroForm(), [], K=32), params) - _sigma(amp, params))
     assert np.all(np.diff(diffs) < 0)
 
 
