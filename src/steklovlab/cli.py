@@ -130,6 +130,9 @@ def _amplitude(cfg: RunConfig, params) -> Amplitude:
 
 
 def _cmd_forward(cfg: RunConfig) -> list[str]:
+    if cfg.coeffs:
+        raise ValidationError("forward shoots the base well alone and takes no coeffs, "
+                              f"got {json.dumps(cfg.coeffs, sort_keys=True)}", _MOD)
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
     m, _ = wt_from_ode(_base_form(cfg.base), params.kappa, opts)

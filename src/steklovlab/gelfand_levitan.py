@@ -35,17 +35,20 @@ the node's left-end quadrature corrections. Reversing the indices turns every
 trailing block into a leading block of B = A0[::-1, ::-1], so one LU
 factorization of B without pivoting serves all nodes: a node adds only its
 four columns, a triangular solve for them (its U12) and a 4 x 4 Schur
-complement factored by lu_factor. Pivoting would break the nesting. Nothing
-proves the unpivoted factors stable: the symmetric part of A0 need not be
-positive definite (its smallest eigenvalue is about -1.1e3 for Bargmann2 with
-c1 = 1.5, kappa1 = 1 at T = 6, M = 128, and -53 with kappa1 = 0.4 at T = 8,
-M = 256, though both solves are accurate). The nesting is trusted because
-every node passes the conditioning gate and the residual check. The gate
-reads an upper bound on ||C^{-1}||_1 off the factors, O(m) per node, and runs
-gecon on a node's packed factors only where that bound cannot pass it. Nodes
-go in groups: a group's forward and back substitutions are one zero-padded
-triangular solve each, and its residuals, A0[i:, i:] V plus the four
-correction columns, are one matrix product.
+complement, factored with partial pivoting as getrf would. Pivoting the x = 0
+factors would break the nesting. Nothing proves them stable unpivoted: the
+symmetric part of A0 need not be positive definite (its smallest eigenvalue is
+about -1.1e3 for Bargmann2 with c1 = 1.5, kappa1 = 1 at T = 6, M = 128, and
+-53 with kappa1 = 0.4 at T = 8, M = 256, though both solves are accurate). The
+nesting is trusted because every node passes the conditioning gate and the
+residual check. The gate reads an upper bound on ||C^{-1}||_1 off the factors,
+O(m) per node, and runs gecon on a node's packed factors only where that bound
+cannot pass it. Nodes go in groups, and a group takes every step for all its
+nodes at once: its forward and back substitutions are one zero-padded
+triangular solve each, its Schur step is one batched product L21 Z, one
+batched pivoted LU of the 4 x 4 blocks and two batched substitutions, and its
+residuals, A0[i:, i:] V plus the four correction columns, are one matrix
+product.
 
 Only this module needs LAPACK, and only inside solve_gl: scipy.linalg loads on
 the first solve, not on import, so a command that solves no GL system never
@@ -65,11 +68,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import NumericalError, ValidationError
 from .perturbation import Amplitude
 from .radial_model import RadialPotential, _exprel
-from .quadrature import simpson_weights
 
 _MOD = "gelfand_levitan"
 _LEAF = 16    # panel width below which the unpivoted LU goes column by column
-_BATCH = 4    # a node group holds at most _BATCH (M + 1) rows over all its nodes
+_BATCH = 16   # a node group holds at most _BATCH (M + 1) rows over all its nodes
 _GATE = 1e-8  # least 1/||C^{-1}||_1 (or gecon's rcond * anorm) a node may have
 _LAPACK = ("get_lapack_funcs", "lu_factor", "lu_solve", "solve_triangular")
 
@@ -131,32 +133,26 @@ def p_prime_from_amplitude(A: Amplitude, t) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _unit_row(i: int) -> np.ndarray:
-    """W[i, :i+1] for i >= 2: composite Simpson for even i, a 3/8 patch on
-    the first three intervals plus Simpson for odd i."""
-    if i % 2 == 0:
-        return simpson_weights(i, 1.0)
-    row = np.zeros(i + 1)
-    row[:4] = np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
-    if i > 3:
-        row[3:] += simpson_weights(i - 3, 1.0)
-    return row
-
-
 def _unit_piece_weights(n: int) -> np.ndarray:
     """W[i, :] integrates a smooth integrand over [t_0, t_i] on unit-spaced
     nodes t_0..t_n (n >= 3); scale by h for spacing h.
 
-    Rows i >= 2 are _unit_row(i); for a single interval the cubic end rule
-    (9, 19, -5, 1)/24, whose stencil spills at most two nodes past the kink;
-    callers evaluate the kernel branch analytically there. Row i never
-    depends on n, so the weights of any subsystem of size m <= n are
-    W[:m+1, :m+1].
+    Row i >= 2 is composite Simpson for even i, and a 3/8 patch on the first
+    three intervals plus Simpson from t_3 for odd i, so Simpson's interior
+    weight is 4/3 where i + j is odd and 2/3 where it is even; for a single
+    interval the cubic end rule (9, 19, -5, 1)/24, whose stencil spills at
+    most two nodes past the kink; callers evaluate the kernel branch
+    analytically there. Row i never depends on n, so the weights of any
+    subsystem of size m <= n are W[:m+1, :m+1].
     """
-    W = np.zeros((n + 1, n + 1))
+    third = 1.0 / 3.0
+    W = np.tril(sliding_window_view(np.resize([2.0 * third, 4.0 * third], 2 * n + 1), n + 1))
+    W[2::2, 0] = third
+    np.fill_diagonal(W, third)
+    W[3::2, :4] = np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
+    W[5::2, 3] += third
+    W[0, 0] = 0.0
     W[1, :4] = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
-    for i in range(2, n + 1):
-        W[i, : i + 1] = _unit_row(i)
     return W
 
 
@@ -257,14 +253,51 @@ def _lu_nopivot(a: np.ndarray) -> None:
     _lu_nopivot(a[h:, h:])
 
 
+def _lu4(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """getrf on a stack a (G, 4, 4), in place: a holds the packed factors.
+    Returns getrf's 0-based pivots (rows k and piv[:, k] swap at step k) and
+    the row order they make, perm[:, k] the row of a that lands in row k."""
+    rows = np.arange(a.shape[0])[:, None]
+    piv, perm = np.full((a.shape[0], 4), 3, dtype=np.int32), np.tile(np.arange(4), (rows.size, 1))
+    for k in range(3):
+        p = piv[:, k, None] = k + np.abs(a[:, k:, k]).argmax(axis=1)[:, None]
+        for x in (a, perm):
+            x[rows, [k]], x[rows, p] = x[rows, p], x[rows, [k]]
+        a[:, k + 1:, k] *= 1.0 / a[:, k, k, None]
+        a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
+    return piv, perm
+
+
+def _lower4(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x (G, 4, c) times the inverse of lu's unit lower factors, in place."""
+    for k in range(3):
+        x[:, k + 1:] -= lu[:, k + 1:, k, None] * x[:, k, None]
+    return x
+
+
+def _upper4(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """x (G, 4, c) times the inverse of lu's upper factors, in place."""
+    for k in range(3, -1, -1):
+        x[:, k] /= lu[:, k, k, None]
+        x[:, :k] -= lu[:, :k, k, None] * x[:, k, None]
+    return x
+
+
+def _solve4(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """getrs on the stack: the solutions (G, 4) of the blocks _lu4 factored."""
+    return _upper4(lu, _lower4(lu, np.take_along_axis(b, perm, axis=1)[:, :, None]))[:, :, 0]
+
+
 # ---------------------------------------------------------------------------
 # Gates shared by the nested and the dense node solves.
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(value: float, what: str, x: float) -> None:
-    if not np.isfinite(value):
-        raise NumericalError(f"non-finite {what} at x={x:.6g}", _MOD)
+def _check_finite(values, what: str, x) -> None:
+    """The tagged error at the first node (of x) whose value is not finite."""
+    bad = ~np.isfinite(np.atleast_1d(values))
+    if bad.any():
+        raise NumericalError(f"non-finite {what} at x={np.atleast_1d(x)[bad][0]:.6g}", _MOD)
 
 
 def _check_conditioning(rcond: float, anorm: float, x: float) -> None:
@@ -315,20 +348,18 @@ class _Nested:
         # of P the corner columns read the first four columns, as
         # lead[j, M - n + q] = P[n - q, 3 - j], and the band
         # band[q + 1, e] = P[q, q + 2 - e]; P's memory then holds the
-        # triangular inverses below and packs the factors gecon reads
+        # triangular inverses below and is freed with them, before any group
         self.lead = np.zeros((4, 2 * M + 2))
         self.lead[:, : M + 1] = P[::-1, 3::-1].T
         q = np.arange(M + 1)[:, None]
         cols = q + 2 - np.arange(6)
         self.band = np.zeros((M + 2, 6))
         self.band[1:] = np.where((cols >= 0) & (cols <= M), P[q, np.clip(cols, 0, M)], 0.0)
-        self.buf = P.reshape(-1)
         # every node's columns before its corner are a block of B
         _check_finite(np.abs(self.B).sum(axis=0).max(), "Nystrom matrix", xs[0])
         self.LU = np.array(self.B[:, : M - 3], order="F")
         _lu_nopivot(self.LU)
-        self.trtrs, trtri, self.getrs, self.gecon = get_lapack_funcs(
-            ("trtrs", "trtri", "getrs", "gecon"), (self.LU,))
+        self.trtrs, trtri, self.gecon = get_lapack_funcs(("trtrs", "trtri", "gecon"), (self.LU,))
         # a[m' - 1] = ||L[:m', :m']^{-1}||_1 and u[m' - 1] = ||U[:m', :m']^{-1}||_1
         # for every m': a leading block of a triangular inverse is the inverse of
         # the leading block. L^{-1} (strictly lower) and U^{-1} (upper) go in
@@ -336,7 +367,7 @@ class _Nested:
         # the diagonal holds U^{-1}'s column sum, and less that sum, the rows
         # below hold L^{-1}'s partial column sums, the rows above values <= 0.
         k = M - 3
-        inv = self.buf[: k * k].reshape((k, k), order="F")
+        inv = P.reshape(-1)[: k * k].reshape((k, k), order="F")
         inv[...] = self.LU[:k]
         trtri(inv, lower=1, unitdiag=1, overwrite_c=1)
         singular = trtri(inv, overwrite_c=1)[1] > 0   # then inv still holds U
@@ -348,9 +379,9 @@ class _Nested:
 
     def _corners(self, ms: np.ndarray, mh: int) -> np.ndarray:
         """N[g, j, q] = entry (q, m_g - 4 + j) of node g's reversed matrix for
-        q < mh, in the order of operations of _assemble: ((I + Hankel term)
-        - left-end kink term) - reversed kink term, which lives on rows
-        m_g - 6 .. m_g - 1 only."""
+        q < mh, written into N (G, 4, mh) in the order of operations of
+        _assemble: ((I + Hankel term) - left-end kink term) - reversed kink
+        term, which lives on rows m_g - 6 .. m_g - 1 only."""
         rows, j = np.arange(ms.size)[:, None], np.arange(4)
         c = ms[:, None] - 4 + j
         N = _windows(self.phr, c, mh) * self.hw4[ms - 1][:, ::-1, None]
@@ -379,48 +410,45 @@ class _Nested:
 
         with a, u the inverse norms of L11, U11 (from __init__), l4, v4 those
         of the Schur factors L4, U4 (lu4s), and lam21 = ||L21||_1. U12 is Z's
-        first four columns of each node, on its m' rows. A NaN or infinite
-        bound gives a certificate that does not pass.
+        first four columns of each node, zero past its m' rows. A NaN or
+        infinite bound gives a certificate that does not pass.
         """
         G, K = ms.size, Z.shape[0]
         mp = ms - 4
-        u12 = np.abs(Z.reshape((K, G, 5))[:, :, :4])
-        u12 = np.cumsum(u12, axis=0, out=u12)[mp - 1, np.arange(G)].max(axis=1)
+        u12 = np.abs(Z.reshape((K, G, 5))[:, :, :4]).sum(axis=0).max(axis=1)
         rows = np.abs(self.LU[ms[0] - 4: ms[-1], :K])    # row g + t is row m' + t of node g
         lam21 = rows[:G] + rows[1: G + 1]
         lam21 += rows[2: G + 2]
         lam21 += rows[3:]
         np.copyto(lam21, 0.0, where=np.arange(K) >= mp[:, None])
         lam21 = lam21.max(axis=1)
-        # the 4 x 4 triangular inverses by substitution, row by row
-        Li, Ui = np.zeros((2, G, 4, 4))
-        for r in range(4):
-            Li[:, r, r] = 1.0
-            Li[:, r] -= (lu4s[:, r, None, :r] @ Li[:, :r])[:, 0]
-        for r in range(3, -1, -1):
-            Ui[:, r, r] = 1.0
-            Ui[:, r] -= (lu4s[:, r, None, r + 1:] @ Ui[:, r + 1:])[:, 0]
-            Ui[:, r] /= lu4s[:, r, r, None]
+        eye = np.broadcast_to(np.eye(4), lu4s.shape)
+        Li, Ui = _lower4(lu4s, eye.copy()), _upper4(lu4s, eye.copy())
         l4, v4 = (np.abs(X).sum(axis=1).max(axis=1) for X in (Li, Ui))
         a, u = self.a[mp - 1], self.u[mp - 1]
         return 1.0 / (np.maximum(a * (1.0 + l4 * lam21), l4)
                       * np.maximum(u, v4 * (1.0 + u * u12)))
 
-    def group(self, ms: np.ndarray, V: tuple, Vx: tuple) -> list:
-        """Solve the nodes of reversed sizes ms (ascending) into V[i], Vx[i];
-        returns [(i, residual)].
+    def group(self, ms: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Solve the nodes of reversed sizes ms (consecutive, ascending) into
+        out, their V and Vx node by node from the largest; returns their
+        residuals.
 
         Forward substitution takes every node's corner columns and right-hand
-        side at once, zero-padded to the largest node; the rows a node does
-        not own are never read. The back substitution sees zeros below each
-        node's m' rows, so those rows hold the node's own solution. V[0] is
-        the last reversed entry, known after the Schur step, so the V_x
-        right-hand side g2 - d V[0] is formed and forward-substituted then.
+        side at once, zero-padded to the largest node; the rows of Z from a
+        node's m' on are not its own and are zeroed, so the Schur step's
+        products run over all K rows for every node at once. The back
+        substitution sees zeros below each node's m' rows, so those rows hold
+        the node's own solution. V[0] is the last reversed entry, known after
+        the Schur step, so the V_x right-hand side g2 - d V[0] is formed and
+        forward-substituted then.
         """
-        M, B, LU, xs = self.M, self.B, self.LU, self.xs
+        M, B, LU = self.M, self.B, self.LU
         G, mh = ms.size, int(ms[-1])
-        K = mh - 4
+        K, mp, x = mh - 4, ms - 4, self.xs[M + 1 - ms]
         below = np.arange(mh) >= ms[:, None]          # rows a node does not own
+        beyond = np.arange(K)[:, None] >= mp          # [row, node]: rows past its m'
+        last4 = np.arange(G)[:, None], mp[:, None] + np.arange(4)   # its rows m'..m-1
         N = self._corners(ms, mh)
         rhs = np.empty((G, 2, mh))                    # d, then g2 - d V[0]
         rhs[:, 0] = _windows(self.ptr, M + 1 - ms, mh) - _windows(self.phr, ms - 1, mh)
@@ -428,42 +456,35 @@ class _Nested:
         np.copyto(N, 0.0, where=below[:, None, :])
         np.copyto(rhs[:, 0], 0.0, where=below)
         corner = np.abs(N).sum(axis=2).max(axis=1)    # 1-norm of the corner columns
-        for g in range(G):
-            _check_finite(corner[g], "Nystrom matrix", xs[M + 1 - ms[g]])
+        _check_finite(corner, "Nystrom matrix", x)
 
         Z = self._forward(np.concatenate([N, rhs[:, :1]], axis=1), K)
+        Zg = Z.reshape((K, G, 5))                     # [row, node, column]
+        np.copyto(Zg, 0.0, where=beyond[:, :, None])
+        L21 = sliding_window_view(LU[ms[0] - 4: mh, :K], 4, axis=0).transpose(0, 2, 1)
+        T4 = L21 @ Zg.transpose(1, 0, 2)
+        lu4s = N[last4[0], :, last4[1]] - T4[:, :, :4]
+        perm = _lu4(lu4s)[1]
         Y2 = np.empty((G, 2, 4))                      # the last four reversed rows
-        lu4s = np.empty((G, 4, 4))
-        nodes = []
-        for g, m in enumerate(ms.tolist()):
-            mp = m - 4
-            L21, U12 = LU[mp:m, :mp], Z[:mp, 5 * g: 5 * g + 4]
-            T4 = L21 @ Z[:mp, 5 * g: 5 * g + 5]
-            lu4, piv4 = lu_factor(N[g, :, mp:m].T - T4[:, :4], check_finite=False)
-            lu4s[g] = lu4
-            Y2[g, 0] = self.getrs(lu4, piv4, rhs[g, 0, mp:m] - T4[:, 4])[0]
-            nodes.append((mp, L21, U12, lu4, piv4))
+        Y2[:, 0] = _solve4(lu4s, perm, rhs[last4[0], 0, last4[1]] - T4[:, :, 4])
         for g in np.flatnonzero(~(self._certificates(ms, lu4s, Z) >= _GATE)):
             # the bound cannot pass this node: estimate on its packed factors
-            mp, L21, U12, lu4, piv4 = nodes[g]
-            m = mp + 4
-            perm = list(range(4))
-            for k, p in enumerate(piv4):
-                perm[k], perm[p] = perm[p], perm[k]
-            packed = self.buf[: m * m].reshape((m, m), order="F")
-            packed[:mp, :mp] = LU[:mp, :mp]
-            packed[:mp, mp:] = U12
-            packed[mp:, :mp] = L21[perm]
-            packed[mp:, mp:] = lu4
-            anorm = max(np.abs(B[:m, :mp]).sum(axis=0).max(), corner[g])
-            _check_conditioning(self.gecon(packed, anorm)[0], anorm, xs[M + 1 - m])
+            m = int(ms[g])
+            packed = np.empty((m, m), order="F")
+            packed[: m - 4, : m - 4] = LU[: m - 4, : m - 4]
+            packed[: m - 4, m - 4:] = Z[: m - 4, 5 * g: 5 * g + 4]
+            packed[m - 4:, : m - 4] = LU[m - 4: m, : m - 4][perm[g]]
+            packed[m - 4:, m - 4:] = lu4s[g]
+            anorm = max(np.abs(B[:m, : m - 4]).sum(axis=0).max(), corner[g])
+            _check_conditioning(self.gecon(packed, anorm)[0], anorm, x[g])
         rhs[:, 1] = np.where(below, 0.0, g2 - rhs[:, 0] * Y2[:, 0, 3:])
         Zx = self._forward(rhs[:, 1:], K)
-        Xb = np.zeros((K, 2 * G), order="F")
-        for g, (mp, L21, U12, lu4, piv4) in enumerate(nodes):
-            Y2[g, 1] = self.getrs(lu4, piv4, rhs[g, 1, mp: mp + 4] - L21 @ Zx[:mp, g])[0]
-            Xb[:mp, 2 * g] = Z[:mp, 5 * g + 4] - U12 @ Y2[g, 0]
-            Xb[:mp, 2 * g + 1] = Zx[:mp, g] - U12 @ Y2[g, 1]
+        np.copyto(Zx, 0.0, where=beyond)
+        Y2[:, 1] = _solve4(lu4s, perm, rhs[last4[0], 1, last4[1]] - (L21 @ Zx.T[..., None])[..., 0])
+        Xb = np.empty((K, 2 * G), order="F")
+        Xg = Xb.reshape((K, 2, G), order="F")         # column c of node g is Xb[:, 2 g + c]
+        Xg[:, 0], Xg[:, 1] = Zg[:, :, 4], Zx
+        Xg -= (Zg[:, :, :4].transpose(1, 0, 2) @ Y2.transpose(0, 2, 1)).transpose(1, 2, 0)
         X = self.trtrs(LU[:, :K], Xb, lower=0, overwrite_b=1)[0]
 
         res = (X.T @ B[:mh, :K].T).reshape(G, 2, mh)
@@ -472,14 +493,14 @@ class _Nested:
         np.abs(res, out=res)
         np.copyto(res, 0.0, where=below[:, None, :])
         residual = res.max(axis=(1, 2))
-        out = []
-        for g, m in enumerate(ms.tolist()):
-            _check_finite(residual[g], "residual", xs[M + 1 - m])
-            for k, v in enumerate((V[M + 1 - m], Vx[M + 1 - m])):
-                v[:4] = Y2[g, k, ::-1]
-                v[4:] = X[m - 5:: -1, 2 * g + k]
-            out.append((M + 1 - m, float(residual[g])))
-        return out
+        _check_finite(residual, "residual", x)
+        # out reversed holds each node's reversed rows q < m, smallest node first;
+        # the rows are gathered in res's memory
+        sol = res.transpose(1, 0, 2)
+        sol[:, :, :K] = X.reshape((K, 2, G), order="F").transpose(1, 2, 0)
+        sol[:, last4[0], last4[1]] = Y2.transpose(1, 0, 2)
+        out[:, ::-1] = sol[:, ~below]
+        return residual
 
 
 @dataclass
@@ -510,7 +531,8 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
 
     The nested nodes go in groups of consecutive sizes with at most
     _BATCH (M + 1) reversed rows over a group's nodes, which bounds its
-    batched arrays; they run from x = 0 outward on the factored x = 0 system.
+    batched arrays; they run from x = 0 outward on the factored x = 0 system,
+    and each group's Schur step is one batched numpy step over its nodes.
     Every node passes the finite-matrix, conditioning and finite-residual
     gates, or the solve raises the tagged NumericalError.
     """
@@ -522,16 +544,16 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     from scipy.linalg import LinAlgWarning
     xs = np.linspace(0.0, T, M + 1)
     lattices = _sample(A, T, M, xs)
-    W = _unit_piece_weights(M)
     sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
     edges = np.r_[0, np.cumsum(sizes)]
-    residual = [0.0] * (M + 1)
+    residual = np.zeros(M + 1)
     # a well too large for floats overflows inside the factors or meets an
     # exact zero pivot; the gates report that as the tagged error, so numpy's
     # and lu_factor's warnings say nothing more
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore", LinAlgWarning)
-        nested = _Nested(lattices[0], T / M, W, xs)
+        # the weight table becomes the kink term P, freed after the factorization
+        nested = _Nested(lattices[0], T / M, _unit_piece_weights(M), xs)
         # V[i] and Vx[i] are views into two flat arrays, allocated after the
         # factorization so that they do not add to its memory peak
         store = np.zeros((2, edges[-1]))
@@ -542,11 +564,11 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         hi = M + 1
         while hi >= 5:
             lo = max(5, hi - max(1, _BATCH * (M + 1) // hi) + 1)
-            for i, res in nested.group(np.arange(lo, hi + 1), V, Vx):
-                residual[i] = res
+            ms = np.arange(lo, hi + 1)
+            residual[M + 1 - ms] = nested.group(ms, store[:, edges[M + 1 - hi]: edges[M + 2 - lo]])
             hi = lo - 1
     return GLWorkspace(T=T, M=M, grid=xs, lattices=lattices, V=V, Vx=Vx,
-                       residual=max(residual))
+                       residual=float(residual.max()))
 
 
 def recover_potential(ws: GLWorkspace) -> RadialPotential:
@@ -558,10 +580,11 @@ def recover_potential(ws: GLWorkspace) -> RadialPotential:
     """
     qvals = np.empty(ws.M + 1)
     qvals[0] = -4.0 * ws.lattices[0][2][0]  # x = T: dpt[0] = p'(0)
+    W = _unit_piece_weights(ws.M)
     for i in range(ws.M):
         h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
         V, Vx = ws.V[i], ws.Vx[i]
-        S = h * _unit_row(n)
+        S = h * W[n, : n + 1]
         g1 = ph[: n + 1] - pt[n:]    # p(2T - x - t) - p(t - x)
         g2 = dph - dpt               # p'(2T - x - t) - p'(t - x)
         dd = ph[0] * V[0] + 2.0 * dph[0] - S @ (g1 * Vx) + S @ (g2 * V)

@@ -123,6 +123,23 @@ def gram_residual_loop(system, n: int | None = None) -> float:
         return float(worst)
 
 
+def unit_piece_weights_loop(n: int) -> np.ndarray:
+    """The unit kink-split table row by row: the cubic end rule in row 1,
+    composite Simpson in even rows, and in odd rows a 3/8 patch on the first
+    three intervals plus Simpson from t_3."""
+    from steklovlab.quadrature import simpson_weights
+    W = np.zeros((n + 1, n + 1))
+    W[1, :4] = np.array([9.0, 19.0, -5.0, 1.0]) / 24.0
+    for i in range(2, n + 1):
+        if i % 2 == 0:
+            W[i, : i + 1] = simpson_weights(i, 1.0)
+            continue
+        W[i, :4] = np.array([1.0, 3.0, 3.0, 1.0]) * 3.0 / 8.0
+        if i > 3:
+            W[i, 3: i + 1] += simpson_weights(i - 3, 1.0)
+    return W
+
+
 def nystrom_matrix(pS, pL, S, WL) -> np.ndarray:
     """I + pS S - WL pL - WL[::-1, ::-1] pL^T, allocating every temporary;
     S holds the row quadrature weights and WL the scaled kink-split table."""

@@ -167,8 +167,9 @@ def test_lapack_names_patched_before_the_first_solve_are_called():
     """
     before, calls = json.loads(_fresh(code).stdout)
     assert not before
-    # three floor nodes and 29 nested 4 x 4 Schur blocks; two solves per floor node
-    assert calls == {"lu_factor": 32, "lu_solve": 6}
+    # one factorization and two solves per floor node; the nested nodes'
+    # 4 x 4 Schur blocks are factored in numpy
+    assert calls == {"lu_factor": 3, "lu_solve": 6}
 
 
 def test_reconstruct_single_resonance_well(tmp_path):
@@ -518,6 +519,9 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("[cli] ")
     for args in (["sweep", "--coeffs", "a"], ["sweep", "--scales", "1,b"],
                  ["forward", "--base", "zero", "--beta", "7"],  # a zero base has no beta
+                 # shooting solves the base well alone: no perturbation to echo
+                 ["forward", "--base", "zero", "--K", "2", "--coeffs=-1", "--tail-a", "1",
+                  "--tail-rho", "0.5"],
                  ["perturb", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.5",
                   "--gamma", "0.5"]):
         assert run_cli(args) == 2

@@ -15,7 +15,8 @@ from steklovlab.gelfand_levitan import (_assemble, _exprel, _kernels, _sample,
                                         _unit_piece_weights)
 from steklovlab.quadrature import l2_norm
 
-from oracles import gl_dense_solution, gl_node_system, gl_residual_loop, nystrom_matrix
+from oracles import (gl_dense_solution, gl_node_system, gl_residual_loop, nystrom_matrix,
+                     unit_piece_weights_loop)
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
 B2 = Bargmann2(c1=1.0, kappa1=0.5)
@@ -177,6 +178,11 @@ def test_residual_equals_reassembly_oracle(amp, M):
     assert ws.residual <= 1e-12
 
 
+def test_closed_form_weights_match_row_loop():
+    for n in [*range(3, 41), 512]:
+        assert np.array_equal(_unit_piece_weights(n), unit_piece_weights_loop(n)), n
+
+
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 64, 511])
 def test_buffer_assembly_matches_allocating_expression(n):
     # the x = 0 matrix, assembled reversed and in place in the weight table,
@@ -223,6 +229,48 @@ def test_nested_solution_matches_dense_lu(amp, M):
         assert np.max(np.abs(ws.V[i] - V)) <= 1e-13 * np.max(np.abs(V)), i
         assert np.max(np.abs(ws.Vx[i] - Vx)) <= 1e-13 * np.max(np.abs(Vx)), i
     assert np.all(ws.V[M] == 0.0) and np.all(ws.Vx[M] == 0.0)
+
+
+def test_batched_schur_lu_matches_lapack():
+    # _lu4 and _solve4 are getrf and getrs on a stack of 4 x 4 blocks. Two
+    # orders of rounding differ by up to about eps times the block's
+    # condition number, so factors and solutions agree to 1e-15 relative,
+    # scaled by cond_1 of the block; the pivots are the same
+    from scipy.linalg import lu_factor, lu_solve
+    rng = np.random.default_rng(0)
+    a = rng.standard_normal((400, 4, 4))
+    a[1] *= np.exp(rng.uniform(-5.0, 5.0, (1, 4)))      # unevenly scaled columns
+    a[2] = np.eye(4)[::-1] + 1e-3 * a[2]                # pivots at every step
+    a[3, 0, 0] = 0.0                                    # cannot start without a swap
+    b = rng.standard_normal((400, 4))
+    lu = a.copy()
+    piv, perm = gl._lu4(lu)
+    x = gl._solve4(lu, perm, b)
+    steps = np.zeros(4, dtype=int)
+    for k in range(len(a)):
+        ref_lu, ref_piv = lu_factor(a[k])
+        ref_x = lu_solve((ref_lu, ref_piv), b[k])
+        tol = 1e-15 * np.linalg.cond(a[k], 1)
+        assert np.array_equal(piv[k], ref_piv), k
+        assert np.max(np.abs(lu[k] - ref_lu)) <= tol * np.max(np.abs(ref_lu)), k
+        assert np.max(np.abs(x[k] - ref_x)) <= tol * np.max(np.abs(ref_x)), k
+        steps += ref_piv != np.arange(4)
+    assert np.all(piv[2, :3] == [3, 2, 2]) and piv[3, 0] != 0
+    assert np.all(steps[:3] > 50)
+
+
+@pytest.mark.parametrize("amp", [amp_of(B1), amp_of(B2), amp_of(ZeroForm(), gen=TAIL)],
+                         ids=["bargmann1", "bargmann2", "tail"])
+@pytest.mark.parametrize("M", [64, 128])
+def test_group_size_leaves_solution_unchanged(monkeypatch, amp, M):
+    # node groups of _BATCH = 4 and of the default size pad, multiply and
+    # substitute differently, and agree to rounding
+    ws = solve_gl(amp, 2.0, M)
+    monkeypatch.setattr(gl, "_BATCH", 4)
+    small = solve_gl(amp, 2.0, M)
+    for i in range(M):
+        for u, v in ((ws.V[i], small.V[i]), (ws.Vx[i], small.Vx[i])):
+            assert np.max(np.abs(u - v)) <= 1e-14 * np.max(np.abs(u)), i
 
 
 def _record_gates(monkeypatch):
