@@ -175,6 +175,11 @@ def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_muntz(cfg: RunConfig) -> list[str]:
+    if cfg.coeffs or cfg.base != {"kind": "zero"}:
+        raise ValidationError("muntz tabulates the exponent ladder of d and delta alone and "
+                              "takes no base or coeffs, got base "
+                              f"{json.dumps(cfg.base, sort_keys=True)} and coeffs "
+                              f"{json.dumps(cfg.coeffs, sort_keys=True)}", _MOD)
     params = make_spectral_params(cfg.d, cfg.delta, max(cfg.K, cfg.n))
     system = system_for_params(params, cfg.n, cfg.precision)
     lines = ["m,j,C_mj"]

@@ -1,7 +1,7 @@
 """Orthonormal Muntz systems on [0,1] and the two-term moment stability bound.
 
 Everything is a bilinear form in the Gram matrix of monomials on L^2(0,1),
-H(a, b)_ij = 1/(a_i + b_j + 1) (_cauchy). The table
+H_ij = 1/(lam_i + lam_j + 1). The table
 
     C_mj = sqrt(2 lam_m + 1) * prod_{r<m}(lam_j + lam_r + 1)
                              / prod_{r != j}(lam_j - lam_r)
@@ -10,13 +10,17 @@ orthonormalizes t^{lam_0}, ..., t^{lam_n}: C H C^T = I. Its alternating
 products are astronomically ill-conditioned in 64-bit arithmetic beyond
 n ~ 8, so the table and its Gram residual run in extended precision
 (mpmath, default 256 bits); series values and norms are float broadcasts.
-mpmath is imported by the functions that build a table or its Gram residual,
-so importing this module, the series and the bound leaves it unloaded.
+The Gram residual takes every dot product as exact integer products summed
+in one integer and rounded once, which is what mp.fdot returns, over the
+entries that fdot's zip reads. mpmath is imported by the functions that build
+a table or its Gram residual, so importing this module, the series and the
+bound leaves it unloaded.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -30,7 +34,7 @@ _MOD = "muntz"
 
 
 def _cauchy(a, b):
-    """Monomial Gram matrix 1/(a_i + b_j + 1); float or mpf (object) arrays."""
+    """Monomial Gram matrix 1/(a_i + b_j + 1) of float exponents."""
     return 1 / (np.add.outer(a, b) + 1)
 
 
@@ -85,7 +89,12 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
     Each row is checked as it is built: the first level m whose condition
     proxy sum_p |C_mp|, the growth factor that eats working digits, exceeds
     10^(digits - 8) raises NumericalError, because the rows from there on are
-    noise, not a table."""
+    noise, not a table.
+
+    Every operation between an mpf and an mpf array puts the array first: with
+    the mpf first, mpmath renders the whole array in a failed conversion
+    before numpy applies the reflected operation. mpf + and * commute and
+    negation is exact, so the order changes no bit."""
     from mpmath import mp
     _check_exponents(exponents)
     limit = 10.0 ** (int(precision * math.log10(2.0)) - 8)
@@ -95,11 +104,14 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
             raise NumericalError(f"exponents coincide at {precision}-bit precision", _MOD)
         root = [mp.sqrt(2 * x + 1) for x in lam]
         rows = [np.array([root[0]], dtype=object)]
+        ahead = lam[:0]  # lam_j + lam_{m-1} + 1 for j < m - 1
         for m in range(len(lam)):
             if m:
-                below = lam[:m]
-                ratio = root[m] / root[m - 1] * (below + lam[m - 1] + 1) / (below - lam[m])
-                diag = root[m] * np.prod((lam[m] + below + 1) / (lam[m] - below))
+                gap = lam[:m] - lam[m]
+                ratio = (np.append(ahead, lam[m - 1] + lam[m - 1] + 1)
+                         * (root[m] / root[m - 1]) / gap)
+                ahead = lam[:m] + lam[m] + 1
+                diag = root[m] * np.prod(ahead / -gap)
                 rows.append(np.append(rows[-1] * ratio, diag))
             if (proxy := float(mp.fsum(rows[m], absolute=True))) > limit:
                 raise NumericalError(
@@ -149,16 +161,51 @@ class MuntzSystem:
         return out
 
     def gram_residual(self, n: int | None = None) -> float:
-        """max |C H C^T - I| over levels m, q <= n, in working precision. mp.fdot
-        zips its arguments, so row C_m meets only the first m + 1 entries."""
-        from mpmath import mp
+        """max |C H C^T - I| over levels m, q <= n, in working precision.
+
+        Each dot product is the value mp.fdot returns over the entries its zip
+        reads: (C H)_mk = <C_m, H_k> for k <= m, then <(C H)_m, C_q> for
+        q <= m, each as long as the shorter row. Like fdot, the local fdot
+        multiplies exactly, sums in one integer and rounds once, here with one
+        integer product per term on mantissas put on each row's least
+        exponent. fdot's mpf_sum can drop a term only where the exponents
+        spread over more than 2 prec bits; rows whose spreads add up past that
+        take its path. The Cauchy entries are built once per distinct mpf sum
+        lam_i + lam_j (2n + 1 of them on a ladder)."""
+        from mpmath import mp, mpf
+        from mpmath.libmp import (fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf_mul,
+                                  mpf_sub, mpf_sum, to_float)
         n = self.n if n is None else n
         with mp.workprec(self.precision):
-            lam = _mpf_array(self.exponents[: n + 1])
-            H = _cauchy(lam, lam).tolist()
-            CH = [[mp.fdot(row, col) for col in H] for row in self.C[: n + 1]]
-            return float(max(abs(mp.fdot(CH[m], self.C[q]) - (m == q))
-                             for m in range(n + 1) for q in range(m + 1)))
+            prec, rnd = mp._prec_rounding  # what fdot rounds with
+
+            def fdot(a, b):
+                if a[3] + b[3] > 2 * prec:
+                    return mpf_sum(list(map(mpf_mul, a[0], b[0])), prec, rnd)
+                return from_man_exp(sum(map(operator.mul, a[1], b[1])), a[2] + b[2], prec, rnd)
+
+            lam = [mpf(x)._mpf_ for x in self.exponents[: n + 1]]
+            sums = [[mpf_add(a, b, prec, rnd) for b in lam] for a in lam]
+            cauchy = {s: (1 / (mp.make_mpf(s) + 1))._mpf_ for s in set().union(*sums)}
+            H = [_fixed([cauchy[s] for s in row]) for row in sums]
+            C = [_fixed([c._mpf_ for c in row]) for row in self.C[: n + 1]]
+            worst = 0.0
+            for m, Cm in enumerate(C):
+                CHm = _fixed([fdot(Cm, H[k]) for k in range(m + 1)])
+                for q in range(m + 1):
+                    e = mpf_sub(fdot(CHm, C[q]), fone if m == q else fzero, prec, rnd)
+                    worst = max(worst, to_float(mpf_abs(e, prec, rnd), rnd=rnd))
+            return worst  # float rounding is monotone: the float of the mpf max
+
+
+def _fixed(raw: list) -> tuple:
+    """(raw, mantissas, exponent, spread) of a row of raw mpf tuples: the
+    signed mantissas on the row's least exponent, and the exponent spread of
+    the nonzero entries."""
+    exps = [e for _, man, e, _ in raw if man]
+    lo = min(exps, default=0)
+    mans = [((-man if sign else man) << (e - lo)) if man else 0 for sign, man, e, _ in raw]
+    return raw, mans, lo, max(exps, default=0) - lo
 
 
 def system_for_params(params: SpectralParams, n: int, precision: int = 256) -> MuntzSystem:

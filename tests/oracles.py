@@ -4,8 +4,9 @@ These deliberately avoid the package's own code paths: the rational
 Gram-Schmidt works directly on the monomial Gram matrix in exact Fraction
 arithmetic, the Laplace/series helpers integrate definitions numerically, the
 shooting reference steps RK4 one scalar step at a time, the Gram residual
-reference sums every coefficient pair one term at a time, and the GL
-references assemble every node's Nystrom matrix afresh in one allocating
+references sum every coefficient pair one term at a time or take mp.fdot over
+full rows, the Muntz rows keep the recurrence's first operand order, and the
+GL references assemble every node's Nystrom matrix afresh in one allocating
 expression and solve it by a dense pivoted LU, never through the nested
 factorization.
 """
@@ -121,6 +122,35 @@ def gram_residual_loop(system, n: int | None = None) -> float:
                 target = 1 if m == q else 0
                 worst = max(worst, abs(acc - target))
         return float(worst)
+
+
+def muntz_rows_mpf_left(exponents, precision: int):
+    """The Muntz table rows by the ratio recurrence with an mpf on the left of
+    each mpf-array operation; mpmath then renders each such array before numpy
+    applies the reflected operation."""
+    with mp.workprec(precision):
+        lam = np.array([mpf(x) for x in exponents], dtype=object)
+        root = [mp.sqrt(2 * x + 1) for x in lam]
+        rows = [np.array([root[0]], dtype=object)]
+        for m in range(1, len(lam)):
+            below = lam[:m]
+            ratio = root[m] / root[m - 1] * (below + lam[m - 1] + 1) / (below - lam[m])
+            diag = root[m] * np.prod((lam[m] + below + 1) / (lam[m] - below))
+            rows.append(np.append(rows[-1] * ratio, diag))
+        return tuple(tuple(row) for row in rows)
+
+
+def gram_residual_fdot(system, n: int | None = None) -> float:
+    """max |C H C^T - I| over m, q <= n with every entry of C H and of
+    (C H) C^T taken by mp.fdot over full rows of H and of C H, in the
+    system's working precision."""
+    n = system.n if n is None else n
+    with mp.workprec(system.precision):
+        lam = np.array([mpf(x) for x in system.exponents[: n + 1]], dtype=object)
+        H = (1 / (np.add.outer(lam, lam) + 1)).tolist()
+        CH = [[mp.fdot(row, col) for col in H] for row in system.C[: n + 1]]
+        return float(max(abs(mp.fdot(CH[m], system.C[q]) - (m == q))
+                         for m in range(n + 1) for q in range(m + 1)))
 
 
 def unit_piece_weights_loop(n: int) -> np.ndarray:

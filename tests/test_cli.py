@@ -522,6 +522,10 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  # shooting solves the base well alone: no perturbation to echo
                  ["forward", "--base", "zero", "--K", "2", "--coeffs=-1", "--tail-a", "1",
                   "--tail-rho", "0.5"],
+                 # the Muntz table depends on d, delta and n alone: no base or coeffs to echo
+                 ["muntz", "--d", "3", "--delta", "0", "--n", "2", "--base", "bargmann1",
+                  "--beta", "1", "--gamma", "0.5"],
+                 ["muntz", "--d", "3", "--delta", "0", "--n", "2", "--coeffs=-1"],
                  ["perturb", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.5",
                   "--gamma", "0.5"]):
         assert run_cli(args) == 2

@@ -9,8 +9,10 @@ from mpmath import mp, mpf
 from steklovlab import (MuntzSeries, NumericalError, ValidationError,
                         make_spectral_params, muntz_coeff_squares, muntz_coeffs,
                         still_bound, system_for_params)
+from steklovlab.muntz import MuntzSystem
 
-from oracles import gram_residual_loop, rational_gram_schmidt
+from oracles import (gram_residual_fdot, gram_residual_loop, muntz_rows_mpf_left,
+                     rational_gram_schmidt)
 
 SQ5 = math.sqrt(5.0)
 
@@ -96,6 +98,60 @@ def test_gram_residual_sees_every_pair(m, j):
     want = gram_residual_loop(bad)
     assert want >= 1e-26
     assert bad.gram_residual() == pytest.approx(want, rel=1e-20, abs=0)
+
+
+@pytest.mark.parametrize("d,delta,precision,sizes", [
+    (3, 0.0, 53, (0, 1, 2, 5, 9)),            # 9 is the last certified level at 53 bits
+    (5, -1.0, 64, (0, 1, 2, 5, 14)),
+    (3, 0.5, 256, (0, 1, 2, 5, 17, 30, 90)),  # the bench's size; 90 is its last level
+    (4, 0.5, 256, (5, 17, 30)),               # rows whose spreads add past 2 prec
+    (4, 0.37, 256, (17, 60)),
+    (5, 1.0, 512, (2, 17, 60)),
+])
+def test_table_and_residual_equal_the_reference_bitwise(d, delta, precision, sizes):
+    # the rows against the recurrence with an mpf on the left, the residual
+    # against mp.fdot over full rows: every bit, not a tolerance
+    params = make_spectral_params(d, delta, sizes[-1])
+    system = system_for_params(params, sizes[-1], precision)
+    rows = muntz_rows_mpf_left(system.exponents, precision)
+    assert [[c._mpf_ for c in row] for row in system.C] == [[c._mpf_ for c in row] for row in rows]
+    for n in sizes:
+        assert system.gram_residual(n) == gram_residual_fdot(system, n)
+
+
+def test_residual_follows_mpf_sum_past_its_spread():
+    # mpf_sum drops a term more than 2 prec bits below the running sum. In
+    # (C H)_10 = 2^-300 * 1 + 3 / 1.7 at 53 bits the dropped term would break
+    # a rounding tie, and 2 (C H)_10 is the largest residual entry
+    with mp.workprec(53):
+        C = ((mpf(2),), (mpf(2) ** -300, mpf(3)))
+        h = 1 / (mpf(0.7) + 1)
+        ch10 = mp.fdot(C[1], [1, h])
+    with mp.workprec(1000):
+        exact = C[1][0] + C[1][1] * h  # no rounding at 1000 bits
+    with mp.workprec(53):
+        assert +exact != ch10  # rounded once with the term kept, the last bit moves
+    system = MuntzSystem(exponents=(0.0, 0.7), C=C, precision=53)
+    assert system.gram_residual() == gram_residual_fdot(system) == float(2 * ch10)
+
+
+def test_table_and_residual_never_render_an_array(monkeypatch):
+    # an mpf on the left of an mpf array makes mpmath try npconvert on the
+    # array, which builds its repr before the TypeError that hands the
+    # operation to numpy
+    calls = []
+    npconvert = mp.npconvert
+
+    def counted(x):
+        calls.append(type(x))
+        return npconvert(x)
+
+    monkeypatch.setattr(mp, "npconvert", counted)
+    system = system_for_params(make_spectral_params(3, 0.5, 30), 30, 256)
+    system.gram_residual()
+    assert calls == []
+    muntz_rows_mpf_left(system.exponents[:3], 256)  # the counter sees the old order
+    assert calls
 
 
 def test_still_bound_values():
