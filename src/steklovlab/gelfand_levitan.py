@@ -35,26 +35,29 @@ the node's left-end quadrature corrections. Reversing the indices turns every
 trailing block into a leading block of B = A0[::-1, ::-1], so one LU
 factorization of B without pivoting serves all nodes: a node adds only its
 four columns, a triangular solve for them (its U12) and a 4 x 4 Schur
-complement, factored with partial pivoting as getrf would. Pivoting the x = 0
-factors would break the nesting. Nothing proves them stable unpivoted: the
-symmetric part of A0 need not be positive definite (its smallest eigenvalue is
-about -1.1e3 for Bargmann2 with c1 = 1.5, kappa1 = 1 at T = 6, M = 128, and
--53 with kappa1 = 0.4 at T = 8, M = 256, though both solves are accurate). The
-nesting is trusted because every node passes the conditioning gate and the
-residual check. The gate reads an upper bound on ||C^{-1}||_1 off the factors,
-O(m) per node, and runs gecon on a node's packed factors only where that bound
-cannot pass it. Nodes go in groups, and a group takes every step for all its
-nodes at once: its forward and back substitutions are one zero-padded
-triangular solve each, its Schur step is one batched product L21 Z, one
-batched pivoted LU of the 4 x 4 blocks and two batched substitutions, and its
-residuals, A0[i:, i:] V plus the four correction columns, are one matrix
-product.
+complement S, inverted by LAPACK. The factorization recurses on column halves;
+a leaf of at most _LEAF columns eliminates its square top column by column and
+takes the rows below in one dtrsm. Pivoting would break the nesting. Nothing
+proves the factors stable unpivoted: the symmetric part of A0 need not be
+positive definite (its smallest eigenvalue is about -1.1e3 for Bargmann2 with
+c1 = 1.5, kappa1 = 1 at T = 6, M = 128, and -53 with kappa1 = 0.4 at T = 8,
+M = 256, though both solves are accurate). The nesting is trusted because
+every node passes the conditioning gate and the residual check. The gate
+reads an upper bound on ||C^{-1}||_1 off the factors, O(m) per node, and runs
+gecon on a node's packed factors only where that bound cannot pass it. Nodes
+go in groups, and a group takes every step for all its nodes at once: its
+forward and back substitutions are one zero-padded triangular solve each, its
+Schur step is one batched product L21 Z, one stacked inverse of the S blocks
+and two batched products by S^{-1}, its residuals, A0[i:, i:] V plus the four
+correction columns, are one matrix product, and its nodes' values of Q one
+product with their weight rows.
 
 Only this module needs LAPACK, and only inside solve_gl: scipy.linalg loads on
 the first solve, not on import, so a command that solves no GL system never
-loads it. Its four routines are module attributes all the same (a module
-__getattr__ resolves them before the first solve), and a name bound before
-that, such as a tracer's wrapper of lu_factor, keeps its binding.
+loads it. Its four routines, three of scipy.linalg's and BLAS dtrsm, are
+module attributes all the same (a module __getattr__ resolves them before the
+first solve), and a name bound before that, such as a tracer's wrapper of
+lu_factor, keeps its binding.
 """
 
 from __future__ import annotations
@@ -70,19 +73,21 @@ from .perturbation import Amplitude
 from .radial_model import RadialPotential, _exprel
 
 _MOD = "gelfand_levitan"
-_LEAF = 16    # panel width below which the unpivoted LU goes column by column
+_LEAF = 16    # widest panel the unpivoted LU factors as a leaf, without recursing
 _BATCH = 16   # a node group holds at most _BATCH (M + 1) rows over all its nodes
 _GATE = 1e-8  # least 1/||C^{-1}||_1 (or gecon's rcond * anorm) a node may have
-_LAPACK = ("get_lapack_funcs", "lu_factor", "lu_solve", "solve_triangular")
+_LAPACK = ("get_lapack_funcs", "lu_factor", "lu_solve", "dtrsm")
 
 
 def _load_lapack() -> None:
-    """Bind scipy.linalg's routines as module globals. scipy loads on the first
-    solve, not on import; a name already bound (a tracer's or a test's patch)
-    keeps its binding, so the solve calls the patch."""
+    """Bind scipy.linalg's routines, and BLAS dtrsm from scipy.linalg.blas, as
+    module globals. scipy loads on the first solve, not on import; a name
+    already bound (a tracer's or a test's patch) keeps its binding, so the
+    solve calls the patch."""
     import scipy.linalg
     for name in _LAPACK:
-        globals().setdefault(name, getattr(scipy.linalg, name))
+        home = scipy.linalg.blas if name == "dtrsm" else scipy.linalg
+        globals().setdefault(name, getattr(home, name))
 
 
 def __getattr__(name: str):
@@ -238,54 +243,31 @@ def _windows(a: np.ndarray, starts, length: int) -> np.ndarray:
 def _lu_nopivot(a: np.ndarray) -> None:
     """Factor the tall panel a = L U in place without pivoting: L unit lower
     trapezoidal below the diagonal, U upper triangular on and above it.
-    Recursion on column halves keeps the work in matrix products."""
+    Recursion on column halves keeps the work in matrix products. A leaf
+    eliminates its square top column by column and takes the rows below it in
+    one solve against the top's U (dtrsm, right side)."""
     k = a.shape[1]
     if k <= _LEAF:
-        for j in range(k):
-            a[j + 1:, j] /= a[j, j]
-            a[j + 1:, j + 1:] -= np.multiply.outer(a[j + 1:, j], a[j, j + 1:])
+        for j in range(k - 1):
+            a[j + 1: k, j] /= a[j, j]
+            a[j + 1: k, j + 1:] -= np.multiply.outer(a[j + 1: k, j], a[j, j + 1:])
+        a[k:] = dtrsm(1.0, a[:k], a[k:], side=1)
         return
     h = k // 2
     _lu_nopivot(a[:, :h])
-    a[:h, h:] = solve_triangular(a[:h, :h], a[:h, h:], lower=True, unit_diagonal=True,
-                                 check_finite=False)
+    a[:h, h:] = dtrsm(1.0, a[:h, :h], a[:h, h:], lower=1, diag=1)
     a[h:, h:] -= a[h:, :h] @ a[:h, h:]
     _lu_nopivot(a[h:, h:])
 
 
-def _lu4(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """getrf on a stack a (G, 4, 4), in place: a holds the packed factors.
-    Returns getrf's 0-based pivots (rows k and piv[:, k] swap at step k) and
-    the row order they make, perm[:, k] the row of a that lands in row k."""
-    rows = np.arange(a.shape[0])[:, None]
-    piv, perm = np.full((a.shape[0], 4), 3, dtype=np.int32), np.tile(np.arange(4), (rows.size, 1))
-    for k in range(3):
-        p = piv[:, k, None] = k + np.abs(a[:, k:, k]).argmax(axis=1)[:, None]
-        for x in (a, perm):
-            x[rows, [k]], x[rows, p] = x[rows, p], x[rows, [k]]
-        a[:, k + 1:, k] *= 1.0 / a[:, k, k, None]
-        a[:, k + 1:, k + 1:] -= a[:, k + 1:, k, None] * a[:, k, None, k + 1:]
-    return piv, perm
-
-
-def _lower4(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x (G, 4, c) times the inverse of lu's unit lower factors, in place."""
-    for k in range(3):
-        x[:, k + 1:] -= lu[:, k + 1:, k, None] * x[:, k, None]
-    return x
-
-
-def _upper4(lu: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """x (G, 4, c) times the inverse of lu's upper factors, in place."""
-    for k in range(3, -1, -1):
-        x[:, k] /= lu[:, k, k, None]
-        x[:, :k] -= lu[:, :k, k, None] * x[:, k, None]
-    return x
-
-
-def _solve4(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """getrs on the stack: the solutions (G, 4) of the blocks _lu4 factored."""
-    return _upper4(lu, _lower4(lu, np.take_along_axis(b, perm, axis=1)[:, :, None]))[:, :, 0]
+def _inv4(S: np.ndarray) -> np.ndarray:
+    """The inverses of a stack S (G, 4, 4) by LAPACK, one stacked call; a block
+    that LAPACK reports singular gets a NaN inverse, so its certificate fails
+    and gecon refuses it."""
+    try:
+        return np.linalg.inv(S)
+    except np.linalg.LinAlgError:   # block by block, to find the singular ones
+        return np.stack([_inv4(s) for s in S]) if S.ndim == 3 else np.full_like(S, np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +323,8 @@ class _Nested:
         pt, ph, dpt, dph = main
         M = W.shape[0] - 1
         self.M, self.xs = M, xs
+        # recovery weights on reversed rows q < m' (h W[n, n - q] is one row for any n)
+        self.wq = h * W[M, ::-1]
         self.B, P, self.hw4 = _assemble(main, h, W)
         # reversed lattices: node rows q = 0, 1, ... are windows into these
         self.ptr, self.phr, self.dphr = pt[::-1], ph[::-1], dph[::-1]
@@ -359,7 +343,8 @@ class _Nested:
         _check_finite(np.abs(self.B).sum(axis=0).max(), "Nystrom matrix", xs[0])
         self.LU = np.array(self.B[:, : M - 3], order="F")
         _lu_nopivot(self.LU)
-        self.trtrs, trtri, self.gecon = get_lapack_funcs(("trtrs", "trtri", "gecon"), (self.LU,))
+        self.trtrs, trtri, self.gecon, self.laswp = get_lapack_funcs(
+            ("trtrs", "trtri", "gecon", "laswp"), (self.LU,))
         # a[m' - 1] = ||L[:m', :m']^{-1}||_1 and u[m' - 1] = ||U[:m', :m']^{-1}||_1
         # for every m': a leading block of a triangular inverse is the inverse of
         # the leading block. L^{-1} (strictly lower) and U^{-1} (upper) go in
@@ -401,17 +386,18 @@ class _Nested:
         F.reshape((K, k, G), order="F")[...] = cols[:, :, :K].transpose(2, 1, 0)
         return self.trtrs(self.LU[:, :K], F, lower=1, unitdiag=1, overwrite_b=1)[0]
 
-    def _certificates(self, ms: np.ndarray, lu4s: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def _certificates(self, ms: np.ndarray, sinv: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """1/bound per node, with bound >= ||C^{-1}||_1, so at most the
         rcond * anorm that gecon would estimate. Node m is factored as
-        C = diag(I, P4) [L11 0; P4^T L21 L4] [U11 U12; 0 U4], which gives
+        C = [L11 0; L21 I] [U11 U12; 0 S] with S its 4 x 4 Schur block, which
+        gives (a >= 1, as L11 has a unit diagonal)
 
-            ||C^{-1}||_1 <= max(a (1 + l4 lam21), l4) max(u, v4 (1 + u ||U12||_1))
+            ||C^{-1}||_1 <= a (1 + lam21) max(u, s (1 + u ||U12||_1))
 
-        with a, u the inverse norms of L11, U11 (from __init__), l4, v4 those
-        of the Schur factors L4, U4 (lu4s), and lam21 = ||L21||_1. U12 is Z's
-        first four columns of each node, zero past its m' rows. A NaN or
-        infinite bound gives a certificate that does not pass.
+        with a, u the inverse norms of L11, U11 (from __init__),
+        s = ||S^{-1}||_1 (sinv) and lam21 = ||L21||_1. U12 is Z's first four
+        columns of each node, zero past its m' rows. A NaN or infinite bound
+        gives a certificate that does not pass.
         """
         G, K = ms.size, Z.shape[0]
         mp = ms - 4
@@ -422,17 +408,14 @@ class _Nested:
         lam21 += rows[3:]
         np.copyto(lam21, 0.0, where=np.arange(K) >= mp[:, None])
         lam21 = lam21.max(axis=1)
-        eye = np.broadcast_to(np.eye(4), lu4s.shape)
-        Li, Ui = _lower4(lu4s, eye.copy()), _upper4(lu4s, eye.copy())
-        l4, v4 = (np.abs(X).sum(axis=1).max(axis=1) for X in (Li, Ui))
+        s = np.abs(sinv).sum(axis=1).max(axis=1)
         a, u = self.a[mp - 1], self.u[mp - 1]
-        return 1.0 / (np.maximum(a * (1.0 + l4 * lam21), l4)
-                      * np.maximum(u, v4 * (1.0 + u * u12)))
+        return 1.0 / (a * (1.0 + lam21) * np.maximum(u, s * (1.0 + u * u12)))
 
-    def group(self, ms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def group(self, ms: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Solve the nodes of reversed sizes ms (consecutive, ascending) into
         out, their V and Vx node by node from the largest; returns their
-        residuals.
+        residuals and their values of Q.
 
         Forward substitution takes every node's corner columns and right-hand
         side at once, zero-padded to the largest node; the rows of Z from a
@@ -441,7 +424,9 @@ class _Nested:
         substitution sees zeros below each node's m' rows, so those rows hold
         the node's own solution. V[0] is the last reversed entry, known after
         the Schur step, so the V_x right-hand side g2 - d V[0] is formed and
-        forward-substituted then.
+        forward-substituted then. Q(T - x) = -2 d/dx V(x,x) is taken from the
+        rows held here: the identity's integrals are the node's weight row
+        times d V_x + g2 V (d = -g1), as in recover_potential.
         """
         M, B, LU = self.M, self.B, self.LU
         G, mh = ms.size, int(ms[-1])
@@ -463,24 +448,26 @@ class _Nested:
         np.copyto(Zg, 0.0, where=beyond[:, :, None])
         L21 = sliding_window_view(LU[ms[0] - 4: mh, :K], 4, axis=0).transpose(0, 2, 1)
         T4 = L21 @ Zg.transpose(1, 0, 2)
-        lu4s = N[last4[0], :, last4[1]] - T4[:, :, :4]
-        perm = _lu4(lu4s)[1]
+        Sinv = _inv4(N[last4[0], :, last4[1]] - T4[:, :, :4])   # S^{-1} of every node
         Y2 = np.empty((G, 2, 4))                      # the last four reversed rows
-        Y2[:, 0] = _solve4(lu4s, perm, rhs[last4[0], 0, last4[1]] - T4[:, :, 4])
-        for g in np.flatnonzero(~(self._certificates(ms, lu4s, Z) >= _GATE)):
-            # the bound cannot pass this node: estimate on its packed factors
+        Y2[:, 0] = np.einsum("gij,gj->gi", Sinv, rhs[last4[0], 0, last4[1]] - T4[:, :, 4])
+        for g in np.flatnonzero(~(self._certificates(ms, Sinv, Z) >= _GATE)):
+            # the bound cannot pass this node: estimate on its packed factors,
+            # with the Schur block factored by getrf and L21's rows permuted
             m = int(ms[g])
+            lu4, piv = lu_factor(N[g, :, m - 4: m].T - T4[g, :, :4], check_finite=False)
             packed = np.empty((m, m), order="F")
             packed[: m - 4, : m - 4] = LU[: m - 4, : m - 4]
             packed[: m - 4, m - 4:] = Z[: m - 4, 5 * g: 5 * g + 4]
-            packed[m - 4:, : m - 4] = LU[m - 4: m, : m - 4][perm[g]]
-            packed[m - 4:, m - 4:] = lu4s[g]
+            packed[m - 4:, : m - 4] = self.laswp(LU[m - 4: m, : m - 4], piv)
+            packed[m - 4:, m - 4:] = lu4
             anorm = max(np.abs(B[:m, : m - 4]).sum(axis=0).max(), corner[g])
             _check_conditioning(self.gecon(packed, anorm)[0], anorm, x[g])
         rhs[:, 1] = np.where(below, 0.0, g2 - rhs[:, 0] * Y2[:, 0, 3:])
         Zx = self._forward(rhs[:, 1:], K)
         np.copyto(Zx, 0.0, where=beyond)
-        Y2[:, 1] = _solve4(lu4s, perm, rhs[last4[0], 1, last4[1]] - (L21 @ Zx.T[..., None])[..., 0])
+        Y2[:, 1] = np.einsum("gij,gj->gi", Sinv,
+                             rhs[last4[0], 1, last4[1]] - (L21 @ Zx.T[..., None])[..., 0])
         Xb = np.empty((K, 2 * G), order="F")
         Xg = Xb.reshape((K, 2, G), order="F")         # column c of node g is Xb[:, 2 g + c]
         Xg[:, 0], Xg[:, 1] = Zg[:, :, 4], Zx
@@ -500,7 +487,14 @@ class _Nested:
         sol[:, :, :K] = X.reshape((K, 2, G), order="F").transpose(1, 2, 0)
         sol[:, last4[0], last4[1]] = Y2.transpose(1, 0, 2)
         out[:, ::-1] = sol[:, ~below]
-        return residual
+        # d V_x + g2 V in d's memory, zero on the rows a node does not own
+        e = np.multiply(rhs[:, 0], sol[1], out=rhs[:, 0])
+        e += np.multiply(g2, sol[0], out=g2)
+        e4 = e[last4]
+        e[last4] = 0.0
+        integrals = e @ self.wq[:mh] + (e4 * self.hw4[ms - 1, ::-1]).sum(axis=1)
+        q = -2.0 * (self.phr[2 * ms - 2] * Y2[:, 0, 3] + 2.0 * self.dphr[2 * ms - 2] + integrals)
+        return residual, q
 
 
 @dataclass
@@ -511,10 +505,12 @@ class GLWorkspace:
     on the i-th node's subgrid, which _node(lattices, T, M, i) describes
     together with p and p' there. lattices holds p and p' on every lattice
     the solve sampled (_sample), so recovery evaluates nothing again.
-    residual is the max over nodes of the sup-norm residual of the discrete
-    equations, taken at solve time (for the nested nodes as A0[i:, i:] V plus
-    the four corner columns); it certifies the linear solves, not the
-    reconstruction's accuracy.
+    q[M - i] is Q(T - x_i) of every nested node i < M - 3, taken by its node
+    group at solve time; q[0..3], x = T and the three floor nodes, are zero
+    until recover_potential fills them in its copy. residual is the max over
+    nodes of the sup-norm residual of the discrete equations, taken at solve
+    time (for the nested nodes as A0[i:, i:] V plus the four corner columns);
+    it certifies the linear solves, not the reconstruction's accuracy.
     """
 
     T: float
@@ -523,6 +519,7 @@ class GLWorkspace:
     lattices: tuple
     V: tuple
     Vx: tuple
+    q: np.ndarray
     residual: float
 
 
@@ -533,6 +530,7 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     _BATCH (M + 1) reversed rows over a group's nodes, which bounds its
     batched arrays; they run from x = 0 outward on the factored x = 0 system,
     and each group's Schur step is one batched numpy step over its nodes.
+    Each group also takes its nodes' values of Q (GLWorkspace.q).
     Every node passes the finite-matrix, conditioning and finite-residual
     gates, or the solve raises the tagged NumericalError.
     """
@@ -546,7 +544,7 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     lattices = _sample(A, T, M, xs)
     sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
     edges = np.r_[0, np.cumsum(sizes)]
-    residual = np.zeros(M + 1)
+    residual, q = 0.0, np.zeros(M + 1)
     # a well too large for floats overflows inside the factors or meets an
     # exact zero pivot; the gates report that as the tagged error, so numpy's
     # and lu_factor's warnings say nothing more
@@ -559,34 +557,35 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         store = np.zeros((2, edges[-1]))
         V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
         for i in range(M - 3, M):
-            V[i][:], Vx[i][:], residual[i] = _dense_node(
-                *_node(lattices, T, M, i), xs[i], nested.gecon)
+            V[i][:], Vx[i][:], res = _dense_node(*_node(lattices, T, M, i), xs[i], nested.gecon)
+            residual = max(residual, res)
         hi = M + 1
         while hi >= 5:
             lo = max(5, hi - max(1, _BATCH * (M + 1) // hi) + 1)
             ms = np.arange(lo, hi + 1)
-            residual[M + 1 - ms] = nested.group(ms, store[:, edges[M + 1 - hi]: edges[M + 2 - lo]])
+            res, q[ms - 1] = nested.group(ms, store[:, edges[M + 1 - hi]: edges[M + 2 - lo]])
+            residual = max(residual, res.max())
             hi = lo - 1
-    return GLWorkspace(T=T, M=M, grid=xs, lattices=lattices, V=V, Vx=Vx,
-                       residual=float(residual.max()))
+    return GLWorkspace(T=T, M=M, grid=xs, lattices=lattices, V=V, Vx=Vx, q=q,
+                       residual=float(residual))
 
 
 def recover_potential(ws: GLWorkspace) -> RadialPotential:
     """Q on (0, T) through the diagonal-derivative identity.
 
-    At x = T every integral is empty and V(T,T) = 0, so the identity reduces
-    to d/dx V(x,x) = 2 p'(0) there; the recovered value Q(0) = A(0) is the
-    exact limit, no extrapolation involved.
+    The nested nodes' values were taken at solve time (ws.q). This fills in
+    the three floor nodes, on their own four-interval subgrids, and x = T:
+    there every integral is empty and V(T,T) = 0, so the identity reduces to
+    d/dx V(x,x) = 2 p'(0); the recovered value Q(0) = A(0) is the exact
+    limit, no extrapolation involved.
     """
-    qvals = np.empty(ws.M + 1)
+    qvals = ws.q.copy()
     qvals[0] = -4.0 * ws.lattices[0][2][0]  # x = T: dpt[0] = p'(0)
-    W = _unit_piece_weights(ws.M)
-    for i in range(ws.M):
-        h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
+    W = _unit_piece_weights(4)[4]
+    for i in range(ws.M - 3, ws.M):
+        h, _, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
         V, Vx = ws.V[i], ws.Vx[i]
-        S = h * W[n, : n + 1]
-        g1 = ph[: n + 1] - pt[n:]    # p(2T - x - t) - p(t - x)
-        g2 = dph - dpt               # p'(2T - x - t) - p'(t - x)
-        dd = ph[0] * V[0] + 2.0 * dph[0] - S @ (g1 * Vx) + S @ (g2 * V)
-        qvals[ws.M - i] = -2.0 * dd  # value sits at T - x
+        # d = p(t - x) - p(2T - x - t) = -g1 and g2 = p'(2T - x - t) - p'(t - x)
+        integrals = (h * W) @ ((pt[4:] - ph[:5]) * Vx + (dph - dpt) * V)
+        qvals[ws.M - i] = -2.0 * (ph[0] * V[0] + 2.0 * dph[0] + integrals)  # at T - x
     return RadialPotential(grid=ws.grid.copy(), values=qvals)

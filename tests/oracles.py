@@ -8,7 +8,8 @@ references sum every coefficient pair one term at a time or take mp.fdot over
 full rows, the Muntz rows keep the recurrence's first operand order, and the
 GL references assemble every node's Nystrom matrix afresh in one allocating
 expression and solve it by a dense pivoted LU, never through the nested
-factorization.
+factorization, and the recovery loop takes Q node by node from the stored
+solutions rather than per node group at solve time.
 """
 
 from __future__ import annotations
@@ -220,6 +221,25 @@ def gl_residual_loop(ws) -> tuple[float, float]:
             worst = max(worst, float(np.max(np.abs(mat @ v - rhs))))
             bound = max(bound, 2 * gamma * float(np.max(np.abs(mat) @ np.abs(v) + np.abs(rhs))))
     return worst, bound
+
+
+def recover_potential_loop(ws) -> np.ndarray:
+    """Q at T - x on the grid, node by node: d/dx V(x,x) = p(2T - 2x) V[0]
+    + 2 p'(2T - 2x) - S (g1 V_x) + S (g2 V) with S the node's row of the
+    kink-split table, and Q(0) = -4 p'(0) at x = T."""
+    from steklovlab.gelfand_levitan import _node, _unit_piece_weights
+    qvals = np.empty(ws.M + 1)
+    qvals[0] = -4.0 * ws.lattices[0][2][0]
+    W = _unit_piece_weights(ws.M)
+    for i in range(ws.M):
+        h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
+        V, Vx = ws.V[i], ws.Vx[i]
+        S = h * W[n, : n + 1]
+        g1 = ph[: n + 1] - pt[n:]
+        g2 = dph - dpt
+        dd = ph[0] * V[0] + 2.0 * dph[0] - S @ (g1 * Vx) + S @ (g2 * V)
+        qvals[ws.M - i] = -2.0 * dd
+    return qvals
 
 
 def bargmann2_mp(c1: float, kappa1: float, x: float, t: float, dps: int = 60):

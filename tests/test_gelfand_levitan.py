@@ -16,7 +16,7 @@ from steklovlab.gelfand_levitan import (_assemble, _exprel, _kernels, _sample,
 from steklovlab.quadrature import l2_norm
 
 from oracles import (gl_dense_solution, gl_node_system, gl_residual_loop, nystrom_matrix,
-                     unit_piece_weights_loop)
+                     recover_potential_loop, unit_piece_weights_loop)
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
 B2 = Bargmann2(c1=1.0, kappa1=0.5)
@@ -231,32 +231,62 @@ def test_nested_solution_matches_dense_lu(amp, M):
     assert np.all(ws.V[M] == 0.0) and np.all(ws.Vx[M] == 0.0)
 
 
-def test_batched_schur_lu_matches_lapack():
-    # _lu4 and _solve4 are getrf and getrs on a stack of 4 x 4 blocks. Two
-    # orders of rounding differ by up to about eps times the block's
-    # condition number, so factors and solutions agree to 1e-15 relative,
-    # scaled by cond_1 of the block; the pivots are the same
-    from scipy.linalg import lu_factor, lu_solve
+@pytest.mark.parametrize("k", [1, 15, 16, 17, 33, 100])
+def test_unpivoted_lu_matches_lapack_on_dominant_panels(k):
+    # on a tall panel whose columns are diagonally dominant, partial pivoting
+    # swaps no rows (P = I), so the pivoted LU is the unpivoted one. k spans a
+    # lone leaf, leaves of either side of _LEAF and the recursion
+    from scipy.linalg import lu
+    gl._load_lapack()
+    rng = np.random.default_rng(k)
+    a = rng.uniform(-1.0, 1.0, (k + 4, k))
+    a[np.arange(k), np.arange(k)] = np.abs(a).sum(axis=0) + 1.0
+    f = np.array(a, order="F")
+    gl._lu_nopivot(f)
+    L, U = np.tril(f, -1) + np.eye(k + 4, k), np.triu(f[:k])
+    assert np.max(np.abs(L @ U - a)) <= 1e-14 * np.linalg.norm(a, 1)
+    P, ref_L, ref_U = lu(a)
+    assert np.array_equal(P, np.eye(k + 4))
+    assert np.max(np.abs(L - ref_L)) <= 1e-14
+    assert np.max(np.abs(U - ref_U)) <= 1e-14 * np.max(np.abs(ref_U))
+
+
+def test_stacked_schur_inverse_matches_per_block_lapack():
+    # _inv4 inverts a stack of 4 x 4 Schur blocks in one call. Two orders of
+    # rounding differ by up to about eps times the block's condition number,
+    # so every block agrees with its own getrf/getri inverse to 1e-15
+    # relative, scaled by cond_1 of the block. An exactly singular block gets
+    # a NaN inverse and nothing raises
+    from scipy.linalg import inv, lu_factor
     rng = np.random.default_rng(0)
     a = rng.standard_normal((400, 4, 4))
     a[1] *= np.exp(rng.uniform(-5.0, 5.0, (1, 4)))      # unevenly scaled columns
     a[2] = np.eye(4)[::-1] + 1e-3 * a[2]                # pivots at every step
     a[3, 0, 0] = 0.0                                    # cannot start without a swap
-    b = rng.standard_normal((400, 4))
-    lu = a.copy()
-    piv, perm = gl._lu4(lu)
-    x = gl._solve4(lu, perm, b)
+    a[4, :, 2] = 0.0                                    # exactly singular: a zero pivot
+    x = gl._inv4(a)
+    assert np.all(np.isnan(x[4]))
     steps = np.zeros(4, dtype=int)
-    for k in range(len(a)):
-        ref_lu, ref_piv = lu_factor(a[k])
-        ref_x = lu_solve((ref_lu, ref_piv), b[k])
+    for k in np.flatnonzero(np.arange(len(a)) != 4):
+        ref = inv(a[k])
         tol = 1e-15 * np.linalg.cond(a[k], 1)
-        assert np.array_equal(piv[k], ref_piv), k
-        assert np.max(np.abs(lu[k] - ref_lu)) <= tol * np.max(np.abs(ref_lu)), k
-        assert np.max(np.abs(x[k] - ref_x)) <= tol * np.max(np.abs(ref_x)), k
-        steps += ref_piv != np.arange(4)
-    assert np.all(piv[2, :3] == [3, 2, 2]) and piv[3, 0] != 0
+        assert np.max(np.abs(x[k] - ref)) <= tol * np.max(np.abs(ref)), k
+        piv = lu_factor(a[k])[1]
+        steps += piv != np.arange(4)
+        assert k != 2 or np.all(piv[:3] == [3, 2, 2])
+        assert k != 3 or piv[0] != 0
     assert np.all(steps[:3] > 50)
+
+
+@pytest.mark.parametrize("amp", [amp_of(B1), amp_of(B2), amp_of(ZeroForm(), gen=TAIL)],
+                         ids=["bargmann1", "bargmann2", "tail"])
+@pytest.mark.parametrize("M", [64, 128])
+def test_group_recovery_matches_node_loop(amp, M):
+    # Q taken per node group at solve time is the node-by-node recovery loop,
+    # up to the order of its sums
+    ws = solve_gl(amp, 2.0, M)
+    q, ref = recover_potential(ws).values, recover_potential_loop(ws)
+    assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("amp", [amp_of(B1), amp_of(B2), amp_of(ZeroForm(), gen=TAIL)],
@@ -287,8 +317,8 @@ def _record_gates(monkeypatch):
                 calls.append((np.array(a), anorm)) or gecon(a, anorm))
         return funcs
 
-    def certificates(self, ms, lu4s, Z):
-        cert = certify(self, ms, lu4s, Z)
+    def certificates(self, ms, sinv, Z):
+        cert = certify(self, ms, sinv, Z)
         certs.append((self.M, ms.copy(), cert.copy()))
         return cert
 
