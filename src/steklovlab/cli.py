@@ -50,7 +50,7 @@ class RunConfig:
     output: str | None = None
     precision: int = 256
     x_max: float | None = None
-    tolerance: float = 1e-10
+    tolerance: float = OdeOptions.tolerance
     n: int = 10
 
     def header_lines(self) -> list[str]:

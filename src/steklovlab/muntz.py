@@ -170,8 +170,10 @@ class MuntzSystem:
         integer product per term on mantissas put on each row's least
         exponent. fdot's mpf_sum can drop a term only where the exponents
         spread over more than 2 prec bits; rows whose spreads add up past that
-        take its path. The Cauchy entries are built once per distinct mpf sum
-        lam_i + lam_j (2n + 1 of them on a ladder)."""
+        take its path. The sums lam_i + lam_j are formed for i <= j only and
+        mirrored (an mpf sum rounds the exact sum once, so it is symmetric), and
+        the Cauchy entries are built once per distinct sum (2n + 1 of them on a
+        ladder)."""
         from mpmath import mp, mpf
         from mpmath.libmp import (fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf_mul,
                                   mpf_sub, mpf_sum, to_float)
@@ -185,7 +187,8 @@ class MuntzSystem:
                 return from_man_exp(sum(map(operator.mul, a[1], b[1])), a[2] + b[2], prec, rnd)
 
             lam = [mpf(x)._mpf_ for x in self.exponents[: n + 1]]
-            sums = [[mpf_add(a, b, prec, rnd) for b in lam] for a in lam]
+            upper = [[mpf_add(a, b, prec, rnd) for b in lam[i:]] for i, a in enumerate(lam)]
+            sums = [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(len(lam))]
             cauchy = {s: (1 / (mp.make_mpf(s) + 1))._mpf_ for s in set().union(*sums)}
             H = [_fixed([cauchy[s] for s in row]) for row in sums]
             C = [_fixed([c._mpf_ for c in row]) for row in self.C[: n + 1]]

@@ -15,10 +15,12 @@ step is linear in (u, u'), so each step is a 2x2 propagator matrix; a pass
 builds them as arrays a chunk at a time, multiplies each chunk's propagators
 pairwise in a log-depth tree with power-of-two renormalization, and applies
 the chunk products to (u, u') in turn. Step halving refines the pass, and
-each level's value m_j gives the Richardson extrapolate
-r_j = m_j + (m_j - m_{j-1})/15, which cancels RK4's h^4 error term and
-converges at sixth order (Hairer, Norsett & Wanner, Solving ODEs I, II.9). A
-kappa is accepted once successive extrapolates agree. Halving gives up as soon
+the levels' values m_j fill two columns of the Neville-Aitken table (Hairer,
+Norsett & Wanner, Solving ODEs I, II.9): r_j = m_j + (m_j - m_{j-1})/15
+cancels RK4's h^4 error term, and e_j = r_j + (r_j - r_{j-1})/63 its h^6
+term. A kappa is accepted once |e_j - r_j|, the error of the lower-order
+entry, is within the tolerance (1e-11 by default); e_j is its value, and
+est_error adds 16 eps |e_j| for rounding. Halving gives up as soon
 as the raw differences m_j - m_{j-1} stop contracting: they grow near an
 eigenvalue, and shrink too slowly while the step does not resolve the
 potential or the tolerance is below the rounding floor. The kappas of one call
@@ -57,6 +59,7 @@ _CHUNK = 8192         # RK4 steps per propagator product
 _MIN_CONTRACTION = 2  # step halving must shrink the difference at least this much
 _STEP = 1.0 / 32.0    # largest step of the first shooting pass
 _MAX_HALVINGS = 14
+_ROUNDING = 16.0 * np.finfo(float).eps  # est_error's rounding term, relative to |M|
 
 # exp-sinh rule for int_0^inf f(s) e^{-s} ds: nodes s(t) = exp(t - e^{-t}) at
 # t = j h, j = -64..58; the weights carry h, ds/dt and e^{-s}
@@ -75,13 +78,13 @@ class OdeOptions:
     (for rapidly decaying closed forms, x_max = 12 already suffices at any
     kappa of interest). A given x_max must be positive and finite. A sampled
     table must reach the truncation point, whether picked or given, or the
-    route raises ValidationError. A kappa is accepted when two successive
-    Richardson extrapolates differ by at most tolerance, and that difference
-    is its est_error.
+    route raises ValidationError. A kappa is accepted at the first halving
+    level j where the Neville entries e_j and r_j (see wt_from_ode) differ by
+    at most tolerance; this default is also the command line's.
     """
 
     x_max: float | None = None
-    tolerance: float = 1e-10
+    tolerance: float = 1e-11
 
     def __post_init__(self):
         if self.x_max is not None and not 0 < self.x_max < math.inf:  # NaN fails
@@ -169,31 +172,33 @@ def _sample(Q: Callable[[np.ndarray], np.ndarray], x_max: float, n: int) -> np.n
 
 
 def _m_values(q_half: np.ndarray, kappas: np.ndarray,
-              h: float) -> list[float | NumericalError]:
-    """M per kappa from one backward pass over the samples q_half, or the
-    NumericalError that stops that kappa."""
-    out = []
-    for kappa, u0, v0 in zip(kappas.tolist(), *_shoot_backward(q_half, kappas, h).tolist()):
-        if not (math.isfinite(u0) and math.isfinite(v0)):
-            out.append(NumericalError(
-                f"backward integration overflowed at kappa={kappa} "
-                "(spectral parameter too close to an eigenvalue)", _MOD))
-        elif abs(u0) <= 1e-12 * abs(v0):  # scale-free; <= also catches u0 = v0 = 0
-            out.append(NumericalError(
-                f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a Dirichlet "
-                "point of the truncated problem", _MOD))
-        else:
-            out.append(v0 / u0)
-    return out
+              h: float) -> tuple[np.ndarray, int, NumericalError | None]:
+    """(m, k, error): M per kappa from one backward pass over the samples
+    q_half, the position k of the first kappa that fails (kappas.size if none)
+    and the NumericalError that stops it. Only m[:k] is meaningful."""
+    u0, v0 = _shoot_backward(q_half, kappas, h)
+    overflow = ~(np.isfinite(u0) & np.isfinite(v0))
+    bad = overflow | (np.abs(u0) <= 1e-12 * np.abs(v0))  # scale-free; <= also catches 0 = 0
+    k = int(np.argmax(bad)) if bad.any() else kappas.size
+    error = None
+    if k < kappas.size:
+        kappa = float(kappas[k])
+        error = NumericalError(
+            f"backward integration overflowed at kappa={kappa} "
+            "(spectral parameter too close to an eigenvalue)" if overflow[k] else
+            f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a Dirichlet "
+            "point of the truncated problem", _MOD)
+    with np.errstate(all="ignore"):  # the failing entries are not read
+        return v0 / u0, k, error
 
 
 def _m_fixed_step(Q: Callable[[np.ndarray], np.ndarray], kappa: float, x_max: float,
                   n: int) -> float:
     """M value from one backward pass with exactly n steps (no adaptivity)."""
-    m, = _m_values(_sample(Q, x_max, n), np.array([kappa], dtype=float), x_max / n)
-    if isinstance(m, NumericalError):
-        raise m
-    return m
+    m, _, error = _m_values(_sample(Q, x_max, n), np.array([kappa], dtype=float), x_max / n)
+    if error is not None:
+        raise error
+    return float(m[0])
 
 
 def _bad_kappa(kappa: float) -> ValidationError | None:
@@ -220,10 +225,13 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
     directly. kappa is a 1-d array; a scalar counts as one entry. The kappas
     are grouped by truncation point. A group samples Q once per halving
     level, on that level's whole half-step grid, and shoots all of its
-    unconverged kappas in one batched pass; converged kappas drop out. A
-    kappa converges when the Richardson extrapolates
-    r_j = m_j + (m_j - m_{j-1})/15 of two successive levels differ by at most
-    opts.tolerance; value is r_j and est_error is |r_j - r_{j-1}|.
+    unconverged kappas in one batched pass; converged kappas drop out. From
+    the levels' values m_j it forms the Richardson extrapolates
+    r_j = m_j + (m_j - m_{j-1})/15 and the next Neville column
+    e_j = r_j + (r_j - r_{j-1})/63. A kappa converges when
+    |e_j - r_j| <= opts.tolerance; value is e_j and est_error is
+    |e_j - r_j| + 16 eps |e_j|, the last term for rounding, which the
+    acceptance test leaves out.
 
     Raises NumericalError when a halving shrinks the raw difference
     |m_j - m_{j-1}| by less than _MIN_CONTRACTION (worded as an eigenvalue if
@@ -250,53 +258,55 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
             break
         groups.setdefault(x_max, []).append(i)
 
+    # per kappa, from its last level; NaN until a level sets it. The groups
+    # are disjoint, so each reads only its own entries
+    prev, prev_diff, prev_r = (np.full(kappas.size, np.nan) for _ in range(3))
     for x_max, active in groups.items():
+        live = np.array(active)  # the group's unconverged kappas, ascending
         n = max(32, int(math.ceil(x_max / _STEP)))
-        prev: dict[int, float] = {}
-        prev_diff: dict[int, float] = {}
-        prev_r: dict[int, float] = {}
         for _ in range(_MAX_HALVINGS + 1):
-            active = [i for i in active if i < stop]
-            if not active:
+            live = live[live < stop]
+            if not live.size:
                 break
             try:
                 q = _sample(potential, x_max, n)
             except NumericalError as exc:
-                stop, error = active[0], exc
+                stop, error = int(live[0]), exc
                 break
-            unconverged = []
-            for i, m in zip(active, _m_values(q, kappas[active], x_max / n)):
-                if isinstance(m, NumericalError):
-                    stop, error = i, m
-                    break
-                if i in prev:
-                    diff = abs(m - prev[i])
-                    r = m + (m - prev[i]) / 15.0  # RK4's h^4 error term cancelled
-                    if i in prev_r and (est := abs(r - prev_r[i])) <= opts.tolerance:
-                        values[i], est_errors[i] = r, est
-                        continue
-                    # RK4 contracts the difference about 16x per halving; near
-                    # an eigenvalue it grows instead, and while the step does
-                    # not resolve Q it shrinks slowly: no tolerance will be met
-                    if i in prev_diff and diff * _MIN_CONTRACTION > prev_diff[i]:
-                        stop, error = i, NumericalError(
-                            f"step halving stopped converging at kappa={kappas[i]}: the "
-                            f"difference went from {prev_diff[i]:.3g} to {diff:.3g} "
-                            + ("(spectral parameter too close to an eigenvalue)"
-                               if diff > prev_diff[i] else
-                               "(the step does not resolve the potential, or the "
-                               "tolerance is below the rounding floor)"), _MOD)
-                        break
-                    prev_diff[i], prev_r[i] = diff, r
-                prev[i] = m
-                unconverged.append(i)
-            active = unconverged
+            m, k, failure = _m_values(q, kappas[live], x_max / n)
+            if failure is not None:
+                stop, error = int(live[k]), failure
+            live, m = live[:k], m[:k]
+            diff = np.abs(m - prev[live])
+            r = m + (m - prev[live]) / 15.0  # RK4's h^4 error term cancelled
+            e = r + (r - prev_r[live]) / 63.0  # and the h^6 term
+            est = np.abs(e - r)
+            done = est <= opts.tolerance
+            # RK4 contracts the difference about 16x per halving; near an
+            # eigenvalue it grows instead, and while the step does not
+            # resolve Q it shrinks slowly: no tolerance will be met
+            slow = ~done & (diff * _MIN_CONTRACTION > prev_diff[live])
+            if slow.any():
+                j = int(np.argmax(slow))
+                i, was, now = int(live[j]), prev_diff[live[j]], diff[j]
+                stop, error = i, NumericalError(
+                    f"step halving stopped converging at kappa={kappas[i]}: the "
+                    f"difference went from {was:.3g} to {now:.3g} "
+                    + ("(spectral parameter too close to an eigenvalue)" if now > was else
+                       "(the step does not resolve the potential, or the "
+                       "tolerance is below the rounding floor)"), _MOD)
+                live, m, diff, r, e, est, done = (
+                    a[:j] for a in (live, m, diff, r, e, est, done))
+            values[live[done]] = e[done]
+            est_errors[live[done]] = est[done] + _ROUNDING * np.abs(e[done])
+            prev[live], prev_diff[live], prev_r[live] = m, diff, r
+            live = live[~done]
             n *= 2
-        active = [i for i in active if i < stop]
-        if active:
-            stop, error = active[0], NumericalError(
+        live = live[live < stop]
+        if live.size:
+            stop, error = int(live[0]), NumericalError(
                 f"step halving did not reach tolerance {opts.tolerance} at "
-                f"kappa={float(kappas[active[0]])}", _MOD)
+                f"kappa={float(kappas[live[0]])}", _MOD)
     return _result(values, est_errors, stop, error)
 
 

@@ -10,7 +10,8 @@ from steklovlab import (Bargmann1, Bargmann2, NumericalError, OdeOptions,
                         RadialPotential, ValidationError, ZeroForm,
                         build_perturbed_amplitude, make_spectral_params,
                         steklov_spectrum, wt_from_amplitude, wt_from_ode)
-from steklovlab.weyl_titchmarsh import _CHUNK, _MAX_HALVINGS, _STEP, _m_fixed_step
+from steklovlab.weyl_titchmarsh import (_CHUNK, _MAX_HALVINGS, _ROUNDING, _STEP,
+                                        _m_fixed_step)
 
 from oracles import laplace_of_series, m_fixed_step_loop
 
@@ -81,6 +82,39 @@ def test_ode_extrapolate_sixth_order_and_covered():
     assert np.all(est >= np.abs(values - (-kappas - B1.laplace(kappas))))
 
 
+def _form_id(form) -> str:
+    return "-".join([form.kind, *map(str, vars(form).values())])
+
+
+def _exact_m(form, kappas: np.ndarray) -> np.ndarray:
+    return np.array([-k - form.laplace(k) for k in kappas.tolist()])
+
+
+@pytest.mark.parametrize("tolerance", [1e-11, 1e-12, 1e-14])
+@pytest.mark.parametrize("form", [Bargmann1(beta=1.0, gamma=0.5),
+                                  Bargmann1(beta=1.25, gamma=0.75),
+                                  Bargmann2(c1=1.0, kappa1=0.5),
+                                  Bargmann2(c1=1.5, kappa1=1.0)], ids=_form_id)
+def test_ode_est_error_covers_rounding(form, tolerance):
+    # below tolerance 1e-12, |e_j - r_j| alone reads less than the rounding
+    # error of the value; est_error adds 16 eps |value| for it
+    kappas = make_spectral_params(5, 1.0, 64).kappa
+    values, est = wt_from_ode(form, kappas, OdeOptions(tolerance=tolerance))
+    assert np.all(est >= np.abs(values - _exact_m(form, kappas)))
+
+
+@pytest.mark.parametrize("form", [ZeroForm(), B1, B2], ids=_form_id)
+def test_ode_converges_at_the_rounding_floor(form):
+    # tolerance 1e-14 is about eps |M| at the top of the ladder. Accepting on
+    # successive extrapolates r_j left it to rounding noise whether a kappa
+    # converged (14, 28 and 42 of these 65 failed); |e_j - r_j| is
+    # |r_j - r_{j-1}|/63 and meets it before the noise does
+    kappas = make_spectral_params(5, 1.0, 64).kappa
+    values, est = wt_from_ode(form, kappas, OdeOptions(tolerance=1e-14))
+    assert np.all(est <= 1e-14 + _ROUNDING * np.abs(values))
+    assert np.all(np.abs(values - _exact_m(form, kappas)) <= 1e-13)
+
+
 def test_ode_failure_at_eigenvalue():
     # -kappa1^2 is the bound state of this well: u(0) collapses
     start = time.perf_counter()
@@ -109,45 +143,48 @@ def test_m_fixed_step_matches_scalar_loop(kappa, x_max):
             m_fixed_step_loop(B1.potential, kappa, x_max, n), rel=1e-13)
 
 
-def _richardson_halvings(m_of_n, n: int, tolerance: float, max_halvings: int):
-    """(ms, rs): the values m(n), m(2n), ... along the halving sequence and
-    their Richardson extrapolates r_j = m_j + (m_j - m_{j-1})/15, up to the
-    first pair of successive extrapolates within tolerance."""
-    ms, rs = [m_of_n(n)], []
+def _neville_halvings(m_of_n, n: int, tolerance: float, max_halvings: int):
+    """(ms, rs, es): the values m(n), m(2n), ... along the halving sequence,
+    their Richardson extrapolates r_j = m_j + (m_j - m_{j-1})/15 and the next
+    Neville column e_j = r_j + (r_j - r_{j-1})/63, up to the first level
+    where |e_j - r_j| is within tolerance."""
+    ms, rs, es = [m_of_n(n)], [], []
     for _ in range(max_halvings):
         n *= 2
         ms.append(m_of_n(n))
         rs.append(ms[-1] + (ms[-1] - ms[-2]) / 15.0)
-        if len(rs) > 1 and abs(rs[-1] - rs[-2]) <= tolerance:
-            break
-    return ms, rs
+        if len(rs) > 1:
+            es.append(rs[-1] + (rs[-1] - rs[-2]) / 63.0)
+            if abs(es[-1] - rs[-1]) <= tolerance:
+                break
+    return ms, rs, es
 
 
 def test_forward_shoot_halvings_match_scalar_loop():
     # the forward-shoot configuration: every kappa is accepted at the same
-    # level as the Richardson rule applied to the scalar loop, its raw
+    # level as the Neville rule applied to the scalar loop, its raw
     # differences contract >= 10x per halving, far from the fail-fast
-    # threshold of 2x, and est_error is the difference of the last two
-    # extrapolates
+    # threshold of 2x, and est_error is |e_j - r_j| plus the rounding term
     params = make_spectral_params(3, 0.5, 64)
     opts = OdeOptions()
     for kappa in map(float, params.kappa):
         x_max = opts.x_max_for(kappa)
         n0 = max(32, math.ceil(x_max / _STEP))
-        ms, rs = _richardson_halvings(
+        ms, rs, es = _neville_halvings(
             lambda n: _m_fixed_step(B1.potential, kappa, x_max, n), n0, opts.tolerance,
             _MAX_HALVINGS)
-        ref_ms, ref_rs = _richardson_halvings(
+        ref_ms, ref_rs, ref_es = _neville_halvings(
             lambda n: m_fixed_step_loop(B1.potential, kappa, x_max, n), n0, opts.tolerance,
             _MAX_HALVINGS)
-        assert len(ms) == len(ref_ms) and abs(ref_rs[-1] - ref_rs[-2]) <= opts.tolerance
+        assert len(ms) == len(ref_ms) and abs(ref_es[-1] - ref_rs[-1]) <= opts.tolerance
         diffs = np.abs(np.diff(ms))
         assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:]))
         (value,), (est,) = wt_from_ode(B1, kappa, opts)
-        assert (value, est) == (rs[-1], abs(rs[-1] - rs[-2]))
-        # each value agrees with the loop's to 1e-13 relative, and the
-        # difference of extrapolates weighs three values by 34/15 in all
-        assert abs(est - abs(ref_rs[-1] - ref_rs[-2])) <= 3e-13 * abs(value)
+        assert (value, est) == (es[-1], abs(es[-1] - rs[-1]) + _ROUNDING * abs(es[-1]))
+        # each value agrees with the loop's to 1e-13 relative, and
+        # e_j - r_j = (r_j - r_{j-1})/63 weighs three values by 34/945 in all
+        ref_est = abs(ref_es[-1] - ref_rs[-1]) + _ROUNDING * abs(ref_es[-1])
+        assert abs(est - ref_est) <= 5e-15 * abs(value)
 
 
 class _CountingPotential:
@@ -308,8 +345,7 @@ _LAPLACE_WELLS = [Bargmann1(beta=1.0, gamma=0.5), Bargmann1(beta=1.25, gamma=0.3
                   Bargmann2(c1=1.0, kappa1=0.5), Bargmann2(c1=1.5, kappa1=0.4)]
 
 
-@pytest.mark.parametrize("form", _LAPLACE_WELLS,
-                         ids=lambda f: "-".join([f.kind, *map(str, vars(f).values())]))
+@pytest.mark.parametrize("form", _LAPLACE_WELLS, ids=_form_id)
 def test_laplace_rule_matches_closed_forms(form):
     near = [form.kappa_min + 1e-3, form.kappa_min + 1e-2] if form.kappa_min else []
     kappas = np.array(near + [k + 0.5 for k in range(65) if k + 0.5 > form.kappa_min])
