@@ -15,9 +15,7 @@ from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
 from .weyl_titchmarsh import OdeOptions, steklov_spectrum, wt_from_amplitude, wt_from_ode
 from .muntz import (MuntzSeries, MuntzSystem, muntz_coeff_squares, muntz_coeffs,
                     still_bound, system_for_params)
-from .gelfand_levitan import (GLWorkspace, p_from_amplitude, p_prime_from_amplitude,
-                              recover_potential, solve_gl)
-from .stability_harness import (HolderFit, SweepRecord, emit_records, fit_holder,
-                                geometric_family, run_sweep, scaled_coeff_family)
+from .gelfand_levitan import GLWorkspace, p_from_amplitude, p_prime_from_amplitude, solve_gl
+from .stability_harness import HolderFit, SweepRecord, emit_records, fit_holder, run_sweep
 
 __version__ = "0.1.0"

@@ -20,15 +20,14 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .gelfand_levitan import recover_potential, solve_gl
+from .gelfand_levitan import solve_gl
 from .muntz import system_for_params
 from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
                            ks_check_normalization, ks_check_positivity,
                            ks_check_quasi_szego, spectral_measure_diff)
 from .radial_model import (Bargmann1, Bargmann2, PotentialForm, ZeroForm,
                            make_spectral_params)
-from .stability_harness import (_fmt, emit_records, fit_holder, geometric_family,
-                                run_sweep, scaled_coeff_family)
+from .stability_harness import _fmt, emit_records, fit_holder, run_sweep
 from .weyl_titchmarsh import OdeOptions, steklov_spectrum, wt_from_amplitude, wt_from_ode
 
 _MOD = "cli"
@@ -167,9 +166,8 @@ def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
     ws = solve_gl(amp, cfg.T, cfg.M)
-    q = recover_potential(ws)
     lines = [f"# gl_residual = {_fmt(ws.residual)}", "x,Q"]
-    for x, v in zip(q.grid, q.values):
+    for x, v in zip(ws.potential.grid, ws.potential.values):
         lines.append(f"{_fmt(x)},{_fmt(v)}")
     return lines
 
@@ -194,17 +192,12 @@ def _cmd_muntz(cfg: RunConfig) -> list[str]:
 def _cmd_sweep(cfg: RunConfig) -> list[str]:
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     values, tail = _coeff_spec(cfg.coeffs)
-    if tail is not None:
-        if values.size:
-            raise ValidationError(
-                "sweep family must be either a coefficient list or a generator, "
-                "not both", _MOD)
-        family = geometric_family(tail.rho, tail.a)
-    elif values.size:
-        family = scaled_coeff_family(values)
-    else:
+    if tail is not None and values.size:
+        raise ValidationError(
+            "sweep family must be either a coefficient list or a generator, not both", _MOD)
+    if tail is None and not values.size:
         raise ValidationError("sweep needs coefficient values or a generator", _MOD)
-    records, dropped = run_sweep(_base_form(cfg.base), family, cfg.scales, cfg.T,
+    records, dropped = run_sweep(_base_form(cfg.base), values, tail, cfg.scales, cfg.T,
                                  params, cfg.M)
     return emit_records(records, fit_holder(records), dropped)
 

@@ -50,7 +50,9 @@ forward and back substitutions are one zero-padded triangular solve each, its
 Schur step is one batched product L21 Z, one stacked inverse of the S blocks
 and two batched products by S^{-1}, its residuals, A0[i:, i:] V plus the four
 correction columns, are one matrix product, and its nodes' values of Q one
-product with their weight rows.
+product with their weight rows. The floor nodes take theirs after their dense
+solves, and x = T the exact limit Q(0) = A(0), so solve_gl returns the
+finished potential.
 
 Only this module needs LAPACK, and only inside solve_gl: scipy.linalg loads on
 the first solve, not on import, so a command that solves no GL system never
@@ -290,9 +292,12 @@ def _check_conditioning(rcond: float, anorm: float, x: float) -> None:
 
 
 def _dense_node(h, n, pt, ph, dpt, dph, x: float, gecon):
-    """(V, Vx, residual) of a floor node by a dense pivoted solve of its own
-    matrix, assembled as the x = 0 matrix is, on the node's lattices."""
-    B = _assemble((pt, ph), h, _unit_piece_weights(n))[0]
+    """(V, Vx, residual, q) of a floor node by a dense pivoted solve of its own
+    matrix, assembled as the x = 0 matrix is, on the node's lattices; q is
+    Q(T - x) by the diagonal-derivative identity on the node's weight row."""
+    W = _unit_piece_weights(n)
+    S = h * W[n]
+    B = _assemble((pt, ph), h, W)[0]
     mat = np.ascontiguousarray(B[::-1, ::-1])
     d, g2 = pt[n:] - ph[: n + 1], dph - dpt
     anorm = np.abs(mat).sum(axis=0).max()
@@ -304,7 +309,9 @@ def _dense_node(h, n, pt, ph, dpt, dph, x: float, gecon):
     Vx = lu_solve((lu, piv), rhs, check_finite=False)
     residual = float(max(np.max(np.abs(mat @ V - d)), np.max(np.abs(mat @ Vx - rhs))))
     _check_finite(residual, "residual", x)
-    return V, Vx, residual
+    # d = p(t - x) - p(2T - x - t) = -g1 and g2 = p'(2T - x - t) - p'(t - x)
+    q = -2.0 * (ph[0] * V[0] + 2.0 * dph[0] + S @ (d * Vx + g2 * V))
+    return V, Vx, residual, q
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +433,7 @@ class _Nested:
         the Schur step, so the V_x right-hand side g2 - d V[0] is formed and
         forward-substituted then. Q(T - x) = -2 d/dx V(x,x) is taken from the
         rows held here: the identity's integrals are the node's weight row
-        times d V_x + g2 V (d = -g1), as in recover_potential.
+        times d V_x + g2 V (d = -g1), as _dense_node takes a floor node's.
         """
         M, B, LU = self.M, self.B, self.LU
         G, mh = ms.size, int(ms[-1])
@@ -499,38 +506,38 @@ class _Nested:
 
 @dataclass
 class GLWorkspace:
-    """Discretization state for one amplitude on [0, T].
+    """Discretization state for one amplitude on [0, T], and its potential.
 
-    grid holds the x nodes; V[i]/Vx[i] are the solution and its x-derivative
+    potential is Q on the x nodes, Q(T - x_i) at index M - i: the nested nodes'
+    values taken by their node groups, the floor nodes' by their dense solves,
+    and Q(0) = -4 p'(0) = A(0), the exact limit at x = T, where every integral
+    is empty and V(T,T) = 0. V[i]/Vx[i] are the solution and its x-derivative
     on the i-th node's subgrid, which _node(lattices, T, M, i) describes
-    together with p and p' there. lattices holds p and p' on every lattice
-    the solve sampled (_sample), so recovery evaluates nothing again.
-    q[M - i] is Q(T - x_i) of every nested node i < M - 3, taken by its node
-    group at solve time; q[0..3], x = T and the three floor nodes, are zero
-    until recover_potential fills them in its copy. residual is the max over
-    nodes of the sup-norm residual of the discrete equations, taken at solve
-    time (for the nested nodes as A0[i:, i:] V plus the four corner columns);
-    it certifies the linear solves, not the reconstruction's accuracy.
+    together with p and p' there; lattices holds p and p' on every lattice the
+    solve sampled (_sample). residual is the max over nodes of the sup-norm
+    residual of the discrete equations, taken at solve time (for the nested
+    nodes as A0[i:, i:] V plus the four corner columns); it certifies the
+    linear solves, not the reconstruction's accuracy.
     """
 
     T: float
     M: int
-    grid: np.ndarray
+    potential: RadialPotential
     lattices: tuple
     V: tuple
     Vx: tuple
-    q: np.ndarray
     residual: float
 
 
 def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
-    """Assemble and solve the discrete systems at every x node.
+    """Assemble and solve the discrete systems at every x node, and recover Q.
 
     The nested nodes go in groups of consecutive sizes with at most
     _BATCH (M + 1) reversed rows over a group's nodes, which bounds its
     batched arrays; they run from x = 0 outward on the factored x = 0 system,
     and each group's Schur step is one batched numpy step over its nodes.
-    Each group also takes its nodes' values of Q (GLWorkspace.q).
+    Each group takes its nodes' values of Q, and each floor node its own, so
+    the workspace comes back with the finished potential.
     Every node passes the finite-matrix, conditioning and finite-residual
     gates, or the solve raises the tagged NumericalError.
     """
@@ -544,7 +551,8 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     lattices = _sample(A, T, M, xs)
     sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
     edges = np.r_[0, np.cumsum(sizes)]
-    residual, q = 0.0, np.zeros(M + 1)
+    residual, q = 0.0, np.empty(M + 1)
+    q[0] = -4.0 * lattices[0][2][0]   # x = T: dpt[0] = p'(0)
     # a well too large for floats overflows inside the factors or meets an
     # exact zero pivot; the gates report that as the tagged error, so numpy's
     # and lu_factor's warnings say nothing more
@@ -557,7 +565,8 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         store = np.zeros((2, edges[-1]))
         V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
         for i in range(M - 3, M):
-            V[i][:], Vx[i][:], res = _dense_node(*_node(lattices, T, M, i), xs[i], nested.gecon)
+            V[i][:], Vx[i][:], res, q[M - i] = _dense_node(*_node(lattices, T, M, i), xs[i],
+                                                           nested.gecon)
             residual = max(residual, res)
         hi = M + 1
         while hi >= 5:
@@ -566,26 +575,5 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
             res, q[ms - 1] = nested.group(ms, store[:, edges[M + 1 - hi]: edges[M + 2 - lo]])
             residual = max(residual, res.max())
             hi = lo - 1
-    return GLWorkspace(T=T, M=M, grid=xs, lattices=lattices, V=V, Vx=Vx, q=q,
-                       residual=float(residual))
-
-
-def recover_potential(ws: GLWorkspace) -> RadialPotential:
-    """Q on (0, T) through the diagonal-derivative identity.
-
-    The nested nodes' values were taken at solve time (ws.q). This fills in
-    the three floor nodes, on their own four-interval subgrids, and x = T:
-    there every integral is empty and V(T,T) = 0, so the identity reduces to
-    d/dx V(x,x) = 2 p'(0); the recovered value Q(0) = A(0) is the exact
-    limit, no extrapolation involved.
-    """
-    qvals = ws.q.copy()
-    qvals[0] = -4.0 * ws.lattices[0][2][0]  # x = T: dpt[0] = p'(0)
-    W = _unit_piece_weights(4)[4]
-    for i in range(ws.M - 3, ws.M):
-        h, _, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
-        V, Vx = ws.V[i], ws.Vx[i]
-        # d = p(t - x) - p(2T - x - t) = -g1 and g2 = p'(2T - x - t) - p'(t - x)
-        integrals = (h * W) @ ((pt[4:] - ph[:5]) * Vx + (dph - dpt) * V)
-        qvals[ws.M - i] = -2.0 * (ph[0] * V[0] + 2.0 * dph[0] + integrals)  # at T - x
-    return RadialPotential(grid=ws.grid.copy(), values=qvals)
+    return GLWorkspace(T=T, M=M, potential=RadialPotential(grid=xs, values=q),
+                       lattices=lattices, V=V, Vx=Vx, residual=float(residual))

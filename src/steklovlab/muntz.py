@@ -19,6 +19,7 @@ bound leaves it unloaded.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -89,7 +90,9 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
     Each row is checked as it is built: the first level m whose condition
     proxy sum_p |C_mp|, the growth factor that eats working digits, exceeds
     10^(digits - 8) raises NumericalError, because the rows from there on are
-    noise, not a table.
+    noise, not a table. Row 0's proxy is sqrt(2 lam_0 + 1) >= 1, so below
+    27 bits (fewer than 8 digits) no table passes; a refusal at level 0 names
+    the precision as the cause and the least precision that certifies row 0.
 
     Every operation between an mpf and an mpf array puts the array first: with
     the mpf first, mpmath renders the whole array in a failed conversion
@@ -97,7 +100,10 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
     negation is exact, so the order changes no bit."""
     from mpmath import mp
     _check_exponents(exponents)
-    limit = 10.0 ** (int(precision * math.log10(2.0)) - 8)
+
+    def limit(bits: int) -> float:
+        return 10.0 ** (int(bits * math.log10(2.0)) - 8)
+
     with mp.workprec(precision):
         lam = _mpf_array(exponents)
         if any(b <= a for a, b in zip(lam, lam[1:])):
@@ -113,10 +119,16 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
                 ahead = lam[:m] + lam[m] + 1
                 diag = root[m] * np.prod(ahead / -gap)
                 rows.append(np.append(rows[-1] * ratio, diag))
-            if (proxy := float(mp.fsum(rows[m], absolute=True))) > limit:
+            if (proxy := float(mp.fsum(rows[m], absolute=True))) > limit(precision):
+                cause = ""
+                if m == 0:
+                    least = next(bits for bits in itertools.count(precision)
+                                 if limit(bits) >= proxy)
+                    cause = (": the precision is too low for any level of this ladder; "
+                             f"level 0 needs at least {least} bits")
                 raise NumericalError(
                     f"orthonormalization level n={m} exceeds the certified range at "
-                    f"{precision}-bit precision (condition proxy {proxy:.3e})", _MOD)
+                    f"{precision}-bit precision (condition proxy {proxy:.3e}){cause}", _MOD)
         return tuple(tuple(row) for row in rows)
 
 

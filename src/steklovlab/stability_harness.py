@@ -21,12 +21,12 @@ theta <= 1/2), not the theorem's worst case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericalError, SteklovError, ValidationError
-from .gelfand_levitan import recover_potential, solve_gl
+from .gelfand_levitan import solve_gl
 from .muntz import MuntzSeries, still_bound
 from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
                            holder_exponent)
@@ -54,20 +54,6 @@ class SweepRecord:
     theta: float   # Holder exponent for the family's radius
 
 
-CoeffFamily = Callable[[float], tuple[Sequence[float], GeometricTail | None]]
-
-
-def geometric_family(rho: float, a: float = 1.0) -> CoeffFamily:
-    """Family s -> generator c_k = -a s rho^{lam_k}; radius exactly 1/rho."""
-    return lambda s: ((), GeometricTail(a=a * s, rho=rho))
-
-
-def scaled_coeff_family(coeffs: Sequence[float]) -> CoeffFamily:
-    """Family s -> s * coeffs for a fixed admissible coefficient list."""
-    base = np.asarray(coeffs, dtype=float)
-    return lambda s: (s * base, None)
-
-
 def _amplitude_gap_sq(A: Amplitude, params: SpectralParams) -> float:
     """int_0^infty e^{(2 delta - 1) alpha} (A - A~)^2 d alpha in closed form.
 
@@ -79,14 +65,17 @@ def _amplitude_gap_sq(A: Amplitude, params: SpectralParams) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")  # every figure is checked finite
-def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
-              T: float, params: SpectralParams,
+def run_sweep(base: PotentialForm, coeffs: Sequence[float], tail: GeometricTail | None,
+              scales: Sequence[float], T: float, params: SpectralParams,
               M: int = 256) -> tuple[list[SweepRecord], list[str]]:
-    """(records, dropped): one record per scale, except that a scale whose
-    pipeline fails, or whose figures are not finite, is dropped and its
-    reason, "s=...: [module] message", goes into dropped. Fewer than 3
-    surviving records fails the sweep with every reason."""
+    """(records, dropped): one record per scale s, for the perturbation of
+    base by the series terms s * coeffs and, if tail is given, the generator
+    c_k = -(tail.a s) tail.rho^{lam_k}, whose radius stays 1/tail.rho.
+    A scale whose pipeline fails, or whose figures are not finite, is dropped
+    and its reason, "s=...: [module] message", goes into dropped. Fewer than
+    3 surviving records fails the sweep with every reason."""
     scales = [float(s) for s in scales]
+    coeffs = np.asarray(coeffs, dtype=float)
     if any(s <= 0 for s in scales):
         raise ValidationError("scales must be positive", _MOD)
     if any(b >= a for a, b in zip(scales, scales[1:])):
@@ -96,15 +85,15 @@ def run_sweep(base: PotentialForm, family: CoeffFamily, scales: Sequence[float],
 
     base_amp = build_perturbed_amplitude(base, np.zeros(0), params)
     wt_from_amplitude(base_amp, params.kappa[0])  # sigma_0 of the base must exist
-    q_base = recover_potential(solve_gl(base_amp, T, M))
+    q_base = solve_gl(base_amp, T, M).potential
 
     records: list[SweepRecord] = []
     reasons: list[str] = []
     for s in scales:
         try:
-            coeffs, gen = family(s)
-            amp = build_perturbed_amplitude(base, np.asarray(coeffs, float), params, gen)
-            q_pert = recover_potential(solve_gl(amp, T, M))
+            gen = None if tail is None else GeometricTail(a=tail.a * s, rho=tail.rho)
+            amp = build_perturbed_amplitude(base, s * coeffs, params, gen)
+            q_pert = solve_gl(amp, T, M).potential
             # every term c_j / (2 kappa_k + mu_j) is <= 0 and shrinks in
             # magnitude as kappa_k grows, so the sup over k sits at k = 0
             eps = float(np.abs(amp.laplace_terms(params.kappa[0])).sum())

@@ -192,15 +192,6 @@ def _m_values(q_half: np.ndarray, kappas: np.ndarray,
         return v0 / u0, k, error
 
 
-def _m_fixed_step(Q: Callable[[np.ndarray], np.ndarray], kappa: float, x_max: float,
-                  n: int) -> float:
-    """M value from one backward pass with exactly n steps (no adaptivity)."""
-    m, _, error = _m_values(_sample(Q, x_max, n), np.array([kappa], dtype=float), x_max / n)
-    if error is not None:
-        raise error
-    return float(m[0])
-
-
 def _bad_kappa(kappa: float) -> ValidationError | None:
     if kappa > 0 and math.isfinite(kappa * kappa):
         return None

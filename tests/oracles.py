@@ -9,7 +9,9 @@ full rows, the Muntz rows keep the recurrence's first operand order, and the
 GL references assemble every node's Nystrom matrix afresh in one allocating
 expression and solve it by a dense pivoted LU, never through the nested
 factorization, and the recovery loop takes Q node by node from the stored
-solutions rather than per node group at solve time.
+solutions rather than per node group at solve time. m_fixed_step alone runs
+the package's own shooting pass, at a fixed step count, so that tests can
+read its convergence order and compare it with the scalar loop.
 """
 
 from __future__ import annotations
@@ -105,6 +107,16 @@ def m_fixed_step_loop(Q, kappa: float, x_max: float, n: int) -> float:
     xs = np.linspace(0.0, x_max, 2 * n + 1)
     u0, v0 = rk4_backward_loop((Q(xs) + kappa**2).tolist(), x_max / n, kappa)
     return v0 / u0
+
+
+def m_fixed_step(Q, kappa: float, x_max: float, n: int) -> float:
+    """M value from one backward pass of the package's batched shooting with
+    exactly n steps (no step halving), for the order and halving tests."""
+    from steklovlab.weyl_titchmarsh import _m_values, _sample
+    m, _, error = _m_values(_sample(Q, x_max, n), np.array([kappa], dtype=float), x_max / n)
+    if error is not None:
+        raise error
+    return float(m[0])
 
 
 def gram_residual_loop(system, n: int | None = None) -> float:

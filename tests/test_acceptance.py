@@ -10,10 +10,10 @@ import pytest
 
 from steklovlab import (Bargmann1, Bargmann2, GeometricTail, OdeOptions,
                         ZeroForm, build_perturbed_amplitude, extend_potential,
-                        fit_holder, geometric_family, halfline_to_ball,
+                        fit_holder, halfline_to_ball,
                         ks_check_normalization, ks_check_positivity,
                         ks_check_quasi_szego, make_spectral_params,
-                        recover_potential, run_sweep, solve_gl,
+                        run_sweep, solve_gl,
                         spectral_measure_diff, steklov_spectrum,
                         system_for_params, weighted_norm_equivalence,
                         wt_from_amplitude, wt_from_ode)
@@ -49,7 +49,7 @@ def _reconstruct(form, M=256, T=2.0, delta=0.5):
     params = make_spectral_params(3, delta, 8)
     amp = build_perturbed_amplitude(form, [], params)
     ws = solve_gl(amp, T, M)
-    return recover_potential(ws), ws
+    return ws.potential, ws
 
 
 def test_criterion_2_bargmann_oracle_1():
@@ -87,7 +87,7 @@ def test_criterion_4_route_agreement():
     for form in (B1, B2):
         params = make_spectral_params(3, 0.5, 8)
         amp = build_perturbed_amplitude(form, [], params)
-        q = recover_potential(solve_gl(amp, 2.0, 256))
+        q = solve_gl(amp, 2.0, 256).potential
         ext = extend_potential(q, form, 14.0)
         for kappa in (1.0, 1.5, 2.5, 5.0):
             (ode,), _ = wt_from_ode(ext, kappa, OdeOptions(x_max=14.0))
@@ -115,7 +115,7 @@ def test_criterion_5_muntz_exactness():
 def test_criterion_6_holder_stability():
     t0 = time.perf_counter()
     params = make_spectral_params(3, 0.5, 64)
-    records, dropped = run_sweep(ZeroForm(), geometric_family(1.0 / 9.0),
+    records, dropped = run_sweep(ZeroForm(), [], GeometricTail(a=1.0, rho=1.0 / 9.0),
                                  [1e-1, 1e-2, 1e-3, 1e-4], 2.0, params, M=256)
     assert dropped == []
     fit = fit_holder(records, theta=0.5)
@@ -171,8 +171,8 @@ def test_criterion_9_ball_halfline_identity():
     base = build_perturbed_amplitude(ZeroForm(), [], params)
     pert = build_perturbed_amplitude(ZeroForm(), [], params,
                                      generator=GeometricTail(a=0.1, rho=1.0 / 9.0))
-    q_base = recover_potential(solve_gl(base, T, M))
-    q_pert = recover_potential(solve_gl(pert, T, M))
+    q_base = solve_gl(base, T, M).potential
+    q_pert = solve_gl(pert, T, M).potential
 
     ball_base = halfline_to_ball(q_base)
     ball_pert = halfline_to_ball(q_pert)

@@ -443,6 +443,21 @@ def test_muntz_refuses_uncertified_levels(tmp_path, capsys):
                     "--output", str(out)]) == 0
 
 
+@pytest.mark.parametrize("delta,least", [("0", 27), ("0.5", 30)])
+def test_muntz_level_zero_refusal_names_the_least_precision(tmp_path, capsys, delta, least):
+    # row 0's proxy sqrt(2 lam_0 + 1) passes 10^(digits - 8) first at 27 bits
+    # for lam_0 = 0 and at 30 bits for lam_0 = 1/2
+    out = tmp_path / "muntz.csv"
+    args = ["muntz", "--n", "0", "--delta", delta, "--output", str(out)]
+    assert run_cli([*args, "--precision", str(least - 1)]) == 3
+    assert capsys.readouterr().err.rstrip().endswith(
+        f"the precision is too low for any level of this ladder; "
+        f"level 0 needs at least {least} bits")
+    assert not out.exists()
+    assert run_cli([*args, "--precision", str(least)]) == 0
+    assert out.exists()
+
+
 def test_sweep_verdict(tmp_path):
     out = tmp_path / "sweep.csv"
     code = run_cli(["sweep", "--d", "3", "--delta", "0.5", "--T", "2",

@@ -8,7 +8,7 @@ from scipy.special import exprel
 from steklovlab import (Bargmann1, Bargmann2, NumericalError, ValidationError,
                         ZeroForm, build_perturbed_amplitude, GeometricTail,
                         make_spectral_params, p_from_amplitude,
-                        p_prime_from_amplitude, recover_potential, solve_gl)
+                        p_prime_from_amplitude, solve_gl)
 from steklovlab import gelfand_levitan as gl
 from steklovlab.cli import main
 from steklovlab.gelfand_levitan import (_assemble, _exprel, _kernels, _sample,
@@ -93,7 +93,7 @@ def test_p_matches_quadrature_of_definition():
 def test_zero_amplitude_fixed_point():
     ws = solve_gl(amp_of(ZeroForm()), 2.0, 32)
     assert all(np.all(v == 0.0) for v in ws.V)
-    q = recover_potential(ws)
+    q = ws.potential
     assert np.all(q.values == 0.0)
     assert ws.residual == 0.0
 
@@ -127,7 +127,7 @@ def test_fourth_order_refinement():
     for form in (B1, B2):
         errs = []
         for M in (32, 64, 128):
-            q = recover_potential(solve_gl(amp_of(form), 2.0, M))
+            q = solve_gl(amp_of(form), 2.0, M).potential
             errs.append(rel_l2_err(q, form.potential))
         orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
         assert all(o >= 3.5 for o in orders), (form, orders)
@@ -137,7 +137,7 @@ def test_fourth_order_self_convergence_geometric_tail():
     # no closed form: successive differences over M = 32, 64, 128 on the
     # coarser grid of each pair must shrink like h^4
     amp = amp_of(ZeroForm(), gen=TAIL)
-    qs = [recover_potential(solve_gl(amp, 2.0, M)) for M in (32, 64, 128)]
+    qs = [solve_gl(amp, 2.0, M).potential for M in (32, 64, 128)]
     gaps = [l2_norm(fine.values[::2] - coarse.values, coarse.grid[1])
             for coarse, fine in zip(qs, qs[1:])]
     assert math.log2(gaps[0] / gaps[1]) >= 3.5
@@ -150,15 +150,15 @@ def test_fourth_order_self_convergence_geometric_tail():
 def test_oracle_reconstruction(form):
     errs = []
     for M in (128, 256):
-        q = recover_potential(solve_gl(amp_of(form), 2.0, M))
+        q = solve_gl(amp_of(form), 2.0, M).potential
         errs.append(rel_l2_err(q, form.potential))
     assert errs[-1] <= 1e-3
     assert errs[1] < errs[0]  # decreasing under refinement
 
 
 def test_series_and_base_routes_reconstruct_identically():
-    q_base = recover_potential(solve_gl(amp_of(B1), 2.0, 64))
-    q_series = recover_potential(solve_gl(amp_of(ZeroForm(), [-1.5]), 2.0, 64))
+    q_base = solve_gl(amp_of(B1), 2.0, 64).potential
+    q_series = solve_gl(amp_of(ZeroForm(), [-1.5]), 2.0, 64).potential
     assert np.allclose(q_base.values, q_series.values, atol=1e-12)
 
 
@@ -285,7 +285,7 @@ def test_group_recovery_matches_node_loop(amp, M):
     # Q taken per node group at solve time is the node-by-node recovery loop,
     # up to the order of its sums
     ws = solve_gl(amp, 2.0, M)
-    q, ref = recover_potential(ws).values, recover_potential_loop(ws)
+    q, ref = ws.potential.values, recover_potential_loop(ws)
     assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from steklovlab import (Bargmann1, Bargmann2, NumericalError, SweepRecord,
-                        ValidationError, ZeroForm, build_perturbed_amplitude,
-                        emit_records, fit_holder, geometric_family,
-                        make_spectral_params, run_sweep, scaled_coeff_family,
-                        steklov_spectrum, wt_from_amplitude)
+from steklovlab import (Bargmann1, Bargmann2, GeometricTail, NumericalError,
+                        SweepRecord, ValidationError, ZeroForm,
+                        build_perturbed_amplitude, emit_records, fit_holder,
+                        make_spectral_params, run_sweep, steklov_spectrum,
+                        wt_from_amplitude)
 
 from oracles import series_gap_sq_closed_form
 
@@ -18,8 +18,7 @@ SCALES = [1e-1, 1e-2, 1e-3, 1e-4]
 @pytest.fixture(scope="module")
 def single_term_records():
     # one coefficient c0 = -s at mu0 = 1; a cheap, fully predictable sweep
-    records, dropped = run_sweep(ZeroForm(), scaled_coeff_family([-1.0]), SCALES, 2.0,
-                                 PARAMS, M=64)
+    records, dropped = run_sweep(ZeroForm(), [-1.0], None, SCALES, 2.0, PARAMS, M=64)
     assert dropped == []
     return records
 
@@ -41,7 +40,7 @@ def test_sweep_eps_is_the_laplace_routes_sup_gap(base, d, delta):
     # spectra, at scales where the subtraction still keeps its digits
     params = make_spectral_params(d, delta, 16)
     coeffs = np.array([-1.0, -0.5, -0.25])
-    records, dropped = run_sweep(base, scaled_coeff_family(coeffs), [1.0, 1e-1, 1e-2, 1e-3],
+    records, dropped = run_sweep(base, coeffs, None, [1.0, 1e-1, 1e-2, 1e-3],
                                  2.0, params, M=32)
     assert dropped == []
     sigma = steklov_spectrum(
@@ -58,7 +57,7 @@ def test_sweep_eps_keeps_the_whole_generator_tail():
     # the generator's cutoff is relative to its own size, so at s = 1e-12 the
     # family is still the s = 1 family scaled, not cut after 3 terms
     rho = 1.0 / 9.0
-    records, dropped = run_sweep(ZeroForm(), geometric_family(rho),
+    records, dropped = run_sweep(ZeroForm(), [], GeometricTail(a=1.0, rho=rho),
                                  [1e-9, 1e-10, 1e-11, 1e-12], 2.0, PARAMS, M=32)
     assert dropped == []
     j = np.arange(400)
@@ -101,8 +100,8 @@ def test_amplitude_side_bound_with_fitted_B(single_term_records):
 
 @pytest.fixture(scope="module")
 def geometric_records():
-    records, dropped = run_sweep(ZeroForm(), geometric_family(1.0 / 9.0), SCALES, 2.0,
-                                 PARAMS, M=64)
+    records, dropped = run_sweep(ZeroForm(), [], GeometricTail(a=1.0, rho=1.0 / 9.0), SCALES,
+                                 2.0, PARAMS, M=64)
     assert dropped == []
     return records
 
@@ -140,8 +139,7 @@ def test_geometric_p_gap_chain(geometric_records):
 
 
 def test_zero_family_records_are_zero():
-    recs, dropped = run_sweep(ZeroForm(), scaled_coeff_family([0.0]), SCALES, 2.0,
-                              PARAMS, M=32)
+    recs, dropped = run_sweep(ZeroForm(), [0.0], None, SCALES, 2.0, PARAMS, M=32)
     assert dropped == []
     for rec in recs:
         assert (rec.eps, rec.q_gap, rec.a_gap, rec.bound) == (0.0, 0.0, 0.0, 0.0)
@@ -150,19 +148,18 @@ def test_zero_family_records_are_zero():
 
 
 def test_sweep_validations():
-    fam = scaled_coeff_family([-1.0])
     with pytest.raises(ValidationError):
-        run_sweep(ZeroForm(), fam, [1e-1, 1e-2], 2.0, PARAMS, 32)  # < 3 decades
+        run_sweep(ZeroForm(), [-1.0], None, [1e-1, 1e-2], 2.0, PARAMS, 32)  # < 3 decades
     with pytest.raises(ValidationError):
-        run_sweep(ZeroForm(), fam, [1e-4, 1e-1, 1e-2, 1e-3], 2.0, PARAMS, 32)
+        run_sweep(ZeroForm(), [-1.0], None, [1e-4, 1e-1, 1e-2, 1e-3], 2.0, PARAMS, 32)
     with pytest.raises(ValidationError):
-        run_sweep(ZeroForm(), fam, [-1e-1, 1e-2, 1e-3, 1e-4], 2.0, PARAMS, 32)
+        run_sweep(ZeroForm(), [-1.0], None, [-1e-1, 1e-2, 1e-3, 1e-4], 2.0, PARAMS, 32)
 
 
 def test_sweep_fails_when_family_inadmissible():
-    bad = scaled_coeff_family([1.0])  # positive coefficients at every scale
+    # positive coefficients at every scale
     with pytest.raises(NumericalError, match="fewer than 3 valid records; failures: s=0.1: "):
-        run_sweep(ZeroForm(), bad, SCALES, 2.0, PARAMS, 32)
+        run_sweep(ZeroForm(), [1.0], None, SCALES, 2.0, PARAMS, 32)
 
 
 def _synthetic(eps_list, q_fn, theta=0.5):

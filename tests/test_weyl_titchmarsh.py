@@ -10,10 +10,9 @@ from steklovlab import (Bargmann1, Bargmann2, NumericalError, OdeOptions,
                         RadialPotential, ValidationError, ZeroForm,
                         build_perturbed_amplitude, make_spectral_params,
                         steklov_spectrum, wt_from_amplitude, wt_from_ode)
-from steklovlab.weyl_titchmarsh import (_CHUNK, _MAX_HALVINGS, _ROUNDING, _STEP,
-                                        _m_fixed_step)
+from steklovlab.weyl_titchmarsh import _CHUNK, _MAX_HALVINGS, _ROUNDING, _STEP
 
-from oracles import laplace_of_series, m_fixed_step_loop
+from oracles import laplace_of_series, m_fixed_step, m_fixed_step_loop
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
 B2 = Bargmann2(c1=1.0, kappa1=0.5)
@@ -56,8 +55,8 @@ def test_ode_fixed_step_fourth_order():
     # range that widens with kappa
     for kappa, n in ((1.0, 96), (2.5, 192), (20.5, 768), (64.5, 1536)):
         exact = -kappa - B1.laplace(kappa)
-        e1 = abs(_m_fixed_step(B1.potential, kappa, 12.0, n) - exact)
-        e2 = abs(_m_fixed_step(B1.potential, kappa, 12.0, 2 * n) - exact)
+        e1 = abs(m_fixed_step(B1.potential, kappa, 12.0, n) - exact)
+        e2 = abs(m_fixed_step(B1.potential, kappa, 12.0, 2 * n) - exact)
         assert e2 > 1e-8
         assert 10.0 < e1 / e2 < 24.0  # nominal order 4
 
@@ -69,7 +68,7 @@ def test_ode_extrapolate_sixth_order_and_covered():
         for kappa in (5.5, 20.5):
             x_max = OdeOptions().x_max_for(kappa)
             exact = -kappa - form.laplace(kappa)
-            ms = [_m_fixed_step(form.potential, kappa, x_max, 200 * 2**j)
+            ms = [m_fixed_step(form.potential, kappa, x_max, 200 * 2**j)
                   for j in range(7)]
             errs = [abs(b + (b - a) / 15.0 - exact) for a, b in zip(ms, ms[1:])]
             assert errs[0] > 1e-9
@@ -139,7 +138,7 @@ def test_ode_failure_worded_by_direction(form, cause):
 def test_m_fixed_step_matches_scalar_loop(kappa, x_max):
     # within one chunk, exactly one, one step into the next, several with a tail
     for n in (3000, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5):
-        assert _m_fixed_step(B1.potential, kappa, x_max, n) == pytest.approx(
+        assert m_fixed_step(B1.potential, kappa, x_max, n) == pytest.approx(
             m_fixed_step_loop(B1.potential, kappa, x_max, n), rel=1e-13)
 
 
@@ -171,7 +170,7 @@ def test_forward_shoot_halvings_match_scalar_loop():
         x_max = opts.x_max_for(kappa)
         n0 = max(32, math.ceil(x_max / _STEP))
         ms, rs, es = _neville_halvings(
-            lambda n: _m_fixed_step(B1.potential, kappa, x_max, n), n0, opts.tolerance,
+            lambda n: m_fixed_step(B1.potential, kappa, x_max, n), n0, opts.tolerance,
             _MAX_HALVINGS)
         ref_ms, ref_rs, ref_es = _neville_halvings(
             lambda n: m_fixed_step_loop(B1.potential, kappa, x_max, n), n0, opts.tolerance,
