@@ -4,7 +4,8 @@ One JSON configuration file drives every pipeline stage; command-line flags
 override individual fields. All outputs are CSV with a commented header that
 echoes the full effective configuration, so identical configurations produce
 byte-identical files. Exit codes: 0 success, 2 validation failure, 3
-numerical failure (module-tagged message on stderr).
+numerical failure (module-tagged message on stderr). Each command imports the
+modules it runs, so a one-shot run loads only those.
 """
 
 from __future__ import annotations
@@ -15,20 +16,18 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import get_args, get_type_hints
+from typing import TYPE_CHECKING, get_args, get_type_hints
 
 import numpy as np
 
+from ._format import _fmt
 from .errors import NumericalError, ValidationError
-from .gelfand_levitan import solve_gl
-from .muntz import system_for_params
-from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
-                           ks_check_normalization, ks_check_positivity,
-                           ks_check_quasi_szego, spectral_measure_diff)
 from .radial_model import (Bargmann1, Bargmann2, PotentialForm, ZeroForm,
                            make_spectral_params)
-from .stability_harness import _fmt, emit_records, fit_holder, run_sweep
-from .weyl_titchmarsh import OdeOptions, steklov_spectrum, wt_from_amplitude, wt_from_ode
+from .weyl_titchmarsh import OdeOptions
+
+if TYPE_CHECKING:
+    from .perturbation import Amplitude, GeometricTail
 
 _MOD = "cli"
 
@@ -102,6 +101,7 @@ def _require_finite(named: dict, what: str) -> None:
 
 
 def _coeff_spec(spec: dict) -> tuple[np.ndarray, GeometricTail | None]:
+    from .perturbation import GeometricTail
     _known_keys(spec, ("values", "generator"), "coeffs")
     gen = spec.get("generator")
     if gen is not None:
@@ -119,6 +119,7 @@ def _coeff_spec(spec: dict) -> tuple[np.ndarray, GeometricTail | None]:
 
 
 def _amplitude(cfg: RunConfig, params) -> Amplitude:
+    from .perturbation import build_perturbed_amplitude
     values, tail = _coeff_spec(cfg.coeffs)
     return build_perturbed_amplitude(_base_form(cfg.base), values, params, tail)
 
@@ -129,6 +130,7 @@ def _amplitude(cfg: RunConfig, params) -> Amplitude:
 
 
 def _cmd_forward(cfg: RunConfig) -> list[str]:
+    from .weyl_titchmarsh import steklov_spectrum, wt_from_ode
     if cfg.coeffs:
         raise ValidationError("forward shoots the base well alone and takes no coeffs, "
                               f"got {json.dumps(cfg.coeffs, sort_keys=True)}", _MOD)
@@ -142,6 +144,8 @@ def _cmd_forward(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_perturb(cfg: RunConfig) -> list[str]:
+    from .perturbation import build_perturbed_amplitude, spectral_measure_diff
+    from .weyl_titchmarsh import steklov_spectrum, wt_from_amplitude
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
     base_amp = build_perturbed_amplitude(amp.base, np.zeros(0), params)
@@ -163,6 +167,7 @@ def _cmd_perturb(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
+    from .gelfand_levitan import solve_gl
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
     ws = solve_gl(amp, cfg.T, cfg.M)
@@ -173,6 +178,7 @@ def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_muntz(cfg: RunConfig) -> list[str]:
+    from .muntz import system_for_params
     if cfg.coeffs or cfg.base != {"kind": "zero"}:
         raise ValidationError("muntz tabulates the exponent ladder of d and delta alone and "
                               "takes no base or coeffs, got base "
@@ -190,6 +196,7 @@ def _cmd_muntz(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_sweep(cfg: RunConfig) -> list[str]:
+    from .stability_harness import emit_records, fit_holder, run_sweep
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     values, tail = _coeff_spec(cfg.coeffs)
     if tail is not None and values.size:
@@ -203,6 +210,8 @@ def _cmd_sweep(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_ks_check(cfg: RunConfig) -> list[str]:
+    from .perturbation import (ks_check_normalization, ks_check_positivity,
+                               ks_check_quasi_szego)
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
     pos = ks_check_positivity(amp)

@@ -54,17 +54,25 @@ product with their weight rows. The floor nodes take theirs after their dense
 solves, and x = T the exact limit Q(0) = A(0), so solve_gl returns the
 finished potential.
 
-Only this module needs LAPACK, and only inside solve_gl: scipy.linalg loads on
-the first solve, not on import, so a command that solves no GL system never
-loads it. Its four routines, three of scipy.linalg's and BLAS dtrsm, are
-module attributes all the same (a module __getattr__ resolves them before the
-first solve), and a name bound before that, such as a tracer's wrapper of
-lu_factor, keeps its binding.
+Only this module needs LAPACK, and only inside solve_gl. Its seven routines,
+LAPACK dgetrf, dgetrs, dtrtrs, dtrtri, dgecon and dlaswp and BLAS dtrsm, are
+bound on the first solve, not on import, from the two extension modules
+scipy.linalg._flapack and scipy.linalg._fblas, loaded from their files: the
+scipy.linalg package, whose import costs several times the solve, never
+loads. Where those files are not found they come from scipy.linalg.lapack and
+scipy.linalg.blas. The routines are module attributes before the first solve
+too (a module __getattr__ binds them), and lu_factor and lu_solve, thin
+wrappers of dgetrf and dgetrs with scipy.linalg's call forms, are module
+attributes from import on; a name bound before the first solve, such as a
+tracer's wrapper of lu_factor, keeps its binding.
 """
 
 from __future__ import annotations
 
-import warnings
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,26 +86,70 @@ _MOD = "gelfand_levitan"
 _LEAF = 16    # widest panel the unpivoted LU factors as a leaf, without recursing
 _BATCH = 16   # a node group holds at most _BATCH (M + 1) rows over all its nodes
 _GATE = 1e-8  # least 1/||C^{-1}||_1 (or gecon's rcond * anorm) a node may have
-_LAPACK = ("get_lapack_funcs", "lu_factor", "lu_solve", "dtrsm")
+_FLAPACK = ("dgetrf", "dgetrs", "dtrtrs", "dtrtri", "dgecon", "dlaswp")
+_LAPACK = _FLAPACK + ("dtrsm",)
+
+
+def _extension(name: str):
+    """The extension module scipy.linalg.<name>: the one in sys.modules, or
+    else loaded from its file without importing the scipy.linalg package; None
+    where its file is not found. Loading it registers it in sys.modules, so a
+    later import of scipy.linalg binds the same routines."""
+    full = f"scipy.linalg.{name}"
+    if full in sys.modules:
+        return sys.modules[full]
+    spec = importlib.util.find_spec("scipy")   # locates the package, imports nothing
+    roots = spec.submodule_search_locations if spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "linalg", name + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(full, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(full, path, loader=loader))
+                loader.exec_module(module)
+                return module
+    return None
 
 
 def _load_lapack() -> None:
-    """Bind scipy.linalg's routines, and BLAS dtrsm from scipy.linalg.blas, as
-    module globals. scipy loads on the first solve, not on import; a name
-    already bound (a tracer's or a test's patch) keeps its binding, so the
-    solve calls the patch."""
-    import scipy.linalg
-    for name in _LAPACK:
-        home = scipy.linalg.blas if name == "dtrsm" else scipy.linalg
-        globals().setdefault(name, getattr(home, name))
+    """Bind the seven routines as module globals, from scipy.linalg's LAPACK
+    and BLAS extension modules, or from scipy.linalg.lapack and .blas where
+    those are not found. A name already bound (a test's patch) keeps its
+    binding, so the solve calls the patch."""
+    flapack, fblas = _extension("_flapack"), _extension("_fblas")
+    if flapack is None or fblas is None:
+        from scipy.linalg import blas as fblas, lapack as flapack
+    for name in _FLAPACK:
+        globals().setdefault(name, getattr(flapack, name))
+    globals().setdefault("dtrsm", fblas.dtrsm)
 
 
 def __getattr__(name: str):
-    """The scipy routines are module attributes before the first solve too."""
+    """The LAPACK and BLAS routines are module attributes before the first solve too."""
     if name in _LAPACK:
         _load_lapack()
         return globals()[name]
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _getrf(a, check_finite=False):
+    """(lu, piv) of a by dgetrf, as scipy.linalg.lu_factor returns them
+    (check_finite is taken for its call form, and a is not checked). An exactly
+    singular a is not reported here: gecon's estimate then fails the gate."""
+    lu, piv, _ = dgetrf(a)
+    return lu, piv
+
+
+def _getrs(lu_and_piv, b, check_finite=False):
+    """The solution of a x = b from _getrf's factors by dgetrs, as
+    scipy.linalg.lu_solve returns it (with its call form, as _getrf)."""
+    return dgetrs(*lu_and_piv, b)[0]
+
+
+# private functions behind public names, so that a tracer that wraps every
+# public function of the module wraps these once, under lu_factor and lu_solve
+lu_factor, lu_solve = _getrf, _getrs
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +343,7 @@ def _check_conditioning(rcond: float, anorm: float, x: float) -> None:
             f"(inverse-norm proxy {rcond * anorm:.3e})", _MOD)
 
 
-def _dense_node(h, n, pt, ph, dpt, dph, x: float, gecon):
+def _dense_node(h, n, pt, ph, dpt, dph, x: float):
     """(V, Vx, residual, q) of a floor node by a dense pivoted solve of its own
     matrix, assembled as the x = 0 matrix is, on the node's lattices; q is
     Q(T - x) by the diagonal-derivative identity on the node's weight row."""
@@ -303,7 +355,7 @@ def _dense_node(h, n, pt, ph, dpt, dph, x: float, gecon):
     anorm = np.abs(mat).sum(axis=0).max()
     _check_finite(anorm, "Nystrom matrix", x)
     lu, piv = lu_factor(mat, check_finite=False)
-    _check_conditioning(gecon(lu, anorm)[0], anorm, x)
+    _check_conditioning(dgecon(lu, anorm)[0], anorm, x)
     V = lu_solve((lu, piv), d, check_finite=False)
     rhs = g2 - d * V[0]
     Vx = lu_solve((lu, piv), rhs, check_finite=False)
@@ -350,8 +402,6 @@ class _Nested:
         _check_finite(np.abs(self.B).sum(axis=0).max(), "Nystrom matrix", xs[0])
         self.LU = np.array(self.B[:, : M - 3], order="F")
         _lu_nopivot(self.LU)
-        self.trtrs, trtri, self.gecon, self.laswp = get_lapack_funcs(
-            ("trtrs", "trtri", "gecon", "laswp"), (self.LU,))
         # a[m' - 1] = ||L[:m', :m']^{-1}||_1 and u[m' - 1] = ||U[:m', :m']^{-1}||_1
         # for every m': a leading block of a triangular inverse is the inverse of
         # the leading block. L^{-1} (strictly lower) and U^{-1} (upper) go in
@@ -361,8 +411,8 @@ class _Nested:
         k = M - 3
         inv = P.reshape(-1)[: k * k].reshape((k, k), order="F")
         inv[...] = self.LU[:k]
-        trtri(inv, lower=1, unitdiag=1, overwrite_c=1)
-        singular = trtri(inv, overwrite_c=1)[1] > 0   # then inv still holds U
+        dtrtri(inv, lower=1, unitdiag=1, overwrite_c=1)
+        singular = dtrtri(inv, overwrite_c=1)[1] > 0   # then inv still holds U
         np.cumsum(np.abs(inv, out=inv), axis=0, out=inv)
         col = inv.diagonal().copy()
         inv -= col
@@ -391,7 +441,7 @@ class _Nested:
         G, k = cols.shape[:2]
         F = np.empty((K, k * G), order="F")
         F.reshape((K, k, G), order="F")[...] = cols[:, :, :K].transpose(2, 1, 0)
-        return self.trtrs(self.LU[:, :K], F, lower=1, unitdiag=1, overwrite_b=1)[0]
+        return dtrtrs(self.LU[:, :K], F, lower=1, unitdiag=1, overwrite_b=1)[0]
 
     def _certificates(self, ms: np.ndarray, sinv: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """1/bound per node, with bound >= ||C^{-1}||_1, so at most the
@@ -466,10 +516,10 @@ class _Nested:
             packed = np.empty((m, m), order="F")
             packed[: m - 4, : m - 4] = LU[: m - 4, : m - 4]
             packed[: m - 4, m - 4:] = Z[: m - 4, 5 * g: 5 * g + 4]
-            packed[m - 4:, : m - 4] = self.laswp(LU[m - 4: m, : m - 4], piv)
+            packed[m - 4:, : m - 4] = dlaswp(LU[m - 4: m, : m - 4], piv)
             packed[m - 4:, m - 4:] = lu4
             anorm = max(np.abs(B[:m, : m - 4]).sum(axis=0).max(), corner[g])
-            _check_conditioning(self.gecon(packed, anorm)[0], anorm, x[g])
+            _check_conditioning(dgecon(packed, anorm)[0], anorm, x[g])
         rhs[:, 1] = np.where(below, 0.0, g2 - rhs[:, 0] * Y2[:, 0, 3:])
         Zx = self._forward(rhs[:, 1:], K)
         np.copyto(Zx, 0.0, where=beyond)
@@ -479,7 +529,7 @@ class _Nested:
         Xg = Xb.reshape((K, 2, G), order="F")         # column c of node g is Xb[:, 2 g + c]
         Xg[:, 0], Xg[:, 1] = Zg[:, :, 4], Zx
         Xg -= (Zg[:, :, :4].transpose(1, 0, 2) @ Y2.transpose(0, 2, 1)).transpose(1, 2, 0)
-        X = self.trtrs(LU[:, :K], Xb, lower=0, overwrite_b=1)[0]
+        X = dtrtrs(LU[:, :K], Xb, lower=0, overwrite_b=1)[0]
 
         res = (X.T @ B[:mh, :K].T).reshape(G, 2, mh)
         res += Y2 @ N
@@ -546,7 +596,6 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     if M < 32 or M % 2 != 0:
         raise ValidationError(f"M must be even and >= 32, got {M}", _MOD)
     _load_lapack()
-    from scipy.linalg import LinAlgWarning
     xs = np.linspace(0.0, T, M + 1)
     lattices = _sample(A, T, M, xs)
     sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
@@ -555,9 +604,8 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     q[0] = -4.0 * lattices[0][2][0]   # x = T: dpt[0] = p'(0)
     # a well too large for floats overflows inside the factors or meets an
     # exact zero pivot; the gates report that as the tagged error, so numpy's
-    # and lu_factor's warnings say nothing more
-    with np.errstate(all="ignore"), warnings.catch_warnings():
-        warnings.simplefilter("ignore", LinAlgWarning)
+    # warnings say nothing more
+    with np.errstate(all="ignore"):
         # the weight table becomes the kink term P, freed after the factorization
         nested = _Nested(lattices[0], T / M, _unit_piece_weights(M), xs)
         # V[i] and Vx[i] are views into two flat arrays, allocated after the
@@ -565,8 +613,7 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         store = np.zeros((2, edges[-1]))
         V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
         for i in range(M - 3, M):
-            V[i][:], Vx[i][:], res, q[M - i] = _dense_node(*_node(lattices, T, M, i), xs[i],
-                                                           nested.gecon)
+            V[i][:], Vx[i][:], res, q[M - i] = _dense_node(*_node(lattices, T, M, i), xs[i])
             residual = max(residual, res)
         hi = M + 1
         while hi >= 5:

@@ -13,8 +13,8 @@ n ~ 8, so the table and its Gram residual run in extended precision
 The Gram residual takes every dot product as exact integer products summed
 in one integer and rounded once, which is what mp.fdot returns, over the
 entries that fdot's zip reads. mpmath is imported by the functions that build
-a table or its Gram residual, so importing this module, the series and the
-bound leaves it unloaded.
+a table or its Gram residual, and fractions by the exact-rational path, so
+importing this module, the series and the bound leaves both unloaded.
 """
 
 from __future__ import annotations
@@ -23,13 +23,15 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .radial_model import SpectralParams
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _MOD = "muntz"
 
@@ -134,6 +136,7 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
 
 def muntz_coeff_squares(exponents: Sequence[Fraction]) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """Exact-rational certification path: (sign, C_mj^2) for rational exponents."""
+    from fractions import Fraction
     _check_exponents([float(e) for e in exponents])
     lam = [Fraction(e) for e in exponents]
     rows = []

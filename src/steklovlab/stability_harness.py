@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._format import _fmt
 from .errors import NumericalError, SteklovError, ValidationError
 from .gelfand_levitan import solve_gl
 from .muntz import MuntzSeries, still_bound
@@ -37,11 +38,6 @@ from .weyl_titchmarsh import wt_from_amplitude
 _MOD = "stability_harness"
 
 BOUND_SLACK = 1.0 + 1e-6  # multiplicative tolerance for inequality checks
-
-
-def _fmt(v: float) -> str:
-    """A CSV number: 17 significant digits, enough to round-trip any double."""
-    return format(float(v), ".17g")
 
 
 @dataclass(frozen=True)

@@ -47,12 +47,15 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .perturbation import Amplitude
 from .radial_model import PotentialForm, RadialPotential, SpectralParams
+
+if TYPE_CHECKING:
+    from .perturbation import Amplitude
 
 _MOD = "weyl_titchmarsh"
 _CHUNK = 8192         # RK4 steps per propagator product

@@ -111,29 +111,66 @@ def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 _LOADED = ("sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'mpmath'})")
+_LAYERS = ("gelfand_levitan", "muntz", "stability_harness")
+
+# the names the package exported when its __init__ imported every module
+_EXPORTED = (
+    "NumericalError", "SteklovError", "ValidationError", "BallPotential", "Bargmann1",
+    "Bargmann2", "RadialPotential", "SpectralParams", "ZeroForm", "ball_to_halfline",
+    "extend_potential", "halfline_to_ball", "make_spectral_params",
+    "weighted_norm_equivalence", "Amplitude", "GeometricTail", "build_perturbed_amplitude",
+    "estimate_radius", "holder_exponent", "ks_check_normalization", "ks_check_positivity",
+    "ks_check_quasi_szego", "spectral_measure_diff", "OdeOptions", "steklov_spectrum",
+    "wt_from_amplitude", "wt_from_ode", "MuntzSeries", "MuntzSystem", "muntz_coeff_squares",
+    "muntz_coeffs", "still_bound", "system_for_params", "GLWorkspace", "p_from_amplitude",
+    "p_prime_from_amplitude", "solve_gl", "HolderFit", "SweepRecord", "emit_records",
+    "fit_holder", "run_sweep", "__version__")
 
 
 def test_import_leaves_out_unused_scipy():
-    # scipy.linalg loads about 300 modules, most of them numpy.f2py,
-    # numpy.testing and numpy.ma through scipy's array-API layer: only a GL
-    # solve needs it, and only a Muntz table needs mpmath
-    proc = _fresh(f"import sys, steklovlab, steklovlab.cli; print({_LOADED})")
-    assert proc.stdout.strip() == "[]"
+    # the scipy.linalg package loads about 300 modules, most of them
+    # numpy.f2py, numpy.testing and numpy.random through scipy's array-API
+    # layer: a GL solve loads only its two extension modules, and only a
+    # Muntz table needs mpmath. A bare import of the package loads none of
+    # its modules
+    proc = _fresh("import sys, steklovlab; "
+                  "print(sorted(m for m in sys.modules if m.startswith('steklovlab.'))); "
+                  f"import steklovlab.cli; print({_LOADED})")
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
-@pytest.mark.parametrize("argv,loaded", [
-    (["forward", "--K", "2", "--base", "zero", "--x-max", "8"], []),
-    (["perturb", "--K", "4", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5"], []),
-    (["ks-check", "--delta", "1", "--coeffs=-1.0"], []),
-    (["muntz", "--n", "6"], ["mpmath"]),
+def test_exported_names_still_import():
+    import steklovlab
+    listed = dir(steklovlab)
+    for name in _EXPORTED:
+        assert name in listed, name
+        exec(f"from steklovlab import {name}", {})   # the statement form, as users write it
+    with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+        steklovlab.nonexistent
+
+
+@pytest.mark.parametrize("argv,loaded,absent", [
+    (["forward", "--K", "2", "--base", "zero", "--x-max", "8"], [], _LAYERS),
+    (["perturb", "--K", "4", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5"], [],
+     _LAYERS[:2]),
+    (["ks-check", "--delta", "1", "--coeffs=-1.0"], [], _LAYERS[:2]),
+    (["muntz", "--n", "6"], ["mpmath"], ()),
     (["reconstruct", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5", "--M", "32"],
-     ["scipy"]),
-], ids=["forward", "perturb", "ks-check", "muntz", "reconstruct"])
-def test_fresh_command_loads_only_what_it_uses(argv, loaded):
-    proc = _fresh("import sys; from steklovlab.cli import main; "
-                  f"code = main(sys.argv[1:]); print(code, {_LOADED})",
-                  *argv, "--output", os.devnull)
-    assert proc.stdout.strip() == f"0 {loaded}"
+     ["scipy"], ()),
+    (["sweep", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5", "--coeffs=-1,-0.5",
+      "--K", "8", "--M", "32"], ["scipy"], ()),
+], ids=["forward", "perturb", "ks-check", "muntz", "reconstruct", "sweep"])
+def test_fresh_command_loads_only_what_it_uses(argv, loaded, absent):
+    # no command loads the scipy.linalg package: a GL solve binds its
+    # routines from scipy.linalg's two extension modules
+    proc = _fresh("import json, sys; from steklovlab.cli import main; "
+                  f"code = main(sys.argv[1:]); print(code, {_LOADED}); "
+                  "print(json.dumps(sorted(sys.modules)))", *argv, "--output", os.devnull)
+    status, modules = proc.stdout.splitlines()
+    assert status == f"0 {loaded}"
+    modules = json.loads(modules)
+    assert "scipy.linalg" not in modules
+    assert not {f"steklovlab.{m}" for m in absent} & set(modules)
 
 
 def test_lapack_names_patched_before_the_first_solve_are_called():
@@ -170,6 +207,66 @@ def test_lapack_names_patched_before_the_first_solve_are_called():
     # one factorization and two solves per floor node; the nested nodes'
     # 4 x 4 Schur blocks are factored in numpy
     assert calls == {"lu_factor": 3, "lu_solve": 6}
+
+
+_BINDING_CASES = """if True:
+    import json, sys
+    import numpy as np
+    import steklovlab.gelfand_levitan as gl
+    from steklovlab import (Bargmann1, Bargmann2, GeometricTail, ZeroForm,
+                            build_perturbed_amplitude, make_spectral_params)
+    if sys.argv[1] == "fallback":
+        gl._extension = lambda name: None      # the extension files are not found
+    factor, calls = gl.lu_factor, []
+    gl.lu_factor = lambda *args, **kwargs: calls.append(1) or factor(*args, **kwargs)
+    params = make_spectral_params(3, 0.5, 8)
+    cases = [(Bargmann1(beta=1.0, gamma=0.5), None, 2.0),
+             (ZeroForm(), GeometricTail(a=0.1, rho=1.0 / 9.0), 2.0),
+             (Bargmann2(c1=1.5, kappa1=1.0), None, 6.0)]
+    out, factors = {}, []
+    for k, (base, tail, T) in enumerate(cases):
+        calls.clear()
+        ws = gl.solve_gl(build_perturbed_amplitude(base, [], params, tail), T, 64)
+        factors.append(len(calls))
+        out.update({f"q{k}": ws.potential.values, f"residual{k}": ws.residual,
+                    f"V{k}": np.concatenate(ws.V), f"Vx{k}": np.concatenate(ws.Vx)})
+    np.savez(sys.argv[2], **out)
+    print(json.dumps([factors, sorted(m for m in sys.modules if m.startswith("scipy.linalg"))]))
+"""
+
+
+def test_scipy_linalg_fallback_gives_the_same_bits(tmp_path):
+    # where scipy.linalg's extension files are not found, the routines come
+    # from the scipy.linalg package: three solves give the same bits either
+    # way, the last with 26 of its 64 nodes decided by gecon on packed factors
+    results = {}
+    for mode in ("direct", "fallback"):
+        factors, linalg = json.loads(_fresh(_BINDING_CASES, mode, str(tmp_path / mode)).stdout)
+        assert factors == [3, 3, 3 + 26]
+        assert ("scipy.linalg" in linalg) == (mode == "fallback")
+        results[mode] = np.load(tmp_path / f"{mode}.npz")
+    direct, fallback = results["direct"], results["fallback"]
+    assert sorted(direct) == sorted(fallback) and len(direct) == 12
+    for key in direct:
+        assert np.array_equal(direct[key], fallback[key]), key
+
+
+def test_direct_binding_coexists_with_scipy_linalg():
+    # the extension modules a solve loads are registered under their own
+    # names, so scipy.linalg imported afterwards binds the same routines
+    code = """if True:
+        import sys
+        import steklovlab.gelfand_levitan as gl
+        from steklovlab import Bargmann1, build_perturbed_amplitude, make_spectral_params
+        amp = build_perturbed_amplitude(Bargmann1(beta=1.0, gamma=0.5), [],
+                                        make_spectral_params(3, 0.5, 4))
+        gl.solve_gl(amp, 2.0, 32)
+        assert "scipy.linalg" not in sys.modules
+        import scipy.linalg
+        print(all(getattr(scipy.linalg.lapack, name) is getattr(gl, name)
+                  for name in gl._FLAPACK), scipy.linalg.blas.dtrsm is gl.dtrsm)
+    """
+    assert _fresh(code).stdout.split() == ["True", "True"]
 
 
 def test_reconstruct_single_resonance_well(tmp_path):

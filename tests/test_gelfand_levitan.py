@@ -307,22 +307,15 @@ def _record_gates(monkeypatch):
     """Spy on both conditioning gates: ([(M, ms, certificates)] per nested
     node group, [(factors, anorm)] per gecon call)."""
     certs, calls = [], []
-    get, certify = gl.get_lapack_funcs, gl._Nested._certificates
-
-    def recording(names, arrays):
-        funcs = list(get(names, arrays))
-        if "gecon" in names:
-            gecon = funcs[names.index("gecon")]
-            funcs[names.index("gecon")] = lambda a, anorm: (
-                calls.append((np.array(a), anorm)) or gecon(a, anorm))
-        return funcs
+    gecon, certify = gl.dgecon, gl._Nested._certificates
 
     def certificates(self, ms, sinv, Z):
         cert = certify(self, ms, sinv, Z)
         certs.append((self.M, ms.copy(), cert.copy()))
         return cert
 
-    monkeypatch.setattr(gl, "get_lapack_funcs", recording)
+    monkeypatch.setattr(gl, "dgecon", lambda a, anorm: (
+        calls.append((np.array(a), anorm)) or gecon(a, anorm)))
     monkeypatch.setattr(gl._Nested, "_certificates", certificates)
     return certs, calls
 
