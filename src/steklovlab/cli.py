@@ -61,9 +61,7 @@ class RunConfig:
         return lines
 
 
-_FORMS = {"zero": (ZeroForm, ()),
-          "bargmann1": (Bargmann1, ("beta", "gamma")),
-          "bargmann2": (Bargmann2, ("c1", "kappa1"))}
+_FORMS = {form.kind: form for form in (ZeroForm, Bargmann1, Bargmann2)}
 
 
 def _known_keys(spec, keys: tuple[str, ...], what: str) -> None:
@@ -79,9 +77,9 @@ def _known_keys(spec, keys: tuple[str, ...], what: str) -> None:
 def _base_form(spec: dict) -> PotentialForm:
     kind = spec.get("kind", "zero")
     if not isinstance(kind, str) or kind not in _FORMS:
-        raise ValidationError(
-            f"unknown base kind {kind!r}; expected zero | bargmann1 | bargmann2", _MOD)
-    form, keys = _FORMS[kind]
+        raise ValidationError(f"unknown base kind {kind!r}; expected {' | '.join(_FORMS)}", _MOD)
+    form = _FORMS[kind]
+    keys = [f.name for f in dataclasses.fields(form)]
     _known_keys(spec, ("kind", *keys), f"{kind} base")
     try:
         params = {key: float(spec[key]) for key in keys}
@@ -167,9 +165,9 @@ def _cmd_perturb(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
-    from .gelfand_levitan import solve_gl
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
+    from .gelfand_levitan import solve_gl
     ws = solve_gl(amp, cfg.T, cfg.M)
     lines = [f"# gl_residual = {_fmt(ws.residual)}", "x,Q"]
     for x, v in zip(ws.potential.grid, ws.potential.values):
@@ -184,7 +182,7 @@ def _cmd_muntz(cfg: RunConfig) -> list[str]:
                               "takes no base or coeffs, got base "
                               f"{json.dumps(cfg.base, sort_keys=True)} and coeffs "
                               f"{json.dumps(cfg.coeffs, sort_keys=True)}", _MOD)
-    params = make_spectral_params(cfg.d, cfg.delta, max(cfg.K, cfg.n))
+    params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     system = system_for_params(params, cfg.n, cfg.precision)
     lines = ["m,j,C_mj"]
     table = system.float_table()
@@ -196,7 +194,6 @@ def _cmd_muntz(cfg: RunConfig) -> list[str]:
 
 
 def _cmd_sweep(cfg: RunConfig) -> list[str]:
-    from .stability_harness import emit_records, fit_holder, run_sweep
     params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     values, tail = _coeff_spec(cfg.coeffs)
     if tail is not None and values.size:
@@ -204,8 +201,9 @@ def _cmd_sweep(cfg: RunConfig) -> list[str]:
             "sweep family must be either a coefficient list or a generator, not both", _MOD)
     if tail is None and not values.size:
         raise ValidationError("sweep needs coefficient values or a generator", _MOD)
-    records, dropped = run_sweep(_base_form(cfg.base), values, tail, cfg.scales, cfg.T,
-                                 params, cfg.M)
+    base = _base_form(cfg.base)
+    from .stability_harness import emit_records, fit_holder, run_sweep
+    records, dropped = run_sweep(base, values, tail, cfg.scales, cfg.T, params, cfg.M)
     return emit_records(records, fit_holder(records), dropped)
 
 

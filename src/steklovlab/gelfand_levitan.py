@@ -54,17 +54,15 @@ product with their weight rows. The floor nodes take theirs after their dense
 solves, and x = T the exact limit Q(0) = A(0), so solve_gl returns the
 finished potential.
 
-Only this module needs LAPACK, and only inside solve_gl. Its seven routines,
-LAPACK dgetrf, dgetrs, dtrtrs, dtrtri, dgecon and dlaswp and BLAS dtrsm, are
-bound on the first solve, not on import, from the two extension modules
-scipy.linalg._flapack and scipy.linalg._fblas, loaded from their files: the
-scipy.linalg package, whose import costs several times the solve, never
-loads. Where those files are not found they come from scipy.linalg.lapack and
-scipy.linalg.blas. The routines are module attributes before the first solve
-too (a module __getattr__ binds them), and lu_factor and lu_solve, thin
-wrappers of dgetrf and dgetrs with scipy.linalg's call forms, are module
-attributes from import on; a name bound before the first solve, such as a
-tracer's wrapper of lu_factor, keeps its binding.
+Only this module needs LAPACK. Its seven routines, LAPACK dgetrf, dgetrs,
+dtrtrs, dtrtri, dgecon and dlaswp and BLAS dtrsm, are bound on import from the
+two extension modules scipy.linalg._flapack and scipy.linalg._fblas, loaded
+from their files: the scipy.linalg package, whose import costs several times
+the solve, never loads. Where those files are not found they come from
+scipy.linalg.lapack and scipy.linalg.blas. lu_factor and lu_solve are thin
+wrappers of dgetrf and dgetrs with scipy.linalg's call forms; the solve reads
+every one of these names from the module, so a name rebound after import,
+such as a tracer's wrapper of lu_factor, is the one called.
 """
 
 from __future__ import annotations
@@ -86,8 +84,6 @@ _MOD = "gelfand_levitan"
 _LEAF = 16    # widest panel the unpivoted LU factors as a leaf, without recursing
 _BATCH = 16   # a node group holds at most _BATCH (M + 1) rows over all its nodes
 _GATE = 1e-8  # least 1/||C^{-1}||_1 (or gecon's rcond * anorm) a node may have
-_FLAPACK = ("dgetrf", "dgetrs", "dtrtrs", "dtrtri", "dgecon", "dlaswp")
-_LAPACK = _FLAPACK + ("dtrsm",)
 
 
 def _extension(name: str):
@@ -112,38 +108,25 @@ def _extension(name: str):
     return None
 
 
-def _load_lapack() -> None:
-    """Bind the seven routines as module globals, from scipy.linalg's LAPACK
-    and BLAS extension modules, or from scipy.linalg.lapack and .blas where
-    those are not found. A name already bound (a test's patch) keeps its
-    binding, so the solve calls the patch."""
-    flapack, fblas = _extension("_flapack"), _extension("_fblas")
-    if flapack is None or fblas is None:
-        from scipy.linalg import blas as fblas, lapack as flapack
-    for name in _FLAPACK:
-        globals().setdefault(name, getattr(flapack, name))
-    globals().setdefault("dtrsm", fblas.dtrsm)
+_flapack, _fblas = _extension("_flapack"), _extension("_fblas")
+if _flapack is None or _fblas is None:
+    from scipy.linalg import blas as _fblas, lapack as _flapack
+dgetrf, dgetrs, dtrtrs = _flapack.dgetrf, _flapack.dgetrs, _flapack.dtrtrs
+dtrtri, dgecon, dlaswp = _flapack.dtrtri, _flapack.dgecon, _flapack.dlaswp
+dtrsm = _fblas.dtrsm
 
 
-def __getattr__(name: str):
-    """The LAPACK and BLAS routines are module attributes before the first solve too."""
-    if name in _LAPACK:
-        _load_lapack()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _getrf(a, check_finite=False):
-    """(lu, piv) of a by dgetrf, as scipy.linalg.lu_factor returns them
-    (check_finite is taken for its call form, and a is not checked). An exactly
-    singular a is not reported here: gecon's estimate then fails the gate."""
+def _getrf(a):
+    """(lu, piv) of a by dgetrf, as scipy.linalg.lu_factor returns them; a is
+    not checked. An exactly singular a is not reported here: gecon's estimate
+    then fails the gate."""
     lu, piv, _ = dgetrf(a)
     return lu, piv
 
 
-def _getrs(lu_and_piv, b, check_finite=False):
+def _getrs(lu_and_piv, b):
     """The solution of a x = b from _getrf's factors by dgetrs, as
-    scipy.linalg.lu_solve returns it (with its call form, as _getrf)."""
+    scipy.linalg.lu_solve returns it."""
     return dgetrs(*lu_and_piv, b)[0]
 
 
@@ -157,12 +140,13 @@ lu_factor, lu_solve = _getrf, _getrs
 # ---------------------------------------------------------------------------
 
 
-def _finite(values: np.ndarray, t: np.ndarray, what: str) -> np.ndarray:
-    """values, or the tagged error at the first t where they are not finite:
-    a well whose p or p' overflows on the lattice has no GL solve in floats."""
-    bad = ~np.isfinite(values)
+def _finite(values, at, what: str):
+    """values where all are finite; else the tagged error "<what>=<a>", with a
+    the entry of at (one per value) of the first value that is not. A well
+    whose p or p' overflows on the lattice has no GL solve in floats."""
+    bad = ~np.isfinite(np.atleast_1d(values))
     if bad.any():
-        raise NumericalError(f"{what} is not finite at t={t[bad][0]:.6g}", _MOD)
+        raise NumericalError(f"{what}={np.atleast_1d(at)[bad][0]:.6g}", _MOD)
     return values
 
 
@@ -177,14 +161,14 @@ def p_from_amplitude(A: Amplitude, t) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         series = _exprel(-0.5 * np.multiply.outer(t, A.term_mu)) @ A.term_coeffs
-        return _finite(A.base.p_accum(t) - 0.25 * t * series, t, "p")
+        return _finite(A.base.p_accum(t) - 0.25 * t * series, t, "p is not finite at t")
 
 
 def p_prime_from_amplitude(A: Amplitude, t) -> np.ndarray:
     """p'(t) = -A(t/2)/4, the companion evaluation used by the recovery formula."""
     t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite(-0.25 * A(t / 2.0), t, "p'")
+        return _finite(-0.25 * A(t / 2.0), t, "p' is not finite at t")
 
 
 # ---------------------------------------------------------------------------
@@ -329,13 +313,6 @@ def _inv4(S: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _check_finite(values, what: str, x) -> None:
-    """The tagged error at the first node (of x) whose value is not finite."""
-    bad = ~np.isfinite(np.atleast_1d(values))
-    if bad.any():
-        raise NumericalError(f"non-finite {what} at x={np.atleast_1d(x)[bad][0]:.6g}", _MOD)
-
-
 def _check_conditioning(rcond: float, anorm: float, x: float) -> None:
     if not rcond * anorm >= _GATE:  # proxy for the smallest singular value; NaN fails
         raise NumericalError(
@@ -352,15 +329,14 @@ def _dense_node(h, n, pt, ph, dpt, dph, x: float):
     B = _assemble((pt, ph), h, W)[0]
     mat = np.ascontiguousarray(B[::-1, ::-1])
     d, g2 = pt[n:] - ph[: n + 1], dph - dpt
-    anorm = np.abs(mat).sum(axis=0).max()
-    _check_finite(anorm, "Nystrom matrix", x)
-    lu, piv = lu_factor(mat, check_finite=False)
+    anorm = _finite(np.abs(mat).sum(axis=0).max(), x, "non-finite Nystrom matrix at x")
+    lu, piv = lu_factor(mat)
     _check_conditioning(dgecon(lu, anorm)[0], anorm, x)
-    V = lu_solve((lu, piv), d, check_finite=False)
+    V = lu_solve((lu, piv), d)
     rhs = g2 - d * V[0]
-    Vx = lu_solve((lu, piv), rhs, check_finite=False)
-    residual = float(max(np.max(np.abs(mat @ V - d)), np.max(np.abs(mat @ Vx - rhs))))
-    _check_finite(residual, "residual", x)
+    Vx = lu_solve((lu, piv), rhs)
+    residual = _finite(float(max(np.max(np.abs(mat @ V - d)), np.max(np.abs(mat @ Vx - rhs)))),
+                       x, "non-finite residual at x")
     # d = p(t - x) - p(2T - x - t) = -g1 and g2 = p'(2T - x - t) - p'(t - x)
     q = -2.0 * (ph[0] * V[0] + 2.0 * dph[0] + S @ (d * Vx + g2 * V))
     return V, Vx, residual, q
@@ -399,7 +375,7 @@ class _Nested:
         self.band = np.zeros((M + 2, 6))
         self.band[1:] = np.where((cols >= 0) & (cols <= M), P[q, np.clip(cols, 0, M)], 0.0)
         # every node's columns before its corner are a block of B
-        _check_finite(np.abs(self.B).sum(axis=0).max(), "Nystrom matrix", xs[0])
+        _finite(np.abs(self.B).sum(axis=0).max(), xs[0], "non-finite Nystrom matrix at x")
         self.LU = np.array(self.B[:, : M - 3], order="F")
         _lu_nopivot(self.LU)
         # a[m' - 1] = ||L[:m', :m']^{-1}||_1 and u[m' - 1] = ||U[:m', :m']^{-1}||_1
@@ -497,8 +473,8 @@ class _Nested:
         g2 = _windows(self.dphr, ms - 1, mh) - _windows(self.dptr, M + 1 - ms, mh)
         np.copyto(N, 0.0, where=below[:, None, :])
         np.copyto(rhs[:, 0], 0.0, where=below)
-        corner = np.abs(N).sum(axis=2).max(axis=1)    # 1-norm of the corner columns
-        _check_finite(corner, "Nystrom matrix", x)
+        corner = _finite(np.abs(N).sum(axis=2).max(axis=1),   # 1-norm of the corner columns
+                         x, "non-finite Nystrom matrix at x")
 
         Z = self._forward(np.concatenate([N, rhs[:, :1]], axis=1), K)
         Zg = Z.reshape((K, G, 5))                     # [row, node, column]
@@ -512,7 +488,7 @@ class _Nested:
             # the bound cannot pass this node: estimate on its packed factors,
             # with the Schur block factored by getrf and L21's rows permuted
             m = int(ms[g])
-            lu4, piv = lu_factor(N[g, :, m - 4: m].T - T4[g, :, :4], check_finite=False)
+            lu4, piv = lu_factor(N[g, :, m - 4: m].T - T4[g, :, :4])
             packed = np.empty((m, m), order="F")
             packed[: m - 4, : m - 4] = LU[: m - 4, : m - 4]
             packed[: m - 4, m - 4:] = Z[: m - 4, 5 * g: 5 * g + 4]
@@ -536,8 +512,7 @@ class _Nested:
         res -= rhs
         np.abs(res, out=res)
         np.copyto(res, 0.0, where=below[:, None, :])
-        residual = res.max(axis=(1, 2))
-        _check_finite(residual, "residual", x)
+        residual = _finite(res.max(axis=(1, 2)), x, "non-finite residual at x")
         # out reversed holds each node's reversed rows q < m, smallest node first;
         # the rows are gathered in res's memory
         sol = res.transpose(1, 0, 2)
@@ -595,7 +570,6 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         raise ValidationError(f"horizon T must be positive, got {T}", _MOD)
     if M < 32 or M % 2 != 0:
         raise ValidationError(f"M must be even and >= 32, got {M}", _MOD)
-    _load_lapack()
     xs = np.linspace(0.0, T, M + 1)
     lattices = _sample(A, T, M, xs)
     sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]

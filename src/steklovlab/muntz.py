@@ -41,11 +41,6 @@ def _cauchy(a, b):
     return 1 / (np.add.outer(a, b) + 1)
 
 
-def _mpf_array(xs) -> np.ndarray:
-    from mpmath import mpf
-    return np.array([mpf(x) for x in xs], dtype=object)
-
-
 @dataclass(frozen=True)
 class MuntzSeries:
     """A finite combination sum_j c_j t^{e_j} with real exponents e_j >= 0."""
@@ -92,9 +87,12 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
     Each row is checked as it is built: the first level m whose condition
     proxy sum_p |C_mp|, the growth factor that eats working digits, exceeds
     10^(digits - 8) raises NumericalError, because the rows from there on are
-    noise, not a table. Row 0's proxy is sqrt(2 lam_0 + 1) >= 1, so below
-    27 bits (fewer than 8 digits) no table passes; a refusal at level 0 names
-    the precision as the cause and the least precision that certifies row 0.
+    noise, not a table. The exponents are converted, rooted and checked for
+    coincidence level by level too, so a refusal costs only the levels before
+    it, however long the ladder. Row 0's proxy is sqrt(2 lam_0 + 1) >= 1, so
+    below 27 bits (fewer than 8 digits) no table passes; a refusal at level 0
+    names the precision as the cause and the least precision that certifies
+    row 0.
 
     Every operation between an mpf and an mpf array puts the array first: with
     the mpf first, mpmath renders the whole array in a failed conversion
@@ -107,20 +105,22 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
         return 10.0 ** (int(bits * math.log10(2.0)) - 8)
 
     with mp.workprec(precision):
-        lam = _mpf_array(exponents)
-        if any(b <= a for a, b in zip(lam, lam[1:])):
-            raise NumericalError(f"exponents coincide at {precision}-bit precision", _MOD)
-        root = [mp.sqrt(2 * x + 1) for x in lam]
-        rows = [np.array([root[0]], dtype=object)]
-        ahead = lam[:0]  # lam_j + lam_{m-1} + 1 for j < m - 1
-        for m in range(len(lam)):
-            if m:
+        lam = np.empty(len(exponents), dtype=object)  # filled a level at a time
+        rows, ahead = [], lam[:0]  # ahead: lam_j + lam_{m-1} + 1 for j < m - 1
+        for m, x in enumerate(exponents):
+            lam[m] = mp.mpf(x)
+            root = mp.sqrt(2 * lam[m] + 1)
+            if not m:
+                rows.append(np.array([root], dtype=object))
+            elif lam[m] <= lam[m - 1]:
+                raise NumericalError(f"exponents coincide at {precision}-bit precision", _MOD)
+            else:
                 gap = lam[:m] - lam[m]
-                ratio = (np.append(ahead, lam[m - 1] + lam[m - 1] + 1)
-                         * (root[m] / root[m - 1]) / gap)
+                ratio = np.append(ahead, lam[m - 1] + lam[m - 1] + 1) * (root / prev) / gap
                 ahead = lam[:m] + lam[m] + 1
-                diag = root[m] * np.prod(ahead / -gap)
+                diag = root * np.prod(ahead / -gap)
                 rows.append(np.append(rows[-1] * ratio, diag))
+            prev = root
             if (proxy := float(mp.fsum(rows[m], absolute=True))) > limit(precision):
                 cause = ""
                 if m == 0:
@@ -227,9 +227,8 @@ def _fixed(raw: list) -> tuple:
 
 
 def system_for_params(params: SpectralParams, n: int, precision: int = 256) -> MuntzSystem:
-    """The system on the exponent ladder lam_0..lam_n of params."""
-    if n > params.K:
-        raise ValidationError(f"n={n} exceeds the parameter table (K={params.K})", _MOD)
+    """The system on the exponent ladder lam_0..lam_n of params (any n: the
+    ladder does not depend on params.K)."""
     lam = params.lam_at(np.arange(n + 1)).tolist()
     return MuntzSystem(exponents=tuple(lam), C=muntz_coeffs(lam, precision),
                        precision=precision)

@@ -210,13 +210,15 @@ def test_lapack_names_patched_before_the_first_solve_are_called():
 
 
 _BINDING_CASES = """if True:
-    import json, sys
+    import importlib.util, json, sys
     import numpy as np
+    spec = importlib.util.find_spec
+    if sys.argv[1] == "fallback":   # scipy's extension files are not found while gl binds
+        importlib.util.find_spec = lambda name, *a: None if name == "scipy" else spec(name, *a)
     import steklovlab.gelfand_levitan as gl
+    importlib.util.find_spec = spec
     from steklovlab import (Bargmann1, Bargmann2, GeometricTail, ZeroForm,
                             build_perturbed_amplitude, make_spectral_params)
-    if sys.argv[1] == "fallback":
-        gl._extension = lambda name: None      # the extension files are not found
     factor, calls = gl.lu_factor, []
     gl.lu_factor = lambda *args, **kwargs: calls.append(1) or factor(*args, **kwargs)
     params = make_spectral_params(3, 0.5, 8)
@@ -251,6 +253,18 @@ def test_scipy_linalg_fallback_gives_the_same_bits(tmp_path):
         assert np.array_equal(direct[key], fallback[key]), key
 
 
+_ROUTINES = ("dgetrf", "dgetrs", "dtrtrs", "dtrtri", "dgecon", "dlaswp", "dtrsm")
+
+
+def test_import_binds_lapack_without_scipy_linalg():
+    # the seven routines are plain module globals from import on, and binding
+    # them loads scipy.linalg's extension modules, not its package
+    proc = _fresh("import json, sys; import steklovlab.gelfand_levitan as gl; "
+                  f"print(json.dumps([[n in vars(gl) for n in {_ROUTINES}], "
+                  "'scipy.linalg' in sys.modules]))")
+    assert json.loads(proc.stdout) == [[True] * 7, False]
+
+
 def test_direct_binding_coexists_with_scipy_linalg():
     # the extension modules a solve loads are registered under their own
     # names, so scipy.linalg imported afterwards binds the same routines
@@ -263,10 +277,11 @@ def test_direct_binding_coexists_with_scipy_linalg():
         gl.solve_gl(amp, 2.0, 32)
         assert "scipy.linalg" not in sys.modules
         import scipy.linalg
-        print(all(getattr(scipy.linalg.lapack, name) is getattr(gl, name)
-                  for name in gl._FLAPACK), scipy.linalg.blas.dtrsm is gl.dtrsm)
+        for name in sys.argv[1:]:
+            home = scipy.linalg.blas if name == "dtrsm" else scipy.linalg.lapack
+            print(getattr(home, name) is getattr(gl, name))
     """
-    assert _fresh(code).stdout.split() == ["True", "True"]
+    assert _fresh(code, *_ROUTINES).stdout.split() == ["True"] * 7
 
 
 def test_reconstruct_single_resonance_well(tmp_path):

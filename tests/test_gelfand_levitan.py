@@ -237,7 +237,6 @@ def test_unpivoted_lu_matches_lapack_on_dominant_panels(k):
     # swaps no rows (P = I), so the pivoted LU is the unpivoted one. k spans a
     # lone leaf, leaves of either side of _LEAF and the recursion
     from scipy.linalg import lu
-    gl._load_lapack()
     rng = np.random.default_rng(k)
     a = rng.uniform(-1.0, 1.0, (k + 4, k))
     a[np.arange(k), np.arange(k)] = np.abs(a).sum(axis=0) + 1.0

@@ -172,3 +172,22 @@ def test_certified_range_refusal_at_low_precision():
     with pytest.raises(NumericalError, match=r"level n=15 exceeds the certified range"):
         system_for_params(params, 16, precision=64)
     assert system_for_params(params, 10, precision=64).n == 10  # still certified
+
+
+def test_refusal_converts_only_the_levels_it_builds(monkeypatch):
+    # the 10^5-exponent ladder of d = 3, delta = 1/2 is refused at level 91
+    # at 256 bits: the exponents are converted and rooted one level at a
+    # time, so the refusal takes 92 square roots, not 10^5 + 1
+    calls = []
+    sqrt = mp.sqrt
+    monkeypatch.setattr(mp, "sqrt", lambda x: calls.append(1) or sqrt(x))
+    ladder = make_spectral_params(3, 0.5, 1).lam_at(np.arange(10**5 + 1)).tolist()
+    with pytest.raises(NumericalError, match=r"level n=91 exceeds the certified range"):
+        muntz_coeffs(ladder, precision=256)
+    assert len(calls) <= 92
+
+
+def test_ladder_does_not_depend_on_the_parameter_table():
+    # lam_k = 2k + d - 3 + delta for any k: a table longer than K is the same
+    short, long = (system_for_params(make_spectral_params(3, 0.5, K), 12, 256) for K in (1, 12))
+    assert short == long
