@@ -1,11 +1,15 @@
 """Command-line entry point.
 
 One JSON configuration file drives every pipeline stage; command-line flags
-override individual fields. All outputs are CSV with a commented header that
-echoes the full effective configuration, so identical configurations produce
-byte-identical files. Exit codes: 0 success, 2 validation failure, 3
-numerical failure (module-tagged message on stderr). Each command imports the
-modules it runs, so a one-shot run loads only those.
+override individual fields. Every value, from the file or a flag, is checked
+against its RunConfig field's type hint (`_field`), and every number, also
+inside `base` and `coeffs`, by one rule (`_number`). Values are stored as
+given. The flags are derived from RunConfig's fields and the base forms, and
+the parser is built once, at import. All outputs are CSV with a commented
+header that echoes the full effective configuration, so identical
+configurations produce byte-identical files. Exit codes: 0 success, 2
+validation failure, 3 numerical failure (module-tagged message on stderr).
+Each command imports the modules it runs, so a one-shot run loads only those.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, get_args, get_type_hints
@@ -22,7 +25,7 @@ import numpy as np
 
 from ._format import _fmt
 from .errors import NumericalError, ValidationError
-from .radial_model import (Bargmann1, Bargmann2, PotentialForm, ZeroForm,
+from .radial_model import (Bargmann1, Bargmann2, PotentialForm, SpectralParams, ZeroForm,
                            make_spectral_params)
 from .weyl_titchmarsh import OdeOptions
 
@@ -45,11 +48,11 @@ class RunConfig:
     base: dict = field(default_factory=lambda: {"kind": "zero"})
     coeffs: dict = field(default_factory=dict)
     scales: list = field(default_factory=lambda: [1e-1, 1e-2, 1e-3, 1e-4])
-    output: str | None = None
-    precision: int = 256
+    output: str | None = field(default=None, metadata={"help": "output CSV path ('-' for stdout)"})
+    precision: int = field(default=256, metadata={"help": "working precision in bits"})
     x_max: float | None = None
     tolerance: float = OdeOptions.tolerance
-    n: int = 10
+    n: int = field(default=10, metadata={"help": "orthonormalization table size"})
 
     def header_lines(self) -> list[str]:
         lines = []
@@ -61,7 +64,44 @@ class RunConfig:
         return lines
 
 
+_HINTS = get_type_hints(RunConfig)
+# the scalar fields and their types; each is set by the flag of its name
+_SCALARS = {name: kind for name, hint in _HINTS.items()
+            if (kind := (get_args(hint) or (hint,))[0]) in (int, float, str)}
 _FORMS = {form.kind: form for form in (ZeroForm, Bargmann1, Bargmann2)}
+_WELL_KEYS = [f.name for form in _FORMS.values() for f in dataclasses.fields(form)]
+_GENERATOR_KEYS = ("a", "rho")
+
+
+def _number(val, what: str):
+    """The one number rule, for every number of a config file or a flag: a
+    finite int or float that is not a bool. json.load takes NaN and Infinity,
+    argparse's float nan and inf, and a JSON int may lie past the float range."""
+    if isinstance(val, bool) or not isinstance(val, (int, float)):
+        raise ValidationError(f"{what} must be a number, got {val!r}", _MOD)
+    if not abs(val) <= sys.float_info.max:  # NaN fails too
+        raise ValidationError(f"{what} must be finite, got {val!r}", _MOD)
+    return val
+
+
+def _field(name: str, val):
+    """Check a value for the RunConfig field name against the field's type
+    hint and return it as given: an int field takes an integer, a float field
+    any number, scales a list of numbers."""
+    kinds = get_args(_HINTS[name]) or (_HINTS[name],)
+    if val is None and type(None) in kinds:
+        return val
+    if float in kinds:
+        return _number(val, name)
+    if int in kinds:
+        if type(_number(val, name)) is int:
+            return val
+    elif list in kinds:
+        if isinstance(val, list):
+            return [_number(v, name) for v in val]
+    elif isinstance(val, kinds):
+        return val
+    raise ValidationError(f"{name} has the wrong type: {val!r}", _MOD)
 
 
 def _known_keys(spec, keys: tuple[str, ...], what: str) -> None:
@@ -82,41 +122,32 @@ def _base_form(spec: dict) -> PotentialForm:
     keys = [f.name for f in dataclasses.fields(form)]
     _known_keys(spec, ("kind", *keys), f"{kind} base")
     try:
-        params = {key: float(spec[key]) for key in keys}
+        params = {key: float(_number(spec[key], f"{kind} base parameter {key}")) for key in keys}
     except KeyError as exc:
         raise ValidationError(f"{kind} base needs parameter {exc}", _MOD)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{kind} base parameters must be numbers: {exc}", _MOD)
-    _require_finite(params, f"{kind} base parameter")
     return form(**params)
-
-
-def _require_finite(named: dict, what: str) -> None:
-    """Reject nan and inf, which json.load and argparse's float both take."""
-    for name, val in named.items():
-        if not np.all(np.isfinite(val)):
-            raise ValidationError(f"{what} {name} must be finite, got {val}", _MOD)
 
 
 def _coeff_spec(spec: dict) -> tuple[np.ndarray, GeometricTail | None]:
     from .perturbation import GeometricTail
     _known_keys(spec, ("values", "generator"), "coeffs")
+    values = spec.get("values", [])
+    if not isinstance(values, list):
+        raise ValidationError(f"coefficient values must be a list, got {values!r}", _MOD)
+    values = np.array([_number(v, "coefficient") for v in values], dtype=float)
     gen = spec.get("generator")
-    if gen is not None:
-        _known_keys(gen, ("a", "rho"), "coefficient generator")
+    if gen is None:
+        return values, None
+    _known_keys(gen, _GENERATOR_KEYS, "coefficient generator")
     try:
-        values = np.asarray(spec.get("values", []), dtype=float)
-        ar = None if gen is None else {"a": float(gen["a"]), "rho": float(gen["rho"])}
+        ar = {key: float(_number(gen[key], f"coefficient generator {key}"))
+              for key in _GENERATOR_KEYS}
     except KeyError as exc:
         raise ValidationError(f"coefficient generator needs key {exc}", _MOD)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"coefficients must be numbers: {exc}", _MOD)
-    _require_finite({"values": values}, "coefficient")
-    _require_finite(ar or {}, "coefficient generator")
-    return values, None if ar is None else GeometricTail(**ar)
+    return values, GeometricTail(**ar)
 
 
-def _amplitude(cfg: RunConfig, params) -> Amplitude:
+def _amplitude(cfg: RunConfig, params: SpectralParams) -> Amplitude:
     from .perturbation import build_perturbed_amplitude
     values, tail = _coeff_spec(cfg.coeffs)
     return build_perturbed_amplitude(_base_form(cfg.base), values, params, tail)
@@ -127,12 +158,11 @@ def _amplitude(cfg: RunConfig, params) -> Amplitude:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_forward(cfg: RunConfig) -> list[str]:
+def _cmd_forward(cfg: RunConfig, params: SpectralParams) -> list[str]:
     from .weyl_titchmarsh import steklov_spectrum, wt_from_ode
     if cfg.coeffs:
         raise ValidationError("forward shoots the base well alone and takes no coeffs, "
                               f"got {json.dumps(cfg.coeffs, sort_keys=True)}", _MOD)
-    params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
     m, _ = wt_from_ode(_base_form(cfg.base), params.kappa, opts)
     lines = ["k,kappa,sigma"]
@@ -141,10 +171,9 @@ def _cmd_forward(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def _cmd_perturb(cfg: RunConfig) -> list[str]:
+def _cmd_perturb(cfg: RunConfig, params: SpectralParams) -> list[str]:
     from .perturbation import build_perturbed_amplitude, spectral_measure_diff
     from .weyl_titchmarsh import steklov_spectrum, wt_from_amplitude
-    params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
     base_amp = build_perturbed_amplitude(amp.base, np.zeros(0), params)
     sig = steklov_spectrum(params, wt_from_amplitude(base_amp, params.kappa)[0])
@@ -164,8 +193,7 @@ def _cmd_perturb(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
-    params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
+def _cmd_reconstruct(cfg: RunConfig, params: SpectralParams) -> list[str]:
     amp = _amplitude(cfg, params)
     from .gelfand_levitan import solve_gl
     ws = solve_gl(amp, cfg.T, cfg.M)
@@ -175,14 +203,13 @@ def _cmd_reconstruct(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def _cmd_muntz(cfg: RunConfig) -> list[str]:
+def _cmd_muntz(cfg: RunConfig, params: SpectralParams) -> list[str]:
     from .muntz import system_for_params
     if cfg.coeffs or cfg.base != {"kind": "zero"}:
         raise ValidationError("muntz tabulates the exponent ladder of d and delta alone and "
                               "takes no base or coeffs, got base "
                               f"{json.dumps(cfg.base, sort_keys=True)} and coeffs "
                               f"{json.dumps(cfg.coeffs, sort_keys=True)}", _MOD)
-    params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     system = system_for_params(params, cfg.n, cfg.precision)
     lines = ["m,j,C_mj"]
     table = system.float_table()
@@ -193,8 +220,7 @@ def _cmd_muntz(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def _cmd_sweep(cfg: RunConfig) -> list[str]:
-    params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
+def _cmd_sweep(cfg: RunConfig, params: SpectralParams) -> list[str]:
     values, tail = _coeff_spec(cfg.coeffs)
     if tail is not None and values.size:
         raise ValidationError(
@@ -207,10 +233,9 @@ def _cmd_sweep(cfg: RunConfig) -> list[str]:
     return emit_records(records, fit_holder(records), dropped)
 
 
-def _cmd_ks_check(cfg: RunConfig) -> list[str]:
+def _cmd_ks_check(cfg: RunConfig, params: SpectralParams) -> list[str]:
     from .perturbation import (ks_check_normalization, ks_check_positivity,
                                ks_check_quasi_szego)
-    params = make_spectral_params(cfg.d, cfg.delta, cfg.K)
     amp = _amplitude(cfg, params)
     pos = ks_check_positivity(amp)
     qs = ks_check_quasi_szego(amp)
@@ -249,15 +274,12 @@ def run(cfg: RunConfig) -> int:
                               ("precision", cfg.precision, 16), ("n", cfg.n, 0)):
             if val < lo:
                 raise ValidationError(f"{name} must be >= {lo}, got {val}", _MOD)
-        # json.load takes NaN and Infinity, argparse's float takes nan and inf
-        numbers = [(name, getattr(cfg, name)) for name, hint in get_type_hints(RunConfig).items()
-                   if float in (get_args(hint) or (hint,))]
-        for name, val in numbers + [("scales", s) for s in cfg.scales]:
-            if val is not None and not math.isfinite(val):
-                raise ValidationError(f"{name} must be finite, got {val}", _MOD)
-        if not cfg.tolerance > 0:
-            raise ValidationError(f"tolerance must be positive, got {cfg.tolerance}", _MOD)
-        lines = _DISPATCH[cfg.command](cfg)
+        if cfg.M % 2:
+            raise ValidationError(f"M must be even, got {cfg.M}", _MOD)
+        for name, val in (("T", cfg.T), ("tolerance", cfg.tolerance)):
+            if not val > 0:
+                raise ValidationError(f"{name} must be positive, got {val}", _MOD)
+        lines = _DISPATCH[cfg.command](cfg, make_spectral_params(cfg.d, cfg.delta, cfg.K))
     except ValidationError as exc:
         print(exc.tagged(), file=sys.stderr)
         return 2
@@ -285,40 +307,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", nargs="?", choices=COMMANDS,
                    help="pipeline stage (may also come from the config file)")
     p.add_argument("--config", help="JSON configuration file")
-    p.add_argument("--output", help="output CSV path ('-' for stdout)")
-    p.add_argument("--precision", type=int, help="working precision in bits")
-    p.add_argument("--d", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--T", type=float)
-    p.add_argument("--K", type=int)
-    p.add_argument("--M", type=int)
-    p.add_argument("--x-max", dest="x_max", type=float)
-    p.add_argument("--tolerance", type=float)
-    p.add_argument("--n", type=int, help="orthonormalization table size")
-    p.add_argument("--base", help="zero | bargmann1 | bargmann2")
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--c1", type=float)
-    p.add_argument("--kappa1", type=float)
+    for f in dataclasses.fields(RunConfig):
+        if f.name in _SCALARS and f.name != "command":
+            p.add_argument(f"--{f.name.replace('_', '-')}", type=_SCALARS[f.name],
+                           help=f.metadata.get("help"))
+    p.add_argument("--base", help=" | ".join(_FORMS))
+    for key in _WELL_KEYS:
+        p.add_argument(f"--{key}", type=float)
     p.add_argument("--coeffs", help="comma-separated coefficient list")
-    p.add_argument("--tail-a", dest="tail_a", type=float)
-    p.add_argument("--tail-rho", dest="tail_rho", type=float)
+    for key in _GENERATOR_KEYS:
+        p.add_argument(f"--tail-{key}", type=float)
     p.add_argument("--scales", help="comma-separated sweep scales")
     return p
 
 
-def _json_type_ok(val, hint) -> bool:
-    """Does a JSON config value fit its RunConfig field type? An int field
-    takes an integer (not a bool), a float field any number, the list of
-    scales only numbers."""
-    kinds = get_args(hint) or (hint,)
-    if val is None or isinstance(val, bool):
-        return val is None and type(None) in kinds
-    if float in kinds:
-        return isinstance(val, (int, float))
-    if list in kinds:
-        return isinstance(val, list) and all(_json_type_ok(v, float) for v in val)
-    return isinstance(val, kinds)
+_PARSER = _build_parser()
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -329,7 +332,7 @@ def _float_list(text: str, flag: str) -> list[float]:
 
 
 def build_config(argv: list[str] | None = None) -> RunConfig:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     cfg = RunConfig()
     if args.config:
         try:
@@ -339,42 +342,33 @@ def build_config(argv: list[str] | None = None) -> RunConfig:
             raise ValidationError(f"cannot read config: {exc}", _MOD)
         if not isinstance(data, dict):
             raise ValidationError("config must be a JSON object", _MOD)
-        hints = get_type_hints(RunConfig)
         for key, val in data.items():
             if key == "workers":  # retired; saved configs still carry its one value
                 if type(val) is not int or val != 1:
                     raise ValidationError(f"config key 'workers' is retired; only 1 is "
                                           f"accepted, got {val!r}", _MOD)
                 continue
-            if key not in hints:
+            if key not in _HINTS:
                 raise ValidationError(f"unknown config key {key!r}", _MOD)
-            if not _json_type_ok(val, hints[key]):
-                raise ValidationError(f"config key {key!r} has the wrong type: {val!r}", _MOD)
-            setattr(cfg, key, val)
-    for name in ("command", "output", "precision", "d", "delta", "T", "K", "M",
-                 "x_max", "tolerance", "n"):
-        val = getattr(args, name)
-        if val is not None:
-            setattr(cfg, name, val)
+            setattr(cfg, key, _field(key, val))
+    for name in _SCALARS:
+        if (val := getattr(args, name)) is not None:
+            setattr(cfg, name, _field(name, val))
     if args.base is not None:
         cfg.base = {"kind": args.base}
-    for key, val in (("beta", args.beta), ("gamma", args.gamma),
-                     ("c1", args.c1), ("kappa1", args.kappa1)):
-        if val is not None:
+    for key in _WELL_KEYS:
+        if (val := getattr(args, key)) is not None:
             cfg.base[key] = val
     if args.coeffs is not None:
-        cfg.coeffs = dict(cfg.coeffs)
-        cfg.coeffs["values"] = _float_list(args.coeffs, "--coeffs")
-    if args.tail_a is not None or args.tail_rho is not None:
-        gen = dict(cfg.coeffs.get("generator") or {})
-        if args.tail_a is not None:
-            gen["a"] = args.tail_a
-        if args.tail_rho is not None:
-            gen["rho"] = args.tail_rho
-        cfg.coeffs = dict(cfg.coeffs)
-        cfg.coeffs["generator"] = gen
+        cfg.coeffs = {**cfg.coeffs, "values": _float_list(args.coeffs, "--coeffs")}
+    tail = {key: val for key in _GENERATOR_KEYS
+            if (val := getattr(args, f"tail_{key}")) is not None}
+    if tail:
+        gen = cfg.coeffs.get("generator") or {}
+        _known_keys(gen, _GENERATOR_KEYS, "coefficient generator")
+        cfg.coeffs = {**cfg.coeffs, "generator": {**gen, **tail}}
     if args.scales is not None:
-        cfg.scales = _float_list(args.scales, "--scales")
+        cfg.scales = _field("scales", _float_list(args.scales, "--scales"))
     return cfg
 
 

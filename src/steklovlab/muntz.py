@@ -23,7 +23,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,18 +67,23 @@ class MuntzSeries:
         return float(c @ _cauchy(e, e) @ c)
 
 
-def _check_exponents(exponents: Sequence[float]):
-    lam = list(exponents)
-    if not lam:
+def _ladder(exponents: Iterable[float]) -> Iterator[float]:
+    """The exponents one at a time, each checked as it arrives (lam_0 >= 0,
+    strict increase), so a bad ladder is refused without listing the rest."""
+    prev = -math.inf
+    for lam in exponents:
+        if lam <= prev:
+            raise ValidationError("exponents must be strictly increasing "
+                                  "(repeats make the coefficient formula singular)", _MOD)
+        if lam < 0:  # only lam_0 can be: the later ones exceed it
+            raise ValidationError("exponents must satisfy lam_0 >= 0", _MOD)
+        prev = lam
+        yield lam
+    if prev == -math.inf:
         raise ValidationError("need at least one exponent", _MOD)
-    if lam[0] < 0:
-        raise ValidationError("exponents must satisfy lam_0 >= 0", _MOD)
-    if any(b <= a for a, b in zip(lam, lam[1:])):
-        raise ValidationError("exponents must be strictly increasing "
-                              "(repeats make the coefficient formula singular)", _MOD)
 
 
-def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
+def muntz_coeffs(exponents: Iterable[float], precision: int = 256):
     """Coefficient rows C_m = (C_m0..C_mm) as mpmath floats, in O(n^2) mp
     operations: below the diagonal, row m is row m-1 times the ratio
     sqrt((2 lam_m + 1)/(2 lam_{m-1} + 1)) (lam_j + lam_{m-1} + 1)/(lam_j - lam_m);
@@ -87,28 +92,27 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
     Each row is checked as it is built: the first level m whose condition
     proxy sum_p |C_mp|, the growth factor that eats working digits, exceeds
     10^(digits - 8) raises NumericalError, because the rows from there on are
-    noise, not a table. The exponents are converted, rooted and checked for
-    coincidence level by level too, so a refusal costs only the levels before
-    it, however long the ladder. Row 0's proxy is sqrt(2 lam_0 + 1) >= 1, so
-    below 27 bits (fewer than 8 digits) no table passes; a refusal at level 0
-    names the precision as the cause and the least precision that certifies
-    row 0.
+    noise, not a table. The exponents are read, checked for order, converted,
+    rooted and checked for coincidence level by level too, so a refusal costs
+    only the levels before it, however long the ladder (which may be lazy).
+    Row 0's proxy is sqrt(2 lam_0 + 1) >= 1, so below 27 bits (fewer than 8
+    digits) no table passes; a refusal at level 0 names the precision as the
+    cause and the least precision that certifies row 0.
 
     Every operation between an mpf and an mpf array puts the array first: with
     the mpf first, mpmath renders the whole array in a failed conversion
     before numpy applies the reflected operation. mpf + and * commute and
     negation is exact, so the order changes no bit."""
     from mpmath import mp
-    _check_exponents(exponents)
 
     def limit(bits: int) -> float:
         return 10.0 ** (int(bits * math.log10(2.0)) - 8)
 
     with mp.workprec(precision):
-        lam = np.empty(len(exponents), dtype=object)  # filled a level at a time
-        rows, ahead = [], lam[:0]  # ahead: lam_j + lam_{m-1} + 1 for j < m - 1
-        for m, x in enumerate(exponents):
-            lam[m] = mp.mpf(x)
+        lam = np.empty(0, dtype=object)  # grown a level at a time
+        rows, ahead = [], lam  # ahead: lam_j + lam_{m-1} + 1 for j < m - 1
+        for m, x in enumerate(_ladder(exponents)):
+            lam = np.append(lam, mp.mpf(x))
             root = mp.sqrt(2 * lam[m] + 1)
             if not m:
                 rows.append(np.array([root], dtype=object))
@@ -137,8 +141,8 @@ def muntz_coeffs(exponents: Sequence[float], precision: int = 256):
 def muntz_coeff_squares(exponents: Sequence[Fraction]) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
     """Exact-rational certification path: (sign, C_mj^2) for rational exponents."""
     from fractions import Fraction
-    _check_exponents([float(e) for e in exponents])
     lam = [Fraction(e) for e in exponents]
+    list(_ladder(map(float, lam)))
     rows = []
     for m in range(len(lam)):
         row = []
@@ -228,9 +232,10 @@ def _fixed(raw: list) -> tuple:
 
 def system_for_params(params: SpectralParams, n: int, precision: int = 256) -> MuntzSystem:
     """The system on the exponent ladder lam_0..lam_n of params (any n: the
-    ladder does not depend on params.K)."""
-    lam = params.lam_at(np.arange(n + 1)).tolist()
-    return MuntzSystem(exponents=tuple(lam), C=muntz_coeffs(lam, precision),
+    ladder does not depend on params.K). The table reads the ladder lazily, so
+    a refused table lists no exponent past its refusal."""
+    C = muntz_coeffs((float(params.lam_at(k)) for k in range(n + 1)), precision)
+    return MuntzSystem(exponents=tuple(params.lam_at(np.arange(n + 1)).tolist()), C=C,
                        precision=precision)
 
 

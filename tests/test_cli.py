@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -7,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import typing
 import warnings
 from pathlib import Path
 
@@ -14,8 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from steklovlab import Bargmann2
-from steklovlab.cli import main
+from steklovlab import Bargmann2, cli
+from steklovlab.cli import RunConfig, build_config, main
 from steklovlab.quadrature import l2_norm
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -640,7 +642,19 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                                                  "gamma": 0.5, "gama": 0.1}},
                  {"command": "sweep", "coeffs": {"generator": {"a": 1.0, "rho": 0.1,
                                                                "roh": 0.2}}},
-                 {"command": "ks-check", "coeffs": {"generator": [1.0, 0.1]}}):
+                 {"command": "ks-check", "coeffs": {"generator": [1.0, 0.1]}},
+                 # every number, also inside base, coeffs and the generator, is a
+                 # finite JSON int or float: not a string or a bool
+                 {"command": "forward", "base": {"kind": "bargmann1", "beta": "1",
+                                                 "gamma": 0.5}},
+                 {"command": "forward", "base": {"kind": "bargmann2", "c1": 1.0,
+                                                 "kappa1": True}},
+                 {"command": "perturb", "coeffs": {"values": ["-1"]}},
+                 {"command": "perturb", "coeffs": {"values": [False]}},
+                 {"command": "perturb", "coeffs": {"values": -1}},
+                 {"command": "sweep", "coeffs": {"generator": {"a": "1", "rho": 0.1}}},
+                 {"command": "sweep", "coeffs": {"generator": {"a": 1.0, "rho": "0.1"}}},
+                 {"command": "reconstruct", "T": 10**400}):  # an int past the float range
         cfg.write_text(json.dumps(data))
         assert run_cli(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
@@ -687,6 +701,10 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         cfg.write_text(text)
         assert run_cli(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
+    # a tail flag merges into the config's generator, which must be an object
+    cfg.write_text(json.dumps({"command": "ks-check", "coeffs": {"generator": [1.0, 0.1]}}))
+    assert run_cli(["--config", str(cfg), "--tail-a", "1"]) == 2
+    assert capsys.readouterr().err.startswith("[cli] ")
     # a truncation point at or below 0 is refused before any shooting
     for x_max in ("--x-max=0", "--x-max=-5"):
         assert run_cli(["forward", "--d", "3", "--delta", "0.5", "--base", "bargmann1",
@@ -710,6 +728,75 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:  # the flag is gone
         run_cli(["perturb", "--workers", "1"])
     assert exc.value.code == 2
+
+
+# every scalar field with a value other than its default, as a flag and as a JSON value
+_SCALAR_VALUES = [("command", "muntz", "muntz"), ("d", "4", 4), ("delta", "0.25", 0.25),
+                  ("T", "1.5", 1.5), ("K", "8", 8), ("M", "64", 64), ("output", "x.csv", "x.csv"),
+                  ("precision", "128", 128), ("x_max", "10.5", 10.5),
+                  ("tolerance", "1e-09", 1e-09), ("n", "3", 3)]
+
+
+@pytest.mark.parametrize("name,flag,value", _SCALAR_VALUES, ids=[v[0] for v in _SCALAR_VALUES])
+def test_flag_and_config_key_give_the_same_header_line(name, flag, value, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({name: value}))
+    argv = [flag] if name == "command" else [f"--{name.replace('_', '-')}", flag]
+
+    def line(config):
+        return next(ln for ln in config.header_lines() if ln.startswith(f"{name} = "))
+
+    assert line(build_config(argv)) == line(build_config(["--config", str(cfg)]))
+    assert line(build_config(argv)) != line(RunConfig())
+
+
+def test_parser_options_are_derived_unchanged():
+    options = [s for action in cli._PARSER._actions for s in action.option_strings]
+    assert sorted(options) == sorted([
+        "-h", "--help", "--config", "--output", "--precision", "--d", "--delta", "--T", "--K",
+        "--M", "--x-max", "--tolerance", "--n", "--base", "--beta", "--gamma", "--c1",
+        "--kappa1", "--coeffs", "--tail-a", "--tail-rho", "--scales"])
+
+
+def test_config_numbers_are_echoed_as_given(tmp_path):
+    # an int in a float field stays an int, and the header keeps its bytes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": "muntz", "delta": 0, "T": 2, "n": 2,
+                               "scales": [1, 0.01, 0.001]}))
+    out = tmp_path / "m.csv"
+    assert run_cli(["--config", str(cfg), "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    for line in ("# delta = 0", "# T = 2", "# scales = [1,0.01,0.001]"):
+        assert line in lines
+
+
+def test_main_builds_no_parser_and_reads_no_type_hints(monkeypatch, tmp_path):
+    calls = []
+    init, hints = argparse.ArgumentParser.__init__, typing.get_type_hints
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **k: calls.append("parser") or init(self, *a, **k))
+    for home in (typing, cli):
+        monkeypatch.setattr(home, "get_type_hints",
+                            lambda *a, **k: calls.append("hints") or hints(*a, **k))
+    for _ in range(2):
+        assert cli.main(["muntz", "--n", "2", "--output", str(tmp_path / "m.csv")]) == 0
+    assert calls == []
+
+
+def test_refused_reconstruct_loads_no_lapack():
+    # a horizon that is not positive and an odd M are refused before the
+    # command imports GL, which binds LAPACK and BLAS at import
+    proc = _fresh("import json, sys; from steklovlab.cli import main; "
+                  "codes = [main(['reconstruct', '--base', 'bargmann1', '--beta', '1', "
+                  "'--gamma', '0.5', *a.split(), '--output', '-']) for a in sys.argv[1:]]; "
+                  "print(json.dumps([codes, sorted(m for m in sys.modules if m in "
+                  "('scipy.linalg._flapack', 'scipy.linalg._fblas', "
+                  "'steklovlab.gelfand_levitan'))]))",
+                  "--T -1 --M 32", "--T 0", "--M 33")
+    assert json.loads(proc.stdout) == [[2, 2, 2], []]
+    assert proc.stderr.splitlines() == ["[cli] T must be positive, got -1.0",
+                                        "[cli] T must be positive, got 0.0",
+                                        "[cli] M must be even, got 33"]
 
 
 def test_numerical_failure_exits_3(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -47,6 +48,17 @@ def test_rejects_repeated_or_decreasing_exponents():
         muntz_coeffs([0.0, 2.0, 2.0])
     with pytest.raises(ValidationError):
         muntz_coeffs([2.0, 0.0])
+    with pytest.raises(ValidationError, match="lam_0 >= 0"):
+        muntz_coeffs(iter([-1.0, 2.0]))
+    with pytest.raises(ValidationError, match="need at least one exponent"):
+        muntz_coeffs(iter([]))
+    # the order is checked level by level, as the rows are built: a ladder
+    # that breaks it past the certified range is refused at that range
+    ladder = [2.0 * k + 0.5 for k in range(100)] + [0.0]
+    with pytest.raises(NumericalError, match=r"level n=91 exceeds the certified range"):
+        muntz_coeffs(iter(ladder), precision=256)
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        muntz_coeffs(iter(ladder[85:]), precision=256)
 
 
 def test_closed_form_matches_rational_gram_schmidt_exactly():
@@ -191,3 +203,17 @@ def test_ladder_does_not_depend_on_the_parameter_table():
     # lam_k = 2k + d - 3 + delta for any k: a table longer than K is the same
     short, long = (system_for_params(make_spectral_params(3, 0.5, K), 12, 256) for K in (1, 12))
     assert short == long
+
+
+def test_refusing_a_long_ladder_never_lists_it():
+    # the table reads its ladder level by level: the 10^6-exponent ladder is
+    # refused at level 91 without listing its 10^6 floats (about 53 MiB)
+    params = make_spectral_params(3, 0.5, 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match=r"level n=91 exceeds the certified range"):
+            system_for_params(params, 10**6, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
