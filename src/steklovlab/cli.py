@@ -179,7 +179,9 @@ def _cmd_perturb(cfg: RunConfig, params: SpectralParams) -> list[str]:
     sig = steklov_spectrum(params, wt_from_amplitude(base_amp, params.kappa)[0])
     sig_t = steklov_spectrum(params, wt_from_amplitude(amp, params.kappa)[0])
     diff = spectral_measure_diff(amp)
-    gap = sig_t - sig
+    # sigma~_k - sigma_k is the series part of the route, sum_j c_j / (2 kappa_k
+    # + mu_j), exactly; the difference of the two O(1) spectra would lose its digits
+    gap = amp.laplace_terms(params.kappa[:, None]).sum(axis=1)
     lines = ["k,sigma,sigma_tilde,diff"]
     for k, row in enumerate(zip(sig, sig_t, gap)):
         lines.append(",".join([str(k), *map(_fmt, row)]))
@@ -279,6 +281,7 @@ def run(cfg: RunConfig) -> int:
         for name, val in (("T", cfg.T), ("tolerance", cfg.tolerance)):
             if not val > 0:
                 raise ValidationError(f"{name} must be positive, got {val}", _MOD)
+        OdeOptions(x_max=cfg.x_max)  # refuses a bad truncation point on every command
         lines = _DISPATCH[cfg.command](cfg, make_spectral_params(cfg.d, cfg.delta, cfg.K))
     except ValidationError as exc:
         print(exc.tagged(), file=sys.stderr)

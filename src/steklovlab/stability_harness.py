@@ -67,8 +67,9 @@ def run_sweep(base: PotentialForm, coeffs: Sequence[float], tail: GeometricTail 
     """(records, dropped): one record per scale s, for the perturbation of
     base by the series terms s * coeffs and, if tail is given, the generator
     c_k = -(tail.a s) tail.rho^{lam_k}, whose radius stays 1/tail.rho.
-    A scale whose pipeline fails, or whose figures are not finite, is dropped
-    and its reason, "s=...: [module] message", goes into dropped. Fewer than
+    A scale whose pipeline fails, whose figures are not finite, or whose
+    q_gap reads 0 at a positive eps, is dropped and its reason,
+    "s=...: [module] message", goes into dropped. Fewer than
     3 surviving records fails the sweep with every reason."""
     scales = [float(s) for s in scales]
     coeffs = np.asarray(coeffs, dtype=float)
@@ -103,6 +104,10 @@ def run_sweep(base: PotentialForm, coeffs: Sequence[float], tail: GeometricTail 
             )
             if bad := [k for k, v in vars(rec).items() if not np.isfinite(v)]:
                 raise NumericalError(f"{', '.join(bad)} not finite", _MOD)
+            if rec.q_gap <= 0 < eps:  # fit_holder's log-log fit needs q_gap > 0
+                raise NumericalError(
+                    f"q_gap is 0 at eps = {_fmt(eps)}: Q~ - Q is below the rounding "
+                    "level of the reconstructions", _MOD)
             records.append(rec)
         except SteklovError as exc:
             reasons.append(f"s={s}: {exc.tagged()}")

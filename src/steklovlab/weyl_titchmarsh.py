@@ -8,26 +8,33 @@ steklov_spectrum turns M at the ladder kappa_k into the Steklov eigenvalues.
 
 Route one takes Q as a closed form (PotentialForm), evaluated exactly, or as a
 sampled RadialPotential, interpolated between its nodes. It integrates
--u'' + Q u = -kappa^2 u backward from a truncation point
+-u'' + Q u = -kappa^2 u backward from the truncation point x_max = 23/kappa
 with the decaying (Jost) seed and returns u'(0)/u(0); backward integration
-damps the growing mode, so the value is uniformly stable. The classical RK4
-step is linear in (u, u'), so each step is a 2x2 propagator matrix; a pass
-builds them as arrays a chunk at a time, multiplies each chunk's propagators
-pairwise in a log-depth tree with power-of-two renormalization, and applies
-the chunk products to (u, u') in turn. Step halving refines the pass, and
-the levels' values m_j fill two columns of the Neville-Aitken table (Hairer,
-Norsett & Wanner, Solving ODEs I, II.9): r_j = m_j + (m_j - m_{j-1})/15
-cancels RK4's h^4 error term, and e_j = r_j + (r_j - r_{j-1})/63 its h^6
-term. A kappa is accepted once |e_j - r_j|, the error of the lower-order
-entry, is within the tolerance (1e-11 by default); e_j is its value, and
+damps the growing mode, so the value is uniformly stable: whatever growing
+mode the seed lets in shrinks by e^{-2 kappa x_max} = e^{-46} relative to the
+decaying one on the way to x = 0, and a longer interval buys no accuracy.
+The classical RK4 step is linear in (u, u'), so each step is a 2x2 propagator
+matrix; a pass builds them as arrays a chunk at a time, multiplies each
+chunk's propagators pairwise in a log-depth tree with power-of-two
+renormalization, and applies the chunk products to (u, u') in turn. Step
+halving refines the pass, and the levels' values m_j fill two columns of the
+Neville-Aitken table (Hairer, Norsett & Wanner, Solving ODEs I, II.9):
+r_j = m_j + (m_j - m_{j-1})/15 cancels RK4's h^4 error term, and
+e_j = r_j + (r_j - r_{j-1})/63 its h^6 term. A kappa is accepted once
+|e_j - r_j|, the error of the lower-order entry, is within the tolerance
+(1e-11 by default); e_j is its value, and
 est_error adds 16 eps |e_j| for rounding. Halving gives up as soon
 as the raw differences m_j - m_{j-1} stop contracting: they grow near an
 eigenvalue, and shrink too slowly while the step does not resolve the
-potential or the tolerance is below the rounding floor. The kappas of one call
-are grouped by truncation point: a group samples Q once per halving level, on
-that level's whole grid, and pushes its unconverged kappas through one
-batched (2, 2, kappas, steps) propagator product per level, in batches of
-_CHUNK steps' worth of elements.
+potential or the tolerance is below the rounding floor. Every kappa takes its
+own step x_max/n. A kappa's first n is the least 32 * 2^j whose step is at
+most _STEP, and the kappas of one call are grouped by it: a group shares n at
+every level and pushes its unconverged kappas through one batched
+(2, 2, kappas, steps) propagator product per level, in batches of _CHUNK
+steps' worth of elements; each batch samples Q on its own kappas' grids, so
+the samples stay O(_CHUNK) too, and a given x_max is sampled once per level.
+Under the default truncation kappa h = 23/n is the same for every kappa of a
+group.
 
 Route two uses the representation
 M(-kappa^2) = -kappa - int_0^inf A(alpha) e^{-2 kappa alpha} d alpha for the
@@ -76,12 +83,12 @@ _DE_W = _DE_H * _DE_S * (1.0 + np.exp(-_DE_T)) * np.exp(-_DE_S)
 class OdeOptions:
     """Controls for the backward shooting route.
 
-    x_max = None picks max(12, 23/kappa); 23/kappa keeps the growing-mode
-    contamination e^{-2 kappa x_max} near 1e-20 for potentials with slow decay
-    (for rapidly decaying closed forms, x_max = 12 already suffices at any
-    kappa of interest). A given x_max must be positive and finite. A sampled
-    table must reach the truncation point, whether picked or given, or the
-    route raises ValidationError. A kappa is accepted at the first halving
+    x_max = None picks 23/kappa for each kappa: backward shooting damps the
+    growing mode that the truncated seed lets in by e^{-2 kappa x_max} =
+    e^{-46}, about 1e-20, so a longer interval only adds steps. A given x_max
+    applies to every kappa and must be positive and finite. A sampled table
+    must reach the truncation point, whether picked or given, or the route
+    raises ValidationError. A kappa is accepted at the first halving
     level j where the Neville entries e_j and r_j (see wt_from_ode) differ by
     at most tolerance; this default is also the command line's.
     """
@@ -96,15 +103,27 @@ class OdeOptions:
 
     def x_max_for(self, kappa: float) -> float:
         """The truncation point at kappa."""
-        return float(self.x_max) if self.x_max is not None else max(12.0, 23.0 / kappa)
+        return float(self.x_max) if self.x_max is not None else 23.0 / kappa
+
+
+def _first_steps(x_max: float) -> int:
+    """The step count of a kappa's first pass: the least 32 * 2^j steps no
+    longer than _STEP. It depends on the truncation point alone, so a kappa
+    takes the same levels in any call, and a call's kappas fall into a few
+    groups of one step count."""
+    n = 32
+    while n * _STEP < x_max:
+        n *= 2
+    return n
 
 
 def _step_propagators(g0: np.ndarray, gm: np.ndarray, g1: np.ndarray,
-                      s: float) -> np.ndarray:
+                      s: np.ndarray) -> np.ndarray:
     """The classical RK4 steps of size s for u'' = g u as 2x2 matrices acting
-    on (u, u'), shape (2, 2, m): the scheme is linear, and the entries are its
-    stages expanded in closed form. g0, gm, g1 hold g at each step's start,
-    midpoint and end."""
+    on (u, u'), shape (2, 2, kappas, m): the scheme is linear, and the entries
+    are its stages expanded in closed form. g0, gm, g1, of shape (kappas, m),
+    hold g at each step's start, midpoint and end; s is a (kappas, 1) column,
+    one step per kappa."""
     s2 = s * s
     return np.array([
         [1.0 + s2 / 6.0 * (g0 + 2.0 * gm) + s2 * s2 / 24.0 * gm * g0,
@@ -138,59 +157,74 @@ def _chain_product(P: np.ndarray) -> np.ndarray:
     return P[..., 0]
 
 
-@np.errstate(over="ignore", invalid="ignore")  # _m_values fails a non-finite end
-def _shoot_backward(q_half: np.ndarray, kappas: np.ndarray, h: float) -> np.ndarray:
-    """Integrate u'' = (Q + kappa^2) u from x_max down to 0 with the scaled
-    Jost seed, for every kappa of an array at once.
+@np.errstate(all="ignore")  # _m_values fails a non-finite sample
+def _sample(Q: Callable[[np.ndarray], np.ndarray], tops: np.ndarray, n: int) -> np.ndarray:
+    """Q on the half-step grids of n steps, linspace(0, tops[i], 2n+1) in
+    row i."""
+    return Q(np.linspace(0.0, tops, 2 * n + 1, axis=-1))
 
-    q_half holds Q on the half-step grid (2n+1 values, ascending). The n RK4
-    steps of a kappa are applied as products of their propagators, _CHUNK
-    steps at a time, and a batch holds as many kappas as fill _CHUNK steps, so
-    the temporaries stay O(_CHUNK). Returns (u(0), u'(0)) per kappa, shape
-    (2, kappas), each pair up to an irrelevant positive factor.
+
+@np.errstate(over="ignore", invalid="ignore")  # _m_values fails a non-finite end
+def _shoot_backward(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray,
+                    kappas: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integrate u'' = (Q + kappa^2) u from x_max[i] down to 0 in n RK4 steps
+    with the scaled Jost seed, for every kappa i of an array at once.
+
+    A batch holds as many kappas as fill _CHUNK steps. It samples Q on the
+    half-step grid of each of its distinct truncation points, unless the
+    batch before had the same ones, and applies each kappa's steps as
+    products of their propagators, _CHUNK steps at a time, so the
+    temporaries stay O(_CHUNK). Returns (u(0), u'(0)) per kappa, shape
+    (2, kappas), each pair up to an irrelevant positive factor, and per kappa
+    whether Q was finite on its grid. A batch with a non-finite sample ends
+    the pass; the kappas after it are not sampled and keep NaN.
     """
-    n = (q_half.size - 1) // 2
     width = max(1, _CHUNK // min(n, _CHUNK))
-    out = np.empty((2, kappas.size))
+    out = np.full((2, kappas.size), np.nan)
+    sampled = np.ones(kappas.size, dtype=bool)
+    tops = q_half = None
     for lo in range(0, kappas.size, width):
-        kap = kappas[lo:lo + width]
-        g = q_half[::-1] + kap[:, None] ** 2
+        batch = slice(lo, lo + width)
+        kap = kappas[batch]
+        ends, rows = np.unique(x_max[batch], return_inverse=True)
+        if not np.array_equal(ends, tops):  # a given x_max: one grid per pass
+            tops, q_half = ends, _sample(Q, ends, n)
+        sampled[batch] = np.isfinite(q_half).all(axis=1)[rows]
+        g = q_half[rows, ::-1] + kap[:, None] ** 2
         g0, gm, g1 = g[:, :-1:2], g[:, 1::2], g[:, 2::2]  # start, midpoint, end of each step
+        s = -(x_max[batch] / n)[:, None]
         y = np.stack([np.ones_like(kap), -kap])[:, None]
         for first in range(0, n, _CHUNK):
             steps = slice(first, first + _CHUNK)
-            P = _step_propagators(g0[:, steps], gm[:, steps], g1[:, steps], -h)
+            P = _step_propagators(g0[:, steps], gm[:, steps], g1[:, steps], s)
             y = _pow2_normalize(_mul2(_chain_product(P), y), axis=(0, 1))
-        out[:, lo:lo + width] = y[:, 0]
-    return out
+        out[:, batch] = y[:, 0]
+        if not sampled[batch].all():
+            break
+    return out, sampled
 
 
-@np.errstate(all="ignore")  # a value out of the float range fails the check
-def _sample(Q: Callable[[np.ndarray], np.ndarray], x_max: float, n: int) -> np.ndarray:
-    """Q on the half-step grid of n steps, linspace(0, x_max, 2n+1)."""
-    q = Q(np.linspace(0.0, x_max, 2 * n + 1))
-    if not np.all(np.isfinite(q)):
-        raise NumericalError("potential evaluation produced non-finite values", _MOD)
-    return q
-
-
-def _m_values(q_half: np.ndarray, kappas: np.ndarray,
-              h: float) -> tuple[np.ndarray, int, NumericalError | None]:
-    """(m, k, error): M per kappa from one backward pass over the samples
-    q_half, the position k of the first kappa that fails (kappas.size if none)
-    and the NumericalError that stops it. Only m[:k] is meaningful."""
-    u0, v0 = _shoot_backward(q_half, kappas, h)
+def _m_values(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray, kappas: np.ndarray,
+              n: int) -> tuple[np.ndarray, int, NumericalError | None]:
+    """(m, k, error): M per kappa from one backward pass of n steps over
+    [0, x_max[i]], the position k of the first kappa that fails (kappas.size
+    if none) and the NumericalError that stops it. Only m[:k] is
+    meaningful."""
+    (u0, v0), sampled = _shoot_backward(Q, x_max, kappas, n)
     overflow = ~(np.isfinite(u0) & np.isfinite(v0))
-    bad = overflow | (np.abs(u0) <= 1e-12 * np.abs(v0))  # scale-free; <= also catches 0 = 0
+    bad = ~sampled | overflow | (np.abs(u0) <= 1e-12 * np.abs(v0))  # scale-free; <= catches 0 = 0
     k = int(np.argmax(bad)) if bad.any() else kappas.size
     error = None
     if k < kappas.size:
         kappa = float(kappas[k])
-        error = NumericalError(
-            f"backward integration overflowed at kappa={kappa} "
-            "(spectral parameter too close to an eigenvalue)" if overflow[k] else
-            f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a Dirichlet "
-            "point of the truncated problem", _MOD)
+        if not sampled[k]:
+            error = NumericalError("potential evaluation produced non-finite values", _MOD)
+        elif overflow[k]:
+            error = NumericalError(f"backward integration overflowed at kappa={kappa} "
+                                   "(spectral parameter too close to an eigenvalue)", _MOD)
+        else:
+            error = NumericalError(f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a "
+                                   "Dirichlet point of the truncated problem", _MOD)
     with np.errstate(all="ignore"):  # the failing entries are not read
         return v0 / u0, k, error
 
@@ -216,13 +250,13 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
     and step halving, and its error estimate, one entry per kappa.
 
     Q is a sampled RadialPotential or a closed form, which is evaluated
-    directly. kappa is a 1-d array; a scalar counts as one entry. The kappas
-    are grouped by truncation point. A group samples Q once per halving
-    level, on that level's whole half-step grid, and shoots all of its
-    unconverged kappas in one batched pass; converged kappas drop out. From
-    the levels' values m_j it forms the Richardson extrapolates
-    r_j = m_j + (m_j - m_{j-1})/15 and the next Neville column
-    e_j = r_j + (r_j - r_{j-1})/63. A kappa converges when
+    directly. kappa is a 1-d array; a scalar counts as one entry. Each kappa
+    shoots over [0, opts.x_max_for(kappa)] with its own step, and the kappas
+    are grouped by their first step count (_first_steps). At each halving
+    level a group shoots all of its unconverged kappas in one batched pass,
+    which samples Q on their half-step grids; converged kappas drop out. From the levels' values m_j it forms the
+    Richardson extrapolates r_j = m_j + (m_j - m_{j-1})/15 and the next
+    Neville column e_j = r_j + (r_j - r_{j-1})/63. A kappa converges when
     |e_j - r_j| <= opts.tolerance; value is e_j and est_error is
     |e_j - r_j| + 16 eps |e_j|, the last term for rounding, which the
     acceptance test leaves out.
@@ -240,34 +274,29 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
     kappas = np.atleast_1d(np.asarray(kappa, dtype=float))
     values, est_errors = np.empty(kappas.size), np.empty(kappas.size)
     stop, error = kappas.size, None  # the lowest failing index and its error
-    groups: dict[float, list[int]] = {}  # by x_max, in order of the lowest index
+    x_maxes = np.empty(kappas.size)
+    groups: dict[int, list[int]] = {}  # by first step count, in order of the lowest index
     for i, kap in enumerate(kappas.tolist()):
         if (error := _bad_kappa(kap)) is not None:
             stop = i
             break
-        x_max = opts.x_max_for(kap)
+        x_maxes[i] = x_max = opts.x_max_for(kap)
         if not closed and x_max > Q.x_max + 1e-12:
             stop, error = i, ValidationError(
                 f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
             break
-        groups.setdefault(x_max, []).append(i)
+        groups.setdefault(_first_steps(x_max), []).append(i)
 
     # per kappa, from its last level; NaN until a level sets it. The groups
     # are disjoint, so each reads only its own entries
     prev, prev_diff, prev_r = (np.full(kappas.size, np.nan) for _ in range(3))
-    for x_max, active in groups.items():
+    for n, active in groups.items():
         live = np.array(active)  # the group's unconverged kappas, ascending
-        n = max(32, int(math.ceil(x_max / _STEP)))
         for _ in range(_MAX_HALVINGS + 1):
             live = live[live < stop]
             if not live.size:
                 break
-            try:
-                q = _sample(potential, x_max, n)
-            except NumericalError as exc:
-                stop, error = int(live[0]), exc
-                break
-            m, k, failure = _m_values(q, kappas[live], x_max / n)
+            m, k, failure = _m_values(potential, x_maxes[live], kappas[live], n)
             if failure is not None:
                 stop, error = int(live[k]), failure
             live, m = live[:k], m[:k]

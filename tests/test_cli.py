@@ -449,6 +449,41 @@ def test_sweep_reports_dropped_scale_in_csv(tmp_path):
     assert lines[-1].startswith("# dropped") and lines[-2] == "# verdict = PASS"
 
 
+def test_sweep_drops_a_scale_whose_q_gap_is_lost(tmp_path):
+    # at s = 1e-17 the perturbation of the Bargmann1 amplitude is below its
+    # rounding level: Q~ and Q come out the same and q_gap reads 0, which the
+    # log-log fit cannot take. The scale is dropped, not the sweep
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5",
+                    "--coeffs=-1", "--T", "2", "--M", "64", "--K", "8",
+                    "--scales", "1e-1,1e-2,1e-3,1e-17", "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    (dropped,) = [ln for ln in lines if ln.startswith("# dropped")]
+    assert dropped.startswith("# dropped = s=1e-17: [stability_harness] q_gap is 0 at eps = 5")
+    assert dropped.endswith("e-18: Q~ - Q is below the rounding level of the reconstructions")
+    assert len(read_rows(out, 8)) == 3 and "# verdict = PASS" in lines
+
+
+def test_perturb_diff_is_the_series_sum(tmp_path):
+    # diff = sigma~_k - sigma_k is sum_j c_j / (2 kappa_k + mu_j) in closed
+    # form; subtracting the two spectra lost up to 3.6e-3 of it at c = -1e-12
+    from steklovlab import Bargmann1, build_perturbed_amplitude, make_spectral_params
+    out = tmp_path / "perturb.csv"
+    assert run_cli(["perturb", "--d", "3", "--delta", "0.5", "--K", "4", "--base", "bargmann1",
+                    "--beta", "1", "--gamma", "0.5", "--coeffs=-1e-12",
+                    "--output", str(out)]) == 0
+    params = make_spectral_params(3, 0.5, 4)
+    amp = build_perturbed_amplitude(Bargmann1(beta=1.0, gamma=0.5), [-1e-12], params)
+    exact = [sum(c / (2.0 * kappa + mu) for c, mu in zip(amp.term_coeffs.tolist(),
+                                                          amp.term_mu.tolist()))
+             for kappa in params.kappa.tolist()]
+    diffs = [float(row[3]) for row in read_rows(out, 4)]
+    assert len(diffs) == 5
+    assert all(abs(d - e) <= 1e-15 * abs(e) for d, e in zip(diffs, exact))
+    eps = next(ln for ln in out.read_text().splitlines() if ln.startswith("# eps = "))
+    assert float(eps.split(" = ")[1]) == max(map(abs, diffs))
+
+
 def test_sweep_keeps_tiny_scale_gap(tmp_path):
     # the gap is read in closed form, so at s = 1e-30 it is 5e-31, not the
     # difference of two O(1) spectra that rounds to 0; the scale stays
@@ -705,12 +740,17 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"command": "ks-check", "coeffs": {"generator": [1.0, 0.1]}}))
     assert run_cli(["--config", str(cfg), "--tail-a", "1"]) == 2
     assert capsys.readouterr().err.startswith("[cli] ")
-    # a truncation point at or below 0 is refused before any shooting
-    for x_max in ("--x-max=0", "--x-max=-5"):
-        assert run_cli(["forward", "--d", "3", "--delta", "0.5", "--base", "bargmann1",
-                        "--beta", "1", "--gamma", "0.5", "--K", "2", x_max]) == 2
+    # a truncation point at or below 0 is refused before any shooting, and by
+    # every command, also those that never shoot
+    for command in cli.COMMANDS:
+        for x_max in ("--x-max=0", "--x-max=-5"):
+            assert run_cli([command, x_max, "--output", "-"]) == 2
+            assert capsys.readouterr() == (
+                "", f"[weyl_titchmarsh] x_max must be positive and finite, got {x_max[8:]}.0\n")
+        cfg.write_text(json.dumps({"command": command, "x_max": -1}))
+        assert run_cli(["--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith(
-            "[weyl_titchmarsh] x_max must be positive and finite")
+            "[weyl_titchmarsh] x_max must be positive and finite, got -1\n")
     # the retired workers key: saved configs carry "workers": 1, and only that passes
     plain = {"command": "perturb", "d": 3, "delta": 1, "K": 4, "base": {"kind": "zero"},
              "coeffs": {"values": [-0.5]}}

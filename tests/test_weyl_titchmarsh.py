@@ -63,12 +63,13 @@ def test_ode_fixed_step_fourth_order():
 
 def test_ode_extrapolate_sixth_order_and_covered():
     # r_j = m_j + (m_j - m_{j-1})/15 cancels RK4's h^4 term; the next term is
-    # h^6, so each halving shrinks the error of r_j about 64x until rounding
+    # h^6, so each halving shrinks the error of r_j about 64x until rounding.
+    # On [0, 12] the 200-step error is still far above rounding; on the
+    # default [0, 23/kappa] it is not
     for form in (B1, B2):
         for kappa in (5.5, 20.5):
-            x_max = OdeOptions().x_max_for(kappa)
             exact = -kappa - form.laplace(kappa)
-            ms = [m_fixed_step(form.potential, kappa, x_max, 200 * 2**j)
+            ms = [m_fixed_step(form.potential, kappa, 12.0, 200 * 2**j)
                   for j in range(7)]
             errs = [abs(b + (b - a) / 15.0 - exact) for a, b in zip(ms, ms[1:])]
             assert errs[0] > 1e-9
@@ -89,17 +90,30 @@ def _exact_m(form, kappas: np.ndarray) -> np.ndarray:
     return np.array([-k - form.laplace(k) for k in kappas.tolist()])
 
 
+_EST_FORMS = [Bargmann1(beta=1.0, gamma=0.5), Bargmann1(beta=1.25, gamma=0.75),
+              Bargmann2(c1=1.0, kappa1=0.5), Bargmann2(c1=1.5, kappa1=1.0)]
+
+
 @pytest.mark.parametrize("tolerance", [1e-11, 1e-12, 1e-14])
-@pytest.mark.parametrize("form", [Bargmann1(beta=1.0, gamma=0.5),
-                                  Bargmann1(beta=1.25, gamma=0.75),
-                                  Bargmann2(c1=1.0, kappa1=0.5),
-                                  Bargmann2(c1=1.5, kappa1=1.0)], ids=_form_id)
+@pytest.mark.parametrize("form", _EST_FORMS, ids=_form_id)
 def test_ode_est_error_covers_rounding(form, tolerance):
     # below tolerance 1e-12, |e_j - r_j| alone reads less than the rounding
     # error of the value; est_error adds 16 eps |value| for it
     kappas = make_spectral_params(5, 1.0, 64).kappa
     values, est = wt_from_ode(form, kappas, OdeOptions(tolerance=tolerance))
     assert np.all(est >= np.abs(values - _exact_m(form, kappas)))
+
+
+@pytest.mark.parametrize("form", _EST_FORMS, ids=_form_id)
+def test_default_truncation_agrees_with_a_longer_one(form):
+    # the growing mode that the truncation at 23/kappa lets in shrinks by
+    # e^{-2 kappa x_max} = e^{-46} on the way to x = 0, so shooting over
+    # [0, 12] as well (longer for every kappa here but 1.5) changes M by no
+    # more than the two error estimates cover
+    kappas = make_spectral_params(5, 1.0, 64).kappa
+    short, short_est = wt_from_ode(form, kappas)
+    long, long_est = wt_from_ode(form, kappas, OdeOptions(x_max=12.0))
+    assert np.all(np.abs(short - long) <= short_est + long_est)
 
 
 @pytest.mark.parametrize("form", [ZeroForm(), B1, B2], ids=_form_id)
@@ -168,7 +182,7 @@ def test_forward_shoot_halvings_match_scalar_loop():
     opts = OdeOptions()
     for kappa in map(float, params.kappa):
         x_max = opts.x_max_for(kappa)
-        n0 = max(32, math.ceil(x_max / _STEP))
+        n0 = _first_steps(x_max)
         ms, rs, es = _neville_halvings(
             lambda n: m_fixed_step(B1.potential, kappa, x_max, n), n0, opts.tolerance,
             _MAX_HALVINGS)
@@ -186,43 +200,77 @@ def test_forward_shoot_halvings_match_scalar_loop():
         assert abs(est - ref_est) <= 5e-15 * abs(value)
 
 
+def _first_steps(x_max: float) -> int:
+    """A kappa's first step count: the least 32 * 2^j steps of at most _STEP."""
+    return 32 * 2 ** max(0, math.ceil(math.log2(x_max / (32 * _STEP))))
+
+
 class _CountingPotential:
     """A table reaching x_max that evaluates a closed form exactly and records
-    how many points each evaluation takes."""
+    the shape of each evaluation's points."""
 
     def __init__(self, form, x_max):
-        self.form, self.x_max, self.sizes = form, x_max, []
+        self.form, self.x_max, self.shapes = form, x_max, []
 
     def __call__(self, x):
-        self.sizes.append(x.size)
+        self.shapes.append(x.shape)
         return self.form.potential(x)
 
 
 def test_batched_kappas_match_one_kappa_calls():
-    # the forward-shoot configuration spans three truncation points
+    # on the forward-shoot configuration every kappa has its own truncation
+    # point 23/kappa, and the first step counts put the kappas in six groups
     params = make_spectral_params(3, 0.5, 64)
     opts = OdeOptions()
-    x_maxes = [opts.x_max_for(float(k)) for k in params.kappa]
-    assert sorted(set(x_maxes)) == [12.0, 23.0 / 1.5, 46.0]
+    kappas = params.kappa.tolist()
+    assert [opts.x_max_for(k) for k in kappas] == [23.0 / k for k in kappas]
+    n0 = [_first_steps(23.0 / k) for k in kappas]
+    assert sorted(set(n0)) == [32, 64, 128, 256, 512, 2048]
 
-    levels = {}  # x_max -> halving levels of its slowest kappa
-    singles = []
-    for kappa, x_max in zip(map(float, params.kappa), x_maxes):
-        counting = _CountingPotential(B1, max(x_maxes))
+    levels, singles = [], []  # per kappa
+    for kappa in kappas:
+        counting = _CountingPotential(B1, 46.0)
         singles.append(wt_from_ode(counting, kappa, opts))
-        levels[x_max] = max(levels.get(x_max, 0), len(counting.sizes))
-    counting = _CountingPotential(B1, max(x_maxes))
+        levels.append(len(counting.shapes))
+    counting = _CountingPotential(B1, 46.0)
     batched = wt_from_ode(counting, params.kappa, opts)
     assert np.array_equal(batched, np.concatenate(singles, axis=1))  # bitwise
-    # Q is sampled once per truncation point and level, on the level's whole grid
-    assert len(counting.sizes) == sum(levels.values())
-    n0 = {x: max(32, math.ceil(x / _STEP)) for x in levels}
-    assert sum(counting.sizes) == sum(2 * n0[x] * (2 ** L - 1) + L for x, L in levels.items())
+    # each level of a group samples Q in batches of at most _CHUNK steps, one
+    # grid per unconverged kappa
+    calls = 0
+    for n in set(n0):
+        group = [L for first, L in zip(n0, levels) if first == n]
+        for level in range(max(group)):
+            live = sum(L > level for L in group)
+            calls += math.ceil(live / (_CHUNK // min(n * 2 ** level, _CHUNK)))
+    assert len(counting.shapes) == calls
+    assert all(rows == 1 or rows * (points // 2) <= _CHUNK for rows, points in counting.shapes)
+    assert (sum(math.prod(shape) for shape in counting.shapes)
+            == sum(2 * n * (2 ** L - 1) + L for n, L in zip(n0, levels)))
+
+
+def test_forward_shoot_step_count():
+    # the forward-shoot configuration takes 61504 RK4 steps over all kappas and
+    # levels; with the truncation point at max(12, 23/kappa) it took 607021
+    counting = _CountingPotential(B1, 46.0)
+    wt_from_ode(counting, make_spectral_params(3, 0.5, 64).kappa)
+    assert sum(rows * (points - 1) // 2 for rows, points in counting.shapes) == 61504
+
+
+def test_a_given_truncation_point_is_sampled_once_per_level():
+    # with x_max given, every kappa shares one grid, sampled once per level
+    # even where each batch holds a single kappa
+    counting = _CountingPotential(B1, 12.0)
+    wt_from_ode(counting, make_spectral_params(3, 0.5, 64).kappa, OdeOptions(x_max=12.0))
+    assert len(counting.shapes) > 3
+    assert counting.shapes == [(1, 2 * 512 * 2 ** level + 1)
+                               for level in range(len(counting.shapes))]
 
 
 def test_batched_kappas_raise_for_lowest_failing_index():
-    # bound state at kappa = 0.5; kappas in their own truncation groups (default
-    # x_max), in one group (x_max = 14), and two failing kappas in two groups
+    # bound state at kappa = 0.5; kappas in two step-count groups (default
+    # x_max: 1.5 and 2.5 start at 512 steps, 0.5 at 2048), in one group
+    # (x_max = 14), and two failing kappas
     for kappas, x_max, error, k in (([1.5, 0.5, 2.5], None, NumericalError, 1),
                                     ([1.5, 0.5, 2.5], 14.0, NumericalError, 1),
                                     ([0.5, 0.5 + 1e-9], None, NumericalError, 0),
@@ -234,6 +282,26 @@ def test_batched_kappas_raise_for_lowest_failing_index():
         assert time.perf_counter() - start < 1.0
     values, _ = wt_from_ode(B2, np.array([2.5, 1.5]))  # in the order given
     assert values.tolist() == [wt_from_ode(B2, k)[0][0] for k in (2.5, 1.5)]
+
+
+class _NanBeyond12:
+    """A table reaching x = 46 whose Q is 0 up to x = 12 and NaN beyond."""
+
+    x_max = 46.0
+
+    def __call__(self, x):
+        return np.where(x > 12.0, np.nan, 0.0)
+
+
+def test_non_finite_samples_fail_the_kappas_whose_grids_hold_them():
+    # kappa = 2.5 shoots over [0, 9.2] and kappa = 1.5 over [0, 15.3], in one
+    # batch: only the second grid holds a NaN
+    (value,), _ = wt_from_ode(_NanBeyond12(), 2.5)
+    assert value == pytest.approx(-2.5, abs=1e-9)
+    for kappas, k in (([2.5, 1.5], 1), ([1.5, 2.5], 0)):
+        with pytest.raises(NumericalError, match=rf"^evaluator failed at k={k}: potential "
+                           "evaluation produced non-finite values$"):
+            wt_from_ode(_NanBeyond12(), np.array(kappas))
 
 
 @pytest.mark.parametrize("route,arg", [(wt_from_ode, B1),
@@ -270,14 +338,14 @@ def test_ode_rejects_bad_kappa_and_domain():
 
 
 def test_sampled_table_must_reach_the_picked_truncation_point():
-    # x_max = None picks max(12, 23/kappa); a sampled table that ends before
-    # that point is refused, not clipped to its last node
+    # x_max = None picks 23/kappa; a sampled table that ends before that point
+    # is refused, not clipped to its last node
     sampled_only = _zero_table(12.0, 64)
     for kappa in (1.0, np.array([1.0, 2.0])):
         with pytest.raises(ValidationError, match=r"^evaluator failed at k=0: potential "
                            r"sampled only up to 12\.0, need x_max=23\.0$"):
             wt_from_ode(sampled_only, kappa)
-    # at kappa = 2 the picked point is 12, which the table reaches; M = -kappa for Q = 0
+    # at kappa = 2 the picked point is 11.5, which the table reaches; M = -kappa for Q = 0
     (value,), _ = wt_from_ode(sampled_only, 2.0)
     assert value == pytest.approx(-2.0, abs=1e-9)
 
