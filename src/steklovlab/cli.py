@@ -8,7 +8,8 @@ given. The flags are derived from RunConfig's fields and the base forms, and
 the parser is built once, at import. All outputs are CSV with a commented
 header that echoes the full effective configuration, so identical
 configurations produce byte-identical files. Exit codes: 0 success, 2
-validation failure, 3 numerical failure (module-tagged message on stderr).
+validation failure, 3 numerical failure or a size that does not fit in memory
+(module-tagged message on stderr).
 Each command imports the modules it runs, so a one-shot run loads only those.
 """
 
@@ -265,6 +266,10 @@ _DISPATCH = {
 }
 
 
+# the fields that size a command's arrays; K sizes every command's spectral params
+_SIZES = {"reconstruct": ("K", "M"), "sweep": ("K", "M"), "muntz": ("K", "n", "precision")}
+
+
 def run(cfg: RunConfig) -> int:
     """Validate, dispatch, and write the output file. Returns the exit status."""
     try:
@@ -288,6 +293,11 @@ def run(cfg: RunConfig) -> int:
         return 2
     except NumericalError as exc:
         print(exc.tagged(), file=sys.stderr)
+        return 3
+    except MemoryError:
+        fields = _SIZES.get(cfg.command, ("K",))
+        sizes = ", ".join(f"{name}={getattr(cfg, name)}" for name in fields)
+        print(f"[{_MOD}] out of memory in {cfg.command} at {sizes}", file=sys.stderr)
         return 3
 
     text = "".join(f"# {h}\n" for h in cfg.header_lines()) + "\n".join(lines) + "\n"

@@ -52,7 +52,24 @@ and two batched products by S^{-1}, its residuals, A0[i:, i:] V plus the four
 correction columns, are one matrix product, and its nodes' values of Q one
 product with their weight rows. The floor nodes take theirs after their dense
 solves, and x = T the exact limit Q(0) = A(0), so solve_gl returns the
-finished potential.
+finished potential. The sliding windows a group reads, of the reversed
+lattices, of the corner columns' kink terms and of the rows of L21, are built
+once per solve, and every group slices them.
+
+A group holds at most _BATCH (M + 1) rows over its nodes. Measured with those
+windows (one BLAS thread, interleaved solves), a budget of 32 beat 16 by 3 %
+per M = 256 solve and by 5 % per M = 512 solve, 64 and 128 were slower, and
+32 raised the traced peak of an M = 512 solve from 7.6 to 8.9 MiB. But other
+groups round differently: 32 moved Q of the T = 6, M = 64 run by 3e-12 (the
+spread of that solve over every group size) and a sweep's q_gap and slope at
+1e-15, so 16 stays and every printed figure keeps its bytes.
+
+Zero kernel. Where every sample of p and p' is exactly 0, on the main and
+the floor lattices (the zero base without series terms, or with zero
+coefficients), every node's system is I V = 0. solve_gl then assembles and
+factors nothing: it returns V = Vx = 0, residual 0 and the potential the
+full solve writes, Q(0) = -4 p'(0) = +0 and -0 at every other node. A kernel
+with any sample that is not 0, however small, takes the full solve.
 
 Only this module needs LAPACK. Its seven routines, LAPACK dgetrf, dgetrs,
 dtrtrs, dtrtri, dgecon and dlaswp and BLAS dtrsm, are bound on import from the
@@ -273,11 +290,6 @@ def _assemble(main, h: float, W: np.ndarray):
     return B, P, hw4
 
 
-def _windows(a: np.ndarray, starts, length: int) -> np.ndarray:
-    """a[s : s + length] for every s in starts, stacked along a new last axis."""
-    return sliding_window_view(a, length)[starts]
-
-
 def _lu_nopivot(a: np.ndarray) -> None:
     """Factor the tall panel a = L U in place without pivoting: L unit lower
     trapezoidal below the diagonal, U upper triangular on and above it.
@@ -362,14 +374,14 @@ class _Nested:
         self.wq = h * W[M, ::-1]
         self.B, P, self.hw4 = _assemble(main, h, W)
         # reversed lattices: node rows q = 0, 1, ... are windows into these
-        self.ptr, self.phr, self.dphr = pt[::-1], ph[::-1], dph[::-1]
-        self.dptr = np.concatenate([dpt[::-1], np.zeros(M)])
+        self.phr, self.dphr = ph[::-1], dph[::-1]
+        dptr = np.concatenate([dpt[::-1], np.zeros(M)])
         # of P the corner columns read the first four columns, as
         # lead[j, M - n + q] = P[n - q, 3 - j], and the band
         # band[q + 1, e] = P[q, q + 2 - e]; P's memory then holds the
         # triangular inverses below and is freed with them, before any group
-        self.lead = np.zeros((4, 2 * M + 2))
-        self.lead[:, : M + 1] = P[::-1, 3::-1].T
+        lead = np.zeros((4, 2 * M + 2))
+        lead[:, : M + 1] = P[::-1, 3::-1].T
         q = np.arange(M + 1)[:, None]
         cols = q + 2 - np.arange(6)
         self.band = np.zeros((M + 2, 6))
@@ -378,6 +390,14 @@ class _Nested:
         _finite(np.abs(self.B).sum(axis=0).max(), xs[0], "non-finite Nystrom matrix at x")
         self.LU = np.array(self.B[:, : M - 3], order="F")
         _lu_nopivot(self.LU)
+        # the windows every group slices, built once per solve: a group's rows
+        # q < mh are the first mh entries of windows of M + 1 into the reversed
+        # lattices and into lead's rows, and the L21 of its nodes m = r + 4,
+        # r + 5, ... are LU's windows of four rows from r on
+        self.ptw, self.phw, self.dptw, self.dphw = (
+            sliding_window_view(a, M + 1) for a in (pt[::-1], self.phr, dptr, self.dphr))
+        self.leadw = sliding_window_view(lead, M + 1, axis=1)
+        self.L21w = sliding_window_view(self.LU, 4, axis=0)
         # a[m' - 1] = ||L[:m', :m']^{-1}||_1 and u[m' - 1] = ||U[:m', :m']^{-1}||_1
         # for every m': a leading block of a triangular inverse is the inverse of
         # the leading block. L^{-1} (strictly lower) and U^{-1} (upper) go in
@@ -402,9 +422,9 @@ class _Nested:
         term, which lives on rows m_g - 6 .. m_g - 1 only."""
         rows, j = np.arange(ms.size)[:, None], np.arange(4)
         c = ms[:, None] - 4 + j
-        N = _windows(self.phr, c, mh) * self.hw4[ms - 1][:, ::-1, None]
+        N = self.phw[c, :mh] * self.hw4[ms - 1][:, ::-1, None]
         N[rows, j, c] += 1.0
-        N -= sliding_window_view(self.lead, mh, axis=1)[j, (self.M + 1 - ms)[:, None]]
+        N -= self.leadw[j, (self.M + 1 - ms)[:, None], :mh]
         r = np.arange(6)
         near = ms[:, None, None] - 6 + r
         N[rows[:, :, None], j[:, None], near] -= np.where(
@@ -469,8 +489,8 @@ class _Nested:
         last4 = np.arange(G)[:, None], mp[:, None] + np.arange(4)   # its rows m'..m-1
         N = self._corners(ms, mh)
         rhs = np.empty((G, 2, mh))                    # d, then g2 - d V[0]
-        rhs[:, 0] = _windows(self.ptr, M + 1 - ms, mh) - _windows(self.phr, ms - 1, mh)
-        g2 = _windows(self.dphr, ms - 1, mh) - _windows(self.dptr, M + 1 - ms, mh)
+        rhs[:, 0] = self.ptw[M + 1 - ms, :mh] - self.phw[ms - 1, :mh]
+        g2 = self.dphw[ms - 1, :mh] - self.dptw[M + 1 - ms, :mh]
         np.copyto(N, 0.0, where=below[:, None, :])
         np.copyto(rhs[:, 0], 0.0, where=below)
         corner = _finite(np.abs(N).sum(axis=2).max(axis=1),   # 1-norm of the corner columns
@@ -479,7 +499,7 @@ class _Nested:
         Z = self._forward(np.concatenate([N, rhs[:, :1]], axis=1), K)
         Zg = Z.reshape((K, G, 5))                     # [row, node, column]
         np.copyto(Zg, 0.0, where=beyond[:, :, None])
-        L21 = sliding_window_view(LU[ms[0] - 4: mh, :K], 4, axis=0).transpose(0, 2, 1)
+        L21 = self.L21w[ms[0] - 4: mh - 3, :K].transpose(0, 2, 1)
         T4 = L21 @ Zg.transpose(1, 0, 2)
         Sinv = _inv4(N[last4[0], :, last4[1]] - T4[:, :, :4])   # S^{-1} of every node
         Y2 = np.empty((G, 2, 4))                      # the last four reversed rows
@@ -529,6 +549,23 @@ class _Nested:
         return residual, q
 
 
+def _zero_kernel(lattices) -> bool:
+    """Whether every sample of p and p' on the lattices, main and floor, is
+    exactly 0 (of either sign)."""
+    main, floor = lattices
+    return not any(s.any() for s in (*main, *(s for f in floor for s in f[2:])))
+
+
+def _node_rows(M: int):
+    """(store, edges, V, Vx): two zero rows store, and V[i], Vx[i] the views of
+    node i's subgrid into them, store[:, edges[i]: edges[i + 1]]."""
+    sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
+    edges = np.r_[0, np.cumsum(sizes)]
+    store = np.zeros((2, edges[-1]))
+    V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
+    return store, edges, V, Vx
+
+
 @dataclass
 class GLWorkspace:
     """Discretization state for one amplitude on [0, T], and its potential.
@@ -564,7 +601,10 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     Each group takes its nodes' values of Q, and each floor node its own, so
     the workspace comes back with the finished potential.
     Every node passes the finite-matrix, conditioning and finite-residual
-    gates, or the solve raises the tagged NumericalError.
+    gates, or the solve raises the tagged NumericalError. A kernel whose
+    every sample of p and p' is 0 returns the same workspace without any
+    system assembled or factored (the module's zero-kernel exit), after the
+    same argument checks and finiteness gate.
     """
     if T <= 0:
         raise ValidationError(f"horizon T must be positive, got {T}", _MOD)
@@ -572,20 +612,23 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         raise ValidationError(f"M must be even and >= 32, got {M}", _MOD)
     xs = np.linspace(0.0, T, M + 1)
     lattices = _sample(A, T, M, xs)
-    sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
-    edges = np.r_[0, np.cumsum(sizes)]
     residual, q = 0.0, np.empty(M + 1)
     q[0] = -4.0 * lattices[0][2][0]   # x = T: dpt[0] = p'(0)
+    if _zero_kernel(lattices):
+        # every system is I V = 0, so V = Vx = 0 with residual 0, and every
+        # node's Q is -2 times a sum of zeros, -0 as the full solve writes it
+        q[1:] = -0.0
+        _, _, V, Vx = _node_rows(M)
+        return GLWorkspace(T=T, M=M, potential=RadialPotential(grid=xs, values=q),
+                           lattices=lattices, V=V, Vx=Vx, residual=0.0)
     # a well too large for floats overflows inside the factors or meets an
     # exact zero pivot; the gates report that as the tagged error, so numpy's
     # warnings say nothing more
     with np.errstate(all="ignore"):
         # the weight table becomes the kink term P, freed after the factorization
         nested = _Nested(lattices[0], T / M, _unit_piece_weights(M), xs)
-        # V[i] and Vx[i] are views into two flat arrays, allocated after the
-        # factorization so that they do not add to its memory peak
-        store = np.zeros((2, edges[-1]))
-        V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
+        # allocated after the factorization, so as not to add to its memory peak
+        store, edges, V, Vx = _node_rows(M)
         for i in range(M - 3, M):
             V[i][:], Vx[i][:], res, q[M - i] = _dense_node(*_node(lattices, T, M, i), xs[i])
             residual = max(residual, res)

@@ -70,7 +70,10 @@ def run_sweep(base: PotentialForm, coeffs: Sequence[float], tail: GeometricTail 
     A scale whose pipeline fails, whose figures are not finite, or whose
     q_gap reads 0 at a positive eps, is dropped and its reason,
     "s=...: [module] message", goes into dropped. Fewer than
-    3 surviving records fails the sweep with every reason."""
+    3 surviving records fails the sweep with every reason. The base is
+    solved once; on a zero base its kernel is identically zero, so that
+    solve factors nothing and the scales' solves are all of the sweep's
+    factorizations."""
     scales = [float(s) for s in scales]
     coeffs = np.asarray(coeffs, dtype=float)
     if any(s <= 0 for s in scales):

@@ -261,7 +261,9 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
     |e_j - r_j| + 16 eps |e_j|, the last term for rounding, which the
     acceptance test leaves out.
 
-    Raises NumericalError when a halving shrinks the raw difference
+    Raises ValidationError for a kappa that is not positive with a finite
+    square, or whose truncation point 23/kappa is not finite, and
+    NumericalError when a halving shrinks the raw difference
     |m_j - m_{j-1}| by less than _MIN_CONTRACTION (worded as an eigenvalue if
     it grew, as an unresolved step or a tolerance below the rounding floor if
     not), or after _MAX_HALVINGS. The error is that of the lowest failing
@@ -281,6 +283,10 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
             stop = i
             break
         x_maxes[i] = x_max = opts.x_max_for(kap)
+        if not math.isfinite(x_max):   # 23/kappa overflows: no step count reaches it
+            stop, error = i, ValidationError(
+                f"truncation point 23/kappa is not finite at kappa={kap}", _MOD)
+            break
         if not closed and x_max > Q.x_max + 1e-12:
             stop, error = i, ValidationError(
                 f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)

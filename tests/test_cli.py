@@ -353,10 +353,23 @@ def test_reconstruct_overflowing_p_fails_tagged(well, capsys):
     assert capsys.readouterr().err.startswith("[gelfand_levitan] p is not finite at t=")
 
 
+def test_out_of_memory_exits_3_naming_the_sizes():
+    # one child lowers its own address-space limit to 3 GiB, so GL's (M + 1)^2
+    # arrays at M = 2^20 (about 1 TiB) fail to allocate and nothing is allocated
+    # for real: the run exits 3 with a tagged line, not numpy's traceback
+    proc = _fresh("import resource, sys; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                  "from steklovlab.cli import main; print(main(sys.argv[1:]))",
+                  "reconstruct", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5",
+                  "--M", "1048576", "--output", "-")
+    assert proc.stdout == "3\n"
+    assert proc.stderr == "[cli] out of memory in reconstruct at K=16, M=1048576\n"
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "unresolved discretization: p(2T) is 3.8e66 on h = 0.25, and the run exits 0 "
-    "with gl_residual 3.0e52 although every node solve is backward stable (worst "
-    "normwise backward error 0.38 eps); a resolution check would refuse it"))
+    "with gl_residual 9.5780971304118054e+52 although every node solve is backward "
+    "stable (worst normwise backward error 0.38 eps); a resolution check would refuse it"))
 def test_reconstruct_unresolved_well_fails():
     assert run_cli(["reconstruct", "--base", "bargmann2", "--c1", "0.5", "--kappa1", "10",
                     "--T", "8", "--M", "32", "--output", os.devnull]) == 3

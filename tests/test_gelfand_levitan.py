@@ -98,6 +98,54 @@ def test_zero_amplitude_fixed_point():
     assert ws.residual == 0.0
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("M", [32, 64, 256])
+def test_zero_kernel_workspace_is_the_full_solve_unfactored(monkeypatch, M):
+    # p = p' = 0 on every lattice: the workspace is the one the full solve
+    # returns, sign bits included (Q(0) = +0, every other node -0), and
+    # nothing is factored
+    amp = amp_of(ZeroForm())
+    monkeypatch.setattr(gl, "_zero_kernel", lambda lattices: False)
+    full = solve_gl(amp, 2.0, M)
+    monkeypatch.undo()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero kernel was factored")
+
+    monkeypatch.setattr(gl, "_lu_nopivot", refuse)
+    monkeypatch.setattr(gl, "lu_factor", refuse)
+    for ws in (solve_gl(amp, 2.0, M), solve_gl(amp_of(ZeroForm(), coeffs=[0.0]), 2.0, M)):
+        assert np.array_equal(_bits(ws.potential.values), _bits(full.potential.values))
+        assert np.array_equal(_bits(ws.potential.grid), _bits(full.potential.grid))
+        assert _bits(ws.residual) == _bits(full.residual) == _bits(0.0)
+        assert len(ws.V) == len(ws.Vx) == len(full.V) == M + 1
+        for u, v in zip(ws.V + ws.Vx, full.V + full.Vx):
+            assert np.array_equal(_bits(u), _bits(v))
+        for u, v in zip(ws.lattices[0], full.lattices[0]):
+            assert np.array_equal(_bits(u), _bits(v))
+        for u, v in zip(ws.lattices[1], full.lattices[1]):
+            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(u, v))
+    q = full.potential.values
+    assert not np.signbit(q[0]) and np.all(np.signbit(q[1:]))
+
+
+def test_tiny_nonzero_kernel_takes_the_full_solve(monkeypatch):
+    # coeffs = [-1e-300] on the zero base: p is tiny but not 0, so the solve
+    # factors the x = 0 system as for any other kernel
+    calls = []
+    lu = gl._lu_nopivot
+    monkeypatch.setattr(gl, "_lu_nopivot", lambda a: calls.append(a.shape) or lu(a))
+    amp = amp_of(ZeroForm(), coeffs=[-1e-300])
+    ws = solve_gl(amp, 2.0, 64)
+    assert calls and calls[0] == (65, 61)
+    main, floor = ws.lattices
+    assert main[0].any() and main[2].any()
+    assert ws.potential.values[0] == amp(0.0) == -1e-300
+
+
 def test_kernel_symmetry_exact():
     # the x = 0 kernel p(2T-t-s) - p(|t-s|) as the assembler gathers it
     T, n = 2.0, 64

@@ -337,6 +337,20 @@ def test_ode_rejects_bad_kappa_and_domain():
             OdeOptions(x_max=x_max)
 
 
+def test_truncation_point_that_is_not_finite_fails_tagged():
+    # 23/kappa overflows for kappa = 1e-320, although kappa passes the kappa
+    # check: the lowest such index fails tagged, before any shooting
+    for kappas, k in (([1e-320], 0), ([1.5, 1e-320, 5e-324], 1), ([1.5, 2.5, 1e-320], 2)):
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=rf"^evaluator failed at k={k}: truncation "
+                           r"point 23/kappa is not finite at kappa=1e-320$"):
+            wt_from_ode(ZeroForm(), np.array(kappas))
+        assert time.perf_counter() - start < 1.0
+    # a given truncation point is finite, so the same kappa shoots
+    (value,), _ = wt_from_ode(ZeroForm(), 1e-320, OdeOptions(x_max=1.0))
+    assert np.isfinite(value)
+
+
 def test_sampled_table_must_reach_the_picked_truncation_point():
     # x_max = None picks 23/kappa; a sampled table that ends before that point
     # is refused, not clipped to its last node
