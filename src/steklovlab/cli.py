@@ -5,10 +5,11 @@ override individual fields. Every value, from the file or a flag, is checked
 against its RunConfig field's type hint (`_field`), and every number, also
 inside `base` and `coeffs`, by one rule (`_number`). Values are stored as
 given. The flags are derived from RunConfig's fields and the base forms, and
-the parser is built once, at import. All outputs are CSV with a commented
-header that echoes the full effective configuration, so identical
-configurations produce byte-identical files. Exit codes: 0 success, 2
-validation failure, 3 numerical failure or a size that does not fit in memory
+the parser is built once, at import. One table (_COMMANDS) names the fields
+each command reads: its CSV header echoes those fields, so identical
+configurations produce byte-identical files, and a value other than the
+default in any other field is refused. Exit codes: 0 success, 2 validation
+failure, 3 numerical failure or a size that does not fit in memory
 (module-tagged message on stderr).
 Each command imports the modules it runs, so a one-shot run loads only those.
 """
@@ -35,8 +36,6 @@ if TYPE_CHECKING:
 
 _MOD = "cli"
 
-COMMANDS = ("forward", "perturb", "reconstruct", "muntz", "sweep", "ks-check")
-
 
 @dataclass
 class RunConfig:
@@ -56,12 +55,14 @@ class RunConfig:
     n: int = field(default=10, metadata={"help": "orthonormalization table size"})
 
     def header_lines(self) -> list[str]:
+        """The fields the command reads, in field order."""
         lines = []
         for f in dataclasses.fields(self):
-            v = getattr(self, f.name)
-            if isinstance(v, (dict, list)):
-                v = json.dumps(v, sort_keys=True, separators=(",", ":"))
-            lines.append(f"{f.name} = {v}")
+            if f.name in _COMMANDS[self.command][1]:
+                v = getattr(self, f.name)
+                if isinstance(v, (dict, list)):
+                    v = json.dumps(v, sort_keys=True, separators=(",", ":"))
+                lines.append(f"{f.name} = {v}")
         return lines
 
 
@@ -161,9 +162,6 @@ def _amplitude(cfg: RunConfig, params: SpectralParams) -> Amplitude:
 
 def _cmd_forward(cfg: RunConfig, params: SpectralParams) -> list[str]:
     from .weyl_titchmarsh import steklov_spectrum, wt_from_ode
-    if cfg.coeffs:
-        raise ValidationError("forward shoots the base well alone and takes no coeffs, "
-                              f"got {json.dumps(cfg.coeffs, sort_keys=True)}", _MOD)
     opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
     m, _ = wt_from_ode(_base_form(cfg.base), params.kappa, opts)
     lines = ["k,kappa,sigma"]
@@ -208,11 +206,6 @@ def _cmd_reconstruct(cfg: RunConfig, params: SpectralParams) -> list[str]:
 
 def _cmd_muntz(cfg: RunConfig, params: SpectralParams) -> list[str]:
     from .muntz import system_for_params
-    if cfg.coeffs or cfg.base != {"kind": "zero"}:
-        raise ValidationError("muntz tabulates the exponent ladder of d and delta alone and "
-                              "takes no base or coeffs, got base "
-                              f"{json.dumps(cfg.base, sort_keys=True)} and coeffs "
-                              f"{json.dumps(cfg.coeffs, sort_keys=True)}", _MOD)
     system = system_for_params(params, cfg.n, cfg.precision)
     lines = ["m,j,C_mj"]
     table = system.float_table()
@@ -256,18 +249,18 @@ def _cmd_ks_check(cfg: RunConfig, params: SpectralParams) -> list[str]:
     return lines
 
 
-_DISPATCH = {
-    "forward": _cmd_forward,
-    "perturb": _cmd_perturb,
-    "reconstruct": _cmd_reconstruct,
-    "muntz": _cmd_muntz,
-    "sweep": _cmd_sweep,
-    "ks-check": _cmd_ks_check,
-}
-
-
-# the fields that size a command's arrays; K sizes every command's spectral params
-_SIZES = {"reconstruct": ("K", "M"), "sweep": ("K", "M"), "muntz": ("K", "n", "precision")}
+# Each command's function and the RunConfig fields it reads. Every command
+# reads command, d, delta, K and output: run() builds every command's spectral
+# params from d, delta and K.
+_COMMANDS = {command: (cmd, {"command", "d", "delta", "K", "output", *reads})
+             for command, cmd, reads in (
+                 ("forward", _cmd_forward, ("base", "x_max", "tolerance")),
+                 ("perturb", _cmd_perturb, ("base", "coeffs")),
+                 ("reconstruct", _cmd_reconstruct, ("T", "M", "base", "coeffs")),
+                 ("muntz", _cmd_muntz, ("n", "precision")),
+                 ("sweep", _cmd_sweep, ("T", "M", "base", "coeffs", "scales")),
+                 ("ks-check", _cmd_ks_check, ("base", "coeffs")))}
+COMMANDS = tuple(_COMMANDS)
 
 
 def run(cfg: RunConfig) -> int:
@@ -277,26 +270,28 @@ def run(cfg: RunConfig) -> int:
             raise ValidationError(
                 f"command must be one of {', '.join(COMMANDS)}; got {cfg.command!r}",
                 _MOD)
-        for name, val, lo in (("K", cfg.K, 1), ("M", cfg.M, 32),
-                              ("precision", cfg.precision, 16), ("n", cfg.n, 0)):
+        cmd, reads = _COMMANDS[cfg.command]
+        for name, default in vars(RunConfig()).items():  # every default passes the checks below
+            if name not in reads and (val := getattr(cfg, name)) != default:
+                raise ValidationError(f"{cfg.command} does not read {name}: got {val!r}, "
+                                      f"where only its default {default!r} is accepted", _MOD)
+        for name, val, lo in (("M", cfg.M, 32), ("precision", cfg.precision, 16), ("n", cfg.n, 0)):
             if val < lo:
                 raise ValidationError(f"{name} must be >= {lo}, got {val}", _MOD)
         if cfg.M % 2:
             raise ValidationError(f"M must be even, got {cfg.M}", _MOD)
-        for name, val in (("T", cfg.T), ("tolerance", cfg.tolerance)):
-            if not val > 0:
-                raise ValidationError(f"{name} must be positive, got {val}", _MOD)
-        OdeOptions(x_max=cfg.x_max)  # refuses a bad truncation point on every command
-        lines = _DISPATCH[cfg.command](cfg, make_spectral_params(cfg.d, cfg.delta, cfg.K))
+        if not cfg.T > 0:
+            raise ValidationError(f"T must be positive, got {cfg.T}", _MOD)
+        lines = cmd(cfg, make_spectral_params(cfg.d, cfg.delta, cfg.K))
     except ValidationError as exc:
         print(exc.tagged(), file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(exc.tagged(), file=sys.stderr)
         return 3
-    except MemoryError:
-        fields = _SIZES.get(cfg.command, ("K",))
-        sizes = ", ".join(f"{name}={getattr(cfg, name)}" for name in fields)
+    except MemoryError:  # name the fields that size the command's arrays
+        sizes = ", ".join(f"{name}={getattr(cfg, name)}"
+                          for name in ("K", "M", "n", "precision") if name in reads)
         print(f"[{_MOD}] out of memory in {cfg.command} at {sizes}", file=sys.stderr)
         return 3
 

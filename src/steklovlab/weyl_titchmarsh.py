@@ -90,7 +90,8 @@ class OdeOptions:
     must reach the truncation point, whether picked or given, or the route
     raises ValidationError. A kappa is accepted at the first halving
     level j where the Neville entries e_j and r_j (see wt_from_ode) differ by
-    at most tolerance; this default is also the command line's.
+    at most tolerance, which must be positive and finite. The default
+    tolerance is also the command line's.
     """
 
     x_max: float | None = None
@@ -100,6 +101,9 @@ class OdeOptions:
         if self.x_max is not None and not 0 < self.x_max < math.inf:  # NaN fails
             raise ValidationError(
                 f"x_max must be positive and finite, got {self.x_max}", _MOD)
+        if not 0 < self.tolerance < math.inf:
+            raise ValidationError(
+                f"tolerance must be positive and finite, got {self.tolerance}", _MOD)
 
     def x_max_for(self, kappa: float) -> float:
         """The truncation point at kappa."""

@@ -708,10 +708,9 @@ def test_validation_failures_exit_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("[cli] ")
     for args in (["sweep", "--coeffs", "a"], ["sweep", "--scales", "1,b"],
                  ["forward", "--base", "zero", "--beta", "7"],  # a zero base has no beta
-                 # shooting solves the base well alone: no perturbation to echo
+                 # forward does not read coeffs, nor muntz base or coeffs
                  ["forward", "--base", "zero", "--K", "2", "--coeffs=-1", "--tail-a", "1",
                   "--tail-rho", "0.5"],
-                 # the Muntz table depends on d, delta and n alone: no base or coeffs to echo
                  ["muntz", "--d", "3", "--delta", "0", "--n", "2", "--base", "bargmann1",
                   "--beta", "1", "--gamma", "0.5"],
                  ["muntz", "--d", "3", "--delta", "0", "--n", "2", "--coeffs=-1"],
@@ -722,13 +721,17 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"command": "sweep", "coeffs": {"values": [-0.1]}, "scales": []}))
     assert run_cli(["--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("[stability_harness] ")
-    # non-finite numbers (argparse's float takes nan and inf) and a tolerance <= 0
+    # non-finite numbers (argparse's float takes nan and inf)
     for args in (["perturb", "--d", "3", "--delta", "nan", "--K", "8", "--base", "zero",
                   "--coeffs=-1.5"], ["reconstruct", "--T", "nan"],
-                 ["forward", "--tolerance", "-1"], ["forward", "--tolerance", "nan"],
+                 ["forward", "--tolerance", "nan"],
                  ["sweep", "--tail-a", "1", "--tail-rho", "0.1", "--scales", "1e-1,inf"]):
         assert run_cli(args) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
+    # a tolerance <= 0 is refused by the shooting options, before any shooting
+    assert run_cli(["forward", "--tolerance", "-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "[weyl_titchmarsh] tolerance must be positive and finite, got -1.0\n")
     # ... also inside the base well and the coefficients, before any numerical work
     for args in (["reconstruct", "--base", "bargmann2", "--c1", "inf", "--kappa1", "0.5",
                   "--M", "32"], ["forward", "--base", "bargmann1", "--beta", "inf",
@@ -753,17 +756,21 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"command": "ks-check", "coeffs": {"generator": [1.0, 0.1]}}))
     assert run_cli(["--config", str(cfg), "--tail-a", "1"]) == 2
     assert capsys.readouterr().err.startswith("[cli] ")
-    # a truncation point at or below 0 is refused before any shooting, and by
-    # every command, also those that never shoot
+    # a truncation point at or below 0 is refused by forward before any
+    # shooting, and by every other command as a field it does not read
     for command in cli.COMMANDS:
+        def refusal(got):
+            if command == "forward":
+                return f"[weyl_titchmarsh] x_max must be positive and finite, got {got}\n"
+            return (f"[cli] {command} does not read x_max: got {got}, where only its default "
+                    "None is accepted\n")
+
         for x_max in ("--x-max=0", "--x-max=-5"):
             assert run_cli([command, x_max, "--output", "-"]) == 2
-            assert capsys.readouterr() == (
-                "", f"[weyl_titchmarsh] x_max must be positive and finite, got {x_max[8:]}.0\n")
+            assert capsys.readouterr() == ("", refusal(f"{x_max[8:]}.0"))
         cfg.write_text(json.dumps({"command": command, "x_max": -1}))
         assert run_cli(["--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "[weyl_titchmarsh] x_max must be positive and finite, got -1\n")
+        assert capsys.readouterr() == ("", refusal("-1"))
     # the retired workers key: saved configs carry "workers": 1, and only that passes
     plain = {"command": "perturb", "d": 3, "delta": 1, "K": 4, "base": {"kind": "zero"},
              "coeffs": {"values": [-0.5]}}
@@ -783,24 +790,85 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     assert exc.value.code == 2
 
 
-# every scalar field with a value other than its default, as a flag and as a JSON value
-_SCALAR_VALUES = [("command", "muntz", "muntz"), ("d", "4", 4), ("delta", "0.25", 0.25),
-                  ("T", "1.5", 1.5), ("K", "8", 8), ("M", "64", 64), ("output", "x.csv", "x.csv"),
-                  ("precision", "128", 128), ("x_max", "10.5", 10.5),
-                  ("tolerance", "1e-09", 1e-09), ("n", "3", 3)]
+# every scalar field with a value other than its default, as a flag and as a JSON
+# value, and a command that reads it
+_SCALAR_VALUES = [("command", "muntz", "muntz", "forward"), ("d", "4", 4, "perturb"),
+                  ("delta", "0.25", 0.25, "muntz"), ("T", "1.5", 1.5, "reconstruct"),
+                  ("K", "8", 8, "ks-check"), ("M", "64", 64, "sweep"),
+                  ("output", "x.csv", "x.csv", "reconstruct"), ("precision", "128", 128, "muntz"),
+                  ("x_max", "10.5", 10.5, "forward"), ("tolerance", "1e-09", 1e-09, "forward"),
+                  ("n", "3", 3, "muntz")]
 
 
-@pytest.mark.parametrize("name,flag,value", _SCALAR_VALUES, ids=[v[0] for v in _SCALAR_VALUES])
-def test_flag_and_config_key_give_the_same_header_line(name, flag, value, tmp_path):
+@pytest.mark.parametrize("name,flag,value,command", _SCALAR_VALUES,
+                         ids=[v[0] for v in _SCALAR_VALUES])
+def test_flag_and_config_key_give_the_same_header_line(name, flag, value, command, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({name: value}))
-    argv = [flag] if name == "command" else [f"--{name.replace('_', '-')}", flag]
+    cfg.write_text(json.dumps({"command": command, name: value}))
+    argv = [flag] if name == "command" else [command, f"--{name.replace('_', '-')}", flag]
 
     def line(config):
         return next(ln for ln in config.header_lines() if ln.startswith(f"{name} = "))
 
     assert line(build_config(argv)) == line(build_config(["--config", str(cfg)]))
-    assert line(build_config(argv)) != line(RunConfig())
+    assert line(build_config(argv)) != line(RunConfig(command=command))
+
+
+# the RunConfig fields each command reads, in field order
+_READS = {
+    "forward": ["command", "d", "delta", "K", "base", "output", "x_max", "tolerance"],
+    "perturb": ["command", "d", "delta", "K", "base", "coeffs", "output"],
+    "reconstruct": ["command", "d", "delta", "T", "K", "M", "base", "coeffs", "output"],
+    "muntz": ["command", "d", "delta", "K", "output", "precision", "n"],
+    "sweep": ["command", "d", "delta", "T", "K", "M", "base", "coeffs", "scales", "output"],
+    "ks-check": ["command", "d", "delta", "K", "base", "coeffs", "output"],
+}
+# a small run of each command
+_SMALL = {"forward": ["--K", "2"], "perturb": ["--K", "2", "--coeffs=-1"],
+          "reconstruct": ["--M", "32"], "muntz": ["--n", "2"],
+          "sweep": ["--K", "8", "--M", "32", "--coeffs=-1"],
+          "ks-check": ["--K", "2", "--coeffs=-1"]}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_header_echoes_the_fields_the_command_reads(command, capsys):
+    assert run_cli([command, *_SMALL[command], "--output", "-"]) == 0
+    keys = [ln[2:].split(" = ")[0] for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("# ")]
+    # the notes after the header (such as reconstruct's gl_residual) are not fields
+    assert [key for key in keys if key in RunConfig.__dataclass_fields__] == _READS[command]
+
+
+# a value other than the default, which passes every bound check, for each field
+# that some command does not read
+_NON_DEFAULT = {"T": ["--T", "1.5"], "M": ["--M", "64"],
+                "base": ["--base", "bargmann1", "--beta", "1", "--gamma", "0.5"],
+                "coeffs": ["--coeffs=-1"], "scales": ["--scales", "1e-1,1e-2,1e-3"],
+                "precision": ["--precision", "128"], "x_max": ["--x-max", "10.5"],
+                "tolerance": ["--tolerance", "1e-09"], "n": ["--n", "3"]}
+
+
+def test_a_field_the_command_does_not_read_is_refused_before_any_work():
+    # one interpreter runs every pair; each is refused before the command
+    # imports the modules it runs (GL, Muntz tables, the sweep, the amplitudes)
+    pairs = [(command, name) for command in cli.COMMANDS for name in _NON_DEFAULT
+             if name not in _READS[command]]
+    proc = _fresh("import contextlib, io, json, sys; from steklovlab.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    err = io.StringIO()\n"
+                  "    with contextlib.redirect_stderr(err): code = main(argv)\n"
+                  "    print(json.dumps([code, err.getvalue(), sorted(m for m in sys.modules "
+                  "if m.split('.')[0] in ('scipy', 'mpmath') or m in ('steklovlab.perturbation', "
+                  "'steklovlab.gelfand_levitan', 'steklovlab.muntz', "
+                  "'steklovlab.stability_harness'))]))",
+                  json.dumps([[command, *_NON_DEFAULT[name], "--output", "-"]
+                              for command, name in pairs]))
+    results = [json.loads(ln) for ln in proc.stdout.splitlines()]
+    assert len(pairs) == len(results) == 36
+    for (command, name), (code, err, loaded) in zip(pairs, results):
+        assert code == 2, (command, name)
+        assert err.startswith(f"[cli] {command} does not read {name}: got "), err
+        assert loaded == [], (command, name)
 
 
 def test_parser_options_are_derived_unchanged():
@@ -814,9 +882,9 @@ def test_parser_options_are_derived_unchanged():
 def test_config_numbers_are_echoed_as_given(tmp_path):
     # an int in a float field stays an int, and the header keeps its bytes
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"command": "muntz", "delta": 0, "T": 2, "n": 2,
-                               "scales": [1, 0.01, 0.001]}))
-    out = tmp_path / "m.csv"
+    cfg.write_text(json.dumps({"command": "sweep", "delta": 0, "T": 2, "K": 8, "M": 64,
+                               "coeffs": {"values": [-1]}, "scales": [1, 0.01, 0.001]}))
+    out = tmp_path / "s.csv"
     assert run_cli(["--config", str(cfg), "--output", str(out)]) == 0
     lines = out.read_text().splitlines()
     for line in ("# delta = 0", "# T = 2", "# scales = [1,0.01,0.001]"):

@@ -335,6 +335,11 @@ def test_ode_rejects_bad_kappa_and_domain():
     for x_max in (0.0, -3.0, math.inf, math.nan):
         with pytest.raises(ValidationError, match="x_max must be positive and finite"):
             OdeOptions(x_max=x_max)
+    # and a tolerance inside (0, inf): one at or below 0 is never met, so the
+    # halvings would run on until they blamed an eigenvalue
+    for tolerance in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
+            OdeOptions(tolerance=tolerance)
 
 
 def test_truncation_point_that_is_not_finite_fails_tagged():
