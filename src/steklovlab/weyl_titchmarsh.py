@@ -31,10 +31,13 @@ own step x_max/n. A kappa's first n is the least 32 * 2^j whose step is at
 most _STEP, and the kappas of one call are grouped by it: a group shares n at
 every level and pushes its unconverged kappas through one batched
 (2, 2, kappas, steps) propagator product per level, in batches of _CHUNK
-steps' worth of elements; each batch samples Q on its own kappas' grids, so
-the samples stay O(_CHUNK) too, and a given x_max is sampled once per level.
-Under the default truncation kappa h = 23/n is the same for every kappa of a
-group.
+steps' worth of elements; each batch samples Q on its own kappas' grids, and
+a given x_max is sampled once per level. Under the default truncation
+kappa h = 23/n is the same for every kappa of a group. No pass takes more
+than _MAX_STEPS steps, which bounds its 2n + 1 samples: a kappa whose first
+pass cannot be halved twice within that budget is refused before any
+shooting, and one that has not converged when the next pass would pass it
+gives up.
 
 Route two uses the representation
 M(-kappa^2) = -kappa - int_0^inf A(alpha) e^{-2 kappa alpha} d alpha for the
@@ -68,7 +71,7 @@ _MOD = "weyl_titchmarsh"
 _CHUNK = 8192         # RK4 steps per propagator product
 _MIN_CONTRACTION = 2  # step halving must shrink the difference at least this much
 _STEP = 1.0 / 32.0    # largest step of the first shooting pass
-_MAX_HALVINGS = 14
+_MAX_STEPS = 2 ** 20  # steps of the longest pass; its 2n + 1 samples take about 16 MiB
 _ROUNDING = 16.0 * np.finfo(float).eps  # est_error's rounding term, relative to |M|
 
 # exp-sinh rule for int_0^inf f(s) e^{-s} ds: nodes s(t) = exp(t - e^{-t}) at
@@ -112,11 +115,12 @@ class OdeOptions:
 
 def _first_steps(x_max: float) -> int:
     """The step count of a kappa's first pass: the least 32 * 2^j steps no
-    longer than _STEP. It depends on the truncation point alone, so a kappa
-    takes the same levels in any call, and a call's kappas fall into a few
-    groups of one step count."""
+    longer than _STEP, or the first such count past _MAX_STEPS, so that an
+    infinite x_max ends the doubling too. It depends on the truncation point
+    alone, so a kappa takes the same levels in any call, and a call's kappas
+    fall into a few groups of one step count."""
     n = 32
-    while n * _STEP < x_max:
+    while n * _STEP < x_max and n <= _MAX_STEPS:
         n *= 2
     return n
 
@@ -161,39 +165,30 @@ def _chain_product(P: np.ndarray) -> np.ndarray:
     return P[..., 0]
 
 
-@np.errstate(all="ignore")  # _m_values fails a non-finite sample
-def _sample(Q: Callable[[np.ndarray], np.ndarray], tops: np.ndarray, n: int) -> np.ndarray:
-    """Q on the half-step grids of n steps, linspace(0, tops[i], 2n+1) in
-    row i."""
-    return Q(np.linspace(0.0, tops, 2 * n + 1, axis=-1))
+@np.errstate(all="ignore")  # a non-finite sample or end fails its kappa below
+def _shoot(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray, kappas: np.ndarray,
+           n: int) -> tuple[np.ndarray, int, NumericalError | None]:
+    """(m, k, error): M = u'(0)/u(0) per kappa from one pass of n RK4 steps of
+    u'' = (Q + kappa^2) u from x_max[i] down to 0 with the scaled Jost seed,
+    the position k of the first kappa that fails (kappas.size if none) and the
+    NumericalError that stops it. Only m[:k] is meaningful.
 
-
-@np.errstate(over="ignore", invalid="ignore")  # _m_values fails a non-finite end
-def _shoot_backward(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray,
-                    kappas: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integrate u'' = (Q + kappa^2) u from x_max[i] down to 0 in n RK4 steps
-    with the scaled Jost seed, for every kappa i of an array at once.
-
-    A batch holds as many kappas as fill _CHUNK steps. It samples Q on the
-    half-step grid of each of its distinct truncation points, unless the
-    batch before had the same ones, and applies each kappa's steps as
-    products of their propagators, _CHUNK steps at a time, so the
-    temporaries stay O(_CHUNK). Returns (u(0), u'(0)) per kappa, shape
-    (2, kappas), each pair up to an irrelevant positive factor, and per kappa
-    whether Q was finite on its grid. A batch with a non-finite sample ends
-    the pass; the kappas after it are not sampled and keep NaN.
+    A batch holds as many kappas as fill _CHUNK steps, or one kappa once
+    n > _CHUNK. It samples Q on the half-step grid of each of its distinct
+    truncation points, unless the batch before had the same ones, and applies
+    each kappa's steps as products of their propagators, _CHUNK steps at a
+    time: the temporaries stay O(_CHUNK) and the samples O(n). The pass ends
+    with the first batch that holds a failing kappa.
     """
     width = max(1, _CHUNK // min(n, _CHUNK))
-    out = np.full((2, kappas.size), np.nan)
-    sampled = np.ones(kappas.size, dtype=bool)
+    m = np.empty(kappas.size)
     tops = q_half = None
     for lo in range(0, kappas.size, width):
         batch = slice(lo, lo + width)
         kap = kappas[batch]
         ends, rows = np.unique(x_max[batch], return_inverse=True)
         if not np.array_equal(ends, tops):  # a given x_max: one grid per pass
-            tops, q_half = ends, _sample(Q, ends, n)
-        sampled[batch] = np.isfinite(q_half).all(axis=1)[rows]
+            tops, q_half = ends, Q(np.linspace(0.0, ends, 2 * n + 1, axis=-1))
         g = q_half[rows, ::-1] + kap[:, None] ** 2
         g0, gm, g1 = g[:, :-1:2], g[:, 1::2], g[:, 2::2]  # start, midpoint, end of each step
         s = -(x_max[batch] / n)[:, None]
@@ -202,35 +197,27 @@ def _shoot_backward(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray,
             steps = slice(first, first + _CHUNK)
             P = _step_propagators(g0[:, steps], gm[:, steps], g1[:, steps], s)
             y = _pow2_normalize(_mul2(_chain_product(P), y), axis=(0, 1))
-        out[:, batch] = y[:, 0]
-        if not sampled[batch].all():
-            break
-    return out, sampled
-
-
-def _m_values(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray, kappas: np.ndarray,
-              n: int) -> tuple[np.ndarray, int, NumericalError | None]:
-    """(m, k, error): M per kappa from one backward pass of n steps over
-    [0, x_max[i]], the position k of the first kappa that fails (kappas.size
-    if none) and the NumericalError that stops it. Only m[:k] is
-    meaningful."""
-    (u0, v0), sampled = _shoot_backward(Q, x_max, kappas, n)
-    overflow = ~(np.isfinite(u0) & np.isfinite(v0))
-    bad = ~sampled | overflow | (np.abs(u0) <= 1e-12 * np.abs(v0))  # scale-free; <= catches 0 = 0
-    k = int(np.argmax(bad)) if bad.any() else kappas.size
-    error = None
-    if k < kappas.size:
-        kappa = float(kappas[k])
-        if not sampled[k]:
-            error = NumericalError("potential evaluation produced non-finite values", _MOD)
-        elif overflow[k]:
-            error = NumericalError(f"backward integration overflowed at kappa={kappa} "
-                                   "(spectral parameter too close to an eigenvalue)", _MOD)
-        else:
-            error = NumericalError(f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a "
-                                   "Dirichlet point of the truncated problem", _MOD)
-    with np.errstate(all="ignore"):  # the failing entries are not read
-        return v0 / u0, k, error
+        u0, v0 = y[:, 0]
+        m[batch] = v0 / u0
+        sampled = np.isfinite(q_half).all(axis=1)[rows]
+        overflow = ~(np.isfinite(u0) & np.isfinite(v0))
+        # |M| >= 1e12 max(1, kappa), scale-free; M is about -kappa for large
+        # kappa, and <= catches 0 = 0
+        vanishes = np.abs(u0) * np.maximum(1.0, kap) <= 1e-12 * np.abs(v0)
+        bad = ~sampled | overflow | vanishes
+        if bad.any():
+            j = int(np.argmax(bad))
+            kappa = float(kap[j])
+            if not sampled[j]:
+                cause = "potential evaluation produced non-finite values"
+            elif overflow[j]:
+                cause = (f"backward integration overflowed at kappa={kappa}: the RK4 steps "
+                         "leave the float range (|Q + kappa^2| h^2 too large)")
+            else:
+                cause = (f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a Dirichlet "
+                         "point of the truncated problem")
+            return m, lo + j, NumericalError(cause, _MOD)
+    return m, kappas.size, None
 
 
 def _bad_kappa(kappa: float) -> ValidationError | None:
@@ -258,21 +245,22 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
     shoots over [0, opts.x_max_for(kappa)] with its own step, and the kappas
     are grouped by their first step count (_first_steps). At each halving
     level a group shoots all of its unconverged kappas in one batched pass,
-    which samples Q on their half-step grids; converged kappas drop out. From the levels' values m_j it forms the
-    Richardson extrapolates r_j = m_j + (m_j - m_{j-1})/15 and the next
-    Neville column e_j = r_j + (r_j - r_{j-1})/63. A kappa converges when
+    which samples Q on their half-step grids; converged kappas drop out.
+    From the levels' values m_j it forms the Richardson extrapolates
+    r_j = m_j + (m_j - m_{j-1})/15 and the next Neville column
+    e_j = r_j + (r_j - r_{j-1})/63. A kappa converges when
     |e_j - r_j| <= opts.tolerance; value is e_j and est_error is
     |e_j - r_j| + 16 eps |e_j|, the last term for rounding, which the
     acceptance test leaves out.
 
     Raises ValidationError for a kappa that is not positive with a finite
-    square, or whose truncation point 23/kappa is not finite, and
-    NumericalError when a halving shrinks the raw difference
-    |m_j - m_{j-1}| by less than _MIN_CONTRACTION (worded as an eigenvalue if
-    it grew, as an unresolved step or a tolerance below the rounding floor if
-    not), or after _MAX_HALVINGS. The error is that of the lowest failing
-    index k, raised as "evaluator failed at k=..."; the kappas above k stop as
-    soon as k fails.
+    square, or whose truncation point needs a first pass longer than
+    _MAX_STEPS/4 steps, and NumericalError when a halving shrinks the raw
+    difference |m_j - m_{j-1}| by less than _MIN_CONTRACTION (worded as an
+    eigenvalue if it grew, as an unresolved step or a tolerance below the
+    rounding floor if not), or when the next pass would be longer than
+    _MAX_STEPS. The error is that of the lowest failing index k, raised as
+    "evaluator failed at k=..."; the kappas above k stop as soon as k fails.
     """
     opts = opts or OdeOptions()
     closed = isinstance(Q, PotentialForm)  # a closed form is evaluated directly
@@ -287,26 +275,28 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
             stop = i
             break
         x_maxes[i] = x_max = opts.x_max_for(kap)
-        if not math.isfinite(x_max):   # 23/kappa overflows: no step count reaches it
+        n = _first_steps(x_max)
+        if 4 * n > _MAX_STEPS:  # the two Neville columns need three levels
             stop, error = i, ValidationError(
-                f"truncation point 23/kappa is not finite at kappa={kap}", _MOD)
+                f"truncation point x_max={x_max} at kappa={kap} is out of reach: a first "
+                f"pass and two halvings need more than {_MAX_STEPS} steps per pass", _MOD)
             break
         if not closed and x_max > Q.x_max + 1e-12:
             stop, error = i, ValidationError(
                 f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
             break
-        groups.setdefault(_first_steps(x_max), []).append(i)
+        groups.setdefault(n, []).append(i)
 
     # per kappa, from its last level; NaN until a level sets it. The groups
     # are disjoint, so each reads only its own entries
     prev, prev_diff, prev_r = (np.full(kappas.size, np.nan) for _ in range(3))
     for n, active in groups.items():
         live = np.array(active)  # the group's unconverged kappas, ascending
-        for _ in range(_MAX_HALVINGS + 1):
+        while n <= _MAX_STEPS:
             live = live[live < stop]
             if not live.size:
                 break
-            m, k, failure = _m_values(potential, x_maxes[live], kappas[live], n)
+            m, k, failure = _shoot(potential, x_maxes[live], kappas[live], n)
             if failure is not None:
                 stop, error = int(live[k]), failure
             live, m = live[:k], m[:k]
@@ -339,7 +329,7 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
         if live.size:
             stop, error = int(live[0]), NumericalError(
                 f"step halving did not reach tolerance {opts.tolerance} at "
-                f"kappa={float(kappas[live[0]])}", _MOD)
+                f"kappa={float(kappas[live[0]])} within {_MAX_STEPS} steps per pass", _MOD)
     return _result(values, est_errors, stop, error)
 
 

@@ -112,8 +112,8 @@ def m_fixed_step_loop(Q, kappa: float, x_max: float, n: int) -> float:
 def m_fixed_step(Q, kappa: float, x_max: float, n: int) -> float:
     """M value from one backward pass of the package's batched shooting with
     exactly n steps (no step halving), for the order and halving tests."""
-    from steklovlab.weyl_titchmarsh import _m_values
-    m, _, error = _m_values(Q, np.array([x_max]), np.array([kappa]), n)
+    from steklovlab.weyl_titchmarsh import _shoot
+    m, _, error = _shoot(Q, np.array([x_max]), np.array([kappa]), n)
     if error is not None:
         raise error
     return float(m[0])

@@ -366,6 +366,47 @@ def test_out_of_memory_exits_3_naming_the_sizes():
     assert proc.stderr == "[cli] out of memory in reconstruct at K=16, M=1048576\n"
 
 
+def test_truncation_points_past_the_step_budget_are_refused_at_once():
+    # kappa = 1e-10 and 1e-6 truncate at 2.3e11 and 2.3e7, and --x-max 1e9
+    # at 1e9: a first pass with steps of at most 1/32 would sample 16 GiB to
+    # 128 TiB. One child lowers its own address-space limit to 3 GiB, so a
+    # regression fails to allocate instead of allocating for real
+    proc = _fresh("import resource, sys, time; "
+                  "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
+                  "import numpy as np; "
+                  "from steklovlab import ValidationError, ZeroForm, wt_from_ode; "
+                  "from steklovlab.cli import main\n"
+                  "for kappas in ([1e-10], [1.5, 1e-6]):\n"
+                  "    start = time.perf_counter()\n"
+                  "    try:\n"
+                  "        wt_from_ode(ZeroForm(), np.array(kappas))\n"
+                  "    except ValidationError as exc:\n"
+                  "        print(time.perf_counter() - start < 1.0, exc)\n"
+                  "start = time.perf_counter(); code = main(sys.argv[1:]); "
+                  "print(time.perf_counter() - start < 1.0, code)",
+                  "forward", "--d", "3", "--delta", "0.5", "--base", "bargmann1", "--beta", "1",
+                  "--gamma", "0.5", "--K", "2", "--x-max", "1e9", "--output", "-")
+    budget = "a first pass and two halvings need more than 1048576 steps per pass"
+    assert proc.stdout == (
+        f"True evaluator failed at k=0: truncation point x_max=230000000000.0 at kappa=1e-10 "
+        f"is out of reach: {budget}\n"
+        f"True evaluator failed at k=1: truncation point x_max=23000000.0 at kappa=1e-06 "
+        f"is out of reach: {budget}\n"
+        "True 2\n")
+    assert proc.stderr == ("[weyl_titchmarsh] evaluator failed at k=0: truncation point "
+                           f"x_max=1000000000.0 at kappa=0.5 is out of reach: {budget}\n")
+
+
+def test_forward_past_kappa_1e12(tmp_path):
+    # kappa_k = 1e12 + k: M is about -kappa, not a Dirichlet point, and sigma
+    # is k up to rounding at the 1e12 scale
+    out = tmp_path / "big.csv"
+    assert run_cli(["forward", "--d", "2000000000002", "--delta", "0", "--base", "zero",
+                    "--K", "1", "--output", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines() if line[0].isdigit()]
+    assert [float(sigma) for _, _, sigma in rows] == pytest.approx([0.0, 1.0], abs=1e-3)
+
+
 @pytest.mark.xfail(strict=True, reason=(
     "unresolved discretization: p(2T) is 3.8e66 on h = 0.25, and the run exits 0 "
     "with gl_residual 9.5780971304118054e+52 although every node solve is backward "

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -10,7 +11,8 @@ from steklovlab import (Bargmann1, Bargmann2, NumericalError, OdeOptions,
                         RadialPotential, ValidationError, ZeroForm,
                         build_perturbed_amplitude, make_spectral_params,
                         steklov_spectrum, wt_from_amplitude, wt_from_ode)
-from steklovlab.weyl_titchmarsh import _CHUNK, _MAX_HALVINGS, _ROUNDING, _STEP
+from steklovlab import weyl_titchmarsh
+from steklovlab.weyl_titchmarsh import _CHUNK, _MAX_STEPS, _ROUNDING, _STEP, _shoot
 
 from oracles import laplace_of_series, m_fixed_step, m_fixed_step_loop
 
@@ -156,13 +158,14 @@ def test_m_fixed_step_matches_scalar_loop(kappa, x_max):
             m_fixed_step_loop(B1.potential, kappa, x_max, n), rel=1e-13)
 
 
-def _neville_halvings(m_of_n, n: int, tolerance: float, max_halvings: int):
+def _neville_halvings(m_of_n, n: int, tolerance: float, max_steps: int):
     """(ms, rs, es): the values m(n), m(2n), ... along the halving sequence,
     their Richardson extrapolates r_j = m_j + (m_j - m_{j-1})/15 and the next
     Neville column e_j = r_j + (r_j - r_{j-1})/63, up to the first level
-    where |e_j - r_j| is within tolerance."""
+    where |e_j - r_j| is within tolerance or the last pass of at most
+    max_steps steps."""
     ms, rs, es = [m_of_n(n)], [], []
-    for _ in range(max_halvings):
+    while 2 * n <= max_steps:
         n *= 2
         ms.append(m_of_n(n))
         rs.append(ms[-1] + (ms[-1] - ms[-2]) / 15.0)
@@ -185,10 +188,10 @@ def test_forward_shoot_halvings_match_scalar_loop():
         n0 = _first_steps(x_max)
         ms, rs, es = _neville_halvings(
             lambda n: m_fixed_step(B1.potential, kappa, x_max, n), n0, opts.tolerance,
-            _MAX_HALVINGS)
+            _MAX_STEPS)
         ref_ms, ref_rs, ref_es = _neville_halvings(
             lambda n: m_fixed_step_loop(B1.potential, kappa, x_max, n), n0, opts.tolerance,
-            _MAX_HALVINGS)
+            _MAX_STEPS)
         assert len(ms) == len(ref_ms) and abs(ref_es[-1] - ref_rs[-1]) <= opts.tolerance
         diffs = np.abs(np.diff(ms))
         assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:]))
@@ -344,16 +347,78 @@ def test_ode_rejects_bad_kappa_and_domain():
 
 def test_truncation_point_that_is_not_finite_fails_tagged():
     # 23/kappa overflows for kappa = 1e-320, although kappa passes the kappa
-    # check: the lowest such index fails tagged, before any shooting
+    # check: no pass within the step budget reaches it, so the lowest such
+    # index fails tagged, before any shooting
     for kappas, k in (([1e-320], 0), ([1.5, 1e-320, 5e-324], 1), ([1.5, 2.5, 1e-320], 2)):
         start = time.perf_counter()
         with pytest.raises(ValidationError, match=rf"^evaluator failed at k={k}: truncation "
-                           r"point 23/kappa is not finite at kappa=1e-320$"):
+                           r"point x_max=inf at kappa=1e-320 is out of reach: a first pass "
+                           rf"and two halvings need more than {_MAX_STEPS} steps per pass$"):
             wt_from_ode(ZeroForm(), np.array(kappas))
         assert time.perf_counter() - start < 1.0
     # a given truncation point is finite, so the same kappa shoots
     (value,), _ = wt_from_ode(ZeroForm(), 1e-320, OdeOptions(x_max=1.0))
     assert np.isfinite(value)
+
+
+def test_give_up_at_the_step_budget(monkeypatch):
+    # with a budget of 256 steps per pass, kappa = 20.5 and 40.5 converge
+    # within it (first passes of 64 and 32 steps); kappa = 12.5 needs a
+    # fourth level of 512 steps, so the lowest index gives up with the budget
+    monkeypatch.setattr(weyl_titchmarsh, "_MAX_STEPS", 256)
+    start = time.perf_counter()
+    with pytest.raises(NumericalError, match=r"^evaluator failed at k=2: step halving did not "
+                       r"reach tolerance 1e-11 at kappa=12\.5 within 256 steps per pass$"):
+        wt_from_ode(B1, np.array([20.5, 40.5, 12.5, 11.5]))
+    assert time.perf_counter() - start < 1.0
+    values, _ = wt_from_ode(B1, np.array([20.5, 40.5]))
+    assert np.abs(values - _exact_m(B1, np.array([20.5, 40.5]))).max() <= 1e-11
+
+
+def test_large_kappa_is_not_a_dirichlet_point():
+    # M is about -kappa, so |u(0)| <= 1e-12 |u'(0)| holds for every kappa
+    # past 1e12; the test on u(0) scales with max(1, kappa)
+    for form in (ZeroForm(), B1):
+        for kappa in (1.01e12, 1e13, 1e100):
+            (value,), _ = wt_from_ode(form, kappa)
+            assert value == pytest.approx(-kappa, rel=1e-14)
+
+
+def test_dirichlet_point_of_a_constant_well():
+    # Q = -W on [0, 3] at kappa = 1: bisect W until u(0) vanishes in the
+    # first pass; there the route still fails, with the Dirichlet message
+    x_max, kappa, n = np.array([3.0]), np.array([1.0]), _first_steps(3.0)
+
+    def table(depth):
+        return RadialPotential(grid=np.linspace(0.0, 3.0, 5), values=np.full(5, -depth))
+
+    def reciprocal(depth):  # u(0)/u'(0), which crosses 0 where M has its pole
+        m, _, error = _shoot(table(depth), x_max, kappa, n)
+        return 0.0 if error is not None else 1.0 / m[0]
+
+    lo, hi = 1.5, 1.8
+    assert reciprocal(lo) * reciprocal(hi) < 0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if (f := reciprocal(mid)) == 0.0 or mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if f * reciprocal(lo) > 0 else (lo, mid)
+    assert mid == pytest.approx(1.67002, abs=1e-5)
+    with pytest.raises(NumericalError, match=r"^evaluator failed at k=0: u\(0\) vanishes at "
+                       r"kappa=1\.0: -kappa\^2 sits at a Dirichlet point of the truncated "
+                       r"problem$"):
+        wt_from_ode(table(mid), 1.0, OdeOptions(x_max=3.0))
+
+
+def test_overflowing_steps_are_not_an_eigenvalue():
+    # |Q + kappa^2| h^2 past the float range overflows the step propagators
+    # themselves, or the product of two of them; Q = 0 has no eigenvalue
+    huge = RadialPotential(grid=np.linspace(0.0, 2.0, 5), values=np.full(5, 1e300))
+    for Q, kappa, x_max in ((huge, 1.0, 2.0), (ZeroForm(), 1e60, 1.0)):
+        cause = (f"backward integration overflowed at kappa={kappa}: the RK4 steps leave "
+                 "the float range (|Q + kappa^2| h^2 too large)")
+        with pytest.raises(NumericalError, match=f"^evaluator failed at k=0: {re.escape(cause)}$"):
+            wt_from_ode(Q, kappa, OdeOptions(x_max=x_max))
 
 
 def test_sampled_table_must_reach_the_picked_truncation_point():
