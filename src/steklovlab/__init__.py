@@ -16,7 +16,7 @@ _EXPORTS = {
                      "halfline_to_ball", "make_spectral_params", "weighted_norm_equivalence"),
     "perturbation": ("Amplitude", "GeometricTail", "build_perturbed_amplitude",
                      "estimate_radius", "holder_exponent", "ks_check_normalization",
-                     "ks_check_positivity", "ks_check_quasi_szego", "spectral_measure_diff"),
+                     "ks_check_positivity", "ks_check_quasi_szego"),
     "weyl_titchmarsh": ("OdeOptions", "steklov_spectrum", "wt_from_amplitude", "wt_from_ode"),
     "muntz": ("MuntzSeries", "MuntzSystem", "muntz_coeff_squares", "muntz_coeffs",
               "still_bound", "system_for_params"),

@@ -171,13 +171,12 @@ def _cmd_forward(cfg: RunConfig, params: SpectralParams) -> list[str]:
 
 
 def _cmd_perturb(cfg: RunConfig, params: SpectralParams) -> list[str]:
-    from .perturbation import build_perturbed_amplitude, spectral_measure_diff
+    from .perturbation import build_perturbed_amplitude
     from .weyl_titchmarsh import steklov_spectrum, wt_from_amplitude
     amp = _amplitude(cfg, params)
     base_amp = build_perturbed_amplitude(amp.base, np.zeros(0), params)
     sig = steklov_spectrum(params, wt_from_amplitude(base_amp, params.kappa)[0])
     sig_t = steklov_spectrum(params, wt_from_amplitude(amp, params.kappa)[0])
-    diff = spectral_measure_diff(amp)
     # sigma~_k - sigma_k is the series part of the route, sum_j c_j / (2 kappa_k
     # + mu_j), exactly; the difference of the two O(1) spectra would lose its digits
     gap = amp.laplace_terms(params.kappa[:, None]).sum(axis=1)
@@ -186,10 +185,10 @@ def _cmd_perturb(cfg: RunConfig, params: SpectralParams) -> list[str]:
         lines.append(",".join([str(k), *map(_fmt, row)]))
     lines.append(f"# eps = {_fmt(np.max(np.abs(gap)))}")
     lines.append("# resonances: index,location")
-    for i, r in enumerate(diff.resonances):
+    for i, r in enumerate(amp.resonances):
         lines.append(f"{i},{_fmt(r)}")
     lines.append("# point_masses: index,E,weight")
-    for i, (E, w) in enumerate(diff.point_masses):
+    for i, (E, w) in enumerate(amp.point_masses):
         lines.append(f"{i},{_fmt(E)},{_fmt(w)}")
     return lines
 

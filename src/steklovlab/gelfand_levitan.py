@@ -64,12 +64,14 @@ groups round differently: 32 moved Q of the T = 6, M = 64 run by 3e-12 (the
 spread of that solve over every group size) and a sweep's q_gap and slope at
 1e-15, so 16 stays and every printed figure keeps its bytes.
 
-Zero kernel. Where every sample of p and p' is exactly 0, on the main and
-the floor lattices (the zero base without series terms, or with zero
-coefficients), every node's system is I V = 0. solve_gl then assembles and
-factors nothing: it returns V = Vx = 0, residual 0 and the potential the
-full solve writes, Q(0) = -4 p'(0) = +0 and -0 at every other node. A kernel
-with any sample that is not 0, however small, takes the full solve.
+Zero kernel. The zero base without series terms (materializing the series
+drops zero coefficients) has p = p' = 0, so every node's system is I V = 0.
+solve_gl then assembles and factors nothing: it returns V = Vx = 0, residual
+0 and the potential the full solve writes, Q(0) = -4 p'(0) = +0 and -0 at
+every other node. It still samples the lattices and returns them. Any other
+amplitude takes the full solve, also one whose samples all underflow to 0
+(a coefficient of -5e-324 with T = 1): that solve writes the same potential
+and residual, and V, Vx = 0 up to the sign of some zeros.
 
 Only this module needs LAPACK. Its seven routines, LAPACK dgetrf, dgetrs,
 dtrtrs, dtrtri, dgecon and dlaswp and BLAS dtrsm, are bound on import from the
@@ -549,11 +551,10 @@ class _Nested:
         return residual, q
 
 
-def _zero_kernel(lattices) -> bool:
-    """Whether every sample of p and p' on the lattices, main and floor, is
-    exactly 0 (of either sign)."""
-    main, floor = lattices
-    return not any(s.any() for s in (*main, *(s for f in floor for s in f[2:])))
+def _zero_kernel(A: Amplitude) -> bool:
+    """Whether A is identically 0: the zero base without series terms
+    (materializing the series already dropped its zero coefficients)."""
+    return A.base.kind == "zero" and not A.term_coeffs.size
 
 
 def _node_rows(M: int):
@@ -601,10 +602,10 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     Each group takes its nodes' values of Q, and each floor node its own, so
     the workspace comes back with the finished potential.
     Every node passes the finite-matrix, conditioning and finite-residual
-    gates, or the solve raises the tagged NumericalError. A kernel whose
-    every sample of p and p' is 0 returns the same workspace without any
-    system assembled or factored (the module's zero-kernel exit), after the
-    same argument checks and finiteness gate.
+    gates, or the solve raises the tagged NumericalError. The zero base
+    without series terms returns the same workspace without any system
+    assembled or factored (the module's zero-kernel exit), after the same
+    argument checks, sampling and finiteness gate.
     """
     if T <= 0:
         raise ValidationError(f"horizon T must be positive, got {T}", _MOD)
@@ -614,7 +615,7 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     lattices = _sample(A, T, M, xs)
     residual, q = 0.0, np.empty(M + 1)
     q[0] = -4.0 * lattices[0][2][0]   # x = T: dpt[0] = p'(0)
-    if _zero_kernel(lattices):
+    if _zero_kernel(A):
         # every system is I V = 0, so V = Vx = 0 with residual 0, and every
         # node's Q is -2 times a sum of zeros, -0 as the full solve writes it
         q[1:] = -0.0
@@ -634,7 +635,7 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
             residual = max(residual, res)
         hi = M + 1
         while hi >= 5:
-            lo = max(5, hi - max(1, _BATCH * (M + 1) // hi) + 1)
+            lo = max(5, hi - _BATCH * (M + 1) // hi + 1)
             ms = np.arange(lo, hi + 1)
             res, q[ms - 1] = nested.group(ms, store[:, edges[M + 1 - hi]: edges[M + 2 - lo]])
             residual = max(residual, res.max())

@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
+_MOD = "quadrature"
+
 
 def simpson_weights(n: int, h: float) -> np.ndarray:
     """Composite Simpson weights for n intervals (n even, n >= 2) of width h."""
     if n < 2 or n % 2 != 0:
-        raise ValueError(f"composite Simpson needs an even interval count >= 2, got {n}")
+        raise ValidationError(
+            f"composite Simpson needs an even interval count >= 2, got {n}", _MOD)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -39,11 +44,11 @@ def cubic_interp(xs: np.ndarray, ys: np.ndarray, x: np.ndarray) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     x = np.asarray(x, dtype=float)
     if xs.size < 4:
-        raise ValueError("cubic interpolation needs at least 4 nodes")
+        raise ValidationError("cubic interpolation needs at least 4 nodes", _MOD)
     lo, hi = xs[0], xs[-1]
     pad = 1e-12 * max(1.0, abs(lo), abs(hi))
     if np.any(x < lo - pad) or np.any(x > hi + pad):
-        raise ValueError("interpolation point outside the sampled grid")
+        raise ValidationError("interpolation point outside the sampled grid", _MOD)
     xq = np.clip(x, lo, hi)
     idx = np.searchsorted(xs, xq, side="right") - 1
     j0 = np.clip(idx - 1, 0, xs.size - 4)

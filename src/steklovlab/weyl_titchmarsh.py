@@ -180,7 +180,7 @@ def _shoot(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray, kappas: np.
     time: the temporaries stay O(_CHUNK) and the samples O(n). The pass ends
     with the first batch that holds a failing kappa.
     """
-    width = max(1, _CHUNK // min(n, _CHUNK))
+    width = _CHUNK // min(n, _CHUNK)
     m = np.empty(kappas.size)
     tops = q_half = None
     for lo in range(0, kappas.size, width):

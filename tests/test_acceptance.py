@@ -13,8 +13,7 @@ from steklovlab import (Bargmann1, Bargmann2, GeometricTail, OdeOptions,
                         fit_holder, halfline_to_ball,
                         ks_check_normalization, ks_check_positivity,
                         ks_check_quasi_szego, make_spectral_params,
-                        run_sweep, solve_gl,
-                        spectral_measure_diff, steklov_spectrum,
+                        run_sweep, solve_gl, steklov_spectrum,
                         system_for_params, weighted_norm_equivalence,
                         wt_from_amplitude, wt_from_ode)
 from steklovlab.muntz import muntz_coeff_squares
@@ -137,13 +136,13 @@ def test_criterion_7_resonance_quantification():
     # at the Jost root -gamma of the closed-form well
     params = make_spectral_params(3, 0.5, 8)
     amp = build_perturbed_amplitude(ZeroForm(), [2 * (0.5**2 - 1.0**2)], params)
-    res = spectral_measure_diff(amp).resonances[0]
+    res = amp.resonances[0]
     assert abs(res - (-0.5)) <= 1e-12
     assert B1.jost0(res) == 0.0
 
     params5 = make_spectral_params(5, -2.0, 8)
     amp5 = build_perturbed_amplitude(ZeroForm(), [-1.0], params5)
-    masses = spectral_measure_diff(amp5).point_masses
+    masses = amp5.point_masses
     assert len(masses) == 1
     assert abs(masses[0][0] - (-1.0)) <= 1e-12
     assert abs(masses[0][1] - 1.0) <= 1e-12  # -c0 * |mu_0| / 2 = 1

@@ -122,7 +122,7 @@ _EXPORTED = (
     "extend_potential", "halfline_to_ball", "make_spectral_params",
     "weighted_norm_equivalence", "Amplitude", "GeometricTail", "build_perturbed_amplitude",
     "estimate_radius", "holder_exponent", "ks_check_normalization", "ks_check_positivity",
-    "ks_check_quasi_szego", "spectral_measure_diff", "OdeOptions", "steklov_spectrum",
+    "ks_check_quasi_szego", "OdeOptions", "steklov_spectrum",
     "wt_from_amplitude", "wt_from_ode", "MuntzSeries", "MuntzSystem", "muntz_coeff_squares",
     "muntz_coeffs", "still_bound", "system_for_params", "GLWorkspace", "p_from_amplitude",
     "p_prime_from_amplitude", "solve_gl", "HolderFit", "SweepRecord", "emit_records",

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import exprel
 
-from steklovlab import (Bargmann1, Bargmann2, NumericalError, ValidationError,
+from steklovlab import (Amplitude, Bargmann1, Bargmann2, NumericalError, ValidationError,
                         ZeroForm, build_perturbed_amplitude, GeometricTail,
                         make_spectral_params, p_from_amplitude,
                         p_prime_from_amplitude, solve_gl)
@@ -108,7 +108,7 @@ def test_zero_kernel_workspace_is_the_full_solve_unfactored(monkeypatch, M):
     # returns, sign bits included (Q(0) = +0, every other node -0), and
     # nothing is factored
     amp = amp_of(ZeroForm())
-    monkeypatch.setattr(gl, "_zero_kernel", lambda lattices: False)
+    monkeypatch.setattr(gl, "_zero_kernel", lambda A: False)
     full = solve_gl(amp, 2.0, M)
     monkeypatch.undo()
 
@@ -130,6 +130,26 @@ def test_zero_kernel_workspace_is_the_full_solve_unfactored(monkeypatch, M):
             assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(u, v))
     q = full.potential.values
     assert not np.signbit(q[0]) and np.all(np.signbit(q[1:]))
+
+
+def test_zero_term_built_directly_takes_the_full_solve_with_the_exit_bits(monkeypatch):
+    # an Amplitude built without the builder keeps its zero coefficient, so it
+    # is not the zero base without series terms: the solve factors, and still
+    # writes the zero exit's bits (+0 at x = 0, -0 elsewhere, residual 0)
+    calls = []
+    lu = gl._lu_nopivot
+    monkeypatch.setattr(gl, "_lu_nopivot", lambda a: calls.append(a.shape) or lu(a))
+    ws = solve_gl(Amplitude(ZeroForm(), np.array([0.0]), np.array([1.0])), 2.0, 64)
+    assert calls and calls[0] == (65, 61)
+    factored = len(calls)
+    exit_ws = solve_gl(amp_of(ZeroForm()), 2.0, 64)
+    assert len(calls) == factored
+    assert np.array_equal(_bits(ws.potential.values), _bits(exit_ws.potential.values))
+    assert _bits(ws.residual) == _bits(exit_ws.residual) == _bits(0.0)
+    for u, v in zip(ws.V + ws.Vx, exit_ws.V + exit_ws.Vx):
+        assert np.array_equal(_bits(u), _bits(v))
+    q = ws.potential.values
+    assert not np.signbit(q[0]) and np.all(np.signbit(q[1:])) and not q.any()
 
 
 def test_tiny_nonzero_kernel_takes_the_full_solve(monkeypatch):

@@ -9,7 +9,7 @@ from steklovlab import (Amplitude, Bargmann1, GeometricTail, ValidationError,
                         ZeroForm, build_perturbed_amplitude, estimate_radius,
                         holder_exponent, ks_check_normalization,
                         ks_check_positivity, ks_check_quasi_szego,
-                        make_spectral_params, spectral_measure_diff)
+                        make_spectral_params)
 from steklovlab.perturbation import _E_GRID, _maximal_function, _ratio_minus_one
 
 
@@ -92,26 +92,23 @@ def test_holder_exponent_values():
 
 def test_measure_diff_density_value():
     amp = build_perturbed_amplitude(ZeroForm(), [-1.0], params())  # mu0 = 2
-    diff = spectral_measure_diff(amp)
-    assert diff.density_diff(1.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
-    assert diff.point_masses == ()
-    assert diff.resonances == (-1.0,)
+    assert amp.density_diff(1.0) == pytest.approx(1.0 / (4.0 * math.pi), rel=1e-14)
+    assert amp.point_masses == ()
+    assert amp.resonances == (-1.0,)
 
 
 def test_measure_diff_bound_state():
     amp = build_perturbed_amplitude(ZeroForm(), [-1.0], params(d=5, delta=-2.0))
-    diff = spectral_measure_diff(amp)
-    assert len(diff.point_masses) == 1
-    E, w = diff.point_masses[0]
+    assert len(amp.point_masses) == 1
+    E, w = amp.point_masses[0]
     assert E == pytest.approx(-1.0)   # -mu0^2/4 with mu0 = -2
     assert w == pytest.approx(1.0)    # -c0 |mu0| / 2
 
 
 def test_measure_diff_empty():
     amp = build_perturbed_amplitude(ZeroForm(), [], params())
-    diff = spectral_measure_diff(amp)
-    assert diff.resonances == () and diff.point_masses == ()
-    assert np.all(diff.density_diff(_E_GRID) == 0.0)
+    assert amp.resonances == () and amp.point_masses == ()
+    assert np.all(amp.density_diff(_E_GRID) == 0.0)
 
 
 @settings(max_examples=25)
@@ -122,13 +119,12 @@ def test_sign_structure_invariant(d, delta_off, mags):
     p = make_spectral_params(d, delta, 8)
     cs = [-m * 50.0**-k for k, m in enumerate(mags)]
     amp = build_perturbed_amplitude(ZeroForm(), cs, p)
-    diff = spectral_measure_diff(amp)
-    assert np.all(diff.density_diff(_E_GRID) >= 0.0)
-    assert all(w >= 0 for _, w in diff.point_masses)
-    assert len(diff.point_masses) == np.count_nonzero(amp.term_mu < 0)
+    assert np.all(amp.density_diff(_E_GRID) >= 0.0)
+    assert all(w >= 0 for _, w in amp.point_masses)
+    assert len(amp.point_masses) == np.count_nonzero(amp.term_mu < 0)
     if delta >= (3 - d) / 2:
-        assert diff.point_masses == ()
-    lieb_thirring = sum(abs(E) ** 1.5 for E, _ in diff.point_masses)
+        assert amp.point_masses == ()
+    lieb_thirring = sum(abs(E) ** 1.5 for E, _ in amp.point_masses)
     assert math.isfinite(lieb_thirring)
 
 
@@ -153,7 +149,7 @@ def test_measure_transforms_match_term_loops(base, coeffs, d, delta, gen):
     for c, m in zip(amp.term_coeffs, amp.term_mu):
         ratio = ratio - 2.0 * c / (4.0 * E + m**2)
     assert np.allclose(_ratio_minus_one(amp, E), ratio, rtol=1e-13, atol=0.0)
-    assert np.allclose(spectral_measure_diff(amp).density_diff(E),
+    assert np.allclose(amp.density_diff(E),
                        np.sqrt(E) / math.pi * (ratio - base.density_ratio_minus_one(E)),
                        rtol=1e-13, atol=0.0)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from steklovlab import (BallPotential, Bargmann1, RadialPotential, ValidationError,
                         ZeroForm, ball_to_halfline, extend_potential, halfline_to_ball,
                         make_spectral_params, weighted_norm_equivalence)
-from steklovlab.quadrature import simpson
+from steklovlab.quadrature import cubic_interp, simpson
 
 from oracles import bargmann2_mp
 
@@ -169,6 +169,23 @@ def test_zero_form_and_grid_validation():
     with pytest.raises(ValidationError, match="finite"):
         RadialPotential(grid=np.array([0.0, 0.5, 1.0, 1.5]), values=np.array([0.0, 0.0, 0.0, np.inf]))
     assert RadialPotential(grid=np.array([0.0, 0.5, 1.0, 1.5]), values=np.zeros(4)).x_max == 1.5
+
+
+def test_quadrature_failures_are_tagged():
+    # an odd Simpson interval count, a horizon whose ball grid would start
+    # below the table's r = 0.2 and a point past the end of a half-line table,
+    # each through a public path, and a table of fewer than 4 nodes
+    q = BallPotential(grid=np.linspace(0.2, 1.0, 9), values=np.zeros(9))
+    for call, rule in (
+            (lambda: weighted_norm_equivalence(q, q, 1.0, n=3),
+             "even interval count >= 2, got 3$"),
+            (lambda: weighted_norm_equivalence(q, q, 3.0), "outside the sampled grid$"),
+            (lambda: RadialPotential(grid=np.linspace(0.0, 1.0, 5), values=np.zeros(5))(2.0),
+             "outside the sampled grid$"),
+            (lambda: cubic_interp(np.arange(3.0), np.zeros(3), 1.0), "at least 4 nodes$")):
+        with pytest.raises(ValidationError, match=rule) as exc:
+            call()
+        assert exc.value.module == "quadrature"
 
 
 def test_sampled_table_needs_four_finite_increasing_nodes():
