@@ -44,37 +44,54 @@ c1 = 1.5, kappa1 = 1 at T = 6, M = 128, and -53 with kappa1 = 0.4 at T = 8,
 M = 256, though both solves are accurate). The nesting is trusted because
 every node passes the conditioning gate and the residual check. The gate
 reads an upper bound on ||C^{-1}||_1 off the factors, O(m) per node, and runs
-gecon on a node's packed factors only where that bound cannot pass it. Nodes
-go in groups, and a group takes every step for all its nodes at once: its
-forward and back substitutions are one zero-padded triangular solve each, its
-Schur step is one batched product L21 Z, one stacked inverse of the S blocks
-and two batched products by S^{-1}, its residuals, A0[i:, i:] V plus the four
-correction columns, are one matrix product, and its nodes' values of Q one
-product with their weight rows. The floor nodes take theirs after their dense
-solves, and x = T the exact limit Q(0) = A(0), so solve_gl returns the
+gecon on a node's packed factors only where that bound cannot pass it. The
+bound reads the inverse norms of every leading block of L and U, taken once
+per solve from rows of L^{-1} and columns of U^{-1} solved for in panels of
+_PANEL. Nodes go in groups, and a group takes every step for all its nodes at
+once: its forward and back substitutions are one zero-padded triangular solve
+each, its Schur step is one batched product L21 Z, one stacked inverse of the
+S blocks and two batched products by S^{-1}, its residuals, A0[i:, i:] V plus
+the four correction columns, are one matrix product, and its nodes' values of
+Q one product with their weight rows. The floor nodes take theirs after their
+dense solves, and x = T the exact limit Q(0) = A(0), so solve_gl returns the
 finished potential. The sliding windows a group reads, of the reversed
 lattices, of the corner columns' kink terms and of the rows of L21, are built
 once per solve, and every group slices them.
 
+Memory. A table is the (M + 1)^2 floats of B. The kink term P, the weight
+table scaled in place, is freed once the corner columns have taken their
+terms from it, before the finiteness gate and the LU. From then on a solve
+holds B and, from the LU on, its factors, plus the temporaries of one phase
+at a time: |B| for the gate, the LU's Schur products, the certificate's
+panels, or one group's arrays, among them the group's V and Vx, freed with
+the group. A group's arrays are O(_BATCH M) floats, so they weigh most at
+small M: the traced peak of a Bargmann1 solve at T = 2 is 5.3 tables at
+M = 128, 3.6 at M = 256, 2.79 at M = 512, 2.53 at M = 1024 and 2.51 at
+M = 2048, where the LU's Schur products set it. The returned workspace holds
+O(M) floats: the node solutions are kept only where _solve_gl is given a
+store, as the test oracles give it.
+
 A group holds at most _BATCH (M + 1) rows over its nodes. Measured with those
 windows (one BLAS thread, interleaved solves), a budget of 32 beat 16 by 3 %
 per M = 256 solve and by 5 % per M = 512 solve, 64 and 128 were slower, and
-32 raised the traced peak of an M = 512 solve from 7.6 to 8.9 MiB. But other
-groups round differently: 32 moved Q of the T = 6, M = 64 run by 3e-12 (the
-spread of that solve over every group size) and a sweep's q_gap and slope at
-1e-15, so 16 stays and every printed figure keeps its bytes.
+32 raised the traced peak of an M = 512 solve from 7.6 to 8.9 MiB (while the
+kink table and the node store were still held). But other groups round
+differently: 32 moved Q of the T = 6, M = 64 run by 3e-12 (the spread of that
+solve over every group size) and a sweep's q_gap and slope at 1e-15, so 16
+stays and every printed figure keeps its bytes.
 
 Zero kernel. The zero base without series terms (materializing the series
 drops zero coefficients) has p = p' = 0, so every node's system is I V = 0.
-solve_gl then assembles and factors nothing: it returns V = Vx = 0, residual
-0 and the potential the full solve writes, Q(0) = -4 p'(0) = +0 and -0 at
-every other node. It still samples the lattices and returns them. Any other
-amplitude takes the full solve, also one whose samples all underflow to 0
-(a coefficient of -5e-324 with T = 1): that solve writes the same potential
-and residual, and V, Vx = 0 up to the sign of some zeros.
+solve_gl then assembles and factors nothing: it returns residual 0 and the
+potential the full solve writes, Q(0) = -4 p'(0) = +0 and -0 at every other
+node, and V = Vx = 0 where a store asks for them. It still samples the
+lattices and returns them. Any other amplitude takes the full solve, also one
+whose samples all underflow to 0 (a coefficient of -5e-324 with T = 1): that
+solve writes the same potential and residual, and V, Vx = 0 up to the sign of
+some zeros.
 
-Only this module needs LAPACK. Its seven routines, LAPACK dgetrf, dgetrs,
-dtrtrs, dtrtri, dgecon and dlaswp and BLAS dtrsm, are bound on import from the
+Only this module needs LAPACK. Its six routines, LAPACK dgetrf, dgetrs,
+dtrtrs, dgecon and dlaswp and BLAS dtrsm, are bound on import from the
 two extension modules scipy.linalg._flapack and scipy.linalg._fblas, loaded
 from their files: the scipy.linalg package, whose import costs several times
 the solve, never loads. Where those files are not found they come from
@@ -103,6 +120,7 @@ _MOD = "gelfand_levitan"
 _LEAF = 16    # widest panel the unpivoted LU factors as a leaf, without recursing
 _BATCH = 16   # a node group holds at most _BATCH (M + 1) rows over all its nodes
 _GATE = 1e-8  # least 1/||C^{-1}||_1 (or gecon's rcond * anorm) a node may have
+_PANEL = 64   # rows of L^{-1}, or columns of U^{-1}, per triangular solve of _inverse_norms
 
 
 def _extension(name: str):
@@ -131,7 +149,7 @@ _flapack, _fblas = _extension("_flapack"), _extension("_fblas")
 if _flapack is None or _fblas is None:
     from scipy.linalg import blas as _fblas, lapack as _flapack
 dgetrf, dgetrs, dtrtrs = _flapack.dgetrf, _flapack.dgetrs, _flapack.dtrtrs
-dtrtri, dgecon, dlaswp = _flapack.dtrtri, _flapack.dgecon, _flapack.dlaswp
+dgecon, dlaswp = _flapack.dgecon, _flapack.dlaswp
 dtrsm = _fblas.dtrsm
 
 
@@ -322,6 +340,40 @@ def _inv4(S: np.ndarray) -> np.ndarray:
         return np.stack([_inv4(s) for s in S]) if S.ndim == 3 else np.full_like(S, np.nan)
 
 
+def _inverse_norms(LU: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, u) with a[m - 1] = ||L[:m, :m]^{-1}||_1 and u[m - 1] =
+    ||U[:m, :m]^{-1}||_1 for m = 1..k, from the unpivoted factors of a panel
+    LU with k columns (L unit lower, U upper, as _lu_nopivot leaves them).
+
+    A leading block of a triangular inverse is the inverse of the leading
+    block, so the rows of L^{-1} and the columns of U^{-1} are solved for in
+    panels of _PANEL, each against the column prefix of LU it needs
+    (L^T Y = E and U X = E, E the panel's columns of I), with the 2k^3/3 flops
+    of two triangular inversions. a takes the running column sums of |L^{-1}|
+    below its unit diagonal, u the running maximum of U^{-1}'s column sums. An
+    exactly zero pivot of U fails the solve of its panel and of every later
+    one, which leaves u infinite from its panel on.
+    """
+    k = LU.shape[1]
+    a, col, sums = np.empty(k), np.full(k, np.inf), np.zeros(k)
+    for i0 in range(0, k, _PANEL):
+        i1 = min(i0 + _PANEL, k)
+        E = np.zeros((i1, i1 - i0), order="F")
+        diag = np.arange(i0, i1), np.arange(i1 - i0)
+        E[diag] = 1.0
+        # column c of Y is row i0 + c of L^{-1}, zero past its diagonal
+        Y = np.abs(dtrtrs(LU[:, :i1], E, lower=1, trans=1, unitdiag=1)[0])
+        Y[diag] = 0.0
+        Y[:, 0] += sums[:i1]
+        np.cumsum(Y, axis=1, out=Y)
+        a[i0:i1] = 1.0 + Y.max(axis=0)
+        sums[:i1] = Y[:, -1]
+        X, info = dtrtrs(LU[:, :i1], E, lower=0, overwrite_b=1)
+        if not info:   # else U[:i1, :i1] has an exact zero pivot, and col stays inf
+            col[i0:i1] = np.abs(X).sum(axis=0)
+    return a, np.maximum.accumulate(col)
+
+
 # ---------------------------------------------------------------------------
 # Gates shared by the nested and the dense node solves.
 # ---------------------------------------------------------------------------
@@ -368,10 +420,12 @@ class _Nested:
     m' = m - 4 and carries its own corner columns N in the last four. Arrays
     over a group of nodes are node-major: [node, column, reversed row]."""
 
-    def __init__(self, main, h: float, W: np.ndarray, xs: np.ndarray):
+    def __init__(self, main, h: float, M: int, xs: np.ndarray):
         pt, ph, dpt, dph = main
-        M = W.shape[0] - 1
         self.M, self.xs = M, xs
+        # the weight table is built here, so that no caller's reference keeps it
+        # alive: _assemble turns it into the kink term P, dropped before the LU
+        W = _unit_piece_weights(M)
         # recovery weights on reversed rows q < m' (h W[n, n - q] is one row for any n)
         self.wq = h * W[M, ::-1]
         self.B, P, self.hw4 = _assemble(main, h, W)
@@ -380,14 +434,14 @@ class _Nested:
         dptr = np.concatenate([dpt[::-1], np.zeros(M)])
         # of P the corner columns read the first four columns, as
         # lead[j, M - n + q] = P[n - q, 3 - j], and the band
-        # band[q + 1, e] = P[q, q + 2 - e]; P's memory then holds the
-        # triangular inverses below and is freed with them, before any group
+        # band[q + 1, e] = P[q, q + 2 - e]; then P (W's memory) is freed
         lead = np.zeros((4, 2 * M + 2))
         lead[:, : M + 1] = P[::-1, 3::-1].T
         q = np.arange(M + 1)[:, None]
         cols = q + 2 - np.arange(6)
         self.band = np.zeros((M + 2, 6))
         self.band[1:] = np.where((cols >= 0) & (cols <= M), P[q, np.clip(cols, 0, M)], 0.0)
+        del W, P
         # every node's columns before its corner are a block of B
         _finite(np.abs(self.B).sum(axis=0).max(), xs[0], "non-finite Nystrom matrix at x")
         self.LU = np.array(self.B[:, : M - 3], order="F")
@@ -400,22 +454,8 @@ class _Nested:
             sliding_window_view(a, M + 1) for a in (pt[::-1], self.phr, dptr, self.dphr))
         self.leadw = sliding_window_view(lead, M + 1, axis=1)
         self.L21w = sliding_window_view(self.LU, 4, axis=0)
-        # a[m' - 1] = ||L[:m', :m']^{-1}||_1 and u[m' - 1] = ||U[:m', :m']^{-1}||_1
-        # for every m': a leading block of a triangular inverse is the inverse of
-        # the leading block. L^{-1} (strictly lower) and U^{-1} (upper) go in
-        # place into P's memory. Down each column of |.| summed cumulatively,
-        # the diagonal holds U^{-1}'s column sum, and less that sum, the rows
-        # below hold L^{-1}'s partial column sums, the rows above values <= 0.
-        k = M - 3
-        inv = P.reshape(-1)[: k * k].reshape((k, k), order="F")
-        inv[...] = self.LU[:k]
-        dtrtri(inv, lower=1, unitdiag=1, overwrite_c=1)
-        singular = dtrtri(inv, overwrite_c=1)[1] > 0   # then inv still holds U
-        np.cumsum(np.abs(inv, out=inv), axis=0, out=inv)
-        col = inv.diagonal().copy()
-        inv -= col
-        self.a = 1.0 + inv.max(axis=1)
-        self.u = np.full(k, np.inf) if singular else np.maximum.accumulate(col)
+        # the inverse norms of every node's L11 and U11, at index m' - 1
+        self.a, self.u = _inverse_norms(self.LU)
 
     def _corners(self, ms: np.ndarray, mh: int) -> np.ndarray:
         """N[g, j, q] = entry (q, m_g - 4 + j) of node g's reversed matrix for
@@ -574,21 +614,19 @@ class GLWorkspace:
     potential is Q on the x nodes, Q(T - x_i) at index M - i: the nested nodes'
     values taken by their node groups, the floor nodes' by their dense solves,
     and Q(0) = -4 p'(0) = A(0), the exact limit at x = T, where every integral
-    is empty and V(T,T) = 0. V[i]/Vx[i] are the solution and its x-derivative
-    on the i-th node's subgrid, which _node(lattices, T, M, i) describes
-    together with p and p' there; lattices holds p and p' on every lattice the
-    solve sampled (_sample). residual is the max over nodes of the sup-norm
+    is empty and V(T,T) = 0. lattices holds p and p' on every lattice the solve
+    sampled (_sample); _node(lattices, T, M, i) describes the i-th node's
+    subgrid and p and p' there. residual is the max over nodes of the sup-norm
     residual of the discrete equations, taken at solve time (for the nested
     nodes as A0[i:, i:] V plus the four corner columns); it certifies the
-    linear solves, not the reconstruction's accuracy.
+    linear solves, not the reconstruction's accuracy. The node solutions V and
+    Vx are not kept: a node group holds its own only while it runs.
     """
 
     T: float
     M: int
     potential: RadialPotential
     lattices: tuple
-    V: tuple
-    Vx: tuple
     residual: float
 
 
@@ -600,13 +638,24 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     batched arrays; they run from x = 0 outward on the factored x = 0 system,
     and each group's Schur step is one batched numpy step over its nodes.
     Each group takes its nodes' values of Q, and each floor node its own, so
-    the workspace comes back with the finished potential.
-    Every node passes the finite-matrix, conditioning and finite-residual
-    gates, or the solve raises the tagged NumericalError. The zero base
-    without series terms returns the same workspace without any system
-    assembled or factored (the module's zero-kernel exit), after the same
-    argument checks, sampling and finiteness gate.
+    the workspace comes back with the finished potential; the node solutions
+    are dropped group by group. Every node passes the finite-matrix,
+    conditioning and finite-residual gates, or the solve raises the tagged
+    NumericalError. The zero base without series terms returns the same
+    workspace without any system assembled or factored (the module's
+    zero-kernel exit), after the same argument checks, sampling and
+    finiteness gate. From M = 512 on a solve peaks at under 2.8 tables of
+    (M + 1)^2 floats (the module's Memory paragraph), and its workspace holds
+    O(M) floats.
     """
+    return _solve_gl(A, T, M)
+
+
+def _solve_gl(A: Amplitude, T: float, M: int, nodes=None) -> GLWorkspace:
+    """solve_gl's solve. nodes, when given, is _node_rows(M), and node i's V and
+    Vx are written into its views nodes[2][i] and nodes[3][i] (the zero-kernel
+    exit leaves them 0); without it each group writes its nodes' rows into a
+    scratch array of its own."""
     if T <= 0:
         raise ValidationError(f"horizon T must be positive, got {T}", _MOD)
     if M < 32 or M % 2 != 0:
@@ -619,26 +668,26 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         # every system is I V = 0, so V = Vx = 0 with residual 0, and every
         # node's Q is -2 times a sum of zeros, -0 as the full solve writes it
         q[1:] = -0.0
-        _, _, V, Vx = _node_rows(M)
         return GLWorkspace(T=T, M=M, potential=RadialPotential(grid=xs, values=q),
-                           lattices=lattices, V=V, Vx=Vx, residual=0.0)
+                           lattices=lattices, residual=0.0)
     # a well too large for floats overflows inside the factors or meets an
     # exact zero pivot; the gates report that as the tagged error, so numpy's
     # warnings say nothing more
     with np.errstate(all="ignore"):
-        # the weight table becomes the kink term P, freed after the factorization
-        nested = _Nested(lattices[0], T / M, _unit_piece_weights(M), xs)
-        # allocated after the factorization, so as not to add to its memory peak
-        store, edges, V, Vx = _node_rows(M)
+        nested = _Nested(lattices[0], T / M, M, xs)
         for i in range(M - 3, M):
-            V[i][:], Vx[i][:], res, q[M - i] = _dense_node(*_node(lattices, T, M, i), xs[i])
+            V, Vx, res, q[M - i] = _dense_node(*_node(lattices, T, M, i), xs[i])
+            if nodes is not None:
+                nodes[2][i][:], nodes[3][i][:] = V, Vx
             residual = max(residual, res)
         hi = M + 1
         while hi >= 5:
             lo = max(5, hi - _BATCH * (M + 1) // hi + 1)
             ms = np.arange(lo, hi + 1)
-            res, q[ms - 1] = nested.group(ms, store[:, edges[M + 1 - hi]: edges[M + 2 - lo]])
+            out = (np.empty((2, int(ms.sum()))) if nodes is None
+                   else nodes[0][:, nodes[1][M + 1 - hi]: nodes[1][M + 2 - lo]])
+            res, q[ms - 1] = nested.group(ms, out)
             residual = max(residual, res.max())
             hi = lo - 1
     return GLWorkspace(T=T, M=M, potential=RadialPotential(grid=xs, values=q),
-                       lattices=lattices, V=V, Vx=Vx, residual=float(residual))
+                       lattices=lattices, residual=float(residual))

@@ -9,9 +9,11 @@ full rows, the Muntz rows keep the recurrence's first operand order, and the
 GL references assemble every node's Nystrom matrix afresh in one allocating
 expression and solve it by a dense pivoted LU, never through the nested
 factorization, and the recovery loop takes Q node by node from the stored
-solutions rather than per node group at solve time. m_fixed_step alone runs
-the package's own shooting pass, at a fixed step count, so that tests can
-read its convergence order and compare it with the scalar loop.
+solutions rather than per node group at solve time. Those solutions come from
+solve_gl_nodes, the solve's private route that keeps every node's V and Vx.
+m_fixed_step alone runs the package's own shooting pass, at a fixed step
+count, so that tests can read its convergence order and compare it with the
+scalar loop.
 """
 
 from __future__ import annotations
@@ -189,6 +191,17 @@ def nystrom_matrix(pS, pL, S, WL) -> np.ndarray:
     return np.eye(len(S)) + pS * S[None, :] - WL * pL - WL[::-1, ::-1] * pL.T
 
 
+def solve_gl_nodes(A, T: float, M: int):
+    """solve_gl(A, T, M) with the node solutions kept, for the GL references:
+    the workspace's fields, and V[i], Vx[i] of every node i, which the solve's
+    private route writes into one _node_rows store (solve_gl keeps none)."""
+    from types import SimpleNamespace
+    from steklovlab import gelfand_levitan as gl
+    nodes = gl._node_rows(M)
+    ws = gl._solve_gl(A, T, M, nodes)
+    return SimpleNamespace(**vars(ws), V=nodes[2], Vx=nodes[3])
+
+
 def gl_node_system(ws, i: int, W=None):
     """(mat, d, g2) of node i < M, assembled alone in one allocating
     expression from the lattices the solve stored, with the kernels gathered
@@ -205,9 +218,9 @@ def gl_node_system(ws, i: int, W=None):
 
 def gl_dense_solution(ws, i: int, W=None):
     """(V, Vx) of node i by a dense pivoted LU of its allocating system. Vx
-    solves mat Vx = g2 - d V[0] with V[0] taken from ws, so that both sides
-    solve one system: where Vx nearly cancels, one ulp of V[0] moves Vx by
-    V times that ulp, far more than its own relative rounding."""
+    solves mat Vx = g2 - d V[0] with V[0] taken from ws (solve_gl_nodes), so
+    that both sides solve one system: where Vx nearly cancels, one ulp of V[0]
+    moves Vx by V times that ulp, far more than its own relative rounding."""
     from scipy.linalg import lu_factor, lu_solve
     mat, d, g2 = gl_node_system(ws, i, W)
     factors = lu_factor(mat)
@@ -216,10 +229,11 @@ def gl_dense_solution(ws, i: int, W=None):
 
 def gl_residual_loop(ws) -> tuple[float, float]:
     """(residual, bound): the max over x nodes of the residuals of mat V = d
-    and mat Vx = g2 - d V[0], with each node's system assembled again, and the
-    max over nodes and rows of 2 gamma_{n+3} (|mat| |v| + |rhs|), which bounds
-    how far two evaluation orders of one residual entry can differ
-    (gamma_k = k u / (1 - k u), u the unit roundoff)."""
+    and mat Vx = g2 - d V[0] (V and Vx of solve_gl_nodes' ws), with each
+    node's system assembled again, and the max over nodes and rows of
+    2 gamma_{n+3} (|mat| |v| + |rhs|), which bounds how far two evaluation
+    orders of one residual entry can differ (gamma_k = k u / (1 - k u), u the
+    unit roundoff)."""
     from steklovlab.gelfand_levitan import _unit_piece_weights
     W = _unit_piece_weights(ws.M)
     u = np.finfo(float).eps / 2
@@ -236,9 +250,10 @@ def gl_residual_loop(ws) -> tuple[float, float]:
 
 
 def recover_potential_loop(ws) -> np.ndarray:
-    """Q at T - x on the grid, node by node: d/dx V(x,x) = p(2T - 2x) V[0]
-    + 2 p'(2T - 2x) - S (g1 V_x) + S (g2 V) with S the node's row of the
-    kink-split table, and Q(0) = -4 p'(0) at x = T."""
+    """Q at T - x on the grid, node by node from the V and Vx of
+    solve_gl_nodes' ws: d/dx V(x,x) = p(2T - 2x) V[0] + 2 p'(2T - 2x)
+    - S (g1 V_x) + S (g2 V) with S the node's row of the kink-split table,
+    and Q(0) = -4 p'(0) at x = T."""
     from steklovlab.gelfand_levitan import _node, _unit_piece_weights
     qvals = np.empty(ws.M + 1)
     qvals[0] = -4.0 * ws.lattices[0][2][0]

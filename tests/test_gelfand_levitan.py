@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from steklovlab.gelfand_levitan import (_assemble, _exprel, _kernels, _sample,
 from steklovlab.quadrature import l2_norm
 
 from oracles import (gl_dense_solution, gl_node_system, gl_residual_loop, nystrom_matrix,
-                     recover_potential_loop, unit_piece_weights_loop)
+                     recover_potential_loop, solve_gl_nodes, unit_piece_weights_loop)
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
 B2 = Bargmann2(c1=1.0, kappa1=0.5)
@@ -91,7 +92,7 @@ def test_p_matches_quadrature_of_definition():
 
 
 def test_zero_amplitude_fixed_point():
-    ws = solve_gl(amp_of(ZeroForm()), 2.0, 32)
+    ws = solve_gl_nodes(amp_of(ZeroForm()), 2.0, 32)
     assert all(np.all(v == 0.0) for v in ws.V)
     q = ws.potential
     assert np.all(q.values == 0.0)
@@ -109,7 +110,7 @@ def test_zero_kernel_workspace_is_the_full_solve_unfactored(monkeypatch, M):
     # nothing is factored
     amp = amp_of(ZeroForm())
     monkeypatch.setattr(gl, "_zero_kernel", lambda A: False)
-    full = solve_gl(amp, 2.0, M)
+    full = solve_gl_nodes(amp, 2.0, M)
     monkeypatch.undo()
 
     def refuse(*args, **kwargs):
@@ -117,7 +118,8 @@ def test_zero_kernel_workspace_is_the_full_solve_unfactored(monkeypatch, M):
 
     monkeypatch.setattr(gl, "_lu_nopivot", refuse)
     monkeypatch.setattr(gl, "lu_factor", refuse)
-    for ws in (solve_gl(amp, 2.0, M), solve_gl(amp_of(ZeroForm(), coeffs=[0.0]), 2.0, M)):
+    for ws in (solve_gl_nodes(amp, 2.0, M),
+               solve_gl_nodes(amp_of(ZeroForm(), coeffs=[0.0]), 2.0, M)):
         assert np.array_equal(_bits(ws.potential.values), _bits(full.potential.values))
         assert np.array_equal(_bits(ws.potential.grid), _bits(full.potential.grid))
         assert _bits(ws.residual) == _bits(full.residual) == _bits(0.0)
@@ -139,10 +141,10 @@ def test_zero_term_built_directly_takes_the_full_solve_with_the_exit_bits(monkey
     calls = []
     lu = gl._lu_nopivot
     monkeypatch.setattr(gl, "_lu_nopivot", lambda a: calls.append(a.shape) or lu(a))
-    ws = solve_gl(Amplitude(ZeroForm(), np.array([0.0]), np.array([1.0])), 2.0, 64)
+    ws = solve_gl_nodes(Amplitude(ZeroForm(), np.array([0.0]), np.array([1.0])), 2.0, 64)
     assert calls and calls[0] == (65, 61)
     factored = len(calls)
-    exit_ws = solve_gl(amp_of(ZeroForm()), 2.0, 64)
+    exit_ws = solve_gl_nodes(amp_of(ZeroForm()), 2.0, 64)
     assert len(calls) == factored
     assert np.array_equal(_bits(ws.potential.values), _bits(exit_ws.potential.values))
     assert _bits(ws.residual) == _bits(exit_ws.residual) == _bits(0.0)
@@ -178,6 +180,24 @@ def test_kernel_symmetry_exact():
 
 def test_residual_small_bargmann():
     ws = solve_gl(amp_of(B1), 2.0, 128)
+    assert ws.residual <= 1e-10
+
+
+def test_solve_holds_under_three_tables():
+    # one table is the (M + 1)^2 floats of the x = 0 matrix: the solve peaks
+    # below 2.9 of them (B, its LU and one group's arrays; the kink table is
+    # freed before the LU) and its workspace keeps no node solutions
+    amp, M = amp_of(B1), 512
+    solve_gl(amp, 2.0, 64)   # lazy set-up, outside the trace
+    table = (M + 1) ** 2 * 8
+    tracemalloc.start()
+    try:
+        ws = solve_gl(amp, 2.0, M)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.9 * table, peak / table
+    assert held < 0.1 * table, held / table
     assert ws.residual <= 1e-10
 
 
@@ -240,7 +260,7 @@ def test_residual_equals_reassembly_oracle(amp, M):
     # the solve-time residual, A0[i:, i:] V plus the corner columns, is the one
     # a fresh assembly of every node's system gives, up to the rounding by
     # which two evaluation orders of one residual entry can differ
-    ws = solve_gl(amp, 2.0, M)
+    ws = solve_gl_nodes(amp, 2.0, M)
     residual, bound = gl_residual_loop(ws)
     assert abs(ws.residual - residual) <= bound
     assert ws.residual <= 1e-12
@@ -290,7 +310,7 @@ def test_node_matrices_nest_in_x0_block(amp, M):
                          ids=["bargmann1", "bargmann2", "tail"])
 @pytest.mark.parametrize("M", [64, 128])
 def test_nested_solution_matches_dense_lu(amp, M):
-    ws = solve_gl(amp, 2.0, M)
+    ws = solve_gl_nodes(amp, 2.0, M)
     W = _unit_piece_weights(M)
     for i in range(M):
         V, Vx = gl_dense_solution(ws, i, W)
@@ -316,6 +336,51 @@ def test_unpivoted_lu_matches_lapack_on_dominant_panels(k):
     assert np.array_equal(P, np.eye(k + 4))
     assert np.max(np.abs(L - ref_L)) <= 1e-14
     assert np.max(np.abs(U - ref_U)) <= 1e-14 * np.max(np.abs(ref_U))
+
+
+def _unpivoted_factors(k: int, M: int = 256) -> np.ndarray:
+    """The first k columns of the reversed x = 0 matrix of Bargmann1 at T = 2,
+    factored in place by the unpivoted LU (k = M - 3 is the solve's own)."""
+    T = 2.0
+    main, _ = _sample(amp_of(B1), T, M, np.linspace(0.0, T, M + 1))
+    B = _assemble(main, T / M, _unit_piece_weights(M))[0]
+    LU = np.array(B[:, :k], order="F")
+    gl._lu_nopivot(LU)
+    return LU
+
+
+def _leading_inverse_norms(tri: np.ndarray) -> np.ndarray:
+    """||tri[:m, :m]^{-1}||_1 for m = 1..len(tri), each block inverted on its own."""
+    return np.array([np.abs(np.linalg.inv(tri[:m, :m])).sum(axis=0).max()
+                     for m in range(1, len(tri) + 1)])
+
+
+@pytest.mark.parametrize("k", [61, 64, 128, 129, 253])
+def test_panel_inverse_norms_match_every_leading_block(k):
+    # the certificate's a and u, solved for in panels of _PANEL rows of L^{-1}
+    # and columns of U^{-1}, are the 1-norms of the inverses of every leading
+    # block of L and U; k ends inside a panel, on a panel's edge and past
+    # several panels
+    assert gl._PANEL == 64
+    LU = _unpivoted_factors(k)
+    a, u = gl._inverse_norms(LU)
+    L, U = np.tril(LU[:k], -1) + np.eye(k), np.triu(LU[:k])
+    np.testing.assert_allclose(a, _leading_inverse_norms(L), rtol=1e-12, atol=0)
+    np.testing.assert_allclose(u, _leading_inverse_norms(U), rtol=1e-12, atol=0)
+
+
+def test_panel_inverse_norms_zero_pivot():
+    # an exactly zero pivot of U, in the second panel: u is infinite from that
+    # panel on and exact before it, and a does not read U
+    k, p = 253, 100
+    LU = _unpivoted_factors(k)
+    ref_u = _leading_inverse_norms(np.triu(LU[:k]))
+    LU[p, p] = 0.0
+    a, u = gl._inverse_norms(LU)
+    np.testing.assert_allclose(a, _leading_inverse_norms(np.tril(LU[:k], -1) + np.eye(k)),
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(u[:64], ref_u[:64], rtol=1e-12, atol=0)
+    assert np.all(u[64:] == np.inf)
 
 
 def test_stacked_schur_inverse_matches_per_block_lapack():
@@ -350,10 +415,14 @@ def test_stacked_schur_inverse_matches_per_block_lapack():
 @pytest.mark.parametrize("M", [64, 128])
 def test_group_recovery_matches_node_loop(amp, M):
     # Q taken per node group at solve time is the node-by-node recovery loop,
-    # up to the order of its sums
-    ws = solve_gl(amp, 2.0, M)
+    # up to the order of its sums; solve_gl, which keeps no node solutions,
+    # writes the same Q bitwise
+    ws = solve_gl_nodes(amp, 2.0, M)
     q, ref = ws.potential.values, recover_potential_loop(ws)
     assert np.max(np.abs(q - ref)) <= 1e-13 * np.max(np.abs(ref))
+    plain = solve_gl(amp, 2.0, M)
+    assert np.array_equal(_bits(plain.potential.values), _bits(q))
+    assert _bits(plain.residual) == _bits(ws.residual)
 
 
 @pytest.mark.parametrize("amp", [amp_of(B1), amp_of(B2), amp_of(ZeroForm(), gen=TAIL)],
@@ -362,9 +431,9 @@ def test_group_recovery_matches_node_loop(amp, M):
 def test_group_size_leaves_solution_unchanged(monkeypatch, amp, M):
     # node groups of _BATCH = 4 and of the default size pad, multiply and
     # substitute differently, and agree to rounding
-    ws = solve_gl(amp, 2.0, M)
+    ws = solve_gl_nodes(amp, 2.0, M)
     monkeypatch.setattr(gl, "_BATCH", 4)
-    small = solve_gl(amp, 2.0, M)
+    small = solve_gl_nodes(amp, 2.0, M)
     for i in range(M):
         for u, v in ((ws.V[i], small.V[i]), (ws.Vx[i], small.Vx[i])):
             assert np.max(np.abs(u - v)) <= 1e-14 * np.max(np.abs(u)), i
