@@ -63,32 +63,32 @@ table scaled in place, is freed once the corner columns have taken their
 terms from it, before the finiteness gate and the LU. From then on a solve
 holds B and, from the LU on, its factors, plus the temporaries of one phase
 at a time: |B| for the gate, the LU's Schur products, the certificate's
-panels, or one group's arrays, among them the group's V and Vx, freed with
-the group. A group's arrays are O(_BATCH M) floats, so they weigh most at
-small M: the traced peak of a Bargmann1 solve at T = 2 is 5.3 tables at
-M = 128, 3.6 at M = 256, 2.79 at M = 512, 2.53 at M = 1024 and 2.51 at
-M = 2048, where the LU's Schur products set it. The returned workspace holds
-O(M) floats: the node solutions are kept only where _solve_gl is given a
-store, as the test oracles give it.
+panels, or one group's arrays. A group's V and Vx are written into the
+memory of its residual array, and solve_gl drops them with the group, so
+nothing stores a node solution. A group's arrays are O(_BATCH M) floats, so
+they weigh most at small M: the traced peak of a Bargmann1 solve at T = 2 is
+4.99 tables at M = 128, 3.47 at M = 256, 2.70 at M = 512, 2.53 at M = 1024
+and 2.51 at M = 2048, where the LU's Schur products set it. The returned
+workspace holds O(M) floats, the potential and its grid.
 
 A group holds at most _BATCH (M + 1) rows over its nodes. Measured with those
 windows (one BLAS thread, interleaved solves), a budget of 32 beat 16 by 3 %
-per M = 256 solve and by 5 % per M = 512 solve, 64 and 128 were slower, and
-32 raised the traced peak of an M = 512 solve from 7.6 to 8.9 MiB (while the
-kink table and the node store were still held). But other groups round
+per M = 256 solve and by 5 % per M = 512 solve, 64 and 128 were slower, and 32
+raised the traced peak of an M = 512 solve from 7.6 to 8.9 MiB (when a solve
+still held the kink table and every node's V and Vx). But other groups round
 differently: 32 moved Q of the T = 6, M = 64 run by 3e-12 (the spread of that
 solve over every group size) and a sweep's q_gap and slope at 1e-15, so 16
 stays and every printed figure keeps its bytes.
 
 Zero kernel. The zero base without series terms (materializing the series
 drops zero coefficients) has p = p' = 0, so every node's system is I V = 0.
-solve_gl then assembles and factors nothing: it returns residual 0 and the
-potential the full solve writes, Q(0) = -4 p'(0) = +0 and -0 at every other
-node, and V = Vx = 0 where a store asks for them. It still samples the
-lattices and returns them. Any other amplitude takes the full solve, also one
-whose samples all underflow to 0 (a coefficient of -5e-324 with T = 1): that
-solve writes the same potential and residual, and V, Vx = 0 up to the sign of
-some zeros.
+solve_gl then samples, assembles and factors nothing: right after the
+argument checks it returns residual 0 and the potential the full solve
+writes, Q(0) = -4 p'(0) = +0 and -0 at every other node. Like every solve it
+keeps no V or Vx. Any other amplitude takes the full solve, also one whose
+samples all underflow to 0 (a coefficient of -5e-324 with T = 1): that solve
+writes the same potential and residual, and its V and Vx are 0 up to the
+sign of some zeros.
 
 Only this module needs LAPACK. Its six routines, LAPACK dgetrf, dgetrs,
 dtrtrs, dgecon and dlaswp and BLAS dtrsm, are bound on import from the
@@ -244,7 +244,9 @@ def _sample(A: Amplitude, T: float, M: int, xs: np.ndarray):
     k = 0..2M, dpt[k] = p'(h k) for k = 0..M and dph[k] = p'(2T - h k) for
     k = 0..2M. floor holds, for the nodes i = M-3..M-1, the tuple
     (h_i, 4, pt, ph, dpt, dph) of their own four-interval subgrid,
-    h_i = (T - x_i)/4, in the layout _node returns.
+    h_i = (T - x_i)/4: main's layout for n = 4 intervals from x_i, so
+    pt[4 + k] = p(h_i k) for k = -4..4 and ph[k] = p(2T - 2x_i - h_i k) for
+    k = 0..8. These are the arguments _dense_node takes before x.
     """
     h = T / M
     k = np.arange(2 * M + 1)
@@ -263,20 +265,6 @@ def _sample(A: Amplitude, T: float, M: int, xs: np.ndarray):
     floor = tuple((hf, 4, p[2 + 2 * f], p[3 + 2 * f], dp[2 + 2 * f], dp[3 + 2 * f])
                   for f, hf in enumerate(widths))
     return main, floor
-
-
-def _node(lattices, T: float, M: int, i: int):
-    """(h, n, pt, ph, dpt, dph) of node i < M: its spacing, its interval count
-    and its lattices, pt[n + k] = p(h k) for k = -n..n, ph[k] = p(2T - 2x - h k)
-    for k = 0..2n, and p' at the k = 0..n points of each (views into the
-    common lattices, except on the floor nodes)."""
-    main, floor = lattices
-    n = M - i
-    if n < 4:
-        return floor[i - (M - 3)]
-    pt, ph, dpt, dph = main
-    return (T / M, n, pt[M - n: M + n + 1], ph[2 * i: 2 * i + 2 * n + 1],
-            dpt[: n + 1], dph[2 * i: 2 * i + n + 1])
 
 
 def _kernels(pt: np.ndarray, ph: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -507,10 +495,12 @@ class _Nested:
         a, u = self.a[mp - 1], self.u[mp - 1]
         return 1.0 / (a * (1.0 + lam21) * np.maximum(u, s * (1.0 + u * u12)))
 
-    def group(self, ms: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Solve the nodes of reversed sizes ms (consecutive, ascending) into
-        out, their V and Vx node by node from the largest; returns their
-        residuals and their values of Q.
+    def group(self, ms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Solve the nodes of reversed sizes ms (consecutive, ascending);
+        returns their residuals, their values of Q and sol (2, G, mh), whose
+        sol[0, g, :m] and sol[1, g, :m] are node g's V and Vx on its reversed
+        rows. sol lives in the group's residual array, so a caller that keeps
+        it keeps that array alive.
 
         Forward substitution takes every node's corner columns and right-hand
         side at once, zero-padded to the largest node; the rows of Z from a
@@ -575,12 +565,10 @@ class _Nested:
         np.abs(res, out=res)
         np.copyto(res, 0.0, where=below[:, None, :])
         residual = _finite(res.max(axis=(1, 2)), x, "non-finite residual at x")
-        # out reversed holds each node's reversed rows q < m, smallest node first;
-        # the rows are gathered in res's memory
+        # each node's reversed rows q < m, in res's memory
         sol = res.transpose(1, 0, 2)
         sol[:, :, :K] = X.reshape((K, 2, G), order="F").transpose(1, 2, 0)
         sol[:, last4[0], last4[1]] = Y2.transpose(1, 0, 2)
-        out[:, ::-1] = sol[:, ~below]
         # d V_x + g2 V in d's memory, zero on the rows a node does not own
         e = np.multiply(rhs[:, 0], sol[1], out=rhs[:, 0])
         e += np.multiply(g2, sol[0], out=g2)
@@ -588,7 +576,7 @@ class _Nested:
         e[last4] = 0.0
         integrals = e @ self.wq[:mh] + (e4 * self.hw4[ms - 1, ::-1]).sum(axis=1)
         q = -2.0 * (self.phr[2 * ms - 2] * Y2[:, 0, 3] + 2.0 * self.dphr[2 * ms - 2] + integrals)
-        return residual, q
+        return residual, q, sol
 
 
 def _zero_kernel(A: Amplitude) -> bool:
@@ -597,43 +585,33 @@ def _zero_kernel(A: Amplitude) -> bool:
     return A.base.kind == "zero" and not A.term_coeffs.size
 
 
-def _node_rows(M: int):
-    """(store, edges, V, Vx): two zero rows store, and V[i], Vx[i] the views of
-    node i's subgrid into them, store[:, edges[i]: edges[i + 1]]."""
-    sizes = np.r_[M + 1 - np.arange(M - 3), 5, 5, 5, 1]
-    edges = np.r_[0, np.cumsum(sizes)]
-    store = np.zeros((2, edges[-1]))
-    V, Vx = (tuple(row[a:b] for a, b in zip(edges[:-1], edges[1:])) for row in store)
-    return store, edges, V, Vx
-
-
 @dataclass
 class GLWorkspace:
-    """Discretization state for one amplitude on [0, T], and its potential.
+    """One solve's horizon, grid size, recovered potential and residual.
 
     potential is Q on the x nodes, Q(T - x_i) at index M - i: the nested nodes'
     values taken by their node groups, the floor nodes' by their dense solves,
     and Q(0) = -4 p'(0) = A(0), the exact limit at x = T, where every integral
-    is empty and V(T,T) = 0. lattices holds p and p' on every lattice the solve
-    sampled (_sample); _node(lattices, T, M, i) describes the i-th node's
-    subgrid and p and p' there. residual is the max over nodes of the sup-norm
+    is empty and V(T,T) = 0. residual is the max over nodes of the sup-norm
     residual of the discrete equations, taken at solve time (for the nested
     nodes as A0[i:, i:] V plus the four corner columns); it certifies the
-    linear solves, not the reconstruction's accuracy. The node solutions V and
-    Vx are not kept: a node group holds its own only while it runs.
+    linear solves, not the reconstruction's accuracy. Neither the sampled
+    lattices nor the node solutions V and Vx are kept: a node group holds its
+    own solutions only while it runs.
     """
 
     T: float
     M: int
     potential: RadialPotential
-    lattices: tuple
     residual: float
 
 
 def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     """Assemble and solve the discrete systems at every x node, and recover Q.
 
-    The nested nodes go in groups of consecutive sizes with at most
+    A horizon T that is not positive and finite, and an M that is not an even
+    integer >= 32, are refused with ValidationError before anything is
+    sampled. The nested nodes go in groups of consecutive sizes with at most
     _BATCH (M + 1) reversed rows over a group's nodes, which bounds its
     batched arrays; they run from x = 0 outward on the factored x = 0 system,
     and each group's Schur step is one batched numpy step over its nodes.
@@ -642,52 +620,43 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
     are dropped group by group. Every node passes the finite-matrix,
     conditioning and finite-residual gates, or the solve raises the tagged
     NumericalError. The zero base without series terms returns the same
-    workspace without any system assembled or factored (the module's
-    zero-kernel exit), after the same argument checks, sampling and
-    finiteness gate. From M = 512 on a solve peaks at under 2.8 tables of
-    (M + 1)^2 floats (the module's Memory paragraph), and its workspace holds
-    O(M) floats.
+    workspace after the argument checks alone, with nothing sampled,
+    assembled or factored (the module's zero-kernel exit). From M = 512 on a
+    solve peaks at under 2.8 tables of (M + 1)^2 floats (the module's Memory
+    paragraph), and its workspace holds O(M) floats.
     """
-    return _solve_gl(A, T, M)
-
-
-def _solve_gl(A: Amplitude, T: float, M: int, nodes=None) -> GLWorkspace:
-    """solve_gl's solve. nodes, when given, is _node_rows(M), and node i's V and
-    Vx are written into its views nodes[2][i] and nodes[3][i] (the zero-kernel
-    exit leaves them 0); without it each group writes its nodes' rows into a
-    scratch array of its own."""
-    if T <= 0:
-        raise ValidationError(f"horizon T must be positive, got {T}", _MOD)
-    if M < 32 or M % 2 != 0:
-        raise ValidationError(f"M must be even and >= 32, got {M}", _MOD)
+    if not 0 < T < np.inf:   # NaN fails
+        raise ValidationError(f"horizon T must be positive and finite, got {T}", _MOD)
+    if not isinstance(M, (int, np.integer)) or M < 32 or M % 2 != 0:
+        raise ValidationError(f"M must be an even integer >= 32, got {M!r}", _MOD)
     xs = np.linspace(0.0, T, M + 1)
-    lattices = _sample(A, T, M, xs)
-    residual, q = 0.0, np.empty(M + 1)
-    q[0] = -4.0 * lattices[0][2][0]   # x = T: dpt[0] = p'(0)
+    q = np.empty(M + 1)
     if _zero_kernel(A):
-        # every system is I V = 0, so V = Vx = 0 with residual 0, and every
-        # node's Q is -2 times a sum of zeros, -0 as the full solve writes it
-        q[1:] = -0.0
+        # every system is I V = 0, so the residual is 0, Q(0) = -4 p'(0) = +0,
+        # and every other node's Q is -2 times a sum of zeros, -0 as the full
+        # solve writes it
+        q[0], q[1:] = 0.0, -0.0
         return GLWorkspace(T=T, M=M, potential=RadialPotential(grid=xs, values=q),
-                           lattices=lattices, residual=0.0)
+                           residual=0.0)
+    main, floor = _sample(A, T, M, xs)
+    residual = 0.0
+    q[0] = -4.0 * main[2][0]   # x = T: dpt[0] = p'(0)
     # a well too large for floats overflows inside the factors or meets an
     # exact zero pivot; the gates report that as the tagged error, so numpy's
     # warnings say nothing more
     with np.errstate(all="ignore"):
-        nested = _Nested(lattices[0], T / M, M, xs)
-        for i in range(M - 3, M):
-            V, Vx, res, q[M - i] = _dense_node(*_node(lattices, T, M, i), xs[i])
-            if nodes is not None:
-                nodes[2][i][:], nodes[3][i][:] = V, Vx
+        nested = _Nested(main, T / M, M, xs)
+        for i, node in zip(range(M - 3, M), floor):
+            _, _, res, q[M - i] = _dense_node(*node, xs[i])
             residual = max(residual, res)
         hi = M + 1
         while hi >= 5:
             lo = max(5, hi - _BATCH * (M + 1) // hi + 1)
             ms = np.arange(lo, hi + 1)
-            out = (np.empty((2, int(ms.sum()))) if nodes is None
-                   else nodes[0][:, nodes[1][M + 1 - hi]: nodes[1][M + 2 - lo]])
-            res, q[ms - 1] = nested.group(ms, out)
+            # the group's solutions go in this statement, before the next
+            # group allocates
+            res, q[ms - 1] = nested.group(ms)[:2]
             residual = max(residual, res.max())
             hi = lo - 1
     return GLWorkspace(T=T, M=M, potential=RadialPotential(grid=xs, values=q),
-                       lattices=lattices, residual=float(residual))
+                       residual=float(residual))

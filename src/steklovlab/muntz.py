@@ -99,31 +99,30 @@ def muntz_coeffs(exponents: Iterable[float], precision: int = 256):
     digits) no table passes; a refusal at level 0 names the precision as the
     cause and the least precision that certifies row 0.
 
-    Every operation between an mpf and an mpf array puts the array first: with
-    the mpf first, mpmath renders the whole array in a failed conversion
-    before numpy applies the reflected operation. mpf + and * commute and
-    negation is exact, so the order changes no bit."""
+    Rows are plain lists of mpf, and the diagonal's product runs left to
+    right."""
     from mpmath import mp
 
     def limit(bits: int) -> float:
         return 10.0 ** (int(bits * math.log10(2.0)) - 8)
 
     with mp.workprec(precision):
-        lam = np.empty(0, dtype=object)  # grown a level at a time
-        rows, ahead = [], lam  # ahead: lam_j + lam_{m-1} + 1 for j < m - 1
+        lam, rows, ahead = [], [], []  # ahead: lam_j + lam_{m-1} + 1 for j < m - 1
         for m, x in enumerate(_ladder(exponents)):
-            lam = np.append(lam, mp.mpf(x))
+            lam.append(mp.mpf(x))
             root = mp.sqrt(2 * lam[m] + 1)
             if not m:
-                rows.append(np.array([root], dtype=object))
+                rows.append([root])
             elif lam[m] <= lam[m - 1]:
                 raise NumericalError(f"exponents coincide at {precision}-bit precision", _MOD)
             else:
-                gap = lam[:m] - lam[m]
-                ratio = np.append(ahead, lam[m - 1] + lam[m - 1] + 1) * (root / prev) / gap
-                ahead = lam[:m] + lam[m] + 1
-                diag = root * np.prod(ahead / -gap)
-                rows.append(np.append(rows[-1] * ratio, diag))
+                gap = [lj - lam[m] for lj in lam[:m]]
+                scale = root / prev
+                ratio = [a * scale / g
+                         for a, g in zip(ahead + [lam[m - 1] + lam[m - 1] + 1], gap)]
+                ahead = [lj + lam[m] + 1 for lj in lam[:m]]
+                diag = root * math.prod(a / -g for a, g in zip(ahead, gap))
+                rows.append([c * r for c, r in zip(rows[-1], ratio)] + [diag])
             prev = root
             if (proxy := float(mp.fsum(rows[m], absolute=True))) > limit(precision):
                 cause = ""

@@ -333,9 +333,11 @@ def extend_potential(q: RadialPotential, form: PotentialForm, x_max: float) -> R
     """Extend grid samples beyond their domain with a closed form.
 
     The result keeps the original samples on their grid (same spacing) and
-    appends closed-form values up to x_max; evaluation interpolates the
-    stitched table.
+    appends closed-form values up to x_max, which must be finite; evaluation
+    interpolates the stitched table.
     """
+    if not x_max < math.inf:   # NaN fails
+        raise ValidationError(f"extension endpoint must be finite, got {x_max}", _MOD)
     if x_max <= q.x_max:
         raise ValidationError("extension endpoint must exceed the sampled domain", _MOD)
     h = float(q.grid[1] - q.grid[0])
@@ -370,10 +372,11 @@ def weighted_norm_equivalence(q: BallPotential, q_tilde: BallPotential, T: float
 
     The half-line norm integrates on a uniform x grid, the ball norm on a
     uniform r grid; the two quadratures are independent and agree up to
-    discretization error by the change-of-variables isometry.
+    discretization error by the change-of-variables isometry. T must be
+    positive and finite.
     """
-    if T <= 0:
-        raise ValidationError("norm horizon T must be positive", _MOD)
+    if not 0 < T < math.inf:   # NaN fails
+        raise ValidationError(f"norm horizon T must be positive and finite, got {T}", _MOD)
     if q.grid.size != q_tilde.grid.size or np.max(np.abs(q.grid - q_tilde.grid)) > 1e-12:
         raise ValidationError("ball potentials must share a grid", _MOD)
     dq = BallPotential(grid=q.grid, values=q.values - q_tilde.values)

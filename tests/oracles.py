@@ -8,9 +8,11 @@ references sum every coefficient pair one term at a time or take mp.fdot over
 full rows, the Muntz rows keep the recurrence's first operand order, and the
 GL references assemble every node's Nystrom matrix afresh in one allocating
 expression and solve it by a dense pivoted LU, never through the nested
-factorization, and the recovery loop takes Q node by node from the stored
+factorization, and the recovery loop takes Q node by node from the captured
 solutions rather than per node group at solve time. Those solutions come from
-solve_gl_nodes, the solve's private route that keeps every node's V and Vx.
+solve_gl_nodes, which watches solve_gl itself: it wraps the node group and the
+dense floor solve, copies each node's V and Vx as they return, and samples the
+lattices again for the references to slice.
 m_fixed_step alone runs the package's own shooting pass, at a fixed step
 count, so that tests can read its convergence order and compare it with the
 scalar loop.
@@ -192,22 +194,66 @@ def nystrom_matrix(pS, pL, S, WL) -> np.ndarray:
 
 
 def solve_gl_nodes(A, T: float, M: int):
-    """solve_gl(A, T, M) with the node solutions kept, for the GL references:
-    the workspace's fields, and V[i], Vx[i] of every node i, which the solve's
-    private route writes into one _node_rows store (solve_gl keeps none)."""
+    """solve_gl(A, T, M) watched node by node, for the GL references: the
+    workspace's fields, lattices = _sample's (main, floor) on the solve's
+    grid, V[i] and Vx[i] of every node i (M + 1 - i entries, 5 on the floor
+    nodes, 1 at x = T), and solved, the nodes in the order the solve
+    returned them. The rows are copied from the node groups' sol and the
+    dense floor solves as they return; a node that nothing solved (x = T, or
+    every node at the zero-kernel exit) reads zeros."""
+    import pytest
     from types import SimpleNamespace
     from steklovlab import gelfand_levitan as gl
-    nodes = gl._node_rows(M)
-    ws = gl._solve_gl(A, T, M, nodes)
-    return SimpleNamespace(**vars(ws), V=nodes[2], Vx=nodes[3])
+    V, Vx, solved = [None] * (M + 1), [None] * (M + 1), []
+    group, dense = gl._Nested.group, gl._dense_node
+
+    def keep(i, v, vx):
+        assert V[i] is None, f"node {i} returned twice"
+        V[i], Vx[i] = np.array(v), np.array(vx)
+        solved.append(i)
+
+    def watched_group(self, ms):
+        residual, q, sol = group(self, ms)
+        for g, m in enumerate(ms.tolist()):
+            keep(self.M + 1 - m, *sol[:, g, :m][:, ::-1])   # reversed rows, forward
+        return residual, q, sol
+
+    def watched_dense(h, n, pt, ph, dpt, dph, x):
+        out = dense(h, n, pt, ph, dpt, dph, x)
+        keep(round(x * M / T), out[0], out[1])
+        return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gl._Nested, "group", watched_group)
+        patch.setattr(gl, "_dense_node", watched_dense)
+        ws = gl.solve_gl(A, T, M)
+    sizes = [M + 1 - i for i in range(M - 3)] + [5, 5, 5, 1]
+    V, Vx = (tuple(np.zeros(k) if r is None else r for r, k in zip(rows, sizes))
+             for rows in (V, Vx))
+    return SimpleNamespace(**vars(ws), V=V, Vx=Vx, solved=tuple(solved),
+                           lattices=gl._sample(A, T, M, ws.potential.grid))
+
+
+def _node(lattices, T: float, M: int, i: int):
+    """(h, n, pt, ph, dpt, dph) of node i < M: its spacing, its interval count
+    and its lattices, pt[n + k] = p(h k) for k = -n..n, ph[k] = p(2T - 2x - h k)
+    for k = 0..2n, and p' at the k = 0..n points of each: slices of the common
+    lattices, or a floor node's own."""
+    main, floor = lattices
+    n = M - i
+    if n < 4:
+        return floor[i - (M - 3)]
+    pt, ph, dpt, dph = main
+    return (T / M, n, pt[M - n: M + n + 1], ph[2 * i: 2 * i + 2 * n + 1],
+            dpt[: n + 1], dph[2 * i: 2 * i + n + 1])
 
 
 def gl_node_system(ws, i: int, W=None):
     """(mat, d, g2) of node i < M, assembled alone in one allocating
-    expression from the lattices the solve stored, with the kernels gathered
+    expression from the lattices of solve_gl_nodes, with the kernels gathered
     by index: mat V = d and mat V_x = g2 - d V[0]. W is the unit kink-split
     table of size at least n + 1 (built when not given)."""
-    from steklovlab.gelfand_levitan import _node, _unit_piece_weights
+    from steklovlab.gelfand_levitan import _unit_piece_weights
     h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
     W = _unit_piece_weights(max(n, 4)) if W is None else W
     a = np.arange(n + 1)
@@ -254,7 +300,7 @@ def recover_potential_loop(ws) -> np.ndarray:
     solve_gl_nodes' ws: d/dx V(x,x) = p(2T - 2x) V[0] + 2 p'(2T - 2x)
     - S (g1 V_x) + S (g2 V) with S the node's row of the kink-split table,
     and Q(0) = -4 p'(0) at x = T."""
-    from steklovlab.gelfand_levitan import _node, _unit_piece_weights
+    from steklovlab.gelfand_levitan import _unit_piece_weights
     qvals = np.empty(ws.M + 1)
     qvals[0] = -4.0 * ws.lattices[0][2][0]
     W = _unit_piece_weights(ws.M)

@@ -223,6 +223,19 @@ _BINDING_CASES = """if True:
                             build_perturbed_amplitude, make_spectral_params)
     factor, calls = gl.lu_factor, []
     gl.lu_factor = lambda *args, **kwargs: calls.append(1) or factor(*args, **kwargs)
+    # every node's V and Vx, copied as the node groups and floor solves return
+    # them, keyed by the node's x
+    group, dense, rows = gl._Nested.group, gl._dense_node, {}
+    def watched_group(self, ms):
+        out = group(self, ms)
+        for g, m in enumerate(ms.tolist()):
+            rows[float(self.xs[self.M + 1 - m])] = out[2][:, g, :m][:, ::-1].copy()
+        return out
+    def watched_dense(*args):
+        out = dense(*args)
+        rows[float(args[-1])] = np.stack(out[:2])
+        return out
+    gl._Nested.group, gl._dense_node = watched_group, watched_dense
     params = make_spectral_params(3, 0.5, 8)
     cases = [(Bargmann1(beta=1.0, gamma=0.5), None, 2.0),
              (ZeroForm(), GeometricTail(a=0.1, rho=1.0 / 9.0), 2.0),
@@ -230,11 +243,13 @@ _BINDING_CASES = """if True:
     out, factors = {}, []
     for k, (base, tail, T) in enumerate(cases):
         calls.clear()
-        nodes = gl._node_rows(64)   # the private route that keeps every node's V and Vx
-        ws = gl._solve_gl(build_perturbed_amplitude(base, [], params, tail), T, 64, nodes)
+        rows.clear()
+        ws = gl.solve_gl(build_perturbed_amplitude(base, [], params, tail), T, 64)
         factors.append(len(calls))
+        assert len(rows) == 64
+        V, Vx = np.concatenate([rows[x] for x in sorted(rows)], axis=1)
         out.update({f"q{k}": ws.potential.values, f"residual{k}": ws.residual,
-                    f"V{k}": nodes[0][0], f"Vx{k}": nodes[0][1]})
+                    f"V{k}": V, f"Vx{k}": Vx})
     np.savez(sys.argv[2], **out)
     print(json.dumps([factors, sorted(m for m in sys.modules if m.startswith("scipy.linalg"))]))
 """

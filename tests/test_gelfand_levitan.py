@@ -99,6 +99,25 @@ def test_zero_amplitude_fixed_point():
     assert ws.residual == 0.0
 
 
+@pytest.mark.parametrize("amp,M", [(amp_of(B1), 32), (amp_of(B2), 66),
+                                   (amp_of(ZeroForm(), gen=TAIL), 128)])
+def test_oracle_captures_every_node_once(amp, M):
+    # the oracle's rows come from solve_gl itself: every node x_0..x_{M-1}
+    # returned exactly once, by a node group or a floor solve, on its own
+    # subgrid (M + 1 - i points, 5 on the floor nodes), and x = T reads its
+    # single zero; the watched solve is the plain one, bit for bit
+    ws = solve_gl_nodes(amp, 2.0, M)
+    assert sorted(ws.solved) == list(range(M))
+    assert ws.solved[:3] == (M - 3, M - 2, M - 1)   # the floor solves come first
+    sizes = [M + 1 - i for i in range(M - 3)] + [5, 5, 5, 1]
+    assert [len(v) for v in ws.V] == [len(v) for v in ws.Vx] == sizes
+    assert ws.V[M].tolist() == ws.Vx[M].tolist() == [0.0]
+    assert all(np.isfinite(v).all() and v.any() for v in ws.V[:M])
+    plain = solve_gl(amp, 2.0, M)
+    assert np.array_equal(_bits(plain.potential.values), _bits(ws.potential.values))
+    assert _bits(plain.residual) == _bits(ws.residual)
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).view(np.int64)
 
@@ -107,29 +126,33 @@ def _bits(a):
 def test_zero_kernel_workspace_is_the_full_solve_unfactored(monkeypatch, M):
     # p = p' = 0 on every lattice: the workspace is the one the full solve
     # returns, sign bits included (Q(0) = +0, every other node -0), and
-    # nothing is factored
-    amp = amp_of(ZeroForm())
+    # nothing is sampled or factored
+    amp, zero_term = amp_of(ZeroForm()), amp_of(ZeroForm(), coeffs=[0.0])
     monkeypatch.setattr(gl, "_zero_kernel", lambda A: False)
     full = solve_gl_nodes(amp, 2.0, M)
+    assert sorted(full.solved) == list(range(M))
     monkeypatch.undo()
 
     def refuse(*args, **kwargs):
-        raise AssertionError("a zero kernel was factored")
+        raise AssertionError("a zero kernel was sampled or factored")
 
-    monkeypatch.setattr(gl, "_lu_nopivot", refuse)
-    monkeypatch.setattr(gl, "lu_factor", refuse)
-    for ws in (solve_gl_nodes(amp, 2.0, M),
-               solve_gl_nodes(amp_of(ZeroForm(), coeffs=[0.0]), 2.0, M)):
+    for name in ("_sample", "p_from_amplitude", "p_prime_from_amplitude",
+                 "_lu_nopivot", "lu_factor"):
+        monkeypatch.setattr(gl, name, refuse)
+    exits = [solve_gl(amp, 2.0, M), solve_gl(zero_term, 2.0, M)]
+    monkeypatch.undo()
+    for ws in exits:
         assert np.array_equal(_bits(ws.potential.values), _bits(full.potential.values))
         assert np.array_equal(_bits(ws.potential.grid), _bits(full.potential.grid))
         assert _bits(ws.residual) == _bits(full.residual) == _bits(0.0)
+    # the exit solved no node, so the oracle's rows are its zeros, and the
+    # full solve wrote the same bits
+    for a in (amp, zero_term):
+        ws = solve_gl_nodes(a, 2.0, M)
+        assert ws.solved == ()
         assert len(ws.V) == len(ws.Vx) == len(full.V) == M + 1
         for u, v in zip(ws.V + ws.Vx, full.V + full.Vx):
             assert np.array_equal(_bits(u), _bits(v))
-        for u, v in zip(ws.lattices[0], full.lattices[0]):
-            assert np.array_equal(_bits(u), _bits(v))
-        for u, v in zip(ws.lattices[1], full.lattices[1]):
-            assert all(np.array_equal(_bits(a), _bits(b)) for a, b in zip(u, v))
     q = full.potential.values
     assert not np.signbit(q[0]) and np.all(np.signbit(q[1:]))
 
@@ -161,7 +184,7 @@ def test_tiny_nonzero_kernel_takes_the_full_solve(monkeypatch):
     lu = gl._lu_nopivot
     monkeypatch.setattr(gl, "_lu_nopivot", lambda a: calls.append(a.shape) or lu(a))
     amp = amp_of(ZeroForm(), coeffs=[-1e-300])
-    ws = solve_gl(amp, 2.0, 64)
+    ws = solve_gl_nodes(amp, 2.0, 64)
     assert calls and calls[0] == (65, 61)
     main, floor = ws.lattices
     assert main[0].any() and main[2].any()
@@ -295,7 +318,7 @@ def test_buffer_assembly_matches_allocating_expression(n):
 def test_node_matrices_nest_in_x0_block(amp, M):
     # every nested node's matrix is the trailing block of the x = 0 matrix
     # outside its first four columns, bitwise
-    ws = solve_gl(amp, 2.0, M)
+    ws = solve_gl_nodes(amp, 2.0, M)
     W = _unit_piece_weights(M)
     B, _, _ = _assemble(ws.lattices[0], 2.0 / M, W.copy())
     A0 = B[::-1, ::-1]
@@ -487,7 +510,7 @@ def test_certificate_bounds_exact_inverse_norm(monkeypatch, form, T, negate, M):
         monkeypatch.setattr(gl, "p_from_amplitude", lambda A, t: -p(A, t))
     certs, calls = _record_gates(monkeypatch)
     amp = amp_of(ZeroForm(), gen=TAIL) if form is None else amp_of(form)
-    ws = solve_gl(amp, T, M)
+    ws = solve_gl_nodes(amp, T, M)
     cert, _ = _gated_once(ws, certs, calls)
     W = _unit_piece_weights(M)
     for i, c in cert.items():
@@ -507,7 +530,7 @@ def test_conditioning_gate_sees_every_node_factored(monkeypatch):
     monkeypatch.setattr(gl, "p_from_amplitude", lambda A, t: -p(A, t))
     certs, calls = _record_gates(monkeypatch)
     M = 64
-    ws = solve_gl(amp_of(Bargmann2(c1=1.5, kappa1=1.0)), 6.0, M)
+    ws = solve_gl_nodes(amp_of(Bargmann2(c1=1.5, kappa1=1.0)), 6.0, M)
     _, nested = _gated_once(ws, certs, calls)
     assert len(nested) > 0
     nodes = [(M - 3 + k, a, anorm) for k, (a, anorm) in enumerate(calls[:3])] + nested
@@ -572,7 +595,7 @@ def test_near_singular_node_fails_tagged(monkeypatch, capsys, tmp_path):
     # p, so s = -1/lambda for a real eigenvalue lambda of K0. The gecon gate
     # of the nested path must refuse that node.
     amp, M = amp_of(B1), 32
-    K0 = gl_node_system(solve_gl(amp, 2.0, M), 0)[0] - np.eye(M + 1)
+    K0 = gl_node_system(solve_gl_nodes(amp, 2.0, M), 0)[0] - np.eye(M + 1)
     lam = np.linalg.eigvals(K0)
     lam = lam[np.abs(lam.imag) < 1e-12].real
     s = -1.0 / lam[np.argmax(np.abs(lam))]
@@ -598,11 +621,21 @@ def test_p_gap_bounded_by_amplitude_gap():
         assert lhs <= 0.5 * rhs * (1 + 1e-9)
 
 
-def test_solver_validation():
-    amp = amp_of(ZeroForm())
-    with pytest.raises(ValidationError):
-        solve_gl(amp, -1.0, 64)
-    with pytest.raises(ValidationError):
-        solve_gl(amp, 2.0, 65)  # odd
-    with pytest.raises(ValidationError):
-        solve_gl(amp, 2.0, 16)  # too coarse
+def test_solver_validation(monkeypatch):
+    # a horizon that is not positive and finite, and an M that is not an even
+    # integer >= 32, are refused before anything is sampled
+    def refuse(*args, **kwargs):
+        raise AssertionError("a refused solve sampled p")
+
+    monkeypatch.setattr(gl, "_sample", refuse)
+    amp = amp_of(B1)
+    for T, M, rule in ((-1.0, 64, "horizon T must be positive and finite, got -1.0$"),
+                       (0.0, 64, "horizon T must be positive and finite, got 0.0$"),
+                       (math.nan, 32, "horizon T must be positive and finite, got nan$"),
+                       (math.inf, 32, "horizon T must be positive and finite, got inf$"),
+                       (2.0, 65, "M must be an even integer >= 32, got 65$"),    # odd
+                       (2.0, 16, "M must be an even integer >= 32, got 16$"),    # too coarse
+                       (2.0, 32.0, "M must be an even integer >= 32, got 32.0$")):
+        with pytest.raises(ValidationError, match=rule) as exc:
+            solve_gl(amp, T, M)
+        assert exc.value.module == "gelfand_levitan"

@@ -174,18 +174,31 @@ def test_zero_form_and_grid_validation():
 def test_quadrature_failures_are_tagged():
     # an odd Simpson interval count, a horizon whose ball grid would start
     # below the table's r = 0.2 and a point past the end of a half-line table,
-    # each through a public path, and a table of fewer than 4 nodes
+    # each through a public path, and a table of fewer than 4 nodes; a
+    # horizon or extension endpoint that is not finite is refused by the
+    # radial model before any grid is built
     q = BallPotential(grid=np.linspace(0.2, 1.0, 9), values=np.zeros(9))
-    for call, rule in (
+    half = RadialPotential(grid=np.linspace(0.0, 1.0, 5), values=np.zeros(5))
+    form = Bargmann1(beta=1.0, gamma=0.5)
+    for call, rule, module in (
             (lambda: weighted_norm_equivalence(q, q, 1.0, n=3),
-             "even interval count >= 2, got 3$"),
-            (lambda: weighted_norm_equivalence(q, q, 3.0), "outside the sampled grid$"),
-            (lambda: RadialPotential(grid=np.linspace(0.0, 1.0, 5), values=np.zeros(5))(2.0),
-             "outside the sampled grid$"),
-            (lambda: cubic_interp(np.arange(3.0), np.zeros(3), 1.0), "at least 4 nodes$")):
+             "even interval count >= 2, got 3$", "quadrature"),
+            (lambda: weighted_norm_equivalence(q, q, 3.0), "outside the sampled grid$",
+             "quadrature"),
+            (lambda: half(2.0), "outside the sampled grid$", "quadrature"),
+            (lambda: cubic_interp(np.arange(3.0), np.zeros(3), 1.0), "at least 4 nodes$",
+             "quadrature"),
+            (lambda: weighted_norm_equivalence(q, q, math.nan),
+             "norm horizon T must be positive and finite, got nan$", "radial_model"),
+            (lambda: weighted_norm_equivalence(q, q, math.inf),
+             "norm horizon T must be positive and finite, got inf$", "radial_model"),
+            (lambda: extend_potential(half, form, math.inf),
+             "extension endpoint must be finite, got inf$", "radial_model"),
+            (lambda: extend_potential(half, form, math.nan),
+             "extension endpoint must be finite, got nan$", "radial_model")):
         with pytest.raises(ValidationError, match=rule) as exc:
             call()
-        assert exc.value.module == "quadrature"
+        assert exc.value.module == module
 
 
 def test_sampled_table_needs_four_finite_increasing_nodes():
