@@ -29,7 +29,6 @@ from ._format import _fmt
 from .errors import NumericalError, ValidationError
 from .radial_model import (Bargmann1, Bargmann2, PotentialForm, SpectralParams, ZeroForm,
                            make_spectral_params)
-from .weyl_titchmarsh import OdeOptions
 
 if TYPE_CHECKING:
     from .perturbation import Amplitude, GeometricTail
@@ -51,7 +50,7 @@ class RunConfig:
     output: str | None = field(default=None, metadata={"help": "output CSV path ('-' for stdout)"})
     precision: int = field(default=256, metadata={"help": "working precision in bits"})
     x_max: float | None = None
-    tolerance: float = OdeOptions.tolerance
+    tolerance: float = 1e-11  # OdeOptions' default, without loading weyl_titchmarsh
     n: int = field(default=10, metadata={"help": "orthonormalization table size"})
 
     def header_lines(self) -> list[str]:
@@ -161,7 +160,7 @@ def _amplitude(cfg: RunConfig, params: SpectralParams) -> Amplitude:
 
 
 def _cmd_forward(cfg: RunConfig, params: SpectralParams) -> list[str]:
-    from .weyl_titchmarsh import steklov_spectrum, wt_from_ode
+    from .weyl_titchmarsh import OdeOptions, steklov_spectrum, wt_from_ode
     opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
     m, _ = wt_from_ode(_base_form(cfg.base), params.kappa, opts)
     lines = ["k,kappa,sigma"]

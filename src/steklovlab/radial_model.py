@@ -22,6 +22,7 @@ from .errors import ValidationError
 from .quadrature import cubic_interp, l2_norm, simpson_weights
 
 _MOD = "radial_model"
+_MAX_EXTENSION = 2 ** 24  # closed-form points extend_potential appends, at most
 
 
 def _exprel(z: np.ndarray) -> np.ndarray:
@@ -334,13 +335,20 @@ def extend_potential(q: RadialPotential, form: PotentialForm, x_max: float) -> R
 
     The result keeps the original samples on their grid (same spacing) and
     appends closed-form values up to x_max, which must be finite; evaluation
-    interpolates the stitched table.
+    interpolates the stitched table. At most _MAX_EXTENSION = 2^24 points are
+    appended (two 128 MiB arrays, far past any table the routes use); a longer
+    extension is refused before anything is allocated.
     """
     if not x_max < math.inf:   # NaN fails
         raise ValidationError(f"extension endpoint must be finite, got {x_max}", _MOD)
     if x_max <= q.x_max:
         raise ValidationError("extension endpoint must exceed the sampled domain", _MOD)
     h = float(q.grid[1] - q.grid[0])
+    count = (x_max + h / 2 - (q.x_max + h)) / h  # np.arange's length, before rounding up
+    if count > _MAX_EXTENSION:
+        raise ValidationError(
+            f"extension to x_max={x_max} needs {count:.4g} points of step {h}, more than "
+            f"{_MAX_EXTENSION}", _MOD)
     extra = np.arange(q.x_max + h, x_max + h / 2, h)
     grid = np.concatenate([q.grid, extra])
     values = np.concatenate([q.values, form.potential(extra)])

@@ -16,7 +16,8 @@ decaying one on the way to x = 0, and a longer interval buys no accuracy.
 The classical RK4 step is linear in (u, u'), so each step is a 2x2 propagator
 matrix; a pass builds them as arrays a chunk at a time, multiplies each
 chunk's propagators pairwise in a log-depth tree with power-of-two
-renormalization, and applies the chunk products to (u, u') in turn. Step
+renormalization (every fourth level only where the samples keep the entries
+in range), and applies the chunk products to (u, u') in turn. Step
 halving refines the pass, and the levels' values m_j fill two columns of the
 Neville-Aitken table (Hairer, Norsett & Wanner, Solving ODEs I, II.9):
 r_j = m_j + (m_j - m_{j-1})/15 cancels RK4's h^4 error term, and
@@ -129,21 +130,23 @@ def _step_propagators(g0: np.ndarray, gm: np.ndarray, g1: np.ndarray,
                       s: np.ndarray) -> np.ndarray:
     """The classical RK4 steps of size s for u'' = g u as 2x2 matrices acting
     on (u, u'), shape (2, 2, kappas, m): the scheme is linear, and the entries
-    are its stages expanded in closed form. g0, gm, g1, of shape (kappas, m),
-    hold g at each step's start, midpoint and end; s is a (kappas, 1) column,
-    one step per kappa."""
+    are its stages expanded in closed form, written into one array. g0, gm, g1,
+    of shape (kappas, m), hold g at each step's start, midpoint and end; s is a
+    (kappas, 1) column, one step per kappa. Where s^2 |g| <= 4 the diagonal is
+    below 4, the upper right below 2|s| and the lower left below (10/3) sqrt|g|."""
     s2 = s * s
-    return np.array([
-        [1.0 + s2 / 6.0 * (g0 + 2.0 * gm) + s2 * s2 / 24.0 * gm * g0,
-         s + s2 * s / 6.0 * gm],
-        [s / 6.0 * (g0 + 4.0 * gm + g1) + s2 * s / 12.0 * gm * (g0 + g1),
-         1.0 + s2 / 6.0 * (2.0 * gm + g1) + s2 * s2 / 24.0 * g1 * gm]])
+    P = np.empty((2, 2) + g0.shape)
+    np.add(1.0 + s2 / 6.0 * (g0 + 2.0 * gm), s2 * s2 / 24.0 * gm * g0, out=P[0, 0])
+    np.add(s, s2 * s / 6.0 * gm, out=P[0, 1])
+    np.add(s / 6.0 * (g0 + 4.0 * gm + g1), s2 * s / 12.0 * gm * (g0 + g1), out=P[1, 0])
+    np.add(1.0 + s2 / 6.0 * (2.0 * gm + g1), s2 * s2 / 24.0 * g1 * gm, out=P[1, 1])
+    return P
 
 
 def _pow2_normalize(a: np.ndarray, axis=None) -> np.ndarray:
-    """a divided by a power of two that brings its largest |entry| into
-    [1/2, 1); exact, so only the (irrelevant) overall scale changes."""
-    return np.ldexp(a, -np.frexp(np.abs(a).max(axis=axis))[1])
+    """a divided, in place, by a power of two that brings its largest |entry|
+    into [1/2, 1); exact, so only the (irrelevant) overall scale changes."""
+    return np.ldexp(a, -np.frexp(np.abs(a).max(axis=axis))[1], out=a)
 
 
 def _mul2(L: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -152,16 +155,30 @@ def _mul2(L: np.ndarray, R: np.ndarray) -> np.ndarray:
     return L[:, :1] * R[0] + L[:, 1:] * R[1]
 
 
-def _chain_product(P: np.ndarray) -> np.ndarray:
+def _chain_product(P: np.ndarray, moderate: bool) -> np.ndarray:
     """P[..., m-1] @ ... @ P[..., 0] up to a positive factor, multiplied
-    pairwise in a log-depth tree; every partial product is renormalized by a
-    power of two, so growth like e^{kappa x_max} cannot overflow."""
+    pairwise in a log-depth tree and renormalized by powers of two, which is
+    exact, so growth like e^{kappa x_max} cannot overflow. A moderate chunk
+    (_shoot) renormalizes only levels 3, 7, 11, ... and its last: the same bits
+    while all entries stay normal. Overflow: raw entries are below 2^22
+    (_step_propagators), so levels 1-3 stay below 2^183, and from entries below
+    1 three levels stay below 2^7. Underflow: renormalizing leaves the u' row up
+    to sqrt|g| <= 2^20 above the u row, so 2^k normalized products shrink to
+    about (2/sqrt|g|)^(2^k - 1) (constant g), the smallest entry 1/|g| lower:
+    above 2^-400 up to the next renormalization (k = 4; 2^-336 measured at the
+    corner |g| = 2^40, s^2 |g| = 4). Every third level of every chunk overflows
+    at kappa x_max >= 1e12; a regime bounded by the largest entry alone
+    underflows u(0) at kappa = 1e100."""
+    level = 0
     while P.shape[-1] > 1:
         m = P.shape[-1]
         prod = _mul2(P[..., 1::2], P[..., :m - 1:2])
         if m % 2:
             prod[..., -1:] = _mul2(P[..., -1:], prod[..., -1:])
-        P = _pow2_normalize(prod, axis=(0, 1))
+        level += 1
+        if not moderate or level % 4 == 3 or prod.shape[-1] == 1:
+            _pow2_normalize(prod, axis=(0, 1))
+        P = prod
     return P[..., 0]
 
 
@@ -177,8 +194,9 @@ def _shoot(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray, kappas: np.
     n > _CHUNK. It samples Q on the half-step grid of each of its distinct
     truncation points, unless the batch before had the same ones, and applies
     each kappa's steps as products of their propagators, _CHUNK steps at a
-    time: the temporaries stay O(_CHUNK) and the samples O(n). The pass ends
-    with the first batch that holds a failing kappa.
+    time: the temporaries stay O(_CHUNK) and the samples O(n). A batch is
+    moderate when each kappa's g = Q + kappa^2 and step h have max |g| <= 2^40
+    and h^2 max |g| <= 4. The pass ends with the first failing batch.
     """
     width = _CHUNK // min(n, _CHUNK)
     m = np.empty(kappas.size)
@@ -188,15 +206,20 @@ def _shoot(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray, kappas: np.
         kap = kappas[batch]
         ends, rows = np.unique(x_max[batch], return_inverse=True)
         if not np.array_equal(ends, tops):  # a given x_max: one grid per pass
-            tops, q_half = ends, Q(np.linspace(0.0, ends, 2 * n + 1, axis=-1))
+            grid = np.arange(2 * n + 1) * (ends / (2 * n))[:, None]  # np.linspace's bits
+            grid[:, -1] = ends
+            tops, q_half = ends, Q(grid)
+            del grid  # not held through the products
         g = q_half[rows, ::-1] + kap[:, None] ** 2
         g0, gm, g1 = g[:, :-1:2], g[:, 1::2], g[:, 2::2]  # start, midpoint, end of each step
         s = -(x_max[batch] / n)[:, None]
+        big = np.maximum(g.max(axis=1), -g.min(axis=1))  # max |g| per kappa, no |g| temporary
+        moderate = big.max() <= 2.0 ** 40 and (s[:, 0] ** 2 * big).max() <= 4.0
         y = np.stack([np.ones_like(kap), -kap])[:, None]
         for first in range(0, n, _CHUNK):
             steps = slice(first, first + _CHUNK)
             P = _step_propagators(g0[:, steps], gm[:, steps], g1[:, steps], s)
-            y = _pow2_normalize(_mul2(_chain_product(P), y), axis=(0, 1))
+            y = _pow2_normalize(_mul2(_chain_product(P, moderate), y), axis=(0, 1))
         u0, v0 = y[:, 0]
         m[batch] = v0 / u0
         sampled = np.isfinite(q_half).all(axis=1)[rows]

@@ -15,7 +15,9 @@ dense floor solve, copies each node's V and Vx as they return, and samples the
 lattices again for the references to slice.
 m_fixed_step alone runs the package's own shooting pass, at a fixed step
 count, so that tests can read its convergence order and compare it with the
-scalar loop.
+scalar loop. shoot_every_level keeps that pass as it was before the moderate
+schedule, renormalizing every level of the product tree, as the bitwise
+reference for _shoot.
 """
 
 from __future__ import annotations
@@ -121,6 +123,71 @@ def m_fixed_step(Q, kappa: float, x_max: float, n: int) -> float:
     if error is not None:
         raise error
     return float(m[0])
+
+
+def _pow2_normalize_every(a: np.ndarray) -> np.ndarray:
+    return np.ldexp(a, -np.frexp(np.abs(a).max(axis=(0, 1)))[1])
+
+
+def _mul2_ref(L: np.ndarray, R: np.ndarray) -> np.ndarray:
+    return L[:, :1] * R[0] + L[:, 1:] * R[1]
+
+
+@np.errstate(all="ignore")
+def shoot_every_level(Q, x_max: np.ndarray, kappas: np.ndarray, n: int):
+    """_shoot's (m, k, error) as the shooting pass computed them before the
+    moderate schedule: the grid by np.linspace, the propagators by np.array
+    and every level of the product tree renormalized. Renormalizing by powers
+    of two is exact, so _shoot must return the same bits and the same error."""
+    from steklovlab.errors import NumericalError
+    from steklovlab.weyl_titchmarsh import _CHUNK, _MOD
+    width = _CHUNK // min(n, _CHUNK)
+    m = np.empty(kappas.size)
+    tops = q_half = None
+    for lo in range(0, kappas.size, width):
+        batch = slice(lo, lo + width)
+        kap = kappas[batch]
+        ends, rows = np.unique(x_max[batch], return_inverse=True)
+        if not np.array_equal(ends, tops):
+            tops, q_half = ends, Q(np.linspace(0.0, ends, 2 * n + 1, axis=-1))
+        g = q_half[rows, ::-1] + kap[:, None] ** 2
+        g0, gm, g1 = g[:, :-1:2], g[:, 1::2], g[:, 2::2]
+        s = -(x_max[batch] / n)[:, None]
+        s2 = s * s
+        y = np.stack([np.ones_like(kap), -kap])[:, None]
+        for first in range(0, n, _CHUNK):
+            a0, am, a1 = (v[:, first:first + _CHUNK] for v in (g0, gm, g1))
+            P = np.array([
+                [1.0 + s2 / 6.0 * (a0 + 2.0 * am) + s2 * s2 / 24.0 * am * a0,
+                 s + s2 * s / 6.0 * am],
+                [s / 6.0 * (a0 + 4.0 * am + a1) + s2 * s / 12.0 * am * (a0 + a1),
+                 1.0 + s2 / 6.0 * (2.0 * am + a1) + s2 * s2 / 24.0 * a1 * am]])
+            while P.shape[-1] > 1:
+                k = P.shape[-1]
+                prod = _mul2_ref(P[..., 1::2], P[..., :k - 1:2])
+                if k % 2:
+                    prod[..., -1:] = _mul2_ref(P[..., -1:], prod[..., -1:])
+                P = _pow2_normalize_every(prod)
+            y = _pow2_normalize_every(_mul2_ref(P[..., 0], y))
+        u0, v0 = y[:, 0]
+        m[batch] = v0 / u0
+        sampled = np.isfinite(q_half).all(axis=1)[rows]
+        overflow = ~(np.isfinite(u0) & np.isfinite(v0))
+        vanishes = np.abs(u0) * np.maximum(1.0, kap) <= 1e-12 * np.abs(v0)
+        bad = ~sampled | overflow | vanishes
+        if bad.any():
+            j = int(np.argmax(bad))
+            kappa = float(kap[j])
+            if not sampled[j]:
+                cause = "potential evaluation produced non-finite values"
+            elif overflow[j]:
+                cause = (f"backward integration overflowed at kappa={kappa}: the RK4 steps "
+                         "leave the float range (|Q + kappa^2| h^2 too large)")
+            else:
+                cause = (f"u(0) vanishes at kappa={kappa}: -kappa^2 sits at a Dirichlet "
+                         "point of the truncated problem")
+            return m, lo + j, NumericalError(cause, _MOD)
+    return m, kappas.size, None
 
 
 def gram_residual_loop(system, n: int | None = None) -> float:

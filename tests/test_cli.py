@@ -155,10 +155,10 @@ def test_exported_names_still_import():
     (["forward", "--K", "2", "--base", "zero", "--x-max", "8"], [], _LAYERS),
     (["perturb", "--K", "4", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5"], [],
      _LAYERS[:2]),
-    (["ks-check", "--delta", "1", "--coeffs=-1.0"], [], _LAYERS[:2]),
-    (["muntz", "--n", "6"], ["mpmath"], ()),
+    (["ks-check", "--delta", "1", "--coeffs=-1.0"], [], (*_LAYERS[:2], "weyl_titchmarsh")),
+    (["muntz", "--n", "6"], ["mpmath"], ("weyl_titchmarsh",)),
     (["reconstruct", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5", "--M", "32"],
-     ["scipy"], ()),
+     ["scipy"], ("weyl_titchmarsh",)),
     (["sweep", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5", "--coeffs=-1,-0.5",
       "--K", "8", "--M", "32"], ["scipy"], ()),
 ], ids=["forward", "perturb", "ks-check", "muntz", "reconstruct", "sweep"])
@@ -173,6 +173,13 @@ def test_fresh_command_loads_only_what_it_uses(argv, loaded, absent):
     modules = json.loads(modules)
     assert "scipy.linalg" not in modules
     assert not {f"steklovlab.{m}" for m in absent} & set(modules)
+
+
+def test_command_line_tolerance_is_the_shooting_default():
+    # RunConfig spells the default out, so that reconstruct, muntz and ks-check
+    # never load weyl_titchmarsh
+    from steklovlab.weyl_titchmarsh import OdeOptions
+    assert RunConfig().tolerance == OdeOptions().tolerance
 
 
 def test_lapack_names_patched_before_the_first_solve_are_called():

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +151,22 @@ def test_extend_potential_stitches_closed_form():
     assert np.allclose(ext(xs), form.potential(xs), atol=1e-9)
     with pytest.raises(ValidationError):
         extend_potential(inner, form, 1.5)
+
+
+def test_extension_past_the_point_cap_is_refused_before_allocating():
+    # a 5-node table on [0, 1] has step 0.25: x_max = 1e12 asked numpy for
+    # 29.1 TiB and x_max = 1e300 for more points than an array can hold
+    half = RadialPotential(grid=np.linspace(0.0, 1.0, 5), values=np.zeros(5))
+    form = Bargmann1(beta=1.0, gamma=0.5)
+    for x_max, count in ((1e12, "4e+12"), (1e300, "4e+300")):
+        rule = f"extension to x_max={x_max} needs {count} points of step 0.25, more than 16777216"
+        tracemalloc.start()
+        with pytest.raises(ValidationError, match=f"^{re.escape(rule)}$") as exc:
+            extend_potential(half, form, x_max)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert exc.value.module == "radial_model" and peak < 2 ** 20
+    assert extend_potential(half, form, 2.0).grid.size == 9
 
 
 def test_zero_form_and_grid_validation():

@@ -14,7 +14,7 @@ from steklovlab import (Bargmann1, Bargmann2, NumericalError, OdeOptions,
 from steklovlab import weyl_titchmarsh
 from steklovlab.weyl_titchmarsh import _CHUNK, _MAX_STEPS, _ROUNDING, _STEP, _shoot
 
-from oracles import laplace_of_series, m_fixed_step, m_fixed_step_loop
+from oracles import laplace_of_series, m_fixed_step, m_fixed_step_loop, shoot_every_level
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
 B2 = Bargmann2(c1=1.0, kappa1=0.5)
@@ -419,6 +419,73 @@ def test_overflowing_steps_are_not_an_eigenvalue():
                  "the float range (|Q + kappa^2| h^2 too large)")
         with pytest.raises(NumericalError, match=f"^evaluator failed at k=0: {re.escape(cause)}$"):
             wt_from_ode(Q, kappa, OdeOptions(x_max=x_max))
+
+
+_LADDERS = ((3, 0.5), (5, 1.0), (3, 0.0))  # (d, delta); Bargmann2's bound state is on the last
+_KAPPAS = (1e3, 1e6, 1.01e12, 1e100)  # default truncation
+_GIVEN = (1e6, 1e12, 1e20, 1e60)  # x_max = 1
+_CORNER = ((2.0 ** -18, 2 ** 13), (2.0 ** -3, 2 ** 16))  # (x_max, n) at kappa = 2^20
+
+
+def test_shooting_passes_keep_the_bits_of_renormalizing_every_level(monkeypatch):
+    # renormalizing by powers of two is exact, so the moderate schedule, the
+    # arange grid and the propagators written in place must return the
+    # reference pass's (m, k, error) bit for bit, failures included: every
+    # pass of the d = 3 and 5 ladders on Bargmann1 and the zero base, the
+    # Bargmann2 bound state, the narrow well, the default truncation and
+    # x_max = 1 up to kappa = 1e100, and long passes at the corner of the
+    # moderate regime (|g| = 2^40, h^2 |g| <= 4)
+    chunks, passes = [], []
+    chain = weyl_titchmarsh._chain_product
+
+    def watched_chain(P, moderate):
+        chunks.append(moderate)
+        return chain(P, moderate)
+
+    def both(Q, x_max, kappas, n):
+        m, k, error = _shoot(Q, x_max, kappas, n)
+        ref_m, ref_k, ref_error = shoot_every_level(Q, x_max, kappas, n)
+        assert (k, str(error)) == (ref_k, str(ref_error))
+        assert m[:k].tobytes() == ref_m[:k].tobytes()
+        passes.append(n)
+        return m, k, error
+
+    monkeypatch.setattr(weyl_titchmarsh, "_chain_product", watched_chain)
+    monkeypatch.setattr(weyl_titchmarsh, "_shoot", both)
+    d3, d5, d3_flat = (make_spectral_params(d, delta, 64).kappa for d, delta in _LADDERS)
+    runs = [(form, kappas, None) for form in (B1, ZeroForm()) for kappas in (d3, d5)]
+    runs += [(form, kappa, None) for form in (B1, ZeroForm()) for kappa in _KAPPAS]
+    runs += [(form, kappa, 1.0) for form in (B1, ZeroForm()) for kappa in _GIVEN]
+    runs += [(B2, d3_flat, None),
+             (Bargmann1(beta=1000.0, gamma=1.0), make_spectral_params(3, 0.5, 2).kappa, None)]
+    failures = 0
+    for form, kappas, x_max in runs:
+        try:
+            wt_from_ode(form, kappas, OdeOptions(x_max=x_max))
+        except NumericalError:
+            failures += 1
+    for x_max, n in _CORNER:
+        for form in (B1, ZeroForm()):
+            both(form.potential, np.array([x_max]), np.array([2.0 ** 20]), n)
+    # the two wells, Bargmann1 at kappa = 1e6 with x_max = 1 and both forms'
+    # overflow at kappa = 1e60 fail
+    assert failures == 5 and len(passes) > 100 and any(chunks) and not all(chunks)
+
+
+def test_half_step_grid_is_linspace_bitwise():
+    # the pass samples Q on a contiguous grid with np.linspace's bits, over
+    # the battery's truncation points and every chunk-sized step count
+    ends = {1.0, *(x_max for x_max, _ in _CORNER), *(23.0 / k for k in _KAPPAS)}
+    for d, delta in _LADDERS:
+        ends.update((23.0 / make_spectral_params(d, delta, 64).kappa).tolist())
+    ends = np.array(sorted(ends))
+    for n in (32 * 2 ** j for j in range(9)):
+        grids = []
+        _shoot(lambda x: grids.append(x) or np.zeros_like(x), ends, np.ones(ends.size), n)
+        assert np.concatenate([x[:, -1] for x in grids]).tolist() == ends.tolist()
+        for x in grids:
+            assert x.flags.c_contiguous
+            assert x.tobytes() == np.linspace(0.0, x[:, -1], 2 * n + 1, axis=-1).tobytes()
 
 
 def test_sampled_table_must_reach_the_picked_truncation_point():
