@@ -17,7 +17,7 @@ _EXPORTS = {
     "perturbation": ("Amplitude", "GeometricTail", "build_perturbed_amplitude",
                      "estimate_radius", "holder_exponent", "ks_check_normalization",
                      "ks_check_positivity", "ks_check_quasi_szego"),
-    "weyl_titchmarsh": ("OdeOptions", "steklov_spectrum", "wt_from_amplitude", "wt_from_ode"),
+    "weyl_titchmarsh": ("steklov_spectrum", "wt_from_amplitude", "wt_from_ode"),
     "muntz": ("MuntzSeries", "MuntzSystem", "muntz_coeff_squares", "muntz_coeffs",
               "still_bound", "system_for_params"),
     "gelfand_levitan": ("GLWorkspace", "p_from_amplitude", "p_prime_from_amplitude",

@@ -49,8 +49,7 @@ class RunConfig:
     scales: list = field(default_factory=lambda: [1e-1, 1e-2, 1e-3, 1e-4])
     output: str | None = field(default=None, metadata={"help": "output CSV path ('-' for stdout)"})
     precision: int = field(default=256, metadata={"help": "working precision in bits"})
-    x_max: float | None = None
-    tolerance: float = 1e-11  # OdeOptions' default, without loading weyl_titchmarsh
+    tolerance: float = 1e-11  # weyl_titchmarsh._TOLERANCE, without loading weyl_titchmarsh
     n: int = field(default=10, metadata={"help": "orthonormalization table size"})
 
     def header_lines(self) -> list[str]:
@@ -160,9 +159,8 @@ def _amplitude(cfg: RunConfig, params: SpectralParams) -> Amplitude:
 
 
 def _cmd_forward(cfg: RunConfig, params: SpectralParams) -> list[str]:
-    from .weyl_titchmarsh import OdeOptions, steklov_spectrum, wt_from_ode
-    opts = OdeOptions(x_max=cfg.x_max, tolerance=cfg.tolerance)
-    m, _ = wt_from_ode(_base_form(cfg.base), params.kappa, opts)
+    from .weyl_titchmarsh import steklov_spectrum, wt_from_ode
+    m, _ = wt_from_ode(_base_form(cfg.base), params.kappa, tolerance=cfg.tolerance)
     lines = ["k,kappa,sigma"]
     for k, (kappa, sigma) in enumerate(zip(params.kappa, steklov_spectrum(params, m))):
         lines.append(f"{k},{_fmt(kappa)},{_fmt(sigma)}")
@@ -252,7 +250,7 @@ def _cmd_ks_check(cfg: RunConfig, params: SpectralParams) -> list[str]:
 # params from d, delta and K.
 _COMMANDS = {command: (cmd, {"command", "d", "delta", "K", "output", *reads})
              for command, cmd, reads in (
-                 ("forward", _cmd_forward, ("base", "x_max", "tolerance")),
+                 ("forward", _cmd_forward, ("base", "tolerance")),
                  ("perturb", _cmd_perturb, ("base", "coeffs")),
                  ("reconstruct", _cmd_reconstruct, ("T", "M", "base", "coeffs")),
                  ("muntz", _cmd_muntz, ("n", "precision")),

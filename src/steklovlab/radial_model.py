@@ -333,9 +333,11 @@ class BallPotential(_SampledTable):
 def extend_potential(q: RadialPotential, form: PotentialForm, x_max: float) -> RadialPotential:
     """Extend grid samples beyond their domain with a closed form.
 
-    The result keeps the original samples on their grid (same spacing) and
-    appends closed-form values up to x_max, which must be finite; evaluation
-    interpolates the stitched table. At most _MAX_EXTENSION = 2^24 points are
+    This is how a table that stops short of shooting's truncation point
+    23/kappa reaches it: extend to 23/kappa_min, with ZeroForm for a Q = 0
+    tail. The result keeps the original samples and appends closed-form
+    values up to x_max, which must be finite, stepping by the table's first
+    interval; evaluation interpolates the stitched table. At most _MAX_EXTENSION = 2^24 points are
     appended (two 128 MiB arrays, far past any table the routes use); a longer
     extension is refused before anything is allocated.
     """

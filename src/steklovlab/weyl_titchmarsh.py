@@ -23,7 +23,7 @@ Neville-Aitken table (Hairer, Norsett & Wanner, Solving ODEs I, II.9):
 r_j = m_j + (m_j - m_{j-1})/15 cancels RK4's h^4 error term, and
 e_j = r_j + (r_j - r_{j-1})/63 its h^6 term. A kappa is accepted once
 |e_j - r_j|, the error of the lower-order entry, is within the tolerance
-(1e-11 by default); e_j is its value, and
+(_TOLERANCE = 1e-11 by default); e_j is its value, and
 est_error adds 16 eps |e_j| for rounding. Halving gives up as soon
 as the raw differences m_j - m_{j-1} stop contracting: they grow near an
 eigenvalue, and shrink too slowly while the step does not resolve the
@@ -32,9 +32,10 @@ own step x_max/n. A kappa's first n is the least 32 * 2^j whose step is at
 most _STEP, and the kappas of one call are grouped by it: a group shares n at
 every level and pushes its unconverged kappas through one batched
 (2, 2, kappas, steps) propagator product per level, in batches of _CHUNK
-steps' worth of elements; each batch samples Q on its own kappas' grids, and
-a given x_max is sampled once per level. Under the default truncation
-kappa h = 23/n is the same for every kappa of a group. No pass takes more
+steps' worth of elements; each batch samples Q once, on its own kappas' grids
+in kappa order, and kappa h = 23/n is the same for every kappa of a group. A
+sampled table must reach 23/kappa; extend_potential carries one that stops
+short on with a closed form. No pass takes more
 than _MAX_STEPS steps, which bounds its 2n + 1 samples: a kappa whose first
 pass cannot be halved twice within that budget is refused before any
 shooting, and one that has not converged when the next pass would pass it
@@ -57,7 +58,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -74,6 +74,7 @@ _MIN_CONTRACTION = 2  # step halving must shrink the difference at least this mu
 _STEP = 1.0 / 32.0    # largest step of the first shooting pass
 _MAX_STEPS = 2 ** 20  # steps of the longest pass; its 2n + 1 samples take about 16 MiB
 _ROUNDING = 16.0 * np.finfo(float).eps  # est_error's rounding term, relative to |M|
+_TOLERANCE = 1e-11    # wt_from_ode's default tolerance, also the command line's
 
 # exp-sinh rule for int_0^inf f(s) e^{-s} ds: nodes s(t) = exp(t - e^{-t}) at
 # t = j h, j = -64..58; the weights carry h, ds/dt and e^{-s}
@@ -81,37 +82,6 @@ _DE_H = 1.0 / 16.0
 _DE_T = np.arange(-64, 59) * _DE_H
 _DE_S = np.exp(_DE_T - np.exp(-_DE_T))
 _DE_W = _DE_H * _DE_S * (1.0 + np.exp(-_DE_T)) * np.exp(-_DE_S)
-
-
-@dataclass(frozen=True)
-class OdeOptions:
-    """Controls for the backward shooting route.
-
-    x_max = None picks 23/kappa for each kappa: backward shooting damps the
-    growing mode that the truncated seed lets in by e^{-2 kappa x_max} =
-    e^{-46}, about 1e-20, so a longer interval only adds steps. A given x_max
-    applies to every kappa and must be positive and finite. A sampled table
-    must reach the truncation point, whether picked or given, or the route
-    raises ValidationError. A kappa is accepted at the first halving
-    level j where the Neville entries e_j and r_j (see wt_from_ode) differ by
-    at most tolerance, which must be positive and finite. The default
-    tolerance is also the command line's.
-    """
-
-    x_max: float | None = None
-    tolerance: float = 1e-11
-
-    def __post_init__(self):
-        if self.x_max is not None and not 0 < self.x_max < math.inf:  # NaN fails
-            raise ValidationError(
-                f"x_max must be positive and finite, got {self.x_max}", _MOD)
-        if not 0 < self.tolerance < math.inf:
-            raise ValidationError(
-                f"tolerance must be positive and finite, got {self.tolerance}", _MOD)
-
-    def x_max_for(self, kappa: float) -> float:
-        """The truncation point at kappa."""
-        return float(self.x_max) if self.x_max is not None else 23.0 / kappa
 
 
 def _first_steps(x_max: float) -> int:
@@ -191,28 +161,25 @@ def _shoot(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray, kappas: np.
     NumericalError that stops it. Only m[:k] is meaningful.
 
     A batch holds as many kappas as fill _CHUNK steps, or one kappa once
-    n > _CHUNK. It samples Q on the half-step grid of each of its distinct
-    truncation points, unless the batch before had the same ones, and applies
-    each kappa's steps as products of their propagators, _CHUNK steps at a
-    time: the temporaries stay O(_CHUNK) and the samples O(n). A batch is
-    moderate when each kappa's g = Q + kappa^2 and step h have max |g| <= 2^40
-    and h^2 max |g| <= 4. The pass ends with the first failing batch.
+    n > _CHUNK. It samples Q once, on the half-step grids of its kappas in
+    kappa order, and applies each kappa's steps as products of their
+    propagators, _CHUNK steps at a time: the temporaries stay O(_CHUNK) and
+    the samples O(n). A batch is moderate when each kappa's g = Q + kappa^2
+    and step h have max |g| <= 2^40 and h^2 max |g| <= 4. The pass ends with
+    the first failing batch.
     """
     width = _CHUNK // min(n, _CHUNK)
     m = np.empty(kappas.size)
-    tops = q_half = None
     for lo in range(0, kappas.size, width):
         batch = slice(lo, lo + width)
-        kap = kappas[batch]
-        ends, rows = np.unique(x_max[batch], return_inverse=True)
-        if not np.array_equal(ends, tops):  # a given x_max: one grid per pass
-            grid = np.arange(2 * n + 1) * (ends / (2 * n))[:, None]  # np.linspace's bits
-            grid[:, -1] = ends
-            tops, q_half = ends, Q(grid)
-            del grid  # not held through the products
-        g = q_half[rows, ::-1] + kap[:, None] ** 2
+        kap, ends = kappas[batch], x_max[batch]
+        grid = np.arange(2 * n + 1) * (ends / (2 * n))[:, None]  # np.linspace's bits
+        grid[:, -1] = ends
+        q_half = Q(grid)
+        del grid  # not held through the products
+        g = q_half[:, ::-1] + kap[:, None] ** 2
         g0, gm, g1 = g[:, :-1:2], g[:, 1::2], g[:, 2::2]  # start, midpoint, end of each step
-        s = -(x_max[batch] / n)[:, None]
+        s = -(ends / n)[:, None]
         big = np.maximum(g.max(axis=1), -g.min(axis=1))  # max |g| per kappa, no |g| temporary
         moderate = big.max() <= 2.0 ** 40 and (s[:, 0] ** 2 * big).max() <= 4.0
         y = np.stack([np.ones_like(kap), -kap])[:, None]
@@ -222,7 +189,7 @@ def _shoot(Q: Callable[[np.ndarray], np.ndarray], x_max: np.ndarray, kappas: np.
             y = _pow2_normalize(_mul2(_chain_product(P, moderate), y), axis=(0, 1))
         u0, v0 = y[:, 0]
         m[batch] = v0 / u0
-        sampled = np.isfinite(q_half).all(axis=1)[rows]
+        sampled = np.isfinite(q_half).all(axis=1)
         overflow = ~(np.isfinite(u0) & np.isfinite(v0))
         # |M| >= 1e12 max(1, kappa), scale-free; M is about -kappa for large
         # kappa, and <= catches 0 = 0
@@ -258,34 +225,37 @@ def _result(values: np.ndarray, est_errors: np.ndarray, stop: int,
     return values, est_errors
 
 
-def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
-                opts: OdeOptions | None = None) -> tuple[np.ndarray, np.ndarray]:
+def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, *,
+                tolerance: float = _TOLERANCE) -> tuple[np.ndarray, np.ndarray]:
     """(value, est_error): M(-kappa^2) = u'(0)/u(0) by backward integration
     and step halving, and its error estimate, one entry per kappa.
 
     Q is a sampled RadialPotential or a closed form, which is evaluated
     directly. kappa is a 1-d array; a scalar counts as one entry. Each kappa
-    shoots over [0, opts.x_max_for(kappa)] with its own step, and the kappas
+    shoots over [0, 23/kappa] with its own step, and the kappas
     are grouped by their first step count (_first_steps). At each halving
     level a group shoots all of its unconverged kappas in one batched pass,
     which samples Q on their half-step grids; converged kappas drop out.
     From the levels' values m_j it forms the Richardson extrapolates
     r_j = m_j + (m_j - m_{j-1})/15 and the next Neville column
     e_j = r_j + (r_j - r_{j-1})/63. A kappa converges when
-    |e_j - r_j| <= opts.tolerance; value is e_j and est_error is
+    |e_j - r_j| <= tolerance; value is e_j and est_error is
     |e_j - r_j| + 16 eps |e_j|, the last term for rounding, which the
     acceptance test leaves out.
 
-    Raises ValidationError for a kappa that is not positive with a finite
-    square, or whose truncation point needs a first pass longer than
-    _MAX_STEPS/4 steps, and NumericalError when a halving shrinks the raw
+    Raises ValidationError for a tolerance that is not positive and finite,
+    for a kappa that is not positive with a finite square, or whose
+    truncation point needs a first pass longer than _MAX_STEPS/4 steps or
+    lies past the end of a sampled table (extend_potential carries a table
+    on to it), and NumericalError when a halving shrinks the raw
     difference |m_j - m_{j-1}| by less than _MIN_CONTRACTION (worded as an
     eigenvalue if it grew, as an unresolved step or a tolerance below the
     rounding floor if not), or when the next pass would be longer than
     _MAX_STEPS. The error is that of the lowest failing index k, raised as
     "evaluator failed at k=..."; the kappas above k stop as soon as k fails.
     """
-    opts = opts or OdeOptions()
+    if not 0 < tolerance < math.inf:  # NaN fails
+        raise ValidationError(f"tolerance must be positive and finite, got {tolerance}", _MOD)
     closed = isinstance(Q, PotentialForm)  # a closed form is evaluated directly
     potential = Q.potential if closed else Q
     kappas = np.atleast_1d(np.asarray(kappa, dtype=float))
@@ -297,7 +267,7 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
         if (error := _bad_kappa(kap)) is not None:
             stop = i
             break
-        x_maxes[i] = x_max = opts.x_max_for(kap)
+        x_maxes[i] = x_max = 23.0 / kap
         n = _first_steps(x_max)
         if 4 * n > _MAX_STEPS:  # the two Neville columns need three levels
             stop, error = i, ValidationError(
@@ -327,7 +297,7 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
             r = m + (m - prev[live]) / 15.0  # RK4's h^4 error term cancelled
             e = r + (r - prev_r[live]) / 63.0  # and the h^6 term
             est = np.abs(e - r)
-            done = est <= opts.tolerance
+            done = est <= tolerance
             # RK4 contracts the difference about 16x per halving; near an
             # eigenvalue it grows instead, and while the step does not
             # resolve Q it shrinks slowly: no tolerance will be met
@@ -351,7 +321,7 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa,
         live = live[live < stop]
         if live.size:
             stop, error = int(live[0]), NumericalError(
-                f"step halving did not reach tolerance {opts.tolerance} at "
+                f"step halving did not reach tolerance {tolerance} at "
                 f"kappa={float(kappas[live[0]])} within {_MAX_STEPS} steps per pass", _MOD)
     return _result(values, est_errors, stop, error)
 

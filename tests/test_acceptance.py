@@ -8,8 +8,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from steklovlab import (Bargmann1, Bargmann2, GeometricTail, OdeOptions,
-                        ZeroForm, build_perturbed_amplitude, extend_potential,
+from steklovlab import (Bargmann1, Bargmann2, GeometricTail, ZeroForm,
+                        build_perturbed_amplitude, extend_potential,
                         fit_holder, halfline_to_ball,
                         ks_check_normalization, ks_check_positivity,
                         ks_check_quasi_szego, make_spectral_params,
@@ -31,11 +31,10 @@ def _report(n, name, detail):
 
 def test_criterion_1_flat_ball_spectrum():
     t0 = time.perf_counter()
-    opts = OdeOptions(x_max=12.0, tolerance=1e-10)
     worst = 0.0
     for d in (3, 4, 5):
         params = make_spectral_params(d, 0.0, 16)
-        values, _ = wt_from_ode(ZeroForm(), params.kappa, opts)
+        values, _ = wt_from_ode(ZeroForm(), params.kappa, tolerance=1e-10)
         worst = max(worst, float(np.max(np.abs(steklov_spectrum(params, values)
                                                 - np.arange(17)))))
     elapsed = time.perf_counter() - t0
@@ -87,9 +86,9 @@ def test_criterion_4_route_agreement():
         params = make_spectral_params(3, 0.5, 8)
         amp = build_perturbed_amplitude(form, [], params)
         q = solve_gl(amp, 2.0, 256).potential
-        ext = extend_potential(q, form, 14.0)
+        ext = extend_potential(q, form, 23.0)  # 23/kappa for every kappa below
         for kappa in (1.0, 1.5, 2.5, 5.0):
-            (ode,), _ = wt_from_ode(ext, kappa, OdeOptions(x_max=14.0))
+            (ode,), _ = wt_from_ode(ext, kappa)
             (lap,), _ = wt_from_amplitude(amp, kappa)
             worst = max(worst, abs(ode - lap))
     assert worst <= 1e-6

@@ -59,7 +59,7 @@ def read_rows(path, n_cols):
 def test_forward_flat_ball(tmp_path):
     out = tmp_path / "forward.csv"
     code = run_cli(["forward", "--d", "3", "--delta", "0", "--K", "3",
-                    "--base", "zero", "--x-max", "12", "--output", str(out)])
+                    "--base", "zero", "--output", str(out)])
     assert code == 0
     text = out.read_text()
     assert text.startswith("# command = forward")
@@ -122,7 +122,7 @@ _EXPORTED = (
     "extend_potential", "halfline_to_ball", "make_spectral_params",
     "weighted_norm_equivalence", "Amplitude", "GeometricTail", "build_perturbed_amplitude",
     "estimate_radius", "holder_exponent", "ks_check_normalization", "ks_check_positivity",
-    "ks_check_quasi_szego", "OdeOptions", "steklov_spectrum",
+    "ks_check_quasi_szego", "steklov_spectrum",
     "wt_from_amplitude", "wt_from_ode", "MuntzSeries", "MuntzSystem", "muntz_coeff_squares",
     "muntz_coeffs", "still_bound", "system_for_params", "GLWorkspace", "p_from_amplitude",
     "p_prime_from_amplitude", "solve_gl", "HolderFit", "SweepRecord", "emit_records",
@@ -152,7 +152,7 @@ def test_exported_names_still_import():
 
 
 @pytest.mark.parametrize("argv,loaded,absent", [
-    (["forward", "--K", "2", "--base", "zero", "--x-max", "8"], [], _LAYERS),
+    (["forward", "--K", "2", "--base", "zero"], [], _LAYERS),
     (["perturb", "--K", "4", "--base", "bargmann1", "--beta", "1", "--gamma", "0.5"], [],
      _LAYERS[:2]),
     (["ks-check", "--delta", "1", "--coeffs=-1.0"], [], (*_LAYERS[:2], "weyl_titchmarsh")),
@@ -178,8 +178,8 @@ def test_fresh_command_loads_only_what_it_uses(argv, loaded, absent):
 def test_command_line_tolerance_is_the_shooting_default():
     # RunConfig spells the default out, so that reconstruct, muntz and ks-check
     # never load weyl_titchmarsh
-    from steklovlab.weyl_titchmarsh import OdeOptions
-    assert RunConfig().tolerance == OdeOptions().tolerance
+    from steklovlab.weyl_titchmarsh import _TOLERANCE
+    assert RunConfig().tolerance == _TOLERANCE
 
 
 def test_lapack_names_patched_before_the_first_solve_are_called():
@@ -348,21 +348,6 @@ def test_reconstruct_small_bargmann2_well_matches_its_limit(tmp_path):
     assert l2_norm(q - exact, x[1]) <= 1e-10 * l2_norm(exact, x[1])
 
 
-def test_forward_bargmann2_far_horizon_stays_finite(tmp_path):
-    # F, F' and F'' grow like e^{2 kappa1 x}: unscaled they overflowed near
-    # x = 724 and the potential failed its finiteness check (exit 2)
-    out = tmp_path / "fwd.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert run_cli(["forward", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.49",
-                        "--K", "2", "--x-max", "800", "--output", str(out)]) == 0
-    kappa, sigma = np.array([[float(c) for c in r[1:]] for r in read_rows(out, 3)
-                             if r[0] != "k"]).T
-    form = Bargmann2(c1=1.0, kappa1=0.49)
-    exact = kappa - 0.5 + np.array([form.laplace(k) for k in kappa])
-    assert np.all(np.abs(sigma - exact) <= 1e-8 * np.abs(exact))
-
-
 @pytest.mark.parametrize("well", [["bargmann2", "--c1", "1", "--kappa1=1e5", "--T", "8"],
                                   ["bargmann1", "--beta=1e20", "--gamma=1e5", "--T", "0.5"]],
                          ids=["bargmann2", "bargmann1"])
@@ -390,34 +375,27 @@ def test_out_of_memory_exits_3_naming_the_sizes():
 
 
 def test_truncation_points_past_the_step_budget_are_refused_at_once():
-    # kappa = 1e-10 and 1e-6 truncate at 2.3e11 and 2.3e7, and --x-max 1e9
-    # at 1e9: a first pass with steps of at most 1/32 would sample 16 GiB to
-    # 128 TiB. One child lowers its own address-space limit to 3 GiB, so a
-    # regression fails to allocate instead of allocating for real
-    proc = _fresh("import resource, sys, time; "
+    # kappa = 1e-10 and 1e-6 truncate at 2.3e11 and 2.3e7: a first pass with
+    # steps of at most 1/32 would sample 128 TiB and 16 GiB. One child lowers
+    # its own address-space limit to 3 GiB, so a regression fails to allocate
+    # instead of allocating for real
+    proc = _fresh("import resource, time; "
                   "resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30)); "
                   "import numpy as np; "
-                  "from steklovlab import ValidationError, ZeroForm, wt_from_ode; "
-                  "from steklovlab.cli import main\n"
+                  "from steklovlab import ValidationError, ZeroForm, wt_from_ode\n"
                   "for kappas in ([1e-10], [1.5, 1e-6]):\n"
                   "    start = time.perf_counter()\n"
                   "    try:\n"
                   "        wt_from_ode(ZeroForm(), np.array(kappas))\n"
                   "    except ValidationError as exc:\n"
-                  "        print(time.perf_counter() - start < 1.0, exc)\n"
-                  "start = time.perf_counter(); code = main(sys.argv[1:]); "
-                  "print(time.perf_counter() - start < 1.0, code)",
-                  "forward", "--d", "3", "--delta", "0.5", "--base", "bargmann1", "--beta", "1",
-                  "--gamma", "0.5", "--K", "2", "--x-max", "1e9", "--output", "-")
+                  "        print(time.perf_counter() - start < 1.0, exc)")
     budget = "a first pass and two halvings need more than 1048576 steps per pass"
     assert proc.stdout == (
         f"True evaluator failed at k=0: truncation point x_max=230000000000.0 at kappa=1e-10 "
         f"is out of reach: {budget}\n"
         f"True evaluator failed at k=1: truncation point x_max=23000000.0 at kappa=1e-06 "
-        f"is out of reach: {budget}\n"
-        "True 2\n")
-    assert proc.stderr == ("[weyl_titchmarsh] evaluator failed at k=0: truncation point "
-                           f"x_max=1000000000.0 at kappa=0.5 is out of reach: {budget}\n")
+        f"is out of reach: {budget}\n")
+    assert proc.stderr == ""
 
 
 def test_forward_past_kappa_1e12(tmp_path):
@@ -792,7 +770,7 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ["sweep", "--tail-a", "1", "--tail-rho", "0.1", "--scales", "1e-1,inf"]):
         assert run_cli(args) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
-    # a tolerance <= 0 is refused by the shooting options, before any shooting
+    # a tolerance <= 0 is refused by the shooting route, before any shooting
     assert run_cli(["forward", "--tolerance", "-1"]) == 2
     assert capsys.readouterr() == (
         "", "[weyl_titchmarsh] tolerance must be positive and finite, got -1.0\n")
@@ -807,7 +785,7 @@ def test_validation_failures_exit_2(tmp_path, capsys):
                  ["perturb", "--base", "zero", "--coeffs=-0.5,inf"]):
         assert run_cli(args) == 2
         assert capsys.readouterr().err.startswith("[cli] ")
-    for text in ('{"command": "forward", "x_max": Infinity}',  # json.load takes these
+    for text in ('{"command": "forward", "tolerance": Infinity}',  # json.load takes these
                  '{"command": "sweep", "scales": [0.1, NaN]}',
                  '{"command": "reconstruct", "base": {"kind": "bargmann1", "beta": 1, '
                  '"gamma": NaN}}',
@@ -820,21 +798,29 @@ def test_validation_failures_exit_2(tmp_path, capsys):
     cfg.write_text(json.dumps({"command": "ks-check", "coeffs": {"generator": [1.0, 0.1]}}))
     assert run_cli(["--config", str(cfg), "--tail-a", "1"]) == 2
     assert capsys.readouterr().err.startswith("[cli] ")
-    # a truncation point at or below 0 is refused by forward before any
-    # shooting, and by every other command as a field it does not read
-    for command in cli.COMMANDS:
-        def refusal(got):
-            if command == "forward":
-                return f"[weyl_titchmarsh] x_max must be positive and finite, got {got}\n"
-            return (f"[cli] {command} does not read x_max: got {got}, where only its default "
-                    "None is accepted\n")
-
-        for x_max in ("--x-max=0", "--x-max=-5"):
-            assert run_cli([command, x_max, "--output", "-"]) == 2
-            assert capsys.readouterr() == ("", refusal(f"{x_max[8:]}.0"))
-        cfg.write_text(json.dumps({"command": command, "x_max": -1}))
-        assert run_cli(["--config", str(cfg)]) == 2
-        assert capsys.readouterr() == ("", refusal("-1"))
+    # the retired truncation point: every kappa shoots over [0, 23/kappa], so
+    # --x-max is an unknown flag and x_max an unknown config key, for every
+    # command, refused before any module the commands run loads
+    cfg.write_text(json.dumps({"command": "forward", "x_max": 12}))
+    proc = _fresh("import contextlib, io, json, sys; from steklovlab.cli import main\n"
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    err = io.StringIO()\n"
+                  "    with contextlib.redirect_stderr(err):\n"
+                  "        try: code = main(argv)\n"
+                  "        except SystemExit as exc: code = exc.code\n"
+                  "    print(json.dumps([code, err.getvalue().splitlines()[-1]]))\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath') "
+                  "or m in ('steklovlab.weyl_titchmarsh', 'steklovlab.perturbation', "
+                  "'steklovlab.gelfand_levitan', 'steklovlab.muntz', "
+                  "'steklovlab.stability_harness')))",
+                  json.dumps([[command, "--x-max", "12", "--output", "-"]
+                              for command in cli.COMMANDS]
+                             + [["--config", str(cfg), "--output", "-"]]))
+    *results, loaded = proc.stdout.splitlines()
+    assert [json.loads(ln) for ln in results] == (
+        [[2, "steklovlab: error: unrecognized arguments: --x-max 12"]] * len(cli.COMMANDS)
+        + [[2, "[cli] unknown config key 'x_max'"]])
+    assert loaded == "[]"
     # the retired workers key: saved configs carry "workers": 1, and only that passes
     plain = {"command": "perturb", "d": 3, "delta": 1, "K": 4, "base": {"kind": "zero"},
              "coeffs": {"values": [-0.5]}}
@@ -860,7 +846,7 @@ _SCALAR_VALUES = [("command", "muntz", "muntz", "forward"), ("d", "4", 4, "pertu
                   ("delta", "0.25", 0.25, "muntz"), ("T", "1.5", 1.5, "reconstruct"),
                   ("K", "8", 8, "ks-check"), ("M", "64", 64, "sweep"),
                   ("output", "x.csv", "x.csv", "reconstruct"), ("precision", "128", 128, "muntz"),
-                  ("x_max", "10.5", 10.5, "forward"), ("tolerance", "1e-09", 1e-09, "forward"),
+                  ("tolerance", "1e-09", 1e-09, "forward"),
                   ("n", "3", 3, "muntz")]
 
 
@@ -880,7 +866,7 @@ def test_flag_and_config_key_give_the_same_header_line(name, flag, value, comman
 
 # the RunConfig fields each command reads, in field order
 _READS = {
-    "forward": ["command", "d", "delta", "K", "base", "output", "x_max", "tolerance"],
+    "forward": ["command", "d", "delta", "K", "base", "output", "tolerance"],
     "perturb": ["command", "d", "delta", "K", "base", "coeffs", "output"],
     "reconstruct": ["command", "d", "delta", "T", "K", "M", "base", "coeffs", "output"],
     "muntz": ["command", "d", "delta", "K", "output", "precision", "n"],
@@ -908,8 +894,8 @@ def test_header_echoes_the_fields_the_command_reads(command, capsys):
 _NON_DEFAULT = {"T": ["--T", "1.5"], "M": ["--M", "64"],
                 "base": ["--base", "bargmann1", "--beta", "1", "--gamma", "0.5"],
                 "coeffs": ["--coeffs=-1"], "scales": ["--scales", "1e-1,1e-2,1e-3"],
-                "precision": ["--precision", "128"], "x_max": ["--x-max", "10.5"],
-                "tolerance": ["--tolerance", "1e-09"], "n": ["--n", "3"]}
+                "precision": ["--precision", "128"], "tolerance": ["--tolerance", "1e-09"],
+                "n": ["--n", "3"]}
 
 
 def test_a_field_the_command_does_not_read_is_refused_before_any_work():
@@ -928,7 +914,7 @@ def test_a_field_the_command_does_not_read_is_refused_before_any_work():
                   json.dumps([[command, *_NON_DEFAULT[name], "--output", "-"]
                               for command, name in pairs]))
     results = [json.loads(ln) for ln in proc.stdout.splitlines()]
-    assert len(pairs) == len(results) == 36
+    assert len(pairs) == len(results) == 31
     for (command, name), (code, err, loaded) in zip(pairs, results):
         assert code == 2, (command, name)
         assert err.startswith(f"[cli] {command} does not read {name}: got "), err
@@ -939,7 +925,7 @@ def test_parser_options_are_derived_unchanged():
     options = [s for action in cli._PARSER._actions for s in action.option_strings]
     assert sorted(options) == sorted([
         "-h", "--help", "--config", "--output", "--precision", "--d", "--delta", "--T", "--K",
-        "--M", "--x-max", "--tolerance", "--n", "--base", "--beta", "--gamma", "--c1",
+        "--M", "--tolerance", "--n", "--base", "--beta", "--gamma", "--c1",
         "--kappa1", "--coeffs", "--tail-a", "--tail-rho", "--scales"])
 
 

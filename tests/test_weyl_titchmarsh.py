@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from steklovlab import (Bargmann1, Bargmann2, NumericalError, OdeOptions,
-                        RadialPotential, ValidationError, ZeroForm,
+from steklovlab import (Bargmann1, Bargmann2, NumericalError, RadialPotential,
+                        ValidationError, ZeroForm,
                         build_perturbed_amplitude, make_spectral_params,
                         steklov_spectrum, wt_from_amplitude, wt_from_ode)
 from steklovlab import weyl_titchmarsh
-from steklovlab.weyl_titchmarsh import _CHUNK, _MAX_STEPS, _ROUNDING, _STEP, _shoot
+from steklovlab.weyl_titchmarsh import (_CHUNK, _MAX_STEPS, _ROUNDING, _STEP, _TOLERANCE,
+                                        _shoot)
 
 from oracles import laplace_of_series, m_fixed_step, m_fixed_step_loop, shoot_every_level
 
@@ -33,19 +34,19 @@ def _sigma(amp, params):
 
 
 def test_ode_free_potential_exact():
-    (value,), (est,) = wt_from_ode(ZeroForm(), 1.5, OdeOptions(x_max=12.0))
+    (value,), (est,) = wt_from_ode(ZeroForm(), 1.5)
     assert value == pytest.approx(-1.5, abs=1e-12)
     assert est <= 1e-12
 
 
 def test_ode_bargmann1_closed_value():
     # Laplace algebra gives M(-1) = -1 - (gamma^2 - beta^2)/(1 + gamma) = -1/2
-    (value,), _ = wt_from_ode(B1, 1.0, OdeOptions(x_max=14.0))
+    (value,), _ = wt_from_ode(B1, 1.0)
     assert value == pytest.approx(-0.5, abs=1e-8)
 
 
 def test_ode_vs_amplitude_bargmann2():
-    (ode,), _ = wt_from_ode(B2, 2.0, OdeOptions(x_max=14.0))
+    (ode,), _ = wt_from_ode(B2, 2.0)
     (lap,), _ = wt_from_amplitude(_amp(B2, []), 2.0)
     assert abs(ode - lap) <= 1e-6
     assert lap == pytest.approx(-2.0 + 1.0 / 3.75, rel=1e-10)
@@ -102,7 +103,7 @@ def test_ode_est_error_covers_rounding(form, tolerance):
     # below tolerance 1e-12, |e_j - r_j| alone reads less than the rounding
     # error of the value; est_error adds 16 eps |value| for it
     kappas = make_spectral_params(5, 1.0, 64).kappa
-    values, est = wt_from_ode(form, kappas, OdeOptions(tolerance=tolerance))
+    values, est = wt_from_ode(form, kappas, tolerance=tolerance)
     assert np.all(est >= np.abs(values - _exact_m(form, kappas)))
 
 
@@ -110,11 +111,19 @@ def test_ode_est_error_covers_rounding(form, tolerance):
 def test_default_truncation_agrees_with_a_longer_one(form):
     # the growing mode that the truncation at 23/kappa lets in shrinks by
     # e^{-2 kappa x_max} = e^{-46} on the way to x = 0, so shooting over
-    # [0, 12] as well (longer for every kappa here but 1.5) changes M by no
-    # more than the two error estimates cover
+    # [0, 12] as well (longer for every kappa here but 1.5), with the same
+    # Neville rule on passes of 512 to 8192 steps, changes M by no more than
+    # the two error estimates cover
     kappas = make_spectral_params(5, 1.0, 64).kappa
     short, short_est = wt_from_ode(form, kappas)
-    long, long_est = wt_from_ode(form, kappas, OdeOptions(x_max=12.0))
+    ends = np.full(kappas.size, 12.0)
+    ms = [_shoot(form.potential, ends, kappas, 512 * 2 ** j)[0] for j in range(5)]
+    rs = [b + (b - a) / 15.0 for a, b in zip(ms, ms[1:])]
+    es = np.array([b + (b - a) / 63.0 for a, b in zip(rs, rs[1:])])
+    ests = np.abs(es - rs[1:])
+    assert np.all((ests <= _TOLERANCE).any(axis=0))
+    level = np.argmax(ests <= _TOLERANCE, axis=0), np.arange(kappas.size)  # the first accepted
+    long, long_est = es[level], ests[level] + _ROUNDING * np.abs(es[level])
     assert np.all(np.abs(short - long) <= short_est + long_est)
 
 
@@ -125,7 +134,7 @@ def test_ode_converges_at_the_rounding_floor(form):
     # converged (14, 28 and 42 of these 65 failed); |e_j - r_j| is
     # |r_j - r_{j-1}|/63 and meets it before the noise does
     kappas = make_spectral_params(5, 1.0, 64).kappa
-    values, est = wt_from_ode(form, kappas, OdeOptions(tolerance=1e-14))
+    values, est = wt_from_ode(form, kappas, tolerance=1e-14)
     assert np.all(est <= 1e-14 + _ROUNDING * np.abs(values))
     assert np.all(np.abs(values - _exact_m(form, kappas)) <= 1e-13)
 
@@ -134,7 +143,7 @@ def test_ode_failure_at_eigenvalue():
     # -kappa1^2 is the bound state of this well: u(0) collapses
     start = time.perf_counter()
     with pytest.raises(NumericalError):
-        wt_from_ode(B2, 0.5, OdeOptions(x_max=14.0))
+        wt_from_ode(B2, 0.5)
     assert time.perf_counter() - start < 1.0
 
 
@@ -182,20 +191,18 @@ def test_forward_shoot_halvings_match_scalar_loop():
     # differences contract >= 10x per halving, far from the fail-fast
     # threshold of 2x, and est_error is |e_j - r_j| plus the rounding term
     params = make_spectral_params(3, 0.5, 64)
-    opts = OdeOptions()
     for kappa in map(float, params.kappa):
-        x_max = opts.x_max_for(kappa)
+        x_max = 23.0 / kappa
         n0 = _first_steps(x_max)
         ms, rs, es = _neville_halvings(
-            lambda n: m_fixed_step(B1.potential, kappa, x_max, n), n0, opts.tolerance,
-            _MAX_STEPS)
+            lambda n: m_fixed_step(B1.potential, kappa, x_max, n), n0, _TOLERANCE, _MAX_STEPS)
         ref_ms, ref_rs, ref_es = _neville_halvings(
-            lambda n: m_fixed_step_loop(B1.potential, kappa, x_max, n), n0, opts.tolerance,
+            lambda n: m_fixed_step_loop(B1.potential, kappa, x_max, n), n0, _TOLERANCE,
             _MAX_STEPS)
-        assert len(ms) == len(ref_ms) and abs(ref_es[-1] - ref_rs[-1]) <= opts.tolerance
+        assert len(ms) == len(ref_ms) and abs(ref_es[-1] - ref_rs[-1]) <= _TOLERANCE
         diffs = np.abs(np.diff(ms))
         assert all(a >= 10.0 * b for a, b in zip(diffs, diffs[1:]))
-        (value,), (est,) = wt_from_ode(B1, kappa, opts)
+        (value,), (est,) = wt_from_ode(B1, kappa)
         assert (value, est) == (es[-1], abs(es[-1] - rs[-1]) + _ROUNDING * abs(es[-1]))
         # each value agrees with the loop's to 1e-13 relative, and
         # e_j - r_j = (r_j - r_{j-1})/63 weighs three values by 34/945 in all
@@ -210,13 +217,14 @@ def _first_steps(x_max: float) -> int:
 
 class _CountingPotential:
     """A table reaching x_max that evaluates a closed form exactly and records
-    the shape of each evaluation's points."""
+    the shape and the row ends of each evaluation's points."""
 
     def __init__(self, form, x_max):
-        self.form, self.x_max, self.shapes = form, x_max, []
+        self.form, self.x_max, self.shapes, self.ends = form, x_max, [], []
 
     def __call__(self, x):
         self.shapes.append(x.shape)
+        self.ends.append(x[:, -1].tolist())
         return self.form.potential(x)
 
 
@@ -224,19 +232,17 @@ def test_batched_kappas_match_one_kappa_calls():
     # on the forward-shoot configuration every kappa has its own truncation
     # point 23/kappa, and the first step counts put the kappas in six groups
     params = make_spectral_params(3, 0.5, 64)
-    opts = OdeOptions()
     kappas = params.kappa.tolist()
-    assert [opts.x_max_for(k) for k in kappas] == [23.0 / k for k in kappas]
     n0 = [_first_steps(23.0 / k) for k in kappas]
     assert sorted(set(n0)) == [32, 64, 128, 256, 512, 2048]
 
     levels, singles = [], []  # per kappa
     for kappa in kappas:
         counting = _CountingPotential(B1, 46.0)
-        singles.append(wt_from_ode(counting, kappa, opts))
+        singles.append(wt_from_ode(counting, kappa))
         levels.append(len(counting.shapes))
     counting = _CountingPotential(B1, 46.0)
-    batched = wt_from_ode(counting, params.kappa, opts)
+    batched = wt_from_ode(counting, params.kappa)
     assert np.array_equal(batched, np.concatenate(singles, axis=1))  # bitwise
     # each level of a group samples Q in batches of at most _CHUNK steps, one
     # grid per unconverged kappa
@@ -260,28 +266,34 @@ def test_forward_shoot_step_count():
     assert sum(rows * (points - 1) // 2 for rows, points in counting.shapes) == 61504
 
 
-def test_a_given_truncation_point_is_sampled_once_per_level():
-    # with x_max given, every kappa shares one grid, sampled once per level
-    # even where each batch holds a single kappa
-    counting = _CountingPotential(B1, 12.0)
-    wt_from_ode(counting, make_spectral_params(3, 0.5, 64).kappa, OdeOptions(x_max=12.0))
-    assert len(counting.shapes) > 3
-    assert counting.shapes == [(1, 2 * 512 * 2 ** level + 1)
-                               for level in range(len(counting.shapes))]
+def test_every_sampled_grid_ends_at_its_batch_truncation_points():
+    # a batch samples its own kappas' grids once, each ending at 23/kappa, in
+    # the order of the kappas in the call, ascending or not
+    ladder = make_spectral_params(3, 0.5, 64).kappa
+    for kappas in (ladder, ladder[::-1], np.roll(ladder, 20)):
+        recording = _CountingPotential(B1, 46.0)
+        wt_from_ode(recording, kappas)
+        order = {23.0 / k: i for i, k in enumerate(kappas.tolist())}
+        assert len(order) == kappas.size
+        for ends in recording.ends:
+            rows = [order[end] for end in ends]  # a KeyError names a stray end
+            assert rows == sorted(rows) and len(set(rows)) == len(rows)
+        assert {end for ends in recording.ends for end in ends} == set(order)
 
 
 def test_batched_kappas_raise_for_lowest_failing_index():
-    # bound state at kappa = 0.5; kappas in two step-count groups (default
-    # x_max: 1.5 and 2.5 start at 512 steps, 0.5 at 2048), in one group
-    # (x_max = 14), and two failing kappas
-    for kappas, x_max, error, k in (([1.5, 0.5, 2.5], None, NumericalError, 1),
-                                    ([1.5, 0.5, 2.5], 14.0, NumericalError, 1),
-                                    ([0.5, 0.5 + 1e-9], None, NumericalError, 0),
-                                    ([1.5, -1.0, 0.5], None, ValidationError, 1),
-                                    ([0.5, -1.0], None, NumericalError, 0)):
+    # bound state at kappa = 0.5; kappas in two step-count groups (1.5 and
+    # 2.5 start at 512 steps, 0.5 at 2048), in one group (0.6, 0.5 and 0.7
+    # all start at 2048), and two failing kappas
+    assert {_first_steps(23.0 / kap) for kap in (0.6, 0.5, 0.7)} == {2048}
+    for kappas, error, k in (([1.5, 0.5, 2.5], NumericalError, 1),
+                             ([0.6, 0.5, 0.7], NumericalError, 1),
+                             ([0.5, 0.5 + 1e-9], NumericalError, 0),
+                             ([1.5, -1.0, 0.5], ValidationError, 1),
+                             ([0.5, -1.0], NumericalError, 0)):
         start = time.perf_counter()
         with pytest.raises(error, match=rf"^evaluator failed at k={k}: .*{kappas[k]}"):
-            wt_from_ode(B2, np.array(kappas), OdeOptions(x_max=x_max))
+            wt_from_ode(B2, np.array(kappas))
         assert time.perf_counter() - start < 1.0
     values, _ = wt_from_ode(B2, np.array([2.5, 1.5]))  # in the order given
     assert values.tolist() == [wt_from_ode(B2, k)[0][0] for k in (2.5, 1.5)]
@@ -333,16 +345,13 @@ def test_ode_rejects_bad_kappa_and_domain():
         with pytest.raises(ValidationError):
             wt_from_ode(ZeroForm(), kappa)
     with pytest.raises(ValidationError):
-        wt_from_ode(_zero_table(12.0, 64), 1.0, OdeOptions(x_max=40.0))
-    # shooting needs a truncation point inside (0, inf)
-    for x_max in (0.0, -3.0, math.inf, math.nan):
-        with pytest.raises(ValidationError, match="x_max must be positive and finite"):
-            OdeOptions(x_max=x_max)
-    # and a tolerance inside (0, inf): one at or below 0 is never met, so the
-    # halvings would run on until they blamed an eigenvalue
+        wt_from_ode(_zero_table(12.0, 64), 1.0)  # truncates at 23
+    # shooting needs a tolerance inside (0, inf): one at or below 0 is never
+    # met, so the halvings would run on until they blamed an eigenvalue
     for tolerance in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(ValidationError, match="tolerance must be positive and finite"):
-            OdeOptions(tolerance=tolerance)
+        with pytest.raises(ValidationError, match=r"^tolerance must be positive and finite, "
+                           rf"got {tolerance}$"):
+            wt_from_ode(ZeroForm(), 1.0, tolerance=tolerance)
 
 
 def test_truncation_point_that_is_not_finite_fails_tagged():
@@ -356,9 +365,6 @@ def test_truncation_point_that_is_not_finite_fails_tagged():
                            rf"and two halvings need more than {_MAX_STEPS} steps per pass$"):
             wt_from_ode(ZeroForm(), np.array(kappas))
         assert time.perf_counter() - start < 1.0
-    # a given truncation point is finite, so the same kappa shoots
-    (value,), _ = wt_from_ode(ZeroForm(), 1e-320, OdeOptions(x_max=1.0))
-    assert np.isfinite(value)
 
 
 def test_give_up_at_the_step_budget(monkeypatch):
@@ -385,9 +391,12 @@ def test_large_kappa_is_not_a_dirichlet_point():
 
 
 def test_dirichlet_point_of_a_constant_well():
-    # Q = -W on [0, 3] at kappa = 1: bisect W until u(0) vanishes in the
-    # first pass; there the route still fails, with the Dirichlet message
-    x_max, kappa, n = np.array([3.0]), np.array([1.0]), _first_steps(3.0)
+    # Q = -W on [0, 3] at kappa = 23/3, which truncates there: bisect W until
+    # u(0) vanishes in the first pass; there the route still fails, with the
+    # Dirichlet message. The exact point has tan(3 k) = -k/kappa, k^2 = W - kappa^2
+    kappa = np.array([23.0 / 3.0])
+    x_max = 23.0 / kappa
+    n = _first_steps(float(x_max[0]))
 
     def table(depth):
         return RadialPotential(grid=np.linspace(0.0, 3.0, 5), values=np.full(5, -depth))
@@ -396,34 +405,40 @@ def test_dirichlet_point_of_a_constant_well():
         m, _, error = _shoot(table(depth), x_max, kappa, n)
         return 0.0 if error is not None else 1.0 / m[0]
 
-    lo, hi = 1.5, 1.8
+    lo, hi = 59.7, 59.9
     assert reciprocal(lo) * reciprocal(hi) < 0
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if (f := reciprocal(mid)) == 0.0 or mid in (lo, hi):
             break
         lo, hi = (mid, hi) if f * reciprocal(lo) > 0 else (lo, mid)
-    assert mid == pytest.approx(1.67002, abs=1e-5)
+    assert mid == pytest.approx(59.78539, abs=1e-5)
     with pytest.raises(NumericalError, match=r"^evaluator failed at k=0: u\(0\) vanishes at "
-                       r"kappa=1\.0: -kappa\^2 sits at a Dirichlet point of the truncated "
-                       r"problem$"):
-        wt_from_ode(table(mid), 1.0, OdeOptions(x_max=3.0))
+                       r"kappa=7\.666666666666667: -kappa\^2 sits at a Dirichlet point of the "
+                       r"truncated problem$"):
+        wt_from_ode(table(mid), kappa)
 
 
 def test_overflowing_steps_are_not_an_eigenvalue():
     # |Q + kappa^2| h^2 past the float range overflows the step propagators
-    # themselves, or the product of two of them; Q = 0 has no eigenvalue
+    # themselves (kappa = 11.5 truncates at 2), or the product of two of them
+    # (a pass over [0, 1] at kappa = 1e60); Q = 0 has no eigenvalue
     huge = RadialPotential(grid=np.linspace(0.0, 2.0, 5), values=np.full(5, 1e300))
-    for Q, kappa, x_max in ((huge, 1.0, 2.0), (ZeroForm(), 1e60, 1.0)):
-        cause = (f"backward integration overflowed at kappa={kappa}: the RK4 steps leave "
-                 "the float range (|Q + kappa^2| h^2 too large)")
-        with pytest.raises(NumericalError, match=f"^evaluator failed at k=0: {re.escape(cause)}$"):
-            wt_from_ode(Q, kappa, OdeOptions(x_max=x_max))
+
+    def cause(kappa):
+        return (f"backward integration overflowed at kappa={kappa}: the RK4 steps leave "
+                "the float range (|Q + kappa^2| h^2 too large)")
+
+    with pytest.raises(NumericalError,
+                       match=f"^evaluator failed at k=0: {re.escape(cause(11.5))}$"):
+        wt_from_ode(huge, 11.5)
+    _, k, error = _shoot(ZeroForm().potential, np.array([1.0]), np.array([1e60]), 32)
+    assert (k, str(error)) == (0, cause(1e60))
 
 
 _LADDERS = ((3, 0.5), (5, 1.0), (3, 0.0))  # (d, delta); Bargmann2's bound state is on the last
 _KAPPAS = (1e3, 1e6, 1.01e12, 1e100)  # default truncation
-_GIVEN = (1e6, 1e12, 1e20, 1e60)  # x_max = 1
+_END_1 = ((1e6, 3), (1e12, 3), (1e20, 3), (1e60, 1))  # (kappa, passes of 32, 64, ..) on [0, 1]
 _CORNER = ((2.0 ** -18, 2 ** 13), (2.0 ** -3, 2 ** 16))  # (x_max, n) at kappa = 2^20
 
 
@@ -432,9 +447,10 @@ def test_shooting_passes_keep_the_bits_of_renormalizing_every_level(monkeypatch)
     # arange grid and the propagators written in place must return the
     # reference pass's (m, k, error) bit for bit, failures included: every
     # pass of the d = 3 and 5 ladders on Bargmann1 and the zero base, the
-    # Bargmann2 bound state, the narrow well, the default truncation and
-    # x_max = 1 up to kappa = 1e100, and long passes at the corner of the
-    # moderate regime (|g| = 2^40, h^2 |g| <= 4)
+    # Bargmann2 bound state, the narrow well, the default truncation up to
+    # kappa = 1e100, passes over [0, 1] up to kappa = 1e60, where they
+    # overflow, and long passes at the corner of the moderate regime
+    # (|g| = 2^40, h^2 |g| <= 4)
     chunks, passes = [], []
     chain = weyl_titchmarsh._chain_product
 
@@ -453,23 +469,27 @@ def test_shooting_passes_keep_the_bits_of_renormalizing_every_level(monkeypatch)
     monkeypatch.setattr(weyl_titchmarsh, "_chain_product", watched_chain)
     monkeypatch.setattr(weyl_titchmarsh, "_shoot", both)
     d3, d5, d3_flat = (make_spectral_params(d, delta, 64).kappa for d, delta in _LADDERS)
-    runs = [(form, kappas, None) for form in (B1, ZeroForm()) for kappas in (d3, d5)]
-    runs += [(form, kappa, None) for form in (B1, ZeroForm()) for kappa in _KAPPAS]
-    runs += [(form, kappa, 1.0) for form in (B1, ZeroForm()) for kappa in _GIVEN]
-    runs += [(B2, d3_flat, None),
-             (Bargmann1(beta=1000.0, gamma=1.0), make_spectral_params(3, 0.5, 2).kappa, None)]
+    runs = [(form, kappas) for form in (B1, ZeroForm()) for kappas in (d3, d5)]
+    runs += [(form, kappa) for form in (B1, ZeroForm()) for kappa in _KAPPAS]
+    runs += [(B2, d3_flat),
+             (Bargmann1(beta=1000.0, gamma=1.0), make_spectral_params(3, 0.5, 2).kappa)]
     failures = 0
-    for form, kappas, x_max in runs:
+    for form, kappas in runs:
         try:
-            wt_from_ode(form, kappas, OdeOptions(x_max=x_max))
+            wt_from_ode(form, kappas)
         except NumericalError:
             failures += 1
-    for x_max, n in _CORNER:
-        for form in (B1, ZeroForm()):
+    overflows = []
+    for form in (B1, ZeroForm()):
+        for kappa, count in _END_1:
+            for n in (32 * 2 ** j for j in range(count)):
+                _, k, error = both(form.potential, np.array([1.0]), np.array([kappa]), n)
+                overflows.append(k == 0 and "backward integration overflowed" in str(error))
+        for x_max, n in _CORNER:
             both(form.potential, np.array([x_max]), np.array([2.0 ** 20]), n)
-    # the two wells, Bargmann1 at kappa = 1e6 with x_max = 1 and both forms'
-    # overflow at kappa = 1e60 fail
-    assert failures == 5 and len(passes) > 100 and any(chunks) and not all(chunks)
+    # the two wells fail, and both forms' passes overflow at kappa = 1e60 only
+    assert failures == 2 and overflows == 2 * ([False] * 9 + [True])
+    assert len(passes) > 100 and any(chunks) and not all(chunks)
 
 
 def test_half_step_grid_is_linspace_bitwise():
@@ -489,8 +509,8 @@ def test_half_step_grid_is_linspace_bitwise():
 
 
 def test_sampled_table_must_reach_the_picked_truncation_point():
-    # x_max = None picks 23/kappa; a sampled table that ends before that point
-    # is refused, not clipped to its last node
+    # every kappa truncates at 23/kappa; a sampled table that ends before that
+    # point is refused, not clipped to its last node
     sampled_only = _zero_table(12.0, 64)
     for kappa in (1.0, np.array([1.0, 2.0])):
         with pytest.raises(ValidationError, match=r"^evaluator failed at k=0: potential "
@@ -590,7 +610,7 @@ def test_ode_laplace_agreement_improves_with_refinement():
         amp = _amp(form, [], delta=0.5)
         for kappa in (1.5, 5.0):
             (lap,), (lap_err,) = wt_from_amplitude(amp, kappa)
-            odes = [[r[0] for r in wt_from_ode(form, kappa, OdeOptions(tolerance=tol))]
+            odes = [[r[0] for r in wt_from_ode(form, kappa, tolerance=tol)]
                     for tol in (1e-6, 1e-8, 1e-10)]
             gaps = [abs(ode - lap) for ode, _ in odes]
             assert all(g <= err + lap_err for g, (_, err) in zip(gaps, odes))
@@ -622,7 +642,7 @@ def test_asymptotic_drift_vanishes():
 def test_flat_spectrum_is_the_index_sequence():
     for d, K in ((3, 3), (5, 2)):
         params = make_spectral_params(d, 0.0, K)
-        values, _ = wt_from_ode(ZeroForm(), params.kappa, OdeOptions(x_max=12.0))
+        values, _ = wt_from_ode(ZeroForm(), params.kappa)
         assert np.allclose(steklov_spectrum(params, values), np.arange(K + 1), atol=1e-8)
 
 
