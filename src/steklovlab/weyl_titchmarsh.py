@@ -27,15 +27,18 @@ e_j = r_j + (r_j - r_{j-1})/63 its h^6 term. A kappa is accepted once
 est_error adds 16 eps |e_j| for rounding. Halving gives up as soon
 as the raw differences m_j - m_{j-1} stop contracting: they grow near an
 eigenvalue, and shrink too slowly while the step does not resolve the
-potential or the tolerance is below the rounding floor. Every kappa takes its
-own step x_max/n. A kappa's first n is the least 32 * 2^j whose step is at
-most _STEP, and the kappas of one call are grouped by it: a group shares n at
-every level and pushes its unconverged kappas through one batched
-(2, 2, kappas, steps) propagator product per level, in batches of _CHUNK
-steps' worth of elements; each batch samples Q once, on its own kappas' grids
-in kappa order, and kappa h = 23/n is the same for every kappa of a group. A
-sampled table must reach 23/kappa; extend_potential carries one that stops
-short on with a closed form. No pass takes more
+potential or the tolerance is below the rounding floor. A tolerance below
+eps |e_j|/2 is met only by e_j - r_j rounding to 0, so such an acceptance is
+refused unless the passes themselves agree within the rounding term. Every
+kappa takes its own step x_max/n. A kappa's first n is the least 32 * 2^j
+whose step is at most _STEP, and each halving doubles it. One batched
+(2, 2, kappas, steps) propagator product per step count, least first, takes
+every unconverged kappa whose next pass has that count, whatever its first
+count, in batches of _CHUNK steps' worth of elements; each batch samples Q
+once, on its own kappas' grids in kappa order. A kappa's value does not
+depend on the kappas that share its batch, so it takes the same bits in any
+call. A sampled table must reach 23/kappa; extend_potential carries one that
+stops short on with a closed form. No pass takes more
 than _MAX_STEPS steps, which bounds its 2n + 1 samples: a kappa whose first
 pass cannot be halved twice within that budget is refused before any
 shooting, and one that has not converged when the next pass would pass it
@@ -73,7 +76,8 @@ _CHUNK = 8192         # RK4 steps per propagator product
 _MIN_CONTRACTION = 2  # step halving must shrink the difference at least this much
 _STEP = 1.0 / 32.0    # largest step of the first shooting pass
 _MAX_STEPS = 2 ** 20  # steps of the longest pass; its 2n + 1 samples take about 16 MiB
-_ROUNDING = 16.0 * np.finfo(float).eps  # est_error's rounding term, relative to |M|
+_EPS = np.finfo(float).eps
+_ROUNDING = 16.0 * _EPS  # est_error's rounding term, relative to |M|
 _TOLERANCE = 1e-11    # wt_from_ode's default tolerance, also the command line's
 
 # exp-sinh rule for int_0^inf f(s) e^{-s} ds: nodes s(t) = exp(t - e^{-t}) at
@@ -89,7 +93,7 @@ def _first_steps(x_max: float) -> int:
     longer than _STEP, or the first such count past _MAX_STEPS, so that an
     infinite x_max ends the doubling too. It depends on the truncation point
     alone, so a kappa takes the same levels in any call, and a call's kappas
-    fall into a few groups of one step count."""
+    share a few power-of-two step counts, one pass each."""
     n = 32
     while n * _STEP < x_max and n <= _MAX_STEPS:
         n *= 2
@@ -232,10 +236,10 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, *,
 
     Q is a sampled RadialPotential or a closed form, which is evaluated
     directly. kappa is a 1-d array; a scalar counts as one entry. Each kappa
-    shoots over [0, 23/kappa] with its own step, and the kappas
-    are grouped by their first step count (_first_steps). At each halving
-    level a group shoots all of its unconverged kappas in one batched pass,
-    which samples Q on their half-step grids; converged kappas drop out.
+    shoots over [0, 23/kappa] with its own step, first in _first_steps
+    steps, then in twice as many at every level until it converges. Each
+    pass, least step count first, shoots all the unconverged kappas whose
+    next pass has that count, and samples Q on their half-step grids.
     From the levels' values m_j it forms the Richardson extrapolates
     r_j = m_j + (m_j - m_{j-1})/15 and the next Neville column
     e_j = r_j + (r_j - r_{j-1})/63. A kappa converges when
@@ -250,9 +254,11 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, *,
     on to it), and NumericalError when a halving shrinks the raw
     difference |m_j - m_{j-1}| by less than _MIN_CONTRACTION (worded as an
     eigenvalue if it grew, as an unresolved step or a tolerance below the
-    rounding floor if not), or when the next pass would be longer than
-    _MAX_STEPS. The error is that of the lowest failing index k, raised as
-    "evaluator failed at k=..."; the kappas above k stop as soon as k fails.
+    rounding floor if not), when a kappa is accepted with a tolerance below
+    eps |e_j|/2 while |m_j - m_{j-1}| exceeds 16 eps |e_j|, or when the next
+    pass would be longer than _MAX_STEPS. The error is that of the lowest
+    failing index k, raised as "evaluator failed at k=..."; the kappas above
+    k stop as soon as k fails.
     """
     if not 0 < tolerance < math.inf:  # NaN fails
         raise ValidationError(f"tolerance must be positive and finite, got {tolerance}", _MOD)
@@ -262,13 +268,13 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, *,
     values, est_errors = np.empty(kappas.size), np.empty(kappas.size)
     stop, error = kappas.size, None  # the lowest failing index and its error
     x_maxes = np.empty(kappas.size)
-    groups: dict[int, list[int]] = {}  # by first step count, in order of the lowest index
+    steps = np.zeros(kappas.size, dtype=np.int64)  # each kappa's next step count; 0 once done
     for i, kap in enumerate(kappas.tolist()):
         if (error := _bad_kappa(kap)) is not None:
             stop = i
             break
         x_maxes[i] = x_max = 23.0 / kap
-        n = _first_steps(x_max)
+        steps[i] = n = _first_steps(x_max)
         if 4 * n > _MAX_STEPS:  # the two Neville columns need three levels
             stop, error = i, ValidationError(
                 f"truncation point x_max={x_max} at kappa={kap} is out of reach: a first "
@@ -278,51 +284,55 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, *,
             stop, error = i, ValidationError(
                 f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
             break
-        groups.setdefault(n, []).append(i)
 
-    # per kappa, from its last level; NaN until a level sets it. The groups
-    # are disjoint, so each reads only its own entries
+    # per kappa, from its last level; NaN until a level sets it
     prev, prev_diff, prev_r = (np.full(kappas.size, np.nan) for _ in range(3))
-    for n, active in groups.items():
-        live = np.array(active)  # the group's unconverged kappas, ascending
-        while n <= _MAX_STEPS:
-            live = live[live < stop]
-            if not live.size:
-                break
-            m, k, failure = _shoot(potential, x_maxes[live], kappas[live], n)
-            if failure is not None:
-                stop, error = int(live[k]), failure
-            live, m = live[:k], m[:k]
-            diff = np.abs(m - prev[live])
-            r = m + (m - prev[live]) / 15.0  # RK4's h^4 error term cancelled
-            e = r + (r - prev_r[live]) / 63.0  # and the h^6 term
-            est = np.abs(e - r)
-            done = est <= tolerance
-            # RK4 contracts the difference about 16x per halving; near an
-            # eigenvalue it grows instead, and while the step does not
-            # resolve Q it shrinks slowly: no tolerance will be met
-            slow = ~done & (diff * _MIN_CONTRACTION > prev_diff[live])
-            if slow.any():
-                j = int(np.argmax(slow))
-                i, was, now = int(live[j]), prev_diff[live[j]], diff[j]
-                stop, error = i, NumericalError(
-                    f"step halving stopped converging at kappa={kappas[i]}: the "
-                    f"difference went from {was:.3g} to {now:.3g} "
-                    + ("(spectral parameter too close to an eigenvalue)" if now > was else
-                       "(the step does not resolve the potential, or the "
-                       "tolerance is below the rounding floor)"), _MOD)
-                live, m, diff, r, e, est, done = (
-                    a[:j] for a in (live, m, diff, r, e, est, done))
-            values[live[done]] = e[done]
-            est_errors[live[done]] = est[done] + _ROUNDING * np.abs(e[done])
-            prev[live], prev_diff[live], prev_r[live] = m, diff, r
-            live = live[~done]
-            n *= 2
-        live = live[live < stop]
-        if live.size:
-            stop, error = int(live[0]), NumericalError(
+    while (pending := np.flatnonzero(steps[:stop])).size:
+        n = int(steps[pending].min())  # one pass per step count, whatever the first counts
+        live = pending[steps[pending] == n]  # ascending
+        m, k, failure = _shoot(potential, x_maxes[live], kappas[live], n)
+        if failure is not None:
+            stop, error = int(live[k]), failure
+        live, m = live[:k], m[:k]
+        change = m - prev[live]
+        diff = np.abs(change)
+        r = m + change / 15.0  # RK4's h^4 error term cancelled
+        e = r + (r - prev_r[live]) / 63.0  # and the h^6 term
+        est, size = np.abs(e - r), np.abs(e)
+        done = est <= tolerance
+        # RK4 contracts the difference about 16x per halving; near an
+        # eigenvalue it grows instead, and while the step does not resolve Q
+        # it shrinks slowly: no tolerance will be met. A tolerance below half
+        # an ulp of e_j is met only by e_j - r_j rounding to 0, which certifies
+        # nothing unless the passes themselves agree within the rounding term
+        slow = ~done & (diff * _MIN_CONTRACTION > prev_diff[live])
+        floor = done & (tolerance < _EPS / 2.0 * size) & (diff > _ROUNDING * size)
+        if (slow | floor).any():
+            j = int(np.argmax(slow | floor))
+            i, was, now = int(live[j]), prev_diff[live[j]], diff[j]
+            if floor[j]:
+                cause = (f"tolerance {tolerance} is below the rounding floor of M at "
+                         f"kappa={kappas[i]}: eps |M|/2 = {_EPS / 2.0 * size[j]:.3g}, "
+                         f"while the passes still differ by {now:.3g}")
+            else:
+                cause = (f"step halving stopped converging at kappa={kappas[i]}: the "
+                         f"difference went from {was:.3g} to {now:.3g} "
+                         + ("(spectral parameter too close to an eigenvalue)" if now > was else
+                            "(the step does not resolve the potential, or the "
+                            "tolerance is below the rounding floor)"))
+            stop, error = i, NumericalError(cause, _MOD)
+            live, m, diff, r, e, est, size, done = (
+                a[:j] for a in (live, m, diff, r, e, est, size, done))
+        accepted = live[done]
+        values[accepted] = e[done]
+        est_errors[accepted] = est[done] + _ROUNDING * size[done]
+        prev[live], prev_diff[live], prev_r[live] = m, diff, r
+        steps[live] = np.where(done, 0, 2 * n)
+        if 2 * n > _MAX_STEPS and not done.all():
+            i = int(live[np.argmin(done)])
+            stop, error = i, NumericalError(
                 f"step halving did not reach tolerance {tolerance} at "
-                f"kappa={float(kappas[live[0]])} within {_MAX_STEPS} steps per pass", _MOD)
+                f"kappa={float(kappas[i])} within {_MAX_STEPS} steps per pass", _MOD)
     return _result(values, est_errors, stop, error)
 
 

@@ -990,6 +990,19 @@ def test_forward_fails_fast_at_bound_state(capsys):
     assert "evaluator failed at k=0:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tolerance", ["1e-300", "1e-16"])
+def test_forward_refuses_a_tolerance_below_the_rounding_floor(tolerance, capsys):
+    # |M| >= 1.5 on this ladder, so half an ulp of M is above either tolerance
+    start = time.perf_counter()
+    code = run_cli(["forward", "--d", "5", "--delta", "1", "--base", "bargmann1", "--beta", "1",
+                    "--gamma", "0.5", "--K", "64", "--tolerance", tolerance, "--output", os.devnull])
+    assert time.perf_counter() - start < 1.0
+    assert code == 3
+    assert capsys.readouterr().err.startswith(
+        f"[weyl_titchmarsh] evaluator failed at k=0: tolerance {float(tolerance)} is below the "
+        "rounding floor of M at kappa=1.5: ")
+
+
 def test_unwritable_output_exits_2(tmp_path):
     assert run_cli(["muntz", "--n", "2", "--output",
                     str(tmp_path / "no" / "such" / "dir.csv")]) == 2

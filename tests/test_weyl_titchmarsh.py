@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steklovlab import (Bargmann1, Bargmann2, NumericalError, RadialPotential,
-                        ValidationError, ZeroForm,
-                        build_perturbed_amplitude, make_spectral_params,
+                        ValidationError, ZeroForm, build_perturbed_amplitude,
+                        extend_potential, make_spectral_params,
                         steklov_spectrum, wt_from_amplitude, wt_from_ode)
 from steklovlab import weyl_titchmarsh
 from steklovlab.weyl_titchmarsh import (_CHUNK, _MAX_STEPS, _ROUNDING, _STEP, _TOLERANCE,
@@ -228,7 +228,7 @@ class _CountingPotential:
         return self.form.potential(x)
 
 
-def test_batched_kappas_match_one_kappa_calls():
+def test_batched_kappas_match_one_kappa_calls(monkeypatch):
     # on the forward-shoot configuration every kappa has its own truncation
     # point 23/kappa, and the first step counts put the kappas in six groups
     params = make_spectral_params(3, 0.5, 64)
@@ -241,18 +241,16 @@ def test_batched_kappas_match_one_kappa_calls():
         counting = _CountingPotential(B1, 46.0)
         singles.append(wt_from_ode(counting, kappa))
         levels.append(len(counting.shapes))
+    passes = _watch_passes(monkeypatch)
     counting = _CountingPotential(B1, 46.0)
     batched = wt_from_ode(counting, params.kappa)
     assert np.array_equal(batched, np.concatenate(singles, axis=1))  # bitwise
-    # each level of a group samples Q in batches of at most _CHUNK steps, one
-    # grid per unconverged kappa
-    calls = 0
-    for n in set(n0):
-        group = [L for first, L in zip(n0, levels) if first == n]
-        for level in range(max(group)):
-            live = sum(L > level for L in group)
-            calls += math.ceil(live / (_CHUNK // min(n * 2 ** level, _CHUNK)))
-    assert len(counting.shapes) == calls
+    # one pass per step count, over all groups: it samples Q in batches of at
+    # most _CHUNK steps, one grid per kappa that takes a level of that count
+    counts = [n * 2 ** level for n, L in zip(n0, levels) for level in range(L)]
+    assert passes == sorted(set(counts)) and len(passes) == 9
+    calls = sum(math.ceil(counts.count(n) / (_CHUNK // min(n, _CHUNK))) for n in passes)
+    assert len(counting.shapes) == calls == 11
     assert all(rows == 1 or rows * (points // 2) <= _CHUNK for rows, points in counting.shapes)
     assert (sum(math.prod(shape) for shape in counting.shapes)
             == sum(2 * n * (2 ** L - 1) + L for n, L in zip(n0, levels)))
@@ -317,6 +315,85 @@ def test_non_finite_samples_fail_the_kappas_whose_grids_hold_them():
         with pytest.raises(NumericalError, match=rf"^evaluator failed at k={k}: potential "
                            "evaluation produced non-finite values$"):
             wt_from_ode(_NanBeyond12(), np.array(kappas))
+
+
+def _sampled_b2() -> RadialPotential:
+    """Bargmann2 (1, 0.5) sampled on [0, 4] and carried on past 23/1.5 by its
+    closed form: shooting interpolates the stitched table."""
+    grid = np.linspace(0.0, 4.0, 257)
+    table = RadialPotential(grid=grid, values=B2.potential(grid))
+    return extend_potential(table, B2, 16.0)
+
+
+def _watch_passes(monkeypatch) -> list[int]:
+    """The step counts of wt_from_ode's passes, in the order it makes them."""
+    passes, shoot = [], weyl_titchmarsh._shoot
+    monkeypatch.setattr(weyl_titchmarsh, "_shoot",
+                        lambda Q, x_max, kap, n: passes.append(n) or shoot(Q, x_max, kap, n))
+    return passes
+
+
+@pytest.mark.parametrize("form", [ZeroForm(), B2, _sampled_b2()],
+                         ids=["zero", "bargmann2", "sampled"])
+def test_merged_passes_match_one_kappa_calls_bitwise(form, monkeypatch):
+    # the d = 5 ladder falls into five first step counts; one pass per step
+    # count over all of them returns each kappa's one-kappa bits
+    kappas = make_spectral_params(5, 1.0, 64).kappa
+    singles = np.concatenate([wt_from_ode(form, k) for k in kappas.tolist()], axis=1)
+    passes = _watch_passes(monkeypatch)
+    batched = np.stack(wt_from_ode(form, kappas))
+    assert batched.tobytes() == singles.tobytes()
+    assert passes == sorted(set(passes))  # ascending, one per step count
+
+
+class _NanOnPass:
+    """Bargmann1 on [0, 46], but NaN on the grid ending at each given
+    truncation point in the pass of the given step count."""
+
+    x_max = 46.0
+
+    def __init__(self, fails: dict[float, int]):
+        self.fails = fails
+
+    def __call__(self, x):
+        q = B1.potential(x)
+        for end, n in self.fails.items():
+            q[(x[:, -1] == end) & (x.shape[1] == 2 * n + 1)] = np.nan
+        return q
+
+
+def test_lower_index_failing_in_a_later_pass_is_the_one_named():
+    # on the d = 5 ladder, kappa = 4.5 (k = 3) starts at 256 steps, kappa =
+    # 13.5 (k = 12) at 64 and kappa = 31.5 (k = 30) at 32. k = 3 failing in
+    # its pass of 1024 comes after k = 30 failing in its first pass; k = 3
+    # failing in its first pass comes before k = 12 failing in its pass of
+    # 512. The lowest index is named either way, with the message it gets alone
+    kappas = make_spectral_params(5, 1.0, 64).kappa
+    low, mid, high = (23.0 / kappas[k] for k in (3, 12, 30))
+    assert [_first_steps(end) for end in (low, mid, high)] == [256, 64, 32]
+    for fails, k in (({low: 1024}, 3), ({low: 1024, high: 32}, 3), ({high: 32}, 30),
+                     ({low: 256, mid: 512}, 3), ({mid: 512, high: 32}, 12)):
+        with pytest.raises(NumericalError, match=rf"^evaluator failed at k={k}: potential "
+                           "evaluation produced non-finite values$"):
+            wt_from_ode(_NanOnPass(fails), kappas)
+
+
+def test_tolerance_below_the_rounding_floor_is_refused():
+    # below eps |M|/2 the acceptance test |e_j - r_j| <= tolerance is met only
+    # once e_j - r_j rounds to 0, while the passes still differ: refused
+    # (test_cli times the refusal)
+    kappas = make_spectral_params(5, 1.0, 64).kappa
+    with pytest.raises(NumericalError, match=r"^evaluator failed at k=0: tolerance 1e-300 is "
+                       r"below the rounding floor of M at kappa=1\.5: eps \|M\|/2 = 1\.25e-16, "
+                       r"while the passes still differ by 2\.45e-11$"):
+        wt_from_ode(B1, kappas, tolerance=1e-300)
+    # where the passes agree within the rounding term, nothing is left to
+    # resolve: Q = 0 shoots -kappa exactly, and M ~ -kappa at kappa = 1e6
+    values, _ = wt_from_ode(ZeroForm(), kappas, tolerance=1e-300)
+    assert np.abs(values + kappas).max() <= 4.0 * _ROUNDING * kappas.max()
+    (value,), _ = wt_from_ode(B1, 1e6)  # eps |M|/2 = 1.1e-10 is above the default tolerance
+    assert _ROUNDING / 32.0 * 1e6 > _TOLERANCE
+    assert value == pytest.approx(_exact_m(B1, np.array([1e6]))[0], rel=1e-15)
 
 
 @pytest.mark.parametrize("route,arg", [(wt_from_ode, B1),
@@ -451,7 +528,7 @@ def test_shooting_passes_keep_the_bits_of_renormalizing_every_level(monkeypatch)
     # kappa = 1e100, passes over [0, 1] up to kappa = 1e60, where they
     # overflow, and long passes at the corner of the moderate regime
     # (|g| = 2^40, h^2 |g| <= 4)
-    chunks, passes = [], []
+    chunks, pairs = [], []  # pairs: one (kappa, step count) entry per kappa a pass compares
     chain = weyl_titchmarsh._chain_product
 
     def watched_chain(P, moderate):
@@ -463,7 +540,7 @@ def test_shooting_passes_keep_the_bits_of_renormalizing_every_level(monkeypatch)
         ref_m, ref_k, ref_error = shoot_every_level(Q, x_max, kappas, n)
         assert (k, str(error)) == (ref_k, str(ref_error))
         assert m[:k].tobytes() == ref_m[:k].tobytes()
-        passes.append(n)
+        pairs.extend((kappa, n) for kappa in kappas.tolist())
         return m, k, error
 
     monkeypatch.setattr(weyl_titchmarsh, "_chain_product", watched_chain)
@@ -489,7 +566,7 @@ def test_shooting_passes_keep_the_bits_of_renormalizing_every_level(monkeypatch)
             both(form.potential, np.array([x_max]), np.array([2.0 ** 20]), n)
     # the two wells fail, and both forms' passes overflow at kappa = 1e60 only
     assert failures == 2 and overflows == 2 * ([False] * 9 + [True])
-    assert len(passes) > 100 and any(chunks) and not all(chunks)
+    assert len(pairs) >= 1000 and any(chunks) and not all(chunks)
 
 
 def test_half_step_grid_is_linspace_bitwise():
