@@ -15,11 +15,11 @@ _EXPORTS = {
                      "SpectralParams", "ZeroForm", "ball_to_halfline", "extend_potential",
                      "halfline_to_ball", "make_spectral_params", "weighted_norm_equivalence"),
     "perturbation": ("Amplitude", "GeometricTail", "build_perturbed_amplitude",
-                     "estimate_radius", "holder_exponent", "ks_check_normalization",
-                     "ks_check_positivity", "ks_check_quasi_szego"),
+                     "estimate_radius", "ks_check_normalization", "ks_check_positivity",
+                     "ks_check_quasi_szego"),
     "weyl_titchmarsh": ("steklov_spectrum", "wt_from_amplitude", "wt_from_ode"),
-    "muntz": ("MuntzSeries", "MuntzSystem", "muntz_coeff_squares", "muntz_coeffs",
-              "still_bound", "system_for_params"),
+    "muntz": ("MuntzSeries", "MuntzSystem", "holder_exponent", "muntz_coeff_squares",
+              "muntz_coeffs", "still_bound", "system_for_params"),
     "gelfand_levitan": ("GLWorkspace", "p_from_amplitude", "p_prime_from_amplitude",
                         "solve_gl"),
     "stability_harness": ("HolderFit", "SweepRecord", "emit_records", "fit_holder",

@@ -174,13 +174,11 @@ def _cmd_perturb(cfg: RunConfig, params: SpectralParams) -> list[str]:
     base_amp = build_perturbed_amplitude(amp.base, np.zeros(0), params)
     sig = steklov_spectrum(params, wt_from_amplitude(base_amp, params.kappa)[0])
     sig_t = steklov_spectrum(params, wt_from_amplitude(amp, params.kappa)[0])
-    # sigma~_k - sigma_k is the series part of the route, sum_j c_j / (2 kappa_k
-    # + mu_j), exactly; the difference of the two O(1) spectra would lose its digits
-    gap = amp.laplace_terms(params.kappa[:, None]).sum(axis=1)
+    gap = amp.steklov_gap(params.kappa)   # exact; sig_t - sig would lose its digits
     lines = ["k,sigma,sigma_tilde,diff"]
     for k, row in enumerate(zip(sig, sig_t, gap)):
         lines.append(",".join([str(k), *map(_fmt, row)]))
-    lines.append(f"# eps = {_fmt(np.max(np.abs(gap)))}")
+    lines.append(f"# eps = {_fmt(abs(gap[0]))}")
     lines.append("# resonances: index,location")
     for i, r in enumerate(amp.resonances):
         lines.append(f"{i},{_fmt(r)}")

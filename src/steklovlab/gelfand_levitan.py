@@ -26,8 +26,8 @@ the 3/8-patched rule for odd n. Every kernel entry is then p on one of two
 lattices, p(h k) (Toeplitz, p(t_j - t_k)) and p(2T - h k) (Hankel,
 p(2T - t_j - t_k)), so p and p' are sampled on them once per solve and every
 node's kernels, right-hand sides and recovery read slices. The last three
-nodes (n < 4) keep a floor of four intervals of their own width and a dense
-pivoted solve.
+nodes (n < 4) keep a floor of four intervals of their own width, on lattices
+of the same layout for their own span T - x_i, and a dense pivoted solve.
 
 Nested solve. On the common grid node i's matrix equals the trailing block
 A0[i:, i:] of the x = 0 matrix except in its first four columns, which carry
@@ -74,11 +74,10 @@ workspace holds O(M) floats, the potential and its grid.
 A group holds at most _BATCH (M + 1) rows over its nodes. Measured with those
 windows (one BLAS thread, interleaved solves), a budget of 32 beat 16 by 3 %
 per M = 256 solve and by 5 % per M = 512 solve, 64 and 128 were slower, and 32
-raised the traced peak of an M = 512 solve from 7.6 to 8.9 MiB (when a solve
-still held the kink table and every node's V and Vx). But other groups round
-differently: 32 moved Q of the T = 6, M = 64 run by 3e-12 (the spread of that
-solve over every group size) and a sweep's q_gap and slope at 1e-15, so 16
-stays and every printed figure keeps its bytes.
+raised the traced peak of an M = 512 solve from 7.6 to 8.9 MiB. But other
+groups round differently: 32 moved Q of the T = 6, M = 64 run by 3e-12 (the
+spread of that solve over every group size) and a sweep's q_gap and slope at
+1e-15, so 16 stays and every printed figure keeps its bytes.
 
 Zero kernel. The zero base without series terms (materializing the series
 drops zero coefficients) has p = p' = 0, so every node's system is I V = 0.
@@ -239,32 +238,26 @@ def _unit_piece_weights(n: int) -> np.ndarray:
 def _sample(A: Amplitude, T: float, M: int, xs: np.ndarray):
     """p and p' on every lattice a solve reads, in one evaluation of each.
 
-    Returns (main, floor). main = (pt, ph, dpt, dph) on the common grid,
-    h = T/M: pt[M + k] = p(h k) for k = -M..M, ph[k] = p(2T - h k) for
-    k = 0..2M, dpt[k] = p'(h k) for k = 0..M and dph[k] = p'(2T - h k) for
-    k = 0..2M. floor holds, for the nodes i = M-3..M-1, the tuple
-    (h_i, 4, pt, ph, dpt, dph) of their own four-interval subgrid,
-    h_i = (T - x_i)/4: main's layout for n = 4 intervals from x_i, so
-    pt[4 + k] = p(h_i k) for k = -4..4 and ph[k] = p(2T - 2x_i - h_i k) for
-    k = 0..8. These are the arguments _dense_node takes before x.
+    Returns four lattices (h, n, pt, ph, dpt, dph) of one layout, for n
+    intervals of width h = L/n from x, L = T - x: pt[n + k] = p(h k) for
+    k = -n..n, ph[k] = p(2L - h k) and dph[k] = p'(2L - h k) for k = 0..2n,
+    dpt[k] = p'(h k) for k = 0..n. The x = 0 node's (n = M) comes first in
+    each evaluation, then the floor nodes' i = M-3..M-1 (n = 4). A point's
+    bits can depend on its place: with 8 or more series terms the last rows
+    of a matrix-vector product round with the call's row count.
     """
-    h = T / M
-    k = np.arange(2 * M + 1)
-    kf = np.arange(9)
-    p_args = [h * (k - M), 2.0 * T - h * k]
-    dp_args = [h * k[: M + 1], 2.0 * T - h * k]
-    widths = [(T - x) / 4.0 for x in xs[M - 3: M]]
-    for x, hf in zip(xs[M - 3: M], widths):
-        p_args += [hf * (kf - 4), 2.0 * T - 2.0 * x - hf * kf]
-        dp_args += [hf * kf[:5], 2.0 * T - 2.0 * x - hf * kf[:5]]
+    spans = [(T, M)] + [(T - x, 4) for x in xs[M - 3: M]]
+    p_args, dp_args = [], []
+    for L, n in spans:
+        h, k = L / n, np.arange(2 * n + 1)
+        p_args += [h * (k - n), 2.0 * L - h * k]
+        dp_args += [h * k[: n + 1], 2.0 * L - h * k]
     p = np.split(p_from_amplitude(A, np.concatenate(p_args)),
                  np.cumsum([a.size for a in p_args[:-1]]))
     dp = np.split(p_prime_from_amplitude(A, np.concatenate(dp_args)),
                   np.cumsum([a.size for a in dp_args[:-1]]))
-    main = (p[0], p[1], dp[0], dp[1])
-    floor = tuple((hf, 4, p[2 + 2 * f], p[3 + 2 * f], dp[2 + 2 * f], dp[3 + 2 * f])
-                  for f, hf in enumerate(widths))
-    return main, floor
+    return [(L / n, n, p[2 * f], p[2 * f + 1], dp[2 * f], dp[2 * f + 1])
+            for f, (L, n) in enumerate(spans)]
 
 
 def _kernels(pt: np.ndarray, ph: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -273,25 +266,24 @@ def _kernels(pt: np.ndarray, ph: np.ndarray, n: int) -> tuple[np.ndarray, np.nda
     return sliding_window_view(ph, n + 1), sliding_window_view(pt[::-1], n + 1)[::-1]
 
 
-def _assemble(main, h: float, W: np.ndarray):
-    """(B, P, hw4) for the x = 0 node of the common grid, n = M intervals,
-    or for a floor node on its own lattices (main's pt and ph) and W of size 5.
+def _assemble(lattice, W: np.ndarray):
+    """(B, P, hw4) for the node of a lattice of _sample, the x = 0 node or a
+    floor node, with W the unit table of its size n + 1.
 
-    The x = 0 matrix is A0 = I + pS S0 - P - P[::-1, ::-1] with S0 = h W[M]
+    The node's matrix is A0 = I + pS S0 - P - P[::-1, ::-1] with S0 = h W[n]
     and P = (h W) pL, the kink-split term; pL is Toeplitz, so the transposed
     term (h W)[::-1, ::-1] pL^T is P reversed. B = A0[::-1, ::-1] is written
     in Fortran order, in that order of operations. W (the unit table) is
     scaled and multiplied in place and becomes P; hw4 = (h W)[:, :4] keeps
     the weights the node corrections read.
     """
-    pt, ph = main[0], main[1]
-    M = W.shape[0] - 1
+    h, n, pt, ph = lattice[:4]
     W *= h
     hw4 = W[:, :4].copy()
-    pS, pL = _kernels(pt, ph, M)
-    B = np.empty((M + 1, M + 1), order="F")
-    np.multiply(pS[::-1, ::-1], W[M, ::-1], out=B)
-    B[np.arange(M + 1), np.arange(M + 1)] += 1.0
+    pS, pL = _kernels(pt, ph, n)
+    B = np.empty((n + 1, n + 1), order="F")
+    np.multiply(pS[::-1, ::-1], W[n, ::-1], out=B)
+    B[np.arange(n + 1), np.arange(n + 1)] += 1.0
     P = np.multiply(W, pL, out=W)
     B -= P[::-1, ::-1]
     B -= P
@@ -374,15 +366,16 @@ def _check_conditioning(rcond: float, anorm: float, x: float) -> None:
             f"(inverse-norm proxy {rcond * anorm:.3e})", _MOD)
 
 
-def _dense_node(h, n, pt, ph, dpt, dph, x: float):
+def _dense_node(lattice, x: float):
     """(V, Vx, residual, q) of a floor node by a dense pivoted solve of its own
-    matrix, assembled as the x = 0 matrix is, on the node's lattices; q is
+    matrix, assembled as the x = 0 matrix is, on the node's lattice; q is
     Q(T - x) by the diagonal-derivative identity on the node's weight row."""
+    h, n, pt, ph, dpt, dph = lattice
     W = _unit_piece_weights(n)
     S = h * W[n]
-    B = _assemble((pt, ph), h, W)[0]
+    B = _assemble(lattice, W)[0]
     mat = np.ascontiguousarray(B[::-1, ::-1])
-    d, g2 = pt[n:] - ph[: n + 1], dph - dpt
+    d, g2 = pt[n:] - ph[: n + 1], dph[: n + 1] - dpt
     anorm = _finite(np.abs(mat).sum(axis=0).max(), x, "non-finite Nystrom matrix at x")
     lu, piv = lu_factor(mat)
     _check_conditioning(dgecon(lu, anorm)[0], anorm, x)
@@ -408,15 +401,15 @@ class _Nested:
     m' = m - 4 and carries its own corner columns N in the last four. Arrays
     over a group of nodes are node-major: [node, column, reversed row]."""
 
-    def __init__(self, main, h: float, M: int, xs: np.ndarray):
-        pt, ph, dpt, dph = main
+    def __init__(self, lattice, xs: np.ndarray):
+        h, M, pt, ph, dpt, dph = lattice
         self.M, self.xs = M, xs
         # the weight table is built here, so that no caller's reference keeps it
         # alive: _assemble turns it into the kink term P, dropped before the LU
         W = _unit_piece_weights(M)
         # recovery weights on reversed rows q < m' (h W[n, n - q] is one row for any n)
         self.wq = h * W[M, ::-1]
-        self.B, P, self.hw4 = _assemble(main, h, W)
+        self.B, P, self.hw4 = _assemble(lattice, W)
         # reversed lattices: node rows q = 0, 1, ... are windows into these
         self.phr, self.dphr = ph[::-1], dph[::-1]
         dptr = np.concatenate([dpt[::-1], np.zeros(M)])
@@ -587,7 +580,7 @@ def _zero_kernel(A: Amplitude) -> bool:
 
 @dataclass
 class GLWorkspace:
-    """One solve's horizon, grid size, recovered potential and residual.
+    """One solve's recovered potential, whose grid carries T and M, and residual.
 
     potential is Q on the x nodes, Q(T - x_i) at index M - i: the nested nodes'
     values taken by their node groups, the floor nodes' by their dense solves,
@@ -600,8 +593,6 @@ class GLWorkspace:
     own solutions only while it runs.
     """
 
-    T: float
-    M: int
     potential: RadialPotential
     residual: float
 
@@ -636,18 +627,17 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
         # and every other node's Q is -2 times a sum of zeros, -0 as the full
         # solve writes it
         q[0], q[1:] = 0.0, -0.0
-        return GLWorkspace(T=T, M=M, potential=RadialPotential(grid=xs, values=q),
-                           residual=0.0)
-    main, floor = _sample(A, T, M, xs)
+        return GLWorkspace(potential=RadialPotential(grid=xs, values=q), residual=0.0)
+    main, *floor = _sample(A, T, M, xs)
     residual = 0.0
-    q[0] = -4.0 * main[2][0]   # x = T: dpt[0] = p'(0)
+    q[0] = -4.0 * main[4][0]   # x = T: dpt[0] = p'(0)
     # a well too large for floats overflows inside the factors or meets an
     # exact zero pivot; the gates report that as the tagged error, so numpy's
     # warnings say nothing more
     with np.errstate(all="ignore"):
-        nested = _Nested(main, T / M, M, xs)
-        for i, node in zip(range(M - 3, M), floor):
-            _, _, res, q[M - i] = _dense_node(*node, xs[i])
+        nested = _Nested(main, xs)
+        for i, lattice in zip(range(M - 3, M), floor):
+            _, _, res, q[M - i] = _dense_node(lattice, xs[i])
             residual = max(residual, res)
         hi = M + 1
         while hi >= 5:
@@ -658,5 +648,4 @@ def solve_gl(A: Amplitude, T: float, M: int) -> GLWorkspace:
             res, q[ms - 1] = nested.group(ms)[:2]
             residual = max(residual, res.max())
             hi = lo - 1
-    return GLWorkspace(T=T, M=M, potential=RadialPotential(grid=xs, values=q),
-                       residual=float(residual))
+    return GLWorkspace(potential=RadialPotential(grid=xs, values=q), residual=float(residual))

@@ -238,6 +238,18 @@ def system_for_params(params: SpectralParams, n: int, precision: int = 256) -> M
                        precision=precision)
 
 
+def _still_power(R: float, params: SpectralParams) -> float:
+    """Still's exponent ratio log R / log(9 M0 / 2), for R > 1."""
+    return math.log(R) / math.log(4.5 * params.m0)
+
+
+def holder_exponent(R: float, params: SpectralParams) -> float:
+    """Stability exponent theta = (1/2) min(1, log R / log(9 M0 / 2))."""
+    if not R > 1.0:
+        raise ValidationError(f"exponent defined only for R > 1, got R={R}", _MOD)
+    return 0.5 * min(1.0, _still_power(R, params))
+
+
 def still_bound(eps: float, R: float, params: SpectralParams) -> float:
     """Two-term stability bound eps + R^{1-d-delta} eps^{log R / log(9 M0/2)};
     inf where a term leaves the float range."""
@@ -250,7 +262,6 @@ def still_bound(eps: float, R: float, params: SpectralParams) -> float:
     try:
         if math.isinf(R):
             return eps
-        power = math.log(R) / math.log(4.5 * params.m0)
-        return eps + R ** (1.0 - params.d - params.delta) * eps**power
+        return eps + R ** (1.0 - params.d - params.delta) * eps ** _still_power(R, params)
     except OverflowError:  # float ** raises where * gives inf
         return math.inf

@@ -64,7 +64,6 @@ class Amplitude:
     base: PotentialForm
     term_coeffs: np.ndarray
     term_mu: np.ndarray
-    r_est: float = math.inf
 
     def series_diff(self, alpha) -> np.ndarray:
         """The perturbation sum_k c_k e^{-mu_k alpha} with signed rates; the
@@ -72,10 +71,14 @@ class Amplitude:
         alpha = np.asarray(alpha, dtype=float)
         return np.exp(-np.multiply.outer(alpha, self.term_mu)) @ self.term_coeffs
 
-    def laplace_terms(self, kappa: float) -> np.ndarray:
-        """Per-term transforms int_0^inf c_k e^{-mu_k alpha} e^{-2 kappa alpha}
-        d alpha = c_k / (2 kappa + mu_k), valid while 2 kappa + mu_k > 0."""
-        return self.term_coeffs / (2.0 * kappa + self.term_mu)
+    def steklov_gap(self, kappa) -> np.ndarray:
+        """sigma~ - sigma = sum_k c_k / (2 kappa + mu_k), the series' Laplace
+        transform, at each entry of kappa (any shape) while 2 kappa + mu_k > 0.
+        Every c_k <= 0, so every term is <= 0 and shrinks in magnitude as kappa
+        grows, and so do the (monotonically rounded) float sums: over the ladder
+        kappa_k the sup of |gap| is the k = 0 entry, with no truncation in k."""
+        kappa = np.asarray(kappa, dtype=float)[..., None]
+        return (self.term_coeffs / (2.0 * kappa + self.term_mu)).sum(axis=-1)
 
     def __call__(self, alpha) -> np.ndarray:
         return self.base.amplitude(alpha) + self.series_diff(alpha)
@@ -171,11 +174,11 @@ def build_perturbed_amplitude(base: PotentialForm, coeffs, params: SpectralParam
     if bad.size:
         raise ValidationError(
             f"coefficients must be <= 0; c[{bad[0]}] = {c[bad[0]]}", _MOD)
-    r_est = estimate_radius(c, params, generator)
-    if not r_est > 1.0:
+    R = estimate_radius(c, params, generator)
+    if not R > 1.0:
         raise ValidationError(
-            f"series radius of convergence must exceed 1, estimated R = {r_est}", _MOD)
-    amp = Amplitude(base, *_materialize_terms(c, generator, params), r_est)
+            f"series radius of convergence must exceed 1, estimated R = {R}", _MOD)
+    amp = Amplitude(base, *_materialize_terms(c, generator, params))
     # pole guard: bound-state terms need 2 kappa > |mu_k| strictly on the grid
     mu_neg = amp.term_mu[amp.term_mu < 0]
     if mu_neg.size:
@@ -185,13 +188,6 @@ def build_perturbed_amplitude(base: PotentialForm, coeffs, params: SpectralParam
                 "bound-state rate |mu_k| collides with the evaluation grid: "
                 f"2*kappa_0 - max|mu_k| = {margin:.3e} < 1e-8", _MOD)
     return amp
-
-
-def holder_exponent(R: float, params: SpectralParams) -> float:
-    """Stability exponent theta = (1/2) min(1, log R / log(9 M0 / 2))."""
-    if not R > 1.0:
-        raise ValidationError(f"exponent defined only for R > 1, got R={R}", _MOD)
-    return 0.5 * min(1.0, math.log(R) / math.log(4.5 * params.m0))
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,7 @@ class Bargmann1:
     beta: float
     gamma: float
     kind = "bargmann1"
+    kappa_min = 0.0  # amplitude decays, Laplace converges for kappa > -gamma
 
     def __post_init__(self):
         # the closed forms square beta: a square past the float range raised
@@ -137,10 +138,6 @@ class Bargmann1:
             raise ValidationError(
                 f"bargmann1 needs beta > 0 and 0 <= gamma < beta with beta**2 finite, "
                 f"got beta={self.beta}, gamma={self.gamma}", _MOD)
-
-    @property
-    def kappa_min(self) -> float:
-        return 0.0  # amplitude decays, Laplace converges for kappa > -gamma
 
     def _tau(self) -> float:
         return (self.beta - self.gamma) / (self.beta + self.gamma)
@@ -336,22 +333,24 @@ def extend_potential(q: RadialPotential, form: PotentialForm, x_max: float) -> R
     This is how a table that stops short of shooting's truncation point
     23/kappa reaches it: extend to 23/kappa_min, with ZeroForm for a Q = 0
     tail. The result keeps the original samples and appends closed-form
-    values up to x_max, which must be finite, stepping by the table's first
-    interval; evaluation interpolates the stitched table. At most _MAX_EXTENSION = 2^24 points are
-    appended (two 128 MiB arrays, far past any table the routes use); a longer
-    extension is refused before anything is allocated.
+    values at q.x_max + j h, h the table's first interval, up to the first
+    such point at or past x_max, which must be finite; evaluation
+    interpolates the stitched table. At most _MAX_EXTENSION = 2^24 points
+    are appended (two 128 MiB arrays, far past any table the routes use); a
+    longer extension is refused before anything is allocated.
     """
     if not x_max < math.inf:   # NaN fails
         raise ValidationError(f"extension endpoint must be finite, got {x_max}", _MOD)
     if x_max <= q.x_max:
         raise ValidationError("extension endpoint must exceed the sampled domain", _MOD)
     h = float(q.grid[1] - q.grid[0])
-    count = (x_max + h / 2 - (q.x_max + h)) / h  # np.arange's length, before rounding up
+    count = math.ceil((x_max - q.x_max) / h)
+    count += q.x_max + h * count < x_max   # rounding left the last point short
     if count > _MAX_EXTENSION:
         raise ValidationError(
             f"extension to x_max={x_max} needs {count:.4g} points of step {h}, more than "
             f"{_MAX_EXTENSION}", _MOD)
-    extra = np.arange(q.x_max + h, x_max + h / 2, h)
+    extra = q.x_max + h * np.arange(1, count + 1)
     grid = np.concatenate([q.grid, extra])
     values = np.concatenate([q.values, form.potential(extra)])
     return RadialPotential(grid=grid, values=values)

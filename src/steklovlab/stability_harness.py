@@ -3,13 +3,11 @@
 A sweep scales an admissible coefficient family down over several decades,
 reconstructs the base and perturbed potentials through the same
 discretization (so discretization bias cancels in their difference), reads
-the sup-norm Steklov gap eps in closed form, and records the potential-side
-and amplitude-side gaps together with the two-term bound. The gap is the
-Laplace transform of the amplitude difference, sigma~_k - sigma_k =
-sum_j c_j / (2 kappa_k + mu_j); every c_j <= 0 and every 2 kappa_k + mu_j > 0,
-so its sup over all k is the k = 0 term, exactly, with no truncation in k.
-The bound column carries the a priori constant of the two-term bound as 1;
-it is not an inequality on a_gap, which is quadratic in the coefficients.
+the sup-norm Steklov gap eps in closed form (Amplitude.steklov_gap at
+kappa_0), and records the potential-side and amplitude-side gaps together
+with the two-term bound. The bound column carries the a priori constant of
+the two-term bound as 1; it is not an inequality on a_gap, which is
+quadratic in the coefficients.
 
 fit_holder then checks the Holder inequality q_gap <= C_T eps^theta with the
 constant fitted at the largest scale. Along a family scaled in one direction
@@ -28,9 +26,8 @@ import numpy as np
 from ._format import _fmt
 from .errors import NumericalError, SteklovError, ValidationError
 from .gelfand_levitan import solve_gl
-from .muntz import MuntzSeries, still_bound
-from .perturbation import (Amplitude, GeometricTail, build_perturbed_amplitude,
-                           holder_exponent)
+from .muntz import MuntzSeries, holder_exponent, still_bound
+from .perturbation import Amplitude, GeometricTail, build_perturbed_amplitude, estimate_radius
 from .quadrature import l2_norm
 from .radial_model import PotentialForm, SpectralParams
 from .weyl_titchmarsh import wt_from_amplitude
@@ -66,13 +63,14 @@ def run_sweep(base: PotentialForm, coeffs: Sequence[float], tail: GeometricTail 
               M: int = 256) -> tuple[list[SweepRecord], list[str]]:
     """(records, dropped): one record per scale s, for the perturbation of
     base by the series terms s * coeffs and, if tail is given, the generator
-    c_k = -(tail.a s) tail.rho^{lam_k}, whose radius stays 1/tail.rho.
-    A scale whose pipeline fails, whose figures are not finite, or whose
-    q_gap reads 0 at a positive eps, is dropped and its reason,
-    "s=...: [module] message", goes into dropped. Fewer than
-    3 surviving records fails the sweep with every reason. The base is
-    solved once; on a zero base its kernel is identically zero, so that
-    solve factors nothing and the scales' solves are all of the sweep's
+    c_k = -(tail.a s) tail.rho^{lam_k}. Scaling leaves the radius alone, so
+    every scale's bound and theta read the unscaled family's (1/tail.rho for
+    a generator). A scale whose pipeline fails, whose figures are not
+    finite, or whose q_gap reads 0 at a positive eps, is dropped and its
+    reason, "s=...: [module] message", goes into dropped. Fewer than 3
+    surviving records fails the sweep with every reason. The base is solved
+    once; on a zero base its kernel is identically zero, so that solve
+    factors nothing and the scales' solves are all of the sweep's
     factorizations."""
     scales = [float(s) for s in scales]
     coeffs = np.asarray(coeffs, dtype=float)
@@ -83,6 +81,7 @@ def run_sweep(base: PotentialForm, coeffs: Sequence[float], tail: GeometricTail 
     if not scales or max(scales) / min(scales) < 1e3:
         raise ValidationError("scales must span at least 3 decades", _MOD)
 
+    R = estimate_radius(coeffs, params, tail)
     base_amp = build_perturbed_amplitude(base, np.zeros(0), params)
     wt_from_amplitude(base_amp, params.kappa[0])  # sigma_0 of the base must exist
     q_base = solve_gl(base_amp, T, M).potential
@@ -94,16 +93,14 @@ def run_sweep(base: PotentialForm, coeffs: Sequence[float], tail: GeometricTail 
             gen = None if tail is None else GeometricTail(a=tail.a * s, rho=tail.rho)
             amp = build_perturbed_amplitude(base, s * coeffs, params, gen)
             q_pert = solve_gl(amp, T, M).potential
-            # every term c_j / (2 kappa_k + mu_j) is <= 0 and shrinks in
-            # magnitude as kappa_k grows, so the sup over k sits at k = 0
-            eps = float(np.abs(amp.laplace_terms(params.kappa[0])).sum())
+            eps = abs(float(amp.steklov_gap(params.kappa[0])))
             rec = SweepRecord(
                 s=s,
                 eps=eps,
                 q_gap=l2_norm(q_pert.values - q_base.values, T / M),
                 a_gap=_amplitude_gap_sq(amp, params),
-                bound=still_bound(eps, amp.r_est, params),
-                theta=holder_exponent(amp.r_est, params),
+                bound=still_bound(eps, R, params),
+                theta=holder_exponent(R, params),
             )
             if bad := [k for k, v in vars(rec).items() if not np.isfinite(v)]:
                 raise NumericalError(f"{', '.join(bad)} not finite", _MOD)

@@ -46,8 +46,8 @@ gives up.
 
 Route two uses the representation
 M(-kappa^2) = -kappa - int_0^inf A(alpha) e^{-2 kappa alpha} d alpha for the
-amplitude A, with the perturbation series transformed in closed form:
-sum_k c_k / (2 kappa + mu_k) over the signed rates mu_k. The base part is one
+amplitude A, with the perturbation series transformed in closed form by
+Amplitude.steklov_gap over the signed rates mu_k. The base part is one
 fixed rule for every kappa. With the base's growth factored out,
 g(alpha) = A(alpha) e^{-2 kappa_min alpha}, and s = 2 (kappa - kappa_min) alpha,
 the integral is int_0^inf g(alpha(s)) e^{-s} ds / (2 (kappa - kappa_min)). The
@@ -375,7 +375,7 @@ def wt_from_amplitude(A: Amplitude, kappa) -> tuple[np.ndarray, np.ndarray]:
         f = base.damped_amplitude(_DE_S / decay[:, None]) * _DE_W
         base_int = f.sum(axis=1) / decay
         base_err = np.abs(base_int - (2.0 * f[:, ::2]).sum(axis=1) / decay)
-        values = -ks - base_int - A.laplace_terms(ks[:, None]).sum(axis=1)
+        values = -ks - base_int - A.steklov_gap(ks)
         finite = np.isfinite(values) & np.isfinite(base_err)
         est_errors = base_err + 1e-15 * np.abs(values)
     if not finite.all():

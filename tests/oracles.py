@@ -262,9 +262,9 @@ def nystrom_matrix(pS, pL, S, WL) -> np.ndarray:
 
 def solve_gl_nodes(A, T: float, M: int):
     """solve_gl(A, T, M) watched node by node, for the GL references: the
-    workspace's fields, lattices = _sample's (main, floor) on the solve's
-    grid, V[i] and Vx[i] of every node i (M + 1 - i entries, 5 on the floor
-    nodes, 1 at x = T), and solved, the nodes in the order the solve
+    workspace's fields, T, M, lattices = _sample's four lattices on the
+    solve's grid, V[i] and Vx[i] of every node i (M + 1 - i entries, 5 on the
+    floor nodes, 1 at x = T), and solved, the nodes in the order the solve
     returned them. The rows are copied from the node groups' sol and the
     dense floor solves as they return; a node that nothing solved (x = T, or
     every node at the zero-kernel exit) reads zeros."""
@@ -285,8 +285,8 @@ def solve_gl_nodes(A, T: float, M: int):
             keep(self.M + 1 - m, *sol[:, g, :m][:, ::-1])   # reversed rows, forward
         return residual, q, sol
 
-    def watched_dense(h, n, pt, ph, dpt, dph, x):
-        out = dense(h, n, pt, ph, dpt, dph, x)
+    def watched_dense(lattice, x):
+        out = dense(lattice, x)
         keep(round(x * M / T), out[0], out[1])
         return out
 
@@ -297,21 +297,22 @@ def solve_gl_nodes(A, T: float, M: int):
     sizes = [M + 1 - i for i in range(M - 3)] + [5, 5, 5, 1]
     V, Vx = (tuple(np.zeros(k) if r is None else r for r, k in zip(rows, sizes))
              for rows in (V, Vx))
-    return SimpleNamespace(**vars(ws), V=V, Vx=Vx, solved=tuple(solved),
+    return SimpleNamespace(**vars(ws), T=T, M=M, V=V, Vx=Vx, solved=tuple(solved),
                            lattices=gl._sample(A, T, M, ws.potential.grid))
 
 
-def _node(lattices, T: float, M: int, i: int):
+def _node(lattices, M: int, i: int):
     """(h, n, pt, ph, dpt, dph) of node i < M: its spacing, its interval count
     and its lattices, pt[n + k] = p(h k) for k = -n..n, ph[k] = p(2T - 2x - h k)
-    for k = 0..2n, and p' at the k = 0..n points of each: slices of the common
-    lattices, or a floor node's own."""
-    main, floor = lattices
+    for k = 0..2n, and p' at the k = 0..n points of each: slices of the x = 0
+    lattice, or of a floor node's own."""
+    main, *floor = lattices
     n = M - i
     if n < 4:
-        return floor[i - (M - 3)]
-    pt, ph, dpt, dph = main
-    return (T / M, n, pt[M - n: M + n + 1], ph[2 * i: 2 * i + 2 * n + 1],
+        h, n, pt, ph, dpt, dph = floor[i - (M - 3)]
+        return h, n, pt, ph, dpt, dph[: n + 1]
+    h, _, pt, ph, dpt, dph = main
+    return (h, n, pt[M - n: M + n + 1], ph[2 * i: 2 * i + 2 * n + 1],
             dpt[: n + 1], dph[2 * i: 2 * i + n + 1])
 
 
@@ -321,7 +322,7 @@ def gl_node_system(ws, i: int, W=None):
     by index: mat V = d and mat V_x = g2 - d V[0]. W is the unit kink-split
     table of size at least n + 1 (built when not given)."""
     from steklovlab.gelfand_levitan import _unit_piece_weights
-    h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
+    h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.M, i)
     W = _unit_piece_weights(max(n, 4)) if W is None else W
     a = np.arange(n + 1)
     pS, pL = ph[a[:, None] + a[None, :]], pt[n + a[:, None] - a[None, :]]
@@ -369,10 +370,10 @@ def recover_potential_loop(ws) -> np.ndarray:
     and Q(0) = -4 p'(0) at x = T."""
     from steklovlab.gelfand_levitan import _unit_piece_weights
     qvals = np.empty(ws.M + 1)
-    qvals[0] = -4.0 * ws.lattices[0][2][0]
+    qvals[0] = -4.0 * ws.lattices[0][4][0]
     W = _unit_piece_weights(ws.M)
     for i in range(ws.M):
-        h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.T, ws.M, i)
+        h, n, pt, ph, dpt, dph = _node(ws.lattices, ws.M, i)
         V, Vx = ws.V[i], ws.Vx[i]
         S = h * W[n, : n + 1]
         g1 = ph[: n + 1] - pt[n:]

@@ -186,15 +186,15 @@ def test_tiny_nonzero_kernel_takes_the_full_solve(monkeypatch):
     amp = amp_of(ZeroForm(), coeffs=[-1e-300])
     ws = solve_gl_nodes(amp, 2.0, 64)
     assert calls and calls[0] == (65, 61)
-    main, floor = ws.lattices
-    assert main[0].any() and main[2].any()
+    main = ws.lattices[0]
+    assert main[2].any() and main[4].any()
     assert ws.potential.values[0] == amp(0.0) == -1e-300
 
 
 def test_kernel_symmetry_exact():
     # the x = 0 kernel p(2T-t-s) - p(|t-s|) as the assembler gathers it
     T, n = 2.0, 64
-    (pt, ph, _, _), _ = _sample(amp_of(B1), T, n, np.linspace(0.0, T, n + 1))
+    _, _, pt, ph, _, _ = _sample(amp_of(B1), T, n, np.linspace(0.0, T, n + 1))[0]
     pS, pL = _kernels(pt, ph, n)
     kernel = pS - np.where(np.tri(n + 1, dtype=bool), pL, pL.T)
     assert np.array_equal(kernel, kernel.T)
@@ -300,10 +300,11 @@ def test_buffer_assembly_matches_allocating_expression(n):
     # is the allocating expression bitwise; odd n use the 3/8-patched row
     amp, T = amp_of(B2, [-0.2]), 2.0
     h = T / n
-    (pt, ph, _, _), _ = _sample(amp, T, n, np.linspace(0.0, T, n + 1))
+    lattice = _sample(amp, T, n, np.linspace(0.0, T, n + 1))[0]
+    _, _, pt, ph, _, _ = lattice
     W = _unit_piece_weights(n)
     ref_W = W.copy()
-    B, P, hw4 = _assemble((pt, ph), h, W)
+    B, P, hw4 = _assemble(lattice, W)
     pS, pL = _kernels(pt, ph, n)
     ref = nystrom_matrix(pS, pL, h * ref_W[n], h * ref_W)
     assert np.array_equal(B[::-1, ::-1], ref)
@@ -320,7 +321,7 @@ def test_node_matrices_nest_in_x0_block(amp, M):
     # outside its first four columns, bitwise
     ws = solve_gl_nodes(amp, 2.0, M)
     W = _unit_piece_weights(M)
-    B, _, _ = _assemble(ws.lattices[0], 2.0 / M, W.copy())
+    B, _, _ = _assemble(ws.lattices[0], W.copy())
     A0 = B[::-1, ::-1]
     assert np.array_equal(gl_node_system(ws, 0, W)[0], A0)
     for i in range(1, M - 3):
@@ -365,8 +366,8 @@ def _unpivoted_factors(k: int, M: int = 256) -> np.ndarray:
     """The first k columns of the reversed x = 0 matrix of Bargmann1 at T = 2,
     factored in place by the unpivoted LU (k = M - 3 is the solve's own)."""
     T = 2.0
-    main, _ = _sample(amp_of(B1), T, M, np.linspace(0.0, T, M + 1))
-    B = _assemble(main, T / M, _unit_piece_weights(M))[0]
+    main = _sample(amp_of(B1), T, M, np.linspace(0.0, T, M + 1))[0]
+    B = _assemble(main, _unit_piece_weights(M))[0]
     LU = np.array(B[:, :k], order="F")
     gl._lu_nopivot(LU)
     return LU

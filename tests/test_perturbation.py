@@ -23,7 +23,7 @@ def params(d=3, delta=1.0, K=8):
 def test_build_single_resonance_instance():
     # c0 = 2(gamma^2 - beta^2) = -1.5 with mu0 = 2 gamma = 1 (d=3, delta=1/2)
     amp = build_perturbed_amplitude(ZeroForm(), [-1.5], params(delta=0.5))
-    assert math.isinf(amp.r_est)
+    assert math.isinf(estimate_radius([-1.5], params(delta=0.5)))
     assert np.allclose(amp.term_mu, [1.0])
     assert np.allclose(amp.term_coeffs, [-1.5])
 
@@ -34,9 +34,9 @@ def test_build_rejects_positive_coefficient():
 
 
 def test_build_geometric_tail():
-    amp = build_perturbed_amplitude(ZeroForm(), [], params(delta=0.0),
-                                    GeometricTail(a=0.01, rho=0.5))
-    assert amp.r_est == 2.0
+    tail = GeometricTail(a=0.01, rho=0.5)
+    amp = build_perturbed_amplitude(ZeroForm(), [], params(delta=0.0), tail)
+    assert estimate_radius([], params(delta=0.0), tail) == 2.0
     assert amp.term_coeffs[0] == pytest.approx(-0.01)          # -a rho^{lam_0}, lam_0 = 0
     assert amp.term_coeffs[1] == pytest.approx(-0.01 * 0.25)   # lam_1 = 2
 

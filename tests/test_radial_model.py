@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from steklovlab import (BallPotential, Bargmann1, RadialPotential, ValidationError,
                         ZeroForm, ball_to_halfline, extend_potential, halfline_to_ball,
-                        make_spectral_params, weighted_norm_equivalence)
+                        make_spectral_params, weighted_norm_equivalence, wt_from_ode)
 from steklovlab.quadrature import cubic_interp, simpson
 
 from oracles import bargmann2_mp
@@ -167,6 +167,24 @@ def test_extension_past_the_point_cap_is_refused_before_allocating():
         tracemalloc.stop()
         assert exc.value.module == "radial_model" and peak < 2 ** 20
     assert extend_potential(half, form, 2.0).grid.size == 9
+
+
+@pytest.mark.parametrize("M", [64, 256, 512])
+def test_extension_reaches_every_truncation_point(M):
+    # a Bargmann1 table on [0, 2] carried on to 23/kappa ends at the first
+    # step at or past it, so shooting reaches it also where the nearest step
+    # lies short of it (M = 512, kappa = 1.5). est_error is RK4's error on the
+    # interpolated table; the table's cubic interpolation adds its own O(h^4),
+    # measured at 0.125 h^4 here
+    form = Bargmann1(beta=1.0, gamma=0.5)
+    grid = np.linspace(0.0, 2.0, M + 1)
+    h = 2.0 / M
+    table = RadialPotential(grid=grid, values=form.potential(grid))
+    for kappa in (0.5, 1.0, 1.5, 2.5, 3.7):
+        ext = extend_potential(table, form, 23.0 / kappa)
+        assert ext.grid[-2] < 23.0 / kappa <= ext.x_max
+        (m,), (err,) = wt_from_ode(ext, kappa)
+        assert abs(m - (-kappa - form.laplace(kappa))) <= err + h**4, (M, kappa)
 
 
 def test_zero_form_and_grid_validation():

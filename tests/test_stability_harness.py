@@ -5,9 +5,10 @@ import pytest
 
 from steklovlab import (Bargmann1, Bargmann2, GeometricTail, NumericalError,
                         SweepRecord, ValidationError, ZeroForm,
-                        build_perturbed_amplitude, emit_records, fit_holder,
-                        make_spectral_params, run_sweep, steklov_spectrum,
-                        wt_from_amplitude)
+                        build_perturbed_amplitude, emit_records, estimate_radius,
+                        fit_holder, holder_exponent, make_spectral_params, run_sweep,
+                        steklov_spectrum, system_for_params, wt_from_amplitude)
+from steklovlab.stability_harness import _amplitude_gap_sq
 
 from oracles import series_gap_sq_closed_form
 
@@ -64,6 +65,37 @@ def test_sweep_eps_keeps_the_whole_generator_tail():
     c = -1e-12 * rho ** PARAMS.lam_at(j)
     series = math.fsum(np.abs(c / (2.0 * PARAMS.kappa[0] + PARAMS.mu_at(j))))
     assert records[-1].eps == pytest.approx(series, rel=1e-14, abs=0)
+
+
+def test_list_family_takes_one_radius_and_one_theta():
+    # the estimated radius of s c drifts in its last bit with s (at s = 1e-3
+    # here), so a sweep reads the unscaled family's radius at every scale
+    coeffs = [-0.7, -0.3]
+    params = make_spectral_params(3, 0.5, 8)
+    records, dropped = run_sweep(ZeroForm(), coeffs, None, SCALES, 2.0, params, M=64)
+    assert dropped == []
+    assert {r.theta for r in records} == {holder_exponent(estimate_radius(coeffs, params), params)}
+
+
+@pytest.mark.parametrize("d,delta", [(3, 0.5), (3, 0.0), (4, -1.0), (5, 1.0)])
+@pytest.mark.parametrize("coeffs", [[-1.0], [-1.0, -0.5], [-0.7, 0.0, -0.3, -0.1]],
+                         ids=["one", "two", "gapped"])
+def test_steklov_gap_is_the_muntz_image_of_the_amplitude_gap(d, delta, coeffs):
+    # the paper's two tools agree: on the ladder 2 kappa_k + mu_j = lam_k +
+    # lam_j + 1, so the Steklov gaps are g = H c with H the monomial Gram
+    # matrix, and C H C^T = I gives ||C g||^2 = c^T H c = a_gap for every
+    # K at which the ladder holds all the terms
+    from mpmath import mp, mpf
+    for K in range(len(coeffs) - 1 or 1, 13):
+        params = make_spectral_params(d, delta, K)
+        amp = build_perturbed_amplitude(ZeroForm(), coeffs, params)
+        g = amp.steklov_gap(params.kappa)
+        system = system_for_params(params, K)
+        with mp.workprec(system.precision):
+            norm_sq = float(mp.fsum(mp.fdot(row, [mpf(x) for x in g[: len(row)]]) ** 2
+                                    for row in system.C))
+        a_gap = _amplitude_gap_sq(amp, params)
+        assert abs(norm_sq - a_gap) <= 1e-14 * a_gap, (K, norm_sq, a_gap)
 
 
 def test_single_term_monotone_vanishing(single_term_records):
