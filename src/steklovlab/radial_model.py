@@ -74,8 +74,7 @@ def make_spectral_params(d: int, delta: float, K: int) -> SpectralParams:
 
 
 # ---------------------------------------------------------------------------
-# Closed-form families. Each object knows its potential, its amplitude (also
-# with its growth e^{2 kappa_min alpha} factored out), the
+# Closed-form families. Each object knows its potential, its amplitude, the
 # Laplace transform of the amplitude, the running integral p used by the
 # reconstruction module, its Jost boundary value and the spectral density it
 # induces. Keeping all of these on one object lets every module bypass
@@ -95,8 +94,6 @@ class ZeroForm:
 
     def amplitude(self, alpha):
         return np.zeros_like(np.asarray(alpha, dtype=float))
-
-    damped_amplitude = amplitude  # A(alpha) e^{-2 kappa_min alpha}, kappa_min = 0
 
     def laplace(self, kappa: float) -> float:
         return 0.0
@@ -151,8 +148,6 @@ class Bargmann1:
     def amplitude(self, alpha):
         alpha = np.asarray(alpha, dtype=float)
         return 2.0 * (self.gamma**2 - self.beta**2) * np.exp(-2.0 * self.gamma * alpha)
-
-    damped_amplitude = amplitude  # A(alpha) e^{-2 kappa_min alpha}, kappa_min = 0
 
     def laplace(self, kappa: float) -> float:
         return (self.gamma**2 - self.beta**2) / (kappa + self.gamma)
@@ -240,14 +235,8 @@ class Bargmann2:
         alpha = np.asarray(alpha, dtype=float)
         return -(2.0 * self.c1 / self.kappa1) * np.sinh(2.0 * self.kappa1 * alpha)
 
-    def damped_amplitude(self, alpha):
-        """A(alpha) e^{-2 kappa1 alpha} = (c1/kappa1) expm1(-4 kappa1 alpha),
-        finite at every alpha where the amplitude itself overflows."""
-        alpha = np.asarray(alpha, dtype=float)
-        return (self.c1 / self.kappa1) * np.expm1(-4.0 * self.kappa1 * alpha)
-
-    def laplace(self, kappa: float) -> float:
-        if kappa <= self.kappa1:
+    def laplace(self, kappa):
+        if np.any(kappa <= self.kappa1):
             raise ValidationError(
                 f"Laplace transform requires kappa > kappa1 = {self.kappa1}", _MOD)
         # factored: kappa^2 - kappa1^2 loses digits near the threshold, where

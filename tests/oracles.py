@@ -69,6 +69,24 @@ def laplace_of_series(coeffs, mus, kappa: float) -> float:
     return float(val)
 
 
+def laplace_of_amplitude(form, kappa: float) -> float:
+    """Numerical int_0^inf A(a) e^{-2 kappa a} da for a closed form's amplitude
+    A, by quad on [0, inf). Bargmann2's integrand is written damped,
+    (c1/kappa1) expm1(-4 kappa1 a) e^{-2 (kappa - kappa1) a}, because its
+    sinh(2 kappa1 a) overflows where the product is still finite."""
+    if form.kind == "bargmann2":
+        c1, k1 = form.c1, form.kappa1
+
+        def f(a):
+            return c1 / k1 * math.expm1(-4.0 * k1 * a) * math.exp(-2.0 * (kappa - k1) * a)
+    else:
+        def f(a):
+            return float(form.amplitude(a)) * math.exp(-2.0 * kappa * a)
+
+    val, _ = quad(f, 0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return float(val)
+
+
 def series_gap_sq_closed_form(coeffs, lams) -> float:
     """||sum c_k t^{lam_k}||^2 on L^2(0,1) from monomial inner products."""
     total = 0.0

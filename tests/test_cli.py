@@ -83,7 +83,8 @@ def test_perturb_reports_resonance(tmp_path):
 
 def test_laplace_route_near_bargmann2_threshold(tmp_path, capsys):
     # d = 3: kappa_0 = 0.5 sits 0.01 above kappa1, where the amplitude
-    # sinh(2 kappa1 alpha) overflows long before e^{-2 kappa alpha} decays
+    # sinh(2 kappa1 alpha) overflows long before e^{-2 kappa alpha} decays;
+    # the closed-form transform keeps every sigma within an ulp
     out = tmp_path / "perturb.csv"
     assert run_cli(["perturb", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.49",
                     "--K", "4", "--output", str(out)]) == 0
@@ -91,18 +92,22 @@ def test_laplace_route_near_bargmann2_threshold(tmp_path, capsys):
     kappa = np.arange(5) + 0.5
     exact = -0.5 + kappa - 1.0 / ((kappa - 0.49) * (kappa + 0.49))
     sigma = np.array([[float(c) for c in r[1:3]] for r in rows])
-    assert np.all(np.abs(sigma - exact[:, None]) <= 1e-13 * np.abs(exact[:, None]))
+    assert np.all(np.abs(sigma - exact[:, None]) <= np.finfo(float).eps * np.abs(exact[:, None]))
     assert "# eps = 0" in out.read_text().splitlines()
     # the sweep on the same base keeps every scale
     assert run_cli(["sweep", "--base", "bargmann2", "--c1", "1", "--kappa1", "0.49",
                     "--K", "16", "--M", "32", "--tail-a", "1", "--tail-rho", "0.111111",
                     "--output", str(out)]) == 0
     assert len([ln for ln in out.read_text().splitlines() if ln.endswith(",PASS")]) == 4
-    # c1/kappa1 overflows: a non-finite Laplace value fails tagged, never as NaN
-    assert run_cli(["perturb", "--base", "bargmann2", "--c1", "1e300", "--kappa1", "1e-10",
+    # c1/(kappa_0 - kappa1) overflows: a non-finite Laplace value fails tagged, never as NaN
+    assert run_cli(["perturb", "--base", "bargmann2", "--c1", "1e308", "--kappa1", "0.4999999",
                     "--K", "4", "--output", str(out)]) == 3
     assert capsys.readouterr().err.startswith(
         "[weyl_titchmarsh] evaluator failed at k=0: the Laplace route is not finite")
+    # c1/kappa1 overflows, but sigma_0 = -c1/(kappa_0^2 - kappa1^2) does not
+    assert run_cli(["perturb", "--base", "bargmann2", "--c1", "1e300", "--kappa1", "1e-10",
+                    "--K", "4", "--output", str(out)]) == 0
+    assert "0,-4.0000000000000002e+300,-4.0000000000000002e+300,0" in out.read_text().splitlines()
 
 
 def _fresh(code: str, *args: str) -> subprocess.CompletedProcess:

@@ -15,7 +15,8 @@ from steklovlab import weyl_titchmarsh
 from steklovlab.weyl_titchmarsh import (_CHUNK, _MAX_STEPS, _ROUNDING, _STEP, _TOLERANCE,
                                         _shoot)
 
-from oracles import laplace_of_series, m_fixed_step, m_fixed_step_loop, shoot_every_level
+from oracles import (laplace_of_amplitude, laplace_of_series, m_fixed_step, m_fixed_step_loop,
+                     shoot_every_level)
 
 B1 = Bargmann1(beta=1.0, gamma=0.5)
 B2 = Bargmann2(c1=1.0, kappa1=0.5)
@@ -639,7 +640,7 @@ def test_amplitude_route_pole_and_threshold_rejections():
         with pytest.raises(ValidationError, match="positive with a finite square"):
             wt_from_amplitude(_amp(B1, []), kappa)
     # arrays raise for the lowest failing index, validation or numerical
-    huge = _amp(Bargmann2(c1=1e300, kappa1=1e-10), [])  # c1/kappa1 overflows
+    huge = _amp(Bargmann2(c1=1e308, kappa1=1.4999999), [])  # c1/(kappa - kappa1) overflows at 1.5
     for a, kappas, error, k in ((_amp(B1, []), [1.5, math.nan, 0.0], ValidationError, 1),
                                 (_amp(B2, []), [1.5, 2.5, 0.4], ValidationError, 2),
                                 (amp, [1.5, 1.0, 2.5], ValidationError, 1),
@@ -651,32 +652,41 @@ def test_amplitude_route_pole_and_threshold_rejections():
     with pytest.raises(NumericalError,
                        match=r"^evaluator failed at k=0: the Laplace route is not finite"):
         wt_from_amplitude(huge, 1.5)
+    # c1/kappa1 overflows, but M does not: the closed form gives it exactly
+    (value,), _ = wt_from_amplitude(_amp(Bargmann2(c1=1e300, kappa1=1e-10), []), 0.5)
+    assert value == 4e300
 
 
-# the Bargmann wells of the Laplace-rule tests, with the kappas k + 1/2 of
+# the Bargmann wells of the Laplace-route tests, with the kappas k + 1/2 of
 # K = 64 and, for Bargmann2, kappa1 + 1e-3 and kappa1 + 1e-2 by the threshold
 _LAPLACE_WELLS = [Bargmann1(beta=1.0, gamma=0.5), Bargmann1(beta=1.25, gamma=0.3),
                   Bargmann1(beta=0.8, gamma=0.0), Bargmann2(c1=1.0, kappa1=0.49),
                   Bargmann2(c1=1.0, kappa1=0.5), Bargmann2(c1=1.5, kappa1=0.4)]
 
 
+def _laplace_kappas(form) -> np.ndarray:
+    near = [form.kappa_min + 1e-3, form.kappa_min + 1e-2] if form.kappa_min else []
+    return np.array(near + [k + 0.5 for k in range(65) if k + 0.5 > form.kappa_min])
+
+
 @pytest.mark.parametrize("form", _LAPLACE_WELLS, ids=_form_id)
 def test_laplace_rule_matches_closed_forms(form):
-    near = [form.kappa_min + 1e-3, form.kappa_min + 1e-2] if form.kappa_min else []
-    kappas = np.array(near + [k + 0.5 for k in range(65) if k + 0.5 > form.kappa_min])
+    kappas = _laplace_kappas(form)
     amp = _amp(form, [], delta=0.5, K=64)
     values, est = wt_from_amplitude(amp, kappas)
     singles = [wt_from_amplitude(amp, float(k)) for k in kappas]
     assert np.array_equal((values, est), np.concatenate(singles, axis=1))  # bitwise
-    worst = 0.0
-    for kappa, value, err in zip(kappas.tolist(), values.tolist(), est.tolist()):
-        exact = -kappa - form.laplace(kappa)
-        assert abs(value - exact) <= err
-        # the estimate is at rounding level, except by the threshold, where the
-        # half rule resolves the knee of expm1(-4 kappa1 alpha) less well
-        assert err <= (1e-9 if kappa in near else 1e-14) * abs(exact)
-        worst = max(worst, abs(value - exact) / abs(exact))
-    assert worst <= 1e-13
+    exact = [-kappa - form.laplace(kappa) for kappa in kappas.tolist()]
+    assert np.array_equal(values, exact)  # bitwise, threshold kappas included
+    assert np.all(est <= 1e-15 * np.abs(values))
+
+
+@pytest.mark.parametrize("form", _LAPLACE_WELLS, ids=_form_id)
+def test_closed_form_laplace_matches_quadrature(form):
+    # the closed forms against their amplitudes integrated on [0, inf)
+    for kappa in _laplace_kappas(form).tolist():
+        exact = form.laplace(kappa)
+        assert abs(laplace_of_amplitude(form, kappa) - exact) <= 1e-13 * abs(exact), kappa
 
 
 def test_ode_laplace_agreement_improves_with_refinement():
