@@ -10,11 +10,13 @@ orthonormalizes t^{lam_0}, ..., t^{lam_n}: C H C^T = I. Its alternating
 products are astronomically ill-conditioned in 64-bit arithmetic beyond
 n ~ 8, so the table and its Gram residual run in extended precision
 (mpmath, default 256 bits); series values and norms are float broadcasts.
-The Gram residual takes every dot product as exact integer products summed
-in one integer and rounded once, which is what mp.fdot returns, over the
-entries that fdot's zip reads. mpmath is imported by the functions that build
-a table or its Gram residual, and fractions by the exact-rational path, so
-importing this module, the series and the bound leaves both unloaded.
+Both run on mpmath's raw libmp tuples and keep the bits of the mpf
+formulas. The Gram residual takes every dot product as exact integer
+products summed in one integer and rounded once, which is what mp.fdot
+returns, over the entries that fdot's zip reads. mpmath is imported by the
+functions that build a table or its Gram residual, and fractions by the
+exact-rational path, so importing this module, the series and the bound
+leaves both unloaded.
 """
 
 from __future__ import annotations
@@ -99,32 +101,46 @@ def muntz_coeffs(exponents: Iterable[float], precision: int = 256):
     digits) no table passes; a refusal at level 0 names the precision as the
     cause and the least precision that certifies row 0.
 
-    Rows are plain lists of mpf, and the diagonal's product runs left to
-    right."""
+    The arithmetic runs on raw libmp tuples, each call the one an mpf operator
+    dispatches to, in the same order and rounded at the same precision: an
+    exponent is rounded from its float as mp.mpf rounds it (below 53 bits
+    too), and the diagonal's product runs left to right from 1. So the bits
+    are those of the mpf formulas, without an mpf object per rounding; the
+    rows are wrapped into mpf once, at the end."""
     from mpmath import mp
+    from mpmath.libmp import (fone, from_float, mpf_add, mpf_div, mpf_le, mpf_mul,
+                              mpf_mul_int, mpf_neg, mpf_sqrt, mpf_sub, mpf_sum, to_float)
 
     def limit(bits: int) -> float:
         return 10.0 ** (int(bits * math.log10(2.0)) - 8)
 
     with mp.workprec(precision):
+        prec, rnd = mp._prec_rounding
         lam, rows, ahead = [], [], []  # ahead: lam_j + lam_{m-1} + 1 for j < m - 1
         for m, x in enumerate(_ladder(exponents)):
-            lam.append(mp.mpf(x))
-            root = mp.sqrt(2 * lam[m] + 1)
+            now = from_float(x, prec, rnd)
+            root = mpf_sqrt(mpf_add(mpf_mul_int(now, 2, prec, rnd), fone, prec, rnd), prec, rnd)
             if not m:
-                rows.append([root])
-            elif lam[m] <= lam[m - 1]:
+                row = [root]
+            elif mpf_le(now, lam[-1]):
                 raise NumericalError(f"exponents coincide at {precision}-bit precision", _MOD)
             else:
-                gap = [lj - lam[m] for lj in lam[:m]]
-                scale = root / prev
-                ratio = [a * scale / g
-                         for a, g in zip(ahead + [lam[m - 1] + lam[m - 1] + 1], gap)]
-                ahead = [lj + lam[m] + 1 for lj in lam[:m]]
-                diag = root * math.prod(a / -g for a, g in zip(ahead, gap))
-                rows.append([c * r for c, r in zip(rows[-1], ratio)] + [diag])
+                gap = [mpf_sub(lj, now, prec, rnd) for lj in lam]
+                scale = mpf_div(root, prev, prec, rnd)
+                ahead.append(mpf_add(mpf_add(lam[-1], lam[-1], prec, rnd), fone, prec, rnd))
+                ratio = [mpf_div(mpf_mul(a, scale, prec, rnd), g, prec, rnd)
+                         for a, g in zip(ahead, gap)]
+                ahead = [mpf_add(mpf_add(lj, now, prec, rnd), fone, prec, rnd) for lj in lam]
+                diag = fone
+                for a, g in zip(ahead, gap):
+                    diag = mpf_mul(diag, mpf_div(a, mpf_neg(g), prec, rnd), prec, rnd)
+                row = [mpf_mul(c, r, prec, rnd) for c, r in zip(rows[-1], ratio)]
+                row.append(mpf_mul(root, diag, prec, rnd))
+            lam.append(now)
+            rows.append(row)
             prev = root
-            if (proxy := float(mp.fsum(rows[m], absolute=True))) > limit(precision):
+            proxy = to_float(mpf_sum(row, prec, rnd, absolute=True), rnd=rnd)
+            if proxy > limit(precision):
                 cause = ""
                 if m == 0:
                     least = next(bits for bits in itertools.count(precision)
@@ -134,7 +150,8 @@ def muntz_coeffs(exponents: Iterable[float], precision: int = 256):
                 raise NumericalError(
                     f"orthonormalization level n={m} exceeds the certified range at "
                     f"{precision}-bit precision (condition proxy {proxy:.3e}){cause}", _MOD)
-        return tuple(tuple(row) for row in rows)
+        make = mp.make_mpf
+        return tuple(tuple([make(c) for c in row]) for row in rows)
 
 
 def muntz_coeff_squares(exponents: Sequence[Fraction]) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
@@ -191,10 +208,16 @@ class MuntzSystem:
         take its path. The sums lam_i + lam_j are formed for i <= j only and
         mirrored (an mpf sum rounds the exact sum once, so it is symmetric), and
         the Cauchy entries are built once per distinct sum (2n + 1 of them on a
-        ladder)."""
+        ladder).
+
+        Rounding to nearest is monotone and odd, so the largest |entry| of a
+        row after rounding is its largest exact |sum| rounded: for q < m on the
+        exact path the integer sums are compared on a common exponent and only
+        the largest is rounded, once per row. The entries on fdot's mpf_sum
+        path and the diagonal |(C H C^T)_mm - 1| are rounded one by one."""
         from mpmath import mp, mpf
-        from mpmath.libmp import (fone, fzero, from_man_exp, mpf_abs, mpf_add, mpf_mul,
-                                  mpf_sub, mpf_sum, to_float)
+        from mpmath.libmp import (fone, from_man_exp, mpf_abs, mpf_add, mpf_mul, mpf_sub,
+                                  mpf_sum, to_float)
         n = self.n if n is None else n
         with mp.workprec(self.precision):
             prec, rnd = mp._prec_rounding  # what fdot rounds with
@@ -213,9 +236,16 @@ class MuntzSystem:
             worst = 0.0
             for m, Cm in enumerate(C):
                 CHm = _fixed([fdot(Cm, H[k]) for k in range(m + 1)])
-                for q in range(m + 1):
-                    e = mpf_sub(fdot(CHm, C[q]), fone if m == q else fzero, prec, rnd)
-                    worst = max(worst, to_float(mpf_abs(e, prec, rnd), rnd=rnd))
+                top, at = 0, 0  # largest exact |<(C H)_m, C_q>|, q < m, on the exact path
+                for Cq in C[:m]:
+                    if CHm[3] + Cq[3] > 2 * prec:
+                        worst = max(worst, to_float(mpf_abs(fdot(CHm, Cq)), rnd=rnd))
+                        continue
+                    s, e = abs(sum(map(operator.mul, CHm[1], Cq[1]))), CHm[2] + Cq[2]
+                    if s and ((s << (e - at)) > top if e >= at else s > (top << (at - e))):
+                        top, at = s, e
+                worst = max(worst, to_float(from_man_exp(top, at, prec, rnd), rnd=rnd),
+                            to_float(mpf_abs(mpf_sub(fdot(CHm, Cm), fone, prec, rnd)), rnd=rnd))
             return worst  # float rounding is monotone: the float of the mpf max
 
 

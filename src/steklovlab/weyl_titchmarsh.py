@@ -29,7 +29,9 @@ as the raw differences m_j - m_{j-1} stop contracting: they grow near an
 eigenvalue, and shrink too slowly while the step does not resolve the
 potential or the tolerance is below the rounding floor. A tolerance below
 eps |e_j|/2 is met only by e_j - r_j rounding to 0, so such an acceptance is
-refused unless the passes themselves agree within the rounding term. Every
+refused unless the passes themselves agree within the rounding term. A
+kappa where a closed form's Jost value vanishes, a pole of M, is refused
+before any shooting. Every
 kappa takes its own step x_max/n. A kappa's first n is the least 32 * 2^j
 whose step is at most _STEP, and each halving doubles it. One batched
 (2, 2, kappas, steps) propagator product per step count, least first, takes
@@ -247,9 +249,12 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, *,
     eigenvalue if it grew, as an unresolved step or a tolerance below the
     rounding floor if not), when a kappa is accepted with a tolerance below
     eps |e_j|/2 while |m_j - m_{j-1}| exceeds 16 eps |e_j|, or when the next
-    pass would be longer than _MAX_STEPS. The error is that of the lowest
-    failing index k, raised as "evaluator failed at k=..."; the kappas above
-    k stop as soon as k fails.
+    pass would be longer than _MAX_STEPS. A kappa where a closed form's Jost
+    value jost0 is exactly 0 (Bargmann2 at kappa1, a pole of M) raises
+    NumericalError before any shooting; a kappa next to it still shoots, and
+    the halving rule words its failure as an eigenvalue. The error is that of
+    the lowest failing index k, raised as "evaluator failed at k=..."; the
+    kappas above k stop as soon as k fails.
     """
     if not 0 < tolerance < math.inf:  # NaN fails
         raise ValidationError(f"tolerance must be positive and finite, got {tolerance}", _MOD)
@@ -274,6 +279,11 @@ def wt_from_ode(Q: RadialPotential | PotentialForm, kappa, *,
         if not closed and x_max > Q.x_max + 1e-12:
             stop, error = i, ValidationError(
                 f"potential sampled only up to {Q.x_max}, need x_max={x_max}", _MOD)
+            break
+        if closed and Q.jost0(kap) == 0.0:  # exact: kappa - kappa1 is 0 only at kappa1
+            stop, error = i, NumericalError(
+                f"M has a pole at kappa={kap}, where the closed form's Jost value vanishes "
+                "(spectral parameter too close to an eigenvalue)", _MOD)
             break
 
     # per kappa, from its last level; NaN until a level sets it

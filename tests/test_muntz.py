@@ -119,6 +119,7 @@ def test_gram_residual_sees_every_pair(m, j):
     (4, 0.5, 256, (5, 17, 30)),               # rows whose spreads add past 2 prec
     (4, 0.37, 256, (17, 60)),
     (5, 1.0, 512, (2, 17, 60)),
+    (4, 0.37, 40, (0, 1, 2, 4)),              # each exponent rounds to 40 bits as mp.mpf does
 ])
 def test_table_and_residual_equal_the_reference_bitwise(d, delta, precision, sizes):
     # the rows against the recurrence with an mpf on the left, the residual
@@ -186,17 +187,21 @@ def test_certified_range_refusal_at_low_precision():
     assert system_for_params(params, 10, precision=64).n == 10  # still certified
 
 
-def test_refusal_converts_only_the_levels_it_builds(monkeypatch):
+def test_refusal_converts_only_the_levels_it_builds():
     # the 10^5-exponent ladder of d = 3, delta = 1/2 is refused at level 91
-    # at 256 bits: the exponents are converted and rooted one level at a
-    # time, so the refusal takes 92 square roots, not 10^5 + 1
-    calls = []
-    sqrt = mp.sqrt
-    monkeypatch.setattr(mp, "sqrt", lambda x: calls.append(1) or sqrt(x))
+    # at 256 bits: the exponents are read, converted and rooted one level at
+    # a time, so the refusal reads 92 exponents, not 10^5 + 1
+    read = []
+
+    def counted(ladder):
+        for x in ladder:
+            read.append(x)
+            yield x
+
     ladder = make_spectral_params(3, 0.5, 1).lam_at(np.arange(10**5 + 1)).tolist()
     with pytest.raises(NumericalError, match=r"level n=91 exceeds the certified range"):
-        muntz_coeffs(ladder, precision=256)
-    assert len(calls) <= 92
+        muntz_coeffs(counted(ladder), precision=256)
+    assert len(read) <= 92
 
 
 def test_ladder_does_not_depend_on_the_parameter_table():

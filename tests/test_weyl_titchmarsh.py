@@ -154,9 +154,39 @@ def test_ode_failure_at_eigenvalue():
      "(the step does not resolve the potential, or the tolerance is below the rounding floor)"),
 ])
 def test_ode_failure_worded_by_direction(form, cause):
+    # one ulp above 0.5: Bargmann2's pole at kappa1 = 0.5 itself is refused
+    # before shooting (below), and next to it the halving rule words it
     with pytest.raises(NumericalError, match="stopped converging at kappa=0.5") as exc:
-        wt_from_ode(form, 0.5)
+        wt_from_ode(form, np.nextafter(0.5, 1.0))
     assert str(exc.value).endswith(cause)
+
+
+def test_closed_form_pole_is_refused_before_shooting(monkeypatch):
+    # jost0(kappa1) = 0 marks M's pole in closed form: no pass is shot, and
+    # the forward command's kappa_0 = kappa1 fails at k = 0 with every kappa
+    # above it stopped
+    passes = _watch_passes(monkeypatch)
+    kappas = make_spectral_params(3, 0.0, 64).kappa
+    assert kappas[0] == B2.kappa1
+    with pytest.raises(NumericalError, match=r"evaluator failed at k=0: M has a pole at "
+                       r"kappa=0.5, .*\(spectral parameter too close to an eigenvalue\)$"):
+        wt_from_ode(B2, kappas)
+    assert passes == []
+
+
+def test_closed_form_pole_keeps_the_lowest_failing_index(monkeypatch):
+    # the pole at k = 1 stops the kappas above it; the kappa below it still
+    # shoots, and when it fails first (next to the pole), its error is raised
+    form = Bargmann2(c1=1.0, kappa1=1.5)
+    shot, shoot = [], weyl_titchmarsh._shoot
+    monkeypatch.setattr(weyl_titchmarsh, "_shoot",
+                        lambda Q, x_max, kap, n: shot.extend(kap) or shoot(Q, x_max, kap, n))
+    with pytest.raises(NumericalError, match=r"evaluator failed at k=1: M has a pole at kappa=1.5"):
+        wt_from_ode(form, [0.5, 1.5, 2.5])
+    assert set(shot) == {0.5}
+    with pytest.raises(NumericalError, match=r"evaluator failed at k=0: step halving stopped "
+                       r"converging at kappa=1.499999999: .*eigenvalue\)$"):
+        wt_from_ode(form, [1.499999999, 1.5, 2.5])
 
 
 @pytest.mark.parametrize("x_max", [12.0, 46.0])
@@ -549,7 +579,10 @@ def test_shooting_passes_keep_the_bits_of_renormalizing_every_level(monkeypatch)
     d3, d5, d3_flat = (make_spectral_params(d, delta, 64).kappa for d, delta in _LADDERS)
     runs = [(form, kappas) for form in (B1, ZeroForm()) for kappas in (d3, d5)]
     runs += [(form, kappa) for form in (B1, ZeroForm()) for kappa in _KAPPAS]
-    runs += [(B2, d3_flat),
+    # kappa1 itself is refused unshot as a pole of M; one ulp above it the
+    # bound state still shoots, and fails by halving
+    near_pole = np.concatenate([[np.nextafter(d3_flat[0], 1.0)], d3_flat[1:]])
+    runs += [(B2, near_pole),
              (Bargmann1(beta=1000.0, gamma=1.0), make_spectral_params(3, 0.5, 2).kappa)]
     failures = 0
     for form, kappas in runs:
